@@ -41,8 +41,6 @@ from typing import Any, Callable
 
 def _cmd_demo(_args: argparse.Namespace) -> int:
     from repro import (
-        ClientRequest,
-        DaseinVerifier,
         KeyPair,
         Ledger,
         LedgerConfig,
@@ -61,55 +59,66 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     user = KeyPair.generate(seed="demo-user")
     ledger.registry.register("demo-user", Role.USER, user.public)
     print(f"created {ledger!r}")
+    session = LedgerSession(ledger, client_id="demo-user", keypair=user)
     receipts = []
     for i in range(12):
-        request = ClientRequest.build(
-            "ledger://demo", "demo-user", f"record {i}".encode(),
-            clues=("DEMO",), nonce=bytes([i]), client_timestamp=clock.now(),
-        ).signed_by(user)
-        receipts.append(ledger.append(request))
+        receipts.append(session.append(f"record {i}".encode(), clue="DEMO"))
         clock.advance(0.3)
         if i % 4 == 3:
             ledger.anchor_time()
     clock.advance(2.0)
     ledger.collect_time_evidence()
     ledger.commit_block()
-    view = ledger.export_view()
-    verifier = DaseinVerifier(view, tsa_keys={"demo-tsa": tsa.public_key})
+    tsa_keys = {"demo-tsa": tsa.public_key}
     target = receipts[5]
-    proof = ledger.get_proof(target.jsn, anchored=False)
-    report = verifier.verify_dasein(target.jsn, proof, target)
+    report = session.verify_dasein(target.jsn, target, tsa_keys=tsa_keys)
     print(
         f"journal {target.jsn}: what={report.what} "
         f"when=({report.when_bound.lower:.1f}, {report.when_bound.upper:.1f}) "
-        f"who={report.who} -> Dasein-complete={report.dasein_complete}"
+        f"who={report.who} -> Dasein-complete={report.ok}"
     )
-    session = LedgerSession(ledger)
-    audit = session.audit(tsa_keys={"demo-tsa": tsa.public_key})
+    audit = session.audit(tsa_keys=tsa_keys)
     print(
         f"full audit: passed={audit.passed} "
         f"({audit.journals_replayed} journals, {audit.blocks_verified} blocks, "
         f"{audit.time_journals_verified} time anchors)"
     )
-    return 0 if audit.passed and report.dasein_complete else 1
+    return 0 if audit.passed and report else 1
 
 
-def _audit_workload(journals: int, shards: int = 1):
-    """Deterministic audit-target ledger: seeded keys, sim clock, direct TSA.
+def _seeded_deployment(
+    name: str,
+    uri: str,
+    journals: int,
+    shards: int,
+    *,
+    fractal_height: int,
+    block_size: int,
+    anchor_every: int,
+    data_dir: str | None = None,
+):
+    """Deterministic demo deployment: seeded keys, sim clock, direct TSA.
 
     Returns ``(session, tsa_keys)`` — a v2 session over a ledger with
     ``journals`` clue-tagged records, periodic time anchors, and committed
-    blocks, identical for a given ``journals`` on every run.  With
-    ``shards > 1`` the same workload lands on a hash-partitioned
-    :class:`~repro.shard.ShardedLedger` and the audit runs per shard.
+    blocks, identical bytes for a given argument list on every run (which is
+    what makes the CLI self-checks meaningful in CI).  With ``shards > 1``
+    the same workload lands on a hash-partitioned
+    :class:`~repro.shard.ShardedLedger`; with ``data_dir`` it persists there
+    on the paged node store.
     """
     from repro import KeyPair, Ledger, LedgerConfig, Role, SimClock, TimeStampAuthority
     from repro.api import LedgerSession
 
     clock = SimClock()
-    tsa = TimeStampAuthority("audit-tsa", clock)
+    tsa = TimeStampAuthority(f"{name}-tsa", clock)
+    storage = {"node_store": "paged", "data_dir": data_dir} if data_dir else {}
     config = LedgerConfig(
-        uri="ledger://audit", fractal_height=5, block_size=8, shards=shards
+        uri=uri,
+        fractal_height=fractal_height,
+        block_size=block_size,
+        shards=shards,
+        **storage,
     )
     if shards > 1:
         from repro.shard import ShardedLedger
@@ -118,20 +127,29 @@ def _audit_workload(journals: int, shards: int = 1):
     else:
         ledger = Ledger(config, clock=clock)
     ledger.attach_tsa(tsa)
-    user = KeyPair.generate(seed="audit-user")
-    ledger.registry.register("audit-user", Role.USER, user.public)
-    session = LedgerSession(ledger, client_id="audit-user", keypair=user)
+    user = KeyPair.generate(seed=f"{name}-user")
+    ledger.registry.register(f"{name}-user", Role.USER, user.public)
+    session = LedgerSession(ledger, client_id=f"{name}-user", keypair=user)
+    lineage = name.upper()
     for index in range(journals):
         # Sharded runs spread the lineage over enough clues to hit every
         # shard (routing hashes the first clue); plain runs keep the single
-        # "AUDIT" lineage the seeded workload has always used.
-        clue = "AUDIT" if shards == 1 else f"AUDIT-{index % (4 * shards)}"
-        session.append(f"audit record {index}".encode(), clue=clue)
+        # lineage the seeded workload has always used.
+        clue = lineage if shards == 1 else f"{lineage}-{index % (4 * shards)}"
+        session.append(f"{name} record {index}".encode(), clue=clue)
         clock.advance(0.25)
-        if index % 16 == 15:
+        if index % anchor_every == anchor_every - 1:
             ledger.anchor_time()
     ledger.commit_block()
-    return session, {"audit-tsa": tsa.public_key}
+    return session, {f"{name}-tsa": tsa.public_key}
+
+
+def _audit_workload(journals: int, shards: int = 1):
+    """The deterministic audit-target deployment: ``(session, tsa_keys)``."""
+    return _seeded_deployment(
+        "audit", "ledger://audit", journals, shards,
+        fractal_height=5, block_size=8, anchor_every=16,
+    )
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -320,8 +338,6 @@ def _stats_workload(journals: int) -> dict:
     import tempfile
 
     from repro import (
-        ClientRequest,
-        DaseinVerifier,
         KeyPair,
         Ledger,
         LedgerConfig,
@@ -331,6 +347,7 @@ def _stats_workload(journals: int) -> dict:
         TimeStampAuthority,
     )
     from repro import obs
+    from repro.api import LedgerSession
     from repro.storage.stream import FileStream
 
     with obs.scoped() as scoped_registry, tempfile.TemporaryDirectory(
@@ -349,21 +366,19 @@ def _stats_workload(journals: int) -> dict:
         user = KeyPair.generate(seed="stats-user")
         ledger.registry.register("stats-user", Role.USER, user.public)
 
-        def request(i: int) -> ClientRequest:
-            return ClientRequest.build(
-                "ledger://stats", "stats-user", f"record {i}".encode(),
-                clues=("STATS",), nonce=i.to_bytes(4, "big"),
-                client_timestamp=clock.now(),
-            ).signed_by(user)
-
+        session = LedgerSession(ledger, client_id="stats-user", keypair=user)
         half = journals // 2
         receipts = []
         for i in range(half):
-            receipts.append(ledger.append(request(i)))
+            receipts.append(session.append(f"record {i}".encode(), clue="STATS"))
             clock.advance(0.1)
             if i % 4 == 3:
                 ledger.anchor_time()
-        receipts.extend(ledger.append_batch([request(i) for i in range(half, journals)]))
+        receipts.extend(
+            session.append_batch(
+                [(f"record {i}".encode(), "STATS") for i in range(half, journals)]
+            )
+        )
         ledger.anchor_time()
         clock.advance(2.0)
         ledger.collect_time_evidence()
@@ -371,11 +386,9 @@ def _stats_workload(journals: int) -> dict:
         for receipt in receipts[: min(8, len(receipts))]:
             proof = ledger.get_proof(receipt.jsn)
             assert ledger.verify_journal(ledger.get_journal(receipt.jsn), proof)
-        view = ledger.export_view()
-        verifier = DaseinVerifier(view, tsa_keys={"stats-tsa": tsa.public_key})
         target = receipts[1]
-        report = verifier.verify_dasein(
-            target.jsn, ledger.get_proof(target.jsn, anchored=False), target
+        report = session.verify_dasein(
+            target.jsn, target, tsa_keys={"stats-tsa": tsa.public_key}
         )
         assert report.what and report.who
         stream.close()
@@ -394,14 +407,9 @@ def _stats_workload(journals: int) -> dict:
             clock=clock,
         )
         paged.registry.register("stats-user", Role.USER, user.public)
+        paged_session = LedgerSession(paged, client_id="stats-user", keypair=user)
         for i in range(journals):
-            paged.append(
-                ClientRequest.build(
-                    "ledger://stats-paged", "stats-user", f"record {i}".encode(),
-                    clues=(f"STATS-{i % 4}",), nonce=i.to_bytes(4, "big"),
-                    client_timestamp=clock.now(),
-                ).signed_by(user)
-            )
+            paged_session.append(f"record {i}".encode(), clue=f"STATS-{i % 4}")
             clock.advance(0.1)
         paged.commit_block()
         for i in range(4):
@@ -476,7 +484,8 @@ def _stats_net_leg(journals: int) -> None:
 
 def _stats_shard_leg(journals: int) -> None:
     """Append/verify across a small sharded deployment (§15 families)."""
-    from repro import ClientRequest, KeyPair, LedgerConfig, Role
+    from repro import KeyPair, LedgerConfig, Role
+    from repro.api import LedgerSession
     from repro.shard import ShardedLedger, ShardedLedgerService
 
     ledger = ShardedLedger(
@@ -485,18 +494,12 @@ def _stats_shard_leg(journals: int) -> None:
     user = KeyPair.generate(seed="stats-shard-user")
     ledger.registry.register("stats-shard-user", Role.USER, user.public)
     with ShardedLedgerService(ledger) as service:
-        futures = [
-            service.submit(
-                ClientRequest.build(
-                    "ledger://stats-shard", "stats-shard-user",
-                    f"shard record {i}".encode(), clues=(f"SHARD-{i}",),
-                    nonce=i.to_bytes(4, "big"), client_timestamp=ledger.clock.now(),
-                ).signed_by(user)
-            )
-            for i in range(journals)
-        ]
-        for future in futures:
-            future.result(timeout=30.0)
+        LedgerSession(
+            ledger, client_id="stats-shard-user", keypair=user, service=service
+        ).append_batch(
+            [(f"shard record {i}".encode(), f"SHARD-{i}") for i in range(journals)],
+            timeout=30.0,
+        )
     composite = ledger.composite_root()
     for gsn in ledger.list_tx("SHARD-0"):
         journal = ledger.get_journal(gsn)
@@ -651,45 +654,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _export_workload(journals: int, shards: int, data_dir: str | None = None):
-    """Deterministic export-demo deployment (persistent when ``data_dir``).
-
-    Same discipline as :func:`_audit_workload`: seeded keys, sim clock,
-    periodic TSA anchors, committed blocks — identical bytes for a given
-    ``(journals, shards)`` on every run, which is what makes the CLI
-    self-check (export → verify-bundle → rebuild) meaningful in CI.
-    """
-    from repro import KeyPair, Ledger, LedgerConfig, Role, SimClock, TimeStampAuthority
-    from repro.api import LedgerSession
-
-    clock = SimClock()
-    tsa = TimeStampAuthority("export-tsa", clock)
-    config_kwargs: dict = {
-        "uri": "ledger://export-demo",
-        "fractal_height": 4,
-        "block_size": 8,
-        "shards": shards,
-    }
-    if data_dir:
-        config_kwargs.update(node_store="paged", data_dir=data_dir)
-    config = LedgerConfig(**config_kwargs)
-    if shards > 1:
-        from repro.shard import ShardedLedger
-
-        ledger = ShardedLedger(config, clock=clock)
-    else:
-        ledger = Ledger(config, clock=clock)
-    ledger.attach_tsa(tsa)
-    user = KeyPair.generate(seed="export-user")
-    ledger.registry.register("export-user", Role.USER, user.public)
-    with LedgerSession(ledger, client_id="export-user", keypair=user) as session:
-        for index in range(journals):
-            clue = "EXPORT" if shards == 1 else f"EXPORT-{index % (4 * shards)}"
-            session.append(f"export record {index}".encode(), clue=clue)
-            clock.advance(0.25)
-            if index % 8 == 7:
-                ledger.anchor_time()
-    ledger.commit_block()
-    return ledger
+    """The deterministic export-demo deployment (persistent when ``data_dir``)."""
+    session, _tsa_keys = _seeded_deployment(
+        "export", "ledger://export-demo", journals, shards,
+        fractal_height=4, block_size=8, anchor_every=8, data_dir=data_dir,
+    )
+    return session.ledger
 
 
 def _open_persistent(data_dir: str):

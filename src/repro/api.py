@@ -1,9 +1,9 @@
 """repro.api — the v2 session-handle API (DESIGN.md §11).
 
-The v1 facade (:mod:`repro.core.api`) mirrors the paper's procedural surface:
-free functions keyed by an ``lgid`` string, re-resolved on every call, with
-``verify`` collapsing a three-factor Dasein audit into a bare bool.  This
-module replaces it with **session handles**:
+The paper's procedural surface is free functions keyed by an ``lgid``
+string, re-resolved on every call, with ``verify`` collapsing a three-factor
+Dasein audit into a bare bool.  This module offers **session handles**
+instead:
 
 * :func:`create` / :func:`drop_ledger` manage a process-wide, thread-safe
   registry of ledgers by ``lgid`` — symmetric by default (duplicate
@@ -15,7 +15,7 @@ module replaces it with **session handles**:
   group-commit path), with ``append / append_batch / list_tx / get_proof /
   verify`` methods that never re-look anything up;
 * every verification returns a structured
-  :class:`~repro.core.verification.VerifyResult` — per-factor verdicts, the
+  :class:`~repro.artifacts.VerifyResult` — per-factor verdicts, the
   proof object used, and the trusted root — truthy-compatible with the old
   bool.
 
@@ -31,22 +31,16 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from .artifacts import Artifact
+from .artifacts import Artifact, VerifyLevel, VerifyResult, VerifyTarget
 from .audit import AuditReport, CheckpointStore
 from .core.errors import UsageError
 from .core.journal import ClientRequest, Journal
 from .core.ledger import Ledger, LedgerConfig
 from .core.receipt import Receipt
-from .core.verification import (
-    DaseinVerifier,
-    VerifyLevel,
-    VerifyResult,
-    VerifyTarget,
-)
+from .core.verification import DaseinVerifier
 from .crypto.keys import KeyPair, PublicKey
 from .export.bundle import ExportBundle, export_bundle
 from .export.rebuild import RebuildReport
-from .merkle.fam import FamAccumulator, FamProof
 from .service import LedgerService
 from .session import (
     CAPABILITIES,
@@ -55,11 +49,7 @@ from .session import (
     check_transport_kwargs,
 )
 from .transparency.censorship import SubmissionAck
-from .transparency.sth import (
-    ConsistencyAssertion,
-    ConsistencyBundle,
-    SignedTreeHead,
-)
+from .verify import clue_what, tx_what
 
 __all__ = [
     "Artifact",
@@ -146,10 +136,10 @@ def get_ledger(lgid: str) -> Ledger:
 def drop_ledger(lgid: str, *, missing_ok: bool = False) -> None:
     """Remove a ledger from the registry — symmetric twin of :func:`create`.
 
-    The v1 facade silently ignored unknown ``lgid``\\ s here while ``create``
-    raised on duplicates; that asymmetry hid typos in teardown code.  Both
-    directions now raise by default; pass ``missing_ok=True`` for idempotent
-    cleanup (or use :func:`scoped_ledger`, which does this for you).
+    Silently ignoring an unknown ``lgid`` here while ``create`` raises on
+    duplicates would hide typos in teardown code, so both directions raise
+    by default; pass ``missing_ok=True`` for idempotent cleanup (or use
+    :func:`scoped_ledger`, which does this for you).
 
     Raises:
         UsageError: no ledger is registered under ``lgid`` (and not
@@ -198,36 +188,31 @@ def scoped_ledger(
     """
     with _REGISTRY_LOCK:
         registered = lgid in _REGISTRY
-    if not registered and _parse_remote_uri(lgid) is not None:
-        if kwargs:
-            raise UsageError(
-                f"scoped_ledger({lgid!r}) is a remote scope: constructor "
-                f"arguments {sorted(kwargs)} cannot apply — the server owns "
-                f"its ledger's lifecycle"
-            )
-        session = connect(
+    remote = not registered and _parse_remote_uri(lgid) is not None
+    if remote and kwargs:
+        raise UsageError(
+            f"scoped_ledger({lgid!r}) is a remote scope: constructor "
+            f"arguments {sorted(kwargs)} cannot apply — the server owns "
+            f"its ledger's lifecycle"
+        )
+    if not remote:
+        check_transport_kwargs(
+            "local", lgid, expected_lsp_key=expected_lsp_key, timeout=timeout
+        )
+        create(lgid, **kwargs)
+    try:
+        with connect(
             lgid,
             client_id=client_id,
             keypair=keypair,
             service=service,
             expected_lsp_key=expected_lsp_key,
             timeout=timeout,
-        )
-        try:
+        ) as session:
             yield session
-        finally:
-            session.close()
-        return
-    check_transport_kwargs(
-        "local", lgid, expected_lsp_key=expected_lsp_key, timeout=timeout
-    )
-    create(lgid, **kwargs)
-    session = connect(lgid, client_id=client_id, keypair=keypair, service=service)
-    try:
-        yield session
     finally:
-        session.close()
-        drop_ledger(lgid, missing_ok=True)
+        if not remote:
+            drop_ledger(lgid, missing_ok=True)
 
 
 # ------------------------------------------------------------------ sessions
@@ -343,8 +328,8 @@ def connect(
 class LedgerSession(SessionHelpers):
     """A handle binding one ledger (plus optional service and identity).
 
-    Where the v1 facade re-resolved ``lgid`` strings and re-asked for
-    identity on every call, a session resolves everything once::
+    Where the paper's free functions re-resolve an ``lgid`` string and
+    re-ask for identity on every call, a session resolves everything once::
 
         with repro.api.scoped_ledger("ledger://t") as session:
             session.ledger.registry.register("alice", Role.USER, alice.public)
@@ -372,7 +357,7 @@ class LedgerSession(SessionHelpers):
     ) -> None:
         from .service import ServiceConfig  # local: keep module import light
 
-        self.ledger = ledger
+        self.ledger = self._backend = ledger
         self.lgid = lgid if lgid is not None else ledger.config.uri
         self.client_id = client_id
         self.keypair = keypair
@@ -398,18 +383,6 @@ class LedgerSession(SessionHelpers):
 
     # ------------------------------------------------------------- appends
 
-    def _resolve_identity(
-        self, client_id: str | None, keypair: KeyPair | None
-    ) -> tuple[str, KeyPair]:
-        client_id = client_id if client_id is not None else self.client_id
-        keypair = keypair if keypair is not None else self.keypair
-        if client_id is None or keypair is None:
-            raise UsageError(
-                "no signing identity: pass client_id and keypair here or "
-                "bind them at connect()"
-            )
-        return client_id, keypair
-
     def _build_request(
         self,
         client_id: str,
@@ -427,157 +400,49 @@ class LedgerSession(SessionHelpers):
             client_timestamp=self.ledger.clock.now(),
         ).signed_by(keypair)
 
-    def append(
+    def _sign(
         self,
-        payload: bytes | None = None,
-        *,
-        clue: str | None = None,
-        clues: tuple[str, ...] | None = None,
-        client_id: str | None = None,
-        keypair: KeyPair | None = None,
-        request: ClientRequest | None = None,
-        timeout: float | None = None,
-    ) -> Receipt:
-        """Append one transaction; returns the LSP-signed receipt.
+        items: list[tuple[bytes, tuple[str, ...]]],
+        client_id: str | None,
+        keypair: KeyPair | None,
+    ) -> list[ClientRequest]:
+        client_id = client_id if client_id is not None else self.client_id
+        keypair = keypair if keypair is not None else self.keypair
+        if client_id is None or keypair is None:
+            raise UsageError(
+                "no signing identity: pass client_id and keypair here or "
+                "bind them at connect()"
+            )
+        return [
+            self._build_request(client_id, keypair, payload, clues, nonce_offset=index)
+            for index, (payload, clues) in enumerate(items)
+        ]
 
-        Either pass a pre-signed ``request``, or a ``payload`` signed with
-        the session identity (or the per-call ``client_id``/``keypair``).
-        With a bound service the append coalesces into a group commit and
-        ``timeout`` bounds the wait for the receipt.
-
-        Raises:
-            UsageError: no payload/request, both, or no signing identity.
-            AuthenticationError: the ledger rejected the request.
-            ServiceClosedError / ServiceOverloadedError / ServiceTimeout:
-                service-path admission and wait failures (service-bound
-                sessions only).
-        """
-        if request is None:
-            if payload is None:
-                raise UsageError("append() needs a payload or a pre-signed request")
-            all_clues = self._normalize_clues(clue, clues)
-            resolved_id, resolved_key = self._resolve_identity(client_id, keypair)
-            request = self._build_request(resolved_id, resolved_key, payload, all_clues)
-        elif payload is not None:
-            raise UsageError("pass payload= or request=, not both")
+    def _append(self, request: ClientRequest, timeout: float | None) -> Receipt:
         if self.service is not None:
             return self.service.append(request, timeout=timeout)
         return self.ledger.append(request)
 
-    def append_batch(
+    def _append_batch(
         self,
-        items: list[tuple[bytes, str | None]] | None = None,
-        *,
-        client_id: str | None = None,
-        keypair: KeyPair | None = None,
-        requests: list[ClientRequest] | None = None,
-        max_workers: int | None = None,
-        timeout: float | None = None,
+        requests: list[ClientRequest],
+        max_workers: int | None,
+        timeout: float | None,
     ) -> list[Receipt]:
-        """Append many transactions through one amortised pass.
-
-        ``items`` are ``(payload, clue)`` pairs signed with the session (or
-        per-call) identity; alternatively pass pre-signed ``requests``.
-        Without a service this is :meth:`Ledger.append_batch` (atomic: one
-        bad request rejects the whole batch, ledger untouched).  With a
-        service the requests are submitted individually, so they coalesce
-        with other sessions' traffic and a bad request fails only itself.
-
-        Raises:
-            UsageError: neither/both of ``items`` and ``requests``, or no
-                signing identity.
-            AuthenticationError: a request was rejected (direct path: whole
-                batch; service path: that request's slot).
-        """
-        if (items is None) == (requests is None):
-            raise UsageError("append_batch() takes exactly one of items= or requests=")
-        if requests is None:
-            resolved_id, resolved_key = self._resolve_identity(client_id, keypair)
-            requests = [
-                self._build_request(
-                    resolved_id,
-                    resolved_key,
-                    payload,
-                    (clue,) if clue else (),
-                    nonce_offset=index,
-                )
-                for index, (payload, clue) in enumerate(items)
-            ]
         if self.service is not None:
             futures = [self.service.submit(request) for request in requests]
             return [future.result(timeout) for future in futures]
         return self.ledger.append_batch(requests, max_workers=max_workers)
 
-    def append_acked(
+    def _append_acked(
         self,
-        payload: bytes | None = None,
-        *,
-        clue: str | None = None,
-        clues: tuple[str, ...] | None = None,
-        client_id: str | None = None,
-        keypair: KeyPair | None = None,
-        request: ClientRequest | None = None,
-        deadline_epochs: int | None = None,
-        timeout: float | None = None,
+        request: ClientRequest,
+        deadline_epochs: int | None,
+        timeout: float | None,
     ) -> tuple[Receipt, SubmissionAck]:
-        """Append with a censorship-accountable admission ack (§16).
-
-        The LSP signs a :class:`~repro.transparency.SubmissionAck` pinning
-        the request hash to the tree coordinates *at admission*, before the
-        append commits.  If the transaction later never appears, the ack
-        plus any subsequent signed tree head past ``deadline_epochs`` is
-        offline-verifiable :class:`~repro.transparency.CensorshipEvidence`.
-
-        Returns ``(receipt, ack)``; arguments mirror :meth:`append` plus
-        ``deadline_epochs`` (default :data:`~repro.core.ledger.Ledger`'s
-        ``DEFAULT_ACK_DEADLINE_EPOCHS``).
-
-        Raises:
-            UsageError: as :meth:`append`, or ``deadline_epochs < 1``.
-        """
-        if request is None:
-            if payload is None:
-                raise UsageError(
-                    "append_acked() needs a payload or a pre-signed request"
-                )
-            all_clues = self._normalize_clues(clue, clues)
-            resolved_id, resolved_key = self._resolve_identity(client_id, keypair)
-            request = self._build_request(resolved_id, resolved_key, payload, all_clues)
-        elif payload is not None:
-            raise UsageError("pass payload= or request=, not both")
-        if deadline_epochs is None:
-            ack = self.ledger.issue_ack(request)
-        else:
-            ack = self.ledger.issue_ack(request, deadline_epochs=deadline_epochs)
-        if self.service is not None:
-            receipt = self.service.append(request, timeout=timeout)
-        else:
-            receipt = self.ledger.append(request)
-        return receipt, ack
-
-    # --------------------------------------------------------------- reads
-
-    def list_tx(self, clue: str) -> list[Journal]:
-        """All retrievable journals carrying ``clue`` (cSL lookup)."""
-        return [self.ledger.get_journal(jsn) for jsn in self.ledger.list_tx(clue)]
-
-    def get_proof(self, jsn: int, anchored: bool = True) -> FamProof:
-        """The GetProof API: fam existence proof for one journal.
-
-        Raises:
-            JournalNotFoundError: no journal exists at ``jsn``.
-        """
-        return self.ledger.get_proof(jsn, anchored=anchored)
-
-    def get_proofs(self, jsns: list[int], anchored: bool = True) -> list[FamProof]:
-        """Bulk GetProof — proofs byte-identical to ``N`` single calls.
-
-        Amortises the shared work across the batch: the link chain from each
-        touched epoch up to the current one is computed once per epoch, not
-        once per journal, so proving a batch that clusters in few epochs is
-        substantially cheaper than looping over :meth:`get_proof`.
-        """
-        return self.ledger.get_proofs(jsns, anchored=anchored)
+        # The ack pins the tree coordinates *at admission*: issue it first.
+        ack = self.ledger.issue_ack(request, deadline_epochs)
+        return self._append(request, timeout), ack
 
     # ------------------------------------------------------------- exporting
 
@@ -602,156 +467,53 @@ class LedgerSession(SessionHelpers):
         """
         return export_bundle(self.ledger, clues=tuple(clues), path=path)
 
-    # --------------------------------------------------------- transparency
-
-    def get_sth(self) -> SignedTreeHead:
-        """The current LSP-signed tree head (composite on sharded ledgers)."""
-        return self.ledger.get_sth()
-
-    def get_sth_range(self, start: int, end: int) -> list[SignedTreeHead]:
-        """Persisted epoch-close tree heads for epochs ``start..end``."""
-        return self.ledger.get_sth_range(start, end)
-
-    def get_consistency(
-        self, old: SignedTreeHead, new: SignedTreeHead
-    ) -> tuple[ConsistencyBundle | None, ConsistencyAssertion | None]:
-        """Consistency proof + signed assertion connecting two tree heads.
-
-        Raises:
-            UsageError: composite heads, mismatched shards, or heads this
-                ledger cannot connect (e.g. an equivocating pair).
-        """
-        return self.ledger.get_consistency(old, new)
-
     # ------------------------------------------------------------ verifying
 
-    def verify(
-        self,
-        target: VerifyTarget | str,
-        *,
-        key: str | None = None,
-        txdata: list[Journal] | None = None,
-        rho: Any = None,
-        root: bytes | None = None,
-        level: VerifyLevel | str = VerifyLevel.SERVER,
-    ) -> VerifyResult:
-        """The Verify API (§IV-C), returning structured evidence.
-
-        * ``target=TX`` — existence of the single journal in ``txdata[0]``;
-          ``rho`` optionally carries a pre-fetched fam proof.
-        * ``target=CLUE`` — N-lineage verification of clue ``key`` over
-          ``txdata`` (all related journals, in order); ``rho`` optionally
-          carries a pre-fetched :class:`~repro.merkle.cmtree.ClueProof`;
-          ``root`` is the caller's trusted CM-Tree1 datum (client level).
-
-        Returns a :class:`VerifyResult` (truthy iff the check passed)
-        carrying the proof used and the trusted root.  A *failed* check is a
-        falsy result, not an exception.
-
-        Raises:
-            UsageError: bad target/level, wrong ``txdata`` shape, missing
-                ``key``, or a client-level TX check with no trusted root
-                available.
-        """
-        target = _coerce(VerifyTarget, target)
-        level = _coerce(VerifyLevel, level)
-        if target is VerifyTarget.TX:
-            return self._verify_tx(txdata, rho, root, level)
-        if target is VerifyTarget.CLUE:
-            return self._verify_clue(key, txdata, rho, root, level)
-        raise UsageError(f"unsupported verification target: {target}")
-
-    def _proof_for(self, journal: Journal) -> Any:
-        """Fetch the existence proof for a journal this session holds.
-
-        A sharded ledger routes by the journal's *content* (its stamped jsn
-        is shard-local, so indexing the facade with it would mis-route);
-        plain ledgers index by jsn as ever.
-        """
-        router = getattr(self.ledger, "proof_for_journal", None)
-        if router is not None:
-            return router(journal, anchored=False)
-        return self.ledger.get_proof(journal.jsn, anchored=False)
-
-    def _verify_tx(
-        self,
-        txdata: list[Journal] | None,
-        rho: Any,
-        root: bytes | None,
-        level: VerifyLevel,
-    ) -> VerifyResult:
-        if not txdata or len(txdata) != 1:
-            raise UsageError("TX verification takes exactly one journal in txdata")
-        journal = txdata[0]
+    def _tx_what(
+        self, journal: Journal, rho: Any, root: bytes | None, level: VerifyLevel
+    ) -> tuple[bool, dict]:
+        """TX evidence in process: a full-chain proof, checked by the ledger
+        at SERVER level, folded against ``root`` (default: the latest
+        receipt's LSP-signed ledger root) at CLIENT level."""
         ledger = self.ledger
+        try:
+            # Routed by the journal's *content*: on a sharded ledger its
+            # stamped jsn is shard-local, so indexing the facade with it
+            # would mis-route.
+            proof = rho if rho is not None else ledger.proof_for_journal(
+                journal, anchored=False
+            )
+        except (IndexError, KeyError):
+            return False, {"detail": f"no proof obtainable for jsn {journal.jsn}"}
         if level is VerifyLevel.SERVER:
-            proof = rho
-            if proof is None:
-                try:
-                    proof = self._proof_for(journal)
-                except (IndexError, KeyError):
-                    return VerifyResult(
-                        ok=False,
-                        target=VerifyTarget.TX.value,
-                        level=level.value,
-                        what=False,
-                        jsn=journal.jsn,
-                        detail=f"no proof obtainable for jsn {journal.jsn}",
-                    )
             trusted = ledger.current_root()
             ok = ledger.verify_journal(journal, proof)
         else:
-            proof = rho if rho is not None else self._proof_for(journal)
-            trusted = root if root is not None else (
-                ledger.latest_receipt.ledger_root if ledger.latest_receipt else None
-            )
+            trusted = root
+            if trusted is None and ledger.latest_receipt is not None:
+                trusted = ledger.latest_receipt.ledger_root
             if trusted is None:
                 raise UsageError("client-level TX verification needs a trusted root")
-            if isinstance(proof, FamProof):
-                ok = FamAccumulator.verify_full(journal.tx_hash(), proof, trusted)
-            else:
-                # ShardProof: folds the per-shard chain through the shard→root
-                # link, so ``trusted`` must be the deployment's composite root.
-                ok = bool(proof.verify(journal.tx_hash(), trusted))
-        return VerifyResult(
-            ok=ok,
-            target=VerifyTarget.TX.value,
-            level=level.value,
-            what=ok,
-            proof=proof,
-            trusted_root=trusted,
-            jsn=journal.jsn,
-        )
+            # A ShardProof folds the per-shard chain through the shard→root
+            # link, so ``trusted`` must then be the deployment's composite root.
+            ok = tx_what(journal.tx_hash(), proof, trusted)
+        return ok, {"proof": proof, "trusted_root": trusted}
 
-    def _verify_clue(
-        self,
-        key: str | None,
-        txdata: list[Journal] | None,
-        rho: Any,
-        root: bytes | None,
-        level: VerifyLevel,
-    ) -> VerifyResult:
-        if key is None or txdata is None:
-            raise UsageError("CLUE verification needs key and txdata")
+    def _clue_what(
+        self, key: str, txdata: list[Journal], rho: Any, root: bytes | None, level: VerifyLevel
+    ) -> tuple[bool, dict]:
+        """CLUE evidence in process: the ledger's own CM-Tree check at SERVER
+        level, a clue proof folded against ``root`` (default: the ledger's
+        state root) at CLIENT level."""
         ledger = self.ledger
-        digests = {i: j.tx_hash() for i, j in enumerate(txdata)}
         if level is VerifyLevel.SERVER:
-            trusted = ledger.state_root()
+            proof, trusted = rho, ledger.state_root()
             ok = ledger.verify_clue(key, txdata)
-            proof = rho
         else:
             proof = rho if rho is not None else ledger.prove_clue(key)
             trusted = root if root is not None else ledger.state_root()
-            ok = proof.verify(digests, trusted)
-        return VerifyResult(
-            ok=ok,
-            target=VerifyTarget.CLUE.value,
-            level=level.value,
-            what=ok,
-            proof=proof,
-            trusted_root=trusted,
-            detail=f"clue {key!r} over {len(txdata)} journals",
-        )
+            ok = clue_what(key, [journal.tx_hash() for journal in txdata], proof, trusted)
+        return ok, {"proof": proof, "trusted_root": trusted}
 
     def verify_dasein(
         self,
@@ -829,33 +591,23 @@ class LedgerSession(SessionHelpers):
         """
         if resume and checkpoint is None:
             raise UsageError("audit(resume=True) needs a checkpoint= store or path")
-        if hasattr(self.ledger, "export_views"):
-            # Sharded: per-shard audits run in parallel, folded into one
-            # ShardedAuditReport (truthy iff every shard passed).
-            return self.ledger.audit(
-                tsa_keys=tsa_keys,
-                workers=workers,
-                checkpoint=checkpoint,
-                resume=resume,
-                temporal_range=temporal_range,
-                verify_client_signatures=verify_client_signatures,
-                early_terminate=early_terminate,
-                **kwargs,
-            )
-        from .audit import dasein_audit
-
-        view = self.ledger.export_view()
-        return dasein_audit(
-            view,
+        options = dict(
             tsa_keys=tsa_keys,
-            temporal_range=temporal_range,
-            verify_client_signatures=verify_client_signatures,
-            early_terminate=early_terminate,
             workers=workers,
             checkpoint=checkpoint,
             resume=resume,
+            temporal_range=temporal_range,
+            verify_client_signatures=verify_client_signatures,
+            early_terminate=early_terminate,
             **kwargs,
         )
+        if hasattr(self.ledger, "export_views"):
+            # Sharded: per-shard audits run in parallel, folded into one
+            # ShardedAuditReport (truthy iff every shard passed).
+            return self.ledger.audit(**options)
+        from .audit import dasein_audit
+
+        return dasein_audit(self.ledger.export_view(), **options)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -879,15 +631,3 @@ def _build_service(ledger: Any, config: Any):
         return ShardedLedgerService(ledger, config)
     raise UsageError(f"cannot build a service over {type(ledger).__name__}")
 
-
-def _coerce(enum_cls: type, value: Any):
-    """Accept the enum member itself or its string value ("tx", "server")."""
-    if isinstance(value, enum_cls):
-        return value
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise UsageError(
-            f"{enum_cls.__name__} expected one of "
-            f"{[member.value for member in enum_cls]}, got {value!r}"
-        ) from None

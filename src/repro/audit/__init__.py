@@ -1,7 +1,7 @@
 """repro.audit — the Dasein-complete audit engine (§V, Definition 1).
 
-The audit grew out of :mod:`repro.core.audit` (still importable as a shim)
-into its own package when it went parallel:
+The audit is its own package since it went parallel; its time-evidence and
+signature primitives are :mod:`repro.verify`'s:
 
 * :mod:`~repro.audit.engine` — the coordinator: sequential replay fold +
   chunked signature dispatch, deterministic failure merge, resume logic;

@@ -68,6 +68,7 @@ from ..merkle.cmtree import encode_clue_value
 from ..merkle.fam import FamReplayer
 from ..merkle.mpt import MPT
 from ..merkle.shrubs import FrontierAccumulator
+from ..verify import check_time_evidence, parse_time_journal, signed_by
 from .checkpoint import AuditCheckpoint, CheckpointStore
 from .report import AuditReport, AuditStep
 from .workers import (
@@ -405,7 +406,6 @@ class _AuditEngine:
 
     def _replay(self, sp) -> bool:
         from ..core.journal import Journal, JournalType
-        from ..core.verification import parse_time_journal
 
         view = self.view
         resumed = self._resumed
@@ -523,12 +523,7 @@ class _AuditEngine:
                             f"jsn {jsn}: unknown member {journal.client_id!r}",
                         )
                         break
-                    if journal.client_signature is None:
-                        inline_failure = (
-                            jsn, _P_SIGNATURE, f"jsn {jsn}: invalid issuer signature"
-                        )
-                        break
-                    if self.workers:
+                    if self.workers and journal.client_signature is not None:
                         point = certificate.public_key.point
                         chunk_items.append(
                             (
@@ -543,9 +538,7 @@ class _AuditEngine:
                             flush_chunk()
                             if sig_failures:
                                 break
-                    elif not certificate.public_key.verify(
-                        journal.request_hash, journal.client_signature
-                    ):
+                    elif not signed_by(journal, certificate):
                         inline_failure = (
                             jsn, _P_SIGNATURE, f"jsn {jsn}: invalid issuer signature"
                         )
@@ -701,8 +694,6 @@ class _AuditEngine:
 
     def check_time_journals(self) -> bool:
         """TSA evidence for every (in-range) time journal, plus monotonicity."""
-        from ..core.verification import check_time_evidence
-
         with obs.span("audit.time_journals") as sp:
             entries = self._time_entries
             sp.add("anchors", len(entries))
@@ -826,7 +817,6 @@ class _AuditEngine:
             if checkpoint.receipt_jsn != receipt.jsn:
                 return
         from ..core.journal import Journal, JournalType
-        from ..core.verification import parse_time_journal
 
         # Re-derive the collected time entries from the view itself; a view
         # that no longer decodes them does not fit this checkpoint.

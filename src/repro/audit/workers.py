@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from ..crypto.ecdsa import Point, Signature, verify_digests
 from ..crypto.multisig import MultiSignatureError
+from ..verify import check_time_evidence
 
 __all__ = [
     "verify_signature_chunk",
@@ -65,6 +66,4 @@ def check_time_evidence_chunk(
     entries: list[tuple[dict, object]], tsa_keys: dict
 ) -> list[tuple[float, bool]]:
     """Verify a chunk of time-journal evidence; (timestamp, valid) per entry."""
-    from ..core.verification import check_time_evidence
-
     return [check_time_evidence(info, evidence, tsa_keys) for info, evidence in entries]

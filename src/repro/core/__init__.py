@@ -1,4 +1,4 @@
-"""LedgerDB core: the ledger kernel, Dasein verification, and the audit.
+"""LedgerDB core: the ledger kernel, its client SDK, and Dasein verification.
 
 Exports resolve lazily (PEP 562) so that kernel-free leaf modules —
 ``core.journal``, ``core.receipt``, ``core.errors``, ``core.snapshot`` —
@@ -15,11 +15,11 @@ import importlib
 from typing import Any
 
 _EXPORTS = {
-    "ClientState": ".client",
+    "ClientState": "..verify",
     "LedgerClient": ".client",
-    "AuditReport": ".audit",
-    "AuditStep": ".audit",
-    "dasein_audit": ".audit",
+    "AuditReport": "..audit",
+    "AuditStep": "..audit",
+    "dasein_audit": "..audit",
     "Block": ".blocks",
     "ClueSkipList": ".cluesl",
     "AuthenticationError": ".errors",
@@ -47,16 +47,14 @@ _EXPORTS = {
     "PseudoGenesis": ".purge",
     "PurgeRecord": ".purge",
     "Receipt": ".receipt",
-    "DaseinReport": ".verification",
+    "DaseinReport": "..artifacts",
     "DaseinVerifier": ".verification",
-    "VerifyResult": ".verification",
-    "parse_time_journal": ".verification",
+    "VerifyResult": "..artifacts",
+    "parse_time_journal": "..verify",
 }
 
 _SUBMODULES = frozenset(
     {
-        "api",
-        "audit",
         "blocks",
         "client",
         "cluesl",
@@ -73,7 +71,6 @@ _SUBMODULES = frozenset(
 )
 
 __all__ = [  # noqa: F822  (names resolve lazily via __getattr__)
-    "api",
     *sorted(_EXPORTS),
 ]
 

@@ -18,29 +18,16 @@ public API only; nothing here reads server-private state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..crypto.hashing import Digest
+from ..artifacts import DaseinReport
 from ..crypto.keys import KeyPair, PublicKey
-from ..merkle.fam import AnchorStore, FamAccumulator
+from ..verify import AnchorTracker, ClientState, clue_what
 from .errors import LedgerError, VerificationFailure
 from .journal import ClientRequest, Journal
 from .ledger import LSP_MEMBER_ID, Ledger
 from .receipt import Receipt
-from .verification import DaseinReport, DaseinVerifier
+from .verification import DaseinVerifier
 
 __all__ = ["LedgerClient", "ClientState"]
-
-
-@dataclass
-class ClientState:
-    """What the client persists between sessions."""
-
-    receipts: dict[int, Receipt] = field(default_factory=dict)
-    anchored_epochs: int = 0  # epochs with verified anchors
-    live_epoch_index: int = 0  # epoch the live state below belongs to
-    live_size: int = 0  # last verified live-epoch leaf count
-    live_root: Digest | None = None  # last verified live commitment
 
 
 class LedgerClient:
@@ -57,20 +44,16 @@ class LedgerClient:
         self.keypair = keypair
         self.ledger = ledger
         self.tsa_keys = dict(tsa_keys or {})
-        self.anchors = AnchorStore()
-        self.state = ClientState()
+        self.tracker = AnchorTracker(ledger.fam_reader())
+        self.anchors = self.tracker.anchors
+        self.state = self.tracker.state
         self._nonce = 0
 
     # ---------------------------------------------------------------- append
 
-    def append(self, payload: bytes, clues: tuple[str, ...] = ()) -> Receipt:
-        """Sign and submit a transaction; validate and store the receipt.
-
-        The receipt check is the client's immediate defence: the LSP's
-        signature must verify and the receipt must echo this exact request.
-        """
+    def _sign(self, payload: bytes, clues: tuple[str, ...]) -> ClientRequest:
         self._nonce += 1
-        request = ClientRequest.build(
+        return ClientRequest.build(
             self.ledger.config.uri,
             self.member_id,
             payload,
@@ -78,7 +61,10 @@ class LedgerClient:
             nonce=self._nonce.to_bytes(8, "big"),
             client_timestamp=self.ledger.clock.now(),
         ).signed_by(self.keypair)
-        receipt = self.ledger.append(request)
+
+    def _accept(self, request: ClientRequest, receipt: Receipt) -> Receipt:
+        """The client's immediate defence: the LSP's signature must verify
+        and the receipt must echo this exact request."""
         lsp_certificate = self.ledger.registry.certificate(LSP_MEMBER_ID)
         if not receipt.verify(lsp_certificate.public_key):
             raise VerificationFailure("LSP receipt signature invalid")
@@ -86,6 +72,11 @@ class LedgerClient:
             raise VerificationFailure("receipt does not cover the submitted request")
         self.state.receipts[receipt.jsn] = receipt
         return receipt
+
+    def append(self, payload: bytes, clues: tuple[str, ...] = ()) -> Receipt:
+        """Sign and submit a transaction; validate and store the receipt."""
+        request = self._sign(payload, clues)
+        return self._accept(request, self.ledger.append(request))
 
     def append_batch(
         self,
@@ -102,141 +93,36 @@ class LedgerClient:
         if not items:
             return []
         first_nonce = self._nonce
-        requests = []
-        for payload, clues in items:
-            self._nonce += 1
-            requests.append(
-                ClientRequest.build(
-                    self.ledger.config.uri,
-                    self.member_id,
-                    payload,
-                    clues=tuple(clues),
-                    nonce=self._nonce.to_bytes(8, "big"),
-                    client_timestamp=self.ledger.clock.now(),
-                ).signed_by(self.keypair)
-            )
+        requests = [self._sign(payload, tuple(clues)) for payload, clues in items]
         try:
             receipts = self.ledger.append_batch(requests, max_workers=max_workers)
         except Exception:
             self._nonce = first_nonce
             raise
-        lsp_certificate = self.ledger.registry.certificate(LSP_MEMBER_ID)
-        for request, receipt in zip(requests, receipts):
-            if not receipt.verify(lsp_certificate.public_key):
-                raise VerificationFailure("LSP receipt signature invalid")
-            if receipt.request_hash != request.request_hash():
-                raise VerificationFailure("receipt does not cover the submitted request")
-            self.state.receipts[receipt.jsn] = receipt
-        return receipts
+        return [
+            self._accept(request, receipt)
+            for request, receipt in zip(requests, receipts)
+        ]
 
     def receipt_for(self, jsn: int) -> Receipt | None:
         return self.state.receipts.get(jsn)
 
-    # --------------------------------------------------------------- anchors
+    # ------------------------------------------------------------- verifying
 
     def sync_anchors(self) -> int:
-        """Advance the trusted-anchor store to the server's current state.
-
-        Epoch 0's anchor is bootstrapped by full verification (downloading
-        and replaying the epoch's digests); every later epoch advances via
-        an O(delta) merged-leaf link proof; the live epoch via a consistency
-        proof from the last verified live size.  Returns how many new epoch
+        """Advance the trusted-anchor store to the ledger's current state
+        (:meth:`repro.verify.AnchorTracker.sync`); returns how many new epoch
         anchors were added.
 
         Raises :class:`VerificationFailure` the moment any link fails — the
         client never anchors unverified state.
         """
-        fam = self.ledger._fam  # public read path in a real deployment
-        added = 0
-        completed = fam.num_epochs - 1
-        while self.state.anchored_epochs < completed:
-            epoch_index = self.state.anchored_epochs
-            claimed_root = fam.epoch_root(epoch_index)
-            if epoch_index == 0:
-                if not self._bootstrap_epoch_zero(fam, claimed_root):
-                    raise VerificationFailure("epoch 0 bootstrap verification failed")
-                self.anchors.add(0, claimed_root)
-            else:
-                link = fam.prove_epoch_link(epoch_index)
-                if not self.anchors.advance(epoch_index, claimed_root, link):
-                    raise VerificationFailure(
-                        f"merged-leaf link for epoch {epoch_index} failed"
-                    )
-            self.state.anchored_epochs += 1
-            added += 1
-        self._sync_live(fam)
-        return added
-
-    def _bootstrap_epoch_zero(self, fam: FamAccumulator, claimed_root: Digest) -> bool:
-        """Full verification of the first epoch (downloads its digests)."""
-        from ..merkle.shrubs import FrontierAccumulator
-
-        frontier = FrontierAccumulator()
-        for jsn in range(fam.epoch_capacity):
-            frontier.append_leaf(fam.leaf_digest(jsn))
-        return frontier.root() == claimed_root
-
-    def _sync_live(self, fam: FamAccumulator) -> None:
-        current_epoch = fam.num_epochs - 1
-        live_size = fam.snapshot()[1]
-        live_root = fam.current_root()
-        if self.state.live_root is not None and self.state.live_size > 0:
-            if self.state.live_epoch_index == current_epoch:
-                # Same epoch: its evolution must be append-only.
-                if self.state.live_size == live_size:
-                    if live_root != self.state.live_root:
-                        raise VerificationFailure(
-                            "live commitment changed without appends"
-                        )
-                elif self.state.live_size < live_size:
-                    proof = fam.prove_live_consistency(self.state.live_size)
-                    if not proof.verify(self.state.live_root, live_root):
-                        raise VerificationFailure(
-                            "live epoch evolved non-append-only (history rewritten?)"
-                        )
-                else:
-                    raise VerificationFailure("live epoch shrank")
-            else:
-                # Our epoch has been sealed since we last looked: its final
-                # root must extend the state we verified, and must equal the
-                # anchor sync_anchors just validated for it.
-                sealed_epoch = self.state.live_epoch_index
-                sealed_root = fam.epoch_root(sealed_epoch)
-                proof = fam.prove_epoch_consistency(sealed_epoch, self.state.live_size)
-                if not proof.verify(self.state.live_root, sealed_root):
-                    raise VerificationFailure(
-                        f"sealed epoch {sealed_epoch} does not extend the "
-                        "state this client verified"
-                    )
-                anchor = self.anchors.get(sealed_epoch)
-                if anchor is not None and anchor != sealed_root:
-                    raise VerificationFailure(
-                        f"sealed epoch {sealed_epoch} root disagrees with anchor"
-                    )
-        self.state.live_epoch_index = current_epoch
-        self.state.live_size = live_size
-        self.state.live_root = live_root
-
-    # ------------------------------------------------------------- verifying
+        return self.tracker.sync()
 
     def verify_journal(self, journal: Journal) -> bool:
         """O(delta) existence verification against the client's own anchors."""
         proof = self.ledger.get_proof(journal.jsn, anchored=True)
-        if proof.epoch_index == proof.num_epochs - 1:
-            # Live epoch: check against the client's verified live commitment.
-            if self.state.live_root is None:
-                return False
-            try:
-                return proof.epoch_proof.computed_root(journal.tx_hash()) == self.state.live_root
-            except (ValueError, IndexError):
-                return False
-        anchor = self.anchors.get(proof.epoch_index)
-        if anchor is None:
-            return False
-        try:
-            return proof.epoch_proof.computed_root(journal.tx_hash()) == anchor
-        except (ValueError, IndexError):
-            return False
+        return self.tracker.fold_anchored(journal.tx_hash(), proof)
 
     def verify_dasein(self, jsn: int) -> DaseinReport:
         """Full client-side 3w verification from a freshly exported view."""
@@ -250,14 +136,12 @@ class LedgerClient:
         jsns = self.ledger.list_tx(clue)
         if not jsns:
             return False
-        journals = []
-        for jsn in jsns:
-            try:
-                journals.append(self.ledger.get_journal(jsn))
-            except LedgerError:
-                # Not-found / purged / occulted: the lineage has a hole, so
-                # the clue cannot fully verify.
-                return False
-        proof = self.ledger.prove_clue(clue)
-        digests = {i: j.tx_hash() for i, j in enumerate(journals)}
-        return proof.verify(digests, self.ledger.state_root())
+        try:
+            digests = [self.ledger.get_journal(jsn).tx_hash() for jsn in jsns]
+        except LedgerError:
+            # Not-found / purged / occulted: the lineage has a hole, so the
+            # clue cannot fully verify.
+            return False
+        return clue_what(
+            clue, digests, self.ledger.prove_clue(clue), self.ledger.state_root()
+        )

@@ -59,21 +59,21 @@ class ClientRequest:
             obs.inc("journal.request_hash_memo.hit")
             return cached
         obs.inc("journal.request_hash_memo.miss")
-        cached = receipt_hash(
-            encode(
-                {
-                    "ledger_uri": self.ledger_uri,
-                    "client_id": self.client_id,
-                    "journal_type": self.journal_type.value,
-                    "payload": self.payload,
-                    "clues": list(self.clues),
-                    "nonce": self.nonce,
-                    "client_timestamp": self.client_timestamp,
-                }
-            )
-        )
+        cached = receipt_hash(encode(self._statement()))
         object.__setattr__(self, "_request_hash", cached)
         return cached
+
+    def _statement(self) -> dict:
+        """Everything the client signs (the signature itself stays outside)."""
+        return {
+            "ledger_uri": self.ledger_uri,
+            "client_id": self.client_id,
+            "journal_type": self.journal_type.value,
+            "payload": self.payload,
+            "clues": list(self.clues),
+            "nonce": self.nonce,
+            "client_timestamp": self.client_timestamp,
+        }
 
     def signed_by(self, keypair: KeyPair) -> "ClientRequest":
         """Return a copy carrying the client's signature pi_c."""
@@ -111,18 +111,8 @@ class ClientRequest:
         whole, so the server admits exactly the bytes the client signed over
         (the signature itself is outside :meth:`request_hash`).
         """
-        return encode(
-            {
-                "ledger_uri": self.ledger_uri,
-                "client_id": self.client_id,
-                "journal_type": self.journal_type.value,
-                "payload": self.payload,
-                "clues": list(self.clues),
-                "nonce": self.nonce,
-                "client_timestamp": self.client_timestamp,
-                "signature": self.signature.to_bytes() if self.signature else b"",
-            }
-        )
+        signature = self.signature.to_bytes() if self.signature else b""
+        return encode({**self._statement(), "signature": signature})
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ClientRequest":

@@ -15,8 +15,8 @@ This module wires every substrate together into the system of Figure 1/2:
 
 The server-side trust model: a client that trusts the LSP calls the
 ``verify_*`` convenience methods here; a distrusting auditor instead calls
-:meth:`Ledger.export_view` and uses :mod:`repro.core.audit` /
-:mod:`repro.core.verification` entirely client-side.
+:meth:`Ledger.export_view` and uses :mod:`repro.audit` /
+:mod:`repro.verify` entirely client-side.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from ..transparency.sth import (
     SignedTreeHead,
     SthStore,
 )
+from ..verify import FamReader
 from .blocks import Block
 from .cluesl import ClueSkipList
 from .errors import (
@@ -146,7 +147,7 @@ class LedgerView:
 
     Contains no secrets: journal bytes, block headers, certificates, mutation
     records with their multi-signatures, time-journal evidence, and the
-    pseudo-genesis (if any).  :mod:`repro.core.audit` consumes this.
+    pseudo-genesis (if any).  :mod:`repro.audit` consumes this.
     """
 
     uri: str
@@ -248,19 +249,33 @@ class Ledger:
                 "ledger; reopen it with Ledger.open(...) instead of creating "
                 "a new one on top"
             )
-        #: What the stream's open-time scan did to a crashed tail (an
-        #: OpenReport for FileStream backends, None otherwise).
-        self.recovery_report = getattr(self._stream, "open_report", None)
-        self._survival_stream = MemoryStream()
         # An explicit node_store (e.g. a fault-injecting store in tests)
         # overrides what the config would build.
-        self._node_store = (
+        self._init_state(
             node_store if node_store is not None else _make_node_store(self.config)
         )
         if data_dir is not None:
             write_config_file(data_dir / CONFIG_FILE, self.config)
-        self._fam = FamAccumulator(self.config.fractal_height)
-        self._cmtree = CMTree(self._node_store)
+        self._append_genesis()
+
+    def _init_state(
+        self,
+        node_store: KVStore | None,
+        fam: FamAccumulator | None = None,
+        cmtree: CMTree | None = None,
+    ) -> None:
+        """Blank derived state over ``self._stream`` — where every way into a
+        ledger (fresh, :meth:`recover`, snapshot restore) starts from.  The
+        reopening paths pass restored accumulators and then fill in the rest."""
+        config = self.config
+        data_dir = Path(config.data_dir) if config.data_dir else None
+        #: What the stream's open-time scan did to a crashed tail (an
+        #: OpenReport for FileStream backends, None otherwise).
+        self.recovery_report = getattr(self._stream, "open_report", None)
+        self._survival_stream = MemoryStream()
+        self._node_store = node_store
+        self._fam = fam if fam is not None else FamAccumulator(config.fractal_height)
+        self._cmtree = cmtree if cmtree is not None else CMTree(node_store)
         self._cluesl = ClueSkipList()
         self._blocks: list[Block] = []
         self._pending_start = 0  # first jsn not yet sealed in a block
@@ -291,7 +306,56 @@ class Ledger:
         self._sth_cache: dict[int, SignedTreeHead] = {}
         self._sth_epochs = self._fam.num_epochs
 
-        self._append_genesis()
+    @classmethod
+    def _reopened(
+        cls,
+        config: LedgerConfig,
+        journal_stream: Stream,
+        registry: MemberRegistry,
+        lsp_keypair: KeyPair,
+        clock: Clock | None,
+        node_store: KVStore | None,
+        fam: FamAccumulator | None = None,
+        cmtree: CMTree | None = None,
+    ) -> "Ledger":
+        """A ledger over an existing stream with its derived state still
+        blank: what :meth:`recover` and snapshot restore fill in."""
+        ledger = cls.__new__(cls)
+        ledger.config = config
+        ledger.clock = clock or SimClock()
+        ledger.registry = registry
+        ledger._lsp_keypair = lsp_keypair
+        if LSP_MEMBER_ID not in registry.all_members():
+            registry.register(LSP_MEMBER_ID, Role.LSP, lsp_keypair.public)
+        ledger._stream = journal_stream
+        ledger._init_state(node_store, fam, cmtree)
+        return ledger
+
+    def _reissue_receipt(self) -> None:
+        """A fresh receipt for the last journal, so that clients and audits
+        of a reopened ledger have a current pi_s."""
+        last = self._fam.size - 1
+        receipt = self._receipt(
+            last, EMPTY_DIGEST, self._fam.leaf_digest(last), self.clock.now()
+        ).signed_by(self._lsp_keypair)
+        self._latest_receipt = receipt
+        self._receipts[last] = receipt
+
+    def _receipt(
+        self, jsn: int, request_hash: Digest, tx_hash: Digest, timestamp: float
+    ) -> Receipt:
+        """The (unsigned) receipt for the journal just accumulated: binds it
+        to the latest sealed block and to the fam commitment right after it."""
+        return Receipt(
+            ledger_uri=self.config.uri,
+            jsn=jsn,
+            request_hash=request_hash,
+            tx_hash=tx_hash,
+            block_hash=self._blocks[-1].hash() if self._blocks else EMPTY_DIGEST,
+            block_height=len(self._blocks) - 1,
+            ledger_root=self._fam.current_root(),
+            timestamp=timestamp,
+        )
 
     # ------------------------------------------------------------- creation
 
@@ -341,46 +405,9 @@ class Ledger:
         """
         if len(journal_stream) == 0:
             raise RecoveryError("cannot recover from an empty stream")
-        ledger = cls.__new__(cls)
-        ledger.config = config
-        ledger.clock = clock or SimClock()
-        ledger.registry = registry
-        ledger._lsp_keypair = lsp_keypair
-        if LSP_MEMBER_ID not in registry.all_members():
-            registry.register(LSP_MEMBER_ID, Role.LSP, lsp_keypair.public)
-
-        ledger._stream = journal_stream
-        ledger.recovery_report = getattr(journal_stream, "open_report", None)
-        ledger._survival_stream = MemoryStream()
-        ledger._node_store = node_store
-        ledger._fam = FamAccumulator(config.fractal_height)
-        ledger._cmtree = CMTree(node_store)
-        ledger._cluesl = ClueSkipList()
-        ledger._blocks = []
-        ledger._pending_start = 0
-        ledger._occult_bitmap = OccultBitmap()
-        ledger._occult_records = []
-        ledger._erase_queue = []
-        ledger._purge_records = []
-        ledger._pseudo_genesis = None
-        ledger._genesis_start = 0
-        ledger._survivors = {}
-        ledger._time_journals = []
-        ledger._time_evidence = {}
-        ledger._tledger = None
-        ledger._tsa = None
-        ledger._pending_tledger = []
-        ledger._latest_receipt = None
-        ledger._receipts = {}
-        ledger._anchor_cache = AnchorStore()
-        ledger._anchor_cache_epochs = 0
-        recover_dir = Path(config.data_dir) if config.data_dir else None
-        ledger.sth_shard_index = SOLO_SHARD
-        ledger._sth_store = SthStore(
-            (recover_dir / STH_FILE) if recover_dir else None
+        ledger = cls._reopened(
+            config, journal_stream, registry, lsp_keypair, clock, node_store
         )
-        ledger._sth_cache = {}
-        ledger._sth_epochs = 1
 
         # Pass 1: collect mutation records from intact system journals, so
         # erased slots' digests can be sourced during the replay.
@@ -443,20 +470,7 @@ class Ledger:
         # emission; re-arm the epoch watermark at the recovered position.
         ledger._sth_epochs = ledger._fam.num_epochs
 
-        # Re-issue a current receipt so clients/audits have a fresh pi_s.
-        last = ledger._fam.size - 1
-        receipt = Receipt(
-            ledger_uri=config.uri,
-            jsn=last,
-            request_hash=EMPTY_DIGEST,
-            tx_hash=ledger._fam.leaf_digest(last),
-            block_hash=ledger._blocks[-1].hash() if ledger._blocks else EMPTY_DIGEST,
-            block_height=len(ledger._blocks) - 1,
-            ledger_root=ledger._fam.current_root(),
-            timestamp=ledger.clock.now(),
-        ).signed_by(lsp_keypair)
-        ledger._latest_receipt = receipt
-        ledger._receipts[last] = receipt
+        ledger._reissue_receipt()
         return ledger
 
     def _seal_recovered_block(self, end_jsn: int) -> None:
@@ -644,16 +658,7 @@ class Ledger:
                 pending_clues.clear()
                 self.commit_block()
             unsigned.append(
-                Receipt(
-                    ledger_uri=self.config.uri,
-                    jsn=jsn,
-                    request_hash=journal.request_hash,
-                    tx_hash=tx_hash,
-                    block_hash=self._blocks[-1].hash() if self._blocks else EMPTY_DIGEST,
-                    block_height=len(self._blocks) - 1,
-                    ledger_root=self._fam.current_root(),
-                    timestamp=journal.timestamp,
-                )
+                self._receipt(jsn, journal.request_hash, tx_hash, journal.timestamp)
             )
         for clue, digests in pending_clues.items():
             self._cmtree.add_many(clue, digests)
@@ -715,15 +720,8 @@ class Ledger:
                 self._time_journals.append(jsn)
             if jsn + 1 - self._pending_start >= self.config.block_size:
                 self.commit_block()
-            receipt = Receipt(
-                ledger_uri=self.config.uri,
-                jsn=jsn,
-                request_hash=journal.request_hash,
-                tx_hash=tx_hash,
-                block_hash=self._blocks[-1].hash() if self._blocks else EMPTY_DIGEST,
-                block_height=len(self._blocks) - 1,
-                ledger_root=self._fam.current_root(),
-                timestamp=journal.timestamp,
+            receipt = self._receipt(
+                jsn, journal.request_hash, tx_hash, journal.timestamp
             ).signed_by(self._lsp_keypair)
             self._latest_receipt = receipt
             self._receipts[jsn] = receipt
@@ -871,8 +869,18 @@ class Ledger:
             sp.add("journals", len(jsns))
             return self._fam.get_proofs(jsns, anchored=anchored)
 
+    def proof_for_journal(self, journal: Journal, anchored: bool = True) -> FamProof:
+        """Existence proof for a presented journal (a sharded deployment
+        routes this by the journal's content; here its jsn says it all)."""
+        return self.get_proof(journal.jsn, anchored=anchored)
+
     def current_root(self) -> Digest:
         return self._fam.current_root()
+
+    def fam_reader(self) -> FamReader:
+        """The read-only fam face anchor-tracking clients (and the network
+        server's fam ops) follow this ledger through."""
+        return FamReader(self._fam)
 
     def state_root(self) -> Digest:
         return self._cmtree.root
@@ -1042,9 +1050,12 @@ class Ledger:
     def issue_ack(
         self,
         request: ClientRequest,
-        deadline_epochs: int = DEFAULT_ACK_DEADLINE_EPOCHS,
+        deadline_epochs: int | None = None,
     ) -> SubmissionAck:
-        """Sign the LSP's promise to include ``request`` within the deadline."""
+        """Sign the LSP's promise to include ``request`` within the deadline
+        (``None``: :data:`DEFAULT_ACK_DEADLINE_EPOCHS`)."""
+        if deadline_epochs is None:
+            deadline_epochs = DEFAULT_ACK_DEADLINE_EPOCHS
         if deadline_epochs < 1:
             raise UsageError("ack deadline must be at least one epoch")
         if request.ledger_uri != self.config.uri:
@@ -1628,30 +1639,25 @@ class Ledger:
             if not node_store.verify_manifest(manifest):
                 raise SnapshotError("node pages diverged from the snapshot manifest")
 
-        ledger = cls.__new__(cls)
-        ledger.config = config
-        ledger.clock = clock or SimClock()
-        ledger.registry = registry
-        ledger._lsp_keypair = lsp_keypair
-        if LSP_MEMBER_ID not in registry.all_members():
-            registry.register(LSP_MEMBER_ID, Role.LSP, lsp_keypair.public)
-        ledger._stream = journal_stream
-        ledger.recovery_report = getattr(journal_stream, "open_report", None)
-        ledger._survival_stream = MemoryStream()
-        ledger._node_store = node_store
-        ledger._fam = FamAccumulator.from_state(state["fam"])
-        ledger._cmtree = CMTree.from_state(state["cmtree"], node_store)
+        ledger = cls._reopened(
+            config,
+            journal_stream,
+            registry,
+            lsp_keypair,
+            clock,
+            node_store,
+            fam=FamAccumulator.from_state(state["fam"]),
+            cmtree=CMTree.from_state(state["cmtree"], node_store),
+        )
         if node_store is None:
             ledger._cmtree.import_nodes(
                 (bytes(key), bytes(value)) for key, value in state["mpt_nodes"]
             )
-        ledger._cluesl = ClueSkipList()
         for clue, jsns in state["cluesl"]:
             for jsn in jsns:
                 ledger._cluesl.insert(str(clue), int(jsn))
         ledger._blocks = [Block.from_bytes(bytes(raw)) for raw in state["blocks"]]
         ledger._pending_start = int(state["pending_start"])
-        ledger._occult_bitmap = OccultBitmap()
         for jsn in state["occult_bits"]:
             ledger._occult_bitmap.set(int(jsn))
         ledger._occult_records = [
@@ -1659,23 +1665,8 @@ class Ledger:
             for jsn, raw, sig in state["occult_records"]
         ]
         ledger._erase_queue = [int(jsn) for jsn in state["erase_queue"]]
-        ledger._purge_records = []
-        ledger._pseudo_genesis = None
         ledger._genesis_start = int(state["genesis_start"])
-        ledger._survivors = {}
         ledger._time_journals = [int(jsn) for jsn in state["time_journals"]]
-        ledger._time_evidence = {}
-        ledger._tledger = None
-        ledger._tsa = None
-        ledger._pending_tledger = []
-        ledger._latest_receipt = None
-        ledger._receipts = {}
-        ledger._anchor_cache = AnchorStore()
-        ledger._anchor_cache_epochs = 0
-        ledger.sth_shard_index = SOLO_SHARD
-        ledger._sth_store = SthStore(Path(config.data_dir) / STH_FILE)
-        ledger._sth_cache = {}
-        ledger._sth_epochs = ledger._fam.num_epochs
 
         if ledger._fam.size != jsn_count:
             raise SnapshotError("snapshot fam state disagrees with its jsn count")
@@ -1685,19 +1676,7 @@ class Ledger:
         # STH emission; re-arm the watermark at the reopened position.
         ledger._sth_epochs = ledger._fam.num_epochs
 
-        last = ledger._fam.size - 1
-        receipt = Receipt(
-            ledger_uri=config.uri,
-            jsn=last,
-            request_hash=EMPTY_DIGEST,
-            tx_hash=ledger._fam.leaf_digest(last),
-            block_hash=ledger._blocks[-1].hash() if ledger._blocks else EMPTY_DIGEST,
-            block_height=len(ledger._blocks) - 1,
-            ledger_root=ledger._fam.current_root(),
-            timestamp=ledger.clock.now(),
-        ).signed_by(lsp_keypair)
-        ledger._latest_receipt = receipt
-        ledger._receipts[last] = receipt
+        ledger._reissue_receipt()
         return ledger
 
     def _replay_delta(self, start: int) -> int:

@@ -16,15 +16,18 @@ from dataclasses import dataclass, replace
 
 from ..crypto.ecdsa import Signature
 from ..crypto.hashing import Digest, sha256
-from ..crypto.keys import KeyPair, PublicKey
-from ..encoding import decode, encode
+from ..crypto.keys import KeyPair
+from ..crypto.signed import LspSigned
+from ..encoding import decode
 
 __all__ = ["Receipt"]
 
 
 @dataclass(frozen=True)
-class Receipt:
+class Receipt(LspSigned):
     """A signed acknowledgement of one committed journal."""
+
+    SCHEME = "repro.receipt.v1"
 
     ledger_uri: str
     jsn: int
@@ -36,24 +39,17 @@ class Receipt:
     timestamp: float
     lsp_signature: Signature | None = None
 
-    def signing_payload(self) -> bytes:
-        return encode(
-            {
-                "scheme": "repro.receipt.v1",
-                "ledger_uri": self.ledger_uri,
-                "jsn": self.jsn,
-                "request_hash": self.request_hash,
-                "tx_hash": self.tx_hash,
-                "block_hash": self.block_hash,
-                "block_height": self.block_height,
-                "ledger_root": self.ledger_root,
-                "timestamp": self.timestamp,
-            }
-        )
-
-    def signed_by(self, lsp_keypair: KeyPair) -> "Receipt":
-        """Return a copy carrying the LSP's signature pi_s."""
-        return replace(self, lsp_signature=lsp_keypair.sign(sha256(self.signing_payload())))
+    def statement(self) -> dict:
+        return {
+            "ledger_uri": self.ledger_uri,
+            "jsn": self.jsn,
+            "request_hash": self.request_hash,
+            "tx_hash": self.tx_hash,
+            "block_hash": self.block_hash,
+            "block_height": self.block_height,
+            "ledger_root": self.ledger_root,
+            "timestamp": self.timestamp,
+        }
 
     @classmethod
     def sign_batch(cls, receipts: list["Receipt"], lsp_keypair: KeyPair) -> list["Receipt"]:
@@ -70,33 +66,9 @@ class Receipt:
             for receipt, signature in zip(receipts, signatures)
         ]
 
-    def verify(self, lsp_public_key: PublicKey) -> bool:
-        """Check the LSP's signature.  Never raises."""
-        if self.lsp_signature is None:
-            return False
-        return lsp_public_key.verify(sha256(self.signing_payload()), self.lsp_signature)
-
-    def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "ledger_uri": self.ledger_uri,
-                "jsn": self.jsn,
-                "request_hash": self.request_hash,
-                "tx_hash": self.tx_hash,
-                "block_hash": self.block_hash,
-                "block_height": self.block_height,
-                "ledger_root": self.ledger_root,
-                "timestamp": self.timestamp,
-                "lsp_signature": (
-                    self.lsp_signature.to_bytes() if self.lsp_signature else b""
-                ),
-            }
-        )
-
     @classmethod
     def from_bytes(cls, data: bytes) -> "Receipt":
         obj = decode(data)
-        signature_bytes = bytes(obj["lsp_signature"])
         return cls(
             ledger_uri=obj["ledger_uri"],
             jsn=obj["jsn"],
@@ -106,7 +78,5 @@ class Receipt:
             block_height=obj["block_height"],
             ledger_root=bytes(obj["ledger_root"]),
             timestamp=obj["timestamp"],
-            lsp_signature=(
-                Signature.from_bytes(signature_bytes) if signature_bytes else None
-            ),
+            lsp_signature=cls._signature_of(obj),
         )

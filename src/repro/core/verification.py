@@ -1,4 +1,4 @@
-"""Dasein verification (§III): what, when, who — server- and client-side.
+"""Dasein verification (§III) over an exported ledger view.
 
 The *Dasein* of a journal is verified along three axes:
 
@@ -13,79 +13,30 @@ The *Dasein* of a journal is verified along three axes:
   pi_c checks against the CA-certified member key, and the LSP's receipt
   pi_s convicts the LSP of having committed it.
 
-:class:`DaseinVerifier` runs entirely from an exported :class:`LedgerView`
+The checks themselves live in :mod:`repro.verify`; :class:`DaseinVerifier`
+is the evidence holder for one exported :class:`~repro.core.ledger.LedgerView`
 plus out-of-band trust anchors (CA public key, TSA public keys), so it makes
 no calls back into the — potentially malicious — LSP.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .. import obs
-from ..artifacts import DaseinReport, VerifyLevel, VerifyResult, VerifyTarget
+from ..artifacts import DaseinReport
 from ..crypto.hashing import Digest
 from ..crypto.keys import PublicKey
-from ..encoding import decode
-from ..merkle.fam import FamAccumulator, FamProof
+from ..merkle.fam import FamProof
 from ..timeauth.pegging import TimeBound
-from ..timeauth.tledger import TimeEvidence
-from ..timeauth.tsa import TimeStampToken
-from .journal import Journal, JournalType
-from .ledger import LedgerView
+from ..verify import time_marks, tx_what, when_bracket, who
+from .journal import Journal
 from .receipt import Receipt
 
-__all__ = [
-    "DaseinReport",
-    "DaseinVerifier",
-    "VerifyLevel",
-    "VerifyResult",
-    "VerifyTarget",
-    "check_time_evidence",
-    "parse_time_journal",
-]
+if TYPE_CHECKING:
+    from .ledger import LedgerView
 
-
-def parse_time_journal(journal: Journal) -> dict:
-    """Decode a time journal's payload (mode, anchored root, as-of jsn, ...)."""
-    if journal.journal_type is not JournalType.TIME:
-        raise ValueError(f"journal {journal.jsn} is not a time journal")
-    obj = decode(journal.payload)
-    obj["anchored_root"] = bytes(obj["anchored_root"])
-    return obj
-
-
-def check_time_evidence(
-    info: dict,
-    evidence: TimeEvidence | TimeStampToken | None,
-    tsa_keys: dict[str, PublicKey],
-) -> tuple[float, bool]:
-    """Validate one time journal's authority evidence: (timestamp, valid).
-
-    ``info`` is a :func:`parse_time_journal` payload.  "tsa" mode
-    reconstructs the timestamp token from the journal itself; "tledger" mode
-    checks the supplied cross-ledger evidence.  Stateless on purpose — the
-    audit engine's worker pool calls it from forked processes.
-    """
-    if info["mode"] == "tsa":
-        # The token is reconstructible from the journal payload itself.
-        from ..crypto.ecdsa import Signature
-
-        token = TimeStampToken(
-            digest=info["anchored_root"],
-            timestamp=info["timestamp"],
-            tsa_id=info["tsa_id"],
-            signature=Signature.from_bytes(bytes(info["signature"])),
-        )
-        key = tsa_keys.get(token.tsa_id)
-        return token.timestamp, key is not None and token.verify(key)
-    if info["mode"] == "tledger":
-        if not isinstance(evidence, TimeEvidence):
-            return 0.0, False
-        if evidence.entry.digest != info["anchored_root"]:
-            return 0.0, False
-        if not evidence.verify(tsa_keys):
-            return 0.0, False
-        return evidence.finalization.token.timestamp, True
-    return 0.0, False
+__all__ = ["DaseinVerifier"]
 
 
 class DaseinVerifier:
@@ -99,7 +50,7 @@ class DaseinVerifier:
 
     def __init__(
         self,
-        view: LedgerView,
+        view: "LedgerView",
         tsa_keys: dict[str, PublicKey] | None = None,
         trusted_root: Digest | None = None,
     ) -> None:
@@ -110,9 +61,7 @@ class DaseinVerifier:
                 raise ValueError("view has no receipt; pass trusted_root explicitly")
             trusted_root = view.latest_receipt.ledger_root
         self.trusted_root = trusted_root
-        self._time_cache: list[tuple[int, float, bool]] | None = None
-
-    # ----------------------------------------------------------------- what
+        self._marks: list[tuple[int, float, bool]] | None = None
 
     def journal_at(self, jsn: int) -> Journal | None:
         """Decode the journal at ``jsn`` from the view (None if mutated away)."""
@@ -128,94 +77,32 @@ class DaseinVerifier:
         distrusting client verifies against one externally-trusted root.
         """
         with obs.span("dasein.what"):
-            return FamAccumulator.verify_full(
-                journal.tx_hash(), proof, self.trusted_root
-            )
-
-    def verify_what_digest(self, retained_hash: Digest, proof: FamProof) -> bool:
-        """Used-to-exist: verify a mutated journal by its retained digest."""
-        return FamAccumulator.verify_full(retained_hash, proof, self.trusted_root)
-
-    # ----------------------------------------------------------------- when
-
-    def _time_journals(self) -> list[tuple[int, float, bool]]:
-        """(jsn, upper-bound timestamp, evidence_valid) per time journal."""
-        if self._time_cache is not None:
-            return self._time_cache
-        out: list[tuple[int, float, bool]] = []
-        for entry in self.view.entries:
-            if entry.data is None:
-                continue
-            journal = Journal.from_bytes(entry.data)
-            if journal.journal_type is not JournalType.TIME:
-                continue
-            info = parse_time_journal(journal)
-            evidence = self.view.time_evidence.get(journal.jsn)
-            timestamp, valid = self._check_time_evidence(info, evidence)
-            out.append((journal.jsn, timestamp, valid))
-        self._time_cache = out
-        return out
-
-    def _check_time_evidence(
-        self, info: dict, evidence: TimeEvidence | TimeStampToken | None
-    ) -> tuple[float, bool]:
-        return check_time_evidence(info, evidence, self.tsa_keys)
+            return tx_what(journal.tx_hash(), proof, self.trusted_root)
 
     def verify_when(self, jsn: int) -> tuple[TimeBound | None, bool]:
-        """Bracket ``jsn`` between verified time journals.
-
-        Returns ``(bound, valid)``: ``valid`` is False when any bracketing
-        evidence fails to verify, or when no upper-bounding time journal
-        exists yet (the journal's existence has no credible ceiling).
-        """
+        """Bracket ``jsn`` between the view's verified time journals (see
+        :func:`repro.verify.when_bracket`)."""
         with obs.span("dasein.when"):
-            lower = float("-inf")
-            upper = float("inf")
-            valid = True
-            for time_jsn, timestamp, evidence_ok in self._time_journals():
-                if time_jsn < jsn:
-                    if evidence_ok:
-                        lower = max(lower, timestamp)
-                elif time_jsn > jsn:
-                    if not evidence_ok:
-                        valid = False
-                    upper = min(upper, timestamp)
-                    break  # first covering anchor is the tight one
-            if upper == float("inf"):
-                return None, False
-            return TimeBound(lower=lower, upper=upper), valid
-
-    # ------------------------------------------------------------------ who
+            if self._marks is None:
+                self._marks = time_marks(
+                    (
+                        Journal.from_bytes(entry.data)
+                        for entry in self.view.entries
+                        if entry.data is not None
+                    ),
+                    self.view.time_evidence,
+                    self.tsa_keys,
+                )
+            return when_bracket(jsn, self._marks)
 
     def verify_who(self, journal: Journal, receipt: Receipt | None = None) -> bool:
         """Non-repudiation: pi_c against the member's certificate, and — when a
         receipt is presented — pi_s against the LSP's certificate."""
         with obs.span("dasein.who"):
-            certificate = self.view.certificates.get(journal.client_id)
-            if certificate is None or not certificate.verify(self.view.ca_public_key):
-                return False
-            if journal.client_signature is None:
-                return False
-            if not certificate.public_key.verify(
-                journal.request_hash, journal.client_signature
-            ):
-                return False
-            if receipt is not None:
-                lsp_cert = self.view.certificates.get(self.view.lsp_member_id)
-                if lsp_cert is None or not lsp_cert.verify(self.view.ca_public_key):
-                    return False
-                if not receipt.verify(lsp_cert.public_key):
-                    return False
-                # The receipt must be *this* journal's receipt: a genuine LSP
-                # signature over some other jsn proves nothing about this
-                # journal, so a jsn mismatch is a failure, not a skip.
-                if receipt.jsn != journal.jsn:
-                    return False
-                if receipt.tx_hash != journal.tx_hash():
-                    return False
-            return True
-
-    # --------------------------------------------------------------- dasein
+            view = self.view
+            return who(
+                journal, receipt, view.certificates, view.ca_public_key, view.lsp_member_id
+            )
 
     def verify_dasein(
         self,
@@ -226,17 +113,15 @@ class DaseinVerifier:
         """Full 3w verification of one journal (Definition 1, per-journal)."""
         with obs.span("dasein.verify"):
             journal = self.journal_at(jsn)
-            if journal is None:
-                entry = self.view.entry(jsn)
-                what = self.verify_what_digest(entry.retained_hash, proof)
-                when_bound, when_valid = self.verify_when(jsn)
-                return DaseinReport(
-                    jsn=jsn, what=what, when_valid=when_valid, when_bound=when_bound,
-                    who=False,  # the signature went with the payload
-                )
-            what = self.verify_what(journal, proof)
             when_bound, when_valid = self.verify_when(jsn)
-            who = self.verify_who(journal, receipt)
+            if journal is None:
+                # Used-to-exist: a mutated journal verifies by its retained
+                # digest; the signature went with the payload.
+                what = tx_what(self.view.entry(jsn).retained_hash, proof, self.trusted_root)
+                who_ok = False
+            else:
+                what = self.verify_what(journal, proof)
+                who_ok = self.verify_who(journal, receipt)
             return DaseinReport(
-                jsn=jsn, what=what, when_valid=when_valid, when_bound=when_bound, who=who
+                jsn=jsn, what=what, when_valid=when_valid, when_bound=when_bound, who=who_ok
             )

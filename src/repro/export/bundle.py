@@ -34,6 +34,9 @@ from typing import Any
 
 from ..core.errors import LedgerError, UsageError
 from ..core.snapshot import _commit_file
+from ..crypto.ca import Certificate, Role
+from ..crypto.ecdsa import Signature
+from ..crypto.keys import PublicKey
 from ..storage.checksum import crc32c
 
 __all__ = [
@@ -108,6 +111,17 @@ class BundleCertificate:
     public_key: bytes
     issuer: str
     signature: bytes
+
+    def certificate(self) -> Certificate:
+        """The certificate this entry flattens (unvalidated: the holder
+        checks it against a CA key of its own choosing)."""
+        return Certificate(
+            member_id=self.member_id,
+            role=Role(self.role),
+            public_key=PublicKey.from_bytes(self.public_key),
+            issuer=self.issuer,
+            signature=Signature.from_bytes(self.signature) if self.signature else None,
+        )
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,6 @@ from ..core.errors import LedgerError, RecoveryError
 from ..core.ledger import CONFIG_FILE, Ledger, LedgerConfig
 from ..core.members import MemberRegistry
 from ..core.snapshot import load_config_file
-from ..crypto.ca import Certificate, Role
-from ..crypto.ecdsa import Signature
 from ..crypto.keys import KeyPair, PublicKey
 from ..core.errors import AuthenticationError
 from ..encoding import decode, encode
@@ -320,15 +318,8 @@ def _adopt_certificates(
         )
         return
     for bc in bundle.certificates:
-        certificate = Certificate(
-            member_id=bc.member_id,
-            role=Role(bc.role),
-            public_key=PublicKey.from_bytes(bc.public_key),
-            issuer=bc.issuer,
-            signature=Signature.from_bytes(bc.signature) if bc.signature else None,
-        )
         try:
-            registry.adopt(certificate)
+            registry.adopt(bc.certificate())
         except AuthenticationError as exc:
             divergences.append(
                 Divergence(

@@ -82,18 +82,20 @@ class ShrubsAccumulator:
         if len(digest) != len(EMPTY_DIGEST):
             raise ValueError("leaf digest must be 32 bytes")
         index = len(self._levels[0])
-        self._levels[0].append(digest)
-        level, j = 0, index
+        level, j, node = 0, index, digest
         # While the freshly completed node is a right child, its parent is
         # now computable.
         while j & 1:
-            left = self._levels[level][j - 1]
-            right = self._levels[level][j]
+            node = node_hash(self._levels[level][j - 1], node)
             if level + 1 >= len(self._levels):
                 self._levels.append([])
-            self._levels[level + 1].append(node_hash(left, right))
+            self._levels[level + 1].append(node)
             level += 1
             j >>= 1
+        # The leaf goes in last: ``size`` is the leaf count, so a reader on
+        # another thread that sees the new size sees every interior node that
+        # size implies (proofs and roots are served beside the appender).
+        self._levels[0].append(digest)
         return index
 
     def extend(self, digests: list[Digest]) -> None:

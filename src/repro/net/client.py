@@ -8,16 +8,15 @@ checked it against something it trusts:
   public key pinned at connect time AND the receipt echoes the exact
   request hash the client signed (:class:`~repro.core.receipt.Receipt` is
   the pi_s evidence — a receipt for the wrong request convicts nobody);
-* existence proofs are folded locally (:class:`~repro.merkle.fam.FamProof`
-  against the client's own :class:`~repro.merkle.fam.AnchorStore`, advanced
-  exactly like the in-process :class:`~repro.core.client.LedgerClient`:
-  epoch 0 bootstrapped from raw leaf digests, later epochs via merged-leaf
-  link proofs, the live epoch via consistency proofs);
-* clue proofs are verified with the local CM-Tree verifier.
+* existence proofs are folded locally by the client's own
+  :class:`~repro.verify.AnchorTracker` — the very object the in-process
+  :class:`~repro.core.client.LedgerClient` uses, reading through this
+  connection instead of a local fam;
+* clue proofs are verified locally (:func:`repro.verify.clue_what`).
 
-What the client necessarily takes on faith is documented in DESIGN.md §14's
-trust-model table (completeness of ``list_tx``, freshness of roots between
-syncs — the non-equivocation gap ROADMAP item 4 closes).
+What the client necessarily takes on faith is documented in DESIGN.md
+"Verification kernel" (completeness of ``list_tx``, freshness of roots
+between syncs — the non-equivocation gap the transparency layer closes).
 
 :class:`AsyncRemoteLedger` is the asyncio core: one connection, pipelined
 request ids, out-of-order completion.  :class:`RemoteLedgerClient` wraps it
@@ -33,12 +32,13 @@ import contextlib
 import itertools
 import socket
 import threading
+import time
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from ..export.bundle import ExportBundle
 
-from ..core.client import ClientState
+from ..artifacts import VerifyLevel, VerifyResult
 from ..core.errors import (
     AuthenticationError,
     AuthorizationError,
@@ -51,14 +51,12 @@ from ..core.errors import (
 )
 from ..core.journal import ClientRequest, Journal
 from ..core.receipt import Receipt
-from ..core.verification import VerifyLevel, VerifyResult, VerifyTarget
 from ..crypto.hashing import Digest, sha256
 from ..crypto.keys import KeyPair, PublicKey, verify_batch
 from ..merkle.cmtree import ClueProof
 from ..merkle.consistency import ConsistencyProof
-from ..merkle.fam import AnchorStore, FamProof
+from ..merkle.fam import FamProof
 from ..merkle.proofs import MembershipProof
-from ..merkle.shrubs import FrontierAccumulator
 from ..service import ServiceClosedError, ServiceOverloadedError, ServiceTimeout
 from ..session import SessionHelpers
 from ..transparency.censorship import SubmissionAck
@@ -67,6 +65,7 @@ from ..transparency.sth import (
     ConsistencyBundle,
     SignedTreeHead,
 )
+from ..verify import AnchorTracker, clue_what, lift, tx_what
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -540,12 +539,22 @@ class AsyncRemoteLedger:
         result = await self._call("epoch_leaves", epoch=epoch)
         return [bytes(digest) for digest in result["digests"]]
 
-    async def live_consistency(self, old_size: int) -> ConsistencyProof:
-        result = await self._call("live_consistency", old_size=old_size)
+    async def live_consistency(
+        self, old_size: int, new_size: int | None = None
+    ) -> ConsistencyProof:
+        result = await self._call(
+            "live_consistency", old_size=old_size, new_size=new_size
+        )
         return ConsistencyProof.from_bytes(bytes(result["proof"]))
 
-    async def epoch_consistency(self, epoch: int, old_size: int) -> ConsistencyProof:
-        result = await self._call("epoch_consistency", epoch=epoch, old_size=old_size)
+    async def epoch_consistency(
+        self, epoch: int, old_size: int, new_size: int | None = None
+    ) -> ConsistencyProof:
+        """Append-only proof inside one epoch's tree, ``old_size`` leaves to
+        ``new_size`` (default: the tree's size when the server answers)."""
+        result = await self._call(
+            "epoch_consistency", epoch=epoch, old_size=old_size, new_size=new_size
+        )
         return ConsistencyProof.from_bytes(bytes(result["proof"]))
 
     async def shard_info(self) -> dict:
@@ -656,8 +665,11 @@ class RemoteLedgerClient:
         self.member_id = member_id
         self.keypair = keypair
         self.timeout = timeout
-        self.anchors = AnchorStore()
-        self.state = ClientState()
+        # The client is its own tracker's read source: the fam calls below
+        # are the server ops of the same names (repro.verify.tracker).
+        self.tracker = AnchorTracker(self)
+        self.anchors = self.tracker.anchors
+        self.state = self.tracker.state
         self._nonce_lock = threading.Lock()
         self._nonce = 0
         self._loop = asyncio.new_event_loop()
@@ -736,16 +748,34 @@ class RemoteLedgerClient:
         with self._nonce_lock:
             self._nonce += 1
             nonce = self._nonce
-        import time as _time
-
         return ClientRequest.build(
             self.ledger_uri,
             member_id,
             payload,
             clues=tuple(clues),
             nonce=nonce.to_bytes(8, "big"),
-            client_timestamp=_time.time(),
+            client_timestamp=time.time(),
         ).signed_by(keypair)
+
+    def _request_for(
+        self,
+        method: str,
+        payload: bytes | None,
+        clues: tuple[str, ...],
+        request: ClientRequest | None,
+        member_id: str | None,
+        keypair: KeyPair | None,
+    ) -> ClientRequest:
+        """The pre-signed ``request`` as given, or ``payload`` signed here."""
+        if (payload is None) == (request is None):
+            raise UsageError(f"{method}() takes exactly one of payload or request=")
+        if request is not None:
+            return request
+        return self._build_request(payload, clues, member_id=member_id, keypair=keypair)
+
+    def _keep(self, receipt: Receipt) -> Receipt:
+        self.state.receipts[receipt.jsn] = receipt
+        return receipt
 
     def append(
         self,
@@ -758,15 +788,8 @@ class RemoteLedgerClient:
         keypair: KeyPair | None = None,
     ) -> Receipt:
         """Sign locally, submit remotely, verify the receipt locally."""
-        if (payload is None) == (request is None):
-            raise UsageError("append() takes exactly one of payload or request=")
-        if request is None:
-            request = self._build_request(
-                payload, clues, member_id=member_id, keypair=keypair
-            )
-        receipt = self._wait(self._remote.append(request), timeout)
-        self.state.receipts[receipt.jsn] = receipt
-        return receipt
+        request = self._request_for("append", payload, clues, request, member_id, keypair)
+        return self._keep(self._wait(self._remote.append(request), timeout))
 
     def append_acked(
         self,
@@ -780,18 +803,14 @@ class RemoteLedgerClient:
         keypair: KeyPair | None = None,
     ) -> tuple[Receipt, SubmissionAck]:
         """Append plus a locally-verified admission ack (DESIGN.md §16)."""
-        if (payload is None) == (request is None):
-            raise UsageError("append_acked() takes exactly one of payload or request=")
-        if request is None:
-            request = self._build_request(
-                payload, clues, member_id=member_id, keypair=keypair
-            )
+        request = self._request_for(
+            "append_acked", payload, clues, request, member_id, keypair
+        )
         receipt, ack = self._wait(
             self._remote.append_acked(request, deadline_epochs=deadline_epochs),
             timeout,
         )
-        self.state.receipts[receipt.jsn] = receipt
-        return receipt, ack
+        return self._keep(receipt), ack
 
     def append_batch(
         self,
@@ -806,15 +825,11 @@ class RemoteLedgerClient:
             raise UsageError("append_batch() takes exactly one of items or requests=")
         if requests is None:
             requests = [
-                self._build_request(
-                    payload, clues, member_id=member_id, keypair=keypair
-                )
+                self._build_request(payload, clues, member_id=member_id, keypair=keypair)
                 for payload, clues in items
             ]
         receipts = self._wait(self._remote.append_batch(requests), timeout)
-        for receipt in receipts:
-            self.state.receipts[receipt.jsn] = receipt
-        return receipts
+        return [self._keep(receipt) for receipt in receipts]
 
     def submit(self, request: ClientRequest):
         """Fire-and-collect pipelining: returns a concurrent Future[Receipt].
@@ -826,9 +841,7 @@ class RemoteLedgerClient:
         """
 
         async def _do() -> Receipt:
-            receipt = await self._remote.submit(request)
-            self.state.receipts[receipt.jsn] = receipt
-            return receipt
+            return self._keep(await self._remote.submit(request))
 
         return self._submit(_do())
 
@@ -864,104 +877,46 @@ class RemoteLedgerClient:
 
     # ------------------------------------------------------------- anchors
 
-    def sync_anchors(self) -> int:
-        """Advance the trusted-anchor store against the remote fam — the
-        over-the-wire :meth:`LedgerClient.sync_anchors`.
+    def fam_info(self) -> dict:
+        """The server's *claimed* fam snapshot (epochs, live size and root)."""
+        return self._wait(self._remote.fam_info())
 
-        Epoch 0 is bootstrapped by downloading and re-hashing its raw leaf
-        digests; each later epoch is anchored via its merged-leaf link proof;
-        the live epoch is tracked with consistency proofs so a server that
-        rewrites *any* committed journal is caught on the next sync.
+    def epoch_anchor(self, epoch: int) -> Digest:
+        return self._wait(self._remote.epoch_anchor(epoch))
+
+    def epoch_link(self, epoch: int) -> MembershipProof:
+        return self._wait(self._remote.epoch_link(epoch))
+
+    def epoch_leaves(self, epoch: int) -> list[Digest]:
+        return self._wait(self._remote.epoch_leaves(epoch))
+
+    def epoch_consistency(
+        self, epoch: int, old_size: int, new_size: int | None = None
+    ) -> ConsistencyProof:
+        return self._wait(self._remote.epoch_consistency(epoch, old_size, new_size))
+
+    def sync_anchors(self) -> int:
+        """Advance the trusted-anchor store against the remote fam
+        (:meth:`repro.verify.AnchorTracker.sync`): epoch 0 bootstrapped from
+        its raw leaf digests, each later epoch anchored via its merged-leaf
+        link proof, the live epoch tracked with consistency proofs so a
+        server that rewrites *any* committed journal is caught on the next
+        sync.  Returns how many new epoch anchors were added.
 
         Raises:
             VerificationFailure: any link fails — nothing unverified is
                 ever anchored.
         """
-        info = self._wait(self._remote.fam_info())
-        completed = info["num_epochs"] - 1
-        added = 0
-        while self.state.anchored_epochs < completed:
-            epoch = self.state.anchored_epochs
-            claimed_root = self._wait(self._remote.epoch_anchor(epoch))
-            if epoch == 0:
-                leaves = self._wait(self._remote.epoch_leaves(0))
-                frontier = FrontierAccumulator()
-                for leaf in leaves:
-                    frontier.append_leaf(leaf)
-                if frontier.root() != claimed_root:
-                    raise VerificationFailure("epoch 0 bootstrap verification failed")
-                self.anchors.add(0, claimed_root)
-            else:
-                link = self._wait(self._remote.epoch_link(epoch))
-                if not self.anchors.advance(epoch, claimed_root, link):
-                    raise VerificationFailure(
-                        f"merged-leaf link for epoch {epoch} failed"
-                    )
-            self.state.anchored_epochs += 1
-            added += 1
-        self._sync_live(info)
-        return added
-
-    def _sync_live(self, info: dict) -> None:
-        current_epoch = info["num_epochs"] - 1
-        live_size = info["live_size"]
-        live_root = bytes(info["live_root"])
-        state = self.state
-        if state.live_root is not None and state.live_size > 0:
-            if state.live_epoch_index == current_epoch:
-                if state.live_size == live_size:
-                    if live_root != state.live_root:
-                        raise VerificationFailure("live commitment changed without appends")
-                elif state.live_size < live_size:
-                    proof = self._wait(self._remote.live_consistency(state.live_size))
-                    if not proof.verify(state.live_root, live_root):
-                        raise VerificationFailure(
-                            "live epoch evolved non-append-only (history rewritten?)"
-                        )
-                else:
-                    raise VerificationFailure("live epoch shrank")
-            else:
-                sealed_epoch = state.live_epoch_index
-                sealed_root = self._wait(self._remote.epoch_anchor(sealed_epoch))
-                proof = self._wait(
-                    self._remote.epoch_consistency(sealed_epoch, state.live_size)
-                )
-                if not proof.verify(state.live_root, sealed_root):
-                    raise VerificationFailure(
-                        f"sealed epoch {sealed_epoch} does not extend the state "
-                        "this client verified"
-                    )
-                anchor = self.anchors.get(sealed_epoch)
-                if anchor is not None and anchor != sealed_root:
-                    raise VerificationFailure(
-                        f"sealed epoch {sealed_epoch} root disagrees with anchor"
-                    )
-        state.live_epoch_index = current_epoch
-        state.live_size = live_size
-        state.live_root = live_root
+        return self.tracker.sync()
 
     # ----------------------------------------------------------- verifying
 
-    def verify_journal(self, journal: Journal) -> bool:
-        """O(delta) existence verification against the client's own anchors."""
-        proof = self.get_proof(journal.jsn, anchored=True)
-        if proof.epoch_index == proof.num_epochs - 1:
-            if self.state.live_root is None:
-                return False
-            try:
-                return (
-                    proof.epoch_proof.computed_root(journal.tx_hash())
-                    == self.state.live_root
-                )
-            except (ValueError, IndexError):
-                return False
-        anchor = self.anchors.get(proof.epoch_index)
-        if anchor is None:
-            return False
-        try:
-            return proof.epoch_proof.computed_root(journal.tx_hash()) == anchor
-        except (ValueError, IndexError):
-            return False
+    def verify_journal(self, journal: Journal, proof: FamProof | None = None) -> bool:
+        """O(delta) existence verification against the client's own anchors;
+        ``proof`` optionally carries a pre-fetched *anchored* fam proof."""
+        if proof is None:
+            proof = self.get_proof(journal.jsn, anchored=True)
+        return self.tracker.fold_anchored(journal.tx_hash(), proof)
 
     def shard_info(self) -> dict:
         """Raw shard-map claim from the server; see :meth:`verify_shard_link`."""
@@ -1015,18 +970,17 @@ class RemoteLedgerClient:
 
         The CM-Tree1 root the proof folds to is the server's claim — pin it
         against out-of-band state if non-equivocation matters (DESIGN.md
-        §14 trust model).
+        "Verification kernel" trust table).
         """
         jsns = self.list_tx(clue)
         if not jsns:
             return False
         try:
-            journals = [self.get_journal(jsn) for jsn in jsns]
+            digests = [self.get_journal(jsn).tx_hash() for jsn in jsns]
         except LedgerError:
             return False
-        proof, claimed_state_root = self._wait(self._remote.prove_clue(clue))
-        digests = {i: journal.tx_hash() for i, journal in enumerate(journals)}
-        return proof.verify(digests, claimed_state_root)
+        proof, claimed_state_root = self.prove_clue(clue)
+        return clue_what(clue, digests, proof, claimed_state_root)
 
     def prove_clue(self, clue: str) -> tuple[ClueProof, Digest]:
         """The clue proof plus the server's *claimed* CM-Tree1 root."""
@@ -1049,19 +1003,6 @@ class RemoteLedgerClient:
         self, old: SignedTreeHead, new: SignedTreeHead
     ) -> tuple[ConsistencyBundle | None, ConsistencyAssertion]:
         return self._wait(self._remote.get_consistency(old, new))
-
-
-def _coerce_enum(enum_cls: type, value: Any):
-    """Accept the enum member itself or its string value ("tx", "server")."""
-    if isinstance(value, enum_cls):
-        return value
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise UsageError(
-            f"{enum_cls.__name__} expected one of "
-            f"{[member.value for member in enum_cls]}, got {value!r}"
-        ) from None
 
 
 class RemoteLedgerSession(SessionHelpers):
@@ -1091,7 +1032,7 @@ class RemoteLedgerSession(SessionHelpers):
         expected_lsp_key: PublicKey | bytes | None = None,
         timeout: float = 30.0,
     ) -> None:
-        self.client = RemoteLedgerClient(
+        self.client = self._backend = RemoteLedgerClient(
             host,
             port,
             member_id=client_id,
@@ -1103,83 +1044,37 @@ class RemoteLedgerSession(SessionHelpers):
         self.client_id = client_id
         self.keypair = keypair
 
-    def append(
+    def _sign(
         self,
-        payload: bytes | None = None,
-        *,
-        clue: str | None = None,
-        clues: tuple[str, ...] | None = None,
-        client_id: str | None = None,
-        keypair: KeyPair | None = None,
-        request: ClientRequest | None = None,
-        timeout: float | None = None,
-    ) -> Receipt:
-        all_clues = self._normalize_clues(clue, clues)
-        return self.client.append(
-            payload,
-            tuple(all_clues),
-            request=request,
-            timeout=timeout,
-            member_id=client_id,
-            keypair=keypair,
-        )
+        items: list[tuple[bytes, tuple[str, ...]]],
+        client_id: str | None,
+        keypair: KeyPair | None,
+    ) -> list[ClientRequest]:
+        return [
+            self.client._build_request(payload, clues, member_id=client_id, keypair=keypair)
+            for payload, clues in items
+        ]
 
-    def append_batch(
+    def _append(self, request: ClientRequest, timeout: float | None) -> Receipt:
+        return self.client.append(request=request, timeout=timeout)
+
+    def _append_batch(
         self,
-        items: list[tuple[bytes, str | None]] | None = None,
-        *,
-        client_id: str | None = None,
-        keypair: KeyPair | None = None,
-        requests: list[ClientRequest] | None = None,
-        max_workers: int | None = None,
-        timeout: float | None = None,
+        requests: list[ClientRequest],
+        max_workers: int | None,
+        timeout: float | None,
     ) -> list[Receipt]:
-        self._check_capabilities(max_workers=max_workers)
-        pairs = None
-        if items is not None:
-            pairs = [
-                (payload, (clue,) if clue else ()) for payload, clue in items
-            ]
-        return self.client.append_batch(
-            pairs,
-            requests=requests,
-            timeout=timeout,
-            member_id=client_id,
-            keypair=keypair,
-        )
+        return self.client.append_batch(requests=requests, timeout=timeout)
 
-    def append_acked(
+    def _append_acked(
         self,
-        payload: bytes | None = None,
-        *,
-        clue: str | None = None,
-        clues: tuple[str, ...] | None = None,
-        client_id: str | None = None,
-        keypair: KeyPair | None = None,
-        request: ClientRequest | None = None,
-        deadline_epochs: int | None = None,
-        timeout: float | None = None,
+        request: ClientRequest,
+        deadline_epochs: int | None,
+        timeout: float | None,
     ) -> tuple[Receipt, SubmissionAck]:
-        """Append plus a locally-verified admission ack (DESIGN.md §16)."""
-        all_clues = self._normalize_clues(clue, clues)
         return self.client.append_acked(
-            payload,
-            tuple(all_clues),
-            request=request,
-            deadline_epochs=deadline_epochs,
-            timeout=timeout,
-            member_id=client_id,
-            keypair=keypair,
+            request=request, deadline_epochs=deadline_epochs, timeout=timeout
         )
-
-    def list_tx(self, clue: str) -> list[Journal]:
-        return [self.client.get_journal(jsn) for jsn in self.client.list_tx(clue)]
-
-    def get_proof(self, jsn: int, anchored: bool = True) -> FamProof:
-        return self.client.get_proof(jsn, anchored)
-
-    def get_proofs(self, jsns: list[int], anchored: bool = True) -> list[FamProof]:
-        return self.client.get_proofs(jsns, anchored)
 
     # ------------------------------------------------------------- exporting
 
@@ -1205,130 +1100,62 @@ class RemoteLedgerSession(SessionHelpers):
             bundle.write(path)
         return bundle
 
-    # --------------------------------------------------------- transparency
-
-    def get_sth(self) -> SignedTreeHead:
-        """The server's current signed tree head, signature-checked locally."""
-        return self.client.get_sth()
-
-    def get_sth_range(self, start: int, end: int) -> list[SignedTreeHead]:
-        """Persisted epoch-close tree heads for epochs ``start..end``."""
-        return self.client.get_sth_range(start, end)
-
-    def get_consistency(
-        self, old: SignedTreeHead, new: SignedTreeHead
-    ) -> tuple[ConsistencyBundle | None, ConsistencyAssertion]:
-        """Consistency proof + signed assertion connecting two tree heads."""
-        return self.client.get_consistency(old, new)
-
     # ------------------------------------------------------------ verifying
 
     def sync_anchors(self) -> int:
         return self.client.sync_anchors()
 
-    def verify(
-        self,
-        target: VerifyTarget | str,
-        *,
-        key: str | None = None,
-        txdata: list[Journal] | None = None,
-        rho: Any = None,
-        root: bytes | None = None,
-        level: VerifyLevel | str = VerifyLevel.SERVER,
-    ) -> VerifyResult:
-        """The Verify API over the wire, returning structured evidence.
-
-        Same surface as :meth:`LedgerSession.verify`, remote semantics:
-
-        * ``target=TX, level=SERVER`` — the *server* runs the check
-          (advisory: it attests its own ledger);
-        * ``target=TX, level=CLIENT`` — anchors are synced and the proof is
-          folded locally against this client's own anchor store;
-        * ``target=CLUE`` — the lineage proof is folded locally; ``root``
-          pins the caller's trusted CM-Tree1 datum, else the server's
-          claimed state root is used (and reported in the result).
-        """
-        target = _coerce_enum(VerifyTarget, target)
-        level = _coerce_enum(VerifyLevel, level)
-        if target is VerifyTarget.TX:
-            return self._verify_tx(txdata, rho, root, level)
-        if target is VerifyTarget.CLUE:
-            return self._verify_clue(key, txdata, rho, root, level)
-        raise UsageError(f"unsupported verification target: {target}")
-
-    def _verify_tx(
-        self,
-        txdata: list[Journal] | None,
-        rho: Any,
-        root: bytes | None,
-        level: VerifyLevel,
-    ) -> VerifyResult:
-        if not txdata or len(txdata) != 1:
-            raise UsageError("TX verification takes exactly one journal in txdata")
-        journal = txdata[0]
+    def _tx_what(
+        self, journal: Journal, rho: Any, root: bytes | None, level: VerifyLevel
+    ) -> tuple[bool, dict]:
+        """TX evidence over the wire: the server's own (advisory) verdict at
+        SERVER level; at CLIENT level a full-chain proof folded against the
+        caller's pinned ``root``, else an anchored proof folded against this
+        client's verified anchor store (synced first)."""
+        client = self.client
         if level is VerifyLevel.SERVER:
-            ok = self.client.verify_journal_remote(journal)
-            return VerifyResult(
-                ok=ok,
-                target=VerifyTarget.TX.value,
-                level=level.value,
-                what=ok,
-                jsn=journal.jsn,
-                detail="server-side check (advisory: the server attests "
-                "its own ledger)",
-            )
-        self.client.sync_anchors()
-        ok = self.client.verify_journal(journal)
-        trusted = root if root is not None else self.client.state.live_root
-        return VerifyResult(
-            ok=ok,
-            target=VerifyTarget.TX.value,
-            level=level.value,
-            what=ok,
-            trusted_root=trusted,
-            jsn=journal.jsn,
-            detail="folded locally against this client's anchor store",
-        )
+            return client.verify_journal_remote(journal), {
+                "detail": "server-side check (advisory: the server attests "
+                "its own ledger)"
+            }
+        if root is not None:
+            proof = rho if rho is not None else client.get_proof(journal.jsn, anchored=False)
+            return tx_what(journal.tx_hash(), proof, root), {
+                "proof": proof,
+                "trusted_root": root,
+                "detail": "folded locally against the caller's pinned root",
+            }
+        client.sync_anchors()
+        return client.verify_journal(journal, rho), {
+            "proof": rho,
+            "trusted_root": client.state.live_root,
+            "detail": "folded locally against this client's anchor store",
+        }
 
-    def _verify_clue(
-        self,
-        key: str | None,
-        txdata: list[Journal] | None,
-        rho: Any,
-        root: bytes | None,
-        level: VerifyLevel,
-    ) -> VerifyResult:
-        if key is None or txdata is None:
-            raise UsageError("CLUE verification needs key and txdata")
-        digests = {i: journal.tx_hash() for i, journal in enumerate(txdata)}
-        if rho is not None:
-            proof, claimed = rho, None
-        else:
-            proof, claimed = self.client.prove_clue(key)
+    def _clue_what(
+        self, key: str, txdata: list[Journal], rho: Any, root: bytes | None, level: VerifyLevel
+    ) -> tuple[bool, dict]:
+        """CLUE evidence over the wire: always folded locally; ``root`` pins
+        the caller's trusted CM-Tree1 datum, else the server's claimed state
+        root is used (and reported in the result)."""
+        proof, claimed = (rho, None) if rho is not None else self.client.prove_clue(key)
         trusted = root if root is not None else claimed
         if trusted is None:
             raise UsageError(
                 "CLUE verification with a pre-fetched rho needs a trusted root="
             )
-        ok = proof.verify(digests, trusted)
-        return VerifyResult(
-            ok=ok,
-            target=VerifyTarget.CLUE.value,
-            level=level.value,
-            what=ok,
-            proof=proof,
-            trusted_root=trusted,
-            detail=f"clue {key!r} over {len(txdata)} journals",
-        )
+        digests = [journal.tx_hash() for journal in txdata]
+        return clue_what(key, digests, proof, trusted), {
+            "proof": proof,
+            "trusted_root": trusted,
+        }
 
     def verify_journal(self, journal: Journal) -> VerifyResult:
         """O(delta) existence verification against this client's anchors."""
-        ok = self.client.verify_journal(journal)
-        return VerifyResult(
-            ok=ok,
-            target=VerifyTarget.TX.value,
-            level=VerifyLevel.CLIENT.value,
-            what=ok,
+        return lift(
+            "tx",
+            VerifyLevel.CLIENT,
+            what=self.client.verify_journal(journal),
             trusted_root=self.client.state.live_root,
             jsn=journal.jsn,
             detail="anchored fam fold",
@@ -1336,12 +1163,10 @@ class RemoteLedgerSession(SessionHelpers):
 
     def verify_clue(self, clue: str) -> VerifyResult:
         """Client-side N-lineage verification of an entire clue lineage."""
-        ok = self.client.verify_clue(clue)
-        return VerifyResult(
-            ok=ok,
-            target=VerifyTarget.CLUE.value,
-            level=VerifyLevel.CLIENT.value,
-            what=ok,
+        return lift(
+            "clue",
+            VerifyLevel.CLIENT,
+            what=self.client.verify_clue(clue),
             detail=f"clue {clue!r} lineage against the server's claimed root",
         )
 

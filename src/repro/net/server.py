@@ -155,32 +155,11 @@ class LedgerServer:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="ledger-net"
         )
+        #: Every ``_op_<name>`` coroutine below serves the wire op ``<name>``.
         self._handlers: dict[str, Callable[[dict], Awaitable[dict]]] = {
-            "hello": self._op_hello,
-            "ping": self._op_ping,
-            "append": self._op_append,
-            "append_batch": self._op_append_batch,
-            "register": self._op_register,
-            "get_journal": self._op_get_journal,
-            "list_tx": self._op_list_tx,
-            "get_proof": self._op_get_proof,
-            "get_proofs": self._op_get_proofs,
-            "prove_clue": self._op_prove_clue,
-            "get_root": self._op_get_root,
-            "receipt_for": self._op_receipt_for,
-            "fam_info": self._op_fam_info,
-            "epoch_anchor": self._op_epoch_anchor,
-            "epoch_link": self._op_epoch_link,
-            "epoch_leaves": self._op_epoch_leaves,
-            "live_consistency": self._op_live_consistency,
-            "epoch_consistency": self._op_epoch_consistency,
-            "verify_journal": self._op_verify_journal,
-            "shard_info": self._op_shard_info,
-            "get_sth": self._op_get_sth,
-            "get_sth_range": self._op_get_sth_range,
-            "get_consistency": self._op_get_consistency,
-            "export": self._op_export,
-            "stats": self._op_stats,
+            name[len("_op_") :]: getattr(self, name)
+            for name in dir(self)
+            if name.startswith("_op_")
         }
 
     # ------------------------------------------------------------ lifecycle
@@ -403,14 +382,8 @@ class LedgerServer:
             # The ack must pin the tree coordinates *at admission* — issue it
             # before the submit so a censoring server cannot dodge the
             # deadline by acking late.
-            deadline = message.get("ack_deadline")
-            if deadline is None:
-                ack = await self._run(self.ledger.issue_ack, request)
-            else:
-                deadline = _require_int(deadline, "ack_deadline")
-                ack = await self._run(
-                    lambda: self.ledger.issue_ack(request, deadline_epochs=deadline)
-                )
+            deadline = _optional_int(message.get("ack_deadline"), "ack_deadline")
+            ack = await self._run(self.ledger.issue_ack, request, deadline)
         future = await self._submit(request)
         receipt = await asyncio.wrap_future(future)
         response = {"receipt": receipt.to_bytes()}
@@ -512,48 +485,40 @@ class LedgerServer:
         receipt = await self._run(self.ledger.receipt_for, jsn)
         return {"receipt": receipt.to_bytes() if receipt is not None else b""}
 
+    # The six fam read ops an anchor-tracking client follows the ledger
+    # through — all answered by the ledger's read-only FamReader, the same
+    # object an in-process LedgerClient reads (repro.verify.tracker).
+
     async def _op_fam_info(self, message: dict) -> dict:
-        fam = self.ledger._fam  # the public read path of a real deployment
-        _roots, live_size, _peaks = fam.snapshot()
-        return {
-            "size": fam.size,
-            "num_epochs": fam.num_epochs,
-            "epoch_capacity": fam.epoch_capacity,
-            "fractal_height": fam.fractal_height,
-            "live_size": live_size,
-            "live_root": fam.current_root(),
-        }
+        return self.ledger.fam_reader().fam_info()
 
     async def _op_epoch_anchor(self, message: dict) -> dict:
         epoch = _require_int(message.get("epoch"), "epoch")
-        return {"root": await self._run(self.ledger._fam.epoch_root, epoch)}
+        return {"root": await self._run(self.ledger.fam_reader().epoch_anchor, epoch)}
 
     async def _op_epoch_link(self, message: dict) -> dict:
         epoch = _require_int(message.get("epoch"), "epoch")
-        proof = await self._run(self.ledger._fam.prove_epoch_link, epoch)
+        proof = await self._run(self.ledger.fam_reader().epoch_link, epoch)
         return {"proof": proof.to_bytes()}
 
     async def _op_epoch_leaves(self, message: dict) -> dict:
-        fam = self.ledger._fam
         epoch = _require_int(message.get("epoch"), "epoch")
-        if epoch != 0:
-            raise UsageError("only epoch 0 is bootstrapped from raw leaves")
-
-        def leaves():
-            return [fam.leaf_digest(jsn) for jsn in range(fam.epoch_capacity)]
-
-        return {"digests": await self._run(leaves)}
+        return {"digests": await self._run(self.ledger.fam_reader().epoch_leaves, epoch)}
 
     async def _op_live_consistency(self, message: dict) -> dict:
         old_size = _require_int(message.get("old_size"), "old_size")
-        proof = await self._run(self.ledger._fam.prove_live_consistency, old_size)
+        new_size = _optional_int(message.get("new_size"), "new_size")
+        proof = await self._run(
+            self.ledger.fam_reader().live_consistency, old_size, new_size
+        )
         return {"proof": proof.to_bytes()}
 
     async def _op_epoch_consistency(self, message: dict) -> dict:
         epoch = _require_int(message.get("epoch"), "epoch")
         old_size = _require_int(message.get("old_size"), "old_size")
+        new_size = _optional_int(message.get("new_size"), "new_size")
         proof = await self._run(
-            lambda: self.ledger._fam.prove_epoch_consistency(epoch, old_size)
+            self.ledger.fam_reader().epoch_consistency, epoch, old_size, new_size
         )
         return {"proof": proof.to_bytes()}
 
@@ -575,33 +540,22 @@ class LedgerServer:
         while other shards keep committing.  An unsharded server reports a
         one-leaf shard map, so clients handle both cases uniformly.
         """
-        if self.shard_context is None:
-
-            def solo():
-                from ..merkle.shrubs import ShrubsAccumulator
-
-                accumulator = ShrubsAccumulator()
-                root = self.ledger.current_root()
-                accumulator.append_leaf(root)
-                return {
-                    "shard_index": 0,
-                    "num_shards": 1,
-                    "shard_root": root,
-                    "composite_root": accumulator.root(),
-                    "link": accumulator.prove(0).to_bytes(),
-                }
-
-            return await self._run(solo)
-        sharded, shard_index = self.shard_context
+        from ..merkle.shrubs import ShrubsAccumulator
 
         def build():
-            roots = sharded.shard_roots()
-            link = sharded.shard_link(shard_index, roots)
+            if self.shard_context is None:
+                roots, shard_index = [self.ledger.current_root()], 0
+            else:
+                sharded, shard_index = self.shard_context
+                roots = sharded.shard_roots()
+            shard_map = ShrubsAccumulator()
+            shard_map.extend(roots)
+            link = shard_map.prove(shard_index)
             return {
                 "shard_index": shard_index,
-                "num_shards": sharded.num_shards,
+                "num_shards": len(roots),
                 "shard_root": roots[shard_index],
-                "composite_root": link.computed_root(roots[shard_index]),
+                "composite_root": shard_map.root(),
                 "link": link.to_bytes(),
             }
 
@@ -700,6 +654,10 @@ def _require_int(value: Any, field: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ProtocolError(f"'{field}' must be an integer")
     return value
+
+
+def _optional_int(value: Any, field: str) -> int | None:
+    return None if value is None else _require_int(value, field)
 
 
 # -------------------------------------------------------------- threading

@@ -24,7 +24,7 @@ The contract the protocol pins down (DESIGN.md §11/§16):
   the others refuse it — lives in one declarative table,
   :data:`CAPABILITIES`, instead of being re-stated at every call site;
 * every ``verify``-family method returns a structured
-  :class:`~repro.core.verification.VerifyResult` (truthy-compatible with
+  :class:`~repro.artifacts.VerifyResult` (truthy-compatible with
   the old bools);
 * the transparency surface (``get_sth`` / ``get_sth_range`` /
   ``get_consistency`` / ``append_acked``) is part of the session, so
@@ -39,12 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
+from .artifacts import VerifyLevel, VerifyResult, VerifyTarget
 from .core.errors import UsageError
+from .verify import lift
 
 if TYPE_CHECKING:
     from .core.journal import ClientRequest, Journal
     from .core.receipt import Receipt
-    from .core.verification import VerifyResult
     from .crypto.keys import KeyPair
     from .export.bundle import ExportBundle
     from .transparency.censorship import SubmissionAck
@@ -220,9 +221,12 @@ class VerifyingSession(Protocol):
 class SessionHelpers:
     """Shared behaviour for :class:`VerifyingSession` implementations.
 
-    Context management and argument normalisation are transport-independent;
-    both session classes inherit them from here so the protocol surface
-    cannot drift apart by accident.
+    Context management, the append argument contract and the Verify API's
+    dispatch are transport-independent; both session classes inherit them
+    from here so the protocol surface cannot drift apart by accident.  A
+    transport supplies the hooks underneath: ``_sign`` and ``_append*`` for
+    writes, and two evidence fetchers, ``_tx_what`` and ``_clue_what``, each
+    returning ``(verdict, evidence)`` for :func:`repro.verify.lift`.
     """
 
     #: Implementations override with their transport name, used in the
@@ -246,6 +250,225 @@ class SessionHelpers:
             raise UsageError("pass clue= or clues=, not both")
         return tuple(clues) if clues is not None else ((clue,) if clue else ())
 
+    # ------------------------------------------------------------- appends
+    #
+    # One argument contract for both transports; a transport supplies
+    # ``_sign`` (payloads -> requests under the session or per-call
+    # identity) and ``_append`` / ``_append_acked`` / ``_append_batch``
+    # (requests -> receipts).
+
+    def _request_for(
+        self,
+        payload: bytes | None,
+        clue: str | None,
+        clues: tuple[str, ...] | None,
+        client_id: str | None,
+        keypair: "KeyPair | None",
+        request: "ClientRequest | None",
+    ) -> "ClientRequest":
+        if (payload is None) == (request is None):
+            raise UsageError("pass exactly one of a payload or a pre-signed request=")
+        if request is not None:
+            return request
+        items = [(payload, self._normalize_clues(clue, clues))]
+        return self._sign(items, client_id, keypair)[0]
+
+    def append(
+        self,
+        payload: bytes | None = None,
+        *,
+        clue: str | None = None,
+        clues: tuple[str, ...] | None = None,
+        client_id: str | None = None,
+        keypair: "KeyPair | None" = None,
+        request: "ClientRequest | None" = None,
+        timeout: float | None = None,
+    ) -> "Receipt":
+        """Append one transaction; returns the LSP-signed receipt.
+
+        Either pass a pre-signed ``request``, or a ``payload`` signed with
+        the session identity (or the per-call ``client_id``/``keypair``).
+        With a bound service the append coalesces into a group commit and
+        ``timeout`` bounds the wait for the receipt; over the wire it bounds
+        the round trip, and the receipt arrives verified against the pinned
+        LSP key.
+
+        Raises:
+            UsageError: no payload/request, both, or no signing identity.
+            AuthenticationError: the ledger rejected the request.
+            ServiceClosedError / ServiceOverloadedError / ServiceTimeout:
+                service-path admission and wait failures.
+        """
+        request = self._request_for(payload, clue, clues, client_id, keypair, request)
+        return self._append(request, timeout)
+
+    def append_batch(
+        self,
+        items: list[tuple[bytes, str | None]] | None = None,
+        *,
+        client_id: str | None = None,
+        keypair: "KeyPair | None" = None,
+        requests: "list[ClientRequest] | None" = None,
+        max_workers: int | None = None,
+        timeout: float | None = None,
+    ) -> "list[Receipt]":
+        """Append many transactions through one amortised pass.
+
+        ``items`` are ``(payload, clue)`` pairs signed with the session (or
+        per-call) identity; alternatively pass pre-signed ``requests``.
+        In process without a service this is :meth:`Ledger.append_batch`
+        (atomic: one bad request rejects the whole batch, ledger untouched).
+        With a service the requests are submitted individually, so they
+        coalesce with other sessions' traffic and a bad request fails only
+        itself; over the wire the batch rides one frame into the server's
+        service.
+
+        Raises:
+            UsageError: neither/both of ``items`` and ``requests``, no
+                signing identity, or ``max_workers`` on a transport that
+                cannot honour it.
+            AuthenticationError: a request was rejected (direct path: whole
+                batch; service path: that request's slot).
+        """
+        self._check_capabilities(max_workers=max_workers)
+        if (items is None) == (requests is None):
+            raise UsageError("append_batch() takes exactly one of items= or requests=")
+        if requests is None:
+            pairs = [(payload, (clue,) if clue else ()) for payload, clue in items]
+            requests = self._sign(pairs, client_id, keypair)
+        return self._append_batch(requests, max_workers, timeout)
+
+    def append_acked(
+        self,
+        payload: bytes | None = None,
+        *,
+        clue: str | None = None,
+        clues: tuple[str, ...] | None = None,
+        client_id: str | None = None,
+        keypair: "KeyPair | None" = None,
+        request: "ClientRequest | None" = None,
+        deadline_epochs: int | None = None,
+        timeout: float | None = None,
+    ) -> "tuple[Receipt, SubmissionAck]":
+        """Append with a censorship-accountable admission ack (§16).
+
+        The LSP signs a :class:`~repro.transparency.SubmissionAck` pinning
+        the request hash to the tree coordinates *at admission*, before the
+        append commits.  If the transaction later never appears, the ack
+        plus any subsequent signed tree head past ``deadline_epochs`` is
+        offline-verifiable :class:`~repro.transparency.CensorshipEvidence`.
+
+        Returns ``(receipt, ack)``; arguments mirror :meth:`append` plus
+        ``deadline_epochs`` (default :data:`~repro.core.ledger.Ledger`'s
+        ``DEFAULT_ACK_DEADLINE_EPOCHS``).  Over the wire both arrive
+        verified against the pinned LSP key.
+
+        Raises:
+            UsageError: as :meth:`append`, or ``deadline_epochs < 1``.
+        """
+        request = self._request_for(payload, clue, clues, client_id, keypair, request)
+        return self._append_acked(request, deadline_epochs, timeout)
+
+    # ---------------------------------------------------------------- reads
+    #
+    # Served by ``self._backend`` — the ledger in process, the verifying
+    # remote client over the wire (where every answer arrives checked
+    # against the pinned LSP key); both answer to the same calls.
+
+    def list_tx(self, clue: str) -> "list[Journal]":
+        """All retrievable journals carrying ``clue`` (cSL lookup)."""
+        backend = self._backend
+        return [backend.get_journal(jsn) for jsn in backend.list_tx(clue)]
+
+    def get_proof(self, jsn: int, anchored: bool = True) -> Any:
+        """The GetProof API: fam existence proof for one journal.
+
+        Raises:
+            JournalNotFoundError: no journal exists at ``jsn``.
+        """
+        return self._backend.get_proof(jsn, anchored=anchored)
+
+    def get_proofs(self, jsns: list[int], anchored: bool = True) -> list[Any]:
+        """Bulk GetProof — proofs byte-identical to ``N`` single calls.
+
+        Amortises the shared work across the batch: the link chain from each
+        touched epoch up to the current one is computed once per epoch, not
+        once per journal, so proving a batch that clusters in few epochs is
+        substantially cheaper than looping over :meth:`get_proof`.
+        """
+        return self._backend.get_proofs(jsns, anchored=anchored)
+
+    def get_sth(self) -> "SignedTreeHead":
+        """The current LSP-signed tree head (composite on sharded ledgers)."""
+        return self._backend.get_sth()
+
+    def get_sth_range(self, start: int, end: int) -> "list[SignedTreeHead]":
+        """Persisted epoch-close tree heads for epochs ``start..end``."""
+        return self._backend.get_sth_range(start, end)
+
+    def get_consistency(
+        self, old: "SignedTreeHead", new: "SignedTreeHead"
+    ) -> "tuple[ConsistencyBundle | None, ConsistencyAssertion | None]":
+        """Consistency proof + signed assertion connecting two tree heads.
+
+        Raises:
+            UsageError: composite heads, mismatched shards, or heads this
+                ledger cannot connect (e.g. an equivocating pair).
+        """
+        return self._backend.get_consistency(old, new)
+
+    # ----------------------------------------------------------- verifying
+
+    def verify(
+        self,
+        target: VerifyTarget | str,
+        *,
+        key: str | None = None,
+        txdata: "list[Journal] | None" = None,
+        rho: Any = None,
+        root: bytes | None = None,
+        level: VerifyLevel | str = VerifyLevel.SERVER,
+    ) -> VerifyResult:
+        """The Verify API (§IV-C), returning structured evidence.
+
+        * ``target=TX`` — existence of the single journal in ``txdata[0]``;
+          ``rho`` optionally carries a pre-fetched fam proof.
+        * ``target=CLUE`` — N-lineage verification of clue ``key`` over
+          ``txdata`` (all related journals, in order); ``rho`` optionally
+          carries a pre-fetched :class:`~repro.merkle.cmtree.ClueProof`.
+
+        ``level=SERVER`` asks the ledger itself (over the wire: advisory —
+        the server attests its own ledger).  ``level=CLIENT`` folds the
+        proof here: against ``root`` when the caller pins a trusted datum
+        (the fam commitment for TX — the composite root on a sharded ledger
+        — or the CM-Tree1 state root for CLUE), else against the transport's
+        own trust state — the latest LSP-signed receipt locally, the
+        client's verified anchor store remotely (DESIGN.md "Verification
+        kernel" has the per-transport trust table).
+
+        Returns a :class:`VerifyResult` (truthy iff the check passed)
+        carrying the proof used and the trusted root.  A *failed* check is a
+        falsy result, not an exception.
+
+        Raises:
+            UsageError: bad target/level, wrong ``txdata`` shape, missing
+                ``key``, or a client-level check with no trusted root
+                available.
+        """
+        target = _coerce(VerifyTarget, target)
+        level = _coerce(VerifyLevel, level)
+        if target is VerifyTarget.TX:
+            if not txdata or len(txdata) != 1:
+                raise UsageError("TX verification takes exactly one journal in txdata")
+            what, evidence = self._tx_what(txdata[0], rho, root, level)
+            evidence["jsn"] = txdata[0].jsn
+        else:
+            if key is None or txdata is None:
+                raise UsageError("CLUE verification needs key and txdata")
+            what, evidence = self._clue_what(key, txdata, rho, root, level)
+            evidence["detail"] = f"clue {key!r} over {len(txdata)} journals"
+        return lift(target, level, what=what, **evidence)
+
     def _check_capabilities(self, **kwargs: Any) -> None:
         """Typed rejection of kwargs this transport cannot honour.
 
@@ -256,3 +479,16 @@ class SessionHelpers:
         check_transport_kwargs(
             self.transport, getattr(self, "lgid", "?"), **kwargs
         )
+
+
+def _coerce(enum_cls: type, value: Any):
+    """Accept the enum member itself or its string value ("tx", "server")."""
+    if isinstance(value, enum_cls):
+        return value
+    try:
+        return enum_cls(value)
+    except ValueError:
+        raise UsageError(
+            f"{enum_cls.__name__} expected one of "
+            f"{[member.value for member in enum_cls]}, got {value!r}"
+        ) from None

@@ -175,6 +175,11 @@ class ShardClueProof:
     shard_state_root: Digest
     link: MembershipProof
 
+    @property
+    def clue(self) -> str:
+        """The clue whose lineage this proof speaks for."""
+        return self.clue_proof.clue
+
     def verify(self, journal_digests: dict[int, Digest], composite_state_root: Digest) -> bool:
         """Two-layer check: lineage within the shard, shard within the map."""
         if self.link.leaf_index != self.shard_index:
@@ -622,10 +627,9 @@ class ShardedLedger:
 
     def issue_ack(self, request: ClientRequest, deadline_epochs: int | None = None):
         """Sign a submission ack on the shard the request routes to."""
-        shard = self._shards[self.shard_of_request(request)]
-        if deadline_epochs is None:
-            return shard.issue_ack(request)
-        return shard.issue_ack(request, deadline_epochs)
+        return self._shards[self.shard_of_request(request)].issue_ack(
+            request, deadline_epochs
+        )
 
     # ------------------------------------------------------- time anchoring
 

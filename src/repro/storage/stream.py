@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator
@@ -240,6 +241,13 @@ class FileStream(Stream):
     group-commit amortisation.  The COMMIT flag on the batch's final record
     is the commit epilogue: on reopen, a batch missing it rolls back whole.
 
+    Concurrency: any number of threads may :meth:`read` beside one another
+    and beside a writer.  Reads are positional (``os.pread``) and never
+    touch the file object's shared offset; a record becomes readable — its
+    index entry is published — only after its bytes have been flushed to the
+    OS, so a reader sees a record whole or not at all.  Writers (append,
+    erase) are serialised among themselves by one lock.
+
     ``file_factory`` lets a test harness interpose on the underlying file
     object (see :class:`repro.storage.faults.FaultyFile`); production code
     never passes it.
@@ -258,6 +266,7 @@ class FileStream(Stream):
         self._positions: list[int] = []
         self._lengths: list[int] = []
         self._erased: list[bool] = []
+        self._write_lock = threading.Lock()
         mode = "r+b" if os.path.exists(self._path) else "w+b"
         raw: BinaryIO = open(self._path, mode)
         self._file = file_factory(raw) if file_factory is not None else raw
@@ -392,29 +401,35 @@ class FileStream(Stream):
 
     # --------------------------------------------------------------- appends
 
+    def _publish(self, positions: list[int], lengths: list[int]) -> list[int]:
+        """Make flushed records readable.  ``_positions`` goes last: its
+        length is what admits an offset, so the other columns must be there."""
+        first = len(self._positions)
+        self._lengths.extend(lengths)
+        self._erased.extend([False] * len(lengths))
+        self._positions.extend(positions)
+        return list(range(first, first + len(positions)))
+
     def append(self, record: bytes) -> int:
-        with obs.span("storage.append"):
+        with obs.span("storage.append"), self._write_lock:
             self._file.seek(0, os.SEEK_END)
             position = self._file.tell()
             self._file.write(
                 _pack_record_header(len(record), _FLAG_COMMIT, record) + record
             )
             self._flush()
-            self._positions.append(position)
-            self._lengths.append(len(record))
-            self._erased.append(False)
             obs.inc("storage.bytes_written", _HEADER.size + len(record))
-            return len(self._positions) - 1
+            return self._publish([position], [len(record)])[0]
 
     def append_many(self, records: list[bytes]) -> list[int]:
         if not records:
             return []
-        with obs.span("storage.append_many") as sp:
+        with obs.span("storage.append_many") as sp, self._write_lock:
             sp.add("records", len(records))
             self._file.seek(0, os.SEEK_END)
             position = self._file.tell()
             chunks: list[bytes] = []
-            offsets: list[int] = []
+            positions: list[int] = []
             last = len(records) - 1
             for index, record in enumerate(records):
                 # Only the batch's final record carries the commit epilogue: a
@@ -423,16 +438,13 @@ class FileStream(Stream):
                 flags = _FLAG_COMMIT if index == last else 0
                 chunks.append(_pack_record_header(len(record), flags, record))
                 chunks.append(record)
-                self._positions.append(position)
-                self._lengths.append(len(record))
-                self._erased.append(False)
-                offsets.append(len(self._positions) - 1)
+                positions.append(position)
                 position += _HEADER.size + len(record)
             payload = b"".join(chunks)
             self._file.write(payload)
             self._flush()
             obs.inc("storage.bytes_written", len(payload))
-            return offsets
+            return self._publish(positions, [len(record) for record in records])
 
     # ----------------------------------------------------------------- reads
 
@@ -440,8 +452,14 @@ class FileStream(Stream):
         self._check_offset(offset)
         if self._erased[offset]:
             raise RecordErasedError(offset)
-        self._file.seek(self._positions[offset])
-        header = self._file.read(_HEADER.size)
+        # One positional read of header + payload: no seek, so concurrent
+        # readers and the writer cannot move each other's file offset.
+        blob = os.pread(
+            self._file.fileno(),
+            _HEADER.size + self._lengths[offset],
+            self._positions[offset],
+        )
+        header = blob[: _HEADER.size]
         if len(header) < _HEADER.size:
             raise StreamCorruptionError(
                 offset, "record header truncated under an open stream",
@@ -457,7 +475,7 @@ class FileStream(Stream):
         if flags & _FLAG_ERASED:  # stale in-memory index (concurrent erase)
             self._erased[offset] = True
             raise RecordErasedError(offset)
-        data = self._file.read(length)
+        data = blob[_HEADER.size : _HEADER.size + length]
         if len(data) < length:
             raise StreamCorruptionError(
                 offset, f"record body truncated (need {length}, got {len(data)})",
@@ -483,11 +501,12 @@ class FileStream(Stream):
         # COMMIT is set unconditionally: an erasable record was by definition
         # already committed, and the flag keeps it inside the committed
         # prefix if it happens to be the final record of the file.
-        self._file.seek(position)
-        self._file.write(_pack_record_header(length, _FLAG_ERASED | _FLAG_COMMIT, b""))
-        self._flush()
-        self._file.write(b"\x00" * length)
-        self._flush()
+        with self._write_lock:
+            self._file.seek(position)
+            self._file.write(_pack_record_header(length, _FLAG_ERASED | _FLAG_COMMIT, b""))
+            self._flush()
+            self._file.write(b"\x00" * length)
+            self._flush()
         self._erased[offset] = True
 
     def is_erased(self, offset: int) -> bool:

@@ -19,12 +19,13 @@ acquits cryptographically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..crypto.ecdsa import Signature
-from ..crypto.hashing import Digest, sha256
-from ..crypto.keys import KeyPair, PublicKey
+from ..crypto.hashing import Digest
+from ..crypto.keys import PublicKey
+from ..crypto.signed import LspSigned
 from ..encoding import decode, encode
 from ..merkle.fam import FamAccumulator, FamProof
 from .sth import SOLO_SHARD, SignedTreeHead
@@ -40,7 +41,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SubmissionAck:
+class SubmissionAck(LspSigned):
     """The LSP's signed promise to include an admitted request.
 
     ``epoch``/``tree_size`` pin the fam state at admission; the promise is
@@ -49,6 +50,8 @@ class SubmissionAck:
     request's own hash — the same digest a committed journal carries — so
     inclusion is checkable without trusting the server's jsn assignment.
     """
+
+    SCHEME = "repro.ack.v1"
 
     ledger_uri: str
     request_hash: Digest
@@ -59,53 +62,20 @@ class SubmissionAck:
     shard_index: int = SOLO_SHARD
     lsp_signature: Signature | None = None
 
-    def signing_payload(self) -> bytes:
-        return encode(
-            {
-                "scheme": "repro.ack.v1",
-                "ledger_uri": self.ledger_uri,
-                "request_hash": self.request_hash,
-                "epoch": self.epoch,
-                "tree_size": self.tree_size,
-                "deadline_epochs": self.deadline_epochs,
-                "timestamp": self.timestamp,
-                "shard_index": self.shard_index,
-            }
-        )
-
-    def signed_by(self, lsp_keypair: KeyPair) -> "SubmissionAck":
-        return replace(
-            self, lsp_signature=lsp_keypair.sign(sha256(self.signing_payload()))
-        )
-
-    def verify(self, lsp_public_key: PublicKey) -> bool:
-        """Check the LSP's signature.  Never raises."""
-        if self.lsp_signature is None:
-            return False
-        return lsp_public_key.verify(
-            sha256(self.signing_payload()), self.lsp_signature
-        )
-
-    def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "ledger_uri": self.ledger_uri,
-                "request_hash": self.request_hash,
-                "epoch": self.epoch,
-                "tree_size": self.tree_size,
-                "deadline_epochs": self.deadline_epochs,
-                "timestamp": self.timestamp,
-                "shard_index": self.shard_index,
-                "lsp_signature": (
-                    self.lsp_signature.to_bytes() if self.lsp_signature else b""
-                ),
-            }
-        )
+    def statement(self) -> dict:
+        return {
+            "ledger_uri": self.ledger_uri,
+            "request_hash": self.request_hash,
+            "epoch": self.epoch,
+            "tree_size": self.tree_size,
+            "deadline_epochs": self.deadline_epochs,
+            "timestamp": self.timestamp,
+            "shard_index": self.shard_index,
+        }
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SubmissionAck":
         obj = decode(data)
-        signature_bytes = bytes(obj["lsp_signature"])
         return cls(
             ledger_uri=obj["ledger_uri"],
             request_hash=bytes(obj["request_hash"]),
@@ -114,9 +84,7 @@ class SubmissionAck:
             deadline_epochs=obj["deadline_epochs"],
             timestamp=obj["timestamp"],
             shard_index=obj["shard_index"],
-            lsp_signature=(
-                Signature.from_bytes(signature_bytes) if signature_bytes else None
-            ),
+            lsp_signature=cls._signature_of(obj),
         )
 
 

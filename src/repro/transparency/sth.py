@@ -27,11 +27,12 @@ verifies in a process that has never imported the ledger kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..crypto.ecdsa import Signature
-from ..crypto.hashing import Digest, sha256
-from ..crypto.keys import KeyPair, PublicKey
+from ..crypto.hashing import Digest
+from ..crypto.keys import PublicKey
+from ..crypto.signed import LspSigned
 from ..encoding import decode, encode
 from ..merkle.consistency import ConsistencyProof
 from ..merkle.fam import FamAccumulator
@@ -55,7 +56,7 @@ COMPOSITE_EPOCH = -1
 
 
 @dataclass(frozen=True)
-class SignedTreeHead:
+class SignedTreeHead(LspSigned):
     """The LSP's signed commitment to one exact fam state.
 
     ``tree_size`` counts journals (fam jsns); ``live_size`` counts leaves of
@@ -70,6 +71,8 @@ class SignedTreeHead:
     the per-shard head tuples in ``shard_heads`` so the composite root can
     be re-folded by anyone (:meth:`composite_consistent`).
     """
+
+    SCHEME = "repro.sth.v1"
 
     ledger_uri: str
     epoch: int
@@ -116,61 +119,24 @@ class SignedTreeHead:
         shard_map.extend([bytes(root) for *_coords, root in self.shard_heads])
         return shard_map.root() == self.root
 
-    # -------------------------------------------------------------- signing
+    # ---------------------------------------------- signed fields, wire form
 
-    def signing_payload(self) -> bytes:
-        return encode(
-            {
-                "scheme": "repro.sth.v1",
-                "ledger_uri": self.ledger_uri,
-                "epoch": self.epoch,
-                "tree_size": self.tree_size,
-                "live_size": self.live_size,
-                "root": self.root,
-                "timestamp": self.timestamp,
-                "fractal_height": self.fractal_height,
-                "shard_index": self.shard_index,
-                "shard_heads": [list(entry) for entry in self.shard_heads],
-            }
-        )
-
-    def signed_by(self, lsp_keypair: KeyPair) -> "SignedTreeHead":
-        return replace(
-            self, lsp_signature=lsp_keypair.sign(sha256(self.signing_payload()))
-        )
-
-    def verify(self, lsp_public_key: PublicKey) -> bool:
-        """Check the LSP's signature.  Never raises."""
-        if self.lsp_signature is None:
-            return False
-        return lsp_public_key.verify(
-            sha256(self.signing_payload()), self.lsp_signature
-        )
-
-    # ------------------------------------------------------------ wire form
-
-    def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "ledger_uri": self.ledger_uri,
-                "epoch": self.epoch,
-                "tree_size": self.tree_size,
-                "live_size": self.live_size,
-                "root": self.root,
-                "timestamp": self.timestamp,
-                "fractal_height": self.fractal_height,
-                "shard_index": self.shard_index,
-                "shard_heads": [list(entry) for entry in self.shard_heads],
-                "lsp_signature": (
-                    self.lsp_signature.to_bytes() if self.lsp_signature else b""
-                ),
-            }
-        )
+    def statement(self) -> dict:
+        return {
+            "ledger_uri": self.ledger_uri,
+            "epoch": self.epoch,
+            "tree_size": self.tree_size,
+            "live_size": self.live_size,
+            "root": self.root,
+            "timestamp": self.timestamp,
+            "fractal_height": self.fractal_height,
+            "shard_index": self.shard_index,
+            "shard_heads": [list(entry) for entry in self.shard_heads],
+        }
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SignedTreeHead":
         obj = decode(data)
-        signature_bytes = bytes(obj["lsp_signature"])
         return cls(
             ledger_uri=obj["ledger_uri"],
             epoch=obj["epoch"],
@@ -184,9 +150,7 @@ class SignedTreeHead:
                 (int(s), int(e), int(t), int(l), bytes(r))
                 for s, e, t, l, r in obj["shard_heads"]
             ),
-            lsp_signature=(
-                Signature.from_bytes(signature_bytes) if signature_bytes else None
-            ),
+            lsp_signature=cls._signature_of(obj),
         )
 
 
@@ -369,7 +333,7 @@ class ConsistencyBundle:
 
 
 @dataclass(frozen=True)
-class ConsistencyAssertion:
+class ConsistencyAssertion(LspSigned):
     """The LSP's *signed claim* that two head coordinates carry these roots.
 
     Append-only extension to a given size does not determine a unique root,
@@ -380,6 +344,8 @@ class ConsistencyAssertion:
     coordinates *is* offline-verifiable equivocation (see
     :class:`EquivocationEvidence`).
     """
+
+    SCHEME = "repro.sth-consistency.v1"
 
     ledger_uri: str
     shard_index: int
@@ -417,63 +383,25 @@ class ConsistencyAssertion:
             self.new_live_size,
         )
 
-    def signing_payload(self) -> bytes:
-        return encode(
-            {
-                "scheme": "repro.sth-consistency.v1",
-                "ledger_uri": self.ledger_uri,
-                "shard_index": self.shard_index,
-                "fractal_height": self.fractal_height,
-                "old_epoch": self.old_epoch,
-                "old_tree_size": self.old_tree_size,
-                "old_live_size": self.old_live_size,
-                "old_root": self.old_root,
-                "new_epoch": self.new_epoch,
-                "new_tree_size": self.new_tree_size,
-                "new_live_size": self.new_live_size,
-                "new_root": self.new_root,
-                "timestamp": self.timestamp,
-            }
-        )
-
-    def signed_by(self, lsp_keypair: KeyPair) -> "ConsistencyAssertion":
-        return replace(
-            self, lsp_signature=lsp_keypair.sign(sha256(self.signing_payload()))
-        )
-
-    def verify(self, lsp_public_key: PublicKey) -> bool:
-        """Check the LSP's signature.  Never raises."""
-        if self.lsp_signature is None:
-            return False
-        return lsp_public_key.verify(
-            sha256(self.signing_payload()), self.lsp_signature
-        )
-
-    def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "ledger_uri": self.ledger_uri,
-                "shard_index": self.shard_index,
-                "fractal_height": self.fractal_height,
-                "old_epoch": self.old_epoch,
-                "old_tree_size": self.old_tree_size,
-                "old_live_size": self.old_live_size,
-                "old_root": self.old_root,
-                "new_epoch": self.new_epoch,
-                "new_tree_size": self.new_tree_size,
-                "new_live_size": self.new_live_size,
-                "new_root": self.new_root,
-                "timestamp": self.timestamp,
-                "lsp_signature": (
-                    self.lsp_signature.to_bytes() if self.lsp_signature else b""
-                ),
-            }
-        )
+    def statement(self) -> dict:
+        return {
+            "ledger_uri": self.ledger_uri,
+            "shard_index": self.shard_index,
+            "fractal_height": self.fractal_height,
+            "old_epoch": self.old_epoch,
+            "old_tree_size": self.old_tree_size,
+            "old_live_size": self.old_live_size,
+            "old_root": self.old_root,
+            "new_epoch": self.new_epoch,
+            "new_tree_size": self.new_tree_size,
+            "new_live_size": self.new_live_size,
+            "new_root": self.new_root,
+            "timestamp": self.timestamp,
+        }
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ConsistencyAssertion":
         obj = decode(data)
-        signature_bytes = bytes(obj["lsp_signature"])
         return cls(
             ledger_uri=obj["ledger_uri"],
             shard_index=obj["shard_index"],
@@ -487,9 +415,7 @@ class ConsistencyAssertion:
             new_live_size=obj["new_live_size"],
             new_root=bytes(obj["new_root"]),
             timestamp=obj["timestamp"],
-            lsp_signature=(
-                Signature.from_bytes(signature_bytes) if signature_bytes else None
-            ),
+            lsp_signature=cls._signature_of(obj),
         )
 
 

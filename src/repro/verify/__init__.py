@@ -1,0 +1,54 @@
+"""repro.verify — the one verification kernel (DESIGN.md "Verification kernel").
+
+The paper's claim is *ubiquitous* verification: the same what/when/who
+check, whether it is run by the server, a distrusting client, an auditor, or
+somebody holding only a file.  This package is the only implementation of
+that check; every entry point — :class:`~repro.core.client.LedgerClient`,
+:class:`~repro.net.client.RemoteLedgerClient`, both session classes,
+:class:`~repro.core.verification.DaseinVerifier`, the offline bundle
+verifier, the audit engine's primitives — *fetches evidence* its own way and
+calls in here.
+
+* :mod:`~repro.verify.checks` — pure functions of (evidence, trust anchors):
+  :func:`tx_what`, :func:`clue_what`, :func:`time_marks` +
+  :func:`when_bracket`, :func:`who`, and :func:`lift` into a
+  :class:`~repro.artifacts.VerifyResult`.
+* :mod:`~repro.verify.tracker` — the one stateful piece: an
+  :class:`AnchorTracker` following a fam through a :class:`ReadSource`.
+
+Import discipline: this package reaches only ``repro.crypto`` /
+``repro.merkle`` / ``repro.encoding`` / ``repro.artifacts`` /
+``repro.timeauth`` and the kernel-free ``repro.core`` leaves (``journal``,
+``receipt``, ``errors``) — never ``repro.core.ledger``, ``repro.service`` or
+``repro.net`` (a test asserts this on a live interpreter), so a verifier can
+be shipped without the system it verifies.
+"""
+
+from .checks import (
+    check_time_evidence,
+    clue_what,
+    lift,
+    parse_time_journal,
+    signed_by,
+    time_marks,
+    tx_what,
+    when_bracket,
+    who,
+)
+from .tracker import AnchorTracker, ClientState, FamReader, ReadSource
+
+__all__ = [
+    "AnchorTracker",
+    "ClientState",
+    "FamReader",
+    "ReadSource",
+    "check_time_evidence",
+    "clue_what",
+    "lift",
+    "parse_time_journal",
+    "signed_by",
+    "time_marks",
+    "tx_what",
+    "when_bracket",
+    "who",
+]

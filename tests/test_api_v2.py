@@ -1,4 +1,4 @@
-"""repro.api v2: session handles, structured verify, registry symmetry, shims."""
+"""repro.api v2: session handles, structured verify, registry symmetry."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 import repro.api as api
 from repro.core import VerifyResult
-from repro.core.verification import VerifyTarget
 from repro.core.errors import LedgerError, UsageError
 from repro.crypto import KeyPair, Role
 from repro.service import LedgerService, ServiceConfig
@@ -242,74 +241,9 @@ class TestVerifyResult:
         assert result.what is True and result.who is True and result.when is False
 
     def test_from_dasein_truthiness(self):
-        from repro.core.verification import DaseinReport
+        from repro.artifacts import DaseinReport
 
         complete = DaseinReport(jsn=3, what=True, when_valid=True, when_bound=None, who=True)
         partial = DaseinReport(jsn=3, what=True, when_valid=False, when_bound=None, who=True)
         assert VerifyResult.from_dasein(complete)
         assert not VerifyResult.from_dasein(partial)
-
-
-# ------------------------------------------------------------- v1 shims
-# ------------------------------------------------------- v1 tombstones
-
-
-class TestSunsetFacade:
-    """The v1 facade finished its deprecation window: every function is a
-    tombstone raising UsageError with the mechanical migration hint."""
-
-    SHIM_CALLS = [
-        ("create", lambda v1: v1.create(URI)),
-        ("get_ledger", lambda v1: v1.get_ledger(URI)),
-        ("drop_ledger", lambda v1: v1.drop_ledger(URI)),
-        ("append_tx", lambda v1: v1.append_tx(URI, "u", b"doc", clue="D")),
-        ("append_tx_batch", lambda v1: v1.append_tx_batch(URI, "u", [(b"a", None)])),
-        ("list_tx", lambda v1: v1.list_tx(URI, "D")),
-        ("get_proof", lambda v1: v1.get_proof(URI, 0)),
-        ("verify", lambda v1: v1.verify(URI, VerifyTarget.TX, txdata=[])),
-    ]
-
-    def test_every_shim_raises_with_migration_hint(self):
-        from repro.core import api as v1
-
-        for name, call in self.SHIM_CALLS:
-            with pytest.raises(UsageError) as excinfo:
-                call(v1)
-            message = str(excinfo.value)
-            assert f"repro.core.api.{name} was removed" in message
-            assert "repro.api" in message  # names the v2 home
-            assert "connect" in message  # ...and the mechanical migration
-
-    def test_shims_raise_before_touching_the_registry(self):
-        """A tombstone must not create, resolve, or drop anything."""
-        from repro.core import api as v1
-
-        with pytest.raises(UsageError):
-            v1.create(URI)
-        assert URI not in api.list_ledgers()
-        api.create(URI)
-        try:
-            with pytest.raises(UsageError):
-                v1.drop_ledger(URI)
-            assert URI in api.list_ledgers()  # v1 can no longer drop it
-        finally:
-            api.drop_ledger(URI)
-
-    def test_enum_reexports_stay_importable_and_silent(self):
-        """Only the functions were removed: the v1-era enum import path
-        still works, warning-free."""
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            from repro.core.api import VerifyLevel as L
-            from repro.core.api import VerifyResult as R
-            from repro.core.api import VerifyTarget as T
-
-            assert T.TX.value == "tx" and T.CLUE.value == "clue"
-            assert L.SERVER.value == "server" and L.CLIENT.value == "client"
-            assert R is VerifyResult
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        from repro.core.verification import VerifyTarget as home
-
-        assert T is home  # same object, not a copy

@@ -8,6 +8,7 @@ import repro.api as api
 from repro.api import VerifyLevel, VerifyTarget
 from repro.core import LedgerClient
 from repro.core.errors import LedgerError, VerificationFailure
+from repro.verify import AnchorTracker
 
 
 @pytest.fixture()
@@ -20,7 +21,21 @@ def client(deployment):
     )
 
 
+def sealed_epochs(ledger):
+    return ledger.fam_reader().fam_info()["num_epochs"] - 1
+
+
 class TestLedgerClient:
+    def test_anchor_state_is_the_shared_trackers(self, deployment, client):
+        """The client keeps no anchor logic of its own: its store and state
+        are the kernel tracker's, fed by the ledger's read-only fam reader."""
+        assert isinstance(client.tracker, AnchorTracker)
+        assert client.anchors is client.tracker.anchors
+        assert client.state is client.tracker.state
+        client.append(b"tracked")
+        client.sync_anchors()
+        assert client.state.live_root == deployment.ledger.current_root()
+
     def test_append_stores_validated_receipt(self, deployment, client):
         receipt = client.append(b"hello", clues=("C",))
         assert client.receipt_for(receipt.jsn) is receipt
@@ -30,7 +45,7 @@ class TestLedgerClient:
     def test_sync_anchors_and_verify(self, deployment, client):
         receipts = [client.append(b"doc-%d" % i) for i in range(30)]
         added = client.sync_anchors()
-        assert added == deployment.ledger._fam.num_epochs - 1
+        assert added == sealed_epochs(deployment.ledger) == len(client.anchors)
         for receipt in receipts:
             journal = deployment.ledger.get_journal(receipt.jsn)
             assert client.verify_journal(journal)
@@ -42,7 +57,7 @@ class TestLedgerClient:
         for i in range(20):
             client.append(b"b-%d" % i)
         second = client.sync_anchors()
-        assert first + second == deployment.ledger._fam.num_epochs - 1
+        assert first + second == sealed_epochs(deployment.ledger)
         assert client.sync_anchors() == 0  # already current
 
     def test_verify_fails_for_tampered_journal(self, deployment, client):

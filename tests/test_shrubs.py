@@ -64,6 +64,40 @@ class TestAppend:
             acc.append_leaf(leaf_hash(n.to_bytes(2, "big")))
             assert acc.num_nodes() == 2 * n - bin(n).count("1")
 
+    def test_a_reader_that_sees_a_size_sees_its_interior_nodes(self):
+        """Proofs and roots are served beside the appending thread without a
+        lock: the leaf must be published after the parents it completes."""
+        import sys
+        import threading
+
+        acc = ShrubsAccumulator()
+        done = threading.Event()
+        errors = []
+
+        def read():
+            while not done.is_set():
+                try:
+                    size = acc.size
+                    if size:
+                        acc.root(size)
+                        acc.prove(size - 1, at_size=size)
+                except Exception as exc:
+                    errors.append(repr(exc))
+                    return
+
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader.start()
+            for index in range(20000):
+                acc.append_leaf(leaf_hash(index.to_bytes(4, "big")))
+        finally:
+            done.set()
+            reader.join(30)
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive() and not errors, errors[:1]
+
     def test_interior_nodes_computed_exactly_once(self):
         # Amortised O(1): after appending 2^k leaves, exactly 2^(k+1)-1 nodes.
         acc = ShrubsAccumulator()

@@ -96,6 +96,68 @@ class TestFileStream:
             stream.append(b"")
             assert stream.read(0) == b""
 
+    def test_readers_beside_a_writer_share_no_offset(self, tmp_path):
+        """4 readers + 1 writer on one stream: every ``read(i)`` returns
+        record *i*, and the file reopens clean with every record intact.
+        (A shared seek-then-read offset hands readers each other's records
+        and lands the writer's batches in the middle of the file.)"""
+        import sys
+        import threading
+        import time
+
+        def record(i: int) -> bytes:
+            return b"record-%06d|" % i * (1 + i % 7)
+
+        path = tmp_path / "shared.stream"
+        total, failures = 1500, []
+        stop = threading.Event()
+        stream = FileStream(path)
+        stream.append_many([record(i) for i in range(64)])
+
+        def writer():
+            try:
+                i = len(stream)
+                while i < total:
+                    batch = [record(j) for j in range(i, min(total, i + 1 + i % 5))]
+                    assert stream.append_many(batch) == list(range(i, i + len(batch)))
+                    i += len(batch)
+            except BaseException as exc:
+                failures.append(repr(exc))
+            finally:
+                stop.set()
+
+        def reader(seed: int):
+            i = seed
+            try:
+                while not stop.is_set():
+                    i = (i * 7919 + 13) % len(stream)
+                    if stream.read(i) != record(i):
+                        failures.append(f"read({i}) returned another record")
+                        return
+            except BaseException as exc:
+                failures.append(repr(exc))
+
+        threads = [threading.Thread(target=writer)]
+        threads += [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60
+            for thread in threads:
+                thread.join(max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        stream.close()
+        with FileStream(path) as reopened:
+            assert reopened.open_report.clean
+            assert len(reopened) == total
+            assert all(reopened.read(i) == record(i) for i in range(total))
+
     @given(st.lists(st.binary(max_size=200), min_size=1, max_size=30))
     def test_matches_memory_stream(self, records):
         import tempfile, os

@@ -21,7 +21,7 @@ import repro.api as api
 from repro import ClientRequest, KeyPair, Ledger, LedgerConfig, Role, SimClock
 from repro.core.errors import UsageError
 from repro.core.ledger import DEFAULT_ACK_DEADLINE_EPOCHS
-from repro.core.verification import VerifyResult
+from repro.artifacts import VerifyResult
 from repro.net import ServerThread
 from repro.net.client import RemoteLedgerSession
 from repro.session import VerifyingSession

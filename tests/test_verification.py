@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core import DaseinVerifier
-from repro.core.verification import parse_time_journal
+from repro.verify import parse_time_journal
 
 
 @pytest.fixture()

@@ -1,0 +1,516 @@
+"""One verification kernel, many fetchers: the differential suite.
+
+One honest deployment and six tamperings are fed through every entry point —
+``LedgerClient``, ``RemoteLedgerClient`` / ``RemoteLedgerSession`` over a
+real socket, ``LedgerSession.verify`` / ``verify_dasein``, ``DaseinVerifier``
+and the standalone ``verify_bundle``.  Wherever two entry points check the
+same thing they must return the same ``(ok, what, when, who, jsn,
+trusted_root)``: they are evidence fetchers around :mod:`repro.verify`, not
+implementations of their own.  Plus the two properties the kernel owns: an
+honest server never verifies falsy beside appends, and importing the kernel
+loads neither the ledger, the service layer nor the network stack.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from repro.api import LedgerSession
+from repro.core import DaseinVerifier, Ledger, LedgerClient, LedgerConfig
+from repro.core.errors import VerificationFailure
+from repro.crypto import KeyPair, Role
+from repro.export.bundle import export_bundle
+from repro.export.verifier import verify_bundle
+from repro.net import RemoteLedgerClient, RemoteLedgerSession, ServerThread
+from repro.timeauth import SimClock, TimeStampAuthority
+from repro.verify import AnchorTracker
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+USER = "kernel-user"
+CLUE = "KRN-0"
+WRONG_ROOT = b"\x5a" * 32
+
+
+def fields(result):
+    """What entry points that share semantics must agree on."""
+    return (
+        result.ok,
+        result.what,
+        result.when,
+        result.who,
+        result.jsn,
+        result.trusted_root,
+    )
+
+
+def flipped(journal):
+    payload = bytes([journal.payload[0] ^ 0x01]) + journal.payload[1:]
+    return dataclasses.replace(journal, payload=payload)
+
+
+@pytest.fixture(scope="module")
+def world():
+    """An honest TSA-anchored ledger behind a real server, every entry point
+    attached, a bundle exported.  23 journals at fractal height 4: epoch 0 is
+    sealed (jsn 0-15), the rest is the live epoch, the final journal is a
+    time anchor bounding everything before it."""
+    clock = SimClock()
+    tsa = TimeStampAuthority("kernel-tsa", clock)
+    ledger = Ledger(
+        LedgerConfig(uri="ledger://kernel-test", fractal_height=4, block_size=4),
+        clock=clock,
+    )
+    ledger.attach_tsa(tsa)
+    user = KeyPair.generate(seed="kernel:user")
+    ledger.registry.register(USER, Role.USER, user.public)
+    local_session = LedgerSession(ledger, client_id=USER, keypair=user)
+    receipts = []
+    for index in range(18):
+        receipts.append(
+            local_session.append(b"kernel record %04d" % index, clues=(f"KRN-{index % 3}",))
+        )
+        clock.advance(0.25)
+        if index % 6 == 5:
+            ledger.anchor_time()
+    ledger.anchor_time()
+    ledger.commit_block()
+    assert ledger.fam_reader().fam_info()["num_epochs"] == 2
+
+    sealed = ledger.get_journal(receipts[2].jsn)  # epoch 0
+    live = ledger.get_journal(receipts[-1].jsn)  # live epoch
+    other = ledger.get_journal(receipts[-2].jsn)
+    served = ServerThread(ledger)
+    host, port = served.address
+    lsp_key = ledger.registry.public_key("__lsp__")
+
+    def remote_client():
+        return RemoteLedgerClient(host, port, expected_lsp_key=lsp_key)
+
+    w = SimpleNamespace(
+        ledger=ledger,
+        tsa_keys={"kernel-tsa": tsa.public_key},
+        # Same authority id, different key: every token the ledger holds is,
+        # to this verifier, a forgery.
+        forged_tsa_keys={"kernel-tsa": KeyPair.generate(seed="kernel:impostor").public},
+        root=ledger.current_root(),
+        state_root=ledger.state_root(),
+        receipts={receipt.jsn: receipt for receipt in receipts},
+        sealed=sealed,
+        live=live,
+        other=other,
+        lineage=local_session.list_tx(CLUE),
+        local_session=local_session,
+        local_client=lambda: LedgerClient(USER, user, ledger, tsa_keys={"kernel-tsa": tsa.public_key}),
+        remote_client=remote_client,
+        remote_session=RemoteLedgerSession(host, port, expected_lsp_key=lsp_key),
+        bundle=export_bundle(ledger, clues=(CLUE,)),
+    )
+    yield w
+    w.remote_session.close()
+    served.close()
+
+
+def tx_verdicts(w, journal, *, anchored=None, full=None, root=None, tracked_root=None):
+    """``journal`` through every TX-existence entry point.
+
+    ``anchored`` / ``full`` stand in for the proof each would fetch (a
+    tampered ``rho``); ``root`` pins the trusted fam commitment where the
+    entry point takes one; ``tracked_root`` overwrites the live root a
+    client's own tracker trusts.  Returns structured results and bare bools.
+    """
+    pinned = root if root is not None else w.root
+    results = {}
+    if tracked_root is None:
+        results = {
+            "local session, client level": w.local_session.verify(
+                "tx", txdata=[journal], rho=full, root=root, level="client"
+            ),
+            "remote session, pinned root": w.remote_session.verify(
+                "tx", txdata=[journal], rho=full, root=pinned, level="client"
+            ),
+        }
+    bools = {}
+    if root is None:
+        remote = w.remote_client()
+        try:
+            remote.sync_anchors()
+            local = w.local_client()
+            local.sync_anchors()
+            if tracked_root is not None:
+                remote.state.live_root = local.state.live_root = tracked_root
+            bools["remote client"] = remote.verify_journal(journal, anchored)
+            bools["local tracker"] = local.tracker.fold_anchored(
+                journal.tx_hash(),
+                anchored or w.ledger.get_proof(journal.jsn, anchored=True),
+            )
+            if anchored is None:
+                bools["local client"] = local.verify_journal(journal)
+        finally:
+            remote.close()
+        if tracked_root is None:
+            results["local session, server level"] = w.local_session.verify(
+                "tx", txdata=[journal], rho=full
+            )
+            results["remote session, anchor store"] = w.remote_session.verify(
+                "tx", txdata=[journal], rho=anchored, level="client"
+            )
+            if anchored is None and full is None:
+                bools["remote session, server level"] = bool(
+                    w.remote_session.verify("tx", txdata=[journal])
+                )
+    return results, bools
+
+
+def assert_tx(w, journal, expected_ok, **tampering):
+    results, bools = tx_verdicts(w, journal, **tampering)
+    root = tampering.get("root") or w.root
+    for name, result in results.items():
+        assert fields(result) == (expected_ok, expected_ok, None, None, journal.jsn, root), name
+    for name, verdict in bools.items():
+        assert verdict is expected_ok, name
+
+
+def dasein_verdicts(w, jsn, *, view=None, proof=None, receipt=None, tsa_keys=None, root=None):
+    """Journal ``jsn`` through every three-factor entry point."""
+    tsa_keys = tsa_keys if tsa_keys is not None else w.tsa_keys
+    honest_receipt = w.receipts[jsn]
+    direct = DaseinVerifier(
+        view if view is not None else w.ledger.export_view(),
+        tsa_keys=tsa_keys,
+        trusted_root=root,
+    )
+    report = direct.verify_dasein(
+        jsn,
+        proof if proof is not None else w.ledger.get_proof(jsn, anchored=False),
+        receipt if receipt is not None else honest_receipt,
+    )
+    verdicts = {
+        "DaseinVerifier": (
+            report.dasein_complete,
+            report.what,
+            report.when_valid,
+            report.who,
+            report.jsn,
+            direct.trusted_root,
+        )
+    }
+    if view is None and proof is None:
+        verdicts["local session"] = fields(
+            w.local_session.verify_dasein(
+                jsn, receipt, tsa_keys=tsa_keys, trusted_root=root
+            )
+        )
+        if root is None:
+            client = w.local_client()
+            client.tsa_keys = dict(tsa_keys)
+            client.state.receipts[jsn] = receipt if receipt is not None else honest_receipt
+            report = client.verify_dasein(jsn)
+            verdicts["local client"] = (
+                report.dasein_complete,
+                report.what,
+                report.when_valid,
+                report.who,
+                report.jsn,
+                w.root,
+            )
+    return verdicts
+
+
+def assert_dasein(w, jsn, what, when, who, **tampering):
+    root = tampering.get("root") or w.root
+    expected = (what and when and who, what, when, who, jsn, root)
+    for name, verdict in dasein_verdicts(w, jsn, **tampering).items():
+        assert verdict == expected, name
+
+
+def bundle_factors(w, bundle, **anchors):
+    anchors.setdefault("tsa_keys", w.tsa_keys)
+    result = verify_bundle(bundle, **anchors)
+    assert result.verify()  # ok is the conjunction of the factors
+    return result.what, result.when, result.who
+
+
+def with_section(bundle, **changes):
+    return dataclasses.replace(
+        bundle, shards=(dataclasses.replace(bundle.shards[0], **changes),)
+    )
+
+
+# ------------------------------------------------------------------ honest
+
+
+def test_honest_evidence_passes_every_entry_point(world):
+    w = world
+    for journal in (w.sealed, w.live):
+        assert_tx(w, journal, True)
+        assert_dasein(w, journal.jsn, True, True, True)
+    assert bundle_factors(w, w.bundle) == (True, True, True)
+    assert verify_bundle(w.bundle, tsa_keys=w.tsa_keys).trusted_root == w.root
+    clue_results = clue_verdicts(w, w.lineage)
+    for name, result in clue_results.items():
+        assert fields(result) == (True, True, None, None, None, w.state_root), name
+    with_client = w.remote_client()
+    try:
+        assert with_client.verify_clue(CLUE) and w.local_client().verify_clue(CLUE)
+    finally:
+        with_client.close()
+
+
+def clue_verdicts(w, journals, *, rho=None, root=None):
+    """The lineage of ``CLUE`` through every clue entry point (all levels)."""
+    kwargs = {"key": CLUE, "txdata": journals, "rho": rho}
+    verdicts = {
+        "local session, client level": w.local_session.verify(
+            "clue", root=root, level="client", **kwargs
+        ),
+        "remote session, client level": w.remote_session.verify(
+            "clue", root=root if root is not None or rho is None else w.state_root,
+            level="client", **kwargs
+        ),
+    }
+    if root is None and rho is None:
+        verdicts["local session, server level"] = w.local_session.verify("clue", **kwargs)
+        verdicts["remote session, server level"] = w.remote_session.verify("clue", **kwargs)
+    return verdicts
+
+
+# -------------------------------------------------------------- tamperings
+
+
+def test_flipped_payload_byte_fails_what_everywhere(world):
+    w = world
+    for journal in (w.sealed, w.live):
+        assert_tx(w, flipped(journal), False)
+        # The same flip inside an exported view and inside a bundle: the
+        # journal no longer hashes to its leaf; its time bracket is untouched,
+        # and so is its signature (over the request hash it still carries) —
+        # but the journal's own receipt, which the per-journal check is
+        # handed and a bundle does not carry, no longer covers it.
+        view = w.ledger.export_view()
+        index = journal.jsn - view.genesis_start
+        entries = list(view.entries)
+        entries[index] = dataclasses.replace(
+            entries[index], data=flipped(journal).to_bytes()
+        )
+        assert_dasein(
+            w, journal.jsn, False, True, False,
+            view=dataclasses.replace(view, entries=entries),
+        )
+        section = w.bundle.shards[0]
+        tampered = tuple(
+            dataclasses.replace(entry, data=flipped(journal).to_bytes())
+            if entry.jsn == journal.jsn
+            else entry
+            for entry in section.entries
+        )
+        assert bundle_factors(w, with_section(w.bundle, entries=tampered)) == (
+            False, True, True,
+        )
+
+
+def test_proof_for_another_jsn_fails_what_everywhere(world):
+    w = world
+    elsewhere = w.other.jsn
+    assert_tx(
+        w,
+        w.live,
+        False,
+        anchored=w.ledger.get_proof(elsewhere, anchored=True),
+        full=w.ledger.get_proof(elsewhere, anchored=False),
+    )
+    assert_dasein(
+        w, w.live.jsn, False, True, True,
+        proof=w.ledger.get_proof(elsewhere, anchored=False),
+    )
+    section = w.bundle.shards[0]
+    blobs = dict(section.proofs)
+    swapped = tuple(
+        (jsn, blobs[elsewhere] if jsn == w.live.jsn else blob)
+        for jsn, blob in section.proofs
+    )
+    assert bundle_factors(w, with_section(w.bundle, proofs=swapped)) == (False, True, True)
+
+
+def test_receipt_for_another_jsn_fails_who_everywhere(world):
+    w = world
+    genuine_elsewhere = w.receipts[w.other.jsn]
+    assert_dasein(w, w.live.jsn, True, True, False, receipt=genuine_elsewhere)
+    # Relabelling a receipt to this jsn breaks the LSP's signature over it.
+    relabelled = dataclasses.replace(genuine_elsewhere, jsn=w.live.jsn)
+    assert_dasein(w, w.live.jsn, True, True, False, receipt=relabelled)
+    # A bundle carries one receipt, the latest: relabelled, it convicts nobody
+    # (the root is pinned so that losing the receipt costs only *who*).
+    section = w.bundle.shards[0]
+    latest = w.ledger.latest_receipt
+    forged = dataclasses.replace(latest, jsn=w.other.jsn).to_bytes()
+    assert bundle_factors(
+        w, with_section(w.bundle, latest_receipt=forged), pinned_roots={0: w.root}
+    ) == (True, True, False)
+    assert section.latest_receipt == latest.to_bytes()
+
+
+def test_forged_tsa_token_fails_when_everywhere(world):
+    w = world
+    for journal in (w.sealed, w.live):
+        assert_dasein(w, journal.jsn, True, False, True, tsa_keys=w.forged_tsa_keys)
+    assert bundle_factors(w, w.bundle, tsa_keys=w.forged_tsa_keys) == (True, False, True)
+
+
+def test_omitted_clue_version_fails_what_everywhere(world):
+    w = world
+    assert len(w.lineage) > 2
+    for name, result in clue_verdicts(w, w.lineage[:-1]).items():
+        assert fields(result) == (False, False, None, None, None, w.state_root), name
+    # A proof that speaks for another clue proves nothing about this one,
+    # even over that clue's own complete lineage.
+    elsewhere = w.local_session.list_tx("KRN-1")
+    for name, result in clue_verdicts(
+        w, elsewhere, rho=w.ledger.prove_clue("KRN-1")
+    ).items():
+        assert fields(result) == (False, False, None, None, None, w.state_root), name
+    section = w.bundle.shards[0]
+    clue_section = section.clue_proofs[0]
+    shortened = dataclasses.replace(clue_section, jsns=clue_section.jsns[:-1])
+    assert bundle_factors(w, with_section(w.bundle, clue_proofs=(shortened,))) == (
+        False, True, True,
+    )
+
+
+def test_wrong_trusted_root_fails_what_everywhere(world):
+    w = world
+    assert_tx(w, w.live, False, root=WRONG_ROOT)
+    assert_tx(w, w.live, False, tracked_root=WRONG_ROOT)
+    assert_dasein(w, w.live.jsn, False, True, True, root=WRONG_ROOT)
+    for name, result in clue_verdicts(w, w.lineage, root=WRONG_ROOT).items():
+        assert fields(result) == (False, False, None, None, None, WRONG_ROOT), name
+    assert bundle_factors(w, w.bundle, pinned_roots={0: WRONG_ROOT}) == (False, True, True)
+
+
+# ------------------------------------------------- the tracker, in production
+
+
+class _CountingSource:
+    """A read source that forwards to a FamReader and counts round trips."""
+
+    def __init__(self, reader):
+        self._reader = reader
+        self.calls = []
+
+    def __getattr__(self, name):
+        target = getattr(self._reader, name)
+
+        def call(*args):
+            self.calls.append(name)
+            return target(*args)
+
+        return call
+
+
+def test_proof_ahead_of_the_tracked_head_catches_up_verified(world):
+    """sync, then an append, then the proof: the proof is cut from a newer
+    live head than the tracker's.  One consistency round trip connects the
+    two — and moves the tracker — instead of a false failure."""
+    ledger = Ledger(LedgerConfig(uri="ledger://catch-up", fractal_height=3, block_size=4))
+    user = KeyPair.generate(seed="kernel:catch-up")
+    ledger.registry.register(USER, Role.USER, user.public)
+    session = LedgerSession(ledger, client_id=USER, keypair=user)
+    first = session.append(b"before the sync")
+    source = _CountingSource(ledger.fam_reader())
+    tracker = AnchorTracker(source)
+    tracker.sync()
+    for index in range(12):  # seals epoch 0 and epoch 1 along the way
+        session.append(b"after the sync %d" % index)
+        newest = ledger.get_journal(ledger.size - 1)
+        proof = ledger.get_proof(newest.jsn, anchored=True)
+        assert tracker.fold_anchored(newest.tx_hash(), proof)
+        assert not tracker.fold_anchored(flipped(newest).tx_hash(), proof)
+        assert tracker.state.live_root == ledger.current_root()
+    assert tracker.state.anchored_epochs == ledger.fam_reader().fam_info()["num_epochs"] - 1
+    # A proof cut *before* the tracked head connects backwards just as well.
+    old = ledger.get_journal(first.jsn)
+    assert tracker.fold_anchored(old.tx_hash(), ledger.get_proof(first.jsn, anchored=True))
+    assert "live_consistency" not in source.calls  # "live" is not a stable name
+
+
+def test_honest_server_never_verifies_falsy_beside_appends():
+    """A writer appends through the server while a remote session verifies
+    honest journals at client level: 200 verifications, zero falsy, zero
+    VerificationFailure — and a flipped payload byte still fails every time."""
+    ledger = Ledger(LedgerConfig(uri="ledger://beside", fractal_height=4, block_size=4))
+    user = KeyPair.generate(seed="kernel:beside")
+    ledger.registry.register(USER, Role.USER, user.public)
+    with ServerThread(ledger) as served:
+        host, port = served.address
+        writer = RemoteLedgerClient(host, port, member_id=USER, keypair=user)
+        session = RemoteLedgerSession(host, port)
+        acked = [writer.append(b"seed %d" % index).jsn for index in range(8)]
+        stop = threading.Event()
+        errors = []
+
+        def write():
+            index = 0
+            try:
+                while not stop.is_set():
+                    acked.append(writer.append(b"beside %d" % index).jsn)
+                    index += 1
+            except BaseException as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=write)
+        thread.start()
+        falsy = failures = false_passes = 0
+        try:
+            for round_ in range(200):
+                # Mostly the freshest acknowledged journal (the live epoch,
+                # where the race is), sometimes an old one (sealed epochs).
+                jsn = acked[-1] if round_ % 4 else acked[round_ % len(acked)]
+                journal = session.client.get_journal(jsn)
+                try:
+                    falsy += not session.verify("tx", txdata=[journal], level="client")
+                    false_passes += bool(
+                        session.verify("tx", txdata=[flipped(journal)], level="client")
+                    )
+                except VerificationFailure:
+                    failures += 1
+        finally:
+            stop.set()
+            thread.join(30)
+            session.close()
+            writer.close()
+        assert not thread.is_alive() and not errors, errors
+        assert len(acked) > 8 + 20, "the writer must actually have run beside the verifier"
+        assert (falsy, failures, false_passes) == (0, 0, 0)
+
+
+# ------------------------------------------------------------ import isolation
+
+
+_ISOLATION = """\
+import json, sys
+sys.path.insert(0, {src!r})
+import repro.verify
+banned = sorted(
+    name for name in sys.modules
+    if name in ("repro.core.ledger", "repro.service", "repro.net", "repro.api")
+    or name.startswith(("repro.service.", "repro.net."))
+)
+print(json.dumps(banned))
+"""
+
+
+def test_importing_the_kernel_loads_no_ledger_service_or_network():
+    proc = subprocess.run(
+        [sys.executable, "-c", _ISOLATION.format(src=SRC)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
