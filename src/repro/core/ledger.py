@@ -294,7 +294,9 @@ class Ledger:
         self._tsa: TimeStampAuthority | TSAPool | None = None
         self._pending_tledger: list[tuple[int, int]] = []  # (time jsn, notary seq)
 
-        self._latest_receipt: Receipt | None = None
+        #: (latest receipt, CM-Tree1 root it was issued over): one attribute,
+        #: so a reader beside the writer sees both from the same commit.
+        self._published: tuple[Receipt | None, Digest] = (None, EMPTY_DIGEST)
         self._receipts: dict[int, Receipt] = {}
         self._anchor_cache: AnchorStore = AnchorStore()
         self._anchor_cache_epochs = 0  # completed epochs already seeded
@@ -338,8 +340,8 @@ class Ledger:
         receipt = self._receipt(
             last, EMPTY_DIGEST, self._fam.leaf_digest(last), self.clock.now()
         ).signed_by(self._lsp_keypair)
-        self._latest_receipt = receipt
         self._receipts[last] = receipt
+        self._published = (receipt, self._cmtree.root)
 
     def _receipt(
         self, jsn: int, request_hash: Digest, tx_hash: Digest, timestamp: float
@@ -668,7 +670,7 @@ class Ledger:
         receipts = Receipt.sign_batch(unsigned, self._lsp_keypair)
         for receipt in receipts:
             self._receipts[receipt.jsn] = receipt
-        self._latest_receipt = receipts[-1]
+        self._published = (receipts[-1], self._cmtree.root)
         return receipts
 
     def _append_system(
@@ -723,8 +725,8 @@ class Ledger:
             receipt = self._receipt(
                 jsn, journal.request_hash, tx_hash, journal.timestamp
             ).signed_by(self._lsp_keypair)
-            self._latest_receipt = receipt
             self._receipts[jsn] = receipt
+            self._published = (receipt, self._cmtree.root)
             return receipt
 
     def commit_block(self) -> Block | None:
@@ -765,7 +767,28 @@ class Ledger:
 
     @property
     def latest_receipt(self) -> Receipt | None:
-        return self._latest_receipt
+        return self._published[0]
+
+    def commitments(self) -> dict:
+        """``root``, ``state_root``, ``size`` and ``latest_receipt`` as of
+        one commit: all four derive from the single published (receipt,
+        CM-Tree1 root) pair, so they fold together even when read beside
+        the writer — the receipt pins the fam root and size it was signed
+        over."""
+        receipt, state_root = self._published
+        if receipt is None:  # nothing committed yet
+            return {
+                "root": self.current_root(),
+                "state_root": self.state_root(),
+                "size": self.size,
+                "latest_receipt": None,
+            }
+        return {
+            "root": receipt.ledger_root,
+            "state_root": state_root,
+            "size": receipt.jsn + 1,
+            "latest_receipt": receipt,
+        }
 
     def receipt_for(self, jsn: int) -> Receipt | None:
         return self._receipts.get(jsn)
@@ -921,10 +944,16 @@ class Ledger:
             return self._fam.verify_with_anchors(journal.tx_hash(), proof, anchors)
 
     def prove_clue(
-        self, clue: str, version_start: int = 0, version_end: int | None = None
+        self,
+        clue: str,
+        version_start: int = 0,
+        version_end: int | None = None,
+        *,
+        root: Digest | None = None,
     ) -> ClueProof:
-        """Build the client-side clue proof set (§IV-C, Verify API)."""
-        return self._cmtree.prove_clue(clue, version_start, version_end)
+        """Build the client-side clue proof set (§IV-C, Verify API), cut at
+        the CM-Tree1 ``root`` (default: the current :meth:`state_root`)."""
+        return self._cmtree.prove_clue(clue, version_start, version_end, root=root)
 
     def verify_clue(self, clue: str, journals: list[Journal]) -> bool:
         """Server-side clue verification: all entries, in order, untampered."""
@@ -1442,7 +1471,7 @@ class Ledger:
             certificates=self.registry.export(),
             ca_public_key=self.registry.ca_public_key,
             lsp_member_id=LSP_MEMBER_ID,
-            latest_receipt=self._latest_receipt,
+            latest_receipt=self.latest_receipt,
             pseudo_genesis=self._pseudo_genesis,
             purge_approvals=list(self._purge_records),
             occult_approvals=list(self._occult_records),

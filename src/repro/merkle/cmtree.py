@@ -231,31 +231,44 @@ class CMTree:
         clue: str,
         version_start: int = 0,
         version_end: int | None = None,
+        *,
+        root: Digest | None = None,
     ) -> ClueProof:
         """Build the client proof set for versions ``[start, end)`` (§IV-C 1-5).
 
         Defaults to the entire clue so far — scenario 1 of §IV-C; a narrower
         range implements scenario 2 (version-bounded verification).
+
+        Every part of the proof is cut at one CM-Tree1 root — ``root``, or
+        the current one read once — so it folds to exactly that root even
+        while a writer keeps appending: the clue's committed value there
+        gives the CM-Tree2 size the batch proof is built at (Shrubs nodes
+        and MPT nodes are immutable once written).  A caller that must hand
+        out the root beside the proof reads it first and passes it in.
         """
         accumulator = self._require(clue)
-        end = accumulator.size if version_end is None else version_end
-        if not 0 <= version_start < end <= accumulator.size:
+        key = clue_key_hash(clue)
+        at_root = self._mpt.root if root is None else root
+        clue_value = self._mpt.get_at(at_root, key)
+        if clue_value is None:
+            raise KeyError(f"unknown clue: {clue!r}")
+        size, _frontier = decode_clue_value(clue_value)
+        end = size if version_end is None else version_end
+        if not 0 <= version_start < end <= size:
             raise IndexError(
                 f"version range [{version_start}, {end}) invalid for clue of "
-                f"size {accumulator.size}"
+                f"size {size}"
             )
-        key = clue_key_hash(clue)
         # Steps 1-4: destination leaves N1, proof paths N2, derivable set N3,
         # and the shipped difference — all inside prove_batch.
-        batch = accumulator.prove_batch(list(range(version_start, end)))
+        batch = accumulator.prove_batch(list(range(version_start, end)), at_size=size)
         # Step 5: CM-Tree1 proof nodes across layers, bottom-up.
-        clue_value = self._mpt.get(key)
-        mpt_proof = self._mpt.prove(key)
+        mpt_proof = self._mpt.prove(key, at_root)
         return ClueProof(
             clue=clue,
             version_start=version_start,
             version_end=end,
-            entry_count=accumulator.size,
+            entry_count=size,
             batch=batch,
             clue_value=clue_value,
             mpt_proof=mpt_proof,

@@ -28,9 +28,9 @@ hands out (as a :class:`RemoteLedgerSession`).
 from __future__ import annotations
 
 import asyncio
-import contextlib
+import concurrent.futures
+import functools
 import itertools
-import socket
 import threading
 import time
 from typing import TYPE_CHECKING, Any
@@ -69,9 +69,9 @@ from ..verify import AnchorTracker, clue_what, lift, tx_what
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    FrameBatcher,
+    FrameConnection,
     ProtocolError,
-    read_frame,
+    encode_frame,
     request as make_request,
 )
 
@@ -89,36 +89,36 @@ class RemoteLedgerError(LedgerError):
 
 #: Server-side exception types that re-raise as their local counterparts.
 _ERROR_TYPES: dict[str, type[Exception]] = {
-    "AuthenticationError": AuthenticationError,
-    "AuthorizationError": AuthorizationError,
-    "UsageError": UsageError,
-    "VerificationFailure": VerificationFailure,
-    "JournalNotFoundError": JournalNotFoundError,
-    "JournalOccultedError": JournalOccultedError,
-    "JournalPurgedError": JournalPurgedError,
-    "ServiceClosedError": ServiceClosedError,
-    "ServiceOverloadedError": ServiceOverloadedError,
-    "ServiceTimeout": ServiceTimeout,
-    "ProtocolError": ProtocolError,
+    cls.__name__: cls
+    for cls in (
+        AuthenticationError, AuthorizationError, UsageError, VerificationFailure,
+        JournalNotFoundError, JournalOccultedError, JournalPurgedError,
+        ServiceClosedError, ServiceOverloadedError, ServiceTimeout, ProtocolError,
+    )
 }
 
 
-def _set_nodelay(writer: asyncio.StreamWriter) -> None:
-    """Disable Nagle: frames are small and latency-sensitive; batching is
-    the group-commit service's job, not the kernel's."""
-    sock = writer.get_extra_info("socket")
-    if sock is not None:
-        with contextlib.suppress(OSError):
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
-def _raise_remote(error: Any) -> None:
+def _remote_error(error: Any) -> Exception:
+    """The local exception for a typed error frame."""
     if not isinstance(error, dict):
-        raise RemoteLedgerError(f"malformed error response: {error!r}")
+        return RemoteLedgerError(f"malformed error response: {error!r}")
     error_type = error.get("type", "?")
     detail = error.get("message", "")
     exc_class = _ERROR_TYPES.get(error_type, RemoteLedgerError)
-    raise exc_class(f"[remote {error_type}] {detail}")
+    return exc_class(f"[remote {error_type}] {detail}")
+
+
+class _Reply(concurrent.futures.Future):
+    """What a call made off the loop thread waits on.
+
+    Awaiting it yields it: whoever drives the coroutine by hand
+    (:meth:`RemoteLedgerClient._drive`) blocks on it and resumes the
+    coroutine once ``data_received`` has settled it.
+    """
+
+    def __await__(self):
+        yield self
+        return self.result()
 
 
 class _ReceiptChecker:
@@ -237,31 +237,23 @@ class _SubmitCoalescer:
                 future.set_result(receipt)
 
 
-class AsyncRemoteLedger:
+class AsyncRemoteLedger(FrameConnection):
     """One pipelined connection to a :class:`~repro.net.server.LedgerServer`.
 
     Create with :meth:`connect`; every public coroutine may be in flight
     concurrently — responses are matched by request id, so slow bulk
-    operations never block fast ones.
+    operations never block fast ones.  The read coroutines (whose only
+    awaits are :meth:`_call`) may also be driven from another thread, which
+    is how :class:`RemoteLedgerClient` reads without a task per call.
     """
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._max_frame_bytes = max_frame_bytes
-        self._batcher = FrameBatcher(writer, max_bytes=max_frame_bytes)
+    def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+        super().__init__(max_bytes=max_frame_bytes)
         self._ids = itertools.count(1)
-        self._pending: dict[int, asyncio.Future] = {}
-        self._drain_lock = asyncio.Lock()
+        self._pending: dict[int, asyncio.Future | _Reply] = {}
         self._closed = False
         self._conn_error: BaseException | None = None
-        self._reader_task: asyncio.Task | None = None
+        self._loop_thread = 0
         self._checker = _ReceiptChecker(self)
         self._coalescer = _SubmitCoalescer(self)
         # Filled by the hello handshake.
@@ -289,12 +281,11 @@ class AsyncRemoteLedger:
         — fine for tests and demos, documentedly weaker for deployments.
         """
         try:
-            reader, writer = await asyncio.open_connection(host, port)
+            _transport, remote = await asyncio.get_running_loop().create_connection(
+                lambda: cls(max_frame_bytes=max_frame_bytes), host, port
+            )
         except OSError as exc:
             raise RemoteLedgerError(f"cannot reach ledger at {host}:{port}: {exc}") from None
-        _set_nodelay(writer)
-        remote = cls(reader, writer, max_frame_bytes=max_frame_bytes)
-        remote._reader_task = asyncio.ensure_future(remote._reader_loop())
         try:
             hello = await remote._call("hello", protocol=PROTOCOL_VERSION)
         except BaseException:
@@ -322,86 +313,72 @@ class AsyncRemoteLedger:
         if self._closed:
             return
         self._closed = True
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
         self._fail_pending(RemoteLedgerError("connection closed"))
-        self._batcher.flush()
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+        self.flush()
+        self.transport.close()
+        await self.lost
 
     # ----------------------------------------------------------- plumbing
 
-    async def _reader_loop(self) -> None:
-        try:
-            while True:
-                message = await read_frame(self._reader, max_bytes=self._max_frame_bytes)
-                future = self._pending.pop(message["id"], None)
-                if future is None or future.done():
-                    continue  # late response for an abandoned request
-                if message["ok"]:
-                    future.set_result(message.get("result"))
-                else:
-                    try:
-                        _raise_remote(message.get("error"))
-                    except BaseException as exc:
-                        future.set_exception(exc)
-        except asyncio.CancelledError:
-            raise
-        except asyncio.IncompleteReadError:
-            self._fail_pending(RemoteLedgerError("server closed the connection"))
-        except (ConnectionError, OSError) as exc:
-            self._fail_pending(RemoteLedgerError(f"connection lost: {exc}"))
-        except ProtocolError as exc:
-            self._fail_pending(exc)
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self._loop_thread = threading.get_ident()
+
+    def frames_received(self, messages: list[dict], violation: ProtocolError | None) -> None:
+        for message in messages:
+            future = self._pending.pop(message["id"], None)
+            if future is None or future.done():
+                continue  # late response for an abandoned request
+            if message.get("ok"):
+                future.set_result(message.get("result"))
+            else:
+                future.set_exception(_remote_error(message.get("error")))
+        if violation is not None:
+            self._fail_pending(violation)
+            self.transport.close()
+
+    def connection_lost(self, exc: BaseException | None) -> None:
+        super().connection_lost(exc)
+        reason = "server closed the connection" if exc is None else f"connection lost: {exc}"
+        self._fail_pending(RemoteLedgerError(reason))
 
     def _fail_pending(self, error: BaseException) -> None:
         # Set before draining: a _call racing with this sees the error and
         # fails fast instead of parking a future nobody will ever resolve.
-        self._conn_error = error
+        if self._conn_error is None:
+            self._conn_error = error
         pending, self._pending = self._pending, {}
-        for future in pending.values():
+        for future in list(pending.values()):  # off-loop callers may still be registering
             if not future.done():
                 future.set_exception(error)
 
     async def _call(self, op: str, **fields: Any) -> dict:
+        """One request/response.  On the loop thread the frame joins this
+        tick's write and the reply is an asyncio future; from any other
+        thread it is encoded there, handed over with one
+        ``call_soon_threadsafe`` and awaited on a :class:`_Reply`."""
         if self._closed:
             raise RemoteLedgerError("client is closed")
-        if self._conn_error is not None:
-            raise self._conn_error
+        on_loop = threading.get_ident() == self._loop_thread
         request_id = next(self._ids)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        future = self._loop.create_future() if on_loop else _Reply()
         self._pending[request_id] = future
-        if self._conn_error is not None:
-            self._pending.pop(request_id, None)
-            raise self._conn_error
         try:
-            # Pipelined requests issued in the same loop tick coalesce into
-            # one socket write; the drain (behind a lock — concurrent
-            # StreamWriter.drain is not portable) keeps TCP backpressure.
-            self._batcher.send(make_request(request_id, op, **fields))
-            async with self._drain_lock:
-                await self._batcher.drain()
-        except (ConnectionError, OSError) as exc:
+            if self._conn_error is not None:
+                raise self._conn_error
+            frame = encode_frame(make_request(request_id, op, **fields), max_bytes=self.max_bytes)
+            if on_loop:
+                self.write(frame)
+            else:
+                try:
+                    self._loop.call_soon_threadsafe(self.transport.write, frame)
+                except RuntimeError:  # the loop was closed under this caller
+                    raise RemoteLedgerError("client is closed") from None
+            return await future
+        finally:
+            # No-op once answered; otherwise (refused by the frame cap,
+            # timed out, cancelled) the entry must not outlive the call.
             self._pending.pop(request_id, None)
-            raise RemoteLedgerError(f"connection lost: {exc}") from None
-        except BaseException:
-            # Nothing went on the wire (e.g. ProtocolError: the request
-            # exceeds the frame cap) — drop the pending entry or it leaks
-            # for the life of the connection.
-            self._pending.pop(request_id, None)
-            raise
-        return await future
 
     # ------------------------------------------------------------ appends
 
@@ -539,14 +516,6 @@ class AsyncRemoteLedger:
         result = await self._call("epoch_leaves", epoch=epoch)
         return [bytes(digest) for digest in result["digests"]]
 
-    async def live_consistency(
-        self, old_size: int, new_size: int | None = None
-    ) -> ConsistencyProof:
-        result = await self._call(
-            "live_consistency", old_size=old_size, new_size=new_size
-        )
-        return ConsistencyProof.from_bytes(bytes(result["proof"]))
-
     async def epoch_consistency(
         self, epoch: int, old_size: int, new_size: int | None = None
     ) -> ConsistencyProof:
@@ -640,6 +609,18 @@ class AsyncRemoteLedger:
         return (await self._call("ping"))["size"]
 
 
+def _driven(coroutine):
+    """The synchronous face of one :class:`AsyncRemoteLedger` read: same
+    signature and docstring, run on the caller's thread by
+    :meth:`RemoteLedgerClient._drive` instead of as a task on the loop."""
+
+    @functools.wraps(coroutine)
+    def call(self: "RemoteLedgerClient", *args: Any, **kwargs: Any) -> Any:
+        return self._drive(coroutine(self._remote, *args, **kwargs))
+
+    return call
+
+
 class RemoteLedgerClient:
     """Synchronous verifying remote client — the over-the-wire twin of
     :class:`~repro.core.client.LedgerClient`.
@@ -678,14 +659,14 @@ class RemoteLedgerClient:
         )
         self._thread.start()
         try:
-            self._remote: AsyncRemoteLedger = self._submit(
+            self._remote: AsyncRemoteLedger = self._wait(
                 AsyncRemoteLedger.connect(
                     host,
                     port,
                     expected_lsp_key=expected_lsp_key,
                     max_frame_bytes=max_frame_bytes,
                 )
-            ).result(timeout)
+            )
         except BaseException:
             self._stop_loop()
             raise
@@ -696,7 +677,33 @@ class RemoteLedgerClient:
         return asyncio.run_coroutine_threadsafe(coro, self._loop)
 
     def _wait(self, coro, timeout: float | None = None):
-        return self._submit(coro).result(self.timeout if timeout is None else timeout)
+        """Run ``coro`` on the connection's loop and wait for it — the way
+        for calls that need the loop itself (appends: the receipt checker
+        and the submit coalescer batch per loop tick)."""
+        timeout = self.timeout if timeout is None else timeout
+        future = self._submit(coro)
+        try:
+            return future.result(timeout)
+        except TimeoutError:
+            future.cancel()  # unwinds the coroutine, which drops its pending entry
+            raise RemoteLedgerError(f"no reply to {coro.__name__} within {timeout}s") from None
+
+    def _drive(self, coro):
+        """Run a read coroutine on *this* thread: each request is encoded
+        here and its :class:`_Reply` is settled straight from
+        ``data_received`` — no task, no loop-side future."""
+        try:
+            while True:
+                reply = coro.send(None)
+                try:
+                    reply.exception(self.timeout)  # wait; the coroutine re-raises
+                except TimeoutError:
+                    coro.close()  # unwinds _call, which drops its pending entry
+                    raise RemoteLedgerError(
+                        f"no reply to {coro.__name__} within {self.timeout}s"
+                    ) from None
+        except StopIteration as done:
+            return done.value
 
     def _stop_loop(self) -> None:
         if self._loop.is_running():
@@ -709,7 +716,7 @@ class RemoteLedgerClient:
         """Close the connection and release the background loop.  Idempotent."""
         if not self._loop.is_closed() and self._thread.is_alive():
             try:
-                self._submit(self._remote.close()).result(self.timeout)
+                self._wait(self._remote.close())
             except Exception:
                 pass
             self._stop_loop()
@@ -850,50 +857,28 @@ class RemoteLedgerClient:
 
     # -------------------------------------------------------------- reads
 
-    def get_journal(self, jsn: int) -> Journal:
-        return self._wait(self._remote.get_journal(jsn))
-
-    def list_tx(self, clue: str) -> list[int]:
-        return self._wait(self._remote.list_tx(clue))
-
-    def get_proof(self, jsn: int, anchored: bool = True) -> FamProof:
-        return self._wait(self._remote.get_proof(jsn, anchored))
-
-    def get_proofs(self, jsns: list[int], anchored: bool = True) -> list[FamProof]:
-        return self._wait(self._remote.get_proofs(jsns, anchored))
-
-    def register(self, member_id: str, role: str, public_key: PublicKey) -> None:
-        self._wait(self._remote.register(member_id, role, public_key))
-
-    def export(self, clues: tuple[str, ...] = ()) -> bytes:
-        """Raw offline export bundle bytes from the server (one frame)."""
-        return self._wait(self._remote.export(tuple(clues)))
-
-    def stats(self) -> dict:
-        return self._wait(self._remote.stats())
-
-    def ping(self) -> int:
-        return self._wait(self._remote.ping())
+    get_journal = _driven(AsyncRemoteLedger.get_journal)
+    list_tx = _driven(AsyncRemoteLedger.list_tx)
+    get_proof = _driven(AsyncRemoteLedger.get_proof)
+    get_proofs = _driven(AsyncRemoteLedger.get_proofs)
+    prove_clue = _driven(AsyncRemoteLedger.prove_clue)
+    register = _driven(AsyncRemoteLedger.register)
+    export = _driven(AsyncRemoteLedger.export)
+    stats = _driven(AsyncRemoteLedger.stats)
+    ping = _driven(AsyncRemoteLedger.ping)
+    shard_info = _driven(AsyncRemoteLedger.shard_info)
+    verify_journal_remote = _driven(AsyncRemoteLedger.verify_journal_remote)
+    get_sth = _driven(AsyncRemoteLedger.get_sth)
+    get_sth_range = _driven(AsyncRemoteLedger.get_sth_range)
+    get_consistency = _driven(AsyncRemoteLedger.get_consistency)
 
     # ------------------------------------------------------------- anchors
 
-    def fam_info(self) -> dict:
-        """The server's *claimed* fam snapshot (epochs, live size and root)."""
-        return self._wait(self._remote.fam_info())
-
-    def epoch_anchor(self, epoch: int) -> Digest:
-        return self._wait(self._remote.epoch_anchor(epoch))
-
-    def epoch_link(self, epoch: int) -> MembershipProof:
-        return self._wait(self._remote.epoch_link(epoch))
-
-    def epoch_leaves(self, epoch: int) -> list[Digest]:
-        return self._wait(self._remote.epoch_leaves(epoch))
-
-    def epoch_consistency(
-        self, epoch: int, old_size: int, new_size: int | None = None
-    ) -> ConsistencyProof:
-        return self._wait(self._remote.epoch_consistency(epoch, old_size, new_size))
+    fam_info = _driven(AsyncRemoteLedger.fam_info)
+    epoch_anchor = _driven(AsyncRemoteLedger.epoch_anchor)
+    epoch_link = _driven(AsyncRemoteLedger.epoch_link)
+    epoch_leaves = _driven(AsyncRemoteLedger.epoch_leaves)
+    epoch_consistency = _driven(AsyncRemoteLedger.epoch_consistency)
 
     def sync_anchors(self) -> int:
         """Advance the trusted-anchor store against the remote fam
@@ -917,10 +902,6 @@ class RemoteLedgerClient:
         if proof is None:
             proof = self.get_proof(journal.jsn, anchored=True)
         return self.tracker.fold_anchored(journal.tx_hash(), proof)
-
-    def shard_info(self) -> dict:
-        """Raw shard-map claim from the server; see :meth:`verify_shard_link`."""
-        return self._wait(self._remote.shard_info())
 
     def verify_shard_link(self, *, max_attempts: int = 4) -> dict:
         """Verify this shard's membership in the deployment's composite root.
@@ -981,28 +962,6 @@ class RemoteLedgerClient:
             return False
         proof, claimed_state_root = self.prove_clue(clue)
         return clue_what(clue, digests, proof, claimed_state_root)
-
-    def prove_clue(self, clue: str) -> tuple[ClueProof, Digest]:
-        """The clue proof plus the server's *claimed* CM-Tree1 root."""
-        return self._wait(self._remote.prove_clue(clue))
-
-    def verify_journal_remote(self, journal: Journal) -> bool:
-        """Ask the *server* to verify (advisory only — it could lie)."""
-        return self._wait(self._remote.verify_journal_remote(journal))
-
-    # ------------------------------------------------------- transparency
-
-    def get_sth(self, *, composite: bool = False) -> SignedTreeHead:
-        """The server's current tree head, LSP-signature-checked locally."""
-        return self._wait(self._remote.get_sth(composite=composite))
-
-    def get_sth_range(self, start: int, end: int) -> list[SignedTreeHead]:
-        return self._wait(self._remote.get_sth_range(start, end))
-
-    def get_consistency(
-        self, old: SignedTreeHead, new: SignedTreeHead
-    ) -> tuple[ConsistencyBundle | None, ConsistencyAssertion]:
-        return self._wait(self._remote.get_consistency(old, new))
 
 
 class RemoteLedgerSession(SessionHelpers):
@@ -1111,7 +1070,9 @@ class RemoteLedgerSession(SessionHelpers):
         """TX evidence over the wire: the server's own (advisory) verdict at
         SERVER level; at CLIENT level a full-chain proof folded against the
         caller's pinned ``root``, else an anchored proof folded against this
-        client's verified anchor store (synced first)."""
+        client's verified anchor store — the fold itself connects the
+        proof's head to the tracked one (consistency proof, or a sync for an
+        unseen epoch), so no round trip is spent asking for the head first."""
         client = self.client
         if level is VerifyLevel.SERVER:
             return client.verify_journal_remote(journal), {
@@ -1125,7 +1086,6 @@ class RemoteLedgerSession(SessionHelpers):
                 "trusted_root": root,
                 "detail": "folded locally against the caller's pinned root",
             }
-        client.sync_anchors()
         return client.verify_journal(journal, rho), {
             "proof": rho,
             "trusted_root": client.state.live_root,

@@ -21,8 +21,10 @@ decoder consumes nothing it cannot validate first.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import socket
 import struct
-from typing import Any
+from typing import Any, Sequence
 
 from ..core.errors import LedgerError
 from ..encoding import EncodingError, decode, encode
@@ -35,7 +37,7 @@ __all__ = [
     "decode_message",
     "FrameDecoder",
     "read_frame",
-    "write_frame",
+    "FrameConnection",
     "request",
     "response_ok",
     "response_error",
@@ -54,6 +56,9 @@ _LENGTH = struct.Struct(">I")
 
 class ProtocolError(LedgerError):
     """The peer sent bytes that are not a valid protocol frame/message."""
+
+    #: Set by :meth:`FrameDecoder.feed`: messages decoded before the violation.
+    completed: Sequence[dict[str, Any]] = ()
 
 
 def _check_length(length: int, max_bytes: int) -> None:
@@ -123,103 +128,133 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> list[dict[str, Any]]:
-        """Absorb ``data``; return every message completed by it."""
+        """Absorb ``data``; return every message completed by it.
+
+        A violation raises with the messages that were whole before it in
+        the error's ``completed`` — the peer is owed answers to those.
+        """
         if self._poisoned:
             raise ProtocolError("decoder poisoned by an earlier protocol error")
         self._buffer += data
         messages: list[dict[str, Any]] = []
         try:
-            while True:
-                if len(self._buffer) < _LENGTH.size:
-                    return messages
-                (length,) = _LENGTH.unpack_from(self._buffer)
-                _check_length(length, self.max_bytes)
-                end = _LENGTH.size + length
-                if len(self._buffer) < end:
-                    return messages
-                payload = bytes(self._buffer[_LENGTH.size : end])
-                del self._buffer[:end]
-                messages.append(decode_message(payload))
-        except ProtocolError:
+            while self._buffer:
+                message = read_frame(self._buffer, max_bytes=self.max_bytes)
+                if message is None:
+                    break
+                messages.append(message)
+        except ProtocolError as exc:
             self._poisoned = True
+            exc.completed = messages
             raise
+        return messages
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, *, max_bytes: int = MAX_FRAME_BYTES
-) -> dict[str, Any]:
-    """Read one complete message from an asyncio stream.
+def read_frame(
+    buffer: bytearray, *, max_bytes: int = MAX_FRAME_BYTES
+) -> dict[str, Any] | None:
+    """Cut the next complete message off the front of ``buffer``.
+
+    Returns None, consuming nothing, while the frame is still partial.
 
     Raises:
         ProtocolError: malformed length or payload.
-        asyncio.IncompleteReadError: the peer closed mid-frame (or cleanly
-            between frames, with ``partial`` empty).
     """
-    header = await reader.readexactly(_LENGTH.size)
-    (length,) = _LENGTH.unpack(header)
+    if len(buffer) < _LENGTH.size:
+        return None
+    (length,) = _LENGTH.unpack_from(buffer)
     _check_length(length, max_bytes)
-    payload = await reader.readexactly(length)
+    end = _LENGTH.size + length
+    if len(buffer) < end:
+        return None
+    payload = bytes(buffer[_LENGTH.size : end])
+    del buffer[:end]
     return decode_message(payload)
 
 
-class FrameBatcher:
-    """Coalesce frames written in one event-loop tick into one transport write.
+class FrameConnection(asyncio.Protocol):
+    """One end of a framed TCP connection, driven by transport callbacks.
 
-    Under pipelining, bursts of small frames (a window of appends going out,
-    a group commit's receipts coming back) otherwise cost one ``send``
-    syscall — and on loopback one GIL handoff to the peer's thread — *each*.
-    ``send`` buffers the encoded frame and schedules a single flush with
-    ``call_soon``; everything buffered in the same tick leaves in one write.
-
-    Encoding errors (oversized/unencodable message) still raise synchronously
-    from ``send``.  Transport errors surface on the connection's reader side,
-    where both peers already treat them as fatal.  Await :meth:`drain` after
-    ``send`` to keep the transport's flow-control backpressure.
+    Bytes in: ``data_received`` feeds the :class:`FrameDecoder` and hands
+    every message the segment completed — plus the violation that ended it,
+    if any — to the subclass's ``frames_received(messages, violation)``.
+    Frames out: :meth:`write` buffers, and everything buffered in one
+    event-loop tick (a segment's replies, a group commit's receipts) leaves
+    in one ``transport.write``.  ``writable`` mirrors the transport's flow
+    control (``pause_writing`` / ``resume_writing``); what a paused end does
+    about it is the subclass's policy.  Loop thread only.
     """
 
-    def __init__(
-        self, writer: asyncio.StreamWriter, *, max_bytes: int = MAX_FRAME_BYTES
-    ) -> None:
-        self._writer = writer
-        self._max_bytes = max_bytes
-        self._chunks: list[bytes] = []
-        self._scheduled = False
+    #: Frames buffered past this leave at once instead of at the end of the
+    #: tick, so a paused transport is noticed while replies are being made.
+    FLUSH_BYTES = 64 * 1024
+
+    def __init__(self, *, max_bytes: int = MAX_FRAME_BYTES) -> None:
+        self.max_bytes = max_bytes
+        self.decoder = FrameDecoder(max_bytes=max_bytes)
+        self.transport: asyncio.Transport | None = None
+        self.writable = True
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._out: list[bytes] = []
+        self._out_bytes = 0
+        self._flush_due = False
+        #: Resolved by ``connection_lost``: the socket is closed.
+        self.lost: asyncio.Future | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self._loop = asyncio.get_running_loop()
+        self.lost = self._loop.create_future()
+        sock = transport.get_extra_info("socket")
+        if sock is not None:
+            # Frames are small and latency-sensitive; batching is the
+            # group-commit service's job, not the kernel's.
+            with contextlib.suppress(OSError):
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def connection_lost(self, exc: BaseException | None) -> None:
+        self.lost.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            messages, violation = self.decoder.feed(data), None
+        except ProtocolError as exc:
+            messages, violation = exc.completed, exc
+        self._flush_due = True  # whatever this segment makes us write leaves together
+        try:
+            self.frames_received(messages, violation)
+        finally:
+            self.flush()
 
     def send(self, message: dict[str, Any]) -> int:
-        """Buffer one message for the next flush; returns the frame size."""
-        frame = encode_frame(message, max_bytes=self._max_bytes)
-        self._chunks.append(frame)
-        if not self._scheduled:
-            self._scheduled = True
-            asyncio.get_running_loop().call_soon(self.flush)
+        """Encode and buffer one message; returns the frame size.  Encoding
+        errors (oversized/unencodable message) raise synchronously."""
+        frame = encode_frame(message, max_bytes=self.max_bytes)
+        self.write(frame)
         return len(frame)
 
+    def write(self, frame: bytes) -> None:
+        self._out.append(frame)
+        self._out_bytes += len(frame)
+        if self._out_bytes >= self.FLUSH_BYTES:
+            self.flush()
+        elif not self._flush_due:
+            self._flush_due = True
+            self._loop.call_soon(self.flush)
+
     def flush(self) -> None:
-        """Push any buffered frames to the transport now (close paths)."""
-        self._scheduled = False
-        chunks, self._chunks = self._chunks, []
-        if not chunks:
-            return
-        try:
-            self._writer.write(b"".join(chunks) if len(chunks) > 1 else chunks[0])
-        except (ConnectionError, OSError, RuntimeError):
-            pass  # connection teardown is reported by the reader side
+        """Push buffered frames to the transport now.  Transport errors are
+        reported through ``connection_lost``, never raised here."""
+        self._flush_due = False
+        frames, self._out, self._out_bytes = self._out, [], 0
+        if frames and not self.transport.is_closing():
+            self.transport.write(b"".join(frames))
 
-    async def drain(self) -> None:
-        await self._writer.drain()
+    def pause_writing(self) -> None:
+        self.writable = False
 
-
-async def write_frame(
-    writer: asyncio.StreamWriter,
-    message: dict[str, Any],
-    *,
-    max_bytes: int = MAX_FRAME_BYTES,
-) -> int:
-    """Write one message and drain; returns the frame size in bytes."""
-    frame = encode_frame(message, max_bytes=max_bytes)
-    writer.write(frame)
-    await writer.drain()
-    return len(frame)
+    def resume_writing(self) -> None:
+        self.writable = True
 
 
 # ------------------------------------------------------------- envelopes

@@ -7,35 +7,38 @@ coalesces with in-process traffic into the same single-fsync batches), and
 every read is served straight off the ledger's public read API.  The server
 adds no trust — clients are expected to re-verify everything it returns.
 
-Concurrency model::
+Connection state machine (DESIGN.md §14)::
 
-    connection reader ──▶ per-request asyncio task ──▶ response frame
-         (one loop)          (bounded in flight)        (write lock)
+    data_received ─▶ FrameDecoder ─▶ backlog ─▶ _dispatch ─┬▶ answered on the loop
+      (one loop)                      (in order)           └▶ task ─▶ pool | service
 
-* Requests are dispatched to their own task the moment the frame arrives,
-  so responses go out in *completion* order, not arrival order — a pipelined
+* A request whose op is in :data:`_LOOP_OPS` (bounded work over memory or
+  one positional read) is answered where its frame was decoded.  Every other
+  op becomes a task, so responses go out in *completion* order — a pipelined
   append stream is never head-of-line blocked behind a bulk proof fetch.
   Clients match responses by request id.
-* At most ``max_inflight`` requests per connection run at once; past that
-  the reader stops pulling frames and TCP backpressure reaches the client.
-  Blocking service calls (``submit`` against a full admission queue) run on
-  a small thread pool, so the event loop itself never blocks.
+* Replies made in one loop tick leave in one ``transport.write``.
+* At most ``max_inflight`` tasks per connection run at once; past that — or
+  while the peer is not reading its replies — the connection stops reading
+  and TCP backpressure reaches the client.  Blocking service calls
+  (``submit`` against a full admission queue) run on a small thread pool, so
+  the event loop itself never blocks.
 * ``close(drain=True)`` stops accepting connections and new requests,
   answers everything already in flight, then drains the owned service —
   no accepted append is ever dropped without a response.
 
 A hostile or broken peer costs exactly its own connection: malformed frames
 poison only that stream (best-effort error frame, then close), and a peer
-that trickles bytes one at a time just waits on its own reader.
+that trickles bytes one at a time just fills its own decoder.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import socket as _socket
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Awaitable, Callable
 
@@ -55,9 +58,8 @@ from ..service import (
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    FrameBatcher,
+    FrameConnection,
     ProtocolError,
-    read_frame,
     response_error,
     response_ok,
 )
@@ -67,27 +69,117 @@ __all__ = ["LedgerServer", "ServerThread"]
 #: Ops refused while draining (reads stay up until the socket closes).
 _MUTATING_OPS = frozenset({"append", "append_batch", "register"})
 
+#: Ops answered on the loop, where their frame was decoded — no task, no pool
+#: hop.  Admission rule: the work is bounded and touches only memory or one
+#: positional stream read.  Anything that can wait on a lock, an fsync, the
+#: page store or the service queue, or whose result is unbounded, stays out
+#: and runs as a task (``get_sth`` signs and may persist a head).
+_LOOP_OPS = frozenset(
+    "ping hello get_root get_journal get_proof receipt_for "
+    "fam_info epoch_anchor epoch_link epoch_leaves live_consistency epoch_consistency".split()
+)
 
-class _Connection:
-    """Per-connection state: streams, write serialisation, in-flight tasks."""
 
-    __slots__ = ("conn_id", "reader", "writer", "batcher", "drain_lock", "inflight", "semaphore")
+class _Connection(FrameConnection):
+    """The server's end of one peer.
 
-    def __init__(
-        self,
-        conn_id: int,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        max_inflight: int,
-        max_frame_bytes: int,
-    ) -> None:
-        self.conn_id = conn_id
-        self.reader = reader
-        self.writer = writer
-        self.batcher = FrameBatcher(writer, max_bytes=max_frame_bytes)
-        self.drain_lock = asyncio.Lock()
+    Decoded requests queue in ``backlog`` and are started in arrival order
+    while the server may take more: fewer than ``max_inflight`` tasks
+    ``inflight`` for this peer and its transport accepting writes.  Otherwise
+    the backlog holds and reading pauses, so TCP backpressure reaches the
+    peer.  A protocol violation or EOF queues behind the requests received
+    before it and ends the connection once those are answered.
+    """
+
+    def __init__(self, server: "LedgerServer") -> None:
+        super().__init__(max_bytes=server.max_frame_bytes)
+        self.server = server
+        self.backlog: deque[dict[str, Any] | ProtocolError | None] = deque()
         self.inflight: set[asyncio.Task] = set()
-        self.semaphore = asyncio.Semaphore(max_inflight)
+        self.hanging_up = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        if self.server._closed:
+            transport.close()
+            return
+        self.server._connections.add(self)
+        obs.inc("net.connections.accepted")
+        obs.set_gauge("net.connections.open", len(self.server._connections))
+
+    def connection_lost(self, exc: BaseException | None) -> None:
+        super().connection_lost(exc)
+        self.hang_up()  # tasks already started run on; their replies are dropped
+        self.server._connections.discard(self)
+        obs.set_gauge("net.connections.open", len(self.server._connections))
+
+    def frames_received(self, messages: list[dict], violation: ProtocolError | None) -> None:
+        self.backlog.extend(messages)
+        if violation is not None:
+            self.backlog.append(violation)
+        self.pump()
+
+    def eof_received(self) -> bool:
+        self.backlog.append(None)
+        self.pump()
+        return True  # keep the write side open for replies still owed
+
+    def pause_writing(self) -> None:
+        super().pause_writing()
+        self.pump()
+
+    def resume_writing(self) -> None:
+        super().resume_writing()
+        self.pump()
+
+    def accepting(self) -> bool:
+        """May this peer's next request start?"""
+        cap = self.server.max_inflight
+        return not self.hanging_up and self.writable and len(self.inflight) < cap
+
+    def pump(self) -> None:
+        """Start backlogged requests in order, then read on or hold."""
+        backlog = self.backlog
+        while backlog and self.accepting():
+            item = backlog.popleft()
+            if isinstance(item, dict):
+                obs.inc("net.frames.in")
+                self.server._dispatch(self, item)
+            else:
+                self.hang_up(item)
+        if self.accepting():
+            self.transport.resume_reading()  # both calls are idempotent
+        else:
+            self.transport.pause_reading()
+
+    def start(self, serving: Awaitable[None]) -> None:
+        task = asyncio.ensure_future(serving)
+        self.inflight.add(task)
+        task.add_done_callback(self.settle)
+
+    def settle(self, done: asyncio.Task | None = None) -> None:
+        """A task finished (or the hang-up began): go on with the backlog,
+        or close once the last reply owed has been written."""
+        self.inflight.discard(done)
+        if not self.hanging_up:
+            self.pump()
+        elif not self.inflight:
+            self.flush()
+            self.transport.close()
+
+    def hang_up(self, violation: ProtocolError | None = None) -> None:
+        """Take no more requests; close once every started one is answered.
+
+        Framing lost: best-effort error frame first.  Only this peer pays;
+        every other connection is unharmed.
+        """
+        if violation is not None:
+            obs.inc("net.errors.protocol")
+            with contextlib.suppress(ProtocolError):
+                self.send(response_error(0, "ProtocolError", str(violation)))
+        self.hanging_up = True
+        self.backlog.clear()
+        self.settle()
 
 
 class LedgerServer:
@@ -149,14 +241,14 @@ class LedgerServer:
         self.shard_context = shard_context
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
-        self._conn_counter = 0
         self._draining = False
         self._closed = False
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="ledger-net"
         )
-        #: Every ``_op_<name>`` coroutine below serves the wire op ``<name>``.
-        self._handlers: dict[str, Callable[[dict], Awaitable[dict]]] = {
+        #: Every ``_op_<name>`` method below serves the wire op ``<name>``:
+        #: plain functions for :data:`_LOOP_OPS`, coroutines for the rest.
+        self._handlers: dict[str, Callable[[dict], Any]] = {
             name[len("_op_") :]: getattr(self, name)
             for name in dir(self)
             if name.startswith("_op_")
@@ -168,8 +260,8 @@ class LedgerServer:
         """Bind and listen; returns the actual ``(host, port)`` bound."""
         if self._server is not None:
             raise UsageError("server already started")
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -199,128 +291,79 @@ class LedgerServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for conn in list(self._connections):
-            if drain:
-                if conn.inflight:
-                    await asyncio.gather(*conn.inflight, return_exceptions=True)
-            else:
-                for task in list(conn.inflight):
+        connections = list(self._connections)
+        for conn in connections:
+            conn.hang_up()
+            if not drain:
+                for task in conn.inflight:
                     task.cancel()
-            conn.batcher.flush()
-            conn.writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await conn.writer.wait_closed()
+        pending = [task for conn in connections for task in conn.inflight]
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+        for conn in connections:
+            if not drain:
+                conn.transport.abort()
+            await conn.lost
         if self._owns_service and not self.service.closed:
             # The service's writer thread blocks; keep it off the event loop.
             await asyncio.get_running_loop().run_in_executor(
                 self._pool, lambda: self.service.close(drain=drain)
             )
         self._pool.shutdown(wait=False)
-        obs.set_gauge("net.connections.open", 0)
 
-    # ---------------------------------------------------------- connections
+    # ------------------------------------------------------------- requests
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._conn_counter += 1
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            # Frames are small and latency-sensitive; batching is the
-            # group-commit service's job, not the kernel's.
-            with contextlib.suppress(OSError):
-                sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-        conn = _Connection(
-            self._conn_counter, reader, writer, self.max_inflight, self.max_frame_bytes
-        )
-        self._connections.add(conn)
-        obs.inc("net.connections.accepted")
-        obs.set_gauge("net.connections.open", len(self._connections))
-        try:
-            while not self._closed:
-                try:
-                    message = await read_frame(reader, max_bytes=self.max_frame_bytes)
-                except asyncio.IncompleteReadError:
-                    break  # peer closed (cleanly or mid-frame)
-                except (ConnectionError, OSError):
-                    break
-                except ProtocolError as exc:
-                    # Framing is lost: best-effort error frame, then hang up.
-                    # Only this peer pays; every other connection is unharmed.
-                    obs.inc("net.errors.protocol")
-                    with contextlib.suppress(Exception):
-                        await self._send(conn, response_error(0, "ProtocolError", str(exc)))
-                    break
-                obs.inc("net.frames.in")
-                await conn.semaphore.acquire()
-                task = asyncio.create_task(self._dispatch(conn, message))
-                conn.inflight.add(task)
-                task.add_done_callback(
-                    lambda done, c=conn: (c.inflight.discard(done), c.semaphore.release())
-                )
-        finally:
-            if conn.inflight:
-                # Answer pipelined requests already accepted from this peer.
-                await asyncio.gather(*conn.inflight, return_exceptions=True)
-            conn.batcher.flush()
-            conn.writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await conn.writer.wait_closed()
-            self._connections.discard(conn)
-            obs.set_gauge("net.connections.open", len(self._connections))
-
-    async def _dispatch(self, conn: _Connection, message: dict[str, Any]) -> None:
-        request_id = message["id"]
+    def _dispatch(self, conn: _Connection, message: dict[str, Any]) -> None:
+        """Per-request entry: a loop op is answered here and now, anything
+        else becomes a task whose reply leaves when it completes — so
+        responses go out in completion order, matched by request id."""
         op = message.get("op")
+        handler = self._handlers.get(op)
+        if handler is not None and op not in _LOOP_OPS:
+            conn.start(self._serve(conn, op, handler, message))
+            return
         started = time.perf_counter()
         try:
-            handler = self._handlers.get(op) if isinstance(op, str) else None
             if handler is None:
                 raise ProtocolError(f"unknown op: {op!r}")
+            reply = response_ok(message["id"], handler(message))
+        except Exception as exc:  # typed error travels; connection survives
+            reply = _refusal(message["id"], exc)
+        self._reply(conn, op, started, reply)
+
+    async def _serve(self, conn: _Connection, op: str, handler: Callable, message: dict) -> None:
+        request_id = message["id"]
+        started = time.perf_counter()
+        try:
             if self._draining and op in _MUTATING_OPS:
                 raise ServiceClosedError("server is draining; no new appends")
-            result = await handler(message)
-            reply = response_ok(request_id, result)
+            reply = response_ok(request_id, await handler(message))
         except asyncio.CancelledError:
             with contextlib.suppress(Exception):
-                await self._send(
-                    conn,
-                    response_error(request_id, "ServiceClosedError", "server shut down"),
-                )
+                conn.send(response_error(request_id, "ServiceClosedError", "server shut down"))
             raise
-        except BaseException as exc:  # typed error travels; connection survives
-            obs.inc("net.errors.request")
-            reply = response_error(request_id, type(exc).__name__, str(exc))
+        except Exception as exc:
+            reply = _refusal(request_id, exc)
+        self._reply(conn, op, started, reply)
+
+    def _reply(self, conn: _Connection, op: str | None, started: float, reply: dict) -> None:
         obs.observe("net.request.latency_us", (time.perf_counter() - started) * 1e6)
-        if isinstance(op, str):
+        if op is not None:
             obs.inc(f"net.op.{op}")
         try:
-            await self._send(conn, reply)
-        except (ConnectionError, OSError):
-            pass
+            size = conn.send(reply)
         except ProtocolError as exc:
             # The *response* was undeliverable (exceeds the frame cap /
             # unencodable).  The request id must still be settled — a
             # pipelined client otherwise awaits this future forever — so
             # downgrade to a small typed error frame.
             obs.inc("net.errors.protocol")
-            with contextlib.suppress(ConnectionError, OSError, ProtocolError):
-                await self._send(
-                    conn,
-                    response_error(
-                        request_id, "ProtocolError", f"response undeliverable: {exc}"
-                    ),
-                )
-
-    async def _send(self, conn: _Connection, message: dict[str, Any]) -> None:
-        # Responses completing in one loop tick (a group-committed window of
-        # receipts) leave in one socket write; the drain (behind a lock —
-        # concurrent StreamWriter.drain is not portable) keeps backpressure.
-        size = conn.batcher.send(message)
+            size = 0
+            with contextlib.suppress(ProtocolError):
+                detail = f"response undeliverable: {exc}"
+                size = conn.send(response_error(reply["id"], "ProtocolError", detail))
         obs.inc("net.frames.out")
         obs.observe("net.frame.out_bytes", size)
-        async with conn.drain_lock:
-            await conn.batcher.drain()
 
     async def _run(self, fn: Callable, *args: Any) -> Any:
         """Run a blocking ledger/service call off the event loop."""
@@ -328,7 +371,7 @@ class LedgerServer:
 
     # ------------------------------------------------------------------ ops
 
-    async def _op_hello(self, message: dict) -> dict:
+    def _op_hello(self, message: dict) -> dict:
         protocol = message.get("protocol")
         if protocol != PROTOCOL_VERSION:
             raise ProtocolError(
@@ -345,7 +388,7 @@ class LedgerServer:
             "ca_public_key": ledger.registry.ca_public_key.to_bytes(),
         }
 
-    async def _op_ping(self, message: dict) -> dict:
+    def _op_ping(self, message: dict) -> dict:
         return {"size": self.ledger.size}
 
     @staticmethod
@@ -355,25 +398,20 @@ class LedgerServer:
         except (EncodingError, KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"undecodable client request: {exc}") from None
 
-    def _submit(self, request: ClientRequest) -> "asyncio.Future":
-        """Admit one request into the service without blocking the loop.
+    async def _admit(self, submit: Callable, work: Any) -> Any:
+        """Hand ``work`` to the service (``submit`` one request, or
+        ``submit_many`` all-or-nothing) without blocking the loop.
 
-        Fast path: ``submit(timeout=0)`` inline — admission is a lock'd
-        deque append when the queue has room, far cheaper than two thread
-        hops.  Only when the queue is full (real backpressure) does the
-        blocking wait move to the pool, where it stalls a worker instead of
-        the event loop.
+        Fast path: ``timeout=0`` inline — admission is a lock'd deque append
+        when the queue has room, far cheaper than two thread hops.  Only when
+        the queue is full (real backpressure; nothing was queued, so the
+        retry cannot double-append) does the blocking wait move to the pool,
+        where it stalls a worker instead of the event loop.
         """
-
-        async def admit() -> Any:
-            try:
-                return self.service.submit(request, timeout=0)
-            except ServiceOverloadedError:
-                return await self._run(
-                    lambda: self.service.submit(request, timeout=self.submit_timeout_s)
-                )
-
-        return admit()
+        try:
+            return submit(work, timeout=0)
+        except ServiceOverloadedError:
+            return await self._run(lambda: submit(work, timeout=self.submit_timeout_s))
 
     async def _op_append(self, message: dict) -> dict:
         request = self._decode_request(message.get("request"))
@@ -384,7 +422,7 @@ class LedgerServer:
             # deadline by acking late.
             deadline = _optional_int(message.get("ack_deadline"), "ack_deadline")
             ack = await self._run(self.ledger.issue_ack, request, deadline)
-        future = await self._submit(request)
+        future = await self._admit(self.service.submit, request)
         receipt = await asyncio.wrap_future(future)
         response = {"receipt": receipt.to_bytes()}
         if ack is not None:
@@ -396,16 +434,7 @@ class LedgerServer:
         if not isinstance(blobs, list) or not blobs:
             raise ProtocolError("append_batch needs a non-empty 'requests' list")
         requests = [self._decode_request(blob) for blob in blobs]
-        try:
-            # All-or-nothing admission, so overload here leaves nothing
-            # queued and the blocking retry on the pool cannot double-append.
-            futures = self.service.submit_many(requests, timeout=0)
-        except ServiceOverloadedError:
-            futures = await self._run(
-                lambda: self.service.submit_many(
-                    requests, timeout=self.submit_timeout_s
-                )
-            )
+        futures = await self._admit(self.service.submit_many, requests)
         receipts = await asyncio.gather(*(asyncio.wrap_future(f) for f in futures))
         return {"receipts": [receipt.to_bytes() for receipt in receipts]}
 
@@ -441,20 +470,18 @@ class LedgerServer:
         await self._run(lambda: self.ledger.registry.register(member_id, role, public_key))
         return {"member_id": member_id, "role": role.value}
 
-    async def _op_get_journal(self, message: dict) -> dict:
+    def _op_get_journal(self, message: dict) -> dict:
         jsn = _require_int(message.get("jsn"), "jsn")
-        journal = await self._run(self.ledger.get_journal, jsn)
-        return {"journal": journal.to_bytes()}
+        return {"journal": self.ledger.get_journal(jsn).to_bytes()}
 
     async def _op_list_tx(self, message: dict) -> dict:
         clue = _require_str(message.get("clue"), "clue")
         return {"jsns": list(await self._run(self.ledger.list_tx, clue))}
 
-    async def _op_get_proof(self, message: dict) -> dict:
+    def _op_get_proof(self, message: dict) -> dict:
         jsn = _require_int(message.get("jsn"), "jsn")
         anchored = bool(message.get("anchored", True))
-        proof = await self._run(lambda: self.ledger.get_proof(jsn, anchored=anchored))
-        return {"proof": proof.to_bytes()}
+        return {"proof": self.ledger.get_proof(jsn, anchored=anchored).to_bytes()}
 
     async def _op_get_proofs(self, message: dict) -> dict:
         jsns = message.get("jsns")
@@ -467,59 +494,57 @@ class LedgerServer:
 
     async def _op_prove_clue(self, message: dict) -> dict:
         clue = _require_str(message.get("clue"), "clue")
-        proof = await self._run(self.ledger.prove_clue, clue)
-        return {"proof": proof.to_bytes(), "state_root": self.ledger.state_root()}
 
-    async def _op_get_root(self, message: dict) -> dict:
-        ledger = self.ledger
-        latest = ledger.latest_receipt
-        return {
-            "root": ledger.current_root(),
-            "state_root": ledger.state_root(),
-            "size": ledger.size,
-            "latest_receipt": latest.to_bytes() if latest is not None else b"",
-        }
+        def snapshot() -> tuple[Any, bytes]:
+            # The root first, the proof cut at exactly it: an append landing
+            # in between must not pair a proof with a root it does not fold to.
+            state_root = self.ledger.state_root()
+            return self.ledger.prove_clue(clue, root=state_root), state_root
 
-    async def _op_receipt_for(self, message: dict) -> dict:
+        proof, state_root = await self._run(snapshot)
+        return {"proof": proof.to_bytes(), "state_root": state_root}
+
+    def _op_get_root(self, message: dict) -> dict:
+        claim = self.ledger.commitments()
+        latest = claim["latest_receipt"]
+        claim["latest_receipt"] = latest.to_bytes() if latest is not None else b""
+        return claim
+
+    def _op_receipt_for(self, message: dict) -> dict:
         jsn = _require_int(message.get("jsn"), "jsn")
-        receipt = await self._run(self.ledger.receipt_for, jsn)
+        receipt = self.ledger.receipt_for(jsn)
         return {"receipt": receipt.to_bytes() if receipt is not None else b""}
 
     # The six fam read ops an anchor-tracking client follows the ledger
     # through — all answered by the ledger's read-only FamReader, the same
     # object an in-process LedgerClient reads (repro.verify.tracker).
 
-    async def _op_fam_info(self, message: dict) -> dict:
+    def _op_fam_info(self, message: dict) -> dict:
         return self.ledger.fam_reader().fam_info()
 
-    async def _op_epoch_anchor(self, message: dict) -> dict:
+    def _op_epoch_anchor(self, message: dict) -> dict:
         epoch = _require_int(message.get("epoch"), "epoch")
-        return {"root": await self._run(self.ledger.fam_reader().epoch_anchor, epoch)}
+        return {"root": self.ledger.fam_reader().epoch_anchor(epoch)}
 
-    async def _op_epoch_link(self, message: dict) -> dict:
+    def _op_epoch_link(self, message: dict) -> dict:
         epoch = _require_int(message.get("epoch"), "epoch")
-        proof = await self._run(self.ledger.fam_reader().epoch_link, epoch)
-        return {"proof": proof.to_bytes()}
+        return {"proof": self.ledger.fam_reader().epoch_link(epoch).to_bytes()}
 
-    async def _op_epoch_leaves(self, message: dict) -> dict:
+    def _op_epoch_leaves(self, message: dict) -> dict:
         epoch = _require_int(message.get("epoch"), "epoch")
-        return {"digests": await self._run(self.ledger.fam_reader().epoch_leaves, epoch)}
+        return {"digests": self.ledger.fam_reader().epoch_leaves(epoch)}
 
-    async def _op_live_consistency(self, message: dict) -> dict:
+    def _op_live_consistency(self, message: dict) -> dict:
         old_size = _require_int(message.get("old_size"), "old_size")
         new_size = _optional_int(message.get("new_size"), "new_size")
-        proof = await self._run(
-            self.ledger.fam_reader().live_consistency, old_size, new_size
-        )
+        proof = self.ledger.fam_reader().live_consistency(old_size, new_size)
         return {"proof": proof.to_bytes()}
 
-    async def _op_epoch_consistency(self, message: dict) -> dict:
+    def _op_epoch_consistency(self, message: dict) -> dict:
         epoch = _require_int(message.get("epoch"), "epoch")
         old_size = _require_int(message.get("old_size"), "old_size")
         new_size = _optional_int(message.get("new_size"), "new_size")
-        proof = await self._run(
-            self.ledger.fam_reader().epoch_consistency, epoch, old_size, new_size
-        )
+        proof = self.ledger.fam_reader().epoch_consistency(epoch, old_size, new_size)
         return {"proof": proof.to_bytes()}
 
     async def _op_verify_journal(self, message: dict) -> dict:
@@ -636,6 +661,12 @@ class LedgerServer:
 
 
 # ------------------------------------------------------- field validation
+
+
+def _refusal(request_id: int, exc: BaseException) -> dict[str, Any]:
+    """The typed error frame for a request the server could not serve."""
+    obs.inc("net.errors.request")
+    return response_error(request_id, type(exc).__name__, str(exc))
 
 
 def _require_bytes(value: Any, field: str) -> bytes:

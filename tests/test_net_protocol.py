@@ -23,6 +23,7 @@ from repro.net.protocol import (
     ProtocolError,
     decode_message,
     encode_frame,
+    read_frame,
     request,
     response_error,
     response_ok,
@@ -161,3 +162,23 @@ class TestMalformedInput:
             decoder.feed(struct.pack(">I", 0))
         with pytest.raises(ProtocolError):
             decoder.feed(encode_frame({"id": 1, "op": "ping"}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(messages=st.lists(_messages, min_size=0, max_size=5))
+    def test_frames_whole_before_a_violation_are_handed_over(self, messages):
+        """The peer is owed answers to what it sent before it broke framing:
+        the error carries those messages, in order."""
+        stream = b"".join(encode_frame(m) for m in messages) + struct.pack(">I", 0)
+        with pytest.raises(ProtocolError) as caught:
+            FrameDecoder().feed(stream + encode_frame({"id": 9, "op": "ping"}))
+        assert list(caught.value.completed) == messages
+        assert ProtocolError("raised elsewhere").completed == ()
+
+    def test_read_frame_cuts_one_message_and_leaves_the_rest(self):
+        first, second = encode_frame({"id": 1, "op": "ping"}), encode_frame({"id": 2, "op": "ping"})
+        buffer = bytearray(first + second[:-1])
+        assert read_frame(buffer) == {"id": 1, "op": "ping"}
+        assert read_frame(buffer) is None and bytes(buffer) == second[:-1]
+        buffer += second[-1:]
+        assert read_frame(buffer) == {"id": 2, "op": "ping"}
+        assert read_frame(buffer) is None and not buffer

@@ -1,0 +1,390 @@
+"""The remote read path: what a round trip may cost and what it must answer.
+
+* Round-trip counts are exact: a client-level TX verify is ``get_journal`` +
+  ``get_proof`` and nothing else on a quiescent ledger, one consistency
+  fetch more once the ledger has moved, the ``sync()`` ops once per epoch
+  roll — counted at the server's ``net.op.*`` counters, so a third round
+  trip cannot creep back unnoticed.
+* Dropping the pre-verify sync changed no verdict: honest, tampered-payload,
+  forged-proof and root-rewound servers get the same ``VerifyResult`` fields
+  as a session that syncs before every verify (the parent's behaviour).
+* ``prove_clue`` and ``get_root`` answer from one snapshot beside a
+  saturating appender.
+* A synchronous call that times out leaves nothing behind.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import sys
+import threading
+import time
+
+import pytest
+
+from repro import obs
+from repro.core import Ledger, LedgerConfig
+from repro.core.errors import VerificationFailure
+from repro.crypto import KeyPair, Role
+from repro.merkle.fam import FamProof
+from repro.net import (
+    LedgerServer,
+    RemoteLedgerClient,
+    RemoteLedgerError,
+    RemoteLedgerSession,
+    ServerThread,
+)
+from repro.timeauth import SimClock
+from repro.transparency.attacks import ForkingServer
+from repro.verify import clue_what
+
+USER = "readpath-user"
+EPOCH = 16  # fractal_height=4
+
+
+def make_ledger(uri: str = "ledger://readpath") -> tuple[Ledger, KeyPair]:
+    ledger = Ledger(LedgerConfig(uri=uri, fractal_height=4, block_size=4), clock=SimClock())
+    user = KeyPair.generate(seed="readpath:user")
+    ledger.registry.register(USER, Role.USER, user.public)
+    return ledger, user
+
+
+def connect(served: ServerThread, user: KeyPair | None = None, **kwargs) -> RemoteLedgerClient:
+    host, port = served.address
+    return RemoteLedgerClient(
+        host, port, member_id=USER if user else None, keypair=user, **kwargs
+    )
+
+
+def flipped(journal):
+    payload = bytes([journal.payload[0] ^ 0x01]) + journal.payload[1:]
+    return dataclasses.replace(journal, payload=payload)
+
+
+@pytest.fixture
+def counted():
+    """Server-side ``net.op.*`` counters, read as deltas."""
+    registry = obs.enable()
+
+    def ops_since(mark: dict[str, int] | None = None) -> dict[str, int]:
+        counters = registry.snapshot()["counters"]
+        now = {
+            name[len("net.op.") :]: int(value)
+            for name, value in counters.items()
+            if name.startswith("net.op.")
+        }
+        if mark is None:
+            return now
+        return {op: now[op] - mark.get(op, 0) for op in now if now[op] != mark.get(op, 0)}
+
+    try:
+        yield ops_since
+    finally:
+        obs.disable()
+
+
+# ------------------------------------------------------------ round trips
+
+
+def test_tx_verify_costs_exactly_its_round_trips(counted):
+    ledger, user = make_ledger()
+    with ServerThread(ledger) as served:
+        host, port = served.address
+        writer = connect(served, user)
+        session = RemoteLedgerSession(host, port)
+        try:
+            jsns = [writer.append(b"rt %d" % index).jsn for index in range(5)]
+
+            def verify(jsn: int) -> dict[str, int]:
+                journal = session.client.get_journal(jsn)
+                mark = counted()
+                mark["get_journal"] -= 1  # the fetch is part of the request
+                assert session.verify("tx", txdata=[journal], level="client").ok
+                return counted(mark)
+
+            # First contact: the tracker has no head yet, so the fold syncs
+            # (epoch 0 is still live: one fam_info, no epoch ops).
+            assert verify(jsns[0]) == {"get_journal": 1, "get_proof": 1, "fam_info": 1}
+            # Quiescent: two round trips, every time, for every journal.
+            for jsn in jsns:
+                assert verify(jsn) == {"get_journal": 1, "get_proof": 1}
+            # k appends inside the epoch: the proof is cut from a newer head,
+            # connected by exactly one consistency proof — then quiescent again.
+            fresh = [writer.append(b"moved %d" % index).jsn for index in range(3)]
+            assert verify(fresh[-1]) == {
+                "get_journal": 1,
+                "get_proof": 1,
+                "epoch_consistency": 1,
+            }
+            assert verify(jsns[0]) == {"get_journal": 1, "get_proof": 1}
+            # Across an epoch roll: one sync() (fam_info + the sealed epoch's
+            # anchor, bootstrapped from its leaves, + the consistency proof
+            # tying the sealed epoch to the head this client had verified)...
+            while ledger.size <= EPOCH + 2:
+                fresh.append(writer.append(b"roll %d" % ledger.size).jsn)
+            rolled = verify(fresh[-1])
+            assert rolled.pop("get_journal") == 1 and rolled.pop("get_proof") == 1
+            assert rolled == {
+                "fam_info": 1,
+                "epoch_anchor": 1,
+                "epoch_leaves": 1,
+                "epoch_consistency": 1,
+            }
+            # ...and no fam_info per verify afterwards, old epoch or new.
+            assert verify(fresh[-1]) == {"get_journal": 1, "get_proof": 1}
+            assert verify(jsns[0]) == {"get_journal": 1, "get_proof": 1}
+        finally:
+            session.close()
+            writer.close()
+
+
+# ----------------------------------------------------------- differential
+
+
+class PreSyncSession(RemoteLedgerSession):
+    """The parent commit's read path: a ``fam_info`` sync before every fold."""
+
+    def _tx_what(self, journal, rho, root, level):
+        if root is None and level.value == "client":
+            self.client.sync_anchors()
+        return super()._tx_what(journal, rho, root, level)
+
+
+def verdict(session, journal, **kwargs):
+    """(ok, per-factor what, trusted_root, detail), or the typed refusal."""
+    try:
+        result = session.verify("tx", txdata=[journal], level="client", **kwargs)
+    except VerificationFailure:
+        return "VerificationFailure"
+    return (result.ok, result.what, result.when, result.who, result.trusted_root, result.detail)
+
+
+def test_verdicts_equal_the_presync_read_path_field_for_field():
+    """Quiescent ledger, so ``trusted_root`` is comparable too: beside
+    appends the two-round-trip path may report an older head (the one the
+    proof was connected to) where the pre-sync path reports the newest."""
+    ledger, user = make_ledger()
+    with ServerThread(ledger) as served:
+        writer = connect(served, user)
+        jsns = [writer.append(b"diff %d" % index).jsn for index in range(EPOCH + 5)]
+        writer.close()
+        session = RemoteLedgerSession(*served.address)
+        presync = PreSyncSession(*served.address)
+        try:
+            for jsn in (jsns[0], jsns[EPOCH - 2], jsns[-1]):
+                journal = session.client.get_journal(jsn)
+                honest = verdict(session, journal)
+                assert honest == verdict(presync, journal)
+                assert honest[0] is True and honest[4] == ledger.current_root()
+                # Tampered payload: falsy on both, same fields.
+                tampered = verdict(session, flipped(journal))
+                assert tampered == verdict(presync, flipped(journal))
+                assert tampered[0] is False
+                # Forged proof (an honest proof of *another* journal): falsy.
+                other = jsns[1] if jsn != jsns[1] else jsns[2]
+                forged = session.client.get_proof(other, anchored=True)
+                lie = verdict(session, journal, rho=forged)
+                assert lie == verdict(presync, journal, rho=forged)
+                assert lie[0] is False
+                # A proof whose path was bent: falsy, never an exception.
+                bent = _bend(session.client.get_proof(jsn, anchored=True))
+                assert verdict(session, journal, rho=bent)[0] is False
+                assert verdict(presync, journal, rho=bent)[0] is False
+        finally:
+            session.close()
+            presync.close()
+
+
+def _bend(proof: FamProof) -> FamProof:
+    """The honest proof with one bit flipped in the first digest it carries."""
+
+    def flip(digest: bytes) -> bytes:
+        return bytes([digest[0] ^ 0x01]) + digest[1:]
+
+    inner = proof.epoch_proof
+    if inner.path:
+        step = dataclasses.replace(inner.path[0], digest=flip(inner.path[0].digest))
+        inner = dataclasses.replace(inner, path=[step, *inner.path[1:]])
+    else:
+        inner = dataclasses.replace(
+            inner, peaks_left=[flip(inner.peaks_left[0]), *inner.peaks_left[1:]]
+        )
+    return dataclasses.replace(proof, epoch_proof=inner)
+
+
+@contextlib.contextmanager
+def reading_from(client: RemoteLedgerClient, other: RemoteLedgerClient):
+    """``client`` — tracker, anchors and all — with its connection ending at
+    ``other``'s server for the duration."""
+    client._remote, other._remote = other._remote, client._remote
+    try:
+        yield
+    finally:
+        client._remote, other._remote = other._remote, client._remote
+
+
+def test_root_rewound_server_never_passes(tmp_path):
+    """A client that verified fork A's head is then shown fork B (same LSP,
+    same coordinates, another history — what a restored backup or a split
+    view produces).  With or without the pre-sync, the journal only B's
+    history holds is falsy or a VerificationFailure, never PASS."""
+    with ForkingServer(tmp_path, fractal_height=4) as fork:
+        fork.seed(6)
+        fork.diverge(b"alice pays bob 10", b"alice pays mallory 10")
+        fork.seed(2)
+        fork.start()
+        jsn = fork.ledger_a.size - 3  # the divergent journal
+        for session_cls in (RemoteLedgerSession, PreSyncSession):
+            session = session_cls(*fork.address_a)
+            rewound = session_cls(*fork.address_b)
+            try:
+                journal_a = session.client.get_journal(jsn)
+                assert verdict(session, journal_a)[0] is True
+                with reading_from(session.client, rewound.client):
+                    journal_b = session.client.get_journal(jsn)
+                    assert journal_b.payload != journal_a.payload
+                    outcome = verdict(session, journal_b)
+                    assert outcome == "VerificationFailure" or outcome[0] is False
+            finally:
+                session.close()
+                rewound.close()
+        fork.ledger_a.close(checkpoint=False)
+        fork.ledger_b.close(checkpoint=False)
+
+
+# -------------------------------------------------------- one snapshot
+
+
+def _beside_a_saturating_appender(check, rounds: int = 300, appends: int = 80) -> None:
+    """Run ``check(reader, ledger)`` at least ``rounds`` times, and until a
+    writer appending clue-carrying journals as fast as the server takes
+    them has landed ``appends`` of them beside it."""
+    ledger, user = make_ledger("ledger://snapshot")
+    with ServerThread(ledger) as served:
+        writer = connect(served, user)
+        reader = connect(served)
+        for index in range(6):
+            writer.append(b"fixed %d" % index, ("FIXED",))
+        stop = threading.Event()
+        errors: list[BaseException] = []
+        appended = [0]
+
+        def write() -> None:
+            try:
+                while not stop.is_set():
+                    writer.append_batch(
+                        [(b"moving %d" % appended[0], ("MOVING-%d" % (appended[0] % 7),))] * 4
+                    )
+                    appended[0] += 4
+            except BaseException as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=write)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # make a switch inside any two reads likely
+        thread.start()
+        deadline = time.monotonic() + 120
+        try:
+            done = 0
+            while (done < rounds or appended[0] < appends) and time.monotonic() < deadline:
+                check(reader, ledger)
+                done += 1
+        finally:
+            stop.set()
+            thread.join(30)
+            sys.setswitchinterval(interval)
+            reader.close()
+            writer.close()
+        assert not thread.is_alive() and not errors, errors
+        assert appended[0] >= appends, "the writer must actually have run beside the reader"
+
+
+def test_prove_clue_and_its_state_root_are_one_snapshot_beside_appends():
+    """The lineage of FIXED never changes, but CM-Tree1 moves with every
+    append to any clue: the proof and the root must be cut at one instant."""
+    digests: list[bytes] = []
+    falsy = [0]
+
+    def check(reader: RemoteLedgerClient, ledger: Ledger) -> None:
+        if not digests:
+            digests.extend(reader.get_journal(jsn).tx_hash() for jsn in reader.list_tx("FIXED"))
+        proof, claimed_root = reader.prove_clue("FIXED")
+        falsy[0] += not clue_what("FIXED", digests, proof, claimed_root)
+
+    _beside_a_saturating_appender(check)
+    assert falsy[0] == 0
+
+
+def test_get_root_is_one_snapshot_beside_appends():
+    """root, size and the latest receipt describe the same commit."""
+    torn = [0]
+
+    def check(reader: RemoteLedgerClient, ledger: Ledger) -> None:
+        claim = reader._wait(reader._remote.get_root())
+        receipt = claim["latest_receipt"]
+        torn[0] += receipt.jsn + 1 != claim["size"] or receipt.ledger_root != claim["root"]
+
+    _beside_a_saturating_appender(check)
+    assert torn[0] == 0
+
+
+def test_get_root_equals_the_ledgers_own_commitments_when_quiescent():
+    ledger, user = make_ledger()
+    with ServerThread(ledger) as served:
+        client = connect(served, user)
+        try:
+            for index in range(EPOCH + 3):
+                client.append(b"q %d" % index, ("Q",))
+                claim = client._wait(client._remote.get_root())
+                assert claim["root"] == ledger.current_root()
+                assert claim["state_root"] == ledger.state_root()
+                assert claim["size"] == ledger.size
+                assert claim["latest_receipt"] == ledger.latest_receipt
+        finally:
+            client.close()
+
+
+# ------------------------------------------------------------- timeouts
+
+
+class SwallowingServer(LedgerServer):
+    """Never answers ``list_tx`` (a task op) nor ``receipt_for`` (a loop op)."""
+
+    async def _op_list_tx(self, message: dict) -> dict:
+        await self.never
+
+    def _dispatch(self, conn, message) -> None:
+        if message.get("op") != "receipt_for":
+            super()._dispatch(conn, message)
+
+    async def start(self):
+        import asyncio
+
+        self.never = asyncio.get_running_loop().create_future()
+        return await super().start()
+
+    async def close(self, *, drain: bool = True) -> None:
+        self.never.cancel()
+        await super().close(drain=drain)
+
+
+def test_a_timed_out_call_leaves_nothing_pending():
+    ledger, user = make_ledger()
+    with ServerThread(ledger, server_cls=SwallowingServer) as served:
+        client = connect(served, user, timeout=0.3)
+        try:
+            receipt = client.append(b"before", ("T",))
+            with pytest.raises(RemoteLedgerError, match="list_tx"):
+                client.list_tx("T")  # driven on the caller's thread
+            assert client._remote._pending == {}
+            with pytest.raises(RemoteLedgerError, match="receipt_for"):
+                client._wait(client._remote.receipt_for(receipt.jsn))  # run on the loop
+            # The connection is as good as new (and one round trip later the
+            # loop has unwound the cancelled call).
+            assert client.ping() == ledger.size
+            assert client._remote._pending == {}
+            assert client.get_journal(receipt.jsn).payload == b"before"
+            assert client.append(b"after", ("T",)).jsn == receipt.jsn + 1
+        finally:
+            client.close()
