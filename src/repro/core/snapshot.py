@@ -83,7 +83,7 @@ def load_snapshot(path: str | os.PathLike[str]) -> dict:
     if raw[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
         raise SnapshotError(f"{path.name}: bad snapshot magic")
     (expected_crc,) = _CRC.unpack_from(raw, len(SNAPSHOT_MAGIC))
-    payload = raw[len(SNAPSHOT_MAGIC) + _CRC.size :]
+    payload = memoryview(raw)[len(SNAPSHOT_MAGIC) + _CRC.size :]
     if crc32c(payload) != expected_crc:
         raise SnapshotError(f"{path.name}: snapshot checksum mismatch")
     try:

@@ -219,7 +219,7 @@ class ExportBundle:
         if len(data) < header or data[: len(BUNDLE_MAGIC)] != BUNDLE_MAGIC:
             raise BundleCorruptionError("not an LDBBNDL1 bundle")
         (expected,) = _CRC.unpack_from(data, len(BUNDLE_MAGIC))
-        payload = data[header:]
+        payload = memoryview(data)[header:]  # checksummed in place, copied once by decode
         if crc32c(payload) != expected:
             raise BundleCorruptionError("bundle payload fails its checksum")
         try:

@@ -58,12 +58,18 @@ from ..transparency.sth import (
     ConsistencyBundle,
     SignedTreeHead,
 )
-from ..verify import clue_what, lift, signed_by, time_marks, tx_what, when_bracket
+from ..verify import clue_what, lift, signed_by_many, time_marks, tx_what, when_bracket
 from .bundle import ExportBundle, ShardSection
 
 __all__ = ["verify_bundle", "verify_bundle_path"]
 
 _MAX_DETAILS = 8
+
+#: Client signatures handed to the kernel per batch.  Measured over 1 024
+#: same-key signatures: one by one 0.355 s, groups of 16 0.149, 32 0.127,
+#: 64 0.110, 128 0.111, one batch 0.102 — and the auditor's peak RSS is flat
+#: up to 64 (50.7 MiB) but 51.6 at 128 and 53.1 for one batch.
+_WHO_GROUP = 64
 
 
 class _Findings:
@@ -277,13 +283,17 @@ def _verify_shard(
         _verify_when(tag, journals, retained, tsa_keys, found)
 
     # --- who: every surviving journal's pi_c, plus the receipt's pi_s target
-    for jsn in sorted(journals):
-        journal = journals[jsn]
-        cert = certificates.get(journal.client_id)
-        if cert is None:
-            found.fail("who", "who", f"{tag}: jsn {jsn} has no certificate on file")
-        elif not signed_by(journal, cert):
-            found.fail("who", "who", f"{tag}: jsn {jsn} fails the client signature")
+    ordered = sorted(journals)
+    for start in range(0, len(ordered), _WHO_GROUP):
+        pairs = [
+            (journals[jsn], certificates.get(journals[jsn].client_id))
+            for jsn in ordered[start : start + _WHO_GROUP]
+        ]
+        for (journal, cert), signed in zip(pairs, signed_by_many(pairs)):
+            if cert is None:
+                found.fail("who", "who", f"{tag}: jsn {journal.jsn} has no certificate on file")
+            elif not signed:
+                found.fail("who", "who", f"{tag}: jsn {journal.jsn} fails the client signature")
     if receipt is not None:
         target = journals.get(receipt.jsn)
         if target is None and receipt.jsn not in retained:

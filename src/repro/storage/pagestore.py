@@ -280,8 +280,9 @@ class PagedNodeStore(KVStore):
         obs.inc("pagestore.page_load")
         with open(page.path, "rb") as handle:
             mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        blob = mapped[page.blob_start:page.blob_start + page.blob_len]
-        if crc32c(blob) != page.blob_crc:
+        with memoryview(mapped) as view:  # checksum in place: no copy of the blob
+            blob_crc = crc32c(view[page.blob_start:page.blob_start + page.blob_len])
+        if blob_crc != page.blob_crc:
             mapped.close()
             raise PageCorruptionError(f"{page.path.name}: page blob checksum mismatch")
         self._mmaps[number] = mapped
@@ -354,9 +355,11 @@ class PagedNodeStore(KVStore):
                 offset += len(value)
         index_bytes = b"".join(index_parts)
         blob = b"".join(blob_parts)
+        index_crc = crc32c(index_bytes)
+        blob_crc = crc32c(blob)
         body = _HEADER.pack(
             PAGE_MAGIC, len(entries), len(index_bytes), len(blob),
-            crc32c(index_bytes), crc32c(blob), 0,
+            index_crc, blob_crc, 0,
         )
         header = body[:-4] + struct.pack(">I", crc32c(body[:-4]))
         path = self._page_path(number)
@@ -376,7 +379,7 @@ class PagedNodeStore(KVStore):
         self._fsync_dir()
         # Only now — after the rename is durable — admit the page to the index.
         page = _Page(number, path, _HEADER.size + len(index_bytes), len(blob),
-                     crc32c(blob), len(entries), crc32c(index_bytes))
+                     blob_crc, len(entries), index_crc)
         self._pages[number] = page
         self._next_page = number + 1
         offset = 0

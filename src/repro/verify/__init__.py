@@ -30,6 +30,7 @@ from .checks import (
     lift,
     parse_time_journal,
     signed_by,
+    signed_by_many,
     time_marks,
     tx_what,
     when_bracket,
@@ -47,6 +48,7 @@ __all__ = [
     "lift",
     "parse_time_journal",
     "signed_by",
+    "signed_by_many",
     "time_marks",
     "tx_what",
     "when_bracket",

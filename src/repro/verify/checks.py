@@ -18,7 +18,7 @@ from ..core.receipt import Receipt
 from ..crypto.ca import Certificate
 from ..crypto.ecdsa import Signature
 from ..crypto.hashing import Digest
-from ..crypto.keys import PublicKey
+from ..crypto.keys import PublicKey, verify_batch
 from ..encoding import decode
 from ..merkle.cmtree import ClueProof
 from ..merkle.fam import FamAccumulator, FamProof
@@ -32,6 +32,7 @@ __all__ = [
     "lift",
     "parse_time_journal",
     "signed_by",
+    "signed_by_many",
     "time_marks",
     "tx_what",
     "when_bracket",
@@ -168,6 +169,28 @@ def signed_by(journal: Journal, certificate: Certificate | None) -> bool:
         and journal.client_signature is not None
         and certificate.public_key.verify(journal.request_hash, journal.client_signature)
     )
+
+
+def signed_by_many(pairs: Sequence[tuple[Journal, Certificate | None]]) -> list[bool]:
+    """pi_c for many journals: element for element ``signed_by(journal, cert)``.
+
+    A missing certificate or signature is ``False`` without a curve
+    operation; the rest share one batch, whose same-key aggregate equation
+    falls back to exact per-signature checks on any mismatch — a bad
+    signature is still attributed to its own index.
+    """
+    verdicts = [False] * len(pairs)
+    positions: list[int] = []
+    checks = []
+    for position, (journal, certificate) in enumerate(pairs):
+        if certificate is not None and journal.client_signature is not None:
+            positions.append(position)
+            checks.append(
+                (certificate.public_key, journal.request_hash, journal.client_signature)
+            )
+    for position, verdict in zip(positions, verify_batch(checks)):
+        verdicts[position] = verdict
+    return verdicts
 
 
 def who(

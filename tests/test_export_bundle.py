@@ -323,3 +323,74 @@ def test_lazy_top_level_exports():
     assert repro.export_bundle is export_bundle
     assert repro.verify_bundle is verify_bundle
     assert repro.RebuildReport.__name__ == "RebuildReport"
+
+
+# --------------------------------------------------- the who-pass, in batches
+
+
+def _forge_client_signature(bundle, position):
+    """Swap the client signature of the ``position``-th journal (in jsn order)
+    for a genuine one by the same member over another request, and re-pin the
+    retained digest so the forgery reaches the who-pass instead of dying at
+    the slice check.  Returns ``(bundle, forged jsn)``."""
+    from repro.core.journal import Journal
+
+    section = bundle.shards[0]
+    slots = [slot for slot, entry in enumerate(section.entries) if entry.data is not None]
+    slot = slots[position]
+    journal = Journal.from_bytes(section.entries[slot].data)
+    donor = next(
+        other
+        for other in (Journal.from_bytes(section.entries[s].data) for s in slots if s != slot)
+        if other.client_id == journal.client_id
+    )
+    forged = dataclasses.replace(journal, client_signature=donor.client_signature)
+    entries = list(section.entries)
+    entries[slot] = dataclasses.replace(
+        entries[slot], data=forged.to_bytes(), retained_hash=forged.tx_hash()
+    )
+    section = dataclasses.replace(section, entries=tuple(entries))
+    return dataclasses.replace(bundle, shards=(section,)), journal.jsn
+
+
+def _who_findings(result):
+    return [entry for entry in result.detail.split("; ") if entry.startswith("who: ")]
+
+
+def test_forged_client_signature_is_reported_against_its_own_jsn(solo, monkeypatch):
+    from repro.export import verifier
+
+    monkeypatch.setattr(verifier, "_MAX_DETAILS", 10**6)
+    _ledger, tsa_keys, bundle = solo
+    forged, jsn = _forge_client_signature(bundle, 4)
+    result = verify_bundle(forged, tsa_keys=tsa_keys)
+    assert not result
+    assert result.who is False
+    assert _who_findings(result) == [f"who: shard 0: jsn {jsn} fails the client signature"]
+
+
+def test_forgeries_on_either_side_of_a_who_group_boundary(monkeypatch):
+    from repro.export import verifier
+
+    monkeypatch.setattr(verifier, "_MAX_DETAILS", 10**6)
+    ledger, tsa_keys = build_deployment(journals=300)
+    bundle = export_bundle(ledger)
+    assert verify_bundle(bundle, tsa_keys=tsa_keys).ok
+    forged, jsns = bundle, []
+    for position in (verifier._WHO_GROUP - 1, verifier._WHO_GROUP, 299):
+        forged, jsn = _forge_client_signature(forged, position)
+        jsns.append(jsn)
+    result = verify_bundle(forged, tsa_keys=tsa_keys)
+    assert result.who is False
+    assert _who_findings(result) == [
+        f"who: shard 0: jsn {jsn} fails the client signature" for jsn in jsns
+    ]
+    # A member with no certificate on file is named the same way as before.
+    stripped = dataclasses.replace(
+        bundle,
+        certificates=tuple(c for c in bundle.certificates if c.member_id != "bundle-user"),
+    )
+    findings = _who_findings(verify_bundle(stripped, tsa_keys=tsa_keys))
+    assert len(findings) == 300
+    assert findings[0] == "who: shard 0: jsn 1 has no certificate on file"  # jsn 0 is genesis
+    assert all(finding.endswith("has no certificate on file") for finding in findings)

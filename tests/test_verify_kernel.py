@@ -30,7 +30,8 @@ from repro.export.bundle import export_bundle
 from repro.export.verifier import verify_bundle
 from repro.net import RemoteLedgerClient, RemoteLedgerSession, ServerThread
 from repro.timeauth import SimClock, TimeStampAuthority
-from repro.verify import AnchorTracker
+from repro.crypto.ecdsa import Signature
+from repro.verify import AnchorTracker, signed_by, signed_by_many
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 USER = "kernel-user"
@@ -490,6 +491,80 @@ def test_honest_server_never_verifies_falsy_beside_appends():
 
 
 # ------------------------------------------------------------ import isolation
+
+
+# ------------------------------------------------- who, one by one and batched
+
+
+@pytest.fixture(scope="module")
+def signed_pairs():
+    """24 committed journals from two interleaved members, each beside the
+    certificate its pi_c must check against."""
+    ledger = Ledger(LedgerConfig(uri="ledger://who-test", fractal_height=4, block_size=4))
+    keys = {name: KeyPair.generate(seed=f"who:{name}") for name in ("ann", "ben")}
+    sessions = {}
+    for name, keypair in keys.items():
+        ledger.registry.register(name, Role.USER, keypair.public)
+        sessions[name] = LedgerSession(ledger, client_id=name, keypair=keypair)
+    jsns = [
+        sessions["ann" if index % 3 else "ben"].append(b"who record %04d" % index).jsn
+        for index in range(24)
+    ]
+    journals = [ledger.get_journal(jsn) for jsn in jsns]
+    return [(journal, ledger.registry.certificate(journal.client_id)) for journal in journals]
+
+
+def _one_by_one(pairs):
+    return [signed_by(journal, certificate) for journal, certificate in pairs]
+
+
+def test_batched_who_passes_honest_journals_from_interleaved_keys(signed_pairs):
+    assert {journal.client_id for journal, _cert in signed_pairs} == {"ann", "ben"}
+    assert signed_by_many(signed_pairs) == _one_by_one(signed_pairs) == [True] * 24
+    assert signed_by_many([]) == []
+    assert signed_by_many(signed_pairs[:1]) == [True]
+
+
+@pytest.mark.parametrize("position", [0, 11, 23])
+def test_batched_who_pins_a_forgery_to_its_own_index(signed_pairs, position):
+    pairs = list(signed_pairs)
+    journal, certificate = pairs[position]
+    # A genuine signature by the same key, over the neighbouring request.
+    neighbour = next(
+        other
+        for other, _cert in pairs
+        if other.client_id == journal.client_id and other.jsn != journal.jsn
+    )
+    pairs[position] = (
+        dataclasses.replace(journal, client_signature=neighbour.client_signature),
+        certificate,
+    )
+    expected = [index != position for index in range(len(pairs))]
+    assert signed_by_many(pairs) == _one_by_one(pairs) == expected
+
+
+def test_batched_who_equals_single_who_on_odd_evidence(signed_pairs):
+    pairs = list(signed_pairs)
+    honest = pairs[5][0].client_signature
+    stranger = KeyPair.generate(seed="who:stranger")
+    pairs[2] = (pairs[2][0], None)  # no certificate on file
+    pairs[5] = (  # valid, but without the recovery hint the aggregate needs
+        dataclasses.replace(pairs[5][0], client_signature=Signature(honest.r, honest.s)),
+        pairs[5][1],
+    )
+    pairs[9] = (dataclasses.replace(pairs[9][0], client_signature=None), pairs[9][1])
+    pairs[14] = (
+        dataclasses.replace(pairs[14][0], client_signature=Signature(0, 0)),
+        pairs[14][1],
+    )
+    pairs[20] = (  # signed by a key the certificate does not name
+        dataclasses.replace(
+            pairs[20][0], client_signature=stranger.sign(pairs[20][0].request_hash)
+        ),
+        pairs[20][1],
+    )
+    expected = [index not in (2, 9, 14, 20) for index in range(len(pairs))]
+    assert signed_by_many(pairs) == _one_by_one(pairs) == expected
 
 
 _ISOLATION = """\
