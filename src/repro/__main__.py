@@ -144,18 +144,13 @@ def _seeded_deployment(
     return session, {f"{name}-tsa": tsa.public_key}
 
 
-def _audit_workload(journals: int, shards: int = 1):
-    """The deterministic audit-target deployment: ``(session, tsa_keys)``."""
-    return _seeded_deployment(
-        "audit", "ledger://audit", journals, shards,
-        fractal_height=5, block_size=8, anchor_every=16,
-    )
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
     import json
 
-    session, tsa_keys = _audit_workload(args.journals, shards=args.shards)
+    session, tsa_keys = _seeded_deployment(
+        "audit", "ledger://audit", args.journals, args.shards,
+        fractal_height=5, block_size=8, anchor_every=16,
+    )
     checkpoint = args.resume if args.resume is not None else args.checkpoint
     report = session.audit(
         tsa_keys=tsa_keys,
@@ -672,7 +667,7 @@ def _open_persistent(data_dir: str):
     """
     from pathlib import Path
 
-    from repro.core.ledger import CONFIG_FILE, Ledger
+    from repro.core.ledger import CONFIG_FILE, Ledger, is_sharded_layout
     from repro.core.snapshot import load_config_file
     from repro.crypto.keys import KeyPair
     from repro.core.members import MemberRegistry
@@ -681,7 +676,7 @@ def _open_persistent(data_dir: str):
     config = load_config_file(base / CONFIG_FILE, data_dir=str(base))
     lsp_keypair = KeyPair.generate(seed=f"lsp:{config.uri}")
     registry = MemberRegistry()
-    if config.shards > 1:
+    if is_sharded_layout(base):
         from repro.shard import ShardedLedger
 
         return ShardedLedger.open(str(base), registry, lsp_keypair)

@@ -87,10 +87,22 @@ JOURNAL_FILE = "journal.stream"
 SNAPSHOT_FILE = "snapshot.ckpt"
 NODES_DIR = "nodes"
 STH_FILE = "sth.log"
+#: Subdirectory of shard ``k`` inside a sharded deployment's ``data_dir``.
+SHARD_DIR_FORMAT = "shard-{:02d}"
 
 #: How many epoch closes a :class:`SubmissionAck` grants the LSP before an
 #: acked-but-absent request becomes provable censorship (DESIGN.md §16).
 DEFAULT_ACK_DEADLINE_EPOCHS = 2
+
+
+def is_sharded_layout(data_dir: str | Path) -> bool:
+    """Whether ``data_dir`` holds a sharded deployment, for any shard count.
+
+    Decided by the ``shard-00/`` subdirectory the sharded facade writes, not
+    by the persisted ``shards`` field: a 1-shard deployment records
+    ``shards=1`` exactly like a plain ledger does.
+    """
+    return (Path(data_dir) / SHARD_DIR_FORMAT.format(0)).is_dir()
 
 
 @dataclass(frozen=True)
@@ -1596,6 +1608,11 @@ class Ledger:
         and discards the on-disk node pages first.
         """
         data_path = Path(data_dir)
+        if is_sharded_layout(data_path):
+            raise UsageError(
+                f"{data_dir} holds a sharded deployment; reopen it with "
+                f"ShardedLedger.open(...)"
+            )
         config = load_config_file(data_path / CONFIG_FILE, data_dir=str(data_path))
         if config.observability:
             obs.enable()

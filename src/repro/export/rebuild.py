@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from ..core.errors import LedgerError, RecoveryError
-from ..core.ledger import CONFIG_FILE, Ledger, LedgerConfig
+from ..core.ledger import CONFIG_FILE, Ledger, LedgerConfig, is_sharded_layout
 from ..core.members import MemberRegistry
 from ..core.snapshot import load_config_file
 from ..crypto.keys import KeyPair, PublicKey
@@ -271,7 +271,7 @@ def rebuild_from_stream(
     lsp_keypair = lsp_keypair or KeyPair.generate(seed=f"lsp:{config.uri}")
     registry = registry or MemberRegistry()
     try:
-        if config.shards > 1:
+        if is_sharded_layout(base):
             from ..shard import ShardedLedger
 
             ledger: Any = ShardedLedger.open(

@@ -18,8 +18,9 @@ or not observability is on::
 
 Overhead guarantee: with observability disabled, ``span()`` returns a shared
 stateless no-op and ``inc``/``observe`` return after one module-global read —
-no locks, no allocation, no string formatting.  The ``--quick`` throughput
-benchmark gates this (compare_bench warn threshold) in CI.
+no locks, no allocation, no string formatting.  Pinned by
+``tests/test_obs.py::TestDisabledMode`` (``test_disabled_span_is_shared_noop``,
+``test_disabled_calls_record_nothing``).
 
 The registry is deliberately global: metrics from every subsystem (core,
 merkle, storage, crypto) merge into one namespace so a single snapshot shows

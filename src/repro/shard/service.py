@@ -6,7 +6,7 @@ writer thread coalesces its own admission queue into its own
 ``append_batch`` — so the deployment runs N concurrent group-commit
 pipelines whose stream fsyncs overlap in real time, instead of serialising
 behind a single writer.  This is what breaks the single-ledger fsync
-ceiling (BENCH_shards.json).
+ceiling; ``write_sharded`` in ``BENCHMARK.json`` measures it end to end.
 
 The public surface mirrors :class:`LedgerService` (``submit`` /
 ``submit_many`` / ``append`` / ``stats`` / ``close``), with requests routed

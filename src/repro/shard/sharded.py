@@ -49,7 +49,8 @@ from typing import Any, Iterable
 
 from ..core.errors import LedgerError, UsageError
 from ..core.journal import ClientRequest, Journal
-from ..core.ledger import CONFIG_FILE, Ledger, LedgerConfig, LedgerView
+from ..core.ledger import CONFIG_FILE, SHARD_DIR_FORMAT, Ledger, LedgerConfig
+from ..core.ledger import LedgerView, is_sharded_layout
 from ..core.members import MemberRegistry
 from ..core.receipt import Receipt
 from ..core.snapshot import load_config_file, write_config_file
@@ -70,9 +71,6 @@ __all__ = [
     "ShardedLedger",
     "shard_of_key",
 ]
-
-#: ``data_dir`` subdirectory name for shard ``k``.
-SHARD_DIR_FORMAT = "shard-{:02d}"
 
 
 def shard_of_key(key: str, num_shards: int) -> int:
@@ -242,7 +240,6 @@ class ShardedLedger:
         clock: Clock | None = None,
         registry: MemberRegistry | None = None,
         lsp_keypair: KeyPair | None = None,
-        stream_factory: Any = None,
     ) -> None:
         self.config = config or LedgerConfig(shards=2)
         if self.config.shards < 1:
@@ -259,20 +256,11 @@ class ShardedLedger:
         for index in range(self.num_shards):
             shard_dir = str(base / SHARD_DIR_FORMAT.format(index)) if base else None
             shard_config = replace(self.config, shards=1, data_dir=shard_dir)
-            # stream_factory(shard_index, shard_dir) -> Stream lets callers
-            # substitute each shard's journal stream (fault injection,
-            # device-latency modelling); None keeps Ledger's own default.
-            stream = None
-            if stream_factory is not None:
-                if shard_dir is not None:
-                    Path(shard_dir).mkdir(parents=True, exist_ok=True)
-                stream = stream_factory(index, shard_dir)
             shard = Ledger(
                 config=shard_config,
                 clock=self.clock,
                 registry=self.registry,
                 lsp_keypair=self._lsp_keypair,
-                journal_stream=stream,
             )
             # Shards share the deployment uri and LSP key; the stamped index
             # is what keeps sibling shards' signed tree heads from reading
@@ -296,9 +284,9 @@ class ShardedLedger:
         """
         base = Path(data_dir)
         config = load_config_file(base / CONFIG_FILE, data_dir=str(base))
-        if config.shards < 2:
+        if not is_sharded_layout(base):
             raise UsageError(
-                f"{data_dir} holds a single-shard ledger; reopen it with "
+                f"{data_dir} holds a single ledger; reopen it with "
                 f"Ledger.open(...)"
             )
         sharded = cls.__new__(cls)
@@ -665,16 +653,14 @@ class ShardedLedger:
         tsa_keys: dict | None = None,
         workers: int = 0,
         checkpoint: str | None = None,
-        shard_parallelism: int | None = None,
         **kwargs: Any,
     ) -> ShardedAuditReport:
         """Run the §V Dasein-complete audit over every shard, in parallel.
 
-        Shards audit concurrently on a thread pool (``shard_parallelism``
-        threads, default one per shard); ``workers`` additionally enables
-        each shard audit's own signature-chunk pool.  ``checkpoint`` must be
-        a directory-style path prefix: shard ``k`` checkpoints to
-        ``<checkpoint>.shard-k``.
+        Shards audit concurrently on a thread pool, one thread per shard;
+        ``workers`` additionally enables each shard audit's own
+        signature-chunk pool.  ``checkpoint`` must be a directory-style path
+        prefix: shard ``k`` checkpoints to ``<checkpoint>.shard-k``.
         """
         from concurrent.futures import ThreadPoolExecutor
 
@@ -698,8 +684,7 @@ class ShardedLedger:
                 **kwargs,
             )
 
-        pool_size = shard_parallelism or self.num_shards
-        with ThreadPoolExecutor(max_workers=max(1, pool_size)) as pool:
+        with ThreadPoolExecutor(max_workers=self.num_shards) as pool:
             reports = list(pool.map(_one, enumerate(views)))
         return ShardedAuditReport(passed=all(r.passed for r in reports), reports=reports)
 

@@ -228,7 +228,13 @@ class TestSnapshotReopen:
         expected = fingerprint(ledger)
         ledger.close()  # checkpoints: snapshot covers the whole stream
         reopened = Ledger.open(str(tmp_path), reregister(registry), lsp, clock=SimClock())
-        assert fingerprint(reopened) == expected  # blocks included
+        cold = fingerprint(reopened)  # the first reads fault every page in
+        assert cold == expected  # blocks included
+        assert fingerprint(reopened) == cold  # warm cache, same bytes
+        jsns = list(range(reopened.size))
+        for anchored, singles in ((True, cold["proofs"]), (False, cold["unanchored"])):
+            bulk = reopened.get_proofs(jsns, anchored=anchored)
+            assert [proof.to_bytes() for proof in bulk] == singles
         reopened.close(checkpoint=False)
 
     def test_reopen_reads_only_the_delta(self, tmp_path):

@@ -125,6 +125,12 @@ class TestByteIdentity:
                 assert all(
                     r.verify(client.lsp_public_key) for r in receipts
                 )
+                # The client checks every receipt itself: one signed by any
+                # key but the pinned LSP key is refused, though committed.
+                client._remote.lsp_public_key = KeyPair.generate(seed="not-lsp").public
+                with pytest.raises(VerificationFailure):
+                    client.append_batch([(b"batch 6", ("BATCH",))])
+                assert ledger.size == receipts[-1].jsn + 2
             finally:
                 client.close()
 

@@ -288,9 +288,17 @@ class TestShardedService:
         stats = service.stats()
         assert stats["committed"] == 24
         assert len(stats["shards"]) == 4
+        # Group commit is scheduling, not semantics: a twin fed the same
+        # requests one append at a time lands on the same composite root.
+        twin = build_sharded(4)
+        for one in requests:
+            twin.append(one)
+        assert twin.composite_root() == composite
+        assert twin.state_root() == ledger.state_root()
         service.close()
         assert service.closed
         ledger.close()
+        twin.close()
 
     def test_two_live_services_keep_separate_metric_families(self):
         """Regression: queue/batch metrics were process-global across N
@@ -439,3 +447,42 @@ class TestPersistence:
             journal = reopened.get_journal(gsns[0])
             assert reopened.get_proof(gsns[0]).verify(journal.tx_hash(), composite)
         reopened.close()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_every_shard_count_reopens_and_only_as_sharded(self, tmp_path, shards):
+        """Regression: a persisted 1-shard deployment could not be reopened
+        at all — ``ShardedLedger.open`` refused it by its ``shards=1``
+        config, and ``Ledger.open`` failed on the empty stream it created."""
+        lsp = KeyPair.generate(seed="sharded:lsp")
+        registry = MemberRegistry()
+        registry.register("alice", Role.USER, USER.public)
+        data_dir = tmp_path / "deployment"
+        ledger = ShardedLedger(
+            LedgerConfig(uri=URI, shards=shards, data_dir=str(data_dir)),
+            registry=registry, lsp_keypair=lsp,
+        )
+        for i in range(6):
+            ledger.append(request(i, f"clue-{i}"))
+        composite = ledger.composite_root()
+        ledger.close()
+
+        layout = sorted(data_dir.rglob("*"))
+        with pytest.raises(UsageError, match="ShardedLedger.open"):
+            Ledger.open(str(data_dir), registry, lsp)
+        assert sorted(data_dir.rglob("*")) == layout  # the refusal wrote nothing
+
+        reopened = ShardedLedger.open(str(data_dir), registry, lsp)
+        assert reopened.num_shards == shards
+        assert reopened.composite_root() == composite
+        reopened.close()
+
+    def test_sharded_open_refuses_a_plain_ledger(self, tmp_path):
+        lsp = KeyPair.generate(seed="sharded:lsp")
+        registry = MemberRegistry()
+        Ledger(
+            LedgerConfig(uri=URI, data_dir=str(tmp_path)),
+            registry=registry, lsp_keypair=lsp,
+        ).close()
+        with pytest.raises(UsageError, match="single ledger"):
+            ShardedLedger.open(str(tmp_path), registry, lsp)
+        Ledger.open(str(tmp_path), registry, lsp).close()
