@@ -20,7 +20,16 @@ from .. import obs
 from ..crypto.ecdsa import Signature
 from ..crypto.hashing import Digest, journal_hash, receipt_hash
 from ..crypto.keys import KeyPair
-from ..encoding import decode, encode
+from ..encoding import (
+    Record,
+    decode,
+    encode,
+    read_bytes,
+    read_float,
+    read_str,
+    read_str_list,
+    read_uint,
+)
 
 __all__ = ["JournalType", "ClientRequest", "Journal"]
 
@@ -132,6 +141,30 @@ class ClientRequest:
         )
 
 
+_JOURNAL = Record(
+    "jsn",
+    "journal_type",
+    "client_id",
+    "payload",
+    "clues",
+    "timestamp",
+    "nonce",
+    "request_hash",
+    "client_signature",
+    readers={
+        "jsn": read_uint,
+        "journal_type": read_str,
+        "client_id": read_str,
+        "payload": read_bytes,
+        "clues": read_str_list,
+        "timestamp": read_float,
+        "nonce": read_bytes,
+        "request_hash": read_bytes,
+        "client_signature": read_bytes,
+    },
+)
+
+
 @dataclass(frozen=True)
 class Journal:
     """A committed ledger entry.
@@ -159,7 +192,7 @@ class Journal:
         """
         cached = self.__dict__.get("_bytes")
         if cached is None:
-            cached = encode(
+            cached = _JOURNAL.encode(
                 {
                     "jsn": self.jsn,
                     "journal_type": self.journal_type.value,
@@ -179,7 +212,8 @@ class Journal:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Journal":
-        obj = decode(data)
+        data = bytes(data)
+        obj = _JOURNAL.decode(data)
         signature_bytes = bytes(obj["client_signature"])
         journal = cls(
             jsn=obj["jsn"],
@@ -196,7 +230,7 @@ class Journal:
         )
         # Seed the serialization memo with the wire bytes: ``tx_hash`` must
         # digest the bytes fam actually accumulated, not a re-encoding.
-        object.__setattr__(journal, "_bytes", bytes(data))
+        object.__setattr__(journal, "_bytes", data)
         return journal
 
     def tx_hash(self) -> Digest:

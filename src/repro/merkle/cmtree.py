@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..crypto.hashing import Digest, clue_key_hash
-from ..encoding import EncodingError, decode, encode
+from ..encoding import (
+    EncodingError,
+    Record,
+    decode,
+    encode,
+    read_bytes_list,
+    read_uint,
+    write_bytes_list,
+)
 from ..storage.kv import KVStore
 from .mpt import MPT, MPTProof
 from .proofs import BatchProof, bag_peaks
@@ -35,17 +43,25 @@ class ClueVerificationError(Exception):
     """Raised by server-side verification when a clue fails to validate."""
 
 
+_CLUE_VALUE = Record(
+    "size",
+    "frontier",
+    readers={"size": read_uint, "frontier": read_bytes_list},
+    writers={"frontier": write_bytes_list},
+)
+
+
 def encode_clue_value(size: int, frontier: list[Digest]) -> bytes:
     """CM-Tree1 leaf value: the clue's CM-Tree2 root proof set (§IV-B2).
 
     Public because auditors re-derive these values when replaying state-root
     evolution from a pseudo-genesis snapshot.
     """
-    return encode({"size": size, "frontier": list(frontier)})
+    return _CLUE_VALUE.encode({"size": size, "frontier": frontier})
 
 
 def decode_clue_value(value: bytes) -> tuple[int, list[Digest]]:
-    obj = decode(value)
+    obj = _CLUE_VALUE.decode(value)
     return obj["size"], [bytes(d) for d in obj["frontier"]]
 
 

@@ -21,10 +21,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..crypto.hashing import Digest
+from ..encoding import Record, read_bytes, read_bytes_list, read_uint, write_bytes_list
 from .proofs import MembershipProof
 from .shrubs import FrontierAccumulator, ShrubsAccumulator
 
 __all__ = ["FamAccumulator", "FamProof", "FamReplayer", "AnchorStore"]
+
+
+_FAM_PROOF = Record(
+    "jsn",
+    "epoch_index",
+    "num_epochs",
+    "epoch_proof",
+    "link_proofs",
+    readers={
+        "jsn": read_uint,
+        "epoch_index": read_uint,
+        "num_epochs": read_uint,
+        "epoch_proof": read_bytes,
+        "link_proofs": read_bytes_list,
+    },
+    writers={"link_proofs": write_bytes_list},
+)
 
 
 @dataclass(frozen=True)
@@ -55,9 +73,7 @@ class FamProof:
         return len(self.epoch_proof.path) + sum(len(p.path) for p in self.link_proofs)
 
     def to_bytes(self) -> bytes:
-        from ..encoding import encode
-
-        return encode(
+        return _FAM_PROOF.encode(
             {
                 "jsn": self.jsn,
                 "epoch_index": self.epoch_index,
@@ -69,9 +85,7 @@ class FamProof:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FamProof":
-        from ..encoding import decode
-
-        obj = decode(data)
+        obj = _FAM_PROOF.decode(data)
         return cls(
             jsn=obj["jsn"],
             epoch_index=obj["epoch_index"],

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..crypto.hashing import EMPTY_DIGEST, Digest, sha256
-from ..encoding import EncodingError, decode, encode
+from ..encoding import EncodingError, bytes_head, decode, encode, list_head, read_bytes
 from ..storage.kv import KeyNotFoundError, KVStore, MemoryKVStore
 
 __all__ = ["MPT", "MPTProof", "key_to_nibbles", "nibbles_to_key"]
@@ -63,33 +63,109 @@ def _common_prefix_len(a: bytes, b: bytes) -> int:
 
 _LEAF, _EXT, _BRANCH = "L", "E", "B"
 
+# The wire form is ``encode([tag, ...])`` of the list each branch below
+# builds (see ``_deserialize_generic``); these are its constant prefixes.
+_LEAF_HEAD = list_head(3) + encode(_LEAF)
+_EXT_HEAD = list_head(3) + encode(_EXT)
+_BRANCH_HEAD = list_head(4) + encode(_BRANCH) + list_head(16)
+_NO_CHILD = bytes_head(0)
+_DIGEST_HEAD = bytes_head(32)
+_HAS_VALUE = encode(True)
+_NO_VALUE = bytes_head(0) + encode(False)
+
 
 def _serialize(node: tuple) -> bytes:
     kind = node[0]
-    if kind == "leaf":
-        return encode([_LEAF, node[1], node[2]])
-    if kind == "ext":
-        return encode([_EXT, node[1], node[2]])
     if kind == "branch":
-        children = [child if child is not None else b"" for child in node[1]]
-        value = node[2] if node[2] is not None else b""
-        has_value = node[2] is not None
-        return encode([_BRANCH, children, value, has_value])
-    raise ValueError(f"unknown node kind: {kind}")
+        parts = [_BRANCH_HEAD]
+        for child in node[1]:
+            if child is None:
+                parts.append(_NO_CHILD)
+            else:
+                parts += (_DIGEST_HEAD if len(child) == 32 else bytes_head(len(child)), child)
+        value = node[2]
+        if value is None:
+            parts.append(_NO_VALUE)
+        else:
+            parts += (bytes_head(len(value)), value, _HAS_VALUE)
+        return b"".join(parts)
+    if kind == "leaf":
+        head = _LEAF_HEAD
+    elif kind == "ext":
+        head = _EXT_HEAD
+    else:
+        raise ValueError(f"unknown node kind: {kind}")
+    path, last = node[1], node[2]
+    return b"".join((head, bytes_head(len(path)), path, bytes_head(len(last)), last))
 
 
 def _deserialize(data: bytes) -> tuple:
+    data = bytes(data)
+    node = None
+    try:
+        if data.startswith(_BRANCH_HEAD):
+            node = _read_branch(data)
+        elif data.startswith(_LEAF_HEAD):
+            node = _read_pair("leaf", data, len(_LEAF_HEAD))
+        elif data.startswith(_EXT_HEAD):
+            node = _read_pair("ext", data, len(_EXT_HEAD))
+    except IndexError:
+        pass  # truncated: the generic decoder raises its typed error
+    return node if node is not None else _deserialize_generic(data)
+
+
+def _read_pair(kind: str, data: bytes, pos: int) -> tuple | None:
+    got = read_bytes(data, pos)
+    if got is None:
+        return None
+    path, pos = got
+    got = read_bytes(data, pos)
+    if got is None or got[1] != len(data):
+        return None
+    return (kind, path, got[0])
+
+
+def _read_branch(data: bytes) -> tuple | None:
+    pos = len(_BRANCH_HEAD)
+    children: list[Digest | None] = []
+    for _ in range(16):
+        if data.startswith(_DIGEST_HEAD, pos):
+            end = pos + 35
+            if end > len(data):
+                return None
+            children.append(data[pos + 3 : end])
+            pos = end
+        elif data.startswith(_NO_CHILD, pos):
+            children.append(None)
+            pos += 2
+        else:
+            return None
+    if data.endswith(_NO_VALUE) and pos + 3 == len(data):
+        return ("branch", children, None)
+    got = read_bytes(data, pos)
+    if got is None or got[1] + 1 != len(data) or not data.endswith(_HAS_VALUE):
+        return None
+    return ("branch", children, got[0])
+
+
+def _deserialize_generic(data: bytes) -> tuple:
+    """The node :func:`decode` reads, if it has a shape ``_serialize`` writes."""
     obj = decode(data)
-    tag = obj[0]
-    if tag == _LEAF:
-        return ("leaf", bytes(obj[1]), bytes(obj[2]))
-    if tag == _EXT:
-        return ("ext", bytes(obj[1]), bytes(obj[2]))
-    if tag == _BRANCH:
-        children = [bytes(c) if c else None for c in obj[1]]
-        value = bytes(obj[2]) if obj[3] else None
-        return ("branch", children, value)
-    raise ValueError(f"unknown node tag: {tag!r}")
+    if type(obj) is not list:
+        raise ValueError("MPT node must decode to a list")
+    if len(obj) == 3 and obj[0] in (_LEAF, _EXT) and type(obj[1]) is type(obj[2]) is bytes:
+        return ("leaf" if obj[0] == _LEAF else "ext", obj[1], obj[2])
+    if (
+        len(obj) == 4
+        and obj[0] == _BRANCH
+        and type(obj[1]) is list
+        and len(obj[1]) == 16
+        and all(type(child) is bytes for child in obj[1])
+        and type(obj[2]) is bytes
+        and type(obj[3]) is bool
+    ):
+        return ("branch", [child or None for child in obj[1]], obj[2] if obj[3] else None)
+    raise ValueError("malformed MPT node")
 
 
 @dataclass(frozen=True)

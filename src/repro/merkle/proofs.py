@@ -11,7 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..crypto.hashing import Digest, node_hash
-from ..encoding import decode, encode
+from ..encoding import (
+    Record,
+    bytes_head,
+    decode,
+    encode,
+    list_head,
+    read_bytes_list,
+    read_list_size,
+    read_uint,
+    write_bytes_list,
+    write_value,
+)
 
 __all__ = [
     "PathStep",
@@ -157,19 +168,19 @@ class MembershipProof:
             return False
 
     def to_bytes(self) -> bytes:
-        return encode(
+        return _MEMBERSHIP.encode(
             {
                 "leaf_index": self.leaf_index,
                 "tree_size": self.tree_size,
-                "path": [step.to_obj() for step in self.path],
-                "peaks_left": list(self.peaks_left),
-                "peaks_right": list(self.peaks_right),
+                "path": self.path,
+                "peaks_left": self.peaks_left,
+                "peaks_right": self.peaks_right,
             }
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MembershipProof":
-        obj = decode(data)
+        obj = _MEMBERSHIP.decode(data)
         return cls(
             leaf_index=obj["leaf_index"],
             tree_size=obj["tree_size"],
@@ -177,6 +188,64 @@ class MembershipProof:
             peaks_left=[bytes(d) for d in obj["peaks_left"]],
             peaks_right=[bytes(d) for d in obj["peaks_right"]],
         )
+
+
+# A path step is ``[digest, sibling_on_left]`` on the wire.
+_STEP_HEAD = list_head(2)
+_STEP_DIGEST_HEAD = _STEP_HEAD + bytes_head(32)
+_STEP_SIZE = len(_STEP_DIGEST_HEAD) + 33
+_STEP_FLAGS = {ord("t"): True, ord("f"): False}
+_FLAG_BYTES = {True: encode(True), False: encode(False)}
+
+
+def _write_path(path: list[PathStep], out: bytearray) -> None:
+    out += list_head(len(path))
+    for step in path:
+        out += _STEP_HEAD
+        out += bytes_head(len(step.digest))
+        out += step.digest
+        flag = step.sibling_on_left
+        if flag is True or flag is False:
+            out += _FLAG_BYTES[flag]
+        else:
+            write_value(flag, out)
+
+
+def _read_path(data: bytes, pos: int) -> tuple[list, int] | None:
+    got = read_list_size(data, pos)
+    if got is None:
+        return None
+    size, pos = got
+    path = []
+    for _ in range(size):
+        end = pos + _STEP_SIZE
+        flag = _STEP_FLAGS.get(data[end - 1])
+        if flag is None or not data.startswith(_STEP_DIGEST_HEAD, pos):
+            return None
+        path.append([data[end - 33 : end - 1], flag])
+        pos = end
+    return path, pos
+
+
+_MEMBERSHIP = Record(
+    "leaf_index",
+    "tree_size",
+    "path",
+    "peaks_left",
+    "peaks_right",
+    readers={
+        "leaf_index": read_uint,
+        "tree_size": read_uint,
+        "path": _read_path,
+        "peaks_left": read_bytes_list,
+        "peaks_right": read_bytes_list,
+    },
+    writers={
+        "path": _write_path,
+        "peaks_left": write_bytes_list,
+        "peaks_right": write_bytes_list,
+    },
+)
 
 
 @dataclass(frozen=True)
