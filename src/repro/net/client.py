@@ -19,18 +19,20 @@ What the client necessarily takes on faith is documented in DESIGN.md
 between syncs — the non-equivocation gap the transparency layer closes).
 
 :class:`AsyncRemoteLedger` is the asyncio core: one connection, pipelined
-request ids, out-of-order completion.  :class:`RemoteLedgerClient` wraps it
-for synchronous code by parking the event loop on a background thread; it
-is thread-safe and is what ``repro.api.connect("ledger://host:port")``
-hands out (as a :class:`RemoteLedgerSession`).
+request ids, out-of-order completion, plus a pool of blocking read sockets
+for calls made off its loop.  :class:`RemoteLedgerClient` wraps it for
+synchronous code by parking the event loop on a background thread; it is
+thread-safe and is what ``repro.api.connect("ledger://host:port")`` hands
+out (as a :class:`RemoteLedgerSession`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
+import contextlib
 import functools
 import itertools
+import socket
 import threading
 import time
 from typing import TYPE_CHECKING, Any
@@ -70,6 +72,7 @@ from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameConnection,
+    FrameDecoder,
     ProtocolError,
     encode_frame,
     request as make_request,
@@ -106,19 +109,6 @@ def _remote_error(error: Any) -> Exception:
     detail = error.get("message", "")
     exc_class = _ERROR_TYPES.get(error_type, RemoteLedgerError)
     return exc_class(f"[remote {error_type}] {detail}")
-
-
-class _Reply(concurrent.futures.Future):
-    """What a call made off the loop thread waits on.
-
-    Awaiting it yields it: whoever drives the coroutine by hand
-    (:meth:`RemoteLedgerClient._drive`) blocks on it and resumes the
-    coroutine once ``data_received`` has settled it.
-    """
-
-    def __await__(self):
-        yield self
-        return self.result()
 
 
 class _ReceiptChecker:
@@ -241,21 +231,31 @@ class AsyncRemoteLedger(FrameConnection):
     """One pipelined connection to a :class:`~repro.net.server.LedgerServer`.
 
     Create with :meth:`connect`; every public coroutine may be in flight
-    concurrently — responses are matched by request id, so slow bulk
-    operations never block fast ones.  The read coroutines (whose only
-    awaits are :meth:`_call`) may also be driven from another thread, which
-    is how :class:`RemoteLedgerClient` reads without a task per call.
+    concurrently on its loop — responses are matched by request id, so slow
+    bulk operations never block fast ones.  Awaited on any other thread,
+    :meth:`_call` is a blocking round trip on a pooled read socket instead,
+    so a read coroutine (whose only await is :meth:`_call`) finishes there
+    without yielding: that is how :class:`RemoteLedgerClient` reads.
     """
+
+    #: Seconds one blocking round trip may take (the sync client sets its own).
+    timeout: float = 30.0
 
     def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         super().__init__(max_bytes=max_frame_bytes)
         self._ids = itertools.count(1)
-        self._pending: dict[int, asyncio.Future | _Reply] = {}
+        self._pending: dict[int, asyncio.Future] = {}
         self._closed = False
         self._conn_error: BaseException | None = None
         self._loop_thread = 0
         self._checker = _ReceiptChecker(self)
         self._coalescer = _SubmitCoalescer(self)
+        # Blocking read sockets to the same server: every open one, and the
+        # idle ones among them.  A socket carries one request at a time.
+        self._address = ("", 0)
+        self._read_lock = threading.Lock()
+        self._read_sockets: set[socket.socket] = set()
+        self._idle: list[socket.socket] = []
         # Filled by the hello handshake.
         self.ledger_uri: str = ""
         self.lsp_public_key: PublicKey | None = None
@@ -286,6 +286,7 @@ class AsyncRemoteLedger(FrameConnection):
             )
         except OSError as exc:
             raise RemoteLedgerError(f"cannot reach ledger at {host}:{port}: {exc}") from None
+        remote._address = (host, port)
         try:
             hello = await remote._call("hello", protocol=PROTOCOL_VERSION)
         except BaseException:
@@ -313,6 +314,7 @@ class AsyncRemoteLedger(FrameConnection):
         if self._closed:
             return
         self._closed = True
+        self._close_read_sockets()
         self._fail_pending(RemoteLedgerError("connection closed"))
         self.flush()
         self.transport.close()
@@ -348,37 +350,153 @@ class AsyncRemoteLedger(FrameConnection):
         if self._conn_error is None:
             self._conn_error = error
         pending, self._pending = self._pending, {}
-        for future in list(pending.values()):  # off-loop callers may still be registering
+        for future in pending.values():
             if not future.done():
                 future.set_exception(error)
 
     async def _call(self, op: str, **fields: Any) -> dict:
         """One request/response.  On the loop thread the frame joins this
-        tick's write and the reply is an asyncio future; from any other
-        thread it is encoded there, handed over with one
-        ``call_soon_threadsafe`` and awaited on a :class:`_Reply`."""
+        tick's write and the reply is an asyncio future; on any other thread
+        it is one blocking round trip on a pooled read socket, made there."""
         if self._closed:
             raise RemoteLedgerError("client is closed")
-        on_loop = threading.get_ident() == self._loop_thread
+        if self._conn_error is not None:
+            raise self._conn_error
+        if threading.get_ident() != self._loop_thread:
+            return self._round_trip(op, fields)
         request_id = next(self._ids)
-        future = self._loop.create_future() if on_loop else _Reply()
+        frame = encode_frame(make_request(request_id, op, **fields), max_bytes=self.max_bytes)
+        future = self._loop.create_future()
         self._pending[request_id] = future
         try:
-            if self._conn_error is not None:
-                raise self._conn_error
-            frame = encode_frame(make_request(request_id, op, **fields), max_bytes=self.max_bytes)
-            if on_loop:
-                self.write(frame)
-            else:
-                try:
-                    self._loop.call_soon_threadsafe(self.transport.write, frame)
-                except RuntimeError:  # the loop was closed under this caller
-                    raise RemoteLedgerError("client is closed") from None
+            self.write(frame)
             return await future
         finally:
-            # No-op once answered; otherwise (refused by the frame cap,
-            # timed out, cancelled) the entry must not outlive the call.
+            # No-op once answered; otherwise (timed out, cancelled) the
+            # entry must not outlive the call.
             self._pending.pop(request_id, None)
+
+    # -------------------------------------------------------- read sockets
+
+    def _round_trip(self, op: str, fields: dict[str, Any]) -> dict:
+        """``_call`` off the loop: one request on a read socket of the pool,
+        which gets the socket back only after a clean exchange."""
+        sock = self._read_socket()
+        try:
+            request_id = next(self._ids)
+            frame = encode_frame(make_request(request_id, op, **fields), max_bytes=self.max_bytes)
+            reply = self._exchange(sock, op, request_id, frame)
+        except BaseException:
+            self._discard(sock)
+            raise
+        self._release(sock)
+        if reply["ok"]:
+            return reply.get("result")
+        raise _remote_error(reply.get("error"))
+
+    def _read_socket(self) -> socket.socket:
+        """An idle read socket, or a new one whose ``hello`` reported the LSP
+        key pinned on this connection — nothing is read over one that did not."""
+        with self._read_lock:
+            if self._closed:
+                raise RemoteLedgerError("client is closed")
+            if self._idle:
+                return self._idle.pop()
+        host, port = self._address
+        try:
+            sock = socket.create_connection((host, port), timeout=self.timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError as exc:
+            raise RemoteLedgerError(f"cannot reach ledger at {host}:{port}: {exc}") from None
+        with self._read_lock:
+            if self._closed:
+                sock.close()
+                raise RemoteLedgerError("client is closed")
+            self._read_sockets.add(sock)
+        request_id = next(self._ids)
+        hello = make_request(request_id, "hello", protocol=PROTOCOL_VERSION)
+        try:
+            reply = self._exchange(sock, "hello", request_id, encode_frame(hello))
+            result = reply.get("result") if reply["ok"] else None
+            claimed = result.get("lsp_public_key") if isinstance(result, dict) else None
+            if self.lsp_public_key is None or claimed != self.lsp_public_key.to_bytes():
+                raise VerificationFailure(
+                    "a read connection's server did not report the pinned LSP key"
+                )
+        except BaseException:
+            self._discard(sock)
+            raise
+        return sock
+
+    def _exchange(self, sock: socket.socket, op: str, request_id: int, frame: bytes) -> dict:
+        """Send one request frame and read its one reply, within ``timeout``.
+
+        Anything but exactly one reply frame carrying ``request_id`` raises
+        typed, naming ``op``; the caller then closes the socket, so a late
+        or extra frame can never be read as the answer to a later call.
+        """
+        deadline = time.monotonic() + self.timeout
+        decoder = FrameDecoder(max_bytes=self.max_bytes)
+        messages: list[dict] = []
+        try:
+            sock.settimeout(self.timeout)
+            sock.sendall(frame)
+            while not messages:
+                data = sock.recv(65536)
+                if not data:
+                    raise self._gone(op)
+                messages = decoder.feed(data)
+                if not messages:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise TimeoutError
+                    sock.settimeout(remaining)
+        except TimeoutError:
+            raise RemoteLedgerError(f"no reply to {op} within {self.timeout}s") from None
+        except ProtocolError as exc:
+            raise ProtocolError(f"{op}: {exc}") from None
+        except OSError as exc:
+            raise self._gone(op, exc) from None
+        if len(messages) > 1 or decoder.pending_bytes:
+            raise ProtocolError(f"{op}: more than one frame came back for one request")
+        (reply,) = messages
+        if reply["id"] != request_id or "ok" not in reply:
+            raise ProtocolError(
+                f"{op}: expected the reply to request {request_id}, got message {reply['id']}"
+            )
+        return reply
+
+    def _gone(self, op: str, exc: OSError | None = None) -> RemoteLedgerError:
+        if self._closed:
+            return RemoteLedgerError(f"{op}: client is closed")
+        if exc is None:
+            return RemoteLedgerError(f"{op}: server closed the connection")
+        return RemoteLedgerError(f"{op}: connection lost: {exc}")
+
+    def _release(self, sock: socket.socket) -> None:
+        with self._read_lock:
+            if sock in self._read_sockets:  # else close() ran meanwhile
+                self._idle.append(sock)
+                return
+        sock.close()
+
+    def _discard(self, sock: socket.socket) -> None:
+        with self._read_lock:
+            self._read_sockets.discard(sock)
+        sock.close()
+
+    def _close_read_sockets(self) -> None:
+        """Close the idle read sockets and shut the busy ones down: that
+        wakes their callers, whose failing round trips then close them."""
+        with self._read_lock:
+            idle, self._idle = self._idle, []
+            busy = self._read_sockets.difference(idle)
+            self._read_sockets = set()
+        for sock in idle:
+            sock.close()
+        for sock in busy:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
 
     # ------------------------------------------------------------ appends
 
@@ -628,8 +746,9 @@ class RemoteLedgerClient:
     Owns a background event loop carrying one :class:`AsyncRemoteLedger`
     connection, a local signing identity, and client-side trust state
     (receipts, epoch anchors).  All methods are thread-safe: any number of
-    threads may append/verify through one client, and their requests
-    pipeline onto the single connection.
+    threads may append/verify through one client.  Appends pipeline onto
+    the connection through its loop; a read is a blocking round trip on the
+    calling thread over one of the connection's pooled read sockets.
     """
 
     def __init__(
@@ -645,7 +764,6 @@ class RemoteLedgerClient:
     ) -> None:
         self.member_id = member_id
         self.keypair = keypair
-        self.timeout = timeout
         # The client is its own tracker's read source: the fam calls below
         # are the server ops of the same names (repro.verify.tracker).
         self.tracker = AnchorTracker(self)
@@ -665,11 +783,22 @@ class RemoteLedgerClient:
                     port,
                     expected_lsp_key=expected_lsp_key,
                     max_frame_bytes=max_frame_bytes,
-                )
+                ),
+                timeout,
             )
         except BaseException:
             self._stop_loop()
             raise
+        self._remote.timeout = timeout
+
+    @property
+    def timeout(self) -> float:
+        """Seconds one call may take: an append on the loop, a read's round trip."""
+        return self._remote.timeout
+
+    @timeout.setter
+    def timeout(self, seconds: float) -> None:
+        self._remote.timeout = seconds
 
     # ----------------------------------------------------------- plumbing
 
@@ -689,21 +818,14 @@ class RemoteLedgerClient:
             raise RemoteLedgerError(f"no reply to {coro.__name__} within {timeout}s") from None
 
     def _drive(self, coro):
-        """Run a read coroutine on *this* thread: each request is encoded
-        here and its :class:`_Reply` is settled straight from
-        ``data_received`` — no task, no loop-side future."""
+        """Run a read coroutine on *this* thread.  Off the loop its one
+        ``_call`` is a blocking round trip, so it finishes without yielding."""
         try:
-            while True:
-                reply = coro.send(None)
-                try:
-                    reply.exception(self.timeout)  # wait; the coroutine re-raises
-                except TimeoutError:
-                    coro.close()  # unwinds _call, which drops its pending entry
-                    raise RemoteLedgerError(
-                        f"no reply to {coro.__name__} within {self.timeout}s"
-                    ) from None
+            coro.send(None)
         except StopIteration as done:
             return done.value
+        coro.close()
+        raise UsageError(f"{coro.__name__}() cannot be driven on the client's own loop thread")
 
     def _stop_loop(self) -> None:
         if self._loop.is_running():
