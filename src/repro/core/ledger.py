@@ -22,7 +22,8 @@ The server-side trust model: a client that trusts the LSP calls the
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .. import obs
@@ -154,6 +155,25 @@ class JournalEntryView:
 
 
 @dataclass(frozen=True)
+class LedgerHead:
+    """What one commit left behind, published by one reference assignment.
+
+    Every public read a thread beside the writer may call takes one head and
+    answers from it alone, so sizes, roots and receipt never mix commits.
+    ``root`` is the receipt's ``ledger_root``: the fam root after ``size``
+    journals, ``live_size`` leaves into ``epoch``.
+    """
+
+    size: int
+    epoch: int
+    live_size: int
+    root: Digest
+    state_root: Digest
+    receipt: Receipt | None
+    blocks: int
+
+
+@dataclass(frozen=True)
 class LedgerView:
     """Everything an external (distrusting) auditor downloads.
 
@@ -176,6 +196,7 @@ class LedgerView:
     purge_approvals: list[tuple[int, PurgeRecord, MultiSignature]]
     occult_approvals: list[tuple[int, OccultRecord, MultiSignature]]
     time_evidence: dict  # jsn -> TimeEvidence | TimeStampToken
+    head: LedgerHead  # the head the entries, blocks and receipt are cut at
 
     def entry(self, jsn: int) -> JournalEntryView:
         index = jsn - self.genesis_start
@@ -306,9 +327,9 @@ class Ledger:
         self._tsa: TimeStampAuthority | TSAPool | None = None
         self._pending_tledger: list[tuple[int, int]] = []  # (time jsn, notary seq)
 
-        #: (latest receipt, CM-Tree1 root it was issued over): one attribute,
-        #: so a reader beside the writer sees both from the same commit.
-        self._published: tuple[Receipt | None, Digest] = (None, EMPTY_DIGEST)
+        #: Held by every commit and seal: a reader's seal never lands mid-batch.
+        self._commit_lock = threading.RLock()
+        self._head = LedgerHead(0, 0, 0, EMPTY_DIGEST, self._cmtree.root, None, 0)
         self._receipts: dict[int, Receipt] = {}
         self._anchor_cache: AnchorStore = AnchorStore()
         self._anchor_cache_epochs = 0  # completed epochs already seeded
@@ -317,7 +338,7 @@ class Ledger:
         #: (shards share the deployment uri and LSP key).
         self.sth_shard_index = SOLO_SHARD
         self._sth_store = SthStore((data_dir / STH_FILE) if data_dir else None)
-        self._sth_cache: dict[int, SignedTreeHead] = {}
+        self._sth_cache: tuple[LedgerHead, SignedTreeHead] | None = None
         self._sth_epochs = self._fam.num_epochs
 
     @classmethod
@@ -353,7 +374,16 @@ class Ledger:
             last, EMPTY_DIGEST, self._fam.leaf_digest(last), self.clock.now()
         ).signed_by(self._lsp_keypair)
         self._receipts[last] = receipt
-        self._published = (receipt, self._cmtree.root)
+        self._publish(receipt)
+
+    def _publish(self, receipt: Receipt) -> None:
+        """Publish the head of the commit ``receipt`` closes."""
+        epoch = self._fam.num_epochs - 1
+        live_size = self._fam.live_size(epoch)
+        state_root, blocks = self._cmtree.root, len(self._blocks)
+        self._head = LedgerHead(
+            receipt.jsn + 1, epoch, live_size, receipt.ledger_root, state_root, receipt, blocks
+        )
 
     def _receipt(
         self, jsn: int, request_hash: Digest, tx_hash: Digest, timestamp: float
@@ -525,60 +555,61 @@ class Ledger:
 
     def _commit_batch(self, requests: list[ClientRequest]) -> list[Receipt]:
         """Phase 2 of :meth:`append_batch`, and the only commit: write,
-        accumulate, seal, sign."""
-        start_jsn = self._fam.size
-        journals = [
-            Journal(
-                jsn=start_jsn + index,
-                journal_type=request.journal_type,
-                client_id=request.client_id,
-                payload=request.payload,
-                clues=request.clues,
-                timestamp=self.clock.now(),
-                nonce=request.nonce,
-                request_hash=request.request_hash(),
-                client_signature=request.signature,
-            )
-            for index, request in enumerate(requests)
-        ]
-        offsets = self._stream.append_many([journal.to_bytes() for journal in journals])
-        if offsets != list(range(start_jsn, start_jsn + len(journals))):
-            raise IntegrityError(
-                f"journal stream desynchronised from fam: batch offsets start "
-                f"at {offsets[0]}, expected jsn {start_jsn}"
-            )
-        unsigned: list[Receipt] = []
-        # Per-clue digests awaiting their (single) CM-Tree1 refresh, in first-
-        # seen order so final MPT state matches the sequential interleaving.
-        pending_clues: dict[str, list[Digest]] = {}
-        block_size = self.config.block_size
-        for journal in journals:
-            jsn = journal.jsn
-            tx_hash = journal.tx_hash()
-            self._fam.append(tx_hash)
-            for clue in journal.clues:
-                pending_clues.setdefault(clue, []).append(tx_hash)
-                self._cluesl.insert(clue, jsn)
-            if journal.journal_type is JournalType.TIME:
-                self._time_journals.append(jsn)
-            if jsn + 1 - self._pending_start >= block_size:
-                for clue, digests in pending_clues.items():
-                    self._cmtree.add_many(clue, digests)
-                pending_clues.clear()
-                self.commit_block()
-            unsigned.append(
-                self._receipt(jsn, journal.request_hash, tx_hash, journal.timestamp)
-            )
-        for clue, digests in pending_clues.items():
-            self._cmtree.add_many(clue, digests)
-        self._emit_epoch_heads()
-        # pi_s issuance: every receipt's payload is frozen above, so the LSP
-        # signatures batch into one shared-inversion pass.
-        receipts = Receipt.sign_batch(unsigned, self._lsp_keypair)
-        for receipt in receipts:
-            self._receipts[receipt.jsn] = receipt
-        self._published = (receipts[-1], self._cmtree.root)
-        return receipts
+        accumulate, seal, sign, publish the head."""
+        with self._commit_lock:
+            start_jsn = self._fam.size
+            journals = [
+                Journal(
+                    jsn=start_jsn + index,
+                    journal_type=request.journal_type,
+                    client_id=request.client_id,
+                    payload=request.payload,
+                    clues=request.clues,
+                    timestamp=self.clock.now(),
+                    nonce=request.nonce,
+                    request_hash=request.request_hash(),
+                    client_signature=request.signature,
+                )
+                for index, request in enumerate(requests)
+            ]
+            offsets = self._stream.append_many([journal.to_bytes() for journal in journals])
+            if offsets != list(range(start_jsn, start_jsn + len(journals))):
+                raise IntegrityError(
+                    f"journal stream desynchronised from fam: batch offsets start "
+                    f"at {offsets[0]}, expected jsn {start_jsn}"
+                )
+            unsigned: list[Receipt] = []
+            # Per-clue digests awaiting their (single) CM-Tree1 refresh, in first-
+            # seen order so final MPT state matches the sequential interleaving.
+            pending_clues: dict[str, list[Digest]] = {}
+            block_size = self.config.block_size
+            for journal in journals:
+                jsn = journal.jsn
+                tx_hash = journal.tx_hash()
+                self._fam.append(tx_hash)
+                for clue in journal.clues:
+                    pending_clues.setdefault(clue, []).append(tx_hash)
+                    self._cluesl.insert(clue, jsn)
+                if journal.journal_type is JournalType.TIME:
+                    self._time_journals.append(jsn)
+                if jsn + 1 - self._pending_start >= block_size:
+                    for clue, digests in pending_clues.items():
+                        self._cmtree.add_many(clue, digests)
+                    pending_clues.clear()
+                    self._seal_pending()
+                unsigned.append(
+                    self._receipt(jsn, journal.request_hash, tx_hash, journal.timestamp)
+                )
+            for clue, digests in pending_clues.items():
+                self._cmtree.add_many(clue, digests)
+            self._emit_epoch_heads()
+            # pi_s issuance: every receipt's payload is frozen above, so the LSP
+            # signatures batch into one shared-inversion pass.
+            receipts = Receipt.sign_batch(unsigned, self._lsp_keypair)
+            for receipt in receipts:
+                self._receipts[receipt.jsn] = receipt
+            self._publish(receipts[-1])
+            return receipts
 
     def _append_system(
         self,
@@ -592,7 +623,7 @@ class Ledger:
             client_id=LSP_MEMBER_ID,
             payload=payload,
             clues=clues,
-            nonce=len(self).to_bytes(8, "big"),
+            nonce=self._fam.size.to_bytes(8, "big"),
             client_timestamp=self.clock.now(),
             journal_type=journal_type,
         ).signed_by(self._lsp_keypair)
@@ -603,7 +634,15 @@ class Ledger:
         return self._commit_batch([request])[0]
 
     def commit_block(self) -> Block | None:
-        """Seal all unsealed journals into a block (auto-run by append)."""
+        """Seal all unsealed journals into a block (auto-run by append); from
+        any thread, between two commits, republishing the head."""
+        with self._commit_lock:
+            block = self._seal_pending()
+            if block is not None:
+                self._head = replace(self._head, blocks=len(self._blocks))
+            return block
+
+    def _seal_pending(self) -> Block | None:
         end_jsn = self._fam.size
         if end_jsn <= self._pending_start:
             return None
@@ -628,15 +667,20 @@ class Ledger:
         self._pending_start = end_jsn
         return block
 
-    # ----------------------------------------------------------------- reads
+    # ------------------------------------------- reads (each from one head)
 
     def __len__(self) -> int:
         """Total journals ever appended (including mutated ones)."""
-        return self._fam.size
+        return self._head.size
 
     @property
     def size(self) -> int:
-        return self._fam.size
+        return self._head.size
+
+    @property
+    def head(self) -> LedgerHead:
+        """The head of the last commit (see :class:`LedgerHead`)."""
+        return self._head
 
     @property
     def blocks(self) -> list[Block]:
@@ -644,28 +688,7 @@ class Ledger:
 
     @property
     def latest_receipt(self) -> Receipt | None:
-        return self._published[0]
-
-    def commitments(self) -> dict:
-        """``root``, ``state_root``, ``size`` and ``latest_receipt`` as of
-        one commit: all four derive from the single published (receipt,
-        CM-Tree1 root) pair, so they fold together even when read beside
-        the writer — the receipt pins the fam root and size it was signed
-        over."""
-        receipt, state_root = self._published
-        if receipt is None:  # nothing committed yet
-            return {
-                "root": self.current_root(),
-                "state_root": self.state_root(),
-                "size": self.size,
-                "latest_receipt": None,
-            }
-        return {
-            "root": receipt.ledger_root,
-            "state_root": state_root,
-            "size": receipt.jsn + 1,
-            "latest_receipt": receipt,
-        }
+        return self._head.receipt
 
     def receipt_for(self, jsn: int) -> Receipt | None:
         return self._receipts.get(jsn)
@@ -686,7 +709,7 @@ class Ledger:
         when the payload is gone by mutation — callers can still obtain the
         retained digest via :meth:`retained_hash`.
         """
-        if not 0 <= jsn < self._fam.size:
+        if not 0 <= jsn < self._head.size:
             raise JournalNotFoundError(jsn)
         if jsn < self._genesis_start:
             if jsn in self._survivors:
@@ -721,7 +744,7 @@ class Ledger:
     def iter_journals(self, start: int | None = None, stop: int | None = None):
         """Yield retrievable journals in ``[start, stop)`` (skips mutated)."""
         lo = self._genesis_start if start is None else max(start, self._genesis_start)
-        hi = self._fam.size if stop is None else min(stop, self._fam.size)
+        hi = self.size if stop is None else min(stop, self.size)
         for jsn in range(lo, hi):
             try:
                 yield self.get_journal(jsn)
@@ -758,16 +781,21 @@ class Ledger:
     # -------------------------------------------------------------- proving
 
     def get_proof(self, jsn: int, anchored: bool = True) -> FamProof:
-        """The GetProof API: fam existence proof for one journal."""
+        """The GetProof API: fam existence proof for one journal, cut at the
+        head (it folds to ``head.root``)."""
         with obs.span("ledger.get_proof"):
-            return self._fam.get_proof(jsn, anchored=anchored)
+            return self._fam.get_proof(jsn, anchored=anchored, at_size=self._head.size)
 
     def get_proofs(self, jsns: list[int], anchored: bool = True) -> list[FamProof]:
         """Bulk GetProof: byte-identical to N single calls, but link chains to
-        the current epoch are computed once per distinct epoch and shared."""
+        the live epoch are computed once per distinct epoch and shared."""
+        return self.proofs_at(self._head, jsns, anchored)
+
+    def proofs_at(self, head: LedgerHead, jsns: list[int], anchored: bool = True) -> list[FamProof]:
+        """:meth:`get_proofs` cut at a head the caller already holds."""
         with obs.span("ledger.get_proofs") as sp:
             sp.add("journals", len(jsns))
-            return self._fam.get_proofs(jsns, anchored=anchored)
+            return self._fam.get_proofs(jsns, anchored=anchored, at_size=head.size)
 
     def proof_for_journal(self, journal: Journal, anchored: bool = True) -> FamProof:
         """Existence proof for a presented journal (a sharded deployment
@@ -775,15 +803,15 @@ class Ledger:
         return self.get_proof(journal.jsn, anchored=anchored)
 
     def current_root(self) -> Digest:
-        return self._fam.current_root()
+        return self._head.root
 
     def fam_reader(self) -> FamReader:
         """The read-only fam face anchor-tracking clients (and the network
         server's fam ops) follow this ledger through."""
-        return FamReader(self._fam)
+        return FamReader(self._fam, lambda: self._head)
 
     def state_root(self) -> Digest:
-        return self._cmtree.root
+        return self._head.state_root
 
     def epoch_anchors(self) -> AnchorStore:
         """Anchor store seeded with every completed epoch root (server-trusting).
@@ -806,19 +834,22 @@ class Ledger:
         return self._anchor_cache
 
     def verify_journal(self, journal: Journal, proof: FamProof | None = None) -> bool:
-        """Server-side *what* verification of a presented journal."""
+        """Server-side *what* verification of a presented journal, against
+        the head's root (or, for an anchored proof of a sealed epoch, that
+        epoch's anchor)."""
         with obs.span("ledger.verify_journal"):
+            head = self._head
             if proof is None:
                 try:
-                    proof = self.get_proof(journal.jsn, anchored=False)
+                    proof = self._fam.get_proof(journal.jsn, anchored=False, at_size=head.size)
                 except (IndexError, KeyError):
                     return False
-            if proof.link_proofs:
-                return FamAccumulator.verify_full(
-                    journal.tx_hash(), proof, self.current_root()
-                )
-            anchors = self.epoch_anchors()
-            return self._fam.verify_with_anchors(journal.tx_hash(), proof, anchors)
+            expected = head.root
+            if not proof.link_proofs and proof.epoch_index != head.epoch:
+                expected = self.epoch_anchors().get(proof.epoch_index)
+            return expected is not None and FamAccumulator.verify_full(
+                journal.tx_hash(), proof, expected
+            )
 
     def prove_clue(
         self,
@@ -829,7 +860,9 @@ class Ledger:
         root: Digest | None = None,
     ) -> ClueProof:
         """Build the client-side clue proof set (§IV-C, Verify API), cut at
-        the CM-Tree1 ``root`` (default: the current :meth:`state_root`)."""
+        the CM-Tree1 ``root`` (default: the head's :meth:`state_root`)."""
+        if root is None:
+            root = self._head.state_root
         return self._cmtree.prove_clue(clue, version_start, version_end, root=root)
 
     def verify_clue(self, clue: str, journals: list[Journal]) -> bool:
@@ -883,27 +916,18 @@ class Ledger:
             self._sth_epochs = epoch + 1
 
     def get_sth(self) -> SignedTreeHead:
-        """A fresh LSP-signed tree head for the current fam state."""
-        tree_size = self._fam.size
-        root = self._fam.current_root()
-        cached = self._sth_cache.get(tree_size)
-        if (
-            cached is not None
-            and cached.root == root
-            and cached.shard_index == self.sth_shard_index
-        ):
-            return cached
-        epoch = self._fam.num_epochs - 1
-        head = self._make_sth(
-            epoch=epoch,
-            tree_size=tree_size,
-            live_size=self._fam.live_size(epoch),
-            root=root,
-        )
-        self._sth_cache.clear()
-        self._sth_cache[tree_size] = head
+        """The LSP-signed tree head of the current head."""
+        return self.sth_at(self._head)
+
+    def sth_at(self, head: LedgerHead) -> SignedTreeHead:
+        """The LSP-signed tree head of ``head``, signed once per head."""
+        cached = self._sth_cache
+        if cached is not None and cached[0] is head:
+            return cached[1]
+        sth = self._make_sth(head.epoch, head.size, head.live_size, head.root)
+        self._sth_cache = (head, sth)
         obs.inc("transparency.sth.served")
-        return head
+        return sth
 
     def get_sth_range(self, start: int, end: int) -> list[SignedTreeHead]:
         """Stored epoch-close heads with ``start <= epoch < end``."""
@@ -970,11 +994,12 @@ class Ledger:
                 f"ledger ({self.config.uri!r})"
             )
         obs.inc("transparency.acks.issued")
+        head = self._head
         return SubmissionAck(
             ledger_uri=self.config.uri,
             request_hash=request.request_hash(),
-            epoch=self._fam.num_epochs - 1,
-            tree_size=self._fam.size,
+            epoch=head.epoch,
+            tree_size=head.size,
             deadline_epochs=deadline_epochs,
             timestamp=self.clock.now(),
             shard_index=self.sth_shard_index,
@@ -1319,10 +1344,13 @@ class Ledger:
     # ------------------------------------------------------------ audit view
 
     def export_view(self) -> LedgerView:
-        """Export the auditor-facing view (client-side verification input)."""
-        self.commit_block()
+        """Export the auditor-facing view (client-side verification input),
+        sealed and cut at one head, between two commits."""
+        with self._commit_lock:
+            self.commit_block()
+            head = self._head
         entries: list[JournalEntryView] = []
-        for jsn in range(self._genesis_start, self._fam.size):
+        for jsn in range(self._genesis_start, head.size):
             occulted = self._occult_bitmap.test(jsn)
             data: bytes | None
             if occulted or self._stream.is_erased(jsn):
@@ -1344,15 +1372,16 @@ class Ledger:
             block_size=self.config.block_size,
             entries=entries,
             genesis_start=self._genesis_start,
-            blocks=list(self._blocks),
+            blocks=self._blocks[: head.blocks],
             certificates=self.registry.export(),
             ca_public_key=self.registry.ca_public_key,
             lsp_member_id=LSP_MEMBER_ID,
-            latest_receipt=self.latest_receipt,
+            latest_receipt=head.receipt,
             pseudo_genesis=self._pseudo_genesis,
             purge_approvals=list(self._purge_records),
             occult_approvals=list(self._occult_records),
             time_evidence=dict(self._time_evidence),
+            head=head,
         )
 
     # ---------------------------------------------------------- persistence

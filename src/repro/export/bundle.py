@@ -342,11 +342,12 @@ def export_bundle(
     """Export a live ledger (solo or sharded) into an :class:`ExportBundle`.
 
     ``ledger`` is duck-typed over the shared export surface —
-    ``export_view``/``export_views``, ``get_proofs``, ``epoch_anchors``,
-    ``get_sth``/``get_sth_range``/``get_consistency`` — so a
+    ``export_view``/``export_views``, ``proofs_at``, ``epoch_anchors``,
+    ``sth_at``/``get_sth_range``/``get_consistency`` — so a
     :class:`repro.core.ledger.Ledger` and a
     :class:`repro.shard.ShardedLedger` export identically; a sharded
-    deployment additionally pins its composite signed tree head.  ``clues``
+    deployment additionally pins its composite signed tree head.  Each
+    shard's section is cut at the head its view was cut at.  ``clues``
     selects clue lineages to prove into the bundle.  When ``path`` is given
     the bundle is also durably written there.
     """
@@ -376,12 +377,17 @@ def export_bundle(
         raise BundleError("ledger view carries no LSP certificate")
 
     sections = []
+    fresh_heads = []
     created_at = 0.0
     for index, (view, shard) in enumerate(zip(views, shard_ledgers)):
+        # Everything below is cut at the head the view was cut at, so the
+        # section describes one commit even while the shard keeps appending.
+        at = view.head
         jsns = [entry.jsn for entry in view.entries]
-        proofs = shard.get_proofs(jsns, anchored=False)
-        sths = [head.to_bytes() for head in shard.get_sth_range(0, 1 << 31)]
-        fresh = shard.get_sth().to_bytes()
+        proofs = shard.proofs_at(at, jsns, anchored=False)
+        sths = [head.to_bytes() for head in shard.get_sth_range(0, at.epoch + 1)]
+        fresh_heads.append(shard.sth_at(at))
+        fresh = fresh_heads[-1].to_bytes()
         if not sths or sths[-1] != fresh:
             sths.append(fresh)
         consistency = []
@@ -399,14 +405,14 @@ def export_bundle(
         for clue in clues:
             if num_shards > 1 and ledger.shard_of_key(clue) != index:
                 continue
-            clue_jsns = shard.list_tx(clue)
+            clue_jsns = [jsn for jsn in shard.list_tx(clue) if jsn < at.size]
             if not clue_jsns:
                 continue
             clue_sections.append(
                 ClueSection(
                     clue=clue,
-                    proof=shard.prove_clue(clue).to_bytes(),
-                    state_root=shard.state_root(),
+                    proof=shard.prove_clue(clue, root=at.state_root).to_bytes(),
+                    state_root=at.state_root,
                     jsns=tuple(clue_jsns),
                 )
             )
@@ -429,7 +435,7 @@ def export_bundle(
                 ),
                 latest_receipt=receipt.to_bytes() if receipt is not None else b"",
                 proofs=tuple((jsn, proof.to_bytes()) for jsn, proof in zip(jsns, proofs)),
-                anchors=tuple(shard.epoch_anchors().items()),
+                anchors=tuple((e, r) for e, r in shard.epoch_anchors().items() if e < at.epoch),
                 blocks=tuple(block.header_bytes() for block in view.blocks),
                 sths=tuple(sths),
                 consistency=tuple(consistency),
@@ -439,7 +445,7 @@ def export_bundle(
 
     composite_sth = b""
     if num_shards > 1:
-        composite_sth = ledger.get_sth().to_bytes()
+        composite_sth = ledger.composite_sth(fresh_heads).to_bytes()
 
     bundle = ExportBundle(
         ledger_uri=base_view.uri,

@@ -275,82 +275,67 @@ class FamAccumulator:
 
     # --------------------------------------------------------------- proving
 
-    def get_proof(self, jsn: int, anchored: bool = True) -> FamProof:
+    def _cut(self, size: int) -> tuple[int, int]:
+        """``(live epoch, its leaf count)`` right after the first ``size``
+        journals — the coordinates of the commitment :meth:`root_at` names."""
+        cap = self.epoch_capacity
+        if size < cap:
+            return 0, size
+        return 1 + (size - cap) // (cap - 1), 1 + (size - cap) % (cap - 1)
+
+    def get_proof(self, jsn: int, anchored: bool = True, at_size: int | None = None) -> FamProof:
         """Existence proof for journal ``jsn``.
 
         With ``anchored=True`` (the fam-aoa fast path) only the within-epoch
         path is produced — O(delta) work.  With ``anchored=False`` the
         merged-leaf link chain to the live epoch is included so a verifier
-        holding only the current commitment can check it.
+        holding only the current commitment can check it.  ``at_size`` cuts
+        the proof at the commitment after that many journals (default: now).
         """
-        epoch_index, slot = self.locate(jsn)
-        if epoch_index in self._erased_epochs:
-            raise KeyError(f"epoch {epoch_index} was erased by purge; jsn {jsn} unprovable")
-        epoch = self._epochs[epoch_index]
-        epoch_proof = epoch.prove(slot)
-        link_proofs: list[MembershipProof] = []
-        if not anchored:
-            for k in range(epoch_index + 1, len(self._epochs)):
-                link_proofs.append(self._epochs[k].prove(0))
-        return FamProof(
-            jsn=jsn,
-            epoch_index=epoch_index,
-            num_epochs=len(self._epochs),
-            epoch_proof=epoch_proof,
-            link_proofs=link_proofs,
-        )
+        return self.get_proofs([jsn], anchored, at_size)[0]
 
-    def get_proofs(self, jsns: list[int], anchored: bool = True) -> list[FamProof]:
+    def get_proofs(
+        self, jsns: list[int], anchored: bool = True, at_size: int | None = None
+    ) -> list[FamProof]:
         """Existence proofs for many journals, byte-identical to calling
-        :meth:`get_proof` per jsn.
+        :meth:`get_proof` per jsn; each merged-leaf link is computed once.
 
-        The bulk win is the un-anchored path: the merged-leaf link chain from
-        epoch *k* to the live epoch is the same for every journal in epoch
-        *k* (and a suffix of the chain for every earlier epoch), so it is
-        computed once per epoch touched instead of once per proof.
+        All fold to the commitment after ``at_size`` journals (default: now),
+        so proofs cut at a past size stay exact while appends continue.
         """
-        link_cache: dict[int, list[MembershipProof]] = {}
-        num_epochs = len(self._epochs)
+        size = self._size if at_size is None else at_size
+        last, live_size = self._cut(size)
+
+        def prove(epoch_index: int, slot: int) -> MembershipProof:
+            tree_size = live_size if epoch_index == last else self.epoch_capacity
+            return self._epochs[epoch_index].prove(slot, at_size=tree_size)
+
+        links: dict[int, MembershipProof] = {}
         proofs: list[FamProof] = []
         for jsn in jsns:
+            if not 0 <= jsn < size:
+                raise IndexError(f"jsn {jsn} out of range [0, {size})")
             epoch_index, slot = self.locate(jsn)
             if epoch_index in self._erased_epochs:
                 raise KeyError(
                     f"epoch {epoch_index} was erased by purge; jsn {jsn} unprovable"
                 )
-            epoch_proof = self._epochs[epoch_index].prove(slot)
-            if anchored:
-                link_proofs: list[MembershipProof] = []
-            else:
-                link_proofs = list(self._link_chain(epoch_index, link_cache))
+            link_proofs: list[MembershipProof] = []
+            if not anchored:
+                for k in range(epoch_index + 1, last + 1):
+                    if k not in links:
+                        links[k] = prove(k, 0)
+                    link_proofs.append(links[k])
             proofs.append(
                 FamProof(
                     jsn=jsn,
                     epoch_index=epoch_index,
-                    num_epochs=num_epochs,
-                    epoch_proof=epoch_proof,
+                    num_epochs=last + 1,
+                    epoch_proof=prove(epoch_index, slot),
                     link_proofs=link_proofs,
                 )
             )
         return proofs
-
-    def _link_chain(
-        self, epoch_index: int, cache: dict[int, list[MembershipProof]]
-    ) -> list[MembershipProof]:
-        """Memoized merged-leaf chain from ``epoch_index`` to the live epoch."""
-        last = len(self._epochs) - 1
-        if epoch_index >= last:
-            return []
-        missing = []
-        k = epoch_index
-        while k < last and k not in cache:
-            missing.append(k)
-            k += 1
-        chain = cache.get(k, [])
-        for k in reversed(missing):
-            chain = [self._epochs[k + 1].prove(0)] + chain
-            cache[k] = chain
-        return cache[epoch_index]
 
     # ------------------------------------------------------------- verifying
 
@@ -596,14 +581,7 @@ class FamAccumulator:
 
     def root_at(self, size: int) -> Digest:
         """The fam commitment right after the first ``size`` journals."""
-        _roots, in_epoch_size, peaks = self.snapshot_at(size)
-        if not peaks:
-            from ..crypto.hashing import EMPTY_DIGEST
-
-            return EMPTY_DIGEST
-        from .proofs import bag_peaks
-
-        return bag_peaks(list(peaks))
+        return self.head_root(*self._cut(size))
 
 
 class FamReplayer:

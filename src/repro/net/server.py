@@ -494,21 +494,18 @@ class LedgerServer:
 
     async def _op_prove_clue(self, message: dict) -> dict:
         clue = _require_str(message.get("clue"), "clue")
-
-        def snapshot() -> tuple[Any, bytes]:
-            # The root first, the proof cut at exactly it: an append landing
-            # in between must not pair a proof with a root it does not fold to.
-            state_root = self.ledger.state_root()
-            return self.ledger.prove_clue(clue, root=state_root), state_root
-
-        proof, state_root = await self._run(snapshot)
+        state_root = self.ledger.head.state_root
+        proof = await self._run(lambda: self.ledger.prove_clue(clue, root=state_root))
         return {"proof": proof.to_bytes(), "state_root": state_root}
 
     def _op_get_root(self, message: dict) -> dict:
-        claim = self.ledger.commitments()
-        latest = claim["latest_receipt"]
-        claim["latest_receipt"] = latest.to_bytes() if latest is not None else b""
-        return claim
+        head = self.ledger.head
+        return {
+            "root": head.root,
+            "state_root": head.state_root,
+            "size": head.size,
+            "latest_receipt": head.receipt.to_bytes() if head.receipt else b"",
+        }
 
     def _op_receipt_for(self, message: dict) -> dict:
         jsn = _require_int(message.get("jsn"), "jsn")

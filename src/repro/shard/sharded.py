@@ -47,10 +47,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable
 
-from ..core.errors import LedgerError, UsageError
+from ..core.errors import UsageError
 from ..core.journal import ClientRequest, Journal
 from ..core.ledger import CONFIG_FILE, SHARD_DIR_FORMAT, Ledger, LedgerConfig
-from ..core.ledger import LedgerView, is_sharded_layout
+from ..core.ledger import LedgerHead, LedgerView, is_sharded_layout
 from ..core.members import MemberRegistry
 from ..core.receipt import Receipt
 from ..core.snapshot import load_config_file, write_config_file
@@ -419,9 +419,14 @@ class ShardedLedger:
 
     # ---------------------------------------------------------------- roots
 
+    def heads(self) -> list[LedgerHead]:
+        """One published head per shard, by shard index: every composite read
+        below answers from one such list."""
+        return [shard.head for shard in self._shards]
+
     def shard_roots(self) -> list[Digest]:
         """Live fam root per shard — the shard map's leaves."""
-        return [shard.current_root() for shard in self._shards]
+        return [head.root for head in self.heads()]
 
     def composite_root(self) -> Digest:
         """The one trusted digest covering every shard's journal history."""
@@ -431,7 +436,7 @@ class ShardedLedger:
         return self.composite_root()
 
     def shard_state_roots(self) -> list[Digest]:
-        return [shard.state_root() for shard in self._shards]
+        return [head.state_root for head in self.heads()]
 
     def state_root(self) -> Digest:
         """Composite CM-Tree1 commitment (world state across shards)."""
@@ -455,16 +460,19 @@ class ShardedLedger:
         return self.get_proofs([gsn], anchored=anchored)[0]
 
     def get_proofs(self, gsns: list[int], anchored: bool = True) -> list[ShardProof]:
-        """Bulk cross-shard proofs sharing one shard-map snapshot per group."""
+        """Bulk cross-shard proofs, every fam leg cut at the shard head whose
+        root the shared shard map links."""
         del anchored  # see get_proof: the composed form needs the full chain
+        heads = self.heads()
+        roots = [head.root for head in heads]
         groups: dict[int, list[tuple[int, int]]] = {}
         for position, gsn in enumerate(gsns):
             shard_index, local_jsn = self.locate(gsn)
             groups.setdefault(shard_index, []).append((position, local_jsn))
         proofs: list[ShardProof | None] = [None] * len(gsns)
         for shard_index, members in groups.items():
-            fam_proofs, roots = self._consistent_shard_proofs(
-                shard_index, [local for _, local in members]
+            fam_proofs = self._shards[shard_index].proofs_at(
+                heads[shard_index], [local for _, local in members], anchored=False
             )
             link = self.shard_link(shard_index, roots)
             for (position, _), fam_proof in zip(members, fam_proofs):
@@ -475,31 +483,6 @@ class ShardedLedger:
                     link=link,
                 )
         return proofs  # type: ignore[return-value]
-
-    def _consistent_shard_proofs(
-        self, shard_index: int, local_jsns: list[int]
-    ) -> tuple[list[FamProof], list[Digest]]:
-        """Fam proofs plus a shard-root snapshot they actually fold to.
-
-        Reads race concurrent shard writers, so the snapshot is validated:
-        every proof must imply the root recorded for its shard, else the
-        bundle is rebuilt (a torn bundle would verify as False, never as a
-        forgery — this retry is about availability, not soundness).
-        """
-        shard = self._shards[shard_index]
-        for _attempt in range(4):
-            fam_proofs = shard.get_proofs(local_jsns, anchored=False)
-            roots = self.shard_roots()
-            implied = [
-                FamAccumulator.fold_full(shard.retained_hash(jsn), proof)
-                for jsn, proof in zip(local_jsns, fam_proofs)
-            ]
-            if all(root == roots[shard_index] for root in implied):
-                return fam_proofs, roots
-        raise LedgerError(
-            f"shard {shard_index} kept advancing mid-proof; quiesce appends "
-            f"or retry"
-        )
 
     def proof_for_journal(self, journal: Journal, anchored: bool = True) -> ShardProof:
         """Cross-shard proof for a presented journal (route by its content)."""
@@ -522,8 +505,10 @@ class ShardedLedger:
         composite state root.  Covers the clue's lineage *as a routing key*
         (see module docstring for the shard-map lineage contract)."""
         shard_index = self.shard_of_key(clue)
-        clue_proof = self._shards[shard_index].prove_clue(clue, version_start, version_end)
         state_roots = self.shard_state_roots()
+        clue_proof = self._shards[shard_index].prove_clue(
+            clue, version_start, version_end, root=state_roots[shard_index]
+        )
         return ShardClueProof(
             shard_index=shard_index,
             num_shards=self.num_shards,
@@ -550,7 +535,10 @@ class ShardedLedger:
         (:meth:`SignedTreeHead.composite_consistent`) and cross-check each
         embedded entry against independently gossiped per-shard heads.
         """
-        heads = [shard.get_sth() for shard in self._shards]
+        return self.composite_sth([shard.get_sth() for shard in self._shards])
+
+    def composite_sth(self, heads: list[SignedTreeHead]) -> SignedTreeHead:
+        """The composite head embedding ``heads``, one per shard by index."""
         shard_heads = tuple(
             (index, head.epoch, head.tree_size, head.live_size, head.root)
             for index, head in enumerate(heads)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Any, Callable, Protocol
 
 from ..core.errors import UsageError, VerificationFailure
 from ..core.receipt import Receipt
@@ -66,27 +66,26 @@ class FamReader:
     """Read-only face of one :class:`FamAccumulator` — the local source, and
     what the network server answers its fam ops from.
 
-    Safe beside the (single) appending thread without a lock: Shrubs nodes
-    are immutable once written, so every answer is computed *at* a size read
-    once, and describes a state the accumulator really passed through.
+    Safe beside the (single) appending thread without a lock: ``head()``
+    returns the ledger's published head (size, epoch, live size and root of
+    one commit), which :meth:`fam_info` answers from; every other answer is
+    computed at sizes its caller names, and Shrubs nodes are immutable once
+    written.
     """
 
-    def __init__(self, fam: FamAccumulator) -> None:
+    def __init__(self, fam: FamAccumulator, head: Callable[[], Any]) -> None:
         self._fam = fam
+        self._head = head
 
     def fam_info(self) -> dict:
-        fam = self._fam
-        live_epoch = fam.num_epochs - 1
-        live_size = fam.live_size(live_epoch)
+        head = self._head()
         return {
-            "size": fam.size,
-            "num_epochs": live_epoch + 1,
-            "epoch_capacity": fam.epoch_capacity,
-            "fractal_height": fam.fractal_height,
-            "live_size": live_size,
-            # The root *at* live_size: an append landing between the two
-            # reads must not pair an old size with a new root.
-            "live_root": fam.head_root(live_epoch, live_size),
+            "size": head.size,
+            "num_epochs": head.epoch + 1,
+            "epoch_capacity": self._fam.epoch_capacity,
+            "fractal_height": self._fam.fractal_height,
+            "live_size": head.live_size,
+            "live_root": head.root,
         }
 
     def epoch_anchor(self, epoch: int) -> Digest:
@@ -104,7 +103,9 @@ class FamReader:
     def live_consistency(
         self, old_size: int, new_size: int | None = None
     ) -> ConsistencyProof:
-        return self.epoch_consistency(self._fam.num_epochs - 1, old_size, new_size)
+        head = self._head()
+        new_size = head.live_size if new_size is None else new_size
+        return self.epoch_consistency(head.epoch, old_size, new_size)
 
     def epoch_consistency(
         self, epoch: int, old_size: int, new_size: int | None = None

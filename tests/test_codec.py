@@ -10,10 +10,11 @@ produce them.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import encoding
 from repro.core import journal as journal_module
@@ -259,6 +260,17 @@ def outcome(function, data):
         return "error", type(exc), str(exc)
 
 
+def same(a, b) -> bool:
+    """``a == b``, except that two NaNs in the same place count as equal."""
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
 # (compiled, reference) decoder pairs that must agree on every input.
 DECODERS = {
     "journal": (journal_module._JOURNAL.decode, decode),
@@ -325,10 +337,23 @@ journal_fields = st.fixed_dictionaries(
 
 
 @given(journal_fields)
+@example(
+    {
+        "jsn": 0,
+        "journal_type": "genesis",
+        "client_id": "",
+        "payload": b"",
+        "clues": [],
+        "timestamp": math.nan,
+        "nonce": b"",
+        "request_hash": b"\x00",
+        "client_signature": b"",
+    }
+)
 def test_journal_codec_matches_oracle(fields):
     data = journal_module._JOURNAL.encode(fields)
     assert data == oracle_encode(fields)
-    assert outcome(journal_module._JOURNAL.decode, data) == outcome(oracle_decode, data)
+    assert same(outcome(journal_module._JOURNAL.decode, data), outcome(oracle_decode, data))
 
 
 steps = st.builds(PathStep, digests, st.booleans())

@@ -9,7 +9,8 @@
   forged-proof and root-rewound servers get the same ``VerifyResult`` fields
   as a session that syncs before every verify (the parent's behaviour).
 * ``prove_clue`` and ``get_root`` answer from one snapshot beside a
-  saturating appender.
+  saturating appender; so do server-side ``verify_journal`` and exports,
+  which must also leave the ledger auditable.
 * A synchronous call that times out leaves nothing behind.
 """
 
@@ -24,9 +25,12 @@ import time
 import pytest
 
 from repro import obs
+from repro.audit import dasein_audit
 from repro.core import Ledger, LedgerConfig
 from repro.core.errors import VerificationFailure
 from repro.crypto import KeyPair, Role
+from repro.export.bundle import ExportBundle, export_bundle
+from repro.export.verifier import verify_bundle
 from repro.merkle.fam import FamProof
 from repro.net import (
     LedgerServer,
@@ -343,6 +347,44 @@ def test_get_root_equals_the_ledgers_own_commitments_when_quiescent():
                 assert claim["latest_receipt"] == ledger.latest_receipt
         finally:
             client.close()
+
+
+def test_server_side_verify_journal_is_never_falsy_on_honest_data_beside_appends():
+    """The live epoch's last journal, verified by the server in process and
+    over the ``verify_journal`` op: proof and root come from one head."""
+    falsy = [0]
+
+    def check(reader: RemoteLedgerClient, ledger: Ledger) -> None:
+        journal = ledger.get_journal(ledger.size - 1)
+        falsy[0] += not ledger.verify_journal(journal)
+        falsy[0] += not reader.verify_journal_remote(journal)
+
+    _beside_a_saturating_appender(check)
+    assert falsy[0] == 0
+
+
+def test_exports_beside_appends_verify_and_leave_the_ledger_auditable():
+    """Bundles built while a writer commits (in process and over the
+    ``export`` op) each verify standalone, and the ledger still passes a
+    quiescent Dasein audit afterwards: no reader seals a block mid-batch."""
+    failures: list[str] = []
+    ledgers: list[Ledger] = []
+
+    def check(reader: RemoteLedgerClient, ledger: Ledger) -> None:
+        ledgers[:] = [ledger]
+        if ledger.size > 400:
+            return  # full-chain proofs grow with the epochs: keep bundles small
+        local = export_bundle(ledger, clues=("FIXED",))
+        remote = ExportBundle.from_bytes(reader.export(("FIXED",)))
+        for bundle in (local, remote):
+            result = verify_bundle(bundle)
+            if not result:
+                failures.append(result.detail)
+
+    _beside_a_saturating_appender(check, rounds=12)
+    assert failures == []
+    report = dasein_audit(ledgers[0].export_view(), tsa_keys={})
+    assert report.passed, report
 
 
 # ------------------------------------------------------------- timeouts

@@ -13,6 +13,8 @@ ledgers.
 """
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +195,57 @@ class TestCompositeProofs:
         assert proof.verify(digests, ledger.state_root())
         digests[0] = bytes(32)
         assert not proof.verify(digests, ledger.state_root())
+        ledger.close()
+
+
+class TestReadsBesideWriters:
+    def test_proofs_fold_to_the_heads_they_were_cut_at(self):
+        """A writer keeps committing on both shards of a 2-shard deployment.
+        Every clue proof verifies its own shard leg against the state root
+        its link commits, and every bulk proof folds, leg and link, to one
+        composite root per call — no retry, no LedgerError."""
+        ledger = build_sharded(2, fractal_height=3, block_size=4)
+        ledger.append_batch([request(i, "FIXED") for i in range(5)])
+        fixed = ledger.list_tx("FIXED")
+        digests = {i: ledger.get_journal(gsn).tx_hash() for i, gsn in enumerate(fixed)}
+        gsns = [0, 1, *fixed]  # both genesis journals, and the FIXED lineage
+        leaves = [ledger.retained_hash(gsn) for gsn in gsns]
+        sizes = [shard.size for shard in ledger.shards]
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def write() -> None:
+            index = 100
+            try:
+                while not stop.is_set():
+                    ledger.append_batch([request(index + k, f"MOVING-{k}") for k in range(4)])
+                    index += 4
+            except BaseException as exc:
+                errors.append(exc)
+
+        torn_clue = torn_proofs = 0
+        writer = threading.Thread(target=write)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # make a switch inside any two reads likely
+        writer.start()
+        try:
+            for _round in range(400):
+                clue_proof = ledger.prove_clue("FIXED")
+                composite = clue_proof.link.computed_root(clue_proof.shard_state_root)
+                torn_clue += not clue_proof.verify(digests, composite)
+                proofs = ledger.get_proofs(gsns)
+                composites = {
+                    proof.link.computed_root(proof.shard_root(leaf))
+                    for proof, leaf in zip(proofs, leaves)
+                }
+                torn_proofs += len(composites) != 1
+        finally:
+            stop.set()
+            writer.join(30)
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive() and not errors, errors
+        assert all(shard.size > size for shard, size in zip(ledger.shards, sizes))
+        assert torn_clue == 0 and torn_proofs == 0
         ledger.close()
 
 

@@ -11,6 +11,7 @@ VerifyResult on remote verify paths.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import itertools
 from dataclasses import replace
@@ -464,6 +465,110 @@ class TestCensorship:
             wrong_journal = session.list_tx("B")[0]
             proof = ledger.get_proof(wrong_journal.jsn, anchored=False)
             assert not refute_censorship(evidence, wrong_journal, proof)
+
+
+# ------------------------------------------------- heads beside a commit
+
+
+def epoch_of(tree_size: int, cap: int = CAP) -> tuple[int, int]:
+    """``(epoch, live_size)`` of a fam with epoch capacity ``cap`` right
+    after ``tree_size`` journals."""
+    if tree_size < cap:
+        return 0, tree_size
+    return 1 + (tree_size - cap) // (cap - 1), 1 + (tree_size - cap) % (cap - 1)
+
+
+@contextlib.contextmanager
+def commit_inside(ledger, keypair):
+    """Make one ``append_batch`` of ``CAP`` journals (at least one epoch roll)
+    land inside the next read: right after the first read of the ledger's
+    fam returns, or when its clock is first read, whichever comes first.
+    Yields the list the pending commit is popped from."""
+    requests = [
+        ClientRequest.build(
+            ledger.config.uri,
+            "alice",
+            b"inside %d" % index,
+            nonce=b"inside %d" % index,
+            client_timestamp=1.0,
+        ).signed_by(keypair)
+        for index in range(CAP)
+    ]
+    pending = [lambda: ledger.append_batch(requests)]
+
+    def trip() -> None:
+        if pending:
+            pending.pop()()
+
+    fam, clock = ledger._fam, ledger.clock
+    fam_cls, clock_cls = type(fam), type(clock)
+
+    class TrippingFam(fam_cls):
+        def __getattribute__(self, name):
+            value = fam_cls.__getattribute__(self, name)
+            if not name.startswith("_"):  # a read from outside, answered
+                trip()
+            return value
+
+    class TrippingClock(clock_cls):
+        def now(self):
+            trip()
+            return clock_cls.now(self)
+
+    fam.__class__, clock.__class__ = TrippingFam, TrippingClock
+    try:
+        yield pending
+    finally:
+        fam.__class__, clock.__class__ = fam_cls, clock_cls
+
+
+class TestHeadsBesideCommits:
+    """A signed head or ack describes one commit, even when another commit
+    lands in the middle of minting it."""
+
+    def test_commit_inside_get_sth(self):
+        ledger, keypair = make_ledger()
+        with make_session(ledger, keypair) as session:
+            fill(session, CAP + 1)
+        before = ledger.size
+        with commit_inside(ledger, keypair) as pending:
+            head = ledger.get_sth()
+        assert not pending and ledger.size == before + CAP  # the commit landed
+        assert head.verify(ledger.lsp_public_key)
+        assert (head.epoch, head.live_size) == epoch_of(head.tree_size)
+        assert head.root == ledger._fam.head_root(head.epoch, head.live_size)
+
+    def test_commit_inside_issue_ack(self):
+        ledger, keypair = make_ledger()
+        with make_session(ledger, keypair) as session:
+            fill(session, CAP + 1)
+        request = ClientRequest.build(
+            ledger.config.uri, "alice", b"ack me", nonce=b"ack", client_timestamp=1.0
+        ).signed_by(keypair)
+        before = ledger.size
+        with commit_inside(ledger, keypair) as pending:
+            ack = ledger.issue_ack(request)
+        assert not pending and ledger.size == before + CAP
+        assert ack.verify(ledger.lsp_public_key)
+        assert ack.epoch == epoch_of(ack.tree_size)[0]
+
+    def test_witness_finds_no_fork_beside_a_saturating_appender(self):
+        from test_net_readpath import _beside_a_saturating_appender
+
+        witnesses: list[Witness] = []
+
+        def check(reader, ledger) -> None:
+            if not witnesses:
+                witnesses.append(Witness(ledger.lsp_public_key))
+            for head in (reader.get_sth(), ledger.get_sth()):
+                assert witnesses[0].ingest(head) is None
+                cap = 1 << head.fractal_height
+                assert (head.epoch, head.live_size) == epoch_of(head.tree_size, cap)
+
+        _beside_a_saturating_appender(check)
+        witness = witnesses[0]
+        assert witness.head_count > 1
+        assert not witness.evidence and not witness.alarms
 
 
 # ----------------------------------------------------- protocol conformance
