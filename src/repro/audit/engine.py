@@ -39,6 +39,10 @@ TSA evidence behind every time anchor.  The engine therefore splits roles:
 * Π1/Π2 approvals and time-journal evidence ship to the same pool as
   per-record / chunked tasks.
 
+Sequential mode (``workers=0``) batches pi_c the same way: its chunks run
+inline through the same :func:`~repro.audit.workers.verify_signature_chunk`,
+so the engine has one who-path.
+
 Determinism: workers return raw verdicts, never report steps.  The
 coordinator converts every failure — inline or chunked — into a
 ``(jsn, priority)``-keyed candidate mirroring the exact check order of the
@@ -68,7 +72,7 @@ from ..merkle.cmtree import encode_clue_value
 from ..merkle.fam import FamReplayer
 from ..merkle.mpt import MPT
 from ..merkle.shrubs import FrontierAccumulator
-from ..verify import check_time_evidence, parse_time_journal, signed_by
+from ..verify import check_time_evidence, parse_time_journal
 from .checkpoint import AuditCheckpoint, CheckpointStore
 from .report import AuditReport, AuditStep
 from .workers import (
@@ -203,6 +207,11 @@ class _AuditEngine:
             self._pool = None
 
     def _submit(self, fn, *args) -> Future:
+        if not self.workers:
+            # Sequential mode runs the same task inline, behind a done future.
+            future: Future = Future()
+            future.set_result(fn(*args))
+            return future
         return self._ensure_pool().submit(fn, *args)
 
     def _chunked(self, items: list, size: int | None = None) -> list[list]:
@@ -523,7 +532,7 @@ class _AuditEngine:
                             f"jsn {jsn}: unknown member {journal.client_id!r}",
                         )
                         break
-                    if self.workers and journal.client_signature is not None:
+                    if journal.client_signature is not None:
                         point = certificate.public_key.point
                         chunk_items.append(
                             (
@@ -538,7 +547,7 @@ class _AuditEngine:
                             flush_chunk()
                             if sig_failures:
                                 break
-                    elif not signed_by(journal, certificate):
+                    else:
                         inline_failure = (
                             jsn, _P_SIGNATURE, f"jsn {jsn}: invalid issuer signature"
                         )
@@ -898,7 +907,8 @@ def dasein_audit(
     chunked onto a pool of ``workers`` processes (threads where fork is
     unavailable, or with ``pool='thread'``) and overlapped with the replay
     fold.  The report is byte-identical to the sequential engine's for any
-    worker count.  ``chunk_size`` tunes journals per dispatched chunk.
+    worker count.  ``chunk_size`` tunes journals per chunk; with
+    ``workers=0`` the same client-signature chunks are verified inline.
 
     ``checkpoint`` (a path or :class:`CheckpointStore`) makes the audit
     resumable: replay state is snapshotted every ``checkpoint_every``

@@ -2,9 +2,10 @@
 
 Every function here is a plain module-level callable so it pickles by
 reference into a ``ProcessPoolExecutor`` (and runs unchanged on a thread
-pool).  Payloads are deliberately small and flat: per-journal client
-signatures travel as ``(x, y, digest, signature_bytes)`` tuples — a few
-hundred bytes per check — never as whole journals or views.
+pool, or inline in the sequential engine).  Payloads are deliberately small
+and flat: per-journal client signatures travel as
+``(x, y, digest, signature_bytes)`` tuples — a few hundred bytes per check —
+never as whole journals or views.
 
 Each function returns *data* (verdict lists, error strings), not report
 steps: the coordinator owns ordering, message selection, and the

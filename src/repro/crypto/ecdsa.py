@@ -27,6 +27,12 @@ Both paths produce identical signatures (RFC 6979 is deterministic) and are
 cross-checked in ``tests/test_ecdsa_fastpath.py``.  This is a faithful,
 test-covered implementation of the textbook algorithms — adequate for a
 research artifact, not hardened against side channels.
+
+Many signatures under one key verify together (:func:`verify_digests`): one
+randomised ECDSA* aggregate equation per same-key group, whose
+``sum(a_i * R_i)`` term is a Straus pass for small groups and a bucket
+(Pippenger) sum with batched affine additions from :data:`BUCKET_MIN` up; a
+failed aggregate is split in halves until the bad signatures are found.
 """
 
 from __future__ import annotations
@@ -889,6 +895,106 @@ def _straus_sum(
     return acc
 
 
+#: Smallest same-key group whose ``sum(a_i * R_i)`` is summed by buckets
+#: instead of by Straus.  Per point, best of 7 alternating rounds (CPython
+#: 3.11, 2-core x86-64): Straus ~160 µs at every size; buckets 152 at 16,
+#: 112 at 32, 70 at 128, 48 at 1 024 (DESIGN.md §12).
+BUCKET_MIN = 32
+#: Bucket window width by group size, ``(largest n, width)``, from the same
+#: measurement; larger groups take :data:`BUCKET_WIDTH_MAX`.
+BUCKET_WIDTHS = ((64, 4), (192, 5), (768, 6), (1536, 7))
+BUCKET_WIDTH_MAX = 8
+
+
+def _bucket_width(count: int) -> int:
+    for largest, width in BUCKET_WIDTHS:
+        if count <= largest:
+            return width
+    return BUCKET_WIDTH_MAX
+
+
+def _bucket_sum(
+    pairs: list[tuple[int, tuple[int, int]]], curve: Curve
+) -> tuple[int, int, int]:
+    """``sum(a_i * P_i)`` by buckets (Pippenger) with batched affine additions.
+
+    Each scalar is recoded into signed base-2^c digits; window w's bucket
+    |d| collects ±P_i for every digit d.  Every bucket is reduced to one
+    affine point by rounds of pairwise affine additions, all of a round's
+    slopes sharing one Montgomery inversion, and the buckets of each window
+    are then weighted by a Jacobian running sum.  An addition of two points
+    with equal x (a duplicated or negated input) has no affine slope: the
+    whole sum then falls back to :func:`_straus_sum`, so the result is
+    always exact.
+    """
+    p = curve.p
+    width = _bucket_width(len(pairs))
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    # A signed digit may carry one window past the top bit.
+    windows = (max(a.bit_length() for a, _point in pairs) + width) // width
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(windows * half)]
+    for a, point in pairs:
+        negated = None
+        slot = -1  # bucket index of digit 1 in the current window, minus one
+        while a:
+            d = a & mask
+            a >>= width
+            if d > half:
+                a += 1
+                if negated is None:
+                    negated = (point[0], p - point[1])
+                buckets[slot + (mask + 1 - d)].append(negated)
+            elif d:
+                buckets[slot + d].append(point)
+            slot += half
+    pending = [bucket for bucket in buckets if len(bucket) > 1]
+    while pending:
+        # One round: add neighbours pairwise in every bucket.  Forward pass:
+        # prefix products of the slope denominators x2 - x1.
+        prefix = [1]
+        acc = 1
+        for bucket in pending:
+            it = iter(bucket)
+            for (x1, _y1), (x2, _y2) in zip(it, it):
+                acc = acc * (x2 - x1) % p
+                prefix.append(acc)
+        if not acc:  # some x2 == x1: no affine slope, take the exact path
+            return _straus_sum(pairs, curve)
+        # Backward pass: peel each 1/(x2 - x1) off the one inversion and
+        # finish that addition on the spot.
+        inv = pow(acc, -1, p)
+        k = len(prefix) - 1
+        still = []
+        for bucket in reversed(pending):
+            sums = [bucket[-1]] if len(bucket) & 1 else []
+            for j in range((len(bucket) & ~1) - 2, -1, -2):
+                x1, y1 = bucket[j]
+                x2, y2 = bucket[j + 1]
+                k -= 1
+                lam = (y2 - y1) * (inv * prefix[k] % p) % p
+                inv = inv * (x2 - x1) % p
+                x3 = (lam * lam - x1 - x2) % p
+                sums.append((x3, (lam * (x1 - x3) - y1) % p))
+            bucket[:] = sums
+            if len(sums) > 1:
+                still.append(bucket)
+        pending = still
+    result = (1, 1, 0)
+    for window in range(windows - 1, -1, -1):
+        for _ in range(width if result[2] else 0):
+            result = _jacobian_double(result, curve)
+        # sum(d * B_d) = B_top + (B_top + B_top-1) + ... as a running sum.
+        running = (1, 1, 0)
+        total = (1, 1, 0)
+        for bucket in reversed(buckets[window * half : (window + 1) * half]):
+            if bucket:
+                running = _jacobian_mixed_add(running, *bucket[0], curve)
+            total = _jacobian_add(total, running, curve)
+        result = _jacobian_add(result, total, curve)
+    return result
+
+
 def _jacobian_eq(
     a: tuple[int, int, int], b: tuple[int, int, int], p: int
 ) -> bool:
@@ -940,7 +1046,12 @@ def _aggregate_group_verify(
         table.multiply_jacobian(tq),
         curve,
     )
-    return _jacobian_eq(lhs, _straus_sum(pairs, curve), curve.p)
+    if len(pairs) >= BUCKET_MIN:
+        obs.inc("ecdsa.verify_batch.bucket", len(pairs))
+        rhs = _bucket_sum(pairs, curve)
+    else:
+        rhs = _straus_sum(pairs, curve)
+    return _jacobian_eq(lhs, rhs, curve.p)
 
 
 def verify_digests(
@@ -950,12 +1061,18 @@ def verify_digests(
 
     Verdicts match :func:`verify_digest` per item (including LRU warm-up
     side effects).  Beyond sharing one Montgomery batch inversion for every
-    ``s^-1 mod n``, same-key groups of *recoverable* signatures (R carried,
-    cached window table, ≥ :data:`BATCH_VERIFY_MIN`) are checked with one
-    randomised aggregate equation — the audit engine's chunk fast path.  Any
-    aggregate mismatch falls back to exact per-item verification, so a bad
-    signature is always attributed to the right index; a forged signature
-    slipping through aggregation requires guessing a 64-bit randomiser.
+    ``s^-1 mod n``, the *recoverable* signatures (R carried) of a same-key
+    group whose key has a window table are checked with one randomised
+    aggregate equation when there are ≥ :data:`BATCH_VERIFY_MIN` of them —
+    the who-pass of the audit engine and of the bundle verifier.  Its
+    ``sum(a_i * R_i)`` term is bucket-summed from :data:`BUCKET_MIN`
+    signatures up.  A failed aggregate is split: each half is checked again
+    with fresh randomisers, down to leaves under ``2 * BATCH_VERIFY_MIN``
+    that verify one by one, so a bad signature is always attributed to the
+    right index and one forgery among many costs a few aggregates, not a
+    single verify per signature.  Signatures without R verify one by one.
+    A forged signature slipping through aggregation requires guessing a
+    64-bit randomiser.
     """
     with obs.span("ecdsa.verify_batch") as _sp:
         _sp.add("checks", len(checks))
@@ -984,26 +1101,41 @@ def verify_digests(
             return results
         inverses = _batch_inverse(s_values, curve.n)
 
-        def flush_group(
-            items: list[tuple[int, Point, int, int, int | None, object, int]]
-        ) -> None:
-            head_table = items[0][5]
-            aggregable = (
-                len(items) >= BATCH_VERIFY_MIN
-                and head_table is not None
-                and all(ry is not None for _i, _pk, _z, _r, ry, _t, _w in items)
-            )
-            if aggregable and _aggregate_group_verify(
-                [(z, r, w, ry) for _i, _pk, z, r, ry, _t, w in items],
-                head_table,
-                curve,
+        def verify_each(items: list) -> None:
+            for index, public_key, z, r, _ry, table, w in items:
+                results[index] = _verify_prepared(public_key, z, r, w, table, curve)
+
+        def settle(items: list, table) -> None:
+            """Exact verdicts for hinted same-key signatures: one aggregate
+            check, and on failure the two halves again, each with fresh
+            randomisers, down to leaves verified one by one."""
+            if _aggregate_group_verify(
+                [(z, r, w, ry) for _i, _pk, z, r, ry, _t, w in items], table, curve
             ):
                 obs.inc("ecdsa.verify_batch.aggregated", len(items))
                 for item in items:
                     results[item[0]] = True
                 return
-            for index, public_key, z, r, _parity, table, w in items:
-                results[index] = _verify_prepared(public_key, z, r, w, table, curve)
+            if len(items) < 2 * BATCH_VERIFY_MIN:
+                verify_each(items)
+                return
+            obs.inc("ecdsa.verify_batch.split")
+            middle = len(items) // 2
+            for part in (items[:middle], items[middle:]):
+                if len(part) < 2 * BATCH_VERIFY_MIN:
+                    verify_each(part)
+                else:
+                    settle(part, table)
+
+        def flush_group(items: list) -> None:
+            # The key's table, once any item's lookup has built or found it.
+            table = next((item[5] for item in items if item[5] is not None), None)
+            hinted = [item for item in items if item[4] is not None]
+            if table is None or len(hinted) < BATCH_VERIFY_MIN:
+                verify_each(items)
+                return
+            verify_each([item for item in items if item[4] is None])
+            settle(hinted, table)
 
         groups: "OrderedDict[tuple[int, int], list]" = OrderedDict()
         for (index, public_key, z, r, parity, table), w in zip(prepared, inverses):

@@ -176,8 +176,8 @@ def signed_by_many(pairs: Sequence[tuple[Journal, Certificate | None]]) -> list[
 
     A missing certificate or signature is ``False`` without a curve
     operation; the rest share one batch, whose same-key aggregate equation
-    falls back to exact per-signature checks on any mismatch — a bad
-    signature is still attributed to its own index.
+    is split in halves on any mismatch, down to exact per-signature checks —
+    a bad signature is still attributed to its own index.
     """
     verdicts = [False] * len(pairs)
     positions: list[int] = []

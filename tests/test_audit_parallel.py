@@ -17,6 +17,8 @@ from repro.core.journal import Journal
 from repro.crypto import KeyPair
 from repro.storage.faults import FaultPlan, FaultyFile, InjectedCrash, flip_byte
 
+from conftest import Deployment
+
 # The grid deliberately includes chunk sizes that split the workload into
 # many small chunks (worst case for merge ordering) and a chunk size larger
 # than the ledger (single-chunk degenerate case).
@@ -115,6 +117,54 @@ class TestDeterministicFirstFailure:
             report = _audit(deployment, view=view, workers=workers, chunk_size=3)
             assert report.journals_replayed == target - view.genesis_start
             assert not report.passed
+
+
+@pytest.fixture(scope="module")
+def long_ledger():
+    """160 journals from two members: a 256-journal chunk holds two
+    same-key groups of 80, above BUCKET_MIN, so pi_c goes through the bucket
+    sum on the inline and on the pool path."""
+    deployment = Deployment()
+    receipts = deployment.populate(count=160, anchor_every=40)
+    return deployment, [receipt.jsn for receipt in receipts]
+
+
+class TestForgedSignaturePositions:
+    """Sequential (chunks verified inline) against pool runs, with forged
+    client signatures at the ledger's edges and on both sides of a chunk
+    boundary: the report bytes must not depend on where the who-check ran."""
+
+    @pytest.mark.parametrize(
+        "picks",
+        [(0,), (63,), (64,), (159,), (63, 64), (0, 80, 159)],
+        ids=lambda picks: "+".join(map(str, picks)),
+    )
+    def test_sequential_matches_pools(self, long_ledger, picks):
+        deployment, jsns = long_ledger
+        view = deployment.ledger.export_view()
+        for pick in picks:
+            _forge_signature(view, jsns[pick], seed=f"mallory-{pick}")
+        baseline = _audit(deployment, view=view)
+        assert not baseline.passed
+        assert f"jsn {jsns[picks[0]]}: invalid issuer signature" in " ".join(
+            step.detail for step in baseline.failures()
+        )
+        for workers, chunk_size in ((0, 256), (1, 64), (2, 256), (3, 5)):
+            report = _audit(deployment, view=view, workers=workers, chunk_size=chunk_size)
+            assert report.canonical() == baseline.canonical(), (workers, chunk_size)
+        collected = _audit(deployment, view=view, early_terminate=False)
+        pooled = _audit(
+            deployment, view=view, early_terminate=False, workers=2, chunk_size=256
+        )
+        assert pooled.canonical() == collected.canonical()
+
+    def test_honest_long_ledger(self, long_ledger):
+        deployment, _jsns = long_ledger
+        baseline = _audit(deployment)
+        assert baseline.passed
+        for workers in (0, 2):
+            report = _audit(deployment, workers=workers, chunk_size=256)
+            assert report.canonical() == baseline.canonical()
 
 
 class TestCheckpointResume:

@@ -10,6 +10,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import ecdsa
 from repro.crypto.ecdsa import (
@@ -357,6 +359,202 @@ class TestAggregatedBatchVerify:
                 ecdsa._r_point_from_hint(signature.r, signature.ry, CURVE_P256)
                 is not None
             )
+
+
+# ------------------------------------------- bucket sums and split fallback
+
+
+def _random_pairs(count, seed):
+    """``count`` (63-bit randomiser, affine point) pairs, as the aggregate
+    check builds them."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        point = scalar_multiply_base(rng.randrange(1, N))
+        pairs.append((1 + rng.getrandbits(63), (point.x, point.y)))
+    return pairs
+
+
+def _same_point(a, b):
+    return ecdsa._jacobian_eq(a, b, CURVE_P256.p)
+
+
+@pytest.mark.parametrize(
+    "count",
+    sorted(
+        {ecdsa.BUCKET_MIN - 1, ecdsa.BUCKET_MIN, ecdsa.BUCKET_MIN + 1}
+        | {largest + 1 for largest, _width in ecdsa.BUCKET_WIDTHS[:2]}
+    ),
+)
+def test_bucket_sum_matches_straus_around_the_crossover(count):
+    pairs = _random_pairs(count, seed=count)
+    assert _same_point(
+        ecdsa._bucket_sum(pairs, CURVE_P256), ecdsa._straus_sum(pairs, CURVE_P256)
+    )
+
+
+@pytest.mark.parametrize("shape", ["duplicated", "negated", "one point"])
+def test_bucket_sum_falls_back_exactly_on_equal_x(shape, monkeypatch):
+    pairs = _random_pairs(ecdsa.BUCKET_MIN + 8, seed=0xD0)
+    p = CURVE_P256.p
+    if shape == "duplicated":
+        pairs += [(a, pairs[0][1]) for a, _point in pairs[1:20]]
+    elif shape == "negated":
+        pairs += [(a, (x, p - y)) for a, (x, y) in pairs[:20]]
+    else:
+        pairs = [(a, pairs[0][1]) for a, _point in pairs]
+    expected = ecdsa._straus_sum(pairs, CURVE_P256)
+    fallbacks = []
+    straus = ecdsa._straus_sum
+    monkeypatch.setattr(ecdsa, "_straus_sum", lambda *args: fallbacks.append(1) or straus(*args))
+    assert _same_point(ecdsa._bucket_sum(pairs, CURVE_P256), expected)
+    assert fallbacks == [1]
+
+
+def _signed_group(secret, count, seed):
+    rng = random.Random(seed)
+    public = derive_public_key(secret)
+    digests = [hashlib.sha256(rng.randbytes(24)).digest() for _ in range(count)]
+    return public, [(public, d, s) for d, s in zip(digests, sign_digests(secret, digests))]
+
+
+_NAIVE: dict = {}
+
+
+def _naive(checks):
+    """verify_digest_naive per item; the hint plays no part in its verdict."""
+    out = []
+    for public, digest, signature in checks:
+        key = (public, digest, signature.r, signature.s)
+        if key not in _NAIVE:
+            _NAIVE[key] = verify_digest_naive(public, digest, signature)
+        out.append(_NAIVE[key])
+    return out
+
+
+class TestHostileBucketGroups:
+    """Groups at or above BUCKET_MIN, whose R sum goes through the buckets,
+    must give verify_digest_naive's verdict item for item, whatever the
+    hints; forgeries ride along so that failed aggregates split."""
+
+    SIZE = ecdsa.BUCKET_MIN + 8
+
+    def _group(self, seed):
+        secret = random.Random(seed).randrange(1, N)
+        public, checks = _signed_group(secret, self.SIZE, seed)
+        mallory = random.Random(seed + 1).randrange(1, N)
+        checks[5] = (public, checks[5][1], sign_digest(mallory, checks[5][1]))
+        checks[-3] = (public, hashlib.sha256(b"swapped").digest(), checks[-3][2])
+        return public, checks
+
+    def _agree(self, checks):
+        for _ in range(2):  # cold key (first item table-less), then warm
+            assert verify_digests(checks) == _naive(checks)
+
+    def test_duplicated_r_hints(self):
+        _public, checks = self._group(0xD1)
+        checks[10:30] = [checks[9]] * 20  # one signature, twenty times
+        checks[40:45] = [checks[1]] * 5
+        self._agree(checks)
+
+    def test_r_and_minus_r(self):
+        public, checks = self._group(0xD2)
+        p = CURVE_P256.p
+        for index in range(8, 24):
+            digest, sig = checks[index - 8][1], checks[index - 8][2]
+            # (r, n - s) is the same signature's high-s twin: valid, with -R.
+            checks[index] = (public, digest, Signature(sig.r, N - sig.s, p - sig.ry))
+        digest, sig = checks[30][1], checks[30][2]
+        checks[31] = (public, digest, Signature(sig.r, sig.s, p - sig.ry))  # -R, low s
+        self._agree(checks)
+
+    def test_corrupt_hints_and_legacy_members(self):
+        public, checks = self._group(0xD3)
+        p = CURVE_P256.p
+        for index, ry in ((7, 0), (12, p), (17, None), (18, None), (33, 1)):
+            sig = checks[index][2]
+            checks[index] = (public, checks[index][1], Signature(sig.r, sig.s, ry))
+        self._agree(checks)
+
+    def test_two_keys_interleaved(self):
+        _pa, first = self._group(0xD4)
+        _pb, second = self._group(0xD5)
+        mixed = [check for pair in zip(first, second) for check in pair]
+        mixed[20] = (mixed[21][0], mixed[20][1], mixed[20][2])  # other member's key
+        self._agree(mixed)
+
+
+_FORGE_SECRET = 0x5EC2E7
+_FORGE_PUBLIC, _FORGE_HONEST = _signed_group(_FORGE_SECRET, 48, seed=0xF0)
+_FORGE_FORGED = [
+    (public, digest, sign_digest(_FORGE_SECRET + 1, digest))
+    for public, digest, _sig in _FORGE_HONEST
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(mask=st.lists(st.booleans(), min_size=48, max_size=48))
+def test_random_forge_masks_match_the_naive_verdicts(mask):
+    checks = [
+        forged if bad else honest
+        for bad, honest, forged in zip(mask, _FORGE_HONEST, _FORGE_FORGED)
+    ]
+    precompute_public_key(_FORGE_PUBLIC)
+    assert verify_digests(checks) == _naive(checks) == [not bad for bad in mask]
+
+
+class TestSplitFallback:
+    """One failed aggregate over a large group is halved, not re-checked one
+    signature at a time."""
+
+    COUNT = 1024
+
+    @pytest.fixture(scope="class")
+    def group(self):
+        return _signed_group(0xB16, self.COUNT, seed=0xB16)
+
+    def _run(self, checks):
+        from repro import obs
+
+        obs.enable()
+        try:
+            verdicts = verify_digests(checks)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        return verdicts, counters
+
+    def _forge(self, group, positions):
+        public, checks = group
+        checks = list(checks)
+        for position in positions:
+            digest = checks[position][1]
+            checks[position] = (public, digest, sign_digest(0xBAD, digest))
+        return checks
+
+    def test_forgeries_at_the_edges_and_the_middle(self, group):
+        n = self.COUNT
+        checks = self._forge(group, (0, n // 2 - 1, n // 2, n - 1))
+        verdicts, counters = self._run(checks)
+        assert verdicts == [verify_digest(k, d, s) for k, d, s in checks]
+        assert verdicts.count(False) == 4
+        assert counters["ecdsa.verify_batch.split"] > 0
+        assert counters["ecdsa.verify_batch.bucket"] >= n
+
+    def test_one_forgery_costs_few_single_verifies(self, group):
+        checks = self._forge(group, (self.COUNT // 3,))
+        verdicts, counters = self._run(checks)
+        assert verdicts == [index != self.COUNT // 3 for index in range(self.COUNT)]
+        singles = self.COUNT - counters["ecdsa.verify_batch.aggregated"]
+        assert singles <= 64
+
+    def test_small_groups_stay_on_straus(self):
+        _public, checks = _signed_group(0x5A11, ecdsa.BUCKET_MIN - 1, seed=1)
+        verdicts, counters = self._run(checks)
+        assert verdicts == [True] * len(checks)
+        assert counters["ecdsa.verify_batch.aggregated"] == len(checks)
+        assert "ecdsa.verify_batch.bucket" not in counters
 
 
 # ----------------------------------------------------------------- LRU cache

@@ -370,15 +370,29 @@ def test_forged_client_signature_is_reported_against_its_own_jsn(solo, monkeypat
 
 
 def test_forgeries_on_either_side_of_a_who_group_boundary(monkeypatch):
+    """The who-pass hands the section's signatures to the kernel as one
+    batch; the member's failed aggregate is halved, and halved again, so
+    forgeries on either side of a split point are each named exactly."""
+    from repro.core.journal import Journal
     from repro.export import verifier
 
     monkeypatch.setattr(verifier, "_MAX_DETAILS", 10**6)
     ledger, tsa_keys = build_deployment(journals=300)
     bundle = export_bundle(ledger)
     assert verify_bundle(bundle, tsa_keys=tsa_keys).ok
+    # Positions (among journals with data, in jsn order) of the member's own
+    # journals: the order of its group in the kernel's batch.
+    mine = [
+        position
+        for position, entry in enumerate(
+            e for e in bundle.shards[0].entries if e.data is not None
+        )
+        if Journal.from_bytes(entry.data).client_id == "bundle-user"
+    ]
+    half, quarter = len(mine) // 2, len(mine) // 4
     forged, jsns = bundle, []
-    for position in (verifier._WHO_GROUP - 1, verifier._WHO_GROUP, 299):
-        forged, jsn = _forge_client_signature(forged, position)
+    for index in (quarter - 1, quarter, half - 1, half, len(mine) - 1):
+        forged, jsn = _forge_client_signature(forged, mine[index])
         jsns.append(jsn)
     result = verify_bundle(forged, tsa_keys=tsa_keys)
     assert result.who is False
