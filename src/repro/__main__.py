@@ -102,13 +102,14 @@ def _seeded_deployment(
     Returns ``(session, tsa_keys)`` — a v2 session over a ledger with
     ``journals`` clue-tagged records, periodic time anchors, and committed
     blocks, identical bytes for a given argument list on every run (which is
-    what makes the CLI self-checks meaningful in CI).  With ``shards > 1``
+    what makes the CLI self-checks meaningful in CI).  Over several shards
     the same workload lands on a hash-partitioned
     :class:`~repro.shard.ShardedLedger`; with ``data_dir`` it persists there
     on the paged node store.
     """
-    from repro import KeyPair, Ledger, LedgerConfig, Role, SimClock, TimeStampAuthority
+    from repro import KeyPair, LedgerConfig, Role, SimClock, TimeStampAuthority
     from repro.api import LedgerSession
+    from repro.shard import new_deployment
 
     clock = SimClock()
     tsa = TimeStampAuthority(f"{name}-tsa", clock)
@@ -120,23 +121,17 @@ def _seeded_deployment(
         shards=shards,
         **storage,
     )
-    if shards > 1:
-        from repro.shard import ShardedLedger
-
-        ledger = ShardedLedger(config, clock=clock)
-    else:
-        ledger = Ledger(config, clock=clock)
+    ledger = new_deployment(config, clock=clock)
     ledger.attach_tsa(tsa)
     user = KeyPair.generate(seed=f"{name}-user")
     ledger.registry.register(f"{name}-user", Role.USER, user.public)
     session = LedgerSession(ledger, client_id=f"{name}-user", keypair=user)
+    # The seeded lineage, plus four clues per further shard so that every
+    # shard gets journals (routing hashes the first clue).
     lineage = name.upper()
+    clues = [lineage, *(f"{lineage}-{k}" for k in range(1, 4 * (shards - 1) + 1))]
     for index in range(journals):
-        # Sharded runs spread the lineage over enough clues to hit every
-        # shard (routing hashes the first clue); plain runs keep the single
-        # lineage the seeded workload has always used.
-        clue = lineage if shards == 1 else f"{lineage}-{index % (4 * shards)}"
-        session.append(f"{name} record {index}".encode(), clue=clue)
+        session.append(f"{name} record {index}".encode(), clue=clues[index % len(clues)])
         clock.advance(0.25)
         if index % anchor_every == anchor_every - 1:
             ledger.anchor_time()
@@ -161,14 +156,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
-        shard_reports = getattr(report, "reports", None)
-        for shard, sub in (
-            enumerate(shard_reports) if shard_reports is not None else [(None, report)]
-        ):
-            prefix = "" if shard is None else f"shard-{shard} "
-            for step in sub.steps:
-                marker = "ok " if step.passed else "FAIL"
-                print(f"  [{marker}] {prefix}{step.name}: {step.detail}")
+        for step in report.steps:  # a sharded report prefixes each with its shard
+            marker = "ok " if step.passed else "FAIL"
+            print(f"  [{marker}] {step.name}: {step.detail}")
         print(
             f"audit passed={report.passed} "
             f"({report.journals_replayed} journals, {report.blocks_verified} blocks, "
@@ -536,9 +526,11 @@ def _stats_transparency_leg(journals: int) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro import KeyPair, Ledger, LedgerConfig, Role
+    from repro import KeyPair, LedgerConfig, Role
     from repro.core.ledger import LSP_MEMBER_ID
     from repro.net import LedgerServer
+    from repro.shard import deployment_service, new_deployment
+    from repro.shard.shape import has_composite
 
     config_kwargs: dict = {
         "uri": args.uri,
@@ -548,19 +540,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     }
     if args.data_dir:
         config_kwargs.update(node_store="paged", data_dir=args.data_dir)
-    if args.shards > 1:
-        from repro.shard import ShardedLedger, ShardedLedgerService
-
-        ledger = ShardedLedgerService(ShardedLedger(LedgerConfig(**config_kwargs)))
-        targets = [
-            (service, (ledger.ledger, index), 0 if args.port == 0 else args.port + index)
-            for index, service in enumerate(ledger.services)
-        ]
-        registry = ledger.ledger.registry
-    else:
-        ledger = Ledger(LedgerConfig(**config_kwargs))
-        targets = [(ledger, None, args.port)]
-        registry = ledger.registry
+    deployment = new_deployment(LedgerConfig(**config_kwargs))
+    service = deployment_service(deployment)  # one writer loop per shard
+    registry = deployment.registry
     if args.seed_demo:
         # Deterministic demo principal so `connect()` examples work out of
         # the box: seed "demo-user" → the same keypair on every run.
@@ -569,17 +551,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         servers = []
-        for index, (target, shard_context, port) in enumerate(targets):
+        for index, shard_service in enumerate(service.services):
+            # Shard k listens on port + k (each on an ephemeral port for 0).
             server = LedgerServer(
-                target,
+                shard_service,
                 host=args.host,
-                port=port,
+                port=0 if args.port == 0 else args.port + index,
                 allow_register=args.allow_register,
-                shard_context=shard_context,
-                close_service=False if shard_context is not None else None,
+                shard_context=(deployment, index),
             )
             host, bound = await server.start()
-            label = "" if shard_context is None else f"shard {index}: "
+            label = f"shard {index}: " if has_composite(len(service.services)) else ""
             print(f"{label}serving {args.uri} on ledger://{host}:{bound}", flush=True)
             servers.append(server)
         lsp_key = registry.public_key(LSP_MEMBER_ID)
@@ -592,6 +574,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("draining...", flush=True)
             for server in servers:
                 await server.close(drain=True)
+            service.close()
 
     try:
         asyncio.run(run())
@@ -667,20 +650,16 @@ def _open_persistent(data_dir: str):
     """
     from pathlib import Path
 
-    from repro.core.ledger import CONFIG_FILE, Ledger, is_sharded_layout
+    from repro.core.ledger import CONFIG_FILE
     from repro.core.snapshot import load_config_file
     from repro.crypto.keys import KeyPair
     from repro.core.members import MemberRegistry
+    from repro.shard import open_deployment
 
     base = Path(data_dir)
     config = load_config_file(base / CONFIG_FILE, data_dir=str(base))
     lsp_keypair = KeyPair.generate(seed=f"lsp:{config.uri}")
-    registry = MemberRegistry()
-    if is_sharded_layout(base):
-        from repro.shard import ShardedLedger
-
-        return ShardedLedger.open(str(base), registry, lsp_keypair)
-    return Ledger.open(str(base), registry, lsp_keypair)
+    return open_deployment(base, MemberRegistry(), lsp_keypair)
 
 
 def _close_quietly(ledger: Any) -> None:

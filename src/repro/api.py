@@ -41,13 +41,15 @@ from .core.verification import DaseinVerifier
 from .crypto.keys import KeyPair, PublicKey
 from .export.bundle import ExportBundle, export_bundle
 from .export.rebuild import RebuildReport
-from .service import LedgerService
+from .service import LedgerService, ServiceConfig
 from .session import (
     CAPABILITIES,
     SessionHelpers,
     VerifyingSession,
     check_transport_kwargs,
 )
+from .shard import ShardedLedgerService, deployment_service, new_deployment
+from .shard.shape import audit_shards, locate
 from .transparency.censorship import SubmissionAck
 from .verify import clue_what, tx_what
 
@@ -80,10 +82,10 @@ _REGISTRY_LOCK = threading.Lock()
 def create(lgid: str, *, exist_ok: bool = False, **kwargs: Any) -> Ledger:
     """The Create API: register a new ledger under ``lgid``.
 
-    ``kwargs`` pass through to :class:`Ledger` (``config``, ``clock``,
-    ``registry``, ``lsp_keypair``, ``journal_stream``).  A config with
-    ``shards > 1`` builds a :class:`~repro.shard.ShardedLedger` instead —
-    same registry entry, same session surface.  With
+    ``kwargs`` pass through to :func:`repro.shard.new_deployment`
+    (``config``, ``clock``, ``registry``, ``lsp_keypair``, ``journal_stream``):
+    a config of several shards builds a :class:`~repro.shard.ShardedLedger`
+    — same registry entry, same session surface.  With
     ``exist_ok=True`` an already-registered ``lgid`` returns the existing
     ledger instead of raising (``kwargs`` must then be empty — silently
     ignoring a different config would be a worse footgun than the error).
@@ -104,18 +106,7 @@ def create(lgid: str, *, exist_ok: bool = False, **kwargs: Any) -> Ledger:
                 )
             return existing
         config = kwargs.pop("config", None) or LedgerConfig(uri=lgid)
-        if config.shards > 1:
-            if "journal_stream" in kwargs:
-                raise UsageError(
-                    "journal_stream= cannot apply to a sharded ledger: each "
-                    "shard owns its own stream (set config.data_dir for "
-                    "persistence instead)"
-                )
-            from .shard import ShardedLedger
-
-            ledger = ShardedLedger(config=config, **kwargs)
-        else:
-            ledger = Ledger(config=config, **kwargs)
+        ledger = new_deployment(config, **kwargs)
         _REGISTRY[lgid] = ledger
         return ledger
 
@@ -355,31 +346,21 @@ class LedgerSession(SessionHelpers):
         keypair: KeyPair | None = None,
         service: LedgerService | ServiceConfigLike = None,
     ) -> None:
-        from .service import ServiceConfig  # local: keep module import light
-
         self.ledger = self._backend = ledger
         self.lgid = lgid if lgid is not None else ledger.config.uri
         self.client_id = client_id
         self.keypair = keypair
         self._owns_service = False
-        if service is None or isinstance(service, LedgerService):
+        if service is None or isinstance(service, (LedgerService, ShardedLedgerService)):
             self.service = service
-        elif service is True:
-            self.service = _build_service(ledger, None)
-            self._owns_service = True
-        elif isinstance(service, ServiceConfig):
-            self.service = _build_service(ledger, service)
+        elif service is True or isinstance(service, ServiceConfig):
+            self.service = deployment_service(ledger, None if service is True else service)
             self._owns_service = True
         else:
-            from .shard import ShardedLedgerService
-
-            if isinstance(service, ShardedLedgerService):
-                self.service = service
-            else:
-                raise UsageError(
-                    "service must be a LedgerService, a ShardedLedgerService, "
-                    f"a ServiceConfig, True, or None — got {type(service).__name__}"
-                )
+            raise UsageError(
+                "service must be a LedgerService, a ShardedLedgerService, "
+                f"a ServiceConfig, True, or None — got {type(service).__name__}"
+            )
 
     # ------------------------------------------------------------- appends
 
@@ -470,29 +451,27 @@ class LedgerSession(SessionHelpers):
         self, journal: Journal, rho: Any, root: bytes | None, level: VerifyLevel
     ) -> tuple[bool, dict]:
         """TX evidence in process: a full-chain proof, checked by the ledger
-        at SERVER level, folded against ``root`` (default: the latest
-        receipt's LSP-signed ledger root) at CLIENT level."""
+        at SERVER level, folded against ``root`` (default: the root of the
+        head the proof was cut at) at CLIENT level."""
         ledger = self.ledger
         try:
             # Routed by the journal's *content*: on a sharded ledger its
             # stamped jsn is shard-local, so indexing the facade with it
-            # would mis-route.
-            proof = rho if rho is not None else ledger.proof_for_journal(
-                journal, anchored=False
-            )
+            # would mis-route.  Proof and default root come from one head
+            # (one per shard), so a commit between two reads cannot tear them.
+            if rho is None:
+                proof, head_root = ledger.tx_evidence(journal)
+            else:
+                proof, head_root = rho, ledger.current_root()
         except (IndexError, KeyError):
             return False, {"detail": f"no proof obtainable for jsn {journal.jsn}"}
         if level is VerifyLevel.SERVER:
             trusted = ledger.current_root()
             ok = ledger.verify_journal(journal, proof)
         else:
-            trusted = root
-            if trusted is None and ledger.latest_receipt is not None:
-                trusted = ledger.latest_receipt.ledger_root
-            if trusted is None:
-                raise UsageError("client-level TX verification needs a trusted root")
             # A ShardProof folds the per-shard chain through the shard→root
-            # link, so ``trusted`` must then be the deployment's composite root.
+            # link, so ``trusted`` is then the deployment's composite root.
+            trusted = root if root is not None else head_root
             ok = tx_what(journal.tx_hash(), proof, trusted)
         return ok, {"proof": proof, "trusted_root": trusted}
 
@@ -500,15 +479,18 @@ class LedgerSession(SessionHelpers):
         self, key: str, txdata: list[Journal], rho: Any, root: bytes | None, level: VerifyLevel
     ) -> tuple[bool, dict]:
         """CLUE evidence in process: the ledger's own CM-Tree check at SERVER
-        level, a clue proof folded against ``root`` (default: the ledger's
-        state root) at CLIENT level."""
+        level, a clue proof folded against ``root`` (default: the state root
+        of the head the proof was cut at) at CLIENT level."""
         ledger = self.ledger
         if level is VerifyLevel.SERVER:
             proof, trusted = rho, ledger.state_root()
             ok = ledger.verify_clue(key, txdata)
         else:
-            proof = rho if rho is not None else ledger.prove_clue(key)
-            trusted = root if root is not None else ledger.state_root()
+            if rho is None:
+                proof, head_root = ledger.clue_evidence(key)
+            else:
+                proof, head_root = rho, ledger.state_root()
+            trusted = root if root is not None else head_root
             ok = clue_what(key, [journal.tx_hash() for journal in txdata], proof, trusted)
         return ok, {"proof": proof, "trusted_root": trusted}
 
@@ -533,13 +515,11 @@ class LedgerSession(SessionHelpers):
                 receipt, no explicit ``trusted_root``).
             JournalNotFoundError: no journal exists at ``jsn``.
         """
-        ledger = self.ledger
-        if hasattr(ledger, "locate"):
-            # Sharded: Dasein evidence (receipt, anchors, view) is all
-            # shard-local, so resolve the gsn to its owning shard and run
-            # the three-factor check there.
-            shard_index, jsn = ledger.locate(jsn)
-            ledger = ledger.shards[shard_index]
+        # Dasein evidence (receipt, anchors, view) is all shard-local: run
+        # the three-factor check on the shard that owns the (global) jsn.
+        shards = self.ledger.shards
+        shard_index, jsn = locate(jsn, len(shards))
+        ledger = shards[shard_index]
         view = ledger.export_view()
         try:
             verifier = DaseinVerifier(view, tsa_keys=tsa_keys, trusted_root=trusted_root)
@@ -598,13 +578,9 @@ class LedgerSession(SessionHelpers):
             early_terminate=early_terminate,
             **kwargs,
         )
-        if hasattr(self.ledger, "export_views"):
-            # Sharded: per-shard audits run in parallel, folded into one
-            # ShardedAuditReport (truthy iff every shard passed).
-            return self.ledger.audit(**options)
-        from .audit import dasein_audit
-
-        return dasein_audit(self.ledger.export_view(), **options)
+        # One shard's audit is its own report; several run in parallel into
+        # one ShardedAuditReport (truthy iff every shard passed).
+        return audit_shards(self.ledger.shards, **options)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -616,15 +592,3 @@ class LedgerSession(SessionHelpers):
     def __repr__(self) -> str:
         mode = "service" if self.service is not None else "direct"
         return f"<LedgerSession {self.lgid} {mode} client_id={self.client_id!r}>"
-
-
-def _build_service(ledger: Any, config: Any):
-    """The group-commit front end matching the ledger's shape."""
-    if isinstance(ledger, Ledger):
-        return LedgerService(ledger, config)
-    from .shard import ShardedLedger, ShardedLedgerService
-
-    if isinstance(ledger, ShardedLedger):
-        return ShardedLedgerService(ledger, config)
-    raise UsageError(f"cannot build a service over {type(ledger).__name__}")
-

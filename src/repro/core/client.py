@@ -138,6 +138,5 @@ class LedgerClient:
             # Not-found / purged / occulted: the lineage has a hole, so the
             # clue cannot fully verify.
             return False
-        return clue_what(
-            clue, digests, self.ledger.prove_clue(clue), self.ledger.state_root()
-        )
+        proof, state_root = self.ledger.clue_evidence(clue)  # one head
+        return clue_what(clue, digests, proof, state_root)

@@ -35,6 +35,7 @@ from ..crypto.multisig import MultiSignature, MultiSignatureError
 from ..encoding import encode
 from ..merkle.cmtree import ClueProof, CMTree
 from ..merkle.fam import AnchorStore, FamAccumulator, FamProof
+from ..shard.shape import is_sharded_layout
 from ..storage.kv import KVStore
 from ..storage.pagestore import PageCorruptionError, PagedNodeStore
 from ..storage.stream import FileStream, MemoryStream, RecordErasedError, Stream
@@ -88,22 +89,9 @@ JOURNAL_FILE = "journal.stream"
 SNAPSHOT_FILE = "snapshot.ckpt"
 NODES_DIR = "nodes"
 STH_FILE = "sth.log"
-#: Subdirectory of shard ``k`` inside a sharded deployment's ``data_dir``.
-SHARD_DIR_FORMAT = "shard-{:02d}"
-
 #: How many epoch closes a :class:`SubmissionAck` grants the LSP before an
 #: acked-but-absent request becomes provable censorship (DESIGN.md §16).
 DEFAULT_ACK_DEADLINE_EPOCHS = 2
-
-
-def is_sharded_layout(data_dir: str | Path) -> bool:
-    """Whether ``data_dir`` holds a sharded deployment, for any shard count.
-
-    Decided by the ``shard-00/`` subdirectory the sharded facade writes, not
-    by the persisted ``shards`` field: a 1-shard deployment records
-    ``shards=1`` exactly like a plain ledger does.
-    """
-    return (Path(data_dir) / SHARD_DIR_FORMAT.format(0)).is_dir()
 
 
 @dataclass(frozen=True)
@@ -131,10 +119,9 @@ class LedgerConfig:
     #: :class:`~repro.storage.stream.FileStream` in this directory.
     data_dir: str | None = None
     #: Hash-partition appends across this many per-shard ledgers under one
-    #: composite root (DESIGN.md §15).  ``1`` is a plain single ledger; for
-    #: ``shards > 1`` build the deployment through
-    #: :class:`repro.shard.ShardedLedger` (or ``repro.api.create``, which
-    #: routes there) — the :class:`Ledger` kernel itself stays single-shard.
+    #: composite root (DESIGN.md §15).  The :class:`Ledger` kernel is one
+    #: shard; build a deployment of any count through
+    #: :func:`repro.shard.new_deployment` (or ``repro.api.create``).
     shards: int = 1
 
 
@@ -334,8 +321,9 @@ class Ledger:
         self._anchor_cache: AnchorStore = AnchorStore()
         self._anchor_cache_epochs = 0  # completed epochs already seeded
 
-        #: Stamped by ShardedLedger so per-shard heads are distinguishable
-        #: (shards share the deployment uri and LSP key).
+        #: What this ledger stamps into its heads, acks and assertions:
+        #: solo until a sharded deployment's assembly calls :meth:`restamp`
+        #: (:func:`repro.shard.shape.sth_stamp`).
         self.sth_shard_index = SOLO_SHARD
         self._sth_store = SthStore((data_dir / STH_FILE) if data_dir else None)
         self._sth_cache: tuple[LedgerHead, SignedTreeHead] | None = None
@@ -683,6 +671,11 @@ class Ledger:
         return self._head
 
     @property
+    def shards(self) -> list["Ledger"]:
+        """The deployment's shard ledgers: a solo ledger is the list of one."""
+        return [self]
+
+    @property
     def blocks(self) -> list[Block]:
         return list(self._blocks)
 
@@ -797,10 +790,11 @@ class Ledger:
             sp.add("journals", len(jsns))
             return self._fam.get_proofs(jsns, anchored=anchored, at_size=head.size)
 
-    def proof_for_journal(self, journal: Journal, anchored: bool = True) -> FamProof:
-        """Existence proof for a presented journal (a sharded deployment
-        routes this by the journal's content; here its jsn says it all)."""
-        return self.get_proof(journal.jsn, anchored=anchored)
+    def tx_evidence(self, journal: Journal) -> tuple[FamProof, Digest]:
+        """A full-chain proof for a presented journal and the root it folds
+        to, both read from one head."""
+        head = self._head
+        return self.proofs_at(head, [journal.jsn], anchored=False)[0], head.root
 
     def current_root(self) -> Digest:
         return self._head.root
@@ -865,6 +859,12 @@ class Ledger:
             root = self._head.state_root
         return self._cmtree.prove_clue(clue, version_start, version_end, root=root)
 
+    def clue_evidence(self, clue: str) -> tuple[ClueProof, Digest]:
+        """A clue's lineage proof and the CM-Tree1 root it folds to, both
+        read from one head."""
+        root = self._head.state_root
+        return self.prove_clue(clue, root=root), root
+
     def verify_clue(self, clue: str, journals: list[Journal]) -> bool:
         """Server-side clue verification: all entries, in order, untampered."""
         digests = {i: j.tx_hash() for i, j in enumerate(journals)}
@@ -914,6 +914,13 @@ class Ledger:
             self._sth_store.append(head)
             obs.inc("transparency.sth.emitted")
             self._sth_epochs = epoch + 1
+
+    def restamp(self, shard_index: int) -> None:
+        """Stamp heads, acks and assertions ``shard_index`` from now on, and
+        re-sign stored epoch heads stamped otherwise (an older build's log)."""
+        self.sth_shard_index = shard_index
+        self._sth_cache = None
+        self._sth_store.restamp(shard_index, self._lsp_keypair)
 
     def get_sth(self) -> SignedTreeHead:
         """The LSP-signed tree head of the current head."""
@@ -1398,20 +1405,6 @@ class Ledger:
         stats = dict(self._node_store.stats())
         stats["backend"] = self.config.node_store
         return stats
-
-    def compact_node_store(self) -> dict:
-        """Drop shadowed/garbage nodes from the paged store (§13 compaction).
-
-        The live set is every node reachable from the current CM-Tree1 root;
-        anything else (overwritten clue values, interior nodes of superseded
-        tries) is garbage that accumulated because the MPT is copy-on-write.
-        Safe at any time: dropped nodes are re-created deterministically if a
-        snapshot-less replay ever needs them again.
-        """
-        if self._node_store is None or not isinstance(self._node_store, PagedNodeStore):
-            raise UsageError("compaction requires node_store='paged'")
-        live = self._cmtree.reachable_nodes()
-        return self._node_store.compact(live)
 
     def checkpoint(self) -> str:
         """Write a recovery snapshot to ``data_dir/snapshot.ckpt``.

@@ -37,6 +37,7 @@ from ..core.snapshot import _commit_file
 from ..crypto.ca import Certificate, Role
 from ..crypto.ecdsa import Signature
 from ..crypto.keys import PublicKey
+from ..shard.shape import has_composite, shard_of_key
 from ..storage.checksum import crc32c
 
 __all__ = [
@@ -339,27 +340,19 @@ def export_bundle(
     clues: tuple[str, ...] = (),
     path: str | os.PathLike[str] | None = None,
 ) -> ExportBundle:
-    """Export a live ledger (solo or sharded) into an :class:`ExportBundle`.
+    """Export a live deployment into an :class:`ExportBundle`.
 
-    ``ledger`` is duck-typed over the shared export surface —
-    ``export_view``/``export_views``, ``proofs_at``, ``epoch_anchors``,
-    ``sth_at``/``get_sth_range``/``get_consistency`` — so a
-    :class:`repro.core.ledger.Ledger` and a
-    :class:`repro.shard.ShardedLedger` export identically; a sharded
-    deployment additionally pins its composite signed tree head.  Each
-    shard's section is cut at the head its view was cut at.  ``clues``
-    selects clue lineages to prove into the bundle.  When ``path`` is given
+    ``ledger`` is a deployment, exported as its list of shard ledgers
+    (``ledger.shards``; a solo ledger is the list of one).
+    One section per shard, each cut at the head its view was cut at; a
+    deployment of several shards additionally pins its composite signed
+    tree head.  ``clues`` selects clue lineages to prove into the bundle,
+    each in the section of the shard it routes to.  When ``path`` is given
     the bundle is also durably written there.
     """
-    if hasattr(ledger, "export_views"):
-        views = ledger.export_views()
-        shard_ledgers = list(ledger.shards)
-    else:
-        views = [ledger.export_view()]
-        shard_ledgers = [ledger]
+    shard_ledgers = list(ledger.shards)
+    views = [shard.export_view() for shard in shard_ledgers]
     num_shards = len(shard_ledgers)
-    if not views:
-        raise BundleError("nothing to export: deployment has no shards")
 
     base_view = views[0]
     certificates = tuple(
@@ -403,7 +396,7 @@ def export_bundle(
             )
         clue_sections = []
         for clue in clues:
-            if num_shards > 1 and ledger.shard_of_key(clue) != index:
+            if shard_of_key(clue, num_shards) != index:
                 continue
             clue_jsns = [jsn for jsn in shard.list_tx(clue) if jsn < at.size]
             if not clue_jsns:
@@ -444,7 +437,7 @@ def export_bundle(
         )
 
     composite_sth = b""
-    if num_shards > 1:
+    if has_composite(num_shards):
         composite_sth = ledger.composite_sth(fresh_heads).to_bytes()
 
     bundle = ExportBundle(

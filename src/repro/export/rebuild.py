@@ -20,17 +20,19 @@ papered over into a half-trusted ledger.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
 from ..core.errors import LedgerError, RecoveryError
-from ..core.ledger import CONFIG_FILE, Ledger, LedgerConfig, is_sharded_layout
+from ..core.ledger import CONFIG_FILE, Ledger, LedgerConfig
 from ..core.members import MemberRegistry
 from ..core.snapshot import load_config_file
 from ..crypto.keys import KeyPair, PublicKey
 from ..core.errors import AuthenticationError
 from ..encoding import decode, encode
+from ..shard.shape import has_composite, shard_for_stamp
+from ..shard.sharded import ShardedLedger, open_deployment
 from ..storage.stream import MemoryStream, StreamCorruptionError
 from ..timeauth.clock import Clock
 from ..transparency.sth import SignedTreeHead
@@ -175,13 +177,18 @@ def rebuild_from_bundle(
     _adopt_certificates(bundle, registry, divergences)
     checks.append("certificates")
 
+    if len(bundle.shards) != bundle.num_shards:
+        raise RebuildError(
+            f"bundle claims {bundle.num_shards} shards, carries {len(bundle.shards)}"
+        )
     shards: list[Ledger] = []
-    base_config = LedgerConfig(
+    config = LedgerConfig(
         uri=bundle.ledger_uri,
         fractal_height=bundle.fractal_height,
         block_size=bundle.block_size,
-        shards=1,
+        shards=bundle.num_shards,
     )
+    base_config = replace(config, shards=1)
     for section in sorted(bundle.shards, key=lambda s: s.shard_index):
         stream = MemoryStream()
         if section.genesis_start != 0:
@@ -215,21 +222,17 @@ def rebuild_from_bundle(
             ) from exc
         shards.append(shard)
 
+    ledger = shards[0]
+    if has_composite(bundle.num_shards):
+        ledger = ShardedLedger.__new__(ShardedLedger)._adopt(
+            config, shards, clock, registry, lsp_keypair
+        )
     lsp_key = PublicKey.from_bytes(bundle.lsp_public_key)
-    for index, (section, shard) in enumerate(
-        zip(sorted(bundle.shards, key=lambda s: s.shard_index), shards)
-    ):
-        if bundle.num_shards > 1:
-            shard.sth_shard_index = index
+    for section, shard in zip(sorted(bundle.shards, key=lambda s: s.shard_index), shards):
         _cross_check_shard(bundle, section, shard, lsp_key, divergences, checks)
-
-    ledger: Any
-    if bundle.num_shards > 1:
-        ledger = _assemble_sharded(bundle, shards, registry, lsp_keypair, clock)
+    if has_composite(bundle.num_shards):
         checks.append("composite")
         _check_composite(bundle, ledger, divergences)
-    else:
-        ledger = shards[0]
 
     _external_cross_check(ledger, live, pinned_heads, divergences, checks)
 
@@ -271,16 +274,9 @@ def rebuild_from_stream(
     lsp_keypair = lsp_keypair or KeyPair.generate(seed=f"lsp:{config.uri}")
     registry = registry or MemberRegistry()
     try:
-        if is_sharded_layout(base):
-            from ..shard import ShardedLedger
-
-            ledger: Any = ShardedLedger.open(
-                str(base), registry, lsp_keypair, clock=clock, force_rebuild=True
-            )
-        else:
-            ledger = Ledger.open(
-                str(base), registry, lsp_keypair, clock=clock, force_rebuild=True
-            )
+        ledger = open_deployment(
+            base, registry, lsp_keypair, clock=clock, force_rebuild=True
+        )
     except (StreamCorruptionError, RecoveryError) as exc:
         raise RebuildError(f"stream under {base} refuses to rebuild: {exc}") from exc
 
@@ -415,31 +411,6 @@ def _head_matches_rebuilt(
     return cbundle.verify(head, rebuilt_head)
 
 
-def _assemble_sharded(
-    bundle: ExportBundle,
-    shards: list[Ledger],
-    registry: MemberRegistry,
-    lsp_keypair: KeyPair,
-    clock: Clock | None,
-) -> Any:
-    from ..shard import ShardedLedger
-    from ..timeauth import SimClock
-
-    sharded = ShardedLedger.__new__(ShardedLedger)
-    sharded.config = LedgerConfig(
-        uri=bundle.ledger_uri,
-        fractal_height=bundle.fractal_height,
-        block_size=bundle.block_size,
-        shards=bundle.num_shards,
-    )
-    sharded.num_shards = bundle.num_shards
-    sharded.clock = clock or SimClock()
-    sharded.registry = registry
-    sharded._lsp_keypair = lsp_keypair
-    sharded._shards = shards
-    return sharded
-
-
 def _check_composite(
     bundle: ExportBundle, sharded: Any, divergences: list[Divergence]
 ) -> None:
@@ -480,7 +451,7 @@ def _external_cross_check(
     if pinned_heads:
         checks.append("pinned-heads")
         for head in pinned_heads:
-            target = _shard_for_head(ledger, head)
+            target = shard_for_stamp(ledger.shards, head.shard_index)
             if target is None:
                 divergences.append(
                     Divergence(
@@ -493,7 +464,9 @@ def _external_cross_check(
                     )
                 )
                 continue
-            if not _head_matches_rebuilt(target, head, target.get_sth()):
+            # The pin's stamp resolved to ``target``'s stream (at N = 1, any).
+            rebuilt = replace(target.get_sth(), shard_index=head.shard_index)
+            if not _head_matches_rebuilt(target, head, rebuilt):
                 divergences.append(
                     Divergence(
                         kind="sth",
@@ -520,12 +493,3 @@ def _external_cross_check(
                 )
             )
 
-
-def _shard_for_head(ledger: Any, head: SignedTreeHead) -> Ledger | None:
-    shards = getattr(ledger, "shards", None)
-    if shards is None:
-        return ledger
-    index = head.shard_index
-    if 0 <= index < len(shards):
-        return shards[index]
-    return None

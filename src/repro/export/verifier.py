@@ -52,8 +52,8 @@ from ..crypto.hashing import EMPTY_DIGEST
 from ..crypto.keys import PublicKey
 from ..merkle.cmtree import ClueProof
 from ..merkle.fam import FamProof, FamReplayer
+from ..shard.shape import has_composite, sth_stamp
 from ..transparency.sth import (
-    SOLO_SHARD,
     ConsistencyAssertion,
     ConsistencyBundle,
     SignedTreeHead,
@@ -176,7 +176,7 @@ def _verify(
         what=found.what,
         when=found.when,
         who=found.who,
-        trusted_root=shard_roots.get(0) if bundle.num_shards == 1 else None,
+        trusted_root=None if has_composite(bundle.num_shards) else shard_roots.get(0),
         detail=found.detail()
         or f"{bundle.journal_count} journals across {bundle.num_shards} shard(s)",
     )
@@ -295,7 +295,7 @@ def _verify_shard(
             found.fail("who", "receipt", f"{tag}: receipt tx-hash mismatch")
 
     # --- the signed tree head chain + consistency assertions
-    expected_shard = SOLO_SHARD if bundle.num_shards == 1 else section.shard_index
+    expected_shard = sth_stamp(section.shard_index, bundle.num_shards)
     heads = [SignedTreeHead.from_bytes(blob) for blob in section.sths]
     for position, head in enumerate(heads):
         if not head.verify(lsp_key):
@@ -394,7 +394,7 @@ def _verify_composite(
     shard_roots: dict[int, bytes | None],
     found: _Findings,
 ) -> None:
-    if bundle.num_shards == 1:
+    if not has_composite(bundle.num_shards):
         if bundle.composite_sth:
             found.fail("what", "composite", "solo bundle carries a composite head")
         return
@@ -409,12 +409,10 @@ def _verify_composite(
     if not head.composite_consistent():
         found.fail("what", "composite", "composite root does not refold from shard heads")
     seen = set()
-    for shard_index, _epoch, _tree, _live, root in head.shard_heads:
-        seen.add(shard_index)
-        expected = shard_roots.get(shard_index)
+    for stamp, _epoch, _tree, _live, root in head.shard_heads:
+        seen.add(stamp)
+        expected = shard_roots.get(stamp)  # several shards stamp their index
         if expected is None or bytes(root) != expected:
-            found.fail(
-                "what", "composite", f"shard {shard_index} head contradicts its trusted root"
-            )
-    if seen != set(range(bundle.num_shards)):
+            found.fail("what", "composite", f"shard {stamp} head contradicts its trusted root")
+    if seen != {sth_stamp(index, bundle.num_shards) for index in range(bundle.num_shards)}:
         found.fail("what", "composite", "composite head does not cover every shard")

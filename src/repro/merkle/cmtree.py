@@ -331,11 +331,6 @@ class CMTree:
         accumulator = self._require(clue)
         return (clue, at_size, tuple(accumulator.peaks(at_size=at_size)))
 
-    def reachable_nodes(self) -> set[Digest]:
-        """Node ids reachable from the current CM-Tree1 root — the live set
-        a node-store compaction must keep."""
-        return self._mpt.reachable()
-
     def export_nodes(self) -> list[tuple[Digest, bytes]]:
         """Live MPT nodes for snapshots of non-persistent node stores."""
         return self._mpt.export_nodes()

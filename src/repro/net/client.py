@@ -647,7 +647,7 @@ class AsyncRemoteLedger(FrameConnection):
     async def shard_info(self) -> dict:
         """This server's place in its deployment's shard map (DESIGN.md §15).
 
-        Unsharded servers answer with a one-leaf map (``num_shards == 1``).
+        A solo server answers with a one-leaf map.
         """
         result = await self._call("shard_info")
         return {

@@ -55,6 +55,7 @@ from ..service import (
     ServiceConfig,
     ServiceOverloadedError,
 )
+from ..shard.shape import has_composite
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -235,10 +236,9 @@ class LedgerServer:
         self.max_inflight = max_inflight
         self.submit_timeout_s = submit_timeout_s
         self.allow_register = allow_register
-        #: ``(ShardedLedger, shard_index)`` when this server fronts one shard
-        #: of a sharded deployment — enables the ``shard_info`` op to link
-        #: the served shard's root into the deployment's composite root.
-        self.shard_context = shard_context
+        #: ``(deployment, shard_index)`` this server fronts (a solo ledger is
+        #: its own one-shard deployment): ``shard_info``, heads and exports.
+        self.shard_context = shard_context or (self.ledger, 0)
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
         self._draining = False
@@ -559,17 +559,14 @@ class LedgerServer:
         Returns the shard→root inclusion link against a composite root built
         from one atomic snapshot of all shard roots, so the triple
         (shard_root, composite_root, link) is internally consistent even
-        while other shards keep committing.  An unsharded server reports a
-        one-leaf shard map, so clients handle both cases uniformly.
+        while other shards keep committing.  A solo server reports a one-leaf
+        shard map, so clients handle both cases uniformly.
         """
         from ..merkle.shrubs import ShrubsAccumulator
 
         def build():
-            if self.shard_context is None:
-                roots, shard_index = [self.ledger.current_root()], 0
-            else:
-                sharded, shard_index = self.shard_context
-                roots = sharded.shard_roots()
+            deployment, shard_index = self.shard_context
+            roots = [shard.head.root for shard in deployment.shards]
             shard_map = ShrubsAccumulator()
             shard_map.extend(roots)
             link = shard_map.prove(shard_index)
@@ -588,17 +585,17 @@ class LedgerServer:
 
         ``composite=True`` asks the sharded deployment behind this server
         for its composite head (per-shard heads folded through the shard
-        map); it is refused on a server that fronts no sharded deployment
+        map); a deployment of one shard has none, so it is refused there
         rather than silently downgraded to a shard-local head.
         """
         if message.get("composite"):
-            if self.shard_context is None:
+            deployment, _shard_index = self.shard_context
+            if not has_composite(len(deployment.shards)):
                 raise UsageError(
-                    "composite tree heads need a sharded deployment behind "
-                    "this server; this server fronts a solo ledger"
+                    "composite tree heads need a deployment of several "
+                    "shards behind this server; this server fronts a solo ledger"
                 )
-            sharded, _shard_index = self.shard_context
-            head = await self._run(sharded.get_sth)
+            head = await self._run(deployment.get_sth)
         else:
             head = await self._run(self.ledger.get_sth)
         return {"sth": head.to_bytes()}
@@ -644,10 +641,8 @@ class LedgerServer:
         clues = tuple(_require_str(clue, "clue") for clue in clues)
         from ..export.bundle import export_bundle
 
-        target: Any = self.ledger
-        if self.shard_context is not None:
-            target = self.shard_context[0]
-        bundle = await self._run(lambda: export_bundle(target, clues=clues))
+        deployment, _shard_index = self.shard_context
+        bundle = await self._run(lambda: export_bundle(deployment, clues=clues))
         return {"bundle": bundle.to_bytes()}
 
     async def _op_stats(self, message: dict) -> dict:

@@ -430,6 +430,11 @@ class LedgerService:
         with self._lock:
             return self._closed
 
+    @property
+    def services(self) -> list["LedgerService"]:
+        """A solo ledger's per-shard services: this one (a list of one)."""
+        return [self]
+
     def __enter__(self) -> "LedgerService":
         return self
 

@@ -18,12 +18,26 @@ from __future__ import annotations
 
 from concurrent.futures import Future
 
+from typing import Any
+
 from ..core.journal import ClientRequest
 from ..core.receipt import Receipt
 from ..service import LedgerService, ServiceConfig
+from .shape import has_composite, shard_of_request
 from .sharded import ShardedLedger
 
-__all__ = ["ShardedLedgerService"]
+__all__ = ["ShardedLedgerService", "deployment_service"]
+
+
+def deployment_service(
+    deployment: Any, config: ServiceConfig | None = None
+) -> "LedgerService | ShardedLedgerService":
+    """The group-commit front end of a deployment: one writer loop per shard,
+    and a solo deployment's is its shard's plain :class:`LedgerService`."""
+    shards = deployment.shards
+    if has_composite(len(shards)):
+        return ShardedLedgerService(deployment, config)
+    return LedgerService(shards[0], config)
 
 
 class ShardedLedgerService:
@@ -50,7 +64,7 @@ class ShardedLedgerService:
         return list(self._services)
 
     def service_for(self, request: ClientRequest) -> LedgerService:
-        return self._services[self.ledger.shard_of_request(request)]
+        return self._services[shard_of_request(request, len(self._services))]
 
     # ------------------------------------------------------------ admission
 
@@ -75,7 +89,7 @@ class ShardedLedgerService:
         """
         groups: dict[int, list[int]] = {}
         for position, request in enumerate(requests):
-            groups.setdefault(self.ledger.shard_of_request(request), []).append(position)
+            groups.setdefault(shard_of_request(request, len(self._services)), []).append(position)
         futures: list[Future | None] = [None] * len(requests)
         for order, shard_index in enumerate(sorted(groups)):
             positions = groups[shard_index]
@@ -132,5 +146,5 @@ class ShardedLedgerService:
         state = "closed" if self.closed else "open"
         return (
             f"<ShardedLedgerService {self.ledger.config.uri} "
-            f"shards={self.ledger.num_shards} {state}>"
+            f"shards={len(self._services)} {state}>"
         )

@@ -1,21 +1,12 @@
-"""Serve a sharded deployment: one listener per shard, one trust root.
+"""Serve a deployment: one listener per shard, one trust root.
 
-:class:`ShardedServerThread` hosts N :class:`~repro.net.server.ServerThread`
-instances — shard ``k`` listens on ``port + k`` (or an ephemeral port each
-when ``port=0``) and fronts that shard's :class:`~repro.service.LedgerService`
-from a shared :class:`~repro.shard.service.ShardedLedgerService`.
-
-Each listener speaks the ordinary single-ledger protocol, so the existing
-:class:`~repro.net.client.RemoteLedgerClient` appends to a shard, tracks its
-anchors, and verifies its receipts and proofs *unchanged*.  The one addition
-is the ``shard_info`` op (every server answers it): the shard's live root,
-the deployment's composite root, and the Merkle link between them — so a
-client holding proofs from several shards can fold them all up to the single
-composite root (DESIGN.md §15).
-
-Routing lives client-side for remote deployments: callers pick a shard with
-:meth:`ShardedServerThread.address_for` (the same public hash partition the
-in-process facade uses), or just pin one shard per tenant.
+:class:`ShardedServerThread` hosts one :class:`~repro.net.server.ServerThread`
+per shard — shard ``k`` on ``port + k`` (or an ephemeral port each for
+``port=0``) — in front of that shard's writer loop.  Each listener speaks
+the single-ledger protocol, so :class:`~repro.net.client.RemoteLedgerClient`
+works against a shard unchanged; ``shard_info`` adds the shard's link into
+the composite root (DESIGN.md §15).  Remote routing is client-side:
+:meth:`ShardedServerThread.address_for` applies the public hash partition.
 """
 
 from __future__ import annotations
@@ -23,44 +14,45 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.errors import UsageError
+from ..core.ledger import Ledger
 from ..net.server import ServerThread
-from ..service import ServiceConfig
-from .service import ShardedLedgerService
-from .sharded import ShardedLedger, shard_of_key
+from ..service import LedgerService, ServiceConfig
+from .service import ShardedLedgerService, deployment_service
+from .shape import shard_of_key
+from .sharded import ShardedLedger
 
 __all__ = ["ShardedServerThread"]
 
 
 class ShardedServerThread:
-    """N per-shard :class:`ServerThread` listeners over one sharded ledger.
+    """N per-shard :class:`ServerThread` listeners over one deployment.
 
-    Pass a :class:`ShardedLedger` (a :class:`ShardedLedgerService` is built
-    and owned — closed with the servers) or an existing
-    :class:`ShardedLedgerService` (shared; caller keeps ownership).
+    Pass a deployment — a :class:`ShardedLedger`, or a solo :class:`Ledger`
+    served as its one shard — and its
+    :func:`~repro.shard.service.deployment_service` is built and owned
+    (closed with the servers); or pass an existing service over one
+    (shared; caller keeps ownership).
     """
 
     def __init__(
         self,
-        target: ShardedLedger | ShardedLedgerService,
+        target: Ledger | ShardedLedger | LedgerService | ShardedLedgerService,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
         service_config: ServiceConfig | None = None,
         **kwargs: Any,
     ) -> None:
-        if isinstance(target, ShardedLedgerService):
+        if isinstance(target, (LedgerService, ShardedLedgerService)):
             if service_config is not None:
-                raise UsageError("service_config only applies when passing a ShardedLedger")
+                raise UsageError("service_config only applies when passing a ledger")
             self.service = target
             self._owns_service = False
-        elif isinstance(target, ShardedLedger):
-            self.service = ShardedLedgerService(target, service_config)
+        elif isinstance(target, (Ledger, ShardedLedger)):
+            self.service = deployment_service(target, service_config)
             self._owns_service = True
         else:
-            raise UsageError(
-                "serve a ShardedLedger or a ShardedLedgerService, "
-                f"not {type(target).__name__}"
-            )
+            raise UsageError(f"serve a ledger or a service, not {type(target).__name__}")
         self.ledger = self.service.ledger
         self.host = host
         self.servers: list[ServerThread] = []
@@ -85,7 +77,7 @@ class ShardedServerThread:
 
     @property
     def num_shards(self) -> int:
-        return self.ledger.num_shards
+        return len(self.servers)
 
     @property
     def addresses(self) -> list[tuple[str, int]]:

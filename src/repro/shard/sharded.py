@@ -1,56 +1,35 @@
 """Sharded multi-ledger scale-out under one composite root (DESIGN.md §15).
 
-The single-writer fsync ceiling caps a lone :class:`~repro.core.ledger.Ledger`
-at one group commit at a time.  A :class:`ShardedLedger` breaks it by
-hash-partitioning appends across ``N`` full per-shard ledgers — each with its
-own journal stream, fam accumulator, CM-Tree, and (via
-:class:`~repro.shard.service.ShardedLedgerService`) its own group-commit
-writer loop — while folding the ``N`` shard roots under **one composite
-commitment**, so a verifier still trusts a single root for the whole
-deployment.
-
-Layering (the T-Ledger pattern of ``timeauth/tledger.py``, not new crypto):
+A :class:`ShardedLedger` hash-partitions appends across ``N`` full
+per-shard :class:`~repro.core.ledger.Ledger` s — each with its own stream,
+fam, CM-Tree and (via :class:`~repro.shard.service.ShardedLedgerService`)
+writer loop — and folds their roots under one composite commitment:
 
 * the **shard map** is a tiny :class:`~repro.merkle.shrubs.ShrubsAccumulator`
-  whose leaf ``k`` is shard ``k``'s live fam root; its bagged root is the
-  deployment's :meth:`~ShardedLedger.composite_root`;
-* a **cross-shard proof** (:class:`ShardProof`) composes the shard-level
-  full-chain :class:`~repro.merkle.fam.FamProof` with the shard→root
-  :class:`~repro.merkle.proofs.MembershipProof` link — fold the journal to
-  its shard's live root, then fold that root to the composite commitment;
-* all shards share one **LSP keypair**, one :class:`MemberRegistry`, one
-  clock, and one deployment URI, so receipts and request admission are
-  byte-compatible with the unsharded system (a remote client pins the same
-  LSP key whichever shard it talks to).
+  whose leaf ``k`` is shard ``k``'s root; its root is the deployment's
+  :meth:`~ShardedLedger.composite_root`;
+* a **cross-shard proof** (:class:`ShardProof`) is a full-chain fam proof to
+  the shard's root plus that root's link into the shard map;
+* all shards share one LSP keypair, registry, clock and deployment URI.
 
-Routing is deterministic and public: a request routes by its first clue when
-it has one, else by its ``client_id`` (``shard_of_key``).  The lineage
-contract follows the routing key — all journals whose *routing* key is ``K``
-share a shard, so clue proofs for routing clues stay single-shard.
-
-Global addressing: shard-local jsns are interleaved into a global sequence
-number ``gsn = local_jsn * num_shards + shard_index`` (a stateless
-bijection).  Signed artifacts — journals, receipts — keep their shard-local
-``jsn`` untouched; the gsn exists only on the facade's read surface.
-
-Trust model: tampering *any* shard changes that shard's fam root, which
-changes the shard-map leaf, which changes the composite root — so one
-trusted composite digest detects tampering anywhere in the deployment, and
-``shards=1`` degenerates to exactly the unsharded ledger (byte-identical
-roots and receipts) plus a one-leaf shard map.
+Routing is public (:mod:`repro.shard.shape`): a request routes by its first
+clue, else by its client id, so a routing clue's lineage stays on one shard.
+Shard-local jsns interleave into global ones, ``gsn = local * N + index``;
+signed artifacts keep their shard-local jsn.  Tampering any shard moves the
+composite root.  A one-shard deployment is the solo ledger: its one-leaf map
+bags to the shard's own root, and the rules of :mod:`repro.shard.shape` make
+it sign, ack, export and audit byte for byte as a solo :class:`Ledger`.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable
 
 from ..core.errors import UsageError
 from ..core.journal import ClientRequest, Journal
-from ..core.ledger import CONFIG_FILE, SHARD_DIR_FORMAT, Ledger, LedgerConfig
-from ..core.ledger import LedgerHead, LedgerView, is_sharded_layout
+from ..core.ledger import CONFIG_FILE, Ledger, LedgerConfig, LedgerHead
 from ..core.members import MemberRegistry
 from ..core.receipt import Receipt
 from ..core.snapshot import load_config_file, write_config_file
@@ -63,30 +42,25 @@ from ..merkle.proofs import MembershipProof
 from ..merkle.shrubs import ShrubsAccumulator
 from ..timeauth.clock import Clock, SimClock
 from ..transparency.sth import COMPOSITE_EPOCH, SOLO_SHARD, SignedTreeHead
+from .shape import (
+    SHARD_DIR_FORMAT,
+    has_composite,
+    is_sharded_layout,
+    locate,
+    shard_for_stamp,
+    shard_of_key,
+    shard_of_request,
+    sth_stamp,
+)
 
 __all__ = [
     "ShardProof",
     "ShardClueProof",
-    "ShardedAuditReport",
     "ShardedLedger",
+    "new_deployment",
+    "open_deployment",
     "shard_of_key",
 ]
-
-
-def shard_of_key(key: str, num_shards: int) -> int:
-    """Deterministic, public shard routing: stable hash of the key.
-
-    Stable across processes and Python versions (unlike ``hash()``), so any
-    party — client, server, auditor — derives the same placement.
-    """
-    if num_shards < 1:
-        raise UsageError(f"num_shards must be >= 1, got {num_shards}")
-    digest = hashlib.sha256(b"shard-route:" + key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % num_shards
-
-
-def _route_key(clues: tuple[str, ...], client_id: str) -> str:
-    return clues[0] if clues else client_id
 
 
 def _shard_map(roots: list[Digest]) -> ShrubsAccumulator:
@@ -189,41 +163,6 @@ class ShardClueProof:
         return self.clue_proof.verify(journal_digests, self.shard_state_root)
 
 
-@dataclass(frozen=True)
-class ShardedAuditReport:
-    """Per-shard Dasein audits plus the deployment-level conjunction."""
-
-    passed: bool
-    reports: list[Any] = field(default_factory=list)  # AuditReport per shard
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    @property
-    def failed_shards(self) -> list[int]:
-        return [k for k, report in enumerate(self.reports) if not report.passed]
-
-    @property
-    def journals_replayed(self) -> int:
-        return sum(report.journals_replayed for report in self.reports)
-
-    @property
-    def blocks_verified(self) -> int:
-        return sum(report.blocks_verified for report in self.reports)
-
-    @property
-    def time_journals_verified(self) -> int:
-        return sum(report.time_journals_verified for report in self.reports)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "num_shards": len(self.reports),
-            "failed_shards": self.failed_shards,
-            "shards": [report.to_dict() for report in self.reports],
-        }
-
-
 class ShardedLedger:
     """N hash-partitioned :class:`Ledger` shards under one composite root.
 
@@ -241,32 +180,51 @@ class ShardedLedger:
         registry: MemberRegistry | None = None,
         lsp_keypair: KeyPair | None = None,
     ) -> None:
-        self.config = config or LedgerConfig(shards=2)
-        if self.config.shards < 1:
-            raise UsageError(f"shards must be >= 1, got {self.config.shards}")
-        self.num_shards = self.config.shards
-        self.clock = clock or SimClock()
-        self.registry = registry or MemberRegistry()
-        self._lsp_keypair = lsp_keypair or KeyPair.generate(seed=f"lsp:{self.config.uri}")
-        base = Path(self.config.data_dir) if self.config.data_dir else None
+        config = config or LedgerConfig(shards=2)
+        if config.shards < 1:
+            raise UsageError(f"shards must be >= 1, got {config.shards}")
+        clock = clock or SimClock()
+        registry = registry or MemberRegistry()
+        lsp_keypair = lsp_keypair or KeyPair.generate(seed=f"lsp:{config.uri}")
+        base = Path(config.data_dir) if config.data_dir else None
         if base is not None:
             base.mkdir(parents=True, exist_ok=True)
-            write_config_file(base / CONFIG_FILE, self.config)
-        self._shards: list[Ledger] = []
-        for index in range(self.num_shards):
-            shard_dir = str(base / SHARD_DIR_FORMAT.format(index)) if base else None
-            shard_config = replace(self.config, shards=1, data_dir=shard_dir)
-            shard = Ledger(
-                config=shard_config,
-                clock=self.clock,
-                registry=self.registry,
-                lsp_keypair=self._lsp_keypair,
+            write_config_file(base / CONFIG_FILE, config)
+        shards = [
+            Ledger(
+                config=replace(
+                    config,
+                    shards=1,
+                    data_dir=str(base / SHARD_DIR_FORMAT.format(index)) if base else None,
+                ),
+                clock=clock,
+                registry=registry,
+                lsp_keypair=lsp_keypair,
             )
-            # Shards share the deployment uri and LSP key; the stamped index
-            # is what keeps sibling shards' signed tree heads from reading
-            # as forks of one stream (DESIGN.md §16).
-            shard.sth_shard_index = index
-            self._shards.append(shard)
+            for index in range(config.shards)
+        ]
+        self._adopt(config, shards, clock, registry, lsp_keypair)
+
+    def _adopt(
+        self,
+        config: LedgerConfig,
+        shards: list[Ledger],
+        clock: Clock | None,
+        registry: MemberRegistry,
+        lsp_keypair: KeyPair,
+    ) -> "ShardedLedger":
+        """The one assembly path — construction, :meth:`open` and a
+        rebuild all end here: the facade takes ``shards`` in index order
+        and restamps each by :func:`~repro.shard.shape.sth_stamp`."""
+        self.config = config
+        self.num_shards = len(shards)
+        self.clock = clock or SimClock()
+        self.registry = registry
+        self._lsp_keypair = lsp_keypair
+        self._shards = list(shards)
+        for index, shard in enumerate(self._shards):
+            shard.restamp(sth_stamp(index, self.num_shards))
+        return self
 
     @classmethod
     def open(
@@ -289,24 +247,18 @@ class ShardedLedger:
                 f"{data_dir} holds a single ledger; reopen it with "
                 f"Ledger.open(...)"
             )
-        sharded = cls.__new__(cls)
-        sharded.config = config
-        sharded.num_shards = config.shards
-        sharded.clock = clock or SimClock()
-        sharded.registry = registry
-        sharded._lsp_keypair = lsp_keypair
-        sharded._shards = []
-        for index in range(config.shards):
-            shard = Ledger.open(
+        clock = clock or SimClock()
+        shards = [
+            Ledger.open(
                 str(base / SHARD_DIR_FORMAT.format(index)),
                 registry,
                 lsp_keypair,
-                clock=sharded.clock,
+                clock=clock,
                 force_rebuild=force_rebuild,
             )
-            shard.sth_shard_index = index
-            sharded._shards.append(shard)
-        return sharded
+            for index in range(config.shards)
+        ]
+        return cls.__new__(cls)._adopt(config, shards, clock, registry, lsp_keypair)
 
     # -------------------------------------------------------------- routing
 
@@ -319,10 +271,7 @@ class ShardedLedger:
         return shard_of_key(key, self.num_shards)
 
     def shard_of_request(self, request: ClientRequest) -> int:
-        return self.shard_of_key(_route_key(request.clues, request.client_id))
-
-    def shard_of_journal(self, journal: Journal) -> int:
-        return self.shard_of_key(_route_key(journal.clues, journal.client_id))
+        return shard_of_request(request, self.num_shards)
 
     def global_jsn(self, shard_index: int, local_jsn: int) -> int:
         """Interleave a shard-local jsn into the global sequence."""
@@ -332,9 +281,7 @@ class ShardedLedger:
 
     def locate(self, gsn: int) -> tuple[int, int]:
         """Global jsn → ``(shard_index, local_jsn)`` (inverse of global_jsn)."""
-        if gsn < 0:
-            raise UsageError(f"global jsn must be >= 0, got {gsn}")
-        return gsn % self.num_shards, gsn // self.num_shards
+        return locate(gsn, self.num_shards)
 
     # -------------------------------------------------------------- appends
 
@@ -368,10 +315,6 @@ class ShardedLedger:
                 receipts[position] = receipt
         return receipts  # type: ignore[return-value]
 
-    def admit(self, request: ClientRequest) -> None:
-        """Admission-check a request against its routed shard."""
-        self._shards[self.shard_of_request(request)].admit(request)
-
     def commit_block(self) -> list:
         return [shard.commit_block() for shard in self._shards]
 
@@ -384,15 +327,6 @@ class ShardedLedger:
     def size(self) -> int:
         """Total journals across all shards (genesis journals included)."""
         return sum(shard.size for shard in self._shards)
-
-    @property
-    def latest_receipt(self) -> Receipt | None:
-        """None: no single shard receipt speaks for the whole deployment.
-
-        Per-shard receipts remain available via ``shards[k].latest_receipt``;
-        deployment-level trust lives in :meth:`composite_root`.
-        """
-        return None
 
     def receipt_for(self, gsn: int) -> Receipt | None:
         shard_index, local_jsn = self.locate(gsn)
@@ -463,7 +397,10 @@ class ShardedLedger:
         """Bulk cross-shard proofs, every fam leg cut at the shard head whose
         root the shared shard map links."""
         del anchored  # see get_proof: the composed form needs the full chain
-        heads = self.heads()
+        return self.proofs_at(self.heads(), gsns)
+
+    def proofs_at(self, heads: list[LedgerHead], gsns: list[int]) -> list[ShardProof]:
+        """:meth:`get_proofs` cut at per-shard heads the caller already holds."""
         roots = [head.root for head in heads]
         groups: dict[int, list[tuple[int, int]]] = {}
         for position, gsn in enumerate(gsns):
@@ -484,14 +421,16 @@ class ShardedLedger:
                 )
         return proofs  # type: ignore[return-value]
 
-    def proof_for_journal(self, journal: Journal, anchored: bool = True) -> ShardProof:
-        """Cross-shard proof for a presented journal (route by its content)."""
-        shard_index = self.shard_of_journal(journal)
-        return self.get_proof(self.global_jsn(shard_index, journal.jsn), anchored=anchored)
+    def tx_evidence(self, journal: Journal) -> tuple[ShardProof, Digest]:
+        """A cross-shard proof for a presented journal and the composite root
+        it folds to, both read from one head per shard."""
+        heads = self.heads()
+        gsn = self.global_jsn(shard_of_request(journal, self.num_shards), journal.jsn)
+        return self.proofs_at(heads, [gsn])[0], _shard_map([h.root for h in heads]).root()
 
     def verify_journal(self, journal: Journal, proof: ShardProof | FamProof | None = None) -> bool:
         """Deployment-level *what* verification of a presented journal."""
-        shard_index = self.shard_of_journal(journal)
+        shard_index = shard_of_request(journal, self.num_shards)
         if proof is None:
             return self._shards[shard_index].verify_journal(journal)
         if isinstance(proof, ShardProof):
@@ -504,8 +443,22 @@ class ShardedLedger:
         """Clue lineage proof on the clue's routing shard, linked to the
         composite state root.  Covers the clue's lineage *as a routing key*
         (see module docstring for the shard-map lineage contract)."""
-        shard_index = self.shard_of_key(clue)
+        return self._prove_clue_at(self.shard_state_roots(), clue, version_start, version_end)
+
+    def clue_evidence(self, clue: str) -> tuple[ShardClueProof, Digest]:
+        """A clue's lineage proof and the composite state root it folds to,
+        both read from one head per shard."""
         state_roots = self.shard_state_roots()
+        return self._prove_clue_at(state_roots, clue), _shard_map(state_roots).root()
+
+    def _prove_clue_at(
+        self,
+        state_roots: list[Digest],
+        clue: str,
+        version_start: int = 0,
+        version_end: int | None = None,
+    ) -> ShardClueProof:
+        shard_index = self.shard_of_key(clue)
         clue_proof = self._shards[shard_index].prove_clue(
             clue, version_start, version_end, root=state_roots[shard_index]
         )
@@ -528,20 +481,24 @@ class ShardedLedger:
         return self._lsp_keypair.public
 
     def get_sth(self) -> SignedTreeHead:
-        """The deployment's signed *composite* head.
+        """The deployment's signed head: the *composite* head over several
+        shards, the only shard's own head otherwise (rule 2 of
+        :mod:`repro.shard.shape`).
 
-        Commits the shard map built from the per-shard heads it embeds, so
-        any holder can re-fold the composite root
+        A composite head commits the shard map built from the per-shard
+        heads it embeds, so any holder can re-fold the composite root
         (:meth:`SignedTreeHead.composite_consistent`) and cross-check each
         embedded entry against independently gossiped per-shard heads.
         """
-        return self.composite_sth([shard.get_sth() for shard in self._shards])
+        heads = [shard.get_sth() for shard in self._shards]
+        return self.composite_sth(heads) if has_composite(self.num_shards) else heads[0]
 
     def composite_sth(self, heads: list[SignedTreeHead]) -> SignedTreeHead:
-        """The composite head embedding ``heads``, one per shard by index."""
+        """The composite head embedding ``heads``, one per shard by index
+        (each entry under the shard's own stamp)."""
         shard_heads = tuple(
-            (index, head.epoch, head.tree_size, head.live_size, head.root)
-            for index, head in enumerate(heads)
+            (head.shard_index, head.epoch, head.tree_size, head.live_size, head.root)
+            for head in heads
         )
         # The composite root folds the embedded heads' own roots — one
         # atomic claim, internally consistent even while shards commit.
@@ -576,12 +533,9 @@ class ShardedLedger:
         return heads
 
     def get_consistency(self, old: SignedTreeHead, new: SignedTreeHead):
-        """Route a per-shard consistency request to the shard it names.
-
-        Composite heads carry no epoch tree — their append-only story is
-        the conjunction of their embedded per-shard streams, each provable
-        here by shard index.
-        """
+        """Route a per-shard consistency request to the shard whose stamp
+        the heads carry (composite heads have no epoch tree: their story is
+        the conjunction of their embedded per-shard streams)."""
         if old.is_composite or new.is_composite:
             raise UsageError(
                 "composite heads have no epoch tree; request consistency "
@@ -593,11 +547,10 @@ class ShardedLedger:
                 f"heads name different shards ({old.shard_index} vs "
                 f"{new.shard_index}); consistency is per stream"
             )
-        if not 0 <= old.shard_index < self.num_shards:
-            raise UsageError(
-                f"shard {old.shard_index} out of range 0..{self.num_shards - 1}"
-            )
-        return self._shards[old.shard_index].get_consistency(old, new)
+        shard = shard_for_stamp(self._shards, old.shard_index)
+        if shard is None:
+            raise UsageError(f"no shard of this deployment stamps {old.shard_index}")
+        return shard.get_consistency(old, new)
 
     def issue_ack(self, request: ClientRequest, deadline_epochs: int | None = None):
         """Sign a submission ack on the shard the request routes to."""
@@ -621,59 +574,6 @@ class ShardedLedger:
     def collect_time_evidence(self) -> int:
         return sum(shard.collect_time_evidence() for shard in self._shards)
 
-    # ---------------------------------------------------------------- audit
-
-    def export_view(self) -> LedgerView:
-        raise UsageError(
-            "a sharded deployment has one view per shard — use "
-            "export_views() and audit each (or ShardedLedger.audit())"
-        )
-
-    def export_views(self) -> list[LedgerView]:
-        """One auditor view per shard, by shard index."""
-        return [shard.export_view() for shard in self._shards]
-
-    def audit(
-        self,
-        *,
-        tsa_keys: dict | None = None,
-        workers: int = 0,
-        checkpoint: str | None = None,
-        **kwargs: Any,
-    ) -> ShardedAuditReport:
-        """Run the §V Dasein-complete audit over every shard, in parallel.
-
-        Shards audit concurrently on a thread pool, one thread per shard;
-        ``workers`` additionally enables each shard audit's own
-        signature-chunk pool.  ``checkpoint`` must be a directory-style path
-        prefix: shard ``k`` checkpoints to ``<checkpoint>.shard-k``.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        from ..audit import dasein_audit
-
-        if checkpoint is not None and not isinstance(checkpoint, str):
-            raise UsageError(
-                "sharded audits checkpoint per shard: pass a string path "
-                "prefix, not a CheckpointStore"
-            )
-        views = self.export_views()
-
-        def _one(indexed_view: tuple[int, LedgerView]):
-            index, view = indexed_view
-            shard_checkpoint = f"{checkpoint}.shard-{index}" if checkpoint else None
-            return dasein_audit(
-                view,
-                tsa_keys=tsa_keys,
-                workers=workers,
-                checkpoint=shard_checkpoint,
-                **kwargs,
-            )
-
-        with ThreadPoolExecutor(max_workers=self.num_shards) as pool:
-            reports = list(pool.map(_one, enumerate(views)))
-        return ShardedAuditReport(passed=all(r.passed for r in reports), reports=reports)
-
     # ------------------------------------------------------------ lifecycle
 
     def checkpoint(self) -> list[str]:
@@ -691,33 +591,47 @@ class ShardedLedger:
         if errors:
             raise errors[0]
 
-    # ------------------------------------------------------------- metrics
-
-    def metrics_snapshot(self) -> dict:
-        from .. import obs
-
-        return obs.snapshot()
-
-    def storage_stats(self) -> dict:
-        return {
-            "shards": [shard.storage_stats() for shard in self._shards],
-            "size": self.size,
-        }
-
-    def node_store_stats(self) -> dict:
-        return {
-            f"shard-{index}": shard.node_store_stats()
-            for index, shard in enumerate(self._shards)
-        }
-
-    def compact_node_store(self) -> list[dict]:
-        return [shard.compact_node_store() for shard in self._shards]
-
     def __repr__(self) -> str:
         return (
             f"<ShardedLedger {self.config.uri} shards={self.num_shards} "
             f"size={self.size}>"
         )
+
+
+# ------------------------------------------------ one constructor, one reopen
+
+
+def new_deployment(config: LedgerConfig, **kwargs: Any) -> Ledger | ShardedLedger:
+    """The one constructor: a solo :class:`Ledger` for one shard, the
+    :class:`ShardedLedger` facade for more.
+
+    ``kwargs`` pass through (``clock``, ``registry``, ``lsp_keypair``; a
+    solo ledger also takes ``journal_stream`` and ``node_store``).
+    """
+    if not has_composite(config.shards):
+        return Ledger(config=config, **kwargs)
+    if "journal_stream" in kwargs:
+        raise UsageError(
+            "journal_stream= cannot apply to a sharded ledger: each "
+            "shard owns its own stream (set config.data_dir for "
+            "persistence instead)"
+        )
+    return ShardedLedger(config=config, **kwargs)
+
+
+def open_deployment(
+    data_dir: str | Path,
+    registry: MemberRegistry,
+    lsp_keypair: KeyPair,
+    *,
+    clock: Clock | None = None,
+    force_rebuild: bool = False,
+) -> Ledger | ShardedLedger:
+    """The one reopen: whichever shape ``data_dir`` holds, by its layout."""
+    opener = ShardedLedger.open if is_sharded_layout(data_dir) else Ledger.open
+    return opener(
+        str(data_dir), registry, lsp_keypair, clock=clock, force_rebuild=force_rebuild
+    )
 
 
 def iter_shard_dirs(data_dir: str | Path) -> Iterable[Path]:

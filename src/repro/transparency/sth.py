@@ -27,7 +27,8 @@ verifies in a process that has never imported the ledger kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 
 from ..crypto.ecdsa import Signature
 from ..crypto.hashing import Digest
@@ -568,6 +569,22 @@ class SthStore:
             with open(self._path, "ab") as fh:
                 fh.write(len(blob).to_bytes(4, "big") + blob)
                 fh.flush()
+
+    def restamp(self, shard_index: int, lsp_keypair) -> None:
+        """Re-sign stored heads under stamp ``shard_index`` (same coordinates,
+        root, timestamp) and rewrite the file, unless all carry it already: a
+        log written by a build that stamped its stream otherwise keeps one name."""
+        if all(head.shard_index == shard_index for head in self._heads):
+            return
+        self._heads = [
+            replace(head, shard_index=shard_index).signed_by(lsp_keypair)
+            for head in self._heads
+        ]
+        if self._path is not None:
+            staged = self._path.with_name(self._path.name + ".tmp")
+            blobs = [head.to_bytes() for head in self._heads]
+            staged.write_bytes(b"".join(len(b).to_bytes(4, "big") + b for b in blobs))
+            os.replace(staged, self._path)
 
     def heads(self) -> list[SignedTreeHead]:
         return list(self._heads)

@@ -238,23 +238,16 @@ class Witness:
             return self._fill(report, before_evidence, before_alarms)
         report.heads_seen += 1
         self.ingest(head)
-        for key in list(self._keys_for(head)):
-            heads = self._heads.get(key, [])
-            for old, new in zip(heads, heads[1:]):
-                if old.is_composite or (key, old.coords, new.coords) in self._verified:
-                    continue
-                report.pairs_checked += 1
-                self._check_pair(session, key, old, new)
+        # Only the pulled head's own stream: a composite head's per-shard
+        # streams are proven through their own shards' sessions.
+        key = self._key(head)
+        heads = self._heads.get(key, [])
+        for old, new in zip(heads, heads[1:]):
+            if old.is_composite or (key, old.coords, new.coords) in self._verified:
+                continue
+            report.pairs_checked += 1
+            self._check_pair(session, key, old, new)
         return self._fill(report, before_evidence, before_alarms)
-
-    def _keys_for(self, head: SignedTreeHead):
-        yield self._key(head)
-        if head.is_composite:
-            # A composite head pull may have revealed nothing checkable,
-            # but its per-shard streams might still have unverified gaps
-            # only if their heads came from this same session — leave
-            # per-shard streams to their own sessions.
-            return
 
     def _check_pair(
         self,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import LedgerSession
-from repro.core import Ledger, LedgerConfig
+from repro.core import LedgerConfig
 from repro.crypto import KeyPair, Role
 from repro.export.bundle import (
     BundleCorruptionError,
@@ -20,6 +20,7 @@ from repro.export.bundle import (
     export_bundle,
 )
 from repro.export.verifier import verify_bundle, verify_bundle_path
+from repro.shard import new_deployment
 from repro.timeauth import SimClock, TimeStampAuthority
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -39,12 +40,7 @@ def build_deployment(journals=18, shards=1, data_dir=None):
         shards=shards,
         **kwargs,
     )
-    if shards > 1:
-        from repro.shard import ShardedLedger
-
-        ledger = ShardedLedger(config, clock=clock)
-    else:
-        ledger = Ledger(config, clock=clock)
+    ledger = new_deployment(config, clock=clock)
     ledger.attach_tsa(tsa)
     user = KeyPair.generate(seed="bundle-user")
     ledger.registry.register("bundle-user", Role.USER, user.public)

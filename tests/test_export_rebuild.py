@@ -10,19 +10,21 @@ from repro.core import Ledger, LedgerConfig
 from repro.core.ledger import JOURNAL_FILE
 from repro.crypto import KeyPair, Role
 from repro.export.bundle import export_bundle
+from repro.export.verifier import verify_bundle
 from repro.export.rebuild import (
     RebuildError,
     RebuildReport,
     rebuild_from_bundle,
     rebuild_from_stream,
 )
+from repro.shard import ShardedLedger, new_deployment
 from repro.storage.faults import flip_byte
 from repro.timeauth import SimClock, TimeStampAuthority
 
 URI = "ledger://rebuild-test"
 
 
-def build_deployment(journals=18, shards=1, data_dir=None):
+def build_deployment(journals=18, shards=1, data_dir=None, build=new_deployment):
     clock = SimClock()
     tsa = TimeStampAuthority("rebuild-tsa", clock)
     kwargs = {}
@@ -31,12 +33,7 @@ def build_deployment(journals=18, shards=1, data_dir=None):
     config = LedgerConfig(
         uri=URI, fractal_height=3, block_size=4, shards=shards, **kwargs
     )
-    if shards > 1:
-        from repro.shard import ShardedLedger
-
-        ledger = ShardedLedger(config, clock=clock)
-    else:
-        ledger = Ledger(config, clock=clock)
+    ledger = build(config, clock=clock)
     ledger.attach_tsa(tsa)
     user = KeyPair.generate(seed="rebuild-user")
     ledger.registry.register("rebuild-user", Role.USER, user.public)
@@ -98,6 +95,22 @@ def test_rebuild_cross_checks_the_live_instance():
     _rebuilt, report = rebuild_from_bundle(bundle, live=source)
     assert report.ok
     assert "live" in report.checks
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_export_verify_rebuild_round_trip(shards):
+    """export → verify_bundle → rebuild_from_bundle(live=...) closes for the
+    facade at every shard count; at one shard it exports a solo bundle."""
+    source = build_deployment(journals=12 * shards, shards=shards, build=ShardedLedger)
+    bundle = export_bundle(source)
+    assert bundle.num_shards == shards
+    assert bool(bundle.composite_sth) == (shards > 1)
+    verdict = verify_bundle(bundle)
+    assert verdict.ok, verdict.detail
+    rebuilt, report = rebuild_from_bundle(bundle, live=source)
+    assert report.ok, report.divergences
+    assert "live" in report.checks
+    assert rebuilt.current_root() == source.current_root()
 
 
 def test_rebuild_accepts_pinned_heads_from_the_source():

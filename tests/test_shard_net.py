@@ -12,10 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro import ClientRequest, KeyPair, Ledger, LedgerConfig, Role, SimClock
-from repro.core.errors import VerificationFailure
+from repro.core.errors import UsageError, VerificationFailure
 from repro.merkle.proofs import MembershipProof
 from repro.net import RemoteLedgerClient, ServerThread
-from repro.service import ServiceConfig
+from repro.service import LedgerService, ServiceConfig
 from repro.shard import ShardedLedger, ShardedServerThread, shard_of_key
 
 URI = "ledger://shard-net-test"
@@ -179,6 +179,26 @@ class TestShardedServerThread:
             client.close()
         served.close()  # drain=True: no pending work may be dropped
         assert served.service.closed
+
+
+class TestServedShapes:
+    def test_a_solo_ledger_serves_as_its_one_unlabelled_shard(self):
+        """One shard gets the solo front end: a plain, unnamed LedgerService
+        (bare metric families), as a LedgerSession's ``service=True`` does."""
+        ledger = Ledger(LedgerConfig(uri=URI, fractal_height=4, block_size=4))
+        with ShardedServerThread(ledger) as served:
+            assert served.num_shards == 1
+            assert isinstance(served.service, LedgerService)
+            assert served.service.name is None
+            assert served.service.services == [served.service]
+
+    def test_refuses_what_is_neither_a_ledger_nor_a_service(self):
+        with pytest.raises(UsageError, match="serve a ledger or a service"):
+            ShardedServerThread(object())
+        ledger, _keys = make_sharded(2)
+        with LedgerService(ledger.shards[0]) as service:
+            with pytest.raises(UsageError, match="service_config"):
+                ShardedServerThread(service, service_config=ServiceConfig())
 
 
 class TestUnshardedShardInfo:

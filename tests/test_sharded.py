@@ -27,8 +27,11 @@ from repro.core.ledger import Ledger, LedgerConfig
 from repro.core.members import MemberRegistry
 from repro.crypto.ca import Role
 from repro.crypto.keys import KeyPair
+from repro.export.bundle import export_bundle
 from repro.merkle.fam import FamProof
 from repro.service import LedgerService, ServiceConfig
+from repro.transparency import Witness
+from repro.transparency.sth import SOLO_SHARD
 from repro.shard import (
     ShardClueProof,
     ShardProof,
@@ -300,6 +303,12 @@ class TestSingleShardEquivalence:
             plain_receipt = plain.append(request(i, f"clue-{clue_id}"))
             shard_receipt = sharded.append(request(i, f"clue-{clue_id}"))
             assert plain_receipt.to_bytes() == shard_receipt.to_bytes()
+        # On the wire and on paper, a one-shard facade is the solo ledger:
+        # its heads, acks and bundles carry the solo stamp and no composite.
+        assert sharded.get_sth().to_bytes() == plain.get_sth().to_bytes()
+        probe = request(len(clue_ids), "clue-ack")
+        assert sharded.issue_ack(probe).to_bytes() == plain.issue_ack(probe).to_bytes()
+        assert export_bundle(sharded).to_bytes() == export_bundle(plain).to_bytes()
         # A 1-leaf shard map bags to its only leaf: composite == shard root.
         assert sharded.composite_root() == plain.current_root()
         assert sharded.shard_roots() == [plain.current_root()]
@@ -319,6 +328,30 @@ class TestSingleShardEquivalence:
                 )
         plain.close()
         sharded.close()
+
+    def test_witness_sees_one_solo_stream(self):
+        """Every head a one-shard deployment signs (live, per-shard, stored
+        epoch heads) is on the one solo stream: a witness fed all of them
+        stays clean, and still convicts a forged head on that stream."""
+        ledger = build_sharded(1, fractal_height=3)
+        session = api.LedgerSession(ledger, client_id="alice", keypair=USER)
+        witness = Witness(ledger.lsp_public_key)
+        heads = []
+        for i in range(20):
+            ledger.append(request(i, f"clue-{i % 3}"))
+            if i % 5 == 4:
+                assert witness.audit(session).clean
+                heads += [ledger.get_sth(), ledger.get_sth_shard(0)]
+        heads += ledger.get_sth_range(0, 100)
+        assert len(heads) >= 10 and {head.shard_index for head in heads} == {SOLO_SHARD}
+        assert all(witness.ingest(head) is None for head in heads)
+        assert witness.audit(session).clean and not witness.evidence
+        forged = dataclasses.replace(heads[-1], root=b"\x13" * 32).signed_by(
+            KeyPair.generate(seed=f"lsp:{URI}")
+        )
+        evidence = witness.ingest(forged)
+        assert evidence is not None and evidence.kind == "fork-heads"
+        ledger.close()
 
 
 # ------------------------------------------------------- service + metrics
@@ -539,3 +572,53 @@ class TestPersistence:
         with pytest.raises(UsageError, match="single ledger"):
             ShardedLedger.open(str(tmp_path), registry, lsp)
         Ledger.open(str(tmp_path), registry, lsp).close()
+
+    def test_a_one_shard_log_stamped_0_reopens_as_one_solo_stream(self, tmp_path):
+        """A one-shard deployment persisted before the solo stamp rule holds
+        epoch heads stamped ``0``.  Reopening re-signs its log under
+        SOLO_SHARD, and the old heads its clients hold stay answerable."""
+        from repro.core.ledger import STH_FILE
+        from repro.export.rebuild import rebuild_from_bundle
+        from repro.export.verifier import verify_bundle
+        from repro.transparency.sth import SthStore
+
+        lsp = KeyPair.generate(seed="sharded:lsp")
+        registry = MemberRegistry()
+        registry.register("alice", Role.USER, USER.public)
+        data_dir = tmp_path / "deployment"
+        ledger = ShardedLedger(
+            LedgerConfig(uri=URI, shards=1, fractal_height=2, data_dir=str(data_dir)),
+            registry=registry, lsp_keypair=lsp,
+        )
+        for i in range(12):
+            ledger.append(request(i, f"clue-{i % 3}"))
+        ledger.close()
+        log = data_dir / "shard-00" / STH_FILE
+        SthStore(log).restamp(0, lsp)  # what the older build wrote
+        legacy = SthStore(log).heads()
+        assert len(legacy) >= 3 and {head.shard_index for head in legacy} == {0}
+
+        reopened = ShardedLedger.open(str(data_dir), registry, lsp)
+        try:
+            stored = reopened.get_sth_range(0, 1 << 20)
+            assert {head.shard_index for head in stored} == {SOLO_SHARD}
+            assert [head.coords for head in stored] == [head.coords for head in legacy]
+            assert [head.root for head in stored] == [head.root for head in legacy]
+            assert all(head.verify(lsp.public) for head in stored)
+            assert SthStore(log).heads() == stored  # migrated on disk, once
+            cbundle, _assertion = reopened.get_consistency(legacy[0], legacy[-1])
+            assert cbundle.verify(legacy[0], legacy[-1])
+
+            bundle = export_bundle(reopened)
+            assert verify_bundle(bundle, lsp_public_key=lsp.public).ok
+            _rebuilt, report = rebuild_from_bundle(
+                bundle, lsp_keypair=lsp, live=reopened, pinned_heads=legacy
+            )
+            assert report.ok, report.divergences
+
+            witness = Witness(lsp.public)
+            for head in [*legacy, *stored, reopened.get_sth()]:
+                assert witness.ingest(head) is None
+            assert not witness.alarms and not witness.evidence
+        finally:
+            reopened.close()

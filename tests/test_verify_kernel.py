@@ -2,8 +2,9 @@
 
 One honest deployment and six tamperings are fed through every entry point —
 ``LedgerClient``, ``RemoteLedgerClient`` / ``RemoteLedgerSession`` over a
-real socket, ``LedgerSession.verify`` / ``verify_dasein``, ``DaseinVerifier``
-and the standalone ``verify_bundle``.  Wherever two entry points check the
+real socket, ``LedgerSession.verify`` / ``verify_dasein`` (over a solo ledger
+and over a one-shard ``ShardedLedger`` holding the same journals),
+``DaseinVerifier`` and the standalone ``verify_bundle``.  Wherever two entry points check the
 same thing they must return the same ``(ok, what, when, who, jsn,
 trusted_root)``: they are evidence fetchers around :mod:`repro.verify`, not
 implementations of their own.  Plus the two properties the kernel owns: an
@@ -17,6 +18,7 @@ import dataclasses
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,6 +31,7 @@ from repro.crypto import KeyPair, Role
 from repro.export.bundle import export_bundle
 from repro.export.verifier import verify_bundle
 from repro.net import RemoteLedgerClient, RemoteLedgerSession, ServerThread
+from repro.shard import ShardedLedger, new_deployment
 from repro.timeauth import SimClock, TimeStampAuthority
 from repro.crypto.ecdsa import Signature
 from repro.verify import AnchorTracker, signed_by, signed_by_many
@@ -56,33 +59,45 @@ def flipped(journal):
     return dataclasses.replace(journal, payload=payload)
 
 
-@pytest.fixture(scope="module")
-def world():
-    """An honest TSA-anchored ledger behind a real server, every entry point
-    attached, a bundle exported.  23 journals at fractal height 4: epoch 0 is
-    sealed (jsn 0-15), the rest is the live epoch, the final journal is a
-    time anchor bounding everything before it."""
+def seeded(build):
+    """23 journals at fractal height 4 on a fresh ``build(config, clock=...)``
+    deployment: epoch 0 is sealed (jsn 0-15), the rest is the live epoch, the
+    final journal is a time anchor bounding everything before it."""
     clock = SimClock()
-    tsa = TimeStampAuthority("kernel-tsa", clock)
-    ledger = Ledger(
+    ledger = build(
         LedgerConfig(uri="ledger://kernel-test", fractal_height=4, block_size=4),
         clock=clock,
     )
+    tsa = TimeStampAuthority("kernel-tsa", clock)
     ledger.attach_tsa(tsa)
     user = KeyPair.generate(seed="kernel:user")
     ledger.registry.register(USER, Role.USER, user.public)
-    local_session = LedgerSession(ledger, client_id=USER, keypair=user)
+    session = LedgerSession(ledger, client_id=USER, keypair=user)
     receipts = []
     for index in range(18):
         receipts.append(
-            local_session.append(b"kernel record %04d" % index, clues=(f"KRN-{index % 3}",))
+            session.append(b"kernel record %04d" % index, clues=(f"KRN-{index % 3}",))
         )
         clock.advance(0.25)
         if index % 6 == 5:
             ledger.anchor_time()
     ledger.anchor_time()
     ledger.commit_block()
+    return ledger, session, receipts, tsa
+
+
+@pytest.fixture(scope="module")
+def world():
+    """An honest TSA-anchored ledger behind a real server, every entry point
+    attached, a bundle exported — plus its twin, the same journals on a
+    one-shard :class:`ShardedLedger`, verified through its own session."""
+    ledger, local_session, receipts, tsa = seeded(Ledger)
+    user = local_session.keypair
     assert ledger.fam_reader().fam_info()["num_epochs"] == 2
+    facade, facade_session, _receipts, _tsa = seeded(ShardedLedger)
+    assert (facade.composite_root(), facade.state_root()) == (
+        ledger.current_root(), ledger.state_root()
+    )
 
     sealed = ledger.get_journal(receipts[2].jsn)  # epoch 0
     live = ledger.get_journal(receipts[-1].jsn)  # live epoch
@@ -108,6 +123,7 @@ def world():
         other=other,
         lineage=local_session.list_tx(CLUE),
         local_session=local_session,
+        facade_session=facade_session,
         local_client=lambda: LedgerClient(USER, user, ledger, tsa_keys={"kernel-tsa": tsa.public_key}),
         remote_client=remote_client,
         remote_session=RemoteLedgerSession(host, port, expected_lsp_key=lsp_key),
@@ -131,6 +147,9 @@ def tx_verdicts(w, journal, *, anchored=None, full=None, root=None, tracked_root
     if tracked_root is None:
         results = {
             "local session, client level": w.local_session.verify(
+                "tx", txdata=[journal], rho=full, root=root, level="client"
+            ),
+            "1-shard facade session, client level": w.facade_session.verify(
                 "tx", txdata=[journal], rho=full, root=root, level="client"
             ),
             "remote session, pinned root": w.remote_session.verify(
@@ -157,6 +176,9 @@ def tx_verdicts(w, journal, *, anchored=None, full=None, root=None, tracked_root
             remote.close()
         if tracked_root is None:
             results["local session, server level"] = w.local_session.verify(
+                "tx", txdata=[journal], rho=full
+            )
+            results["1-shard facade session, server level"] = w.facade_session.verify(
                 "tx", txdata=[journal], rho=full
             )
             results["remote session, anchor store"] = w.remote_session.verify(
@@ -203,11 +225,13 @@ def dasein_verdicts(w, jsn, *, view=None, proof=None, receipt=None, tsa_keys=Non
         )
     }
     if view is None and proof is None:
-        verdicts["local session"] = fields(
-            w.local_session.verify_dasein(
-                jsn, receipt, tsa_keys=tsa_keys, trusted_root=root
+        for name, session in (
+            ("local session", w.local_session),
+            ("1-shard facade session", w.facade_session),
+        ):
+            verdicts[name] = fields(
+                session.verify_dasein(jsn, receipt, tsa_keys=tsa_keys, trusted_root=root)
             )
-        )
         if root is None:
             client = w.local_client()
             client.tsa_keys = dict(tsa_keys)
@@ -271,6 +295,9 @@ def clue_verdicts(w, journals, *, rho=None, root=None):
         "local session, client level": w.local_session.verify(
             "clue", root=root, level="client", **kwargs
         ),
+        "1-shard facade session, client level": w.facade_session.verify(
+            "clue", root=root, level="client", **kwargs
+        ),
         "remote session, client level": w.remote_session.verify(
             "clue", root=root if root is not None or rho is None else w.state_root,
             level="client", **kwargs
@@ -278,6 +305,9 @@ def clue_verdicts(w, journals, *, rho=None, root=None):
     }
     if root is None and rho is None:
         verdicts["local session, server level"] = w.local_session.verify("clue", **kwargs)
+        verdicts["1-shard facade session, server level"] = w.facade_session.verify(
+            "clue", **kwargs
+        )
         verdicts["remote session, server level"] = w.remote_session.verify("clue", **kwargs)
     return verdicts
 
@@ -488,6 +518,63 @@ def test_honest_server_never_verifies_falsy_beside_appends():
         assert not thread.is_alive() and not errors, errors
         assert len(acked) > 8 + 20, "the writer must actually have run beside the verifier"
         assert (falsy, failures, false_passes) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_in_process_client_verifies_take_proof_and_root_from_one_head(shards):
+    """A writer commits batches of 4 beside in-process CLIENT-level verifies
+    of a fixed journal and a fixed lineage, defaulting the trusted root: the
+    proof and that root come from one head (one per shard), so no honest
+    verdict is falsy — and a flipped payload byte still fails every time."""
+    ledger = new_deployment(
+        LedgerConfig(uri="ledger://one-head", fractal_height=4, block_size=4, shards=shards)
+    )
+    keys = {name: KeyPair.generate(seed=f"one-head:{name}") for name in (USER, "writer")}
+    for name, keypair in keys.items():
+        ledger.registry.register(name, Role.USER, keypair.public)
+    session = LedgerSession(ledger, client_id=USER, keypair=keys[USER])
+    session.append_batch([(b"fixed %d" % index, "FIXED") for index in range(5)])
+    lineage = session.list_tx("FIXED")
+    client = LedgerClient(USER, keys[USER], ledger) if shards == 1 else None
+    writer = LedgerSession(ledger, client_id="writer", keypair=keys["writer"])
+    stop = threading.Event()
+    errors = []
+
+    def write():
+        index = 0
+        try:
+            while not stop.is_set():
+                writer.append_batch([(b"moving %d" % (index + k), f"MOVING-{k}") for k in range(4)])
+                index += 4
+        except BaseException as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=write)
+    size = ledger.size
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # make a switch between two reads likely
+    thread.start()
+    falsy = false_passes = rounds = 0
+    try:
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline:
+            rounds += 1
+            for journal in (lineage[0], lineage[-1]):
+                falsy += not session.verify("tx", txdata=[journal], level="client")
+            falsy += not session.verify("clue", key="FIXED", txdata=lineage, level="client")
+            if client is not None:
+                falsy += not client.verify_clue("FIXED")
+            false_passes += bool(
+                session.verify("tx", txdata=[flipped(lineage[-1])], level="client")
+            )
+    finally:
+        stop.set()
+        thread.join(30)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive() and not errors, errors
+    assert ledger.size > size + 40, "the writer must actually have run beside the verifier"
+    assert rounds > 50 and (falsy, false_passes) == (0, 0)
+    ledger.close()
 
 
 # ------------------------------------------------------------ import isolation
