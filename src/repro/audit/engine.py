@@ -142,6 +142,21 @@ def _make_pool(workers: int, kind: str):
     return ThreadPoolExecutor(max_workers=workers), "thread"
 
 
+def _put_frontiers(state: MPT, frontiers: dict[str, FrontierAccumulator]) -> None:
+    """Commit each clue's CM-Tree2 (size, frontier) to CM-Tree1 as one write."""
+    state.put_many(
+        (clue_key_hash(clue), encode_clue_value(frontier.size, frontier.peaks()))
+        for clue, frontier in frontiers.items()
+    )
+
+
+def _state_of(frontiers: dict[str, FrontierAccumulator]) -> MPT:
+    """A fresh CM-Tree1 holding ``frontiers`` (a snapshot's clue state)."""
+    state = MPT()
+    _put_frontiers(state, frontiers)
+    return state
+
+
 class _AuditEngine:
     def __init__(
         self,
@@ -170,7 +185,6 @@ class _AuditEngine:
         self.pool_kind = pool_kind
         self.report = AuditReport(passed=True)
         self._pool = None
-        self._roots_after: dict[int, Digest] = {}
         self._receipt_root: Digest | None = None
         self._time_entries: list[tuple[int, dict]] = []
         self._resumed: AuditCheckpoint | None = None
@@ -381,13 +395,11 @@ class _AuditEngine:
                 tuple(resumed.fam_live_peaks),
                 journal_count=resumed.fam_journal_count,
             )
-            state = MPT()
-            clue_frontiers: dict[str, FrontierAccumulator] = {}
-            for clue, (size, peaks) in resumed.clue_snapshot.items():
-                frontier = FrontierAccumulator(size, list(peaks))
-                clue_frontiers[clue] = frontier
-                state.put(clue_key_hash(clue), encode_clue_value(size, frontier.peaks()))
-            return fam, state, clue_frontiers, None
+            clue_frontiers = {
+                clue: FrontierAccumulator(size, list(peaks))
+                for clue, (size, peaks) in resumed.clue_snapshot.items()
+            }
+            return fam, _state_of(clue_frontiers), clue_frontiers, None
 
         pseudo = view.pseudo_genesis
         if pseudo is not None and view.genesis_start > 0:
@@ -402,12 +414,11 @@ class _AuditEngine:
             )
             if fam.current_root() != pseudo.fam_root:
                 return None, None, None, "pseudo genesis fam snapshot does not bag to its root"
-            state = MPT()
-            clue_frontiers = {}
-            for clue, size, peaks in pseudo.clue_snapshot:
-                frontier = FrontierAccumulator(size, list(peaks))
-                clue_frontiers[clue] = frontier
-                state.put(clue_key_hash(clue), encode_clue_value(size, frontier.peaks()))
+            clue_frontiers = {
+                clue: FrontierAccumulator(size, list(peaks))
+                for clue, size, peaks in pseudo.clue_snapshot
+            }
+            state = _state_of(clue_frontiers)
             if state.root != pseudo.state_root:
                 return None, None, None, "pseudo genesis clue snapshot does not rebuild its state root"
             return fam, state, clue_frontiers, None
@@ -453,7 +464,9 @@ class _AuditEngine:
         receipt_jsn = receipt.jsn if receipt is not None else None
         base_block_index = block_index
 
-        roots_after: dict[int, Digest] = {}
+        #: Clues appended to since the last CM-Tree1 write: the fold writes
+        #: their frontiers as one put just before a block's state-root check.
+        dirty: dict[str, FrontierAccumulator] = {}
         #: (jsn, priority, detail) from fold-side checks; at most one.
         inline_failure: tuple[int, int, str] | None = None
         #: (jsn, priority, detail) from signature chunks, any order.
@@ -591,7 +604,6 @@ class _AuditEngine:
                     clues = record.retained_clues
 
             fam.append(digest)
-            roots_after[jsn] = fam.current_root()
             if jsn == receipt_jsn:
                 receipt_root = fam.current_root()
             for clue in clues:
@@ -600,7 +612,7 @@ class _AuditEngine:
                     frontier = FrontierAccumulator()
                     clue_frontiers[clue] = frontier
                 frontier.append_leaf(digest)
-                state.put(clue_key_hash(clue), encode_clue_value(frontier.size, frontier.peaks()))
+                dirty[clue] = frontier
 
             # Block boundary checks (V at boundaries, V' across them).
             if block_index < len(blocks) and jsn + 1 == blocks[block_index].end_jsn:
@@ -615,6 +627,9 @@ class _AuditEngine:
                         jsn, _P_JOURNAL_ROOT, f"block {block.height}: journal root mismatch"
                     )
                     break
+                if dirty:
+                    _put_frontiers(state, dirty)
+                    dirty.clear()
                 if block.state_root != state.root:
                     inline_failure = (
                         jsn, _P_STATE_ROOT, f"block {block.height}: state root mismatch"
@@ -675,7 +690,6 @@ class _AuditEngine:
             )
         obs.inc("audit.journals.replayed", self.report.journals_replayed)
         obs.inc("audit.signatures.verified", signatures_checked)
-        self._roots_after = roots_after
         self._receipt_root = receipt_root
         self._time_entries = time_entries
         if self.checkpoint_store is not None:
@@ -756,11 +770,9 @@ class _AuditEngine:
                 entry = self.view.entry(receipt.jsn)
                 if entry.retained_hash != receipt.tx_hash:
                     return self._step("receipt", False, "receipt tx-hash mismatch")
-                expected_root = self._roots_after.get(receipt.jsn)
-                if expected_root is None:
-                    # Resumed replay never re-folds past the receipt's jsn;
-                    # the checkpointed root stands in.
-                    expected_root = self._receipt_root
+                # The fold's root at the receipt's jsn, or the checkpointed
+                # one when a resumed replay never re-folded past it.
+                expected_root = self._receipt_root
                 if expected_root is not None and receipt.ledger_root != expected_root:
                     return self._step("receipt", False, "receipt ledger root mismatch")
             return self._step("receipt", True, f"receipt for jsn {receipt.jsn}")

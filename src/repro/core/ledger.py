@@ -567,29 +567,26 @@ class Ledger:
                     f"at {offsets[0]}, expected jsn {start_jsn}"
                 )
             unsigned: list[Receipt] = []
-            # Per-clue digests awaiting their (single) CM-Tree1 refresh, in first-
-            # seen order so final MPT state matches the sequential interleaving.
-            pending_clues: dict[str, list[Digest]] = {}
+            clues: list[str] = []
+            digests: list[Digest] = []
             block_size = self.config.block_size
             for journal in journals:
                 jsn = journal.jsn
                 tx_hash = journal.tx_hash()
                 self._fam.append(tx_hash)
                 for clue in journal.clues:
-                    pending_clues.setdefault(clue, []).append(tx_hash)
+                    clues.append(clue)
+                    digests.append(tx_hash)
                     self._cluesl.insert(clue, jsn)
                 if journal.journal_type is JournalType.TIME:
                     self._time_journals.append(jsn)
                 if jsn + 1 - self._pending_start >= block_size:
-                    for clue, digests in pending_clues.items():
-                        self._cmtree.add_many(clue, digests)
-                    pending_clues.clear()
+                    self._write_clues(clues, digests)
                     self._seal_pending()
                 unsigned.append(
                     self._receipt(jsn, journal.request_hash, tx_hash, journal.timestamp)
                 )
-            for clue, digests in pending_clues.items():
-                self._cmtree.add_many(clue, digests)
+            self._write_clues(clues, digests)
             self._emit_epoch_heads()
             # pi_s issuance: every receipt's payload is frozen above, so the LSP
             # signatures batch into one shared-inversion pass.
@@ -598,6 +595,15 @@ class Ledger:
                 self._receipts[receipt.jsn] = receipt
             self._publish(receipts[-1])
             return receipts
+
+    def _write_clues(self, clues: list[str], digests: list[Digest]) -> None:
+        """CM-Tree1's one write for the clue updates gathered since the last,
+        made just before a state root is read (a block seal, a published
+        head); empties both lists."""
+        if clues:
+            self._cmtree.add_many(clues, digests)
+            clues.clear()
+            digests.clear()
 
     def _append_system(
         self,
@@ -1620,7 +1626,8 @@ class Ledger:
         pseudo-genesis, outside the stream); a purge journal is recorded
         when the replay starts at genesis and refused in a snapshot suffix.
         A block seals every ``block_size`` journals after the last seal,
-        erased slots included.
+        erased slots included; as on the commit path, the clue updates reach
+        CM-Tree1 as one write per seal and one at the end.
         """
         stream = self._stream
         total = len(stream)
@@ -1633,6 +1640,8 @@ class Ledger:
                 record = OccultRecord.from_bytes(journal.payload)
                 occult_by_target[record.target_jsn] = record
 
+        clues: list[str] = []
+        digests: list[Digest] = []
         for jsn in range(start, total):
             if stream.is_erased(jsn):
                 record = occult_by_target.get(jsn)
@@ -1644,7 +1653,8 @@ class Ledger:
                 self._fam.append(record.retained_hash)
                 self._occult_bitmap.set(jsn)
                 for clue in record.retained_clues:
-                    self._cmtree.add(clue, record.retained_hash)
+                    clues.append(clue)
+                    digests.append(record.retained_hash)
                     self._cluesl.insert(clue, jsn)
             else:
                 journal = Journal.from_bytes(stream.read(jsn))
@@ -1655,7 +1665,8 @@ class Ledger:
                 tx_hash = journal.tx_hash()
                 self._fam.append(tx_hash)
                 for clue in journal.clues:
-                    self._cmtree.add(clue, tx_hash)
+                    clues.append(clue)
+                    digests.append(tx_hash)
                     self._cluesl.insert(clue, jsn)
                 if journal.journal_type is JournalType.TIME:
                     self._time_journals.append(jsn)
@@ -1680,7 +1691,9 @@ class Ledger:
                     )
                     self._genesis_start = max(self._genesis_start, precord.purge_point)
             if jsn + 1 - self._pending_start >= self.config.block_size:
+                self._write_clues(clues, digests)
                 self._seal_block(jsn + 1)
+        self._write_clues(clues, digests)
         self.commit_block()
         # The replay appended straight onto the fam, bypassing the commit
         # path's head emission: re-arm the watermark at the reopened position.

@@ -592,6 +592,12 @@ def _bits2octets(data: bytes, curve: Curve) -> bytes:
 
 def rfc6979_nonce(secret: int, digest: bytes, curve: Curve = CURVE_P256) -> int:
     """Deterministic per-message nonce k (RFC 6979, HMAC-SHA256 DRBG)."""
+    return next(_rfc6979_nonces(secret, digest, curve))
+
+
+def _rfc6979_nonces(secret: int, digest: bytes, curve: Curve):
+    """The RFC 6979 §3.2 candidate stream: step h's DRBG, continued past a
+    candidate the signer rejects (``r == 0`` or ``s == 0``) as step h.3 says."""
     holen = hashlib.sha256().digest_size
     v = b"\x01" * holen
     k = b"\x00" * holen
@@ -610,7 +616,7 @@ def rfc6979_nonce(secret: int, digest: bytes, curve: Curve = CURVE_P256) -> int:
             t += v
         candidate = _bits2int(t, curve.n)
         if 1 <= candidate < curve.n:
-            return candidate
+            yield candidate
         k = hmac.digest(k, v + b"\x00", "sha256")
         v = hmac.digest(k, v, "sha256")
 
@@ -625,17 +631,13 @@ def _sign_digest_core(secret: int, digest: bytes, curve: Curve, kg_multiply) -> 
     if not 1 <= secret < curve.n:
         raise ValueError("secret key out of range")
     z = _bits2int(digest, curve.n)
-    counter = 0
-    while True:
-        k = rfc6979_nonce(secret, digest + counter.to_bytes(4, "big") if counter else digest, curve)
+    for k in _rfc6979_nonces(secret, digest, curve):
         point = kg_multiply(k)
         r = point.x % curve.n
         if r == 0:
-            counter += 1
             continue
         s = (_inverse_mod(k, curve.n) * (z + r * secret)) % curve.n
         if s == 0:
-            counter += 1
             continue
         ry = point.y
         if s > curve.n // 2:  # canonical low-s form; negating s negates R

@@ -18,6 +18,7 @@ ccMPT's O(m·log n).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .. import obs
@@ -184,39 +185,37 @@ class CMTree:
         Step 2: recompute the CM-Tree2 root proof set and update the clue's
         value in CM-Tree1, rehashing the MPT path bottom-up.
         """
-        key = clue_key_hash(clue)
-        accumulator = self._accumulators.get(key)
-        if accumulator is None:
-            accumulator = ShrubsAccumulator()
-            self._accumulators[key] = accumulator
-            self._clue_names[key] = clue
-        version = accumulator.append_leaf(journal_digest)
-        with obs.span("cmtree.flush"):
-            self._mpt.put(key, _encode_clue_value(accumulator))
-        return version
+        return self.add_many((clue,), (journal_digest,))[0]
 
-    def add_many(self, clue: str, journal_digests: list[Digest]) -> list[int]:
-        """Insert several digests for one clue; returns their versions.
+    def add_many(self, clues: Sequence[str], journal_digests: Sequence[Digest]) -> list[int]:
+        """Insert ``journal_digests[i]`` under ``clues[i]`` in order; returns
+        their versions.
 
-        Equivalent to ``[self.add(clue, d) for d in journal_digests]`` but
-        refreshes the clue's CM-Tree1 value **once** after all CM-Tree2
-        appends.  The MPT path rehash dominates single-entry insertion cost,
-        so grouping per-clue batches amortises the expensive layer — the
-        CM-Tree half of the batched append pipeline.  The final MPT state is
-        identical because CM-Tree1 only commits the latest (size, frontier).
+        Every CM-Tree2 append lands first; CM-Tree1 then takes one
+        :meth:`~repro.merkle.mpt.MPT.put_many` of each touched clue's latest
+        (size, frontier).  CM-Tree1 only commits that latest value, so the
+        root equals one :meth:`add` per update, while every MPT node is
+        written once — callers flush where a state root is read (a block
+        seal, a published head).
         """
-        if not journal_digests:
-            return []
-        key = clue_key_hash(clue)
-        accumulator = self._accumulators.get(key)
-        if accumulator is None:
-            accumulator = ShrubsAccumulator()
-            self._accumulators[key] = accumulator
-            self._clue_names[key] = clue
-        versions = [accumulator.append_leaf(digest) for digest in journal_digests]
+        if len(clues) != len(journal_digests):
+            raise ValueError("clues and journal digests differ in length")
+        touched: dict[bytes, ShrubsAccumulator] = {}
+        versions = []
+        for clue, digest in zip(clues, journal_digests):
+            key = clue_key_hash(clue)
+            accumulator = self._accumulators.get(key)
+            if accumulator is None:
+                accumulator = ShrubsAccumulator()
+                self._accumulators[key] = accumulator
+                self._clue_names[key] = clue
+            versions.append(accumulator.append_leaf(digest))
+            touched[key] = accumulator
         with obs.span("cmtree.flush") as sp:
-            sp.add("amortised_entries", len(journal_digests))
-            self._mpt.put(key, _encode_clue_value(accumulator))
+            sp.add("amortised_entries", len(versions))
+            self._mpt.put_many(
+                (key, _encode_clue_value(accumulator)) for key, accumulator in touched.items()
+            )
         return versions
 
     # ---------------------------------------------------------------- reads

@@ -29,13 +29,13 @@ from ..storage.kv import KeyNotFoundError, KVStore, MemoryKVStore
 __all__ = ["MPT", "MPTProof", "key_to_nibbles", "nibbles_to_key"]
 
 
+#: Lower-case hex digit -> its value: ``key.hex()`` spells a key's nibbles.
+_HEX_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 def key_to_nibbles(key: bytes) -> bytes:
     """Split a byte key into its 4-bit nibble sequence (one nibble per byte)."""
-    out = bytearray()
-    for byte in key:
-        out.append(byte >> 4)
-        out.append(byte & 0x0F)
-    return bytes(out)
+    return key.hex().encode().translate(_HEX_NIBBLES)
 
 
 def nibbles_to_key(nibbles: bytes) -> bytes:
@@ -321,76 +321,86 @@ class MPT:
 
     def put(self, key: bytes, value: bytes) -> Digest:
         """Insert/update ``key``; advances and returns the new root."""
-        self.root = self.put_at(self.root, key, value)
+        return self.put_many(((key, value),))
+
+    def put_many(self, items) -> Digest:
+        """Insert/update every ``(key, value)`` of ``items`` as one write;
+        advances and returns the new root.
+
+        The one write path: each new node is serialized, hashed and stored
+        once, so the store gains only nodes the new root references, never
+        the intermediate versions key-by-key puts would leave.  The root is
+        the one sequential :meth:`put` calls reach (the trie is canonical);
+        a repeated key keeps its last value.
+        """
+        self.root = self._apply(self.root, items)
         return self.root
 
     def put_at(self, root: Digest, key: bytes, value: bytes) -> Digest:
         """Functional insert against an arbitrary root (old root stays valid)."""
-        return self._put(root if root != EMPTY_DIGEST else None, key_to_nibbles(key), value)
+        return self._apply(root, ((key, value),))
 
-    def _put(self, digest: Digest | None, nibbles: bytes, value: bytes) -> Digest:
-        if digest is None:
-            return self._save(("leaf", nibbles, value))
-        node = self._load(digest)
-        kind = node[0]
-        if kind == "leaf":
-            return self._put_into_leaf(node, nibbles, value)
-        if kind == "ext":
-            return self._put_into_ext(node, nibbles, value)
-        return self._put_into_branch(node, nibbles, value)
+    def _apply(self, root: Digest, items) -> Digest:
+        batch = sorted({key_to_nibbles(key): value for key, value in items}.items())
+        if not batch:
+            return root
+        return self._put_many(None if root == EMPTY_DIGEST else self._load(root), batch)
 
-    def _put_into_leaf(self, node: tuple, nibbles: bytes, value: bytes) -> Digest:
-        existing_path, existing_value = node[1], node[2]
-        if existing_path == nibbles:
-            return self._save(("leaf", nibbles, value))
-        split = _common_prefix_len(existing_path, nibbles)
-        children: list[Digest | None] = [None] * 16
-        branch_value: bytes | None = None
-        old_rest = existing_path[split:]
-        new_rest = nibbles[split:]
-        if old_rest:
-            children[old_rest[0]] = self._save(("leaf", old_rest[1:], existing_value))
+    def _put_many(self, node: tuple | None, items: list[tuple[bytes, bytes]]) -> Digest:
+        """Write ``items`` (sorted, distinct nibble paths relative to ``node``)
+        under ``node`` — a stored node, a virtual one no store holds yet, or
+        None — and return the digest of the result."""
+        if node is None:
+            if len(items) == 1:
+                return self._save(("leaf",) + items[0])
+            depth = _common_prefix_len(items[0][0], items[-1][0])
+            return self._fork(depth, [None] * 16, None, items)
+        if node[0] == "branch":
+            return self._fork(0, list(node[1]), node[2], items)
+        kind, path = node[0], node[1]
+        if kind == "leaf" and len(items) == 1 and items[0][0] == path:
+            return self._save(("leaf", path, items[0][1]))
+        # Sorted items: the first and the last leave ``path`` soonest.
+        split = min(_common_prefix_len(path, items[0][0]), _common_prefix_len(path, items[-1][0]))
+        if kind == "ext" and split == len(path):
+            child = self._put_many(self._load(node[2]), [(n[split:], v) for n, v in items])
+            return self._save(("ext", path, child))
+        # Split the leaf or extension: what remains of it below ``split``
+        # becomes one side of a branch there — a virtual node unless it is
+        # the extension's stored child itself.
+        children: list = [None] * 16
+        value = remnant = None
+        rest = path[split + 1 :]
+        if kind == "ext" and not rest:
+            children[path[split]] = node[2]
+        elif kind == "ext" or split < len(path):
+            remnant = path[split]
+            children[remnant] = (kind, rest, node[2])
         else:
-            branch_value = existing_value
-        if new_rest:
-            children[new_rest[0]] = self._save(("leaf", new_rest[1:], value))
-        else:
-            branch_value = value
-        branch = self._save(("branch", children, branch_value))
-        if split:
-            return self._save(("ext", nibbles[:split], branch))
+            value = node[2]
+        return self._fork(split, children, value, items, remnant)
+
+    def _fork(self, depth: int, children: list, value, items, remnant: int | None = None) -> Digest:
+        """The branch ``depth`` nibbles into ``items`` over existing
+        ``children`` and ``value``, behind an extension of the shared
+        ``depth`` nibbles when there are any.  ``children[remnant]`` is a
+        virtual node: stored as is unless the items reach into it."""
+        groups: dict[int, list[tuple[bytes, bytes]]] = {}
+        for nibbles, item_value in items:
+            if len(nibbles) == depth:
+                value = item_value
+            else:
+                groups.setdefault(nibbles[depth], []).append((nibbles[depth + 1 :], item_value))
+        if remnant is not None and remnant not in groups:
+            children[remnant] = self._save(children[remnant])
+        for slot, group in groups.items():  # nibble order: the items are sorted
+            child = children[slot]
+            node = self._load(child) if type(child) is bytes else child
+            children[slot] = self._put_many(node, group)
+        branch = self._save(("branch", children, value))
+        if depth:
+            return self._save(("ext", items[0][0][:depth], branch))
         return branch
-
-    def _put_into_ext(self, node: tuple, nibbles: bytes, value: bytes) -> Digest:
-        shared, child = node[1], node[2]
-        split = _common_prefix_len(shared, nibbles)
-        if split == len(shared):
-            new_child = self._put(child, nibbles[split:], value)
-            return self._save(("ext", shared, new_child))
-        children: list[Digest | None] = [None] * 16
-        branch_value: bytes | None = None
-        ext_rest = shared[split:]
-        if len(ext_rest) == 1:
-            children[ext_rest[0]] = child
-        else:
-            children[ext_rest[0]] = self._save(("ext", ext_rest[1:], child))
-        new_rest = nibbles[split:]
-        if new_rest:
-            children[new_rest[0]] = self._save(("leaf", new_rest[1:], value))
-        else:
-            branch_value = value
-        branch = self._save(("branch", children, branch_value))
-        if split:
-            return self._save(("ext", nibbles[:split], branch))
-        return branch
-
-    def _put_into_branch(self, node: tuple, nibbles: bytes, value: bytes) -> Digest:
-        children = list(node[1])
-        branch_value = node[2]
-        if not nibbles:
-            return self._save(("branch", children, value))
-        children[nibbles[0]] = self._put(children[nibbles[0]], nibbles[1:], value)
-        return self._save(("branch", children, branch_value))
 
     # ---------------------------------------------------------------- delete
 

@@ -159,6 +159,30 @@ def test_rfc6979_known_answer_through_fast_path():
     assert verify_digest_naive(public, digest, signature)
 
 
+@pytest.mark.parametrize("rejected", ["r", "s"])
+def test_a_rejected_nonce_moves_the_rfc6979_stream_on(rejected):
+    # RFC 6979 §3.2 h.3: a k the signer rejects (r == 0 or s == 0) advances
+    # the DRBG; re-deriving the same k would loop forever.
+    secret = 0xC9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721
+    digest = hashlib.sha256(b"sample").digest()
+    z = int.from_bytes(digest, "big")
+    tried = []
+
+    def kg_multiply(k):
+        tried.append(k)
+        if len(tried) > 1:
+            return scalar_multiply_base(k)
+        if rejected == "r":
+            return Point(N, 1)  # x mod n == 0
+        return Point(-z * pow(secret, -1, N) % N, 1)  # z + r * secret == 0 mod n
+
+    signature = ecdsa._sign_digest_core(secret, digest, CURVE_P256, kg_multiply)
+    assert tried[0] == ecdsa.rfc6979_nonce(secret, digest)
+    assert len(tried) == 2 and tried[1] != tried[0]
+    assert verify_digest(derive_public_key(secret), digest, signature)
+    assert signature != sign_digest(secret, digest)
+
+
 def test_fast_verify_agrees_with_naive_on_accept_and_reject():
     rng = random.Random(0xACC)
     secret = rng.randrange(1, N)

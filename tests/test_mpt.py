@@ -15,6 +15,8 @@ class TestNibbles:
 
     def test_nibble_values(self):
         assert list(key_to_nibbles(b"\xab")) == [0xA, 0xB]
+        every_byte = bytes(range(256))
+        assert key_to_nibbles(every_byte) == bytes(n for b in every_byte for n in (b >> 4, b & 15))
 
     def test_odd_nibbles_rejected(self):
         with pytest.raises(ValueError):
@@ -216,6 +218,83 @@ class TestAgainstDict:
             trie.delete(key)
             del contents[key]
             assert sorted(trie.items()) == sorted(contents.items())
+
+
+class _RecordingStore(MemoryKVStore):
+    """A memory store that logs every node key written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.written: list[bytes] = []
+
+    def put(self, key: bytes, value: bytes) -> None:
+        self.written.append(key)
+        super().put(key, value)
+
+
+# Few byte values, so keys share nibble prefixes: variable-length keys, keys
+# that are prefixes of others, and extension splits at every depth.
+_KEYS = st.lists(st.sampled_from([0x00, 0x01, 0x0F, 0x10, 0x1F, 0xF0]), max_size=3).map(bytes)
+_VALUES = st.binary(max_size=4)
+
+
+def _trie(contents: dict[bytes, bytes]) -> MPT:
+    trie = MPT(_RecordingStore())
+    for key, value in contents.items():
+        trie.put(key, value)
+    return trie
+
+
+class TestPutMany:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(_KEYS, _VALUES, max_size=16), st.data())
+    def test_a_batch_is_its_sequential_puts(self, existing, data):
+        keys = st.one_of(_KEYS, st.sampled_from(sorted(existing))) if existing else _KEYS
+        batch = data.draw(st.lists(st.tuples(keys, _VALUES), min_size=1, max_size=10))
+        trie = _trie(existing)
+        old_root, old_nodes = trie.root, trie.reachable()
+        sequential = _trie(existing)
+        for key, value in batch:
+            sequential.put(key, value)
+        trie._store.written.clear()
+
+        assert trie.put_many(batch) == sequential.root == trie.root
+        model = {**existing, **dict(batch)}
+        assert MPT().put_many(model.items()) == trie.root  # canonical: one build
+        for key, value in model.items():
+            assert trie.get(key) == value
+        assert trie.items() == sorted(model.items())
+        for key, value in existing.items():
+            assert trie.get_at(old_root, key) == value
+        # Only nodes the new root references were written, and all of its new ones.
+        written, live = set(trie._store.written), trie.reachable()
+        assert written <= live
+        assert live - old_nodes <= written
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(_KEYS, _VALUES, max_size=16), _KEYS, _VALUES)
+    def test_a_batch_of_one_stores_what_put_stores(self, existing, key, value):
+        single, batched = _trie(existing), _trie(existing)
+        single._store.written.clear()
+        batched._store.written.clear()
+        single.put(key, value)
+        batched.put_many([(key, value)])
+        assert batched._store.written == single._store.written
+        # The new path from the root to the key, plus a split's remnant.
+        path = single.prove(key).nodes
+        assert len(path) <= len(single._store.written) <= len(path) + 1
+
+    def test_an_empty_batch_writes_nothing(self):
+        trie = _trie({b"\x01": b"a"})
+        root = trie.root
+        trie._store.written.clear()
+        assert trie.put_many([]) == root
+        assert trie._store.written == []
+
+    def test_a_repeated_key_keeps_its_last_value(self):
+        trie = MPT()
+        trie.put_many([(b"k", b"1"), (b"j", b"2"), (b"k", b"3")])
+        assert trie.items() == [(b"j", b"2"), (b"k", b"3")]
 
 
 class TestStores:
