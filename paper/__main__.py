@@ -1,10 +1,13 @@
-"""Run every table/figure reproduction and print the paper-style report.
+"""The one entry point: run the table/figure reproductions and print the
+paper-style report.
 
 Usage::
 
-    python -m repro.bench            # quick mode (laptop-friendly sizes)
-    python -m repro.bench --full     # full sweep
-    python -m repro.bench fig8 fig9  # selected experiments only
+    python -m paper            # quick mode (laptop-friendly sizes)
+    python -m paper --full     # full sweep
+    python -m paper fig8 fig9  # selected experiments only
+
+Exit status 2 names an unknown experiment.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import sys
 import time
 
-from . import ablations, fig5, fig7, fig8, fig9, fig10, table1, table2
+from paper import ablations, fig5, fig7, fig8, fig9, fig10, table1, table2
 
 __all__ = ["main", "EXPERIMENTS"]
 

@@ -3,7 +3,7 @@
 Each row captures one ledger system along the paper's six comparison
 dimensions.  For the four systems implemented in this repository (LedgerDB,
 QLDB-sim, ProvenDB-sim, Fabric-sim) the claims are *probed by tests*
-(``tests/test_table1_capabilities.py``); SQL Ledger and Factom are
+(``tests/test_capabilities.py``); SQL Ledger and Factom are
 literature-derived rows retained for completeness of the printed table.
 """
 

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..crypto.hashing import sha256
-from ..crypto.keys import KeyPair
-from ..encoding import encode
-from ..sim.costmodel import FABRIC_PROFILE, CostMeter, CostProfile
+from repro.crypto.hashing import sha256
+from repro.crypto.keys import KeyPair
+from repro.encoding import encode
+from paper.costmodel import FABRIC_PROFILE, CostMeter, CostProfile
 
 __all__ = ["FabricNetwork", "FabricOpResult", "Endorsement"]
 

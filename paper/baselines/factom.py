@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.ecdsa import Signature
-from ..crypto.hashing import Digest, leaf_hash, sha256
-from ..crypto.keys import KeyPair, PublicKey
-from ..encoding import encode
-from ..merkle.bim import merkle_path_padded, merkle_root_padded
-from ..merkle.proofs import PathStep, fold_path
-from ..timeauth.clock import Clock
-from ..timeauth.pegging import NotaryEvidence, OneWayPegger, PublicChainNotary, TimeBound
+from repro.crypto.ecdsa import Signature
+from repro.crypto.hashing import Digest, leaf_hash, sha256
+from repro.crypto.keys import KeyPair, PublicKey
+from repro.encoding import encode
+from repro.merkle.proofs import PathStep, fold_path
+from repro.timeauth.clock import Clock
+from repro.timeauth.pegging import NotaryEvidence, OneWayPegger, PublicChainNotary, TimeBound
+from paper.merkle.bim import merkle_path_padded, merkle_root_padded
 
 __all__ = ["FactomEntry", "EntryProof", "FactomSimulator"]
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.hashing import Digest, leaf_hash
-from ..encoding import encode
-from ..merkle.tim import TimAccumulator
-from ..timeauth.clock import Clock
-from ..timeauth.pegging import NotaryEvidence, OneWayPegger, PublicChainNotary, TimeBound
+from repro.crypto.hashing import Digest, leaf_hash
+from repro.encoding import encode
+from repro.timeauth.clock import Clock
+from repro.timeauth.pegging import NotaryEvidence, OneWayPegger, PublicChainNotary, TimeBound
+from paper.merkle.tim import TimAccumulator
 
 __all__ = ["ProvenDBSimulator", "VersionRecord"]
 

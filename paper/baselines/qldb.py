@@ -13,7 +13,7 @@ its *verification-relevant* behaviour from its documented design (§VII,
 
 Every Merkle/hash operation is executed for real; API round trips and
 QLDB's opaque service-side processing are accounted on a
-:class:`~repro.sim.costmodel.CostMeter` with the calibrated QLDB profile.
+:class:`~paper.costmodel.CostMeter` with the calibrated QLDB profile.
 The decisive *shape* this preserves (Table II): one verify costs ~seconds,
 and verifying a k-version lineage issues k sequential GetRevision calls, so
 lineage verification grows linearly in k — versus LedgerDB's flat ~30 ms.
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.hashing import Digest, leaf_hash
-from ..encoding import encode
-from ..merkle.proofs import MembershipProof
-from ..merkle.tim import TimAccumulator
-from ..sim.costmodel import QLDB_PROFILE, CostMeter, CostProfile
+from repro.crypto.hashing import Digest, leaf_hash
+from repro.encoding import encode
+from repro.merkle.proofs import MembershipProof
+from paper.costmodel import QLDB_PROFILE, CostMeter, CostProfile
+from paper.merkle.tim import TimAccumulator
 
 __all__ = ["QLDBSimulator", "Revision", "OpResult"]
 

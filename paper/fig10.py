@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..baselines.fabric import FabricNetwork
-from ..core import ClientRequest, Ledger, LedgerConfig
-from ..crypto.keys import KeyPair
-from ..crypto.ca import Role
-from ..sim.costmodel import LEDGERDB_PROFILE
-from .timing import measure, render_table
+from repro.core import ClientRequest, Ledger, LedgerConfig
+from repro.crypto.ca import Role
+from repro.crypto.keys import KeyPair
+from paper.baselines.fabric import FabricNetwork
+from paper.costmodel import LEDGERDB_PROFILE
+from paper.timing import measure, render_table
 
 __all__ = ["Fig10Result", "run", "render"]
 

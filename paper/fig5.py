@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..timeauth.attacks import (
+from repro.timeauth.attacks import (
     run_one_way_amplification,
     run_tledger_stale_submission,
     run_two_way_window,
 )
-from .timing import render_table
+from paper.timing import render_table
 
 __all__ = ["Fig5Result", "run", "render"]
 

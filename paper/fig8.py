@@ -21,11 +21,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..crypto.hashing import leaf_hash
-from ..merkle.bamt import BamtAccumulator
-from ..merkle.fam import FamAccumulator
-from ..merkle.tim import TimAccumulator
-from .timing import Timing, measure, render_table
+from repro.crypto.hashing import leaf_hash
+from repro.merkle.fam import FamAccumulator
+from paper.merkle.bamt import BamtAccumulator
+from paper.merkle.tim import TimAccumulator
+from paper.timing import Timing, measure, render_table
 
 __all__ = ["Fig8Result", "run", "render", "build_fam", "build_tim", "build_bamt"]
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..crypto.hashing import leaf_hash
-from ..merkle.ccmpt import ClueCounterMPT
-from ..merkle.cmtree import CMTree
-from ..merkle.tim import TimAccumulator
-from .timing import measure, render_table
+from repro.crypto.hashing import leaf_hash
+from repro.merkle.cmtree import CMTree
+from paper.merkle.ccmpt import ClueCounterMPT
+from paper.merkle.tim import TimAccumulator
+from paper.timing import measure, render_table
 
 __all__ = ["Fig9Result", "run", "render", "build_world"]
 
@@ -119,7 +119,7 @@ def modeled_latency_ms(model: str, ledger_size: int, entries: int) -> float:
     """
     import math
 
-    from ..sim.costmodel import LEDGERDB_PROFILE
+    from paper.costmodel import LEDGERDB_PROFILE
 
     profile = LEDGERDB_PROFILE
     hash_ms = profile.hash_us / 1000.0

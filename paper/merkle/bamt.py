@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.hashing import Digest, leaf_hash
-from .bim import merkle_path_padded, merkle_root_padded
-from .proofs import MembershipProof, PathStep, fold_path
-from .shrubs import ShrubsAccumulator
+from repro.crypto.hashing import Digest, leaf_hash
+from repro.merkle.proofs import MembershipProof, PathStep, fold_path
+from repro.merkle.shrubs import ShrubsAccumulator
+from paper.merkle.bim import merkle_path_padded, merkle_root_padded
 
 __all__ = ["BamtAccumulator", "BamtProof"]
 
@@ -83,7 +83,7 @@ class BamtAccumulator:
         with the open batch's running root when one exists."""
         if not self._open:
             return self._roots.root()
-        from ..crypto.hashing import node_hash
+        from repro.crypto.hashing import node_hash
 
         open_root = merkle_root_padded(self._open)
         if self._roots.size == 0:
@@ -118,7 +118,7 @@ class BamtAccumulator:
         try:
             batch_root = fold_path(digest, proof.in_batch_path)
             if proof.pending:
-                from ..crypto.hashing import node_hash
+                from repro.crypto.hashing import node_hash
 
                 if self._roots.size == 0:
                     return batch_root == root
@@ -126,7 +126,7 @@ class BamtAccumulator:
             sealed_commitment = proof.batch_proof.computed_root(batch_root)
             if not self._open:
                 return sealed_commitment == root
-            from ..crypto.hashing import node_hash
+            from repro.crypto.hashing import node_hash
 
             return node_hash(sealed_commitment, merkle_root_padded(self._open)) == root
         except (ValueError, IndexError, TypeError):

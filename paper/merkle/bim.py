@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..crypto.hashing import EMPTY_DIGEST, Digest, block_hash, leaf_hash, node_hash
-from ..encoding import encode
-from .proofs import PathStep, fold_path
+from repro.crypto.hashing import EMPTY_DIGEST, Digest, block_hash, leaf_hash, node_hash
+from repro.encoding import encode
+from repro.merkle.proofs import PathStep, fold_path
 
 __all__ = [
     "BlockHeader",

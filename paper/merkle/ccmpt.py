@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.hashing import Digest, clue_key_hash
-from ..encoding import decode, encode
-from ..storage.kv import KVStore
-from .mpt import MPT, MPTProof
-from .proofs import MembershipProof
-from .tim import TimAccumulator
+from repro.crypto.hashing import Digest, clue_key_hash
+from repro.encoding import decode, encode
+from repro.merkle.mpt import MPT, MPTProof
+from repro.merkle.proofs import MembershipProof
+from repro.storage.kv import KVStore
+from paper.merkle.tim import TimAccumulator
 
 __all__ = ["ClueCounterMPT", "CCMPTClueProof"]
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.hashing import Digest, leaf_hash
-from .proofs import MembershipProof
-from .shrubs import ShrubsAccumulator
+from repro.crypto.hashing import Digest, leaf_hash
+from repro.merkle.proofs import MembershipProof
+from repro.merkle.shrubs import ShrubsAccumulator
 
 __all__ = ["TimAccumulator", "TrustedAnchor"]
 

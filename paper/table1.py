@@ -1,6 +1,6 @@
 """Table I — the qualitative six-dimension system comparison.
 
-The matrix itself is data (:mod:`repro.baselines.capabilities`); the tests
+The matrix itself is data (:mod:`paper.baselines.capabilities`); the tests
 in ``tests/test_capabilities.py`` probe the implemented systems' actual
 behaviour against their claimed rows.  This module renders the table and a
 storage-overhead measurement that backs the "Storage Overhead" column for
@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..baselines.capabilities import render_table_i
-from ..crypto.hashing import leaf_hash
-from ..merkle.bim import BimLedger
-from ..merkle.fam import FamAccumulator
-from ..merkle.tim import TimAccumulator
-from .timing import render_table
+from repro.crypto.hashing import leaf_hash
+from repro.merkle.fam import FamAccumulator
+from paper.baselines.capabilities import render_table_i
+from paper.merkle.bim import BimLedger
+from paper.merkle.tim import TimAccumulator
+from paper.timing import render_table
 
 __all__ = ["Table1Result", "run", "render"]
 

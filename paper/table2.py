@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..baselines.qldb import QLDBSimulator
-from ..sim.costmodel import LEDGERDB_PROFILE
-from ..workloads.generators import payload_bytes
-from .timing import render_table
+from paper.baselines.qldb import QLDBSimulator
+from paper.costmodel import LEDGERDB_PROFILE
+from paper.timing import render_table
+from paper.workloads import payload_bytes
 
 __all__ = ["Table2Result", "run", "render"]
 

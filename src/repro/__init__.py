@@ -7,8 +7,8 @@ The package implements LedgerDB's verification machinery end to end:
   RFC 6979), a CA substrate, and multi-signatures;
 * :mod:`repro.storage` — append-only streams and KV node stores;
 * :mod:`repro.merkle` — the tree family: Shrubs accumulators, **fam**
-  (fractal accumulating model) with trusted anchors, tim/bim baselines, a
-  Merkle Patricia Trie, **CM-Tree** for N-lineage, and the ccMPT baseline;
+  (fractal accumulating model) with trusted anchors, a Merkle Patricia
+  Trie, and **CM-Tree** for N-lineage;
 * :mod:`repro.timeauth` — TSA actors, one-/two-way pegging, **T-Ledger**,
   and the timestamp-attack harness;
 * :mod:`repro.core` — the ledger kernel (journals, receipts, blocks, purge,
@@ -16,10 +16,10 @@ The package implements LedgerDB's verification machinery end to end:
 * :mod:`repro.artifacts` — the kernel-free artifact layer (byte-symmetric
   evidence objects and the structured ``VerifyResult``);
 * :mod:`repro.export` — offline export bundles, the standalone verifier,
-  and rebuild-from-truth;
-* :mod:`repro.baselines` — QLDB-, Fabric-, and ProvenDB-like comparators;
-* :mod:`repro.sim` / :mod:`repro.workloads` — the calibrated cost model and
-  deterministic workload generators behind the benchmark suite.
+  and rebuild-from-truth.
+
+The paper's tables and figures are reproduced by the separate ``paper``
+program (``python -m paper``), which nothing in this package imports.
 
 Quickstart::
 
@@ -86,11 +86,9 @@ _EXPORTS = {
     # merkle
     "AnchorStore": ".merkle",
     "CMTree": ".merkle",
-    "ClueCounterMPT": ".merkle",
     "FamAccumulator": ".merkle",
     "MPT": ".merkle",
     "ShrubsAccumulator": ".merkle",
-    "TimAccumulator": ".merkle",
     # service
     "LedgerService": ".service",
     "ServiceConfig": ".service",

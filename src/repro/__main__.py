@@ -5,12 +5,9 @@ Commands:
 * ``demo``   — run the guided end-to-end scenario (append → verify → audit);
 * ``audit``  — build a deterministic ledger and run the §V Dasein-complete
   audit over it (optionally parallel, resumable, JSON output);
-* ``bench``  — reproduce the paper's tables and figures (see ``repro.bench``);
-* ``attack`` — run the §III-B timestamp-attack scenarios and print windows;
 * ``witness`` — run the §16 transparency attack scenarios (forking server,
   censoring server, honest control) against live TCP servers and report
   which produced offline-verifiable evidence;
-* ``table1`` — print the Table-I comparison matrix;
 * ``stats``  — run an instrumented workload and print the observability
   snapshot (DESIGN.md §10): per-phase spans, cache hit rates, storage I/O;
 * ``compact`` — rewrite a persistent ledger's paged node store down to its
@@ -168,22 +165,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.runner import main as bench_main
-
-    forwarded = list(args.experiments)
-    if args.full:
-        forwarded.append("--full")
-    return bench_main(forwarded)
-
-
-def _cmd_attack(_args: argparse.Namespace) -> int:
-    from repro.bench import fig5
-
-    print(fig5.render(fig5.run()))
-    return 0
-
-
 def _cmd_witness(args: argparse.Namespace) -> int:
     """Run the §16 transparency attack scenarios against live TCP servers.
 
@@ -231,13 +212,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             print(f"  refutation succeeded: {result.refutation_succeeded}")
         print(f"  {result.detail}")
     return failures
-
-
-def _cmd_table1(_args: argparse.Namespace) -> int:
-    from repro.baselines import render_table_i
-
-    print(render_table_i())
-    return 0
 
 
 def _compact_one(data_dir) -> dict | None:
@@ -856,11 +830,6 @@ def _args_audit(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _args_bench(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("experiments", nargs="*", help="subset (default: all)")
-    parser.add_argument("--full", action="store_true", help="full-size sweeps")
-
-
 def _args_serve(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
@@ -931,9 +900,6 @@ _SUBCOMMANDS: tuple[Subcommand, ...] = (
             _args_audit,
         ),
     ),
-    Subcommand("bench", "reproduce the paper's tables/figures", _cmd_bench, (_args_bench,)),
-    Subcommand("attack", "timestamp-attack scenarios (Figure 5)", _cmd_attack),
-    Subcommand("table1", "print the Table-I matrix", _cmd_table1),
     Subcommand(
         "witness",
         "run the §16 non-equivocation scenarios (fork, censorship, honest)",

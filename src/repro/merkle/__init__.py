@@ -1,34 +1,13 @@
-"""Merkle tree family: Shrubs, fam, tim, bim, MPT, ccMPT, and CM-Tree."""
+"""Merkle tree family: Shrubs, fam, MPT, and CM-Tree."""
 
-from .bamt import BamtAccumulator, BamtProof
-from .bim import (
-    BimLedger,
-    BlockHeader,
-    LightClient,
-    SPVProof,
-    merkle_path_padded,
-    merkle_root_padded,
-)
-from .ccmpt import CCMPTClueProof, ClueCounterMPT
 from .cmtree import ClueProof, ClueVerificationError, CMTree
 from .consistency import ConsistencyProof, prove_consistency
 from .fam import AnchorStore, FamAccumulator, FamProof
 from .mpt import MPT, MPTProof, key_to_nibbles, nibbles_to_key
 from .proofs import BatchProof, MembershipProof, PathStep, bag_peaks, fold_path
 from .shrubs import FrontierAccumulator, ShrubsAccumulator, peak_positions
-from .tim import TimAccumulator, TrustedAnchor
 
 __all__ = [
-    "BamtAccumulator",
-    "BamtProof",
-    "BimLedger",
-    "BlockHeader",
-    "LightClient",
-    "SPVProof",
-    "merkle_path_padded",
-    "merkle_root_padded",
-    "CCMPTClueProof",
-    "ClueCounterMPT",
     "ClueProof",
     "ClueVerificationError",
     "CMTree",
@@ -49,6 +28,4 @@ __all__ = [
     "ShrubsAccumulator",
     "FrontierAccumulator",
     "peak_positions",
-    "TimAccumulator",
-    "TrustedAnchor",
 ]

@@ -459,16 +459,6 @@ class FamAccumulator:
             raise KeyError(f"epoch {epoch_index} was erased by purge")
         return self._epochs[epoch_index].prove(0, at_size=live_size)
 
-    def prove_live_consistency(self, old_live_size: int):
-        """Consistency proof for the live epoch from ``old_live_size`` leaves.
-
-        Lets a client that verified the live commitment earlier check that
-        subsequent appends were append-only.
-        """
-        from .consistency import prove_consistency
-
-        return prove_consistency(self._epochs[-1], old_live_size)
-
     def prove_epoch_consistency(self, epoch_index: int, old_size: int, new_size: int | None = None):
         """Consistency proof *within* one epoch's tree (sealed or live).
 

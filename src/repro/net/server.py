@@ -77,7 +77,7 @@ _MUTATING_OPS = frozenset({"append", "append_batch", "register"})
 #: and runs as a task (``get_sth`` signs and may persist a head).
 _LOOP_OPS = frozenset(
     "ping hello get_root get_journal get_proof receipt_for "
-    "fam_info epoch_anchor epoch_link epoch_leaves live_consistency epoch_consistency".split()
+    "fam_info epoch_anchor epoch_link epoch_leaves epoch_consistency".split()
 )
 
 
@@ -530,12 +530,6 @@ class LedgerServer:
     def _op_epoch_leaves(self, message: dict) -> dict:
         epoch = _require_int(message.get("epoch"), "epoch")
         return {"digests": self.ledger.fam_reader().epoch_leaves(epoch)}
-
-    def _op_live_consistency(self, message: dict) -> dict:
-        old_size = _require_int(message.get("old_size"), "old_size")
-        new_size = _optional_int(message.get("new_size"), "new_size")
-        proof = self.ledger.fam_reader().live_consistency(old_size, new_size)
-        return {"proof": proof.to_bytes()}
 
     def _op_epoch_consistency(self, message: dict) -> dict:
         epoch = _require_int(message.get("epoch"), "epoch")

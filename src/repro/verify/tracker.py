@@ -13,8 +13,8 @@ The source is read beside a writer, so two answers never describe one
 instant.  That is why every consistency request names both of its sizes —
 the tracker asks for a proof to the head it *was told*, not to whatever is
 live by the time the request lands — and why "live" is always spelled as an
-explicit epoch index: the live epoch may have sealed in between (the server
-still answers the older ``live_consistency`` op; the tracker never asks it).
+explicit epoch index: the live epoch may have sealed in between, so no
+read names "the live epoch" (there is no ``live_consistency`` op).
 """
 
 from __future__ import annotations
@@ -99,13 +99,6 @@ class FamReader:
             raise UsageError("only epoch 0 is bootstrapped from raw leaves")
         fam = self._fam
         return [fam.leaf_digest(jsn) for jsn in range(fam.epoch_capacity)]
-
-    def live_consistency(
-        self, old_size: int, new_size: int | None = None
-    ) -> ConsistencyProof:
-        head = self._head()
-        new_size = head.live_size if new_size is None else new_size
-        return self.epoch_consistency(head.epoch, old_size, new_size)
 
     def epoch_consistency(
         self, epoch: int, old_size: int, new_size: int | None = None

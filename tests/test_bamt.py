@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paper.merkle.bamt import BamtAccumulator
 from repro.crypto.hashing import leaf_hash
-from repro.merkle.bamt import BamtAccumulator
 
 
 class TestBamt:

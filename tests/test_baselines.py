@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.baselines import FabricNetwork, ProvenDBSimulator, QLDBSimulator
+from paper.baselines.fabric import FabricNetwork
+from paper.baselines.provendb import ProvenDBSimulator
+from paper.baselines.qldb import QLDBSimulator
 from repro.timeauth import SimClock
 
 

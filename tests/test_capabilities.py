@@ -1,6 +1,6 @@
 """Table I capability matrix — probe the implemented systems' actual behaviour."""
 
-from repro.baselines import TABLE_I, Level, render_table_i
+from paper.baselines.capabilities import TABLE_I, Level, render_table_i
 
 
 def row(system):
@@ -78,7 +78,7 @@ class TestQLDBClaims:
         assert not row("QLDB").dasein_complete
 
     def test_no_mutation_api(self):
-        from repro.baselines import QLDBSimulator
+        from paper.baselines.qldb import QLDBSimulator
 
         qldb = QLDBSimulator()
         assert not hasattr(qldb, "occult") and not hasattr(qldb, "purge")
@@ -86,7 +86,7 @@ class TestQLDBClaims:
 
     def test_what_verification_works(self):
         # QLDB does satisfy *what*: the probe.
-        from repro.baselines import QLDBSimulator
+        from paper.baselines.qldb import QLDBSimulator
 
         qldb = QLDBSimulator()
         qldb.insert("t", "k", b"v")
@@ -102,7 +102,7 @@ class TestProvenDBClaims:
         assert row("ProvenDB").dasein_support == ("what", "when")
 
     def test_lower_bound_unprovable(self):
-        from repro.baselines import ProvenDBSimulator
+        from paper.baselines.provendb import ProvenDBSimulator
         from repro.timeauth import SimClock
 
         clock = SimClock()
@@ -120,7 +120,7 @@ class TestHyperledgerClaims:
 
     def test_low_verify_efficiency_is_measured(self):
         # ~1 s reads vs LedgerDB's ~25 ms: the Low rating is behavioural.
-        from repro.baselines import FabricNetwork
+        from paper.baselines.fabric import FabricNetwork
 
         fabric = FabricNetwork()
         fabric.invoke("k", b"v")

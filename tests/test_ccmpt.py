@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
+from paper.merkle.ccmpt import ClueCounterMPT
+from paper.merkle.tim import TimAccumulator
 from repro.crypto.hashing import leaf_hash
-from repro.merkle.ccmpt import ClueCounterMPT
-from repro.merkle.tim import TimAccumulator
 
 
 @pytest.fixture()

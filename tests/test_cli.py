@@ -1,7 +1,9 @@
-"""The ``python -m repro`` command-line interface."""
+"""The ``python -m repro`` command-line interface, and the one entry point of
+the paper harness, ``python -m paper [--full] [experiment ...]``."""
 
 import pytest
 
+from paper.__main__ import main as paper_main
 from repro.__main__ import main
 
 
@@ -13,25 +15,26 @@ def test_demo_succeeds(capsys):
 
 
 def test_table1(capsys):
-    assert main(["table1"]) == 0
+    assert paper_main(["table1"]) == 0
     out = capsys.readouterr().out
     assert "LedgerDB" in out and "Factom" in out
 
 
 def test_attack(capsys):
-    assert main(["attack"]) == 0
+    assert paper_main(["fig5"]) == 0
     out = capsys.readouterr().out
     assert "one-way" in out and "two-way" in out
 
 
 def test_bench_selected(capsys):
-    assert main(["bench", "table2"]) == 0
+    assert paper_main(["table2"]) == 0
     out = capsys.readouterr().out
     assert "Table II" in out
 
 
 def test_bench_unknown_experiment(capsys):
-    assert main(["bench", "nonsense"]) == 2
+    assert paper_main(["nonsense"]) == 2
+    assert "unknown experiments" in capsys.readouterr().out
 
 
 def test_missing_command_rejected():

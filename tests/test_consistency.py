@@ -112,7 +112,7 @@ class TestFamIntegration:
         for i in range(20, 25):
             fam.append(leaf_hash(i.to_bytes(4, "big")))
         if fam.snapshot()[1] > old_size:  # still the same epoch
-            proof = fam.prove_live_consistency(old_size)
+            proof = fam.prove_epoch_consistency(fam.num_epochs - 1, old_size)
             assert proof.verify(old_root, fam.current_root())
 
     def test_epoch_link_advances_anchors(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.factom import FactomSimulator
+from paper.baselines.factom import FactomSimulator
 from repro.crypto import KeyPair
 from repro.timeauth import SimClock
 

@@ -6,7 +6,7 @@ order-of-magnitude facts EXPERIMENTS.md reports, with generous slack.
 
 import pytest
 
-from repro.bench import fig8
+from paper import fig8
 
 
 @pytest.fixture(scope="module")

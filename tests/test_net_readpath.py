@@ -422,9 +422,11 @@ def test_a_timed_out_call_leaves_nothing_pending():
             assert client._remote._pending == {}
             with pytest.raises(RemoteLedgerError, match="receipt_for"):
                 client._wait(client._remote.receipt_for(receipt.jsn))  # run on the loop
-            # The connection is as good as new (and one round trip later the
-            # loop has unwound the cancelled call).
-            assert client.ping() == ledger.size
+            # The connection is as good as new, and one loop-side round trip
+            # later the loop has unwound the cancelled call: the cancellation
+            # and this ping queue on the loop in that order.  (``ping()`` is a
+            # blocking read on this thread, which does not wait for the loop.)
+            assert client._wait(client._remote.ping()) == ledger.size
             assert client._remote._pending == {}
             assert client.get_journal(receipt.jsn).payload == b"before"
             assert client.append(b"after", ("T",)).jsn == receipt.jsn + 1

@@ -391,6 +391,19 @@ class TestTypedRemoteErrors:
             finally:
                 client.close()
 
+    def test_retired_live_consistency_op_is_unknown(self):
+        """No ``live_consistency`` op is served: its frame gets the typed
+        unknown-op refusal, and the connection keeps answering."""
+        ledger, keys = make_ledger()
+        with ServerThread(ledger) as served:
+            client = remote_client(served, "alice", keys)
+            try:
+                with pytest.raises(ProtocolError, match="unknown op: 'live_consistency'"):
+                    client._wait(client._remote._call("live_consistency", old_size=0))
+                assert client._wait(client._remote.ping()) == ledger.size
+            finally:
+                client.close()
+
     def test_wrong_lsp_key_fails_handshake(self):
         ledger, keys = make_ledger()
         with ServerThread(ledger) as served:

@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paper.merkle.bim import BimLedger, LightClient, merkle_path_padded, merkle_root_padded
+from paper.merkle.tim import TimAccumulator
 from repro.crypto.hashing import EMPTY_DIGEST, leaf_hash
-from repro.merkle.bim import BimLedger, LightClient, merkle_path_padded, merkle_root_padded
 from repro.merkle.proofs import fold_path
-from repro.merkle.tim import TimAccumulator
 
 
 class TestTim:

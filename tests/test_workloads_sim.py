@@ -1,7 +1,7 @@
 """Workload generators and the cost model."""
 
-from repro.sim import FABRIC_PROFILE, LEDGERDB_PROFILE, QLDB_PROFILE, CostMeter
-from repro.workloads import LineageWorkload, NotarizationWorkload, payload_bytes
+from paper.costmodel import FABRIC_PROFILE, LEDGERDB_PROFILE, QLDB_PROFILE, CostMeter
+from paper.workloads import LineageWorkload, NotarizationWorkload, payload_bytes
 
 import random
 
