@@ -3,8 +3,9 @@
 
 The paper's "ubiquitous verification" client talks to an **untrusted**
 centralized ledger over a network.  This demo runs a real TCP server
-(:class:`repro.net.ServerThread`) and a :class:`repro.net.RemoteLedgerClient`
-that never takes the server's word for anything:
+(:class:`repro.net.ServerThread`) and a :class:`repro.net.RemoteLedgerSession`
+— the one verifying session, over the TCP port — that never takes the
+server's word for anything:
 
 1. the LSP public key is pinned at connect time (out-of-band trust root);
    every receipt's signature and request-hash echo is checked locally;
@@ -22,7 +23,7 @@ Run: python examples/light_client.py
 from repro import KeyPair, Ledger, LedgerConfig, Role
 from repro.core.errors import VerificationFailure
 from repro.core.ledger import LSP_MEMBER_ID
-from repro.net import RemoteLedgerClient, ServerThread
+from repro.net import RemoteLedgerSession, ServerThread
 
 URI = "ledger://light-client-demo"
 
@@ -39,28 +40,28 @@ def main() -> None:
     with ServerThread(ledger) as served:
         host, port = served.address
         print(f"ledger served on {host}:{port}; client pins the LSP key\n")
-        client = RemoteLedgerClient(
-            host, port, member_id="alice", keypair=alice, expected_lsp_key=lsp_key
+        session = RemoteLedgerSession(
+            host, port, client_id="alice", keypair=alice, expected_lsp_key=lsp_key
         )
-        with client:
+        with session:
             # --- Grow the ledger across several fam epochs, syncing as we go
             receipts = []
             for batch in range(5):
                 for i in range(8):
-                    receipts.append(client.append(f"batch{batch}-item{i}".encode()))
-                new_anchors = client.sync_anchors()
+                    receipts.append(session.append(f"batch{batch}-item{i}".encode()))
+                new_anchors = session.sync_anchors()
                 print(
                     f"after batch {batch}: ledger size {ledger.size}, "
                     f"+{new_anchors} epoch anchor(s), "
-                    f"{client.state.anchored_epochs} anchored epochs"
+                    f"{session.state.anchored_epochs} anchored epochs"
                 )
 
             # --- O(delta) verification against the client's own anchors ----
             checked = 0
             for receipt in receipts:
-                journal = client.get_journal(receipt.jsn)
-                assert client.verify_journal(journal), receipt.jsn
-                proof = client.get_proof(receipt.jsn, anchored=True)
+                journal = session.client.get_journal(receipt.jsn)
+                assert session.verify_journal(journal), receipt.jsn
+                proof = session.get_proof(receipt.jsn, anchored=True)
                 assert proof.anchored_cost <= ledger.config.fractal_height
                 checked += 1
             print(
@@ -69,7 +70,7 @@ def main() -> None:
             )
 
             # --- The anchor storage is tiny --------------------------------
-            anchors = client.state.anchored_epochs
+            anchors = session.state.anchored_epochs
             print(
                 f"client-side anchor storage: {anchors} epoch roots = "
                 f"{anchors * 32} bytes (vs a bim light client's O(n) headers)"
@@ -85,8 +86,8 @@ def main() -> None:
             forged = ShrubsAccumulator()
             leaves = list(live._levels[0])
             if len(leaves) < 2:  # make sure there's a journal to rewrite
-                client.append(b"bait")
-                client.sync_anchors()
+                session.append(b"bait")
+                session.sync_anchors()
                 live = fam._epochs[-1]
                 leaves = list(live._levels[0])
             leaves[-1] = leaf_hash(b"REWRITTEN JOURNAL")
@@ -94,9 +95,9 @@ def main() -> None:
                 forged.append_leaf(leaf)
             fam._epochs[-1] = forged
 
-            client.append(b"post-rewrite append")  # server keeps operating
+            session.append(b"post-rewrite append")  # server keeps operating
             try:
-                client.sync_anchors()
+                session.sync_anchors()
                 raise SystemExit("the rewrite should have been detected!")
             except VerificationFailure as exc:
                 print(f"caught: {exc}")

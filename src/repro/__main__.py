@@ -416,7 +416,7 @@ def _stats_workload(journals: int) -> dict:
 def _stats_net_leg(journals: int) -> None:
     """Round-trip a few appends/proofs through the asyncio frame server."""
     from repro import KeyPair, Ledger, LedgerConfig, Role
-    from repro.net import RemoteLedgerClient, ServerThread
+    from repro.net import RemoteLedgerSession, ServerThread
 
     ledger = Ledger(
         LedgerConfig(uri="ledger://stats-net", fractal_height=3, block_size=4)
@@ -425,20 +425,15 @@ def _stats_net_leg(journals: int) -> None:
     ledger.registry.register("stats-net-user", Role.USER, user.public)
     with ServerThread(ledger) as served:
         host, port = served.address
-        client = RemoteLedgerClient(
-            host, port, member_id="stats-net-user", keypair=user
-        )
-        try:
+        with RemoteLedgerSession(host, port, client_id="stats-net-user", keypair=user) as session:
             receipts = [
-                client.append(f"net record {i}".encode(), ("NET",))
+                session.append(f"net record {i}".encode(), clue="NET")
                 for i in range(journals)
             ]
-            client.get_proofs([receipt.jsn for receipt in receipts])
-            client.sync_anchors()
-            if not client.verify_journal(client.get_journal(receipts[0].jsn)):
+            session.get_proofs([receipt.jsn for receipt in receipts])
+            session.sync_anchors()
+            if not session.verify_journal(session.client.get_journal(receipts[0].jsn)):
                 raise RuntimeError("stats net leg: remote verification failed")
-        finally:
-            client.close()
 
 
 def _stats_shard_leg(journals: int) -> None:

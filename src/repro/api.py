@@ -10,10 +10,12 @@ instead:
   ``create`` and unknown ``drop_ledger`` both raise :class:`UsageError`),
   with ``exist_ok`` / ``missing_ok`` escape hatches and a
   :func:`scoped_ledger` context manager for test hygiene;
-* :func:`connect` returns a :class:`LedgerSession` bound to one ledger (and
-  optionally one :class:`~repro.service.LedgerService`, so appends ride the
-  group-commit path), with ``append / append_batch / list_tx / get_proof /
-  verify`` methods that never re-look anything up;
+* :func:`connect` returns a :class:`~repro.session.Session` bound to one
+  ledger — in process a :class:`LedgerSession` (optionally over a
+  :class:`~repro.service.LedgerService`, so appends ride the group-commit
+  path), over TCP a :class:`~repro.net.client.RemoteLedgerSession` — whose
+  ``append / append_batch / list_tx / get_proof / verify`` methods never
+  re-look anything up;
 * every verification returns a structured
   :class:`~repro.artifacts.VerifyResult` — per-factor verdicts, the
   proof object used, and the trusted root — truthy-compatible with the old
@@ -32,26 +34,15 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from .artifacts import Artifact, VerifyLevel, VerifyResult, VerifyTarget
-from .audit import AuditReport, CheckpointStore
+from .audit import AuditReport
 from .core.errors import UsageError
-from .core.journal import ClientRequest, Journal
 from .core.ledger import Ledger, LedgerConfig
-from .core.receipt import Receipt
-from .core.verification import DaseinVerifier
-from .crypto.keys import KeyPair, PublicKey
-from .export.bundle import ExportBundle, export_bundle
+from .crypto.keys import KeyPair
+from .export.bundle import ExportBundle
 from .export.rebuild import RebuildReport
 from .service import LedgerService, ServiceConfig
-from .session import (
-    CAPABILITIES,
-    SessionHelpers,
-    VerifyingSession,
-    check_transport_kwargs,
-)
+from .session import LocalPort, Session, check_transport_kwargs
 from .shard import ShardedLedgerService, deployment_service, new_deployment
-from .shard.shape import audit_shards, locate
-from .transparency.censorship import SubmissionAck
-from .verify import clue_what, tx_what
 
 __all__ = [
     "Artifact",
@@ -61,7 +52,7 @@ __all__ = [
     "VerifyLevel",
     "VerifyTarget",
     "VerifyResult",
-    "VerifyingSession",
+    "Session",
     "LedgerSession",
     "connect",
     "create",
@@ -157,7 +148,7 @@ def scoped_ledger(
     expected_lsp_key: Any = None,
     timeout: float | None = None,
     **kwargs: Any,
-) -> Iterator["VerifyingSession"]:
+) -> Iterator["Session"]:
     """Create a ledger for the block's duration and drop it on exit.
 
     Yields a :class:`LedgerSession` (its ``.ledger`` attribute is the raw
@@ -241,17 +232,16 @@ def connect(
     service: LedgerService | ServiceConfigLike = None,
     expected_lsp_key: Any = None,
     timeout: float | None = None,
-) -> "VerifyingSession":
+) -> "Session":
     """Open a session handle on a registered ledger — or a remote one.
 
-    A ``lgid`` naming a registered ledger yields a local
-    :class:`LedgerSession`.  A ``ledger://host:port`` address that is *not*
-    registered locally connects over TCP instead, returning a
-    :class:`~repro.net.client.RemoteLedgerSession` with the same append /
-    proof surface whose receipts and proofs are verified client-side
+    Either way the handle is one :class:`~repro.session.Session` class over
+    a port.  A ``lgid`` naming a registered ledger yields a
+    :class:`LedgerSession` (the in-process port).  A ``ledger://host:port``
+    address that is *not* registered locally connects over TCP instead,
+    returning a :class:`~repro.net.client.RemoteLedgerSession`
     (``expected_lsp_key`` pins the server's LSP key out-of-band; ``timeout``
-    bounds each remote call).  Both session kinds context-manage and
-    ``close()`` identically, so callers move between backends untouched.
+    bounds each remote call), so callers move between backends untouched.
 
     ``client_id`` / ``keypair`` become the session's defaults for signing
     appends (overridable per call).  ``service`` routes a *local* session's
@@ -316,11 +306,16 @@ def connect(
     )
 
 
-class LedgerSession(SessionHelpers):
-    """A handle binding one ledger (plus optional service and identity).
+class LedgerSession(Session):
+    """A :class:`~repro.session.Session` over the in-process port on ``ledger``.
 
-    Where the paper's free functions re-resolve an ``lgid`` string and
-    re-ask for identity on every call, a session resolves everything once::
+    ``ledger`` is a :class:`Ledger` or a :class:`~repro.shard.ShardedLedger`
+    (the session's ``.ledger``).  ``service`` routes appends through a
+    group-commit front end (the session's ``.service``): an existing
+    :class:`LedgerService` / :class:`~repro.shard.ShardedLedgerService`
+    (shared; the caller closes it), ``True`` for one the session creates and
+    owns, or a :class:`~repro.service.ServiceConfig` for an owned one with
+    those knobs::
 
         with repro.api.scoped_ledger("ledger://t") as session:
             session.ledger.registry.register("alice", Role.USER, alice.public)
@@ -329,13 +324,9 @@ class LedgerSession(SessionHelpers):
             assert session.verify(VerifyTarget.TX,
                                   txdata=[session.ledger.get_journal(receipt.jsn)])
 
-    Sessions are cheap; open as many as there are client identities.  A
-    session is thread-safe exactly when its append path is: direct appends
-    mutate the ledger and need external coordination, service-backed
-    appends (``service=...``) are safe from any thread.
+    Raises:
+        UsageError: ``service`` is none of those.
     """
-
-    transport = "local"
 
     def __init__(
         self,
@@ -346,249 +337,14 @@ class LedgerSession(SessionHelpers):
         keypair: KeyPair | None = None,
         service: LedgerService | ServiceConfigLike = None,
     ) -> None:
-        self.ledger = self._backend = ledger
-        self.lgid = lgid if lgid is not None else ledger.config.uri
-        self.client_id = client_id
-        self.keypair = keypair
-        self._owns_service = False
-        if service is None or isinstance(service, (LedgerService, ShardedLedgerService)):
-            self.service = service
-        elif service is True or isinstance(service, ServiceConfig):
-            self.service = deployment_service(ledger, None if service is True else service)
-            self._owns_service = True
-        else:
+        owned = service is True or isinstance(service, ServiceConfig)
+        if owned:
+            service = deployment_service(ledger, None if service is True else service)
+        elif service is not None and not isinstance(service, (LedgerService, ShardedLedgerService)):
             raise UsageError(
                 "service must be a LedgerService, a ShardedLedgerService, "
                 f"a ServiceConfig, True, or None — got {type(service).__name__}"
             )
-
-    # ------------------------------------------------------------- appends
-
-    def _build_request(
-        self,
-        client_id: str,
-        keypair: KeyPair,
-        payload: bytes,
-        clues: tuple[str, ...],
-        nonce_offset: int = 0,
-    ) -> ClientRequest:
-        return ClientRequest.build(
-            self.ledger.config.uri,
-            client_id,
-            payload,
-            clues=clues,
-            nonce=(self.ledger.size + nonce_offset).to_bytes(8, "big"),
-            client_timestamp=self.ledger.clock.now(),
-        ).signed_by(keypair)
-
-    def _sign(
-        self,
-        items: list[tuple[bytes, tuple[str, ...]]],
-        client_id: str | None,
-        keypair: KeyPair | None,
-    ) -> list[ClientRequest]:
-        client_id = client_id if client_id is not None else self.client_id
-        keypair = keypair if keypair is not None else self.keypair
-        if client_id is None or keypair is None:
-            raise UsageError(
-                "no signing identity: pass client_id and keypair here or "
-                "bind them at connect()"
-            )
-        return [
-            self._build_request(client_id, keypair, payload, clues, nonce_offset=index)
-            for index, (payload, clues) in enumerate(items)
-        ]
-
-    def _append(self, request: ClientRequest, timeout: float | None) -> Receipt:
-        if self.service is not None:
-            return self.service.append(request, timeout=timeout)
-        return self.ledger.append(request)
-
-    def _append_batch(
-        self, requests: list[ClientRequest], timeout: float | None
-    ) -> list[Receipt]:
-        if self.service is not None:
-            futures = [self.service.submit(request) for request in requests]
-            return [future.result(timeout) for future in futures]
-        return self.ledger.append_batch(requests)
-
-    def _append_acked(
-        self,
-        request: ClientRequest,
-        deadline_epochs: int | None,
-        timeout: float | None,
-    ) -> tuple[Receipt, SubmissionAck]:
-        # The ack pins the tree coordinates *at admission*: issue it first.
-        ack = self.ledger.issue_ack(request, deadline_epochs)
-        return self._append(request, timeout), ack
-
-    # ------------------------------------------------------------- exporting
-
-    def export(
-        self,
-        path: Any = None,
-        *,
-        clues: tuple[str, ...] = (),
-    ) -> ExportBundle:
-        """Export this ledger as a self-contained offline bundle (§17).
-
-        The :class:`~repro.export.ExportBundle` carries the journal slice,
-        existence/clue proofs, epoch anchors, the STH chain with consistency
-        assertions, and the trusted LSP/CA material — everything
-        :func:`repro.export.verify_bundle` needs to re-run what/when/who on
-        a machine that has never seen this deployment.  Sharded ledgers
-        export all shards under their composite head through the same call.
-
-        ``path`` additionally writes the bundle's canonical bytes to disk
-        (durably, via the same commit discipline as snapshots); ``clues``
-        selects clue lineages to include with their CM-Tree proofs.
-        """
-        return export_bundle(self.ledger, clues=tuple(clues), path=path)
-
-    # ------------------------------------------------------------ verifying
-
-    def _tx_what(
-        self, journal: Journal, rho: Any, root: bytes | None, level: VerifyLevel
-    ) -> tuple[bool, dict]:
-        """TX evidence in process: a full-chain proof, checked by the ledger
-        at SERVER level, folded against ``root`` (default: the root of the
-        head the proof was cut at) at CLIENT level."""
-        ledger = self.ledger
-        try:
-            # Routed by the journal's *content*: on a sharded ledger its
-            # stamped jsn is shard-local, so indexing the facade with it
-            # would mis-route.  Proof and default root come from one head
-            # (one per shard), so a commit between two reads cannot tear them.
-            if rho is None:
-                proof, head_root = ledger.tx_evidence(journal)
-            else:
-                proof, head_root = rho, ledger.current_root()
-        except (IndexError, KeyError):
-            return False, {"detail": f"no proof obtainable for jsn {journal.jsn}"}
-        if level is VerifyLevel.SERVER:
-            trusted = ledger.current_root()
-            ok = ledger.verify_journal(journal, proof)
-        else:
-            # A ShardProof folds the per-shard chain through the shard→root
-            # link, so ``trusted`` is then the deployment's composite root.
-            trusted = root if root is not None else head_root
-            ok = tx_what(journal.tx_hash(), proof, trusted)
-        return ok, {"proof": proof, "trusted_root": trusted}
-
-    def _clue_what(
-        self, key: str, txdata: list[Journal], rho: Any, root: bytes | None, level: VerifyLevel
-    ) -> tuple[bool, dict]:
-        """CLUE evidence in process: the ledger's own CM-Tree check at SERVER
-        level, a clue proof folded against ``root`` (default: the state root
-        of the head the proof was cut at) at CLIENT level."""
-        ledger = self.ledger
-        if level is VerifyLevel.SERVER:
-            proof, trusted = rho, ledger.state_root()
-            ok = ledger.verify_clue(key, txdata)
-        else:
-            if rho is None:
-                proof, head_root = ledger.clue_evidence(key)
-            else:
-                proof, head_root = rho, ledger.state_root()
-            trusted = root if root is not None else head_root
-            ok = clue_what(key, [journal.tx_hash() for journal in txdata], proof, trusted)
-        return ok, {"proof": proof, "trusted_root": trusted}
-
-    def verify_dasein(
-        self,
-        jsn: int,
-        receipt: Receipt | None = None,
-        *,
-        tsa_keys: dict[str, PublicKey] | None = None,
-        trusted_root: bytes | None = None,
-    ) -> VerifyResult:
-        """Full three-factor (what/when/who) verification of one journal.
-
-        Exports the ledger view, runs :class:`DaseinVerifier` over it, and
-        lifts the :class:`DaseinReport` into a :class:`VerifyResult` with
-        per-factor verdicts.  ``tsa_keys`` should come from the time
-        authorities directly; ``trusted_root`` defaults to the latest
-        receipt's LSP-signed ledger root.
-
-        Raises:
-            UsageError: no trusted root is available (fresh ledger, no
-                receipt, no explicit ``trusted_root``).
-            JournalNotFoundError: no journal exists at ``jsn``.
-        """
-        # Dasein evidence (receipt, anchors, view) is all shard-local: run
-        # the three-factor check on the shard that owns the (global) jsn.
-        shards = self.ledger.shards
-        shard_index, jsn = locate(jsn, len(shards))
-        ledger = shards[shard_index]
-        view = ledger.export_view()
-        try:
-            verifier = DaseinVerifier(view, tsa_keys=tsa_keys, trusted_root=trusted_root)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        proof = ledger.get_proof(jsn, anchored=False)
-        if receipt is None:
-            receipt = ledger.receipt_for(jsn)
-        report = verifier.verify_dasein(jsn, proof, receipt)
-        return VerifyResult.from_dasein(
-            report, proof=proof, trusted_root=verifier.trusted_root, level="client"
-        )
-
-    def audit(
-        self,
-        *,
-        tsa_keys: dict[str, PublicKey] | None = None,
-        workers: int = 0,
-        resume: bool = False,
-        checkpoint: CheckpointStore | str | None = None,
-        temporal_range: tuple[float, float] | None = None,
-        verify_client_signatures: bool = True,
-        early_terminate: bool = True,
-        **kwargs: Any,
-    ) -> AuditReport:
-        """Run the §V Dasein-complete audit over this ledger's exported view.
-
-        The session exports a fresh :class:`LedgerView` and hands it to
-        :func:`repro.audit.dasein_audit`; the returned :class:`AuditReport`
-        carries per-sub-proof steps and replay counters, with ``passed`` the
-        Definition-1 conjunction.
-
-        ``workers`` enables the parallel engine (signature chunks overlap
-        the replay fold; the report stays byte-identical to sequential).
-        ``checkpoint`` (a path or :class:`~repro.audit.CheckpointStore`)
-        makes the audit resumable; with ``resume=True`` a previously
-        interrupted audit of this ledger continues from its last verified
-        block range instead of genesis.  Remaining keyword arguments
-        (``chunk_size``, ``checkpoint_every``, ``pool``) pass through.
-
-        ``tsa_keys`` must come from the time authorities directly — an audit
-        that takes them from the LSP proves nothing about *when*.
-
-        Raises:
-            UsageError: ``resume=True`` without a ``checkpoint``.
-        """
-        if resume and checkpoint is None:
-            raise UsageError("audit(resume=True) needs a checkpoint= store or path")
-        options = dict(
-            tsa_keys=tsa_keys,
-            workers=workers,
-            checkpoint=checkpoint,
-            resume=resume,
-            temporal_range=temporal_range,
-            verify_client_signatures=verify_client_signatures,
-            early_terminate=early_terminate,
-            **kwargs,
-        )
-        # One shard's audit is its own report; several run in parallel into
-        # one ShardedAuditReport (truthy iff every shard passed).
-        return audit_shards(self.ledger.shards, **options)
-
-    # ------------------------------------------------------------ lifecycle
-
-    def close(self) -> None:
-        """Release session resources: drains+closes an owned service only."""
-        if self._owns_service and self.service is not None:
-            self.service.close()
-
-    def __repr__(self) -> str:
-        mode = "service" if self.service is not None else "direct"
-        return f"<LedgerSession {self.lgid} {mode} client_id={self.client_id!r}>"
+        port = LocalPort(ledger, service, owns_service=owned)
+        super().__init__(port, lgid=lgid, client_id=client_id, keypair=keypair)
+        self.ledger, self.service = ledger, service

@@ -1,4 +1,4 @@
-"""LedgerDB core: the ledger kernel, its client SDK, and Dasein verification.
+"""LedgerDB core: the ledger kernel and Dasein verification.
 
 Exports resolve lazily (PEP 562) so that kernel-free leaf modules —
 ``core.journal``, ``core.receipt``, ``core.errors``, ``core.snapshot`` —
@@ -16,7 +16,6 @@ from typing import Any
 
 _EXPORTS = {
     "ClientState": "..verify",
-    "LedgerClient": ".client",
     "AuditReport": "..audit",
     "AuditStep": "..audit",
     "dasein_audit": "..audit",
@@ -56,7 +55,6 @@ _EXPORTS = {
 _SUBMODULES = frozenset(
     {
         "blocks",
-        "client",
         "cluesl",
         "errors",
         "journal",

@@ -9,10 +9,11 @@ centralized ledger over a socket, re-verifying every proof locally.
 * :mod:`repro.net.server` — the asyncio front end over
   :class:`~repro.service.LedgerService` (pipelined appends, bulk proofs,
   graceful drain);
-* :mod:`repro.net.client` — :class:`AsyncRemoteLedger` (asyncio core) and
-  :class:`RemoteLedgerClient` (sync wrapper) which never trust the server:
-  receipts, proofs, and epoch anchors are verified with the local Merkle /
-  Dasein machinery before anything is accepted.
+* :mod:`repro.net.client` — :class:`AsyncRemoteLedger` (asyncio core),
+  :class:`RemoteLedgerClient` (the sync TCP port of a
+  :class:`~repro.session.Session`) and :class:`RemoteLedgerSession` (a
+  session over it), which never trust the server: receipts, proofs, and
+  epoch anchors are verified client-side before anything is accepted.
 """
 
 from .client import (

@@ -4,15 +4,12 @@ The design rule is the paper's threat model: **the server is untrusted**.
 Every byte that comes back over the socket is a *claim* until the client has
 checked it against something it trusts:
 
-* receipts are accepted only if the LSP signature verifies against the
-  public key pinned at connect time AND the receipt echoes the exact
-  request hash the client signed (:class:`~repro.core.receipt.Receipt` is
-  the pi_s evidence — a receipt for the wrong request convicts nobody);
-* existence proofs are folded locally by the client's own
-  :class:`~repro.verify.AnchorTracker` — the very object the in-process
-  :class:`~repro.core.client.LedgerClient` uses, reading through this
-  connection instead of a local fam;
-* clue proofs are verified locally (:func:`repro.verify.clue_what`).
+* receipts and acks pass :func:`repro.session.accept_receipts` — the LSP
+  signature under the key pinned at connect time, the exact request hash
+  the client signed, this ledger's URI — before any caller sees them;
+* proofs are folded by the :class:`~repro.session.Session` over this port,
+  the same session class an in-process caller uses (its
+  :class:`~repro.verify.AnchorTracker` reads through this connection).
 
 What the client necessarily takes on faith is documented in DESIGN.md
 "Verification kernel" (completeness of ``list_tx``, freshness of roots
@@ -21,9 +18,10 @@ between syncs — the non-equivocation gap the transparency layer closes).
 :class:`AsyncRemoteLedger` is the asyncio core: one connection, pipelined
 request ids, out-of-order completion, plus a pool of blocking read sockets
 for calls made off its loop.  :class:`RemoteLedgerClient` wraps it for
-synchronous code by parking the event loop on a background thread; it is
-thread-safe and is what ``repro.api.connect("ledger://host:port")`` hands
-out (as a :class:`RemoteLedgerSession`).
+synchronous code by parking the event loop on a background thread: it is
+the TCP port of a :class:`~repro.session.Session`, and
+:class:`RemoteLedgerSession` (what ``repro.api.connect("ledger://host:port")``
+hands out) is a session over a new one.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from ..export.bundle import ExportBundle
 
-from ..artifacts import VerifyLevel, VerifyResult
+from ..artifacts import VerifyResult
 from ..core.errors import (
     AuthenticationError,
     AuthorizationError,
@@ -53,21 +51,20 @@ from ..core.errors import (
 )
 from ..core.journal import ClientRequest, Journal
 from ..core.receipt import Receipt
-from ..crypto.hashing import Digest, sha256
-from ..crypto.keys import KeyPair, PublicKey, verify_batch
+from ..crypto.hashing import Digest
+from ..crypto.keys import KeyPair, PublicKey
 from ..merkle.cmtree import ClueProof
 from ..merkle.consistency import ConsistencyProof
 from ..merkle.fam import FamProof
 from ..merkle.proofs import MembershipProof
 from ..service import ServiceClosedError, ServiceOverloadedError, ServiceTimeout
-from ..session import SessionHelpers
+from ..session import Session, accept_receipts, accepted
 from ..transparency.censorship import SubmissionAck
 from ..transparency.sth import (
     ConsistencyAssertion,
     ConsistencyBundle,
     SignedTreeHead,
 )
-from ..verify import AnchorTracker, clue_what, lift, tx_what
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -112,7 +109,7 @@ def _remote_error(error: Any) -> Exception:
 
 
 class _ReceiptChecker:
-    """Micro-batched LSP receipt verification.
+    """Micro-batched receipt acceptance (:func:`repro.session.accept_receipts`).
 
     Receipts whose responses land in the same event-loop burst (the common
     case under pipelining: the server group-commits a window and writes the
@@ -145,27 +142,17 @@ class _ReceiptChecker:
         pending, self._pending = self._pending, []
         if not pending:
             return
-        key = self._remote.lsp_public_key
-        if key is None:
-            verdicts = [False] * len(pending)
-        else:
-            verdicts = verify_batch(
-                [
-                    (key, sha256(receipt.signing_payload()), receipt.lsp_signature)
-                    for receipt, _request, _future in pending
-                ]
-            )
-        for (receipt, request, future), ok in zip(pending, verdicts):
+        remote = self._remote
+        faults = accept_receipts(
+            remote.lsp_public_key,
+            remote.ledger_uri,
+            [(request, receipt) for receipt, request, _future in pending],
+        )
+        for (receipt, _request, future), fault in zip(pending, faults):
             if future.done():
                 continue
-            if not ok:
-                future.set_exception(
-                    VerificationFailure("LSP receipt signature invalid")
-                )
-            elif receipt.request_hash != request.request_hash():
-                future.set_exception(
-                    VerificationFailure("receipt does not cover the submitted request")
-                )
+            if fault is not None:
+                future.set_exception(fault)
             else:
                 future.set_result(receipt)
 
@@ -500,26 +487,20 @@ class AsyncRemoteLedger(FrameConnection):
 
     # ------------------------------------------------------------ appends
 
-    async def append(self, request: ClientRequest, *, verify: bool = True) -> Receipt:
-        """Submit one pre-signed request; returns the locally-verified receipt."""
+    async def append(self, request: ClientRequest) -> Receipt:
+        """Submit one pre-signed request; returns the accepted receipt."""
         result = await self._call("append", request=request.to_bytes())
-        receipt = Receipt.from_bytes(bytes(result["receipt"]))
-        return await self._checker.check(receipt, request) if verify else receipt
+        return await self._checker.check(Receipt.from_bytes(bytes(result["receipt"])), request)
 
     async def append_acked(
-        self,
-        request: ClientRequest,
-        *,
-        deadline_epochs: int | None = None,
-        verify: bool = True,
+        self, request: ClientRequest, *, deadline_epochs: int | None = None
     ) -> tuple[Receipt, SubmissionAck]:
         """Append with a censorship-accountable admission ack (DESIGN.md §16).
 
         The server issues the :class:`SubmissionAck` *before* submitting, so
         its tree coordinates pin the state at admission.  Both the receipt
-        and the ack are verified locally: LSP signature, exact request-hash
-        echo, and ledger-uri match — an ack for somebody else's request
-        convicts nobody.
+        and the ack pass :func:`~repro.session.accept_receipts` — an ack for
+        somebody else's request convicts nobody.
         """
         fields: dict[str, Any] = {"request": request.to_bytes(), "want_ack": True}
         if deadline_epochs is not None:
@@ -530,18 +511,8 @@ class AsyncRemoteLedger(FrameConnection):
         if not blob:
             raise VerificationFailure("server omitted the requested submission ack")
         ack = SubmissionAck.from_bytes(blob)
-        if verify:
-            receipt = await self._checker.check(receipt, request)
-            self._check_ack(ack, request)
-        return receipt, ack
-
-    def _check_ack(self, ack: SubmissionAck, request: ClientRequest) -> None:
-        if self.lsp_public_key is None or not ack.verify(self.lsp_public_key):
-            raise VerificationFailure("submission ack failed LSP signature check")
-        if ack.request_hash != request.request_hash():
-            raise VerificationFailure("submission ack echoes a different request")
-        if ack.ledger_uri != self.ledger_uri:
-            raise VerificationFailure("submission ack speaks for a different ledger")
+        receipt = await self._checker.check(receipt, request)
+        return receipt, accepted(self.lsp_public_key, self.ledger_uri, [request], [ack])[0]
 
     async def submit(self, request: ClientRequest) -> Receipt:
         """Pipelined append: same-tick submits coalesce into one
@@ -549,9 +520,7 @@ class AsyncRemoteLedger(FrameConnection):
         is verified exactly like :meth:`append`'s."""
         return await self._coalescer.submit(request)
 
-    async def append_batch(
-        self, requests: list[ClientRequest], *, verify: bool = True
-    ) -> list[Receipt]:
+    async def append_batch(self, requests: list[ClientRequest]) -> list[Receipt]:
         result = await self._call(
             "append_batch", requests=[request.to_bytes() for request in requests]
         )
@@ -560,15 +529,11 @@ class AsyncRemoteLedger(FrameConnection):
             raise VerificationFailure(
                 f"server returned {len(receipts)} receipts for {len(requests)} requests"
             )
-        if verify:
-            # Enqueued synchronously, so the whole batch lands in one
-            # checker drain — a single aggregated ECDSA pass.
-            await asyncio.gather(
-                *(
-                    self._checker.check(receipt, request)
-                    for request, receipt in zip(requests, receipts)
-                )
-            )
+        # Enqueued synchronously, so the whole batch lands in one checker
+        # drain — a single aggregated ECDSA pass.
+        await asyncio.gather(
+            *(self._checker.check(receipt, request) for request, receipt in zip(requests, receipts))
+        )
         return receipts
 
     # -------------------------------------------------------------- reads
@@ -740,16 +705,19 @@ def _driven(coroutine):
 
 
 class RemoteLedgerClient:
-    """Synchronous verifying remote client — the over-the-wire twin of
-    :class:`~repro.core.client.LedgerClient`.
-
-    Owns a background event loop carrying one :class:`AsyncRemoteLedger`
-    connection, a local signing identity, and client-side trust state
-    (receipts, epoch anchors).  All methods are thread-safe: any number of
-    threads may append/verify through one client.  Appends pipeline onto
-    the connection through its loop; a read is a blocking round trip on the
-    calling thread over one of the connection's pooled read sockets.
+    """The TCP port of a :class:`~repro.session.Session`: one
+    :class:`AsyncRemoteLedger` connection on a background loop.  Writes of
+    pre-signed requests pipeline on that loop and return only receipts
+    :class:`_ReceiptChecker` accepted; reads are blocking round trips on the
+    caller's thread over pooled read sockets (``list_tx`` returns jsns, as on
+    the wire).  Thread-safe.  ``member_id`` / ``keypair`` sign for
+    :attr:`session`.
     """
+
+    transport = "remote"
+    #: DESIGN.md §18: a CLIENT-level TX fold with no pinned root trusts the
+    #: session's verified anchor store, never a root the server names.
+    anchored = True
 
     def __init__(
         self,
@@ -762,15 +730,7 @@ class RemoteLedgerClient:
         timeout: float = 30.0,
         max_frame_bytes: int = MAX_FRAME_BYTES,
     ) -> None:
-        self.member_id = member_id
-        self.keypair = keypair
-        # The client is its own tracker's read source: the fam calls below
-        # are the server ops of the same names (repro.verify.tracker).
-        self.tracker = AnchorTracker(self)
-        self.anchors = self.tracker.anchors
-        self.state = self.tracker.state
-        self._nonce_lock = threading.Lock()
-        self._nonce = 0
+        self._nonces = itertools.count(1)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="ledger-client", daemon=True
@@ -790,15 +750,9 @@ class RemoteLedgerClient:
             self._stop_loop()
             raise
         self._remote.timeout = timeout
-
-    @property
-    def timeout(self) -> float:
-        """Seconds one call may take: an append on the loop, a read's round trip."""
-        return self._remote.timeout
-
-    @timeout.setter
-    def timeout(self, seconds: float) -> None:
-        self._remote.timeout = seconds
+        #: The verifying session over this connection, signing as
+        #: ``member_id``/``keypair`` (a :class:`RemoteLedgerSession` is it).
+        self.session = Session(self, client_id=member_id, keypair=keypair)
 
     # ----------------------------------------------------------- plumbing
 
@@ -809,7 +763,7 @@ class RemoteLedgerClient:
         """Run ``coro`` on the connection's loop and wait for it — the way
         for calls that need the loop itself (appends: the receipt checker
         and the submit coalescer batch per loop tick)."""
-        timeout = self.timeout if timeout is None else timeout
+        timeout = self._remote.timeout if timeout is None else timeout
         future = self._submit(coro)
         try:
             return future.result(timeout)
@@ -843,12 +797,6 @@ class RemoteLedgerClient:
                 pass
             self._stop_loop()
 
-    def __enter__(self) -> "RemoteLedgerClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     @property
     def ledger_uri(self) -> str:
         return self._remote.ledger_uri
@@ -857,125 +805,26 @@ class RemoteLedgerClient:
     def lsp_public_key(self) -> PublicKey | None:
         return self._remote.lsp_public_key
 
-    # ------------------------------------------------------------ appends
+    def stamps(self, count: int) -> list[tuple[int, float]]:
+        """The connection's next ``count`` nonces, at the wall clock's time."""
+        return [(next(self._nonces), time.time()) for _ in range(count)]
 
-    def _build_request(
-        self,
-        payload: bytes,
-        clues: tuple[str, ...],
-        *,
-        member_id: str | None = None,
-        keypair: KeyPair | None = None,
-    ) -> ClientRequest:
-        member_id = member_id if member_id is not None else self.member_id
-        keypair = keypair if keypair is not None else self.keypair
-        if member_id is None or keypair is None:
-            raise UsageError(
-                "no signing identity: construct the client with member_id and "
-                "keypair, or pass them per call"
-            )
-        with self._nonce_lock:
-            self._nonce += 1
-            nonce = self._nonce
-        return ClientRequest.build(
-            self.ledger_uri,
-            member_id,
-            payload,
-            clues=tuple(clues),
-            nonce=nonce.to_bytes(8, "big"),
-            client_timestamp=time.time(),
-        ).signed_by(keypair)
+    # ------------------------------------------------------------- writes
 
-    def _request_for(
-        self,
-        method: str,
-        payload: bytes | None,
-        clues: tuple[str, ...],
-        request: ClientRequest | None,
-        member_id: str | None,
-        keypair: KeyPair | None,
-    ) -> ClientRequest:
-        """The pre-signed ``request`` as given, or ``payload`` signed here."""
-        if (payload is None) == (request is None):
-            raise UsageError(f"{method}() takes exactly one of payload or request=")
-        if request is not None:
-            return request
-        return self._build_request(payload, clues, member_id=member_id, keypair=keypair)
+    def append(self, request: ClientRequest, timeout: float | None = None) -> Receipt:
+        return self._wait(self._remote.append(request), timeout)
 
-    def _keep(self, receipt: Receipt) -> Receipt:
-        self.state.receipts[receipt.jsn] = receipt
-        return receipt
+    def append_batch(self, requests: list[ClientRequest], timeout: float | None = None) -> list:
+        return self._wait(self._remote.append_batch(requests), timeout)
 
-    def append(
-        self,
-        payload: bytes | None = None,
-        clues: tuple[str, ...] = (),
-        *,
-        request: ClientRequest | None = None,
-        timeout: float | None = None,
-        member_id: str | None = None,
-        keypair: KeyPair | None = None,
-    ) -> Receipt:
-        """Sign locally, submit remotely, verify the receipt locally."""
-        request = self._request_for("append", payload, clues, request, member_id, keypair)
-        return self._keep(self._wait(self._remote.append(request), timeout))
-
-    def append_acked(
-        self,
-        payload: bytes | None = None,
-        clues: tuple[str, ...] = (),
-        *,
-        request: ClientRequest | None = None,
-        deadline_epochs: int | None = None,
-        timeout: float | None = None,
-        member_id: str | None = None,
-        keypair: KeyPair | None = None,
-    ) -> tuple[Receipt, SubmissionAck]:
-        """Append plus a locally-verified admission ack (DESIGN.md §16)."""
-        request = self._request_for(
-            "append_acked", payload, clues, request, member_id, keypair
-        )
-        receipt, ack = self._wait(
-            self._remote.append_acked(request, deadline_epochs=deadline_epochs),
-            timeout,
-        )
-        return self._keep(receipt), ack
-
-    def append_batch(
-        self,
-        items: list[tuple[bytes, tuple[str, ...]]] | None = None,
-        *,
-        requests: list[ClientRequest] | None = None,
-        timeout: float | None = None,
-        member_id: str | None = None,
-        keypair: KeyPair | None = None,
-    ) -> list[Receipt]:
-        if (items is None) == (requests is None):
-            raise UsageError("append_batch() takes exactly one of items or requests=")
-        if requests is None:
-            requests = [
-                self._build_request(payload, clues, member_id=member_id, keypair=keypair)
-                for payload, clues in items
-            ]
-        receipts = self._wait(self._remote.append_batch(requests), timeout)
-        return [self._keep(receipt) for receipt in receipts]
+    def append_acked(self, request: ClientRequest, deadline_epochs=None, timeout=None) -> tuple:
+        coro = self._remote.append_acked(request, deadline_epochs=deadline_epochs)
+        return self._wait(coro, timeout)
 
     def submit(self, request: ClientRequest):
-        """Fire-and-collect pipelining: returns a concurrent Future[Receipt].
-
-        The receipt is verified (LSP signature + request echo) before the
-        future resolves, exactly like :meth:`append`.  Submits in flight
-        together coalesce into ``append_batch`` frames on the wire — a
-        rejected group fails every member's future with the typed error.
-        """
-
-        async def _do() -> Receipt:
-            return self._keep(await self._remote.submit(request))
-
-        return self._submit(_do())
-
-    def receipt_for(self, jsn: int) -> Receipt | None:
-        return self.state.receipts.get(jsn)
+        """A concurrent Future of the accepted receipt; submits in flight
+        together share ``append_batch`` frames (see :class:`_SubmitCoalescer`)."""
+        return self._submit(self._remote.submit(request))
 
     # -------------------------------------------------------------- reads
 
@@ -993,57 +842,72 @@ class RemoteLedgerClient:
     get_sth = _driven(AsyncRemoteLedger.get_sth)
     get_sth_range = _driven(AsyncRemoteLedger.get_sth_range)
     get_consistency = _driven(AsyncRemoteLedger.get_consistency)
-
-    # ------------------------------------------------------------- anchors
-
     fam_info = _driven(AsyncRemoteLedger.fam_info)
     epoch_anchor = _driven(AsyncRemoteLedger.epoch_anchor)
     epoch_link = _driven(AsyncRemoteLedger.epoch_link)
     epoch_leaves = _driven(AsyncRemoteLedger.epoch_leaves)
     epoch_consistency = _driven(AsyncRemoteLedger.epoch_consistency)
 
+    def export_bundle(self, clues: tuple[str, ...], path: Any = None) -> "ExportBundle":
+        """The server's bundle, decoded (magic, CRC) and written to ``path``."""
+        from ..export.bundle import ExportBundle
+
+        bundle = ExportBundle.from_bytes(self.export(clues))
+        if path is not None:
+            bundle.write(path)
+        return bundle
+
+    # ------------------------------------------- evidence for the session
+
+    def tx_evidence(self, journal: Journal, rho: Any = None) -> tuple[Any, None]:
+        """A full-chain proof, and no root: any root the server names is a claim."""
+        return (rho if rho is not None else self.get_proof(journal.jsn, anchored=False)), None
+
+    def clue_evidence(self, clue: str, rho: Any = None) -> tuple[Any, Digest | None]:
+        """A clue proof and the server's *claimed* CM-Tree1 root (none for ``rho``)."""
+        return (rho, None) if rho is not None else self.prove_clue(clue)
+
+    def check_tx(self, journal: Journal, rho: Any) -> tuple[bool, dict]:
+        """SERVER level: the server's own verdict, advisory (it could lie)."""
+        return self.verify_journal_remote(journal), {
+            "detail": "server-side check (advisory: the server attests its own ledger)"
+        }
+
+    def check_clue(self, key: str, txdata: list[Journal], rho: Any) -> None:
+        """No wire op checks a clue: the session folds it locally."""
+        return None
+
+    @property
+    def shards(self) -> list:
+        raise UsageError(
+            "verify_dasein() and audit() read the ledger's export view, which only "
+            "an in-process session has; over TCP, export() a bundle and check it "
+            "with repro.export.verify_bundle"
+        )
+
+    # benchmarks/e2e/trace.py wraps these by name on this class (ROADMAP 11(a)).
     def sync_anchors(self) -> int:
-        """Advance the trusted-anchor store against the remote fam
-        (:meth:`repro.verify.AnchorTracker.sync`): epoch 0 bootstrapped from
-        its raw leaf digests, each later epoch anchored via its merged-leaf
-        link proof, the live epoch tracked with consistency proofs so a
-        server that rewrites *any* committed journal is caught on the next
-        sync.  Returns how many new epoch anchors were added.
+        return self.session.sync_anchors()
 
-        Raises:
-            VerificationFailure: any link fails — nothing unverified is
-                ever anchored.
-        """
-        return self.tracker.sync()
+    def verify_journal(self, journal: Journal, proof: FamProof | None = None) -> VerifyResult:
+        return self.session.verify_journal(journal, proof)
 
-    # ----------------------------------------------------------- verifying
-
-    def verify_journal(self, journal: Journal, proof: FamProof | None = None) -> bool:
-        """O(delta) existence verification against the client's own anchors;
-        ``proof`` optionally carries a pre-fetched *anchored* fam proof."""
-        if proof is None:
-            proof = self.get_proof(journal.jsn, anchored=True)
-        return self.tracker.fold_anchored(journal.tx_hash(), proof)
+    def verify_clue(self, clue: str) -> VerifyResult:
+        return self.session.verify_clue(clue)
 
     def verify_shard_link(self, *, max_attempts: int = 4) -> dict:
-        """Verify this shard's membership in the deployment's composite root.
-
-        Checks that the shard root the server links into the composite root
-        is exactly the live fam root this client has verified append-only
-        through :meth:`sync_anchors` — so the link inherits the anchor
-        store's tamper evidence — and that the inclusion link folds it to
-        the claimed composite root at the claimed shard index.  Returns the
-        :meth:`shard_info` dict on success.
-
-        The composite root itself is the server's claim: pin it across the
-        deployment's listeners (a consistent deployment reports one value
-        per shard-map snapshot) or against out-of-band publication if
-        non-equivocation matters (DESIGN.md §15 trust model).
+        """Verify this shard's membership in the deployment's composite root:
+        the shard root the server links in must be the live fam root
+        :attr:`session` verified append-only, and the link must fold it to
+        the claimed composite root at the claimed index.  Returns the
+        :meth:`shard_info` dict.  The composite root stays the server's
+        claim: pin it across listeners or out of band (DESIGN.md §15).
 
         Raises:
             VerificationFailure: link inconsistent, or the shard kept
                 advancing past this client for ``max_attempts`` rounds.
         """
+        state = self.session.state
         for _ in range(max_attempts):
             info = self.shard_info()
             link: MembershipProof = info["link"]
@@ -1056,52 +920,24 @@ class RemoteLedgerClient:
                     "shard link does not place this shard's root in the "
                     "claimed composite root"
                 )
-            if info["shard_root"] == self.state.live_root:
+            if info["shard_root"] == state.live_root:
                 return info
             # The shard committed between our last sync and the snapshot;
             # catch the anchor store up (verified) and re-snapshot.
-            self.sync_anchors()
-            if info["shard_root"] == self.state.live_root:
+            self.session.sync_anchors()
+            if info["shard_root"] == state.live_root:
                 return info
         raise VerificationFailure(
             f"shard root kept advancing past this client for {max_attempts} "
             "rounds; deployment too hot to pin, retry later"
         )
 
-    def verify_clue(self, clue: str) -> bool:
-        """Client-side N-lineage verification of an entire clue lineage.
 
-        The CM-Tree1 root the proof folds to is the server's claim — pin it
-        against out-of-band state if non-equivocation matters (DESIGN.md
-        "Verification kernel" trust table).
-        """
-        jsns = self.list_tx(clue)
-        if not jsns:
-            return False
-        try:
-            digests = [self.get_journal(jsn).tx_hash() for jsn in jsns]
-        except LedgerError:
-            return False
-        proof, claimed_state_root = self.prove_clue(clue)
-        return clue_what(clue, digests, proof, claimed_state_root)
-
-
-class RemoteLedgerSession(SessionHelpers):
-    """The v2-session face of a remote connection.
-
-    ``repro.api.connect("ledger://host:port")`` returns one of these; it
-    implements :class:`~repro.session.VerifyingSession` with signatures
-    identical to :class:`~repro.api.LedgerSession`, so callers move between
-    local and remote backends without code changes.  Connect kwargs this
-    transport cannot honour (``service=``) are rejected by
-    :func:`repro.api.connect` with a typed
-    :class:`~repro.core.errors.UsageError` naming the transport, never
-    silently swallowed.  Verification happens in the underlying
-    :class:`RemoteLedgerClient` — receipts, acks, and tree heads arrive
-    pre-checked against the pinned LSP key.
-    """
-
-    transport = "remote"
+class RemoteLedgerSession(Session):
+    """A :class:`~repro.session.Session` over a new TCP port, :attr:`client`
+    (whose :attr:`~RemoteLedgerClient.session` this is), pinning
+    ``expected_lsp_key`` (trust on first use without it); ``timeout`` bounds
+    each call.  ``repro.api.connect("ledger://host:port")`` returns one."""
 
     def __init__(
         self,
@@ -1114,7 +950,7 @@ class RemoteLedgerSession(SessionHelpers):
         expected_lsp_key: PublicKey | bytes | None = None,
         timeout: float = 30.0,
     ) -> None:
-        self.client = self._backend = RemoteLedgerClient(
+        self.client = RemoteLedgerClient(
             host,
             port,
             member_id=client_id,
@@ -1122,136 +958,5 @@ class RemoteLedgerSession(SessionHelpers):
             expected_lsp_key=expected_lsp_key,
             timeout=timeout,
         )
-        self.lgid = lgid if lgid is not None else self.client.ledger_uri
-        self.client_id = client_id
-        self.keypair = keypair
-
-    def _sign(
-        self,
-        items: list[tuple[bytes, tuple[str, ...]]],
-        client_id: str | None,
-        keypair: KeyPair | None,
-    ) -> list[ClientRequest]:
-        return [
-            self.client._build_request(payload, clues, member_id=client_id, keypair=keypair)
-            for payload, clues in items
-        ]
-
-    def _append(self, request: ClientRequest, timeout: float | None) -> Receipt:
-        return self.client.append(request=request, timeout=timeout)
-
-    def _append_batch(
-        self, requests: list[ClientRequest], timeout: float | None
-    ) -> list[Receipt]:
-        return self.client.append_batch(requests=requests, timeout=timeout)
-
-    def _append_acked(
-        self,
-        request: ClientRequest,
-        deadline_epochs: int | None,
-        timeout: float | None,
-    ) -> tuple[Receipt, SubmissionAck]:
-        return self.client.append_acked(
-            request=request, deadline_epochs=deadline_epochs, timeout=timeout
-        )
-
-    # ------------------------------------------------------------- exporting
-
-    def export(
-        self,
-        path: Any = None,
-        *,
-        clues: tuple[str, ...] = (),
-    ) -> "ExportBundle":
-        """Export the server's ledger as an offline bundle (DESIGN.md §17).
-
-        Same surface as :meth:`LedgerSession.export`: the server builds the
-        bundle, the bytes are decoded here — which checks the container's
-        magic and CRC, so a corrupted or truncated transfer fails typed —
-        and ``path`` writes the canonical bytes to local disk.  Everything
-        *inside* the container is still the server's claim until
-        :func:`repro.export.verify_bundle` is run against pinned anchors.
-        """
-        from ..export.bundle import ExportBundle
-
-        bundle = ExportBundle.from_bytes(self.client.export(tuple(clues)))
-        if path is not None:
-            bundle.write(path)
-        return bundle
-
-    # ------------------------------------------------------------ verifying
-
-    def sync_anchors(self) -> int:
-        return self.client.sync_anchors()
-
-    def _tx_what(
-        self, journal: Journal, rho: Any, root: bytes | None, level: VerifyLevel
-    ) -> tuple[bool, dict]:
-        """TX evidence over the wire: the server's own (advisory) verdict at
-        SERVER level; at CLIENT level a full-chain proof folded against the
-        caller's pinned ``root``, else an anchored proof folded against this
-        client's verified anchor store — the fold itself connects the
-        proof's head to the tracked one (consistency proof, or a sync for an
-        unseen epoch), so no round trip is spent asking for the head first."""
-        client = self.client
-        if level is VerifyLevel.SERVER:
-            return client.verify_journal_remote(journal), {
-                "detail": "server-side check (advisory: the server attests "
-                "its own ledger)"
-            }
-        if root is not None:
-            proof = rho if rho is not None else client.get_proof(journal.jsn, anchored=False)
-            return tx_what(journal.tx_hash(), proof, root), {
-                "proof": proof,
-                "trusted_root": root,
-                "detail": "folded locally against the caller's pinned root",
-            }
-        return client.verify_journal(journal, rho), {
-            "proof": rho,
-            "trusted_root": client.state.live_root,
-            "detail": "folded locally against this client's anchor store",
-        }
-
-    def _clue_what(
-        self, key: str, txdata: list[Journal], rho: Any, root: bytes | None, level: VerifyLevel
-    ) -> tuple[bool, dict]:
-        """CLUE evidence over the wire: always folded locally; ``root`` pins
-        the caller's trusted CM-Tree1 datum, else the server's claimed state
-        root is used (and reported in the result)."""
-        proof, claimed = (rho, None) if rho is not None else self.client.prove_clue(key)
-        trusted = root if root is not None else claimed
-        if trusted is None:
-            raise UsageError(
-                "CLUE verification with a pre-fetched rho needs a trusted root="
-            )
-        digests = [journal.tx_hash() for journal in txdata]
-        return clue_what(key, digests, proof, trusted), {
-            "proof": proof,
-            "trusted_root": trusted,
-        }
-
-    def verify_journal(self, journal: Journal) -> VerifyResult:
-        """O(delta) existence verification against this client's anchors."""
-        return lift(
-            "tx",
-            VerifyLevel.CLIENT,
-            what=self.client.verify_journal(journal),
-            trusted_root=self.client.state.live_root,
-            jsn=journal.jsn,
-            detail="anchored fam fold",
-        )
-
-    def verify_clue(self, clue: str) -> VerifyResult:
-        """Client-side N-lineage verification of an entire clue lineage."""
-        return lift(
-            "clue",
-            VerifyLevel.CLIENT,
-            what=self.client.verify_clue(clue),
-            detail=f"clue {clue!r} lineage against the server's claimed root",
-        )
-
-    def close(self) -> None:
-        self.client.close()
-
-    def __repr__(self) -> str:
-        return f"<RemoteLedgerSession {self.lgid} client_id={self.client_id!r}>"
+        super().__init__(self.client, lgid=lgid, client_id=client_id, keypair=keypair)
+        self.client.session = self

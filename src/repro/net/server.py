@@ -514,7 +514,7 @@ class LedgerServer:
 
     # The six fam read ops an anchor-tracking client follows the ledger
     # through — all answered by the ledger's read-only FamReader, the same
-    # object an in-process LedgerClient reads (repro.verify.tracker).
+    # object an in-process session reads (repro.verify.tracker).
 
     def _op_fam_info(self, message: dict) -> dict:
         return self.ledger.fam_reader().fam_info()

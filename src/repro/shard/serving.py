@@ -3,8 +3,8 @@
 :class:`ShardedServerThread` hosts one :class:`~repro.net.server.ServerThread`
 per shard — shard ``k`` on ``port + k`` (or an ephemeral port each for
 ``port=0``) — in front of that shard's writer loop.  Each listener speaks
-the single-ledger protocol, so :class:`~repro.net.client.RemoteLedgerClient`
-works against a shard unchanged; ``shard_info`` adds the shard's link into
+the single-ledger protocol, so a :class:`~repro.session.Session` over a
+:class:`~repro.net.client.RemoteLedgerClient` works against a shard unchanged; ``shard_info`` adds the shard's link into
 the composite root (DESIGN.md §15).  Remote routing is client-side:
 :meth:`ShardedServerThread.address_for` applies the public hash partition.
 """

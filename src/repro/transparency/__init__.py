@@ -8,7 +8,7 @@ ROADMAP item 4.  Everything verifies offline against the LSP public key:
   :class:`ConsistencyBundle`, :class:`ConsistencyAssertion`,
   :class:`EquivocationEvidence`, :func:`verify_equivocation`;
 * :mod:`repro.transparency.witness` — the :class:`Witness` gossip store,
-  written once against :class:`~repro.session.VerifyingSession`;
+  written once against :class:`~repro.session.Session`;
 * :mod:`repro.transparency.censorship` — :class:`SubmissionAck`,
   :class:`CensorshipEvidence`, :func:`refute_censorship`;
 * :mod:`repro.transparency.attacks` — the :class:`ForkingServer` scenario

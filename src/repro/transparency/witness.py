@@ -9,10 +9,10 @@ suspicious-but-unprovable behaviour (a refused or failed consistency proof)
 produces *alarms*, which is the honest residual of CT-style gossip — a
 broken proof identifies a misbehaving server but not which chain lied.
 
-The witness talks to servers exclusively through the
-:class:`~repro.session.VerifyingSession` protocol (``get_sth`` /
-``get_consistency``), so the same code cross-audits an in-process ledger,
-a remote socket, or one shard of a deployment with zero transport branches.
+The witness talks to servers exclusively through a
+:class:`~repro.session.Session` (``get_sth`` / ``get_consistency``), so the
+same code cross-audits an in-process ledger, a remote socket, or one shard
+of a deployment, whichever port the session holds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ..crypto.keys import PublicKey
 from .sth import ConsistencyAssertion, EquivocationEvidence, SignedTreeHead
 
 if TYPE_CHECKING:
-    from ..session import VerifyingSession
+    from ..session import Session
 
 __all__ = ["Witness", "WitnessReport"]
 
@@ -220,7 +220,7 @@ class Witness:
 
     # --------------------------------------------------------------- audit
 
-    def audit(self, session: "VerifyingSession") -> WitnessReport:
+    def audit(self, session: "Session") -> WitnessReport:
         """One cross-audit round: pull the live head, prove every gap.
 
         Ingests the session's current head, then demands a consistency
@@ -251,7 +251,7 @@ class Witness:
 
     def _check_pair(
         self,
-        session: "VerifyingSession",
+        session: "Session",
         key: tuple,
         old: SignedTreeHead,
         new: SignedTreeHead,

@@ -3,11 +3,10 @@
 The paper's claim is *ubiquitous* verification: the same what/when/who
 check, whether it is run by the server, a distrusting client, an auditor, or
 somebody holding only a file.  This package is the only implementation of
-that check; every entry point — :class:`~repro.core.client.LedgerClient`,
-:class:`~repro.net.client.RemoteLedgerClient`, both session classes,
-:class:`~repro.core.verification.DaseinVerifier`, the offline bundle
-verifier, the audit engine's primitives — *fetches evidence* its own way and
-calls in here.
+that check; every entry point — :class:`~repro.session.Session` over either
+of its ports (in process, TCP), :class:`~repro.core.verification.DaseinVerifier`,
+the offline bundle verifier, the audit engine's primitives — *fetches
+evidence* its own way and calls in here.
 
 * :mod:`~repro.verify.checks` — pure functions of (evidence, trust anchors):
   :func:`tx_what`, :func:`clue_what`, :func:`time_marks` +

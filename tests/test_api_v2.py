@@ -96,7 +96,7 @@ class TestLedgerSession:
             session.append()  # neither payload nor request
         with pytest.raises(UsageError):
             session.append(b"x", clue="a", clues=("b",))  # both clue forms
-        request = session._build_request("alice", session.keypair, b"ok", ())
+        request = session._sign([(b"ok", ())], None, None)[0]
         with pytest.raises(UsageError):
             session.append(b"x", request=request)  # payload and request
 

@@ -196,27 +196,31 @@ def test_batched_journals_verify_like_sequential_ones():
 
 
 def test_client_sdk_append_batch():
-    from repro.core.client import LedgerClient
+    from repro.api import LedgerSession
 
     ledger, keys = _make_ledger()
-    client = LedgerClient("alice", keys["alice"], ledger)
+    client = LedgerSession(ledger, client_id="alice", keypair=keys["alice"])
     receipts = client.append_batch([(b"a", ("c1",)), (b"b", ("c1", "c2")), (b"c", ())])
     assert [r.jsn for r in receipts] == [1, 2, 3]
     assert all(client.receipt_for(r.jsn) is not None for r in receipts)
+    assert ledger.get_journal(2).clues == ("c1", "c2")
     # Nonces keep advancing for later singleton appends.
     follow_up = client.append(b"d")
     assert follow_up.jsn == 4
 
 
 def test_client_sdk_append_batch_unwinds_nonce_on_rejection():
-    from repro.core.client import LedgerClient
+    from repro.api import LedgerSession
 
     ledger, keys = _make_ledger()
     wrong_key = KeyPair.generate(seed="batch:imposter")
-    client = LedgerClient("alice", wrong_key, ledger)
+    client = LedgerSession(ledger, client_id="alice", keypair=wrong_key)
+    size = ledger.size
     with pytest.raises(AuthenticationError):
         client.append_batch([(b"a", ())])
-    assert client._nonce == 0
+    # Nothing was admitted, so the in-process nonce source (the ledger size)
+    # has not moved.
+    assert ledger.size == size and client.port.stamps(1)[0][0] == size
 
 
 def test_session_append_batch():

@@ -1,4 +1,5 @@
-"""LedgerClient SDK and the v2 session API surface."""
+"""The in-process verifying session (a distrusting member's agent) and the
+v2 session API surface."""
 
 import dataclasses
 
@@ -6,19 +7,14 @@ import pytest
 
 import repro.api as api
 from repro.api import VerifyLevel, VerifyTarget
-from repro.core import LedgerClient
 from repro.core.errors import LedgerError, VerificationFailure
 from repro.verify import AnchorTracker
 
 
 @pytest.fixture()
 def client(deployment):
-    return LedgerClient(
-        "alice",
-        deployment.keys["alice"],
-        deployment.ledger,
-        tsa_keys=deployment.tsa_keys,
-    )
+    """Alice's session over the in-process port."""
+    return api.LedgerSession(deployment.ledger, client_id="alice", keypair=deployment.keys["alice"])
 
 
 def sealed_epochs(ledger):
@@ -27,7 +23,7 @@ def sealed_epochs(ledger):
 
 class TestLedgerClient:
     def test_anchor_state_is_the_shared_trackers(self, deployment, client):
-        """The client keeps no anchor logic of its own: its store and state
+        """The session keeps no anchor logic of its own: its store and state
         are the kernel tracker's, fed by the ledger's read-only fam reader."""
         assert isinstance(client.tracker, AnchorTracker)
         assert client.anchors is client.tracker.anchors
@@ -74,8 +70,8 @@ class TestLedgerClient:
         deployment.clock.advance(2.0)
         deployment.ledger.collect_time_evidence()
         client.sync_anchors()
-        report = client.verify_dasein(receipt.jsn)
-        assert report.dasein_complete
+        result = client.verify_dasein(receipt.jsn, tsa_keys=deployment.tsa_keys)
+        assert result.ok and (result.what, result.when, result.who) == (True, True, True)
 
     def test_verify_clue(self, deployment, client):
         for i in range(6):

@@ -54,11 +54,9 @@ def make_ledger(uri: str = "ledger://readpath") -> tuple[Ledger, KeyPair]:
     return ledger, user
 
 
-def connect(served: ServerThread, user: KeyPair | None = None, **kwargs) -> RemoteLedgerClient:
-    host, port = served.address
-    return RemoteLedgerClient(
-        host, port, member_id=USER if user else None, keypair=user, **kwargs
-    )
+def connect(served: ServerThread, user: KeyPair, **kwargs) -> RemoteLedgerSession:
+    """A session signing as ``user``, over a new TCP port."""
+    return RemoteLedgerSession(*served.address, client_id=USER, keypair=user, **kwargs)
 
 
 def flipped(journal):
@@ -267,9 +265,9 @@ def _beside_a_saturating_appender(check, rounds: int = 300, appends: int = 80) -
     ledger, user = make_ledger("ledger://snapshot")
     with ServerThread(ledger) as served:
         writer = connect(served, user)
-        reader = connect(served)
+        reader = RemoteLedgerClient(*served.address)
         for index in range(6):
-            writer.append(b"fixed %d" % index, ("FIXED",))
+            writer.append(b"fixed %d" % index, clues=("FIXED",))
         stop = threading.Event()
         errors: list[BaseException] = []
         appended = [0]
@@ -336,10 +334,11 @@ def test_get_root_is_one_snapshot_beside_appends():
 def test_get_root_equals_the_ledgers_own_commitments_when_quiescent():
     ledger, user = make_ledger()
     with ServerThread(ledger) as served:
-        client = connect(served, user)
+        session = connect(served, user)
+        client = session.client
         try:
             for index in range(EPOCH + 3):
-                client.append(b"q %d" % index, ("Q",))
+                session.append(b"q %d" % index, clues=("Q",))
                 claim = client._wait(client._remote.get_root())
                 assert claim["root"] == ledger.current_root()
                 assert claim["state_root"] == ledger.state_root()
@@ -414,9 +413,10 @@ class SwallowingServer(LedgerServer):
 def test_a_timed_out_call_leaves_nothing_pending():
     ledger, user = make_ledger()
     with ServerThread(ledger, server_cls=SwallowingServer) as served:
-        client = connect(served, user, timeout=0.3)
+        session = connect(served, user, timeout=0.3)
+        client = session.client
         try:
-            receipt = client.append(b"before", ("T",))
+            receipt = session.append(b"before", clues=("T",))
             with pytest.raises(RemoteLedgerError, match="list_tx"):
                 client.list_tx("T")  # driven on the caller's thread
             assert client._remote._pending == {}
@@ -429,6 +429,6 @@ def test_a_timed_out_call_leaves_nothing_pending():
             assert client._wait(client._remote.ping()) == ledger.size
             assert client._remote._pending == {}
             assert client.get_journal(receipt.jsn).payload == b"before"
-            assert client.append(b"after", ("T",)).jsn == receipt.jsn + 1
+            assert session.append(b"after", clues=("T",)).jsn == receipt.jsn + 1
         finally:
             client.close()

@@ -84,6 +84,16 @@ def remote_client(served: ServerThread, member: str | None, keys) -> RemoteLedge
     )
 
 
+def remote_session(served: ServerThread, member: str, keys) -> RemoteLedgerSession:
+    """A verifying session signing as ``member``, over a new TCP port."""
+    return RemoteLedgerSession(
+        *served.address,
+        client_id=member,
+        keypair=keys[member],
+        expected_lsp_key=served.server.ledger.registry.public_key("__lsp__"),
+    )
+
+
 class TestByteIdentity:
     def test_remote_equals_inprocess(self):
         """Receipts, proofs, and roots over the socket are byte-identical to
@@ -116,9 +126,10 @@ class TestByteIdentity:
     def test_batch_append_receipts_verify(self):
         ledger, keys = make_ledger()
         with ServerThread(ledger) as served:
-            client = remote_client(served, "bob", keys)
+            session = remote_session(served, "bob", keys)
+            client = session.client
             try:
-                receipts = client.append_batch(
+                receipts = session.append_batch(
                     [(f"batch {i}".encode(), ("BATCH",)) for i in range(6)]
                 )
                 assert [r.jsn for r in receipts] == sorted(r.jsn for r in receipts)
@@ -129,7 +140,7 @@ class TestByteIdentity:
                 # key but the pinned LSP key is refused, though committed.
                 client._remote.lsp_public_key = KeyPair.generate(seed="not-lsp").public
                 with pytest.raises(VerificationFailure):
-                    client.append_batch([(b"batch 6", ("BATCH",))])
+                    session.append_batch([(b"batch 6", ("BATCH",))])
                 assert ledger.size == receipts[-1].jsn + 2
             finally:
                 client.close()
@@ -184,11 +195,10 @@ class TestConcurrentClients:
         fetch issued first on the same connection."""
         ledger, keys = make_ledger()
         with ServerThread(ledger) as served:
-            client = remote_client(served, "alice", keys)
+            session = remote_session(served, "alice", keys)
+            client = session.client
             try:
-                receipts = client.append_batch(
-                    [(f"fill {i}".encode(), ()) for i in range(16)]
-                )
+                receipts = session.append_batch([(f"fill {i}".encode(), ()) for i in range(16)])
                 jsns = [receipt.jsn for receipt in receipts]
                 slow = client._submit(client._remote.get_proofs(jsns, False))
                 fast = client._submit(client._remote.ping())
@@ -204,15 +214,15 @@ class TestFailureModes:
         calls fail with a typed error, nothing hangs."""
         ledger, keys = make_ledger()
         served = ServerThread(ledger)
-        client = remote_client(served, "alice", keys)
+        session = remote_session(served, "alice", keys)
         try:
-            client.append(b"before the crash", ("CRASH",))
+            session.append(b"before the crash", clues=("CRASH",))
             served.kill()
             with pytest.raises((RemoteLedgerError, ServiceClosedError)):
                 for i in range(50):  # one of these hits the dead socket
-                    client.append(f"after the crash {i}".encode())
+                    session.append(f"after the crash {i}".encode())
         finally:
-            client.close()
+            session.close()
             served.close()
 
     def test_slow_peer_gets_served_and_does_not_block_others(self):
@@ -229,9 +239,9 @@ class TestFailureModes:
                     slow.sendall(frame[i : i + 2])
                     time.sleep(0.01)
                     if i == 2:  # mid-frame: the healthy client proceeds
-                        healthy = remote_client(served, "alice", keys)
+                        healthy = remote_session(served, "alice", keys)
                         try:
-                            healthy.append(b"not blocked", ())
+                            healthy.append(b"not blocked")
                         finally:
                             healthy.close()
                 decoder = FrameDecoder()
@@ -265,10 +275,10 @@ class TestFailureModes:
                     assert message["error"]["type"] == "ProtocolError"
             finally:
                 bad.close()
-            survivor = remote_client(served, "bob", keys)
+            survivor = remote_session(served, "bob", keys)
             try:
-                receipt = survivor.append(b"unharmed", ())
-                assert receipt.verify(survivor.lsp_public_key)
+                receipt = survivor.append(b"unharmed")
+                assert receipt.verify(survivor.client.lsp_public_key)
             finally:
                 survivor.close()
 
@@ -294,9 +304,10 @@ class TestFailureModes:
         and the connection stays usable for later requests."""
         ledger, keys = make_ledger()
         with ServerThread(ledger, max_frame_bytes=2048) as served:
-            client = remote_client(served, "alice", keys)
+            session = remote_session(served, "alice", keys)
+            client = session.client
             try:
-                receipt = client.append(b"seed", ())
+                receipt = session.append(b"seed")
                 with pytest.raises(ProtocolError, match="response undeliverable"):
                     client.get_proofs([receipt.jsn] * 200, anchored=False)
                 # The id was settled and the stream is intact.
@@ -321,7 +332,7 @@ class TestFailureModes:
             )
             try:
                 with pytest.raises(ProtocolError):
-                    client.append(b"x" * 64 * 1024, ())
+                    client.session.append(b"x" * 64 * 1024)
                 assert client._remote._pending == {}
                 assert client.ping() == ledger.size
             finally:
@@ -367,7 +378,7 @@ class TestTypedRemoteErrors:
             )
             try:
                 with pytest.raises(AuthenticationError):
-                    client.append(b"who am i", ())
+                    client.session.append(b"who am i")
             finally:
                 client.close()
 
@@ -422,16 +433,16 @@ class TestRemoteLightClient:
         epoch, then verifies journals locally in O(delta)."""
         ledger, keys = make_ledger(fractal_height=3)
         with ServerThread(ledger) as served:
-            client = remote_client(served, "alice", keys)
+            client = remote_session(served, "alice", keys)
             try:
                 receipts = [
-                    client.append(f"epoch filler {i}".encode(), ("SYNC",))
+                    client.append(f"epoch filler {i}".encode(), clues=("SYNC",))
                     for i in range(12)  # spills past epoch 0 (capacity 8)
                 ]
                 added = client.sync_anchors()
                 assert added >= 1  # epoch 0 sealed and anchored
                 for receipt in receipts:
-                    journal = client.get_journal(receipt.jsn)
+                    journal = client.client.get_journal(receipt.jsn)
                     assert client.verify_journal(journal)
                 assert client.verify_clue("SYNC")
             finally:
@@ -440,11 +451,11 @@ class TestRemoteLightClient:
     def test_forged_journal_fails_local_verification(self):
         ledger, keys = make_ledger(fractal_height=3)
         with ServerThread(ledger) as served:
-            client = remote_client(served, "bob", keys)
+            client = remote_session(served, "bob", keys)
             try:
-                receipt = client.append(b"the truth", ("TAMPER",))
+                receipt = client.append(b"the truth", clues=("TAMPER",))
                 client.sync_anchors()
-                journal = client.get_journal(receipt.jsn)
+                journal = client.client.get_journal(receipt.jsn)
                 assert client.verify_journal(journal)
                 import dataclasses
 
@@ -458,14 +469,14 @@ class TestRemoteLightClient:
         sync: the consistency proof cannot bridge the two roots."""
         ledger, keys = make_ledger(fractal_height=4)
         with ServerThread(ledger) as served:
-            client = remote_client(served, "carol", keys)
+            client = remote_session(served, "carol", keys)
             try:
-                client.append(b"observed state", ())
+                client.append(b"observed state")
                 client.sync_anchors()
                 # Simulate equivocation: hand the client a different history
                 # under the same claimed sizes by corrupting its own state.
                 client.state.live_root = b"\x00" * 32
-                client.append(b"more", ())
+                client.append(b"more")
                 with pytest.raises(VerificationFailure):
                     client.sync_anchors()
             finally:
@@ -524,10 +535,10 @@ class TestRegistration:
             finally:
                 client.close()
             host, port = served.address
-            as_eve = RemoteLedgerClient(host, port, member_id="eve", keypair=eve)
+            as_eve = RemoteLedgerSession(host, port, client_id="eve", keypair=eve)
             try:
-                receipt = as_eve.append(b"hello from eve", ())
-                assert receipt.verify(as_eve.lsp_public_key)
+                receipt = as_eve.append(b"hello from eve")
+                assert receipt.verify(as_eve.client.lsp_public_key)
             finally:
                 as_eve.close()
 

@@ -62,7 +62,7 @@ def world():
     with ServerThread(ledger) as served:
         bystander = connect(served, user)
         for index in range(SEEDED):
-            bystander.append(b"seed %d" % index, ("SEED",))
+            bystander.session.append(b"seed %d" % index, clues=("SEED",))
         try:
             yield ledger, served, bystander
         finally:
@@ -310,8 +310,8 @@ def test_eight_threads_share_one_client_byte_identically(world):
                 # epoch's proof itself does not.
                 assert (proof.jsn, proof.epoch_index) == (local.jsn, local.epoch_index)
                 assert proof.epoch_proof.to_bytes() == local.epoch_proof.to_bytes()
-                assert client.verify_journal(journal, proof)
-                assert client.verify_journal(journal)
+                assert client.session.verify_journal(journal, proof)
+                assert client.session.verify_journal(journal)
                 checked[index] += 1
             for future in window:
                 receipt = future.result(30.0)
@@ -347,7 +347,7 @@ def test_a_peer_that_stops_reading_is_not_read_from():
     total = 3000
     with ServerThread(ledger, max_inflight=4) as served:
         healthy = connect(served, user)
-        jsns = [healthy.append(b"bp %d" % index).jsn for index in range(EPOCH + 4)]
+        jsns = [healthy.session.append(b"bp %d" % index).jsn for index in range(EPOCH + 4)]
         pad = b"x" * 4096
         frames = [
             encode_frame(

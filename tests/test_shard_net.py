@@ -90,11 +90,11 @@ class TestShardedServerThread:
                 ]
                 for receipt in receipts:
                     assert receipt.verify(client.lsp_public_key)
-                client.sync_anchors()  # local verification needs anchors
+                client.session.sync_anchors()  # local verification needs anchors
                 jsns = [receipt.jsn for receipt in receipts]
                 for jsn in jsns:
                     journal = client.get_journal(jsn)
-                    assert client.verify_journal(journal)
+                    assert client.session.verify_journal(journal)
             finally:
                 client.close()
             # The appends really landed on their routing shard.
@@ -136,15 +136,15 @@ class TestShardedServerThread:
             try:
                 for i in range(5):
                     client.append(request=make_request(keys, "carol", f"l{i}", (clue,)))
-                client.sync_anchors()
+                client.session.sync_anchors()
                 info = client.verify_shard_link()
-                assert info["shard_root"] == client.state.live_root
+                assert info["shard_root"] == client.session.state.live_root
                 assert info["composite_root"] == ledger.composite_root()
                 # Cross-check: a client on the *other* shard folds its own
                 # verified root into the same composite commitment.
                 other = client_for(served, 1 - shard_index, keys)
                 try:
-                    other.sync_anchors()
+                    other.session.sync_anchors()
                     other_info = other.verify_shard_link()
                 finally:
                     other.close()
@@ -159,7 +159,7 @@ class TestShardedServerThread:
             client = client_for(served, 0, keys)
             try:
                 client.append(request=make_request(keys, "dan", "x", ()))
-                client.sync_anchors()
+                client.session.sync_anchors()
                 genuine = client.shard_info()
                 forged = dict(genuine)
                 forged["shard_index"] = 1  # link no longer matches its slot
@@ -221,11 +221,11 @@ class TestUnshardedShardInfo:
             )
             try:
                 client.append(request=make_request(keys, "alice", "solo", ()))
-                client.sync_anchors()
+                client.session.sync_anchors()
                 info = client.verify_shard_link()
                 assert info["num_shards"] == 1
                 assert info["shard_index"] == 0
                 assert info["composite_root"] == info["shard_root"]
-                assert info["shard_root"] == client.state.live_root
+                assert info["shard_root"] == client.session.state.live_root
             finally:
                 client.close()

@@ -4,7 +4,7 @@ Covers the transparency primitives offline (serialization, signatures,
 conflict detection), the ledger-side surface (epoch-close emission, STH
 persistence across reopen, consistency edge cases including spans that
 cross a snapshot reopen), the sharded composite head, and the unified
-:class:`~repro.session.VerifyingSession` protocol — identical signatures on
+:class:`~repro.session.Session` — identical signatures on
 both transports, typed per-transport kwarg rejection, structured
 VerifyResult on remote verify paths.
 """
@@ -25,7 +25,7 @@ from repro.core.ledger import DEFAULT_ACK_DEADLINE_EPOCHS
 from repro.artifacts import VerifyResult
 from repro.net import ServerThread
 from repro.net.client import RemoteLedgerSession
-from repro.session import VerifyingSession
+from repro.session import Session
 from repro.shard.sharded import ShardedLedger
 from repro.transparency import (
     CensorshipEvidence,
@@ -595,14 +595,14 @@ class TestVerifyingSessionProtocol:
     def test_local_session_satisfies_protocol(self):
         ledger, keypair = make_ledger()
         with make_session(ledger, keypair) as session:
-            assert isinstance(session, VerifyingSession)
+            assert isinstance(session, Session)
 
     def test_remote_session_satisfies_protocol(self):
         ledger, _ = make_ledger()
         with ServerThread(ledger) as served:
             host, port = served.address
             with api.connect(f"ledger://{host}:{port}") as session:
-                assert isinstance(session, VerifyingSession)
+                assert isinstance(session, Session)
                 assert isinstance(session, RemoteLedgerSession)
 
     def test_signatures_identical_across_transports(self):

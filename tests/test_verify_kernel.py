@@ -1,15 +1,15 @@
 """One verification kernel, many fetchers: the differential suite.
 
-One honest deployment and six tamperings are fed through every entry point —
-``LedgerClient``, ``RemoteLedgerClient`` / ``RemoteLedgerSession`` over a
-real socket, ``LedgerSession.verify`` / ``verify_dasein`` (over a solo ledger
-and over a one-shard ``ShardedLedger`` holding the same journals),
-``DaseinVerifier`` and the standalone ``verify_bundle``.  Wherever two entry points check the
-same thing they must return the same ``(ok, what, when, who, jsn,
-trusted_root)``: they are evidence fetchers around :mod:`repro.verify`, not
-implementations of their own.  Plus the two properties the kernel owns: an
-honest server never verifies falsy beside appends, and importing the kernel
-loads neither the ledger, the service layer nor the network stack.
+One honest deployment and six tamperings are fed through every entry point:
+the same :class:`~repro.session.Session` over each of its three ports (a solo
+ledger in process, a one-shard ``ShardedLedger`` holding the same journals in
+process, and the solo ledger over a real socket), ``DaseinVerifier`` and the
+standalone ``verify_bundle``.  Wherever two entry points check the same thing
+they must return the same ``(ok, what, when, who, jsn, trusted_root)``: they
+are evidence fetchers around :mod:`repro.verify`, not implementations of
+their own.  Plus the two properties the kernel owns: an honest server never
+verifies falsy beside appends, and importing the kernel loads neither the
+ledger, the service layer nor the network stack.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import LedgerSession
-from repro.core import DaseinVerifier, Ledger, LedgerClient, LedgerConfig
-from repro.core.errors import VerificationFailure
+from repro.core import DaseinVerifier, Ledger, LedgerConfig
+from repro.core.errors import UsageError, VerificationFailure
 from repro.crypto import KeyPair, Role
 from repro.export.bundle import export_bundle
 from repro.export.verifier import verify_bundle
-from repro.net import RemoteLedgerClient, RemoteLedgerSession, ServerThread
+from repro.net import RemoteLedgerSession, ServerThread
 from repro.shard import ShardedLedger, new_deployment
 from repro.timeauth import SimClock, TimeStampAuthority
 from repro.crypto.ecdsa import Signature
@@ -88,11 +88,11 @@ def seeded(build):
 
 @pytest.fixture(scope="module")
 def world():
-    """An honest TSA-anchored ledger behind a real server, every entry point
-    attached, a bundle exported — plus its twin, the same journals on a
-    one-shard :class:`ShardedLedger`, verified through its own session."""
+    """An honest TSA-anchored ledger behind a real server and its twin, the
+    same journals on a one-shard :class:`ShardedLedger`: one session per
+    port (``w.sessions``), a fresh-session factory per port (``w.fresh``),
+    and a bundle exported."""
     ledger, local_session, receipts, tsa = seeded(Ledger)
-    user = local_session.keypair
     assert ledger.fam_reader().fam_info()["num_epochs"] == 2
     facade, facade_session, _receipts, _tsa = seeded(ShardedLedger)
     assert (facade.composite_root(), facade.state_root()) == (
@@ -106,8 +106,8 @@ def world():
     host, port = served.address
     lsp_key = ledger.registry.public_key("__lsp__")
 
-    def remote_client():
-        return RemoteLedgerClient(host, port, expected_lsp_key=lsp_key)
+    def remote_session():
+        return RemoteLedgerSession(host, port, expected_lsp_key=lsp_key)
 
     w = SimpleNamespace(
         ledger=ledger,
@@ -123,71 +123,58 @@ def world():
         other=other,
         lineage=local_session.list_tx(CLUE),
         local_session=local_session,
-        facade_session=facade_session,
-        local_client=lambda: LedgerClient(USER, user, ledger, tsa_keys={"kernel-tsa": tsa.public_key}),
-        remote_client=remote_client,
-        remote_session=RemoteLedgerSession(host, port, expected_lsp_key=lsp_key),
+        sessions={"solo": local_session, "1-shard": facade_session, "tcp": remote_session()},
+        # A sharded deployment has no one fam to anchor: the anchor-store
+        # fold runs over the solo ledger's two ports.
+        fresh={"solo": lambda: LedgerSession(ledger), "tcp": remote_session},
+        facade=facade,
         bundle=export_bundle(ledger, clues=(CLUE,)),
     )
     yield w
-    w.remote_session.close()
+    w.sessions["tcp"].close()
     served.close()
 
 
 def tx_verdicts(w, journal, *, anchored=None, full=None, root=None, tracked_root=None):
-    """``journal`` through every TX-existence entry point.
+    """``journal`` through every TX-existence entry point: the same session
+    over each port, at client and server level, plus a fresh session per
+    port folding against its own anchor store.
 
     ``anchored`` / ``full`` stand in for the proof each would fetch (a
     tampered ``rho``); ``root`` pins the trusted fam commitment where the
     entry point takes one; ``tracked_root`` overwrites the live root a
-    client's own tracker trusts.  Returns structured results and bare bools.
+    session's own tracker trusts.  Returns structured results and bare bools.
     """
-    pinned = root if root is not None else w.root
     results = {}
-    if tracked_root is None:
-        results = {
-            "local session, client level": w.local_session.verify(
-                "tx", txdata=[journal], rho=full, root=root, level="client"
-            ),
-            "1-shard facade session, client level": w.facade_session.verify(
-                "tx", txdata=[journal], rho=full, root=root, level="client"
-            ),
-            "remote session, pinned root": w.remote_session.verify(
-                "tx", txdata=[journal], rho=full, root=pinned, level="client"
-            ),
-        }
     bools = {}
-    if root is None:
-        remote = w.remote_client()
-        try:
-            remote.sync_anchors()
-            local = w.local_client()
-            local.sync_anchors()
-            if tracked_root is not None:
-                remote.state.live_root = local.state.live_root = tracked_root
-            bools["remote client"] = remote.verify_journal(journal, anchored)
-            bools["local tracker"] = local.tracker.fold_anchored(
-                journal.tx_hash(),
-                anchored or w.ledger.get_proof(journal.jsn, anchored=True),
+    if tracked_root is None:
+        for name, session in w.sessions.items():
+            # Without a pinned root the TCP port trusts the anchor store, so
+            # its stand-in proof is the anchored one (DESIGN.md §18).
+            rho = anchored if session.port.anchored and root is None else full
+            results[f"{name}, client level"] = session.verify(
+                "tx", txdata=[journal], rho=rho, root=root, level="client"
             )
-            if anchored is None:
-                bools["local client"] = local.verify_journal(journal)
-        finally:
-            remote.close()
-        if tracked_root is None:
-            results["local session, server level"] = w.local_session.verify(
-                "tx", txdata=[journal], rho=full
+        if root is None:
+            results["tcp, pinned root"] = w.sessions["tcp"].verify(
+                "tx", txdata=[journal], rho=full, root=w.root, level="client"
             )
-            results["1-shard facade session, server level"] = w.facade_session.verify(
-                "tx", txdata=[journal], rho=full
-            )
-            results["remote session, anchor store"] = w.remote_session.verify(
-                "tx", txdata=[journal], rho=anchored, level="client"
-            )
-            if anchored is None and full is None:
-                bools["remote session, server level"] = bool(
-                    w.remote_session.verify("tx", txdata=[journal])
+            for name in ("solo", "1-shard"):
+                results[f"{name}, server level"] = w.sessions[name].verify(
+                    "tx", txdata=[journal], rho=full
                 )
+            if anchored is None and full is None:
+                bools["tcp, server level"] = bool(w.sessions["tcp"].verify("tx", txdata=[journal]))
+    if root is None:
+        for name, fresh in w.fresh.items():
+            session = fresh()
+            try:
+                session.sync_anchors()
+                if tracked_root is not None:
+                    session.state.live_root = tracked_root
+                bools[f"{name}, anchor store"] = session.verify_journal(journal, anchored).ok
+            finally:
+                session.close()
     return results, bools
 
 
@@ -225,26 +212,13 @@ def dasein_verdicts(w, jsn, *, view=None, proof=None, receipt=None, tsa_keys=Non
         )
     }
     if view is None and proof is None:
-        for name, session in (
-            ("local session", w.local_session),
-            ("1-shard facade session", w.facade_session),
-        ):
+        for name in ("solo", "1-shard"):
             verdicts[name] = fields(
-                session.verify_dasein(jsn, receipt, tsa_keys=tsa_keys, trusted_root=root)
+                w.sessions[name].verify_dasein(jsn, receipt, tsa_keys=tsa_keys, trusted_root=root)
             )
-        if root is None:
-            client = w.local_client()
-            client.tsa_keys = dict(tsa_keys)
-            client.state.receipts[jsn] = receipt if receipt is not None else honest_receipt
-            report = client.verify_dasein(jsn)
-            verdicts["local client"] = (
-                report.dasein_complete,
-                report.what,
-                report.when_valid,
-                report.who,
-                report.jsn,
-                w.root,
-            )
+        # The TCP port has no export view: a typed refusal, never a verdict.
+        with pytest.raises(UsageError, match="export view"):
+            w.sessions["tcp"].verify_dasein(jsn, receipt, tsa_keys=tsa_keys, trusted_root=root)
     return verdicts
 
 
@@ -281,34 +255,27 @@ def test_honest_evidence_passes_every_entry_point(world):
     clue_results = clue_verdicts(w, w.lineage)
     for name, result in clue_results.items():
         assert fields(result) == (True, True, None, None, None, w.state_root), name
-    with_client = w.remote_client()
-    try:
-        assert with_client.verify_clue(CLUE) and w.local_client().verify_clue(CLUE)
-    finally:
-        with_client.close()
+    with pytest.raises(UsageError, match="no one fam"):
+        LedgerSession(w.facade).sync_anchors()
+    for name, session in w.sessions.items():
+        assert fields(session.verify_clue(CLUE)) == (
+            True, True, None, None, None, w.state_root,
+        ), name
 
 
 def clue_verdicts(w, journals, *, rho=None, root=None):
-    """The lineage of ``CLUE`` through every clue entry point (all levels)."""
+    """The lineage of ``CLUE`` through the same session over every port, at
+    both levels."""
     kwargs = {"key": CLUE, "txdata": journals, "rho": rho}
-    verdicts = {
-        "local session, client level": w.local_session.verify(
-            "clue", root=root, level="client", **kwargs
-        ),
-        "1-shard facade session, client level": w.facade_session.verify(
-            "clue", root=root, level="client", **kwargs
-        ),
-        "remote session, client level": w.remote_session.verify(
-            "clue", root=root if root is not None or rho is None else w.state_root,
-            level="client", **kwargs
-        ),
-    }
-    if root is None and rho is None:
-        verdicts["local session, server level"] = w.local_session.verify("clue", **kwargs)
-        verdicts["1-shard facade session, server level"] = w.facade_session.verify(
-            "clue", **kwargs
+    verdicts = {}
+    for name, session in w.sessions.items():
+        # Over TCP a pre-fetched rho has no trusted root unless one is pinned.
+        pinned = w.state_root if name == "tcp" and root is None and rho is not None else root
+        verdicts[f"{name}, client level"] = session.verify(
+            "clue", root=pinned, level="client", **kwargs
         )
-        verdicts["remote session, server level"] = w.remote_session.verify("clue", **kwargs)
+        if root is None and rho is None:
+            verdicts[f"{name}, server level"] = session.verify("clue", **kwargs)
     return verdicts
 
 
@@ -479,7 +446,7 @@ def test_honest_server_never_verifies_falsy_beside_appends():
     ledger.registry.register(USER, Role.USER, user.public)
     with ServerThread(ledger) as served:
         host, port = served.address
-        writer = RemoteLedgerClient(host, port, member_id=USER, keypair=user)
+        writer = RemoteLedgerSession(host, port, client_id=USER, keypair=user)
         session = RemoteLedgerSession(host, port)
         acked = [writer.append(b"seed %d" % index).jsn for index in range(8)]
         stop = threading.Event()
@@ -535,7 +502,6 @@ def test_in_process_client_verifies_take_proof_and_root_from_one_head(shards):
     session = LedgerSession(ledger, client_id=USER, keypair=keys[USER])
     session.append_batch([(b"fixed %d" % index, "FIXED") for index in range(5)])
     lineage = session.list_tx("FIXED")
-    client = LedgerClient(USER, keys[USER], ledger) if shards == 1 else None
     writer = LedgerSession(ledger, client_id="writer", keypair=keys["writer"])
     stop = threading.Event()
     errors = []
@@ -562,8 +528,7 @@ def test_in_process_client_verifies_take_proof_and_root_from_one_head(shards):
             for journal in (lineage[0], lineage[-1]):
                 falsy += not session.verify("tx", txdata=[journal], level="client")
             falsy += not session.verify("clue", key="FIXED", txdata=lineage, level="client")
-            if client is not None:
-                falsy += not client.verify_clue("FIXED")
+            falsy += not session.verify_clue("FIXED")
             false_passes += bool(
                 session.verify("tx", txdata=[flipped(lineage[-1])], level="client")
             )
