@@ -58,7 +58,7 @@ from ..merkle.consistency import ConsistencyProof
 from ..merkle.fam import FamProof
 from ..merkle.proofs import MembershipProof
 from ..service import ServiceClosedError, ServiceOverloadedError, ServiceTimeout
-from ..session import Session, accept_receipts, accepted
+from ..session import Session, accept_receipts, accepted, carry
 from ..transparency.censorship import SubmissionAck
 from ..transparency.sth import (
     ConsistencyAssertion,
@@ -539,8 +539,13 @@ class AsyncRemoteLedger(FrameConnection):
     # -------------------------------------------------------------- reads
 
     async def get_journal(self, jsn: int) -> Journal:
+        """The journal; the anchored proof its reply carries rides along on
+        it undecoded (:func:`repro.session.carry`), a claim until folded."""
         result = await self._call("get_journal", jsn=jsn)
-        return Journal.from_bytes(bytes(result["journal"]))
+        journal = Journal.from_bytes(bytes(result["journal"]))
+        if "proof" in result:
+            carry(journal, result["proof"])
+        return journal
 
     async def list_tx(self, clue: str) -> list[int]:
         return list((await self._call("list_tx", clue=clue))["jsns"])

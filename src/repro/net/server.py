@@ -471,8 +471,14 @@ class LedgerServer:
         return {"member_id": member_id, "role": role.value}
 
     def _op_get_journal(self, message: dict) -> dict:
+        """The journal plus its anchored fam proof, so a client-level TX
+        verify is one round trip.  The proof is a claim like any
+        ``get_proof`` reply; a journal whose epoch purge erased has none."""
         jsn = _require_int(message.get("jsn"), "jsn")
-        return {"journal": self.ledger.get_journal(jsn).to_bytes()}
+        reply = {"journal": self.ledger.get_journal(jsn).to_bytes()}
+        with contextlib.suppress(KeyError):
+            reply["proof"] = self.ledger.get_proof(jsn, anchored=True).to_bytes()
+        return reply
 
     async def _op_list_tx(self, message: dict) -> dict:
         clue = _require_str(message.get("clue"), "clue")

@@ -33,7 +33,9 @@ from .core.journal import ClientRequest
 from .core.verification import DaseinVerifier
 from .crypto.hashing import sha256
 from .crypto.keys import verify_batch
+from .encoding import EncodingError
 from .export.bundle import export_bundle
+from .merkle.fam import FamProof
 from .shard.shape import audit_shards, locate
 from .verify import AnchorTracker, clue_what, lift, tx_what
 
@@ -52,6 +54,7 @@ __all__ = [
     "Session",
     "TransportCapability",
     "accept_receipts",
+    "carry",
     "check_transport_kwargs",
 ]
 
@@ -435,8 +438,17 @@ class Session:
 
     def _anchored_what(self, journal, proof) -> tuple[bool, dict]:
         """An anchored proof folded against the anchor store, which connects
-        the proof's head to the tracked one itself (no round trip for it)."""
-        if proof is None:
+        the proof's head to the tracked one itself (no round trip for it).
+        With no ``proof`` given, the one the journal's read carried is folded
+        (:func:`carry`); without one, it costs one ``get_proof`` round trip."""
+        if proof is None and _CARRIED_PROOF in journal.__dict__:
+            proof = _decode_carried(journal.__dict__[_CARRIED_PROOF])
+            if proof is None or proof.jsn != journal.jsn:
+                return False, {
+                    "proof": proof,
+                    "detail": f"the proof carried with journal {journal.jsn} is not a proof of it",
+                }
+        elif proof is None:
             proof = self.port.get_proof(journal.jsn, anchored=True)
         return self.tracker.fold_anchored(journal.tx_hash(), proof), {
             "proof": proof,
@@ -555,6 +567,27 @@ class Session:
             early_terminate=early_terminate,
             **kwargs,
         )
+
+
+#: The memo a read leaves a journal's carried proof under: not a field, so
+#: invisible to ``==``, ``hash``, ``dataclasses.replace`` and ``to_bytes``.
+_CARRIED_PROOF = "_carried_proof"
+
+
+def carry(journal: "Journal", blob: Any) -> None:
+    """Keep ``blob`` — the anchored proof a ``get_journal`` reply carried,
+    still undecoded — on ``journal`` for :meth:`Session.verify` to fold."""
+    object.__setattr__(journal, _CARRIED_PROOF, blob)
+
+
+def _decode_carried(blob: Any) -> FamProof | None:
+    """The carried proof, or ``None`` for anything that is not one."""
+    if not isinstance(blob, bytes):
+        return None
+    try:
+        return FamProof.from_bytes(blob)
+    except (EncodingError, KeyError, TypeError, ValueError):
+        return None
 
 
 def _clue_tuple(clue: str | tuple[str, ...] | None) -> tuple[str, ...]:

@@ -43,6 +43,19 @@ def test_fam_proof_throughput_stable(result):
     assert max(values) < 2.0 * min(values)
 
 
+def test_smaller_delta_has_shorter_anchored_paths(result):
+    # Deterministic twin of the wall-clock test below: at the largest size,
+    # the hash path an anchored verify folds is shorter under fam-2 than
+    # under fam-10, for every sampled journal.
+    largest = max(result.sizes)
+    small, large = fig8.build_fam(2, largest), fig8.build_fam(10, largest)
+    for jsn in range(0, largest, 97):
+        assert (
+            small.get_proof(jsn, anchored=True).anchored_cost
+            < large.get_proof(jsn, anchored=True).anchored_cost
+        )
+
+
 def test_smaller_delta_verifies_faster(result):
     largest = max(result.sizes)
     assert result.proof_tps["fam-2"][largest] > result.proof_tps["fam-10"][largest]

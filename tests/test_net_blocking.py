@@ -9,7 +9,14 @@ trip on a pooled read socket of its own.  What that must keep, and guard:
   client and the server as they were before the read sockets: one
   connection carrying hello #1, get_journal #2 and get_proof #3.  The read
   path must send byte-identical requests, and the server must still answer
-  them with byte-identical replies.
+  them with byte-identical replies.  The one deliberate change since: the
+  ``get_journal`` reply carries the journal's anchored proof (``proof``),
+  and its golden frame was re-recorded from the server that added it.
+* The carried proof is a claim.  A server that omits it costs one
+  ``get_proof`` round trip; one that sends garbage, a truncated proof, a
+  non-bytes value, another journal's proof, a fork's proof or an honest
+  proof beside a tampered journal gets a falsy verdict, never an exception;
+  the memo changes nothing a journal compares, hashes or encodes.
 * A hostile server costs one socket and one typed error naming the op, within
   the client's ``timeout``: a reply with another id, two frames for one
   request, a length prefix over the cap, a close mid-frame, silence.  The
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import itertools
 import socket
 import struct
@@ -45,6 +53,7 @@ from repro.net import (
     ProtocolError,
     RemoteLedgerClient,
     RemoteLedgerError,
+    RemoteLedgerSession,
     ServerThread,
     encode_frame,
 )
@@ -60,8 +69,9 @@ OPS = ("hello", "get_journal", "get_proof")
 TIMEOUT = 1.0
 
 
-def golden_ledger() -> Ledger:
-    """The net tests' seeded ledger and member, with six journals appended in-process."""
+def golden_ledger(fork_at: int | None = None) -> Ledger:
+    """The net tests' seeded ledger and member, with six journals appended
+    in-process; ``fork_at`` is the jsn of a journal whose payload a fork changed."""
     ledger = Ledger(LedgerConfig(uri=URI, fractal_height=4, block_size=4), clock=SimClock())
     user = KeyPair.generate(seed="transport:user")
     ledger.registry.register(USER, Role.USER, user.public)
@@ -69,7 +79,7 @@ def golden_ledger() -> Ledger:
         request = ClientRequest.build(
             URI,
             USER,
-            b"golden %d" % index,
+            (b"forked %d" if ledger.size == fork_at else b"golden %d") % index,
             clues=("GOLDEN",),
             nonce=index.to_bytes(8, "big"),
             client_timestamp=1.0,
@@ -268,6 +278,169 @@ def test_a_read_socket_claiming_another_lsp_key_carries_nothing():
                     client.ping()
                 assert double.hung_up[attempt].wait(5.0)
                 assert double.ops(attempt) == ["hello"]
+        finally:
+            client.close()
+
+
+# ------------------------------------------------------ the carried proof
+
+
+OTHER = 1  # another journal of the golden ledger, in JSN's epoch
+
+
+def read_frame_from(sock: socket.socket) -> bytes:
+    """Exactly one frame off ``sock``."""
+    data = b""
+    while len(data) < 4 or len(data) < 4 + struct.unpack_from(">I", data)[0]:
+        chunk = sock.recv(65536)
+        assert chunk, "the upstream server hung up"
+        data += chunk
+    return data
+
+
+class Relay:
+    """A :class:`DoubleServer` reply function that forwards every request to
+    a real server (one upstream socket per connection) and hands each
+    ``get_journal`` result to ``edit`` before it goes back."""
+
+    def __init__(self, address: tuple[str, int], edit: Callable[[dict], dict]) -> None:
+        self.address = address
+        self.edit = edit
+        self.upstream: dict[int, socket.socket] = {}
+
+    def __call__(self, index: int, message: dict) -> tuple[bytes, bool]:
+        if index not in self.upstream:
+            self.upstream[index] = socket.create_connection(self.address, timeout=30.0)
+        sock = self.upstream[index]
+        sock.sendall(encode_frame(message))
+        reply = read_frame_from(sock)
+        if message["op"] == "get_journal":
+            answer = message_of(reply)
+            answer["result"] = self.edit(dict(answer["result"]))
+            reply = encode_frame(answer)
+        return reply, False
+
+    def close(self) -> None:
+        for sock in self.upstream.values():
+            sock.close()
+
+
+def carried(ledger: Ledger) -> dict[str, Callable[[dict], dict]]:
+    """Hostile ``get_journal`` results for JSN, by name, over ``ledger``'s
+    honest one.  Two forks of it: one changed JSN itself (whose proof is
+    then the honest one: a path holds no leaf of its own), one changed the
+    journal after it (whose proof of JSN is another)."""
+    fork, fork_beside = golden_ledger(fork_at=JSN), golden_ledger(fork_at=JSN + 1)
+    honest = ledger.get_proof(JSN, anchored=True)
+    forked = fork_beside.get_proof(JSN, anchored=True)
+    assert forked != honest and fork.get_journal(JSN) != ledger.get_journal(JSN)
+    other = ledger.get_proof(OTHER, anchored=True)
+    journal = ledger.get_journal(JSN)
+    tampered = dataclasses.replace(journal, payload=journal.payload[:-1] + b"X")
+    return {
+        "garbage": lambda result: dict(result, proof=bytes(range(64))),
+        "truncated": lambda result: dict(result, proof=honest.to_bytes()[:-7]),
+        "a str": lambda result: dict(result, proof=honest.to_bytes().hex()),
+        "an int": lambda result: dict(result, proof=7),
+        "another jsn's proof": lambda result: dict(result, proof=other.to_bytes()),
+        "another jsn's path, relabelled": lambda result: dict(
+            result, proof=dataclasses.replace(other, jsn=JSN).to_bytes()
+        ),
+        "a fork's proof": lambda result: dict(result, proof=forked.to_bytes()),
+        "a fork's journal and proof": lambda result: dict(
+            result,
+            journal=fork.get_journal(JSN).to_bytes(),
+            proof=fork.get_proof(JSN, anchored=True).to_bytes(),
+        ),
+        "a tampered journal, the honest proof": lambda result: dict(
+            result, journal=tampered.to_bytes()
+        ),
+    }
+
+
+def verdicts(session: RemoteLedgerSession) -> list:
+    """The TX verdict on the journal at JSN, read afresh, both ways."""
+    return [
+        session.verify("tx", txdata=[session.client.get_journal(JSN)], level="client"),
+        session.verify_journal(session.client.get_journal(JSN)),
+    ]
+
+
+def relayed(edit: Callable[[dict], dict], ledger: Ledger, check: Callable) -> None:
+    """``check(session, double)`` over a session reading ``ledger`` through a
+    :class:`Relay` that applies ``edit``."""
+    with ServerThread(ledger) as served:
+        relay = Relay(served.address, edit)
+        try:
+            with DoubleServer(relay) as double:
+                session = RemoteLedgerSession(
+                    *double.address, expected_lsp_key=LSP_KEY, timeout=10.0
+                )
+                try:
+                    check(session, double)
+                finally:
+                    session.close()
+        finally:
+            relay.close()
+
+
+def get_proofs_served(double: DoubleServer) -> int:
+    return sum(double.ops(index).count("get_proof") for index in range(len(double.requests)))
+
+
+def test_a_reply_without_a_proof_costs_exactly_one_get_proof():
+    """Today's server: the session fetches the proof, once per verify."""
+    ledger = golden_ledger()
+
+    def check(session: RemoteLedgerSession, double: DoubleServer) -> None:
+        session.sync_anchors()
+        for verify in (
+            lambda journal: session.verify("tx", txdata=[journal], level="client"),
+            session.verify_journal,
+        ):
+            journal = session.client.get_journal(JSN)
+            before = get_proofs_served(double)
+            assert verify(journal).ok
+            assert get_proofs_served(double) == before + 1
+
+    relayed(lambda result: {"journal": result["journal"]}, ledger, check)
+
+
+def test_an_honest_carried_proof_costs_no_get_proof():
+    ledger = golden_ledger()
+
+    def check(session: RemoteLedgerSession, double: DoubleServer) -> None:
+        assert all(verdicts(session))
+        assert get_proofs_served(double) == 0
+
+    relayed(lambda result: result, ledger, check)
+
+
+@pytest.mark.parametrize("hostile", sorted(carried(golden_ledger())))
+def test_a_hostile_carried_proof_is_falsy_and_never_raises(hostile):
+    ledger = golden_ledger()
+
+    def check(session: RemoteLedgerSession, double: DoubleServer) -> None:
+        for result in verdicts(session):
+            assert not result.ok and result.what is False, (hostile, result)
+            assert result.detail
+
+    relayed(carried(ledger)[hostile], ledger, check)
+
+
+def test_the_memo_changes_no_equality_hash_or_bytes():
+    ledger = golden_ledger()
+    with ServerThread(ledger) as served:
+        client = RemoteLedgerClient(*served.address)
+        try:
+            for jsn in range(ledger.size):
+                remote, local = client.get_journal(jsn), ledger.get_journal(jsn)
+                rebuilt = dataclasses.replace(remote)
+                assert vars(remote).keys() > vars(local).keys()  # the memo is there
+                for twin in (local, rebuilt):
+                    assert remote == twin and hash(remote) == hash(twin)
+                    assert remote.to_bytes() == twin.to_bytes()
+                    assert remote.tx_hash() == twin.tx_hash()
         finally:
             client.close()
 
