@@ -1,108 +1,60 @@
-"""Command-line entry point: ``python -m repro <command>``.
+"""Command-line entry point: ``python -m repro <command>`` (``-h`` lists them).
 
-Commands:
-
-* ``demo``   — run the guided end-to-end scenario (append → verify → audit);
-* ``audit``  — build a deterministic ledger and run the §V Dasein-complete
-  audit over it (optionally parallel, resumable, JSON output);
-* ``witness`` — run the §16 transparency attack scenarios (forking server,
-  censoring server, honest control) against live TCP servers and report
-  which produced offline-verifiable evidence;
-* ``stats``  — run an instrumented workload and print the observability
-  snapshot (DESIGN.md §10): per-phase spans, cache hit rates, storage I/O;
-* ``compact`` — rewrite a persistent ledger's paged node store down to its
-  live node set (DESIGN.md §13) and refresh the snapshot's page manifest;
-* ``serve``  — expose a ledger over TCP (DESIGN.md §14): the asyncio frame
-  server fronting the group-commit service, for remote verifying clients;
-* ``export`` — write an offline export bundle (DESIGN.md §17) from a
-  persistent ledger or a seeded demo deployment;
-* ``verify-bundle`` — standalone what/when/who + STH verification of a
-  bundle file, no ledger kernel imported;
-* ``rebuild`` — reconstruct a full deployment from a bundle or a raw
-  journal stream and cross-check every root, anchor, and tree head.
-
-Subcommands register declaratively in :data:`_SUBCOMMANDS`: shared options
-(``--json``, ``--journals``, ``--shards``, ``--data-dir``) are installed
-from one place, and every command's :class:`~repro.core.errors.LedgerError`
-failures are formatted uniformly (typed name + message on stderr, exit 2)
-instead of per-command try/except blocks.
+Every verb is a few calls into a :class:`~repro.session.Session` over one
+seeded (:func:`_seeded_deployment`) or reopened (:func:`_open_persistent`)
+deployment, and prints through :func:`_report`: one ``[ok ]``/``FAIL`` row
+per check and a summary line, or with ``--json`` the artifact's dict.  A
+:class:`~repro.core.errors.LedgerError` from any verb prints as
+``<command>: <Type>: <message>`` on stderr with exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable
+from pathlib import Path
+from typing import Any
+
+#: One check of a verb: ``(check, passed, detail)``.
+Row = tuple[str, bool, str]
 
 
-def _cmd_demo(_args: argparse.Namespace) -> int:
-    from repro import (
-        KeyPair,
-        Ledger,
-        LedgerConfig,
-        Role,
-        SimClock,
-        TimeLedger,
-        TimeStampAuthority,
-    )
-    from repro.api import LedgerSession
+def _report(args: argparse.Namespace, rows: list[Row], summary: str, payload: Any) -> None:
+    """The one renderer: a marker per check then ``summary``, or the JSON payload."""
+    if getattr(args, "json", False):
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return
+    for check, passed, detail in rows:
+        marker = "ok " if passed else "FAIL"
+        print(f"  [{marker}] {check}: {detail}")
+    print(summary)
 
-    clock = SimClock()
-    tsa = TimeStampAuthority("demo-tsa", clock)
-    tledger = TimeLedger(clock, tsa, finalize_interval=1.0, admission_tolerance=2.0)
-    ledger = Ledger(LedgerConfig(uri="ledger://demo", fractal_height=4, block_size=4), clock=clock)
-    ledger.attach_time_ledger(tledger)
-    user = KeyPair.generate(seed="demo-user")
-    ledger.registry.register("demo-user", Role.USER, user.public)
-    print(f"created {ledger!r}")
-    session = LedgerSession(ledger, client_id="demo-user", keypair=user)
-    receipts = []
-    for i in range(12):
-        receipts.append(session.append(f"record {i}".encode(), clue="DEMO"))
-        clock.advance(0.3)
-        if i % 4 == 3:
-            ledger.anchor_time()
-    clock.advance(2.0)
-    ledger.collect_time_evidence()
-    ledger.commit_block()
-    tsa_keys = {"demo-tsa": tsa.public_key}
-    target = receipts[5]
-    report = session.verify_dasein(target.jsn, target, tsa_keys=tsa_keys)
-    print(
-        f"journal {target.jsn}: what={report.what} "
-        f"when=({report.when_bound.lower:.1f}, {report.when_bound.upper:.1f}) "
-        f"who={report.who} -> Dasein-complete={report.ok}"
-    )
-    audit = session.audit(tsa_keys=tsa_keys)
-    print(
-        f"full audit: passed={audit.passed} "
-        f"({audit.journals_replayed} journals, {audit.blocks_verified} blocks, "
-        f"{audit.time_journals_verified} time anchors)"
-    )
-    return 0 if audit.passed and report else 1
+
+def _fields(obj: Any, *names: str) -> dict:
+    return {name: getattr(obj, name) for name in names}
 
 
 def _seeded_deployment(
     name: str,
-    uri: str,
     journals: int,
-    shards: int,
+    shards: int = 1,
     *,
-    fractal_height: int,
-    block_size: int,
-    anchor_every: int,
+    uri: str | None = None,
+    fractal_height: int = 4,
+    block_size: int = 8,
+    anchor_every: int = 8,
     data_dir: str | None = None,
 ):
     """Deterministic demo deployment: seeded keys, sim clock, direct TSA.
 
-    Returns ``(session, tsa_keys)`` — a v2 session over a ledger with
-    ``journals`` clue-tagged records, periodic time anchors, and committed
-    blocks, identical bytes for a given argument list on every run (which is
-    what makes the CLI self-checks meaningful in CI).  Over several shards
-    the same workload lands on a hash-partitioned
-    :class:`~repro.shard.ShardedLedger`; with ``data_dir`` it persists there
-    on the paged node store.
+    Returns ``(session, tsa_keys)`` — a session over a ledger (URI
+    ``ledger://<name>`` by default) with ``journals`` clue-tagged records,
+    periodic time anchors, and committed blocks, identical bytes for a given
+    argument list on every run (which is what makes the CLI self-checks
+    meaningful in CI).  Over several shards the same workload lands on a
+    hash-partitioned :class:`~repro.shard.ShardedLedger`; with ``data_dir``
+    it persists there on the paged node store.
     """
     from repro import KeyPair, LedgerConfig, Role, SimClock, TimeStampAuthority
     from repro.api import LedgerSession
@@ -112,7 +64,7 @@ def _seeded_deployment(
     tsa = TimeStampAuthority(f"{name}-tsa", clock)
     storage = {"node_store": "paged", "data_dir": data_dir} if data_dir else {}
     config = LedgerConfig(
-        uri=uri,
+        uri=uri or f"ledger://{name}",
         fractal_height=fractal_height,
         block_size=block_size,
         shards=shards,
@@ -136,499 +88,24 @@ def _seeded_deployment(
     return session, {f"{name}-tsa": tsa.public_key}
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    import json
-
-    session, tsa_keys = _seeded_deployment(
-        "audit", "ledger://audit", args.journals, args.shards,
-        fractal_height=5, block_size=8, anchor_every=16,
-    )
-    checkpoint = args.resume if args.resume is not None else args.checkpoint
-    report = session.audit(
-        tsa_keys=tsa_keys,
-        workers=args.workers,
-        checkpoint=checkpoint,
-        resume=args.resume is not None,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        for step in report.steps:  # a sharded report prefixes each with its shard
-            marker = "ok " if step.passed else "FAIL"
-            print(f"  [{marker}] {step.name}: {step.detail}")
-        print(
-            f"audit passed={report.passed} "
-            f"({report.journals_replayed} journals, {report.blocks_verified} blocks, "
-            f"{report.time_journals_verified} time anchors, "
-            f"workers={args.workers}, shards={args.shards})"
-        )
-    return 0 if report.passed else 1
-
-
-def _cmd_witness(args: argparse.Namespace) -> int:
-    """Run the §16 transparency attack scenarios against live TCP servers.
-
-    Exit status is the number of scenarios whose outcome deviates from the
-    expected one (forks and censorship detected, honest server clean), so
-    the command doubles as a self-check in CI.
-    """
-    import json
-    import tempfile
-    from dataclasses import asdict
-    from pathlib import Path
-
-    from repro.transparency.attacks import (
-        run_censorship,
-        run_fork_equivocation,
-        run_honest_server,
-    )
-
-    scenarios = [
-        ("fork", run_fork_equivocation, True),
-        ("censorship", run_censorship, True),
-        ("honest", run_honest_server, False),
-    ]
-    failures = 0
-    results = []
-    with tempfile.TemporaryDirectory(prefix="repro-witness-") as tmp:
-        for name, runner, expect_detected in scenarios:
-            result = runner(Path(tmp) / name)
-            ok = (
-                result.detected == expect_detected
-                and result.evidence_verified
-            )
-            failures += 0 if ok else 1
-            results.append((result, ok))
-    if args.json:
-        print(json.dumps([asdict(r) for r, _ in results], indent=2))
-        return failures
-    for result, ok in results:
-        verdict = "as expected" if ok else "UNEXPECTED"
-        print(f"[{result.scenario}] detected={result.detected} ({verdict})")
-        if result.evidence_kinds:
-            print(f"  evidence: {', '.join(result.evidence_kinds)} "
-                  f"(offline-verified: {result.evidence_verified})")
-        if result.refutation_succeeded is not None:
-            print(f"  refutation succeeded: {result.refutation_succeeded}")
-        print(f"  {result.detail}")
-    return failures
-
-
-def _compact_one(data_dir) -> dict | None:
-    """Compact one ledger directory; None when it holds no paged store."""
-    from repro.core.errors import SnapshotError
-    from repro.core.snapshot import load_snapshot, write_snapshot
-    from repro.merkle.mpt import MPT
-    from repro.storage.pagestore import PagedNodeStore
-
-    nodes_dir = data_dir / "nodes"
-    if not nodes_dir.is_dir():
-        return None
-    store = PagedNodeStore(nodes_dir)
-    snapshot_path = data_dir / "snapshot.ckpt"
-    try:
-        state = load_snapshot(snapshot_path)
-    except SnapshotError:
-        state = None
-    if state is not None:
-        # Live set = nodes reachable from the checkpointed CM-Tree1 root.
-        # Nodes written by post-snapshot appends may be dropped too: the
-        # delta replay at the next open deterministically re-creates them.
-        root = bytes(state["cmtree"]["root"])
-        result = store.compact(MPT(store, root=root).reachable())
-        state["page_manifest"] = [list(entry) for entry in store.manifest()]
-        write_snapshot(snapshot_path, state)
-    else:
-        # No snapshot to anchor a live set: only drop shadowed/tombstoned
-        # entries (every still-indexed key survives).
-        result = store.compact()
-    store.close()
-    return result
-
-
-def _cmd_compact(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.shard import iter_shard_dirs
-
-    data_dir = Path(args.data_dir)
-    shard_dirs = list(iter_shard_dirs(data_dir))
-    # A sharded data_dir holds no store of its own — compact each shard.
-    targets = shard_dirs or [data_dir]
-    results = {}
-    for target in targets:
-        result = _compact_one(target)
-        if result is not None:
-            results[str(target)] = result
-    if not results:
-        print(f"no paged node store under {data_dir}", file=sys.stderr)
-        return 1
-    if args.json:
-        if not shard_dirs:
-            # Unsharded: keep the original flat report shape.
-            print(json.dumps(results[str(data_dir)], indent=2, sort_keys=True))
-        else:
-            print(json.dumps(results, indent=2, sort_keys=True))
-    else:
-        for name, result in results.items():
-            print(
-                f"compacted {name}: pages {result['pages_before']} -> "
-                f"{result['pages_after']}, entries {result['entries_before']} -> "
-                f"{result['entries_after']}, bytes {result['bytes_before']} -> "
-                f"{result['bytes_after']}"
-            )
-    return 0
-
-
-def _stats_workload(journals: int) -> dict:
-    """Run an instrumented end-to-end workload; return the metrics snapshot.
-
-    Exercises every instrumented layer: single and batched appends onto a
-    durable :class:`FileStream`, fam proofs, server-side verification, full
-    client-side Dasein verification, a reopen (storage.open_scan), and a
-    served leg — a real socket round trip through the §14 frame server so
-    the ``net.*`` families are present in the snapshot.
-
-    Runs inside :func:`repro.obs.scoped`: the process-global registry (and
-    whatever it had accumulated) is untouched afterwards, so a ``stats``
-    run can never skew later measurements.
-    """
-    import tempfile
-
-    from repro import (
-        KeyPair,
-        Ledger,
-        LedgerConfig,
-        Role,
-        SimClock,
-        TimeLedger,
-        TimeStampAuthority,
-    )
-    from repro import obs
-    from repro.api import LedgerSession
-    from repro.storage.stream import FileStream
-
-    with obs.scoped() as scoped_registry, tempfile.TemporaryDirectory(
-        prefix="repro-stats-"
-    ) as tmp:
-        clock = SimClock()
-        tsa = TimeStampAuthority("stats-tsa", clock)
-        tledger = TimeLedger(clock, tsa, finalize_interval=1.0, admission_tolerance=2.0)
-        stream = FileStream(f"{tmp}/journal.stream", durable=True)
-        ledger = Ledger(
-            LedgerConfig(uri="ledger://stats", fractal_height=4, block_size=4),
-            clock=clock,
-            journal_stream=stream,
-        )
-        ledger.attach_time_ledger(tledger)
-        user = KeyPair.generate(seed="stats-user")
-        ledger.registry.register("stats-user", Role.USER, user.public)
-
-        session = LedgerSession(ledger, client_id="stats-user", keypair=user)
-        half = journals // 2
-        receipts = []
-        for i in range(half):
-            receipts.append(session.append(f"record {i}".encode(), clue="STATS"))
-            clock.advance(0.1)
-            if i % 4 == 3:
-                ledger.anchor_time()
-        receipts.extend(
-            session.append_batch(
-                [(f"record {i}".encode(), "STATS") for i in range(half, journals)]
-            )
-        )
-        ledger.anchor_time()
-        clock.advance(2.0)
-        ledger.collect_time_evidence()
-        ledger.commit_block()
-        for receipt in receipts[: min(8, len(receipts))]:
-            proof = ledger.get_proof(receipt.jsn)
-            assert ledger.verify_journal(ledger.get_journal(receipt.jsn), proof)
-        target = receipts[1]
-        report = session.verify_dasein(
-            target.jsn, target, tsa_keys={"stats-tsa": tsa.public_key}
-        )
-        assert report.what and report.who
-        stream.close()
-        # Reopen to exercise the open-time scan path.
-        FileStream(f"{tmp}/journal.stream", durable=True).close()
-
-        # Paged node-store leg: same appends against the on-disk backend,
-        # then proof reads so the page cache / node cache counters move.
-        from repro.storage.kv import CachedKVStore
-
-        paged = Ledger(
-            LedgerConfig(
-                uri="ledger://stats-paged", fractal_height=4, block_size=4,
-                node_store="paged", cache_pages=8, data_dir=f"{tmp}/paged",
-            ),
-            clock=clock,
-        )
-        paged.registry.register("stats-user", Role.USER, user.public)
-        paged_session = LedgerSession(paged, client_id="stats-user", keypair=user)
-        for i in range(journals):
-            paged_session.append(f"record {i}".encode(), clue=f"STATS-{i % 4}")
-            clock.advance(0.1)
-        paged.commit_block()
-        for i in range(4):
-            ok = paged.prove_clue(f"STATS-{i}").verify(
-                {
-                    v: paged._cmtree.entry_digest(f"STATS-{i}", v)
-                    for v in range(paged.clue_entry_count(f"STATS-{i}"))
-                },
-                paged.state_root(),
-            )
-            if not ok:
-                raise RuntimeError(f"stats workload clue proof STATS-{i} failed")
-        paged.get_proofs(list(range(0, paged.size, 3)), anchored=False)
-        node_store_stats = paged.node_store_stats()
-
-        # Value-level cache layer over the same backend (kvcache.* counters).
-        cached = CachedKVStore(paged.node_store, capacity=32)
-        sample = [key for key, _ in zip(paged.node_store.keys(), range(16))]
-        for _pass in range(2):
-            for key in sample:
-                cached.get(key)
-        kv_cache_stats = cached.stats()
-        paged.close(checkpoint=False)
-
-        # Served leg: the same appends/proofs through a real socket (§14),
-        # so the snapshot carries the net.* families a deployment watches.
-        _stats_net_leg(journals=min(journals, 8))
-
-        # Sharded leg: a small hash-partitioned deployment through its
-        # per-shard group-commit services, so the per-instance
-        # service.*{name=shard-k} families show up in the snapshot (§15).
-        _stats_shard_leg(journals=min(journals, 12))
-
-        # Transparency leg: acked appends, epoch-close head emission, and
-        # a witness cross-audit round, so the transparency.* families a
-        # deployment alarms on are all present (§16).
-        _stats_transparency_leg(journals=min(journals, 12))
-
-        snapshot = scoped_registry.snapshot()
-    snapshot["node_store"] = node_store_stats
-    snapshot["kv_cache"] = kv_cache_stats
-    return snapshot
-
-
-def _stats_net_leg(journals: int) -> None:
-    """Round-trip a few appends/proofs through the asyncio frame server."""
-    from repro import KeyPair, Ledger, LedgerConfig, Role
-    from repro.net import RemoteLedgerSession, ServerThread
-
-    ledger = Ledger(
-        LedgerConfig(uri="ledger://stats-net", fractal_height=3, block_size=4)
-    )
-    user = KeyPair.generate(seed="stats-net-user")
-    ledger.registry.register("stats-net-user", Role.USER, user.public)
-    with ServerThread(ledger) as served:
-        host, port = served.address
-        with RemoteLedgerSession(host, port, client_id="stats-net-user", keypair=user) as session:
-            receipts = [
-                session.append(f"net record {i}".encode(), clue="NET")
-                for i in range(journals)
-            ]
-            session.get_proofs([receipt.jsn for receipt in receipts])
-            session.sync_anchors()
-            if not session.verify_journal(session.client.get_journal(receipts[0].jsn)):
-                raise RuntimeError("stats net leg: remote verification failed")
-
-
-def _stats_shard_leg(journals: int) -> None:
-    """Append/verify across a small sharded deployment (§15 families)."""
-    from repro import KeyPair, LedgerConfig, Role
-    from repro.api import LedgerSession
-    from repro.shard import ShardedLedger, ShardedLedgerService
-
-    ledger = ShardedLedger(
-        LedgerConfig(uri="ledger://stats-shard", fractal_height=3, block_size=4, shards=2)
-    )
-    user = KeyPair.generate(seed="stats-shard-user")
-    ledger.registry.register("stats-shard-user", Role.USER, user.public)
-    with ShardedLedgerService(ledger) as service:
-        LedgerSession(
-            ledger, client_id="stats-shard-user", keypair=user, service=service
-        ).append_batch(
-            [(f"shard record {i}".encode(), f"SHARD-{i}") for i in range(journals)],
-            timeout=30.0,
-        )
-    composite = ledger.composite_root()
-    for gsn in ledger.list_tx("SHARD-0"):
-        journal = ledger.get_journal(gsn)
-        if not ledger.get_proof(gsn).verify(journal.tx_hash(), composite):
-            raise RuntimeError("stats shard leg: cross-shard proof failed")
-    ledger.close()
-
-
-def _stats_transparency_leg(journals: int) -> None:
-    """Acked appends + STH gossip + witness audit (§16 families)."""
-    from repro import KeyPair, Ledger, LedgerConfig, Role, SimClock
-    from repro.api import LedgerSession
-    from repro.transparency import Witness
-
-    ledger = Ledger(
-        LedgerConfig(uri="ledger://stats-transparency", fractal_height=2),
-        clock=SimClock(),
-    )
-    user = KeyPair.generate(seed="stats-transparency-user")
-    ledger.registry.register("stats-transparency-user", Role.USER, user.public)
-    witness = Witness(ledger.lsp_public_key)
-    with LedgerSession(
-        ledger,
-        lgid=ledger.config.uri,
-        client_id="stats-transparency-user",
-        keypair=user,
-    ) as session:
-        receipt, ack = session.append_acked(b"acked record", clue="TRANSPARENCY")
-        if not ack.verify(ledger.lsp_public_key):
-            raise RuntimeError("stats transparency leg: ack failed to verify")
-        witness.audit(session)
-        for i in range(journals):
-            session.append(f"transparency record {i}".encode(), clue="TRANSPARENCY")
-        report = witness.audit(session)
-        if not report.clean:
-            raise RuntimeError("stats transparency leg: honest audit not clean")
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro import KeyPair, LedgerConfig, Role
-    from repro.core.ledger import LSP_MEMBER_ID
-    from repro.net import LedgerServer
-    from repro.shard import deployment_service, new_deployment
-    from repro.shard.shape import has_composite
-
-    config_kwargs: dict = {
-        "uri": args.uri,
-        "fractal_height": args.fractal_height,
-        "block_size": args.block_size,
-        "shards": args.shards,
-    }
-    if args.data_dir:
-        config_kwargs.update(node_store="paged", data_dir=args.data_dir)
-    deployment = new_deployment(LedgerConfig(**config_kwargs))
-    service = deployment_service(deployment)  # one writer loop per shard
-    registry = deployment.registry
-    if args.seed_demo:
-        # Deterministic demo principal so `connect()` examples work out of
-        # the box: seed "demo-user" → the same keypair on every run.
-        demo = KeyPair.generate(seed="demo-user")
-        registry.register("demo-user", Role.USER, demo.public)
-
-    async def run() -> None:
-        servers = []
-        for index, shard_service in enumerate(service.services):
-            # Shard k listens on port + k (each on an ephemeral port for 0).
-            server = LedgerServer(
-                shard_service,
-                host=args.host,
-                port=0 if args.port == 0 else args.port + index,
-                allow_register=args.allow_register,
-                shard_context=(deployment, index),
-            )
-            host, bound = await server.start()
-            label = f"shard {index}: " if has_composite(len(service.services)) else ""
-            print(f"{label}serving {args.uri} on ledger://{host}:{bound}", flush=True)
-            servers.append(server)
-        lsp_key = registry.public_key(LSP_MEMBER_ID)
-        print(f"lsp public key: {lsp_key.to_bytes().hex()}", flush=True)
-        try:
-            await asyncio.gather(*(server.serve_forever() for server in servers))
-        except (KeyboardInterrupt, asyncio.CancelledError):
-            pass
-        finally:
-            print("draining...", flush=True)
-            for server in servers:
-                await server.close(drain=True)
-            service.close()
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _render_stats_table(snapshot: dict) -> str:
-    lines = []
-    counters = snapshot["counters"]
-    if counters:
-        width = max(len(name) for name in counters)
-        lines.append("counters")
-        lines.extend(f"  {name:<{width}}  {value:>12}" for name, value in counters.items())
-    gauges = snapshot["gauges"]
-    if gauges:
-        width = max(len(name) for name in gauges)
-        lines.append("gauges")
-        lines.extend(f"  {name:<{width}}  {value:>12g}" for name, value in gauges.items())
-    histograms = snapshot["histograms"]
-    if histograms:
-        width = max(len(name) for name in histograms)
-        lines.append("histograms (us)")
-        header = f"  {'name':<{width}}  {'count':>8} {'mean':>10} {'min':>10} {'max':>10}"
-        lines.append(header)
-        for name, h in histograms.items():
-            lines.append(
-                f"  {name:<{width}}  {h['count']:>8} {h['mean']:>10.1f} "
-                f"{h['min']:>10.1f} {h['max']:>10.1f}"
-            )
-    for section in ("node_store", "kv_cache"):
-        table = snapshot.get(section)
-        if table:
-            width = max(len(name) for name in table)
-            lines.append(section.replace("_", " "))
-            for name, value in sorted(table.items()):
-                rendered = f"{value:>12.3f}" if isinstance(value, float) else f"{value:>12}"
-                lines.append(f"  {name:<{width}}  {rendered}")
-    return "\n".join(lines) if lines else "(no metrics recorded)"
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    import json
-
-    snapshot = _stats_workload(args.journals)
-    if args.json:
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-    else:
-        print(_render_stats_table(snapshot))
-    return 0
-
-
-# ------------------------------------------------- export / verify / rebuild
-
-
-def _export_workload(journals: int, shards: int, data_dir: str | None = None):
-    """The deterministic export-demo deployment (persistent when ``data_dir``)."""
-    session, _tsa_keys = _seeded_deployment(
-        "export", "ledger://export-demo", journals, shards,
-        fractal_height=4, block_size=8, anchor_every=8, data_dir=data_dir,
-    )
-    return session.ledger
-
-
 def _open_persistent(data_dir: str):
     """Reopen a persistent deployment with deployment-deterministic keys.
 
     The default LSP keypair is the ``lsp:<uri>`` seed every default
     deployment uses; a ledger created with an explicit operator keypair
     cannot be reopened by the CLI (the append path would mis-sign) and
-    refuses with a typed error from the kernel.
+    refuses with a typed error from the kernel.  Member certificates live
+    outside the stream (DESIGN.md §9): the registry comes back empty.
     """
-    from pathlib import Path
-
     from repro.core.ledger import CONFIG_FILE
+    from repro.core.members import MemberRegistry
     from repro.core.snapshot import load_config_file
     from repro.crypto.keys import KeyPair
-    from repro.core.members import MemberRegistry
     from repro.shard import open_deployment
 
-    base = Path(data_dir)
-    config = load_config_file(base / CONFIG_FILE, data_dir=str(base))
+    config = load_config_file(Path(data_dir) / CONFIG_FILE, data_dir=data_dir)
     lsp_keypair = KeyPair.generate(seed=f"lsp:{config.uri}")
-    return open_deployment(base, MemberRegistry(), lsp_keypair)
+    return open_deployment(data_dir, MemberRegistry(), lsp_keypair)
 
 
 def _close_quietly(ledger: Any) -> None:
@@ -639,329 +116,341 @@ def _close_quietly(ledger: Any) -> None:
         ledger.close(checkpoint=False)
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
+def _verdict_rows(result: Any) -> list[Row]:
+    """The what/when/who rows of a :class:`~repro.artifacts.VerifyResult`;
+    a factor that was not checked (``None``, e.g. *when* without TSA keys)
+    gets no row rather than a pass."""
+    return [
+        (factor, verdict, "verified" if verdict else result.detail or "failed")
+        for factor in ("what", "when", "who")
+        if (verdict := getattr(result, factor)) is not None
+    ]
 
-    from repro.export.bundle import export_bundle
 
-    if args.data_dir and not args.demo:
-        ledger = _open_persistent(args.data_dir)
-    else:
-        ledger = _export_workload(args.journals, args.shards, data_dir=args.data_dir)
-    try:
-        bundle = export_bundle(ledger, clues=tuple(args.clue or ()), path=args.out)
-    finally:
-        _close_quietly(ledger)
-    size = Path(args.out).stat().st_size
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "path": args.out,
-                    "bytes": size,
-                    "ledger_uri": bundle.ledger_uri,
-                    "journals": bundle.journal_count,
-                    "shards": bundle.num_shards,
-                    "clues": sorted(args.clue or ()),
-                },
-                indent=2,
-                sort_keys=True,
-            )
+# ------------------------------------------------------------------- verbs
+
+
+def _cmd_demo(args: argparse.Namespace) -> int:
+    session, tsa_keys = _seeded_deployment("demo", 12, block_size=4, anchor_every=4)
+    print(f"created {session.ledger!r}")
+    jsn = sorted(session.state.receipts)[5]
+    report = session.verify_dasein(jsn, tsa_keys=tsa_keys)
+    bound = report.when_bound
+    when = f"({bound.lower:.1f}, {bound.upper:.1f})" if bound else "unbounded"
+    audit = session.audit(tsa_keys=tsa_keys)
+    rows = [
+        (
+            f"journal {jsn}",
+            report.ok,
+            f"what={report.what} when={when} who={report.who} -> Dasein-complete={report.ok}",
+        ),
+        (
+            "full audit",
+            audit.passed,
+            f"passed={audit.passed} ({audit.journals_replayed} journals, "
+            f"{audit.blocks_verified} blocks, {audit.time_journals_verified} time anchors)",
+        ),
+    ]
+    ok = audit.passed and report.ok
+    _report(args, rows, f"demo passed={ok}", None)
+    return 0 if ok else 1
+
+
+def _cmd_audit(args: argparse.Namespace) -> int:
+    session, tsa_keys = _seeded_deployment(
+        "audit", args.journals, args.shards, fractal_height=5, anchor_every=16
+    )
+    report = session.audit(
+        tsa_keys=tsa_keys,
+        workers=args.workers,
+        checkpoint=args.resume if args.resume is not None else args.checkpoint,
+        resume=args.resume is not None,
+    )
+    # A sharded report prefixes each step with its shard.
+    rows = [(step.name, step.passed, step.detail) for step in report.steps]
+    summary = (
+        f"audit passed={report.passed} "
+        f"({report.journals_replayed} journals, {report.blocks_verified} blocks, "
+        f"{report.time_journals_verified} time anchors, "
+        f"workers={args.workers}, shards={args.shards})"
+    )
+    _report(args, rows, summary, report.to_dict())
+    return 0 if report.passed else 1
+
+
+def _cmd_witness(args: argparse.Namespace) -> int:
+    """Exit status: how many scenarios deviate from the expected outcome
+    (forks and censorship detected, honest server clean)."""
+    import tempfile
+    from dataclasses import asdict
+
+    from repro.transparency import attacks
+
+    scenarios = (
+        ("fork", attacks.run_fork_equivocation, True),
+        ("censorship", attacks.run_censorship, True),
+        ("honest", attacks.run_honest_server, False),
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-witness-") as tmp:
+        results = [(run(Path(tmp) / name), expected) for name, run, expected in scenarios]
+    rows = []
+    for result, expected in results:
+        detail = (
+            f"detected={result.detected} evidence={', '.join(result.evidence_kinds) or 'none'} "
+            f"(offline-verified: {result.evidence_verified})"
         )
-    else:
-        print(
-            f"exported {bundle.ledger_uri}: {bundle.journal_count} journals "
-            f"across {bundle.num_shards} shard(s) -> {args.out} ({size} bytes)"
+        if result.refutation_succeeded is not None:
+            detail += f", refutation succeeded: {result.refutation_succeeded}"
+        ok = result.detected == expected and result.evidence_verified
+        rows.append((result.scenario, ok, f"{detail}; {result.detail}"))
+    failures = sum(not passed for _check, passed, _detail in rows)
+    summary = f"witness: {len(rows) - failures}/{len(rows)} scenarios as expected"
+    _report(args, rows, summary, [asdict(result) for result, _expected in results])
+    return failures
+
+
+def _cmd_stats(args: argparse.Namespace) -> int:
+    """Run an instrumented workload on the seeded deployment; print its
+    checks and metrics.  Every instrumented layer moves: durable appends
+    and fsyncs, server/client TX verifies, a clue lineage, a Dasein check,
+    acked appends and witness rounds (§16), paged node reads (§13), and a
+    served leg through the frame server (§14).  It runs inside
+    :func:`repro.obs.scoped`, so the process-global registry is untouched.
+    """
+    import tempfile
+
+    from repro import obs
+    from repro.net import RemoteLedgerSession
+    from repro.shard import ShardedServerThread
+    from repro.transparency import Witness
+
+    with obs.scoped() as registry, tempfile.TemporaryDirectory(prefix="repro-stats-") as tmp:
+        session, tsa_keys = _seeded_deployment(
+            "stats", args.journals, fractal_height=2, block_size=4, anchor_every=4, data_dir=tmp
         )
+        ledger = session.ledger
+        try:
+            journals = session.list_tx("STATS")
+            sample, target = journals[:8], journals[1].jsn
+            proofs = session.get_proofs([journal.jsn for journal in sample])  # anchored
+            checked = [session.verify("tx", txdata=[j], rho=p) for j, p in zip(sample, proofs)]
+            folded = [session.verify("tx", txdata=[j], level="client") for j in sample]
+            rows: list[Row] = [
+                ("TX verify at server level", all(checked), f"{len(sample)} anchored proofs"),
+                ("TX verify at client level", all(folded), f"{len(sample)} journals"),
+            ]
+            dasein = session.verify_dasein(target, tsa_keys=tsa_keys)
+            rows.append(("Dasein check", dasein.ok, f"jsn {target}"))
+            witness = Witness(ledger.lsp_public_key)
+            _receipt, ack = session.append_acked(b"acked record", clue="STATS")
+            rows.append(("submission ack", ack.verify(ledger.lsp_public_key), "signed by the LSP"))
+            witness.audit(session)
+            session.append_batch([(b"stats record %d" % i, "STATS") for i in range(8)])
+            rows.append(("witness audit", witness.audit(session).clean, "two rounds"))
+            ledger.commit_block()  # flush: the lineage is read from pages, then hit
+            lineage = session.list_tx("STATS")
+            clue = session.verify("clue", key="STATS", txdata=lineage, level="client")
+            rows.append(("clue verify", clue.ok, f"STATS, {len(lineage)} journals"))
+            with ShardedServerThread(ledger) as served:
+                host, port = served.addresses[0]
+                with RemoteLedgerSession(
+                    host,
+                    port,
+                    client_id=session.client_id,
+                    keypair=session.keypair,
+                    expected_lsp_key=ledger.lsp_public_key,
+                ) as remote:
+                    clue = remote.verify("clue", key="STATS", txdata=lineage, level="client")
+                    rows.append(("remote clue verify", clue.ok, "over TCP"))
+                    receipts = [remote.append(b"net %d" % i, clue="NET") for i in range(8)]
+                    remote.get_proofs([receipt.jsn for receipt in receipts])
+                    remote.sync_anchors()
+                    journal = remote.client.get_journal(receipts[0].jsn)
+                    rows.append(("remote TX verify", remote.verify_journal(journal).ok, "over TCP"))
+            snapshot = {**registry.snapshot(), "node_store": ledger.node_store_stats()}
+        finally:
+            ledger.close(checkpoint=False)
+    _report(args, rows, _render_stats_table(snapshot), snapshot)
+    return 0 if all(passed for _check, passed, _detail in rows) else 1
+
+
+def _render_stats_table(snapshot: dict) -> str:
+    lines = []
+    for section in ("counters", "gauges", "node_store"):
+        table = snapshot[section]
+        if table:
+            width = max(map(len, table))
+            lines.append(section.replace("_", " "))
+            for name, value in table.items():
+                cell = f"{value:>12.3f}" if isinstance(value, float) else f"{value:>12}"
+                lines.append(f"  {name:<{width}}  {cell}")
+    histograms = snapshot["histograms"]
+    if histograms:
+        width = max(map(len, histograms))
+        lines.append("histograms (us)")
+        lines.append(f"  {'name':<{width}}  {'count':>8} {'mean':>10} {'min':>10} {'max':>10}")
+        for name, h in histograms.items():
+            timings = " ".join(f"{h[key]:>10.1f}" for key in ("mean", "min", "max"))
+            lines.append(f"  {name:<{width}}  {h['count']:>8} {timings}")
+    return "\n".join(lines) if lines else "(no metrics recorded)"
+
+
+def _cmd_compact(args: argparse.Namespace) -> int:
+    from repro.core.ledger import compact
+    from repro.shard import iter_shard_dirs
+
+    data_dir = Path(args.data_dir)
+    # A sharded data_dir holds no store of its own — compact each shard.
+    shard_dirs = list(iter_shard_dirs(data_dir))
+    results = {}
+    for target in shard_dirs or [data_dir]:
+        result = compact(target)
+        if result is not None:
+            results[str(target)] = result
+    if not results:
+        print(f"no paged node store under {data_dir}", file=sys.stderr)
+        return 1
+    rows = [
+        (
+            name,
+            True,
+            f"pages {r['pages_before']} -> {r['pages_after']}, entries "
+            f"{r['entries_before']} -> {r['entries_after']}, bytes "
+            f"{r['bytes_before']} -> {r['bytes_after']}",
+        )
+        for name, r in results.items()
+    ]
+    # Unsharded: the store's own report; sharded: one per shard directory.
+    payload = results if shard_dirs else results[str(data_dir)]
+    _report(args, rows, f"compacted {len(results)} node store(s)", payload)
     return 0
 
 
-def _cmd_verify_bundle(args: argparse.Namespace) -> int:
-    import json
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Host the deployment until SIGINT.  A ``--data-dir`` that holds a
+    ledger is reopened (its stored config wins); every exit checkpoints."""
+    import threading
 
-    # Deliberately only the standalone slice: repro.export.verifier never
-    # imports the ledger kernel, the service layer, or the network stack.
-    from repro.export.bundle import ExportBundle
-    from repro.export.verifier import verify_bundle
+    from repro import KeyPair, LedgerConfig, Role
+    from repro.core.ledger import CONFIG_FILE, LSP_MEMBER_ID
+    from repro.shard import ShardedServerThread, new_deployment
 
-    bundle = ExportBundle.read(args.bundle)
-    result = verify_bundle(bundle)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": result.ok,
-                    "what": result.what,
-                    "when": result.when,
-                    "who": result.who,
-                    "target": result.target,
-                    "level": result.level,
-                    "detail": result.detail,
-                },
-                indent=2,
-                sort_keys=True,
-            )
+    if args.data_dir and (Path(args.data_dir) / CONFIG_FILE).exists():
+        deployment = _open_persistent(args.data_dir)
+    else:
+        storage = {"node_store": "paged", "data_dir": args.data_dir} if args.data_dir else {}
+        config = LedgerConfig(
+            uri=args.uri,
+            fractal_height=args.fractal_height,
+            block_size=args.block_size,
+            shards=args.shards,
+            **storage,
+        )
+        deployment = new_deployment(config)
+    try:
+        if args.seed_demo:
+            # Deterministic demo principal so `connect()` examples work out
+            # of the box: seed "demo-user" → the same keypair on every run.
+            demo = KeyPair.generate(seed="demo-user")
+            deployment.registry.register("demo-user", Role.USER, demo.public)
+        # Shard k listens on port + k (each on an ephemeral port for 0).
+        with ShardedServerThread(
+            deployment, args.host, args.port, allow_register=args.allow_register
+        ) as served:
+            for index, uri in enumerate(served.uris()):
+                label = f"shard {index}: " if served.num_shards > 1 else ""
+                print(f"{label}serving {deployment.config.uri} on {uri}", flush=True)
+            lsp_key = deployment.registry.public_key(LSP_MEMBER_ID)
+            print(f"lsp public key: {lsp_key.to_bytes().hex()}", flush=True)
+            try:
+                threading.Event().wait()
+            except KeyboardInterrupt:
+                print("draining...", flush=True)
+    finally:
+        deployment.close()
+    return 0
+
+
+def _cmd_export(args: argparse.Namespace) -> int:
+    from repro.api import LedgerSession
+
+    if args.data_dir and not args.demo:
+        session = LedgerSession(_open_persistent(args.data_dir))
+    else:
+        session, _tsa_keys = _seeded_deployment(
+            "export", args.journals, args.shards, uri="ledger://export-demo", data_dir=args.data_dir
+        )
+    try:
+        bundle = session.export(clues=tuple(args.clue or ()))
+    finally:
+        _close_quietly(session.ledger)
+    # A bundle is what a third party checks: never write one that fails it.
+    result = bundle.verify()
+    size = bundle.write(args.out).stat().st_size if result.ok else 0
+    if result.ok:
+        summary = (
+            f"exported {bundle.ledger_uri}: {bundle.journal_count} journals "
+            f"across {bundle.num_shards} shard(s) -> {args.out} ({size} bytes)"
         )
     else:
-        print(
-            f"bundle {args.bundle}: ok={result.ok} what={result.what} "
-            f"when={result.when} who={result.who}"
-        )
-        if result.detail:
-            print(f"  {result.detail}")
+        summary = f"export refused: the bundle fails its own verification; {args.out} not written"
+    payload = {
+        "ok": result.ok,
+        "path": args.out if result.ok else None,
+        "bytes": size,
+        "ledger_uri": bundle.ledger_uri,
+        "journals": bundle.journal_count,
+        "shards": bundle.num_shards,
+        "clues": sorted(args.clue or ()),
+        "detail": result.detail,
+    }
+    _report(args, _verdict_rows(result), summary, payload)
+    return 0 if result.ok else 1
+
+
+def _cmd_verify_bundle(args: argparse.Namespace) -> int:
+    # Deliberately only the standalone slice: repro.export.verifier never
+    # imports the ledger kernel, the service layer, or the network stack.
+    from repro.export.verifier import verify_bundle_path
+
+    result = verify_bundle_path(args.bundle)
+    summary = (
+        f"bundle {args.bundle}: ok={result.ok} what={result.what} "
+        f"when={result.when} who={result.who}"
+    )
+    payload = _fields(result, "ok", "what", "when", "who", "target", "level", "detail")
+    _report(args, _verdict_rows(result), summary, payload)
     return 0 if result.ok else 1
 
 
 def _cmd_rebuild(args: argparse.Namespace) -> int:
-    import json
+    from repro.export.bundle import ExportBundle
+    from repro.export.rebuild import rebuild_from_bundle, rebuild_from_stream
 
     if (args.bundle is None) == (args.data_dir is None):
-        print(
-            "rebuild: pass exactly one of --bundle or --data-dir",
-            file=sys.stderr,
-        )
+        print("rebuild: pass exactly one of --bundle or --data-dir", file=sys.stderr)
         return 2
     if args.bundle is not None:
-        from repro.export.bundle import ExportBundle
-        from repro.export.rebuild import rebuild_from_bundle
-
         ledger, report = rebuild_from_bundle(ExportBundle.read(args.bundle))
     else:
-        from repro.export.rebuild import rebuild_from_stream
-
         ledger, report = rebuild_from_stream(args.data_dir)
     _close_quietly(ledger)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": report.ok,
-                    "source": report.source,
-                    "ledger_uri": report.ledger_uri,
-                    "num_shards": report.num_shards,
-                    "journals": report.journals,
-                    "checks": list(report.checks),
-                    "divergences": [
-                        {
-                            "kind": d.kind,
-                            "shard_index": d.shard_index,
-                            "coordinate": d.coordinate,
-                            "detail": d.detail,
-                        }
-                        for d in report.divergences
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(
-            f"rebuilt {report.ledger_uri} from {report.source}: ok={report.ok} "
-            f"({report.journals} journals, {report.num_shards} shard(s), "
-            f"checks: {', '.join(report.checks)})"
-        )
-        for divergence in report.divergences:
-            print(
-                f"  DIVERGED [{divergence.kind}] shard {divergence.shard_index} "
-                f"{divergence.coordinate}: {divergence.detail}"
-            )
+    rows = [("cross-check", report.ok, ", ".join(report.checks))]
+    for d in report.divergences:
+        rows.append((f"DIVERGED [{d.kind}] shard {d.shard_index} {d.coordinate}", False, d.detail))
+    summary = (
+        f"rebuilt {report.ledger_uri} from {report.source}: ok={report.ok} "
+        f"({report.journals} journals, {report.num_shards} shard(s))"
+    )
+    payload = _fields(report, "ok", "source", "ledger_uri", "num_shards", "journals", "checks")
+    payload["divergences"] = [
+        _fields(d, "kind", "shard_index", "coordinate", "detail") for d in report.divergences
+    ]
+    _report(args, rows, summary, payload)
     return 0 if report.ok else 1
 
 
-# ----------------------------------------------------- subcommand registry
-
-#: An installer takes the subcommand's parser and adds arguments to it.
-_Installer = Callable[[argparse.ArgumentParser], None]
-
-
-def _opt_json(help: str = "print machine-readable JSON") -> _Installer:
-    def install(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--json", action="store_true", help=help)
-
-    return install
-
-
-def _opt_journals(default: int) -> _Installer:
-    def install(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
-            "--journals", type=int, default=default,
-            help=f"workload size (default: {default})",
-        )
-
-    return install
-
-
-def _opt_shards(help: str) -> _Installer:
-    def install(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--shards", type=int, default=1, help=help)
-
-    return install
-
-
-def _opt_data_dir(help: str, *, positional: bool = False) -> _Installer:
-    def install(parser: argparse.ArgumentParser) -> None:
-        if positional:
-            parser.add_argument("data_dir", help=help)
-        else:
-            parser.add_argument("--data-dir", default=None, help=help)
-
-    return install
-
-
-def _args_audit(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="parallel signature workers (0 = sequential engine)",
-    )
-    parser.add_argument(
-        "--checkpoint", metavar="PATH", default=None,
-        help="write resumable checkpoints to PATH while auditing",
-    )
-    parser.add_argument(
-        "--resume", metavar="CHECKPOINT", default=None,
-        help="resume from (and keep checkpointing to) CHECKPOINT",
-    )
-
-
-def _args_serve(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument(
-        "--port", type=int, default=7468, help="bind port (0 = ephemeral)"
-    )
-    parser.add_argument("--uri", default="ledger://served", help="ledger URI")
-    parser.add_argument(
-        "--fractal-height", type=int, default=8, help="FAM epoch height (default: 8)"
-    )
-    parser.add_argument(
-        "--block-size", type=int, default=64, help="journals per block (default: 64)"
-    )
-    parser.add_argument(
-        "--seed-demo", action="store_true",
-        help='register the deterministic "demo-user" principal',
-    )
-    parser.add_argument(
-        "--allow-register", action="store_true",
-        help="let remote peers self-register as role 'user' (off by default; "
-        "privileged roles can never be registered over the wire)",
-    )
-
-
-def _args_export(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--out", required=True, metavar="PATH", help="bundle file to write"
-    )
-    parser.add_argument(
-        "--demo", action="store_true",
-        help="seed the deterministic export-demo workload (into --data-dir "
-        "when given, else in memory) instead of opening an existing ledger",
-    )
-    parser.add_argument(
-        "--clue", action="append", metavar="CLUE", default=None,
-        help="include this clue lineage with its CM-Tree proof (repeatable)",
-    )
-
-
-def _args_rebuild(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--bundle", metavar="PATH", default=None,
-        help="rebuild from this export bundle file",
-    )
-
-
-@dataclass(frozen=True)
-class Subcommand:
-    """One ``python -m repro`` command, declared instead of hand-wired."""
-
-    name: str
-    help: str
-    fn: Callable[[argparse.Namespace], int]
-    options: tuple[_Installer, ...] = ()
-
-
-_SUBCOMMANDS: tuple[Subcommand, ...] = (
-    Subcommand("demo", "guided end-to-end scenario", _cmd_demo),
-    Subcommand(
-        "audit", "run the §V Dasein-complete audit on a seeded workload",
-        _cmd_audit,
-        (
-            _opt_json("print the report as JSON"),
-            _opt_journals(96),
-            _opt_shards(
-                "hash-partition the workload over N shards and audit each "
-                "in parallel (default: 1)"
-            ),
-            _args_audit,
-        ),
-    ),
-    Subcommand(
-        "witness",
-        "run the §16 non-equivocation scenarios (fork, censorship, honest)",
-        _cmd_witness,
-        (_opt_json("print results as JSON"),),
-    ),
-    Subcommand(
-        "stats", "instrumented workload + observability snapshot",
-        _cmd_stats,
-        (_opt_json("print raw snapshot JSON"), _opt_journals(24)),
-    ),
-    Subcommand(
-        "serve", "expose a ledger over TCP for remote verifying clients",
-        _cmd_serve,
-        (
-            _opt_data_dir(
-                "persist to this directory (paged node store); default in-memory"
-            ),
-            _opt_shards(
-                "run N hash-partitioned shards under one composite root; "
-                "shard k listens on port+k (default: 1)"
-            ),
-            _args_serve,
-        ),
-    ),
-    Subcommand(
-        "compact", "compact a persistent ledger's paged node store",
-        _cmd_compact,
-        (
-            _opt_data_dir("ledger data directory (holds nodes/)", positional=True),
-            _opt_json("print stats as JSON"),
-        ),
-    ),
-    Subcommand(
-        "export", "write an offline export bundle (DESIGN.md §17)",
-        _cmd_export,
-        (
-            _opt_data_dir(
-                "persistent ledger to export — or, with --demo, where to "
-                "seed the demo deployment"
-            ),
-            _opt_json(),
-            _opt_journals(24),
-            _opt_shards("seed the --demo workload over N shards (default: 1)"),
-            _args_export,
-        ),
-    ),
-    Subcommand(
-        "verify-bundle",
-        "standalone what/when/who verification of a bundle file",
-        _cmd_verify_bundle,
-        (
-            _opt_json(),
-            lambda parser: parser.add_argument("bundle", help="bundle file to verify"),
-        ),
-    ),
-    Subcommand(
-        "rebuild",
-        "rebuild a deployment from a bundle or raw stream and cross-check it",
-        _cmd_rebuild,
-        (
-            _opt_data_dir("rebuild from this directory's raw journal stream(s)"),
-            _opt_json(),
-            _args_rebuild,
-        ),
-    ),
-)
+# ------------------------------------------------------------------ parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -970,11 +459,119 @@ def _build_parser() -> argparse.ArgumentParser:
         description="LedgerDB ubiquitous-verification reproduction (ICDE 2022)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _SUBCOMMANDS:
-        command_parser = sub.add_parser(command.name, help=command.help)
-        for install in command.options:
-            install(command_parser)
-        command_parser.set_defaults(fn=command.fn)
+    json_help = "print machine-readable JSON"
+
+    demo = sub.add_parser("demo", help="guided end-to-end scenario")
+    demo.set_defaults(fn=_cmd_demo)
+
+    audit = sub.add_parser("audit", help="run the §V Dasein-complete audit on a seeded workload")
+    audit.set_defaults(fn=_cmd_audit)
+    audit.add_argument("--json", action="store_true", help=json_help)
+    audit.add_argument("--journals", type=int, default=96, help="workload size (default: 96)")
+    audit.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        help="hash-partition the workload over N shards, audited in parallel (default: 1)",
+    )
+    audit.add_argument(
+        "--workers", type=int, default=0, help="parallel signature workers (0 = sequential)"
+    )
+    audit.add_argument(
+        "--checkpoint", metavar="PATH", help="write resumable checkpoints to PATH while auditing"
+    )
+    audit.add_argument(
+        "--resume", metavar="CHECKPOINT", help="resume from (and keep checkpointing to) CHECKPOINT"
+    )
+
+    witness = sub.add_parser(
+        "witness", help="run the §16 non-equivocation scenarios (fork, censorship, honest)"
+    )
+    witness.set_defaults(fn=_cmd_witness)
+    witness.add_argument("--json", action="store_true", help=json_help)
+
+    stats = sub.add_parser("stats", help="instrumented workload + observability snapshot")
+    stats.set_defaults(fn=_cmd_stats)
+    stats.add_argument("--json", action="store_true", help="print raw snapshot JSON")
+    stats.add_argument("--journals", type=int, default=24, help="workload size (default: 24)")
+
+    serve = sub.add_parser("serve", help="expose a ledger over TCP for remote verifying clients")
+    serve.set_defaults(fn=_cmd_serve)
+    serve.add_argument(
+        "--data-dir",
+        help="persist to this directory (paged node store), reopening the ledger it "
+        "holds; default in-memory",
+    )
+    serve.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        help="run N hash-partitioned shards under one composite root; shard k "
+        "listens on port+k (default: 1)",
+    )
+    serve.add_argument("--host", default="127.0.0.1", help="bind address")
+    serve.add_argument("--port", type=int, default=7468, help="bind port (0 = ephemeral)")
+    serve.add_argument("--uri", default="ledger://served", help="ledger URI")
+    serve.add_argument(
+        "--fractal-height", type=int, default=8, help="FAM epoch height (default: 8)"
+    )
+    serve.add_argument(
+        "--block-size", type=int, default=64, help="journals per block (default: 64)"
+    )
+    serve.add_argument(
+        "--seed-demo", action="store_true", help='register the deterministic "demo-user"'
+    )
+    serve.add_argument(
+        "--allow-register",
+        action="store_true",
+        help="let remote peers self-register as role 'user' (off by default; "
+        "privileged roles can never be registered over the wire)",
+    )
+
+    compact = sub.add_parser("compact", help="compact a persistent ledger's paged node store")
+    compact.set_defaults(fn=_cmd_compact)
+    compact.add_argument("data_dir", help="ledger data directory (holds nodes/)")
+    compact.add_argument("--json", action="store_true", help=json_help)
+
+    export = sub.add_parser("export", help="write an offline export bundle (DESIGN.md §17)")
+    export.set_defaults(fn=_cmd_export)
+    export.add_argument(
+        "--data-dir",
+        help="persistent ledger to export — or, with --demo, where to seed the demo deployment",
+    )
+    export.add_argument("--json", action="store_true", help=json_help)
+    export.add_argument("--journals", type=int, default=24, help="workload size (default: 24)")
+    export.add_argument(
+        "--shards", type=int, default=1, help="seed the --demo workload over N shards"
+    )
+    export.add_argument("--out", required=True, metavar="PATH", help="bundle file to write")
+    export.add_argument(
+        "--demo",
+        action="store_true",
+        help="seed the deterministic export-demo workload (into --data-dir when "
+        "given, else in memory) instead of opening an existing ledger",
+    )
+    export.add_argument(
+        "--clue",
+        action="append",
+        metavar="CLUE",
+        help="include this clue lineage with its CM-Tree proof (repeatable)",
+    )
+
+    verify = sub.add_parser(
+        "verify-bundle", help="standalone what/when/who verification of a bundle file"
+    )
+    verify.set_defaults(fn=_cmd_verify_bundle)
+    verify.add_argument("--json", action="store_true", help=json_help)
+    verify.add_argument("bundle", help="bundle file to verify")
+
+    rebuild = sub.add_parser(
+        "rebuild", help="rebuild a deployment from a bundle or raw stream and cross-check it"
+    )
+    rebuild.set_defaults(fn=_cmd_rebuild)
+    rebuild.add_argument("--data-dir", help="rebuild from this directory's raw journal stream(s)")
+    rebuild.add_argument("--json", action="store_true", help=json_help)
+    rebuild.add_argument("--bundle", metavar="PATH", help="rebuild from this export bundle file")
     return parser
 
 

@@ -35,6 +35,7 @@ from ..crypto.multisig import MultiSignature, MultiSignatureError
 from ..encoding import encode
 from ..merkle.cmtree import ClueProof, CMTree
 from ..merkle.fam import AnchorStore, FamAccumulator, FamProof
+from ..merkle.mpt import MPT
 from ..shard.shape import is_sharded_layout
 from ..storage.kv import KVStore
 from ..storage.pagestore import PageCorruptionError, PagedNodeStore
@@ -78,7 +79,7 @@ from .snapshot import (
     write_snapshot,
 )
 
-__all__ = ["LedgerConfig", "Ledger", "LedgerView", "JournalEntryView", "LSP_MEMBER_ID"]
+__all__ = ["LedgerConfig", "Ledger", "LedgerView", "JournalEntryView", "LSP_MEMBER_ID", "compact"]
 
 #: The LSP's reserved member id (registered automatically at Create).
 LSP_MEMBER_ID = "__lsp__"
@@ -1727,3 +1728,32 @@ class Ledger:
             f"<Ledger {self.config.uri} size={self._fam.size} "
             f"root={hexdigest(self._fam.current_root())[:12]}>"
         )
+
+
+def compact(data_dir: str | Path) -> dict | None:
+    """Compact one ledger directory's paged node store (DESIGN.md §13).
+
+    The live set is every node reachable from the checkpointed CM-Tree1
+    root; the snapshot's page manifest is rewritten to the compacted pages.
+    Nodes written by post-snapshot appends may be dropped too: the delta
+    replay at the next open deterministically re-creates them.  Without a
+    snapshot only shadowed/tombstoned entries go.  Returns the store's
+    before/after counts, or None when ``data_dir`` holds no paged store.
+    """
+    data_path = Path(data_dir)
+    if not (data_path / NODES_DIR).is_dir():
+        return None
+    store = PagedNodeStore(data_path / NODES_DIR)
+    snapshot_path = data_path / SNAPSHOT_FILE
+    try:
+        try:
+            state = load_snapshot(snapshot_path)
+        except SnapshotError:
+            return store.compact()
+        root = bytes(state["cmtree"]["root"])
+        result = store.compact(MPT(store, root=root).reachable())
+        state["page_manifest"] = [list(entry) for entry in store.manifest()]
+        write_snapshot(snapshot_path, state)
+        return result
+    finally:
+        store.close()

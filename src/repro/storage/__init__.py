@@ -1,7 +1,7 @@
 """Storage substrate: append-only streams and KV node stores."""
 
 from .checksum import crc32c
-from .kv import CachedKVStore, KeyNotFoundError, KVStore, MemoryKVStore
+from .kv import KeyNotFoundError, KVStore, MemoryKVStore
 from .pagestore import PageCorruptionError, PagedNodeStore
 from .stream import (
     FileStream,
@@ -14,7 +14,6 @@ from .stream import (
 )
 
 __all__ = [
-    "CachedKVStore",
     "KeyNotFoundError",
     "KVStore",
     "MemoryKVStore",

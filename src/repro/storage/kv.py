@@ -2,20 +2,17 @@
 
 MPT / CM-Tree1 nodes are content-addressed blobs; the paper keeps "a
 configurable top layers cache in memory ... bottom layers including the leaf
-nodes are stored on disk persistently" (§IV-B2).  :class:`CachedKVStore`
-models exactly that split and counts backend reads so benchmarks can report
-I/O behaviour; :class:`MemoryKVStore` is the plain in-memory backend.
+nodes are stored on disk persistently" (§IV-B2).  That split is
+:class:`~repro.storage.pagestore.PagedNodeStore` with its LRU page cache;
+:class:`MemoryKVStore` is the plain in-memory backend.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from typing import Iterator
 
-from .. import obs
-
-__all__ = ["KVStore", "MemoryKVStore", "CachedKVStore", "KeyNotFoundError"]
+__all__ = ["KVStore", "MemoryKVStore", "KeyNotFoundError"]
 
 
 class KeyNotFoundError(KeyError):
@@ -88,84 +85,3 @@ class MemoryKVStore(KVStore):
 
     def keys(self) -> Iterator[bytes]:
         return iter(list(self._data))
-
-
-class CachedKVStore(KVStore):
-    """LRU write-through cache in front of a backend store.
-
-    Models the paper's "top layers in memory, bottom layers on disk" node
-    placement: hot (upper-trie) nodes stay cached, cold reads hit the backend
-    and are counted in ``backend_reads``.
-    """
-
-    def __init__(self, backend: KVStore, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
-        self._backend = backend
-        self._capacity = capacity
-        self._cache: OrderedDict[bytes, bytes] = OrderedDict()
-        self.cache_hits = 0
-        self.backend_reads = 0
-
-    def get(self, key: bytes) -> bytes:
-        if key in self._cache:
-            self._cache.move_to_end(key)
-            self.cache_hits += 1
-            obs.inc("kvcache.hit")
-            return self._cache[key]
-        value = self._backend.get(key)
-        self.backend_reads += 1
-        obs.inc("kvcache.miss")
-        self._insert_cache(key, value)
-        return value
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._backend.put(key, value)
-        self._insert_cache(key, value)
-
-    def delete(self, key: bytes) -> None:
-        self._cache.pop(key, None)
-        self._backend.delete(key)
-
-    def _insert_cache(self, key: bytes, value: bytes) -> None:
-        self._cache[key] = value
-        self._cache.move_to_end(key)
-        while len(self._cache) > self._capacity:
-            self._cache.popitem(last=False)
-
-    def __contains__(self, key: bytes) -> bool:
-        # A containment probe is a read for accounting purposes: a cached key
-        # is an LRU hit (and is promoted, like any other touch); a key found
-        # only in the backend costs a backend round trip.
-        if key in self._cache:
-            self._cache.move_to_end(key)
-            self.cache_hits += 1
-            obs.inc("kvcache.hit")
-            return True
-        if key in self._backend:
-            self.backend_reads += 1
-            obs.inc("kvcache.miss")
-            return True
-        return False
-
-    def __len__(self) -> int:
-        return len(self._backend)
-
-    def keys(self) -> Iterator[bytes]:
-        return self._backend.keys()
-
-    def flush(self) -> int:
-        return self._backend.flush()
-
-    def close(self) -> None:
-        self._backend.close()
-
-    def stats(self) -> dict:
-        total = self.cache_hits + self.backend_reads
-        return {
-            "capacity": self._capacity,
-            "cached": len(self._cache),
-            "cache_hits": self.cache_hits,
-            "backend_reads": self.backend_reads,
-            "hit_rate": (self.cache_hits / total) if total else 0.0,
-        }

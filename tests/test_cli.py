@@ -74,14 +74,12 @@ def test_stats_includes_node_store_and_kv_cache(capsys):
     assert snapshot["node_store"]["backend"] == "paged"
     assert snapshot["node_store"]["backend_reads"] > 0
     assert 0.0 <= snapshot["node_store"]["cache_hit_rate"] <= 1.0
-    assert snapshot["kv_cache"]["cache_hits"] > 0
-    assert 0.0 <= snapshot["kv_cache"]["hit_rate"] <= 1.0
 
 
 def test_stats_table_renders_new_sections(capsys):
     assert main(["stats", "--journals", "12"]) == 0
     out = capsys.readouterr().out
-    assert "node store" in out and "kv cache" in out
+    assert "node store" in out
     assert "cache_hit_rate" in out
 
 
@@ -272,3 +270,113 @@ def test_rebuild_requires_exactly_one_source(tmp_path, capsys):
 def test_rebuild_missing_data_dir_is_typed(tmp_path, capsys):
     assert main(["rebuild", "--data-dir", str(tmp_path / "nowhere")]) == 2
     assert "RebuildError" in capsys.readouterr().err
+
+
+def test_export_refuses_a_bundle_that_fails_its_own_verifier(tmp_path, capsys):
+    """A reopened deployment has no member certificates (they live outside
+    the stream), so its bundle fails *who*: export says so, exits 1, and
+    writes nothing a third party could mistake for a checked bundle."""
+    data = tmp_path / "ledger"
+    assert main([
+        "export", "--demo", "--journals", "20", "--data-dir", str(data),
+        "--out", str(tmp_path / "seeded.bundle"),
+    ]) == 0
+    capsys.readouterr()
+    out = tmp_path / "reopened.bundle"
+    assert main(["export", "--data-dir", str(data), "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "[FAIL] who" in printed
+    assert not out.exists()
+
+
+def test_witness_detects_forks_and_censorship_only(capsys):
+    import json
+
+    assert main(["witness", "--json"]) == 0
+    fork, censorship, honest = json.loads(capsys.readouterr().out)
+    assert fork["scenario"] == "fork-equivocation"
+    for attack in (fork, censorship):
+        assert attack["detected"] and attack["evidence_verified"]
+    assert honest["scenario"] == "honest-server" and not honest["detected"]
+
+
+# ------------------------------------------------------------------ serve
+
+
+def _start_serve(data_dir):
+    """``python -m repro serve`` on an ephemeral port; returns the process,
+    its ``(host, port)`` and the LSP key it printed."""
+    import os
+    import subprocess
+    import sys
+    import threading
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(root / "src"), env.get("PYTHONPATH")) if part
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--data-dir", str(data_dir), "--seed-demo", "--fractal-height", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    watchdog = threading.Timer(60, proc.kill)  # a silent hang ends the read loop
+    watchdog.start()
+    address, printed = None, []
+    try:
+        for line in proc.stdout:
+            printed.append(line)
+            if "serving" in line:
+                host, port = line.rsplit("ledger://", 1)[1].strip().rsplit(":", 1)
+                address = (host, int(port))
+            if line.startswith("lsp public key: "):
+                return proc, address, bytes.fromhex(line.split(": ", 1)[1].strip())
+    finally:
+        watchdog.cancel()
+    proc.wait(10)
+    raise AssertionError(f"serve exited {proc.returncode}: {''.join(printed)}")
+
+
+def _interrupt(proc):
+    import signal
+
+    proc.send_signal(signal.SIGINT)
+    try:
+        proc.wait(60)
+    except BaseException:
+        proc.kill()
+        raise
+    return proc.returncode
+
+
+def test_serve_restarts_on_its_own_data_dir(tmp_path):
+    """SIGINT checkpoints the deployment; a second ``serve`` on the same
+    directory reopens it under the same LSP key, and the first run's
+    journal still verifies client-side."""
+    from repro.crypto import KeyPair
+    from repro.net import RemoteLedgerSession
+
+    demo = KeyPair.generate(seed="demo-user")
+    proc, (host, port), lsp_key = _start_serve(tmp_path)
+    try:
+        with RemoteLedgerSession(
+            host, port, client_id="demo-user", keypair=demo, expected_lsp_key=lsp_key
+        ) as session:
+            receipts = [session.append(b"kept %d" % i, clue="KEEP") for i in range(6)]
+    finally:
+        assert _interrupt(proc) == 0, proc.stdout.read()
+    assert (tmp_path / "snapshot.ckpt").exists()
+
+    proc, (host, port), again = _start_serve(tmp_path)
+    try:
+        assert again == lsp_key
+        with RemoteLedgerSession(
+            host, port, client_id="demo-user", keypair=demo, expected_lsp_key=lsp_key
+        ) as session:
+            journal = session.client.get_journal(receipts[0].jsn)
+            assert journal.payload == b"kept 0"
+            assert session.verify("tx", txdata=[journal], level="client")
+    finally:
+        assert _interrupt(proc) == 0, proc.stdout.read()

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import EMPTY_DIGEST
 from repro.merkle.mpt import MPT, key_to_nibbles, nibbles_to_key
-from repro.storage.kv import CachedKVStore, KeyNotFoundError, MemoryKVStore
+from repro.storage.kv import KeyNotFoundError, MemoryKVStore
+from repro.storage.pagestore import PagedNodeStore
 
 
 class TestNibbles:
@@ -298,10 +299,15 @@ class TestPutMany:
 
 
 class TestStores:
-    def test_works_over_cached_store(self):
-        trie = MPT(store=CachedKVStore(MemoryKVStore(), capacity=8))
+    def test_works_over_cached_store(self, tmp_path):
+        # The paged store with a two-page LRU cache: flushed nodes are read
+        # back through page loads and evictions.
+        store = PagedNodeStore(tmp_path, cache_pages=2, page_bytes=512)
+        trie = MPT(store=store)
         for i in range(100):
             trie.put(b"key-%03d" % i, b"v%03d" % i)
+            if i % 10 == 9:
+                store.flush()
         for i in range(100):
             assert trie.get(b"key-%03d" % i) == b"v%03d" % i
         assert trie.prove(b"key-050").verify(trie.root)

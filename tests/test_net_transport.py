@@ -14,6 +14,7 @@ stops reading.
 from __future__ import annotations
 
 import asyncio
+import select
 import socket
 import statistics
 import struct
@@ -338,37 +339,45 @@ def test_eight_threads_share_one_client_byte_identically(world):
 
 def test_a_peer_that_stops_reading_is_not_read_from():
     """The peer pipelines padded requests — bulk proof fetches (tasks) and
-    single proofs (loop-answered) — and reads nothing.  The server stops
-    reading *from it*: its tasks stay at ``max_inflight``, its write buffer
-    and backlog stay bounded, the sender stalls on TCP, and a second client
-    is served as fast as before.  Once the peer reads, every request it sent
-    is answered."""
+    single proofs (loop-answered) — and reads nothing, until TCP stops
+    taking them.  The server stops reading *from it*: its tasks stay at
+    ``max_inflight``, its write buffer and backlog stay bounded, the sender
+    stalls on TCP, and a second client is served as fast as before.  Once
+    the peer reads, every request it sent is answered.
+
+    The sender keeps generating frames until it makes no progress, so the
+    stall does not depend on how much the host's socket buffers hold; the
+    byte cap makes a server that never pushes back fail instead."""
     ledger, user = make_ledger("ledger://backpressure")
-    total = 3000
+    cap = 256 << 20
     with ServerThread(ledger, max_inflight=4) as served:
         healthy = connect(served, user)
         jsns = [healthy.session.append(b"bp %d" % index).jsn for index in range(EPOCH + 4)]
         pad = b"x" * 4096
-        frames = [
-            encode_frame(
+
+        def frame(index: int) -> bytes:
+            return encode_frame(
                 request(index + 1, "get_proofs", jsns=jsns[:8], anchored=False, pad=pad)
                 if index % 2
                 else request(index + 1, "get_proof", jsn=jsns[index % len(jsns)], pad=pad)
             )
-            for index in range(total)
-        ]
+
         peer = socket.socket()
         peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
         peer.connect(served.address)
         peer.settimeout(60.0)
-        sent = [0]
+        sent = [0, 0]  # frames, bytes handed to the kernel
+        stop = threading.Event()
         errors: list[BaseException] = []
 
-        def send_all() -> None:
+        def send_until_stopped() -> None:
             try:
-                for frame in frames:
-                    peer.sendall(frame)
+                while not stop.is_set() and sent[1] < cap:
+                    data = frame(sent[0])
+                    peer.sendall(data)
                     sent[0] += 1
+                    sent[1] += len(data)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -380,7 +389,7 @@ def test_a_peer_that_stops_reading_is_not_read_from():
                 samples.append((time.perf_counter() - started) * 1e3)
             return statistics.median(samples)
 
-        sender = threading.Thread(target=send_all)
+        sender = threading.Thread(target=send_until_stopped)
         try:
             calm = ping_ms()
             sender.start()
@@ -392,7 +401,8 @@ def test_a_peer_that_stops_reading_is_not_read_from():
                 if sent[0] != mark:
                     mark, since = sent[0], time.monotonic()
                 time.sleep(0.02)
-            assert 0 < sent[0] < total, "TCP backpressure never reached the sender"
+            assert not errors, errors
+            assert sent[0] > 0 and sent[1] < cap, "TCP backpressure never reached the sender"
             (conn,) = [
                 c
                 for c in served.server._connections
@@ -403,15 +413,27 @@ def test_a_peer_that_stops_reading_is_not_read_from():
             assert conn.transport.get_write_buffer_size() < 1 << 20
             assert len(conn.backlog) < 1000
             assert ping_ms() < 10 * calm + 20, "a stalled peer slowed its neighbour"
-            # The peer starts reading: the server reads on, everything is answered.
-            replies = read_replies(peer, total)
-            sender.join(60)
-            assert not sender.is_alive() and not errors, errors
-            assert sorted(reply["id"] for reply in replies) == list(range(1, total + 1))
+            # The peer starts reading: the server reads on, the sender
+            # finishes the frame it is blocked in and stops, and exactly the
+            # frames sent are answered.
+            stop.set()
+            decoder = FrameDecoder()
+            replies: list[dict] = []
+            deadline = time.monotonic() + 60
+            while sender.is_alive() or len(replies) < sent[0]:
+                assert time.monotonic() < deadline, f"{len(replies)} of {sent[0]} replies"
+                if not select.select([peer], [], [], 0.2)[0]:
+                    continue  # nothing yet: look at the sender again
+                data = peer.recv(65536)
+                assert data, f"server hung up after {len(replies)} of {sent[0]} replies"
+                replies.extend(decoder.feed(data))
+            assert not errors, errors
+            assert sorted(reply["id"] for reply in replies) == list(range(1, sent[0] + 1))
             assert all(reply["ok"] for reply in replies)
             singles = [reply["id"] for reply in replies if reply["id"] % 2]
             assert singles == sorted(singles), "loop-answered replies left out of order"
         finally:
+            stop.set()
             peer.close()
             sender.join(10)
             healthy.close()

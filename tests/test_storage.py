@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.storage import (
-    CachedKVStore,
     FileStream,
     KeyNotFoundError,
     MemoryKVStore,
@@ -479,54 +478,3 @@ class TestKVStores:
             kv.get(b"k")
         with pytest.raises(KeyNotFoundError):
             kv.delete(b"k")
-
-    def test_cached_kv_write_through_and_hits(self):
-        backend = MemoryKVStore()
-        cached = CachedKVStore(backend, capacity=2)
-        cached.put(b"a", b"1")
-        assert backend.get(b"a") == b"1"  # write-through
-        assert cached.get(b"a") == b"1"
-        assert cached.cache_hits == 1 and cached.backend_reads == 0
-
-    def test_cached_kv_eviction(self):
-        backend = MemoryKVStore()
-        cached = CachedKVStore(backend, capacity=2)
-        for key in (b"a", b"b", b"c"):
-            cached.put(key, key)
-        assert cached.get(b"a") == b"a"  # evicted -> backend read
-        assert cached.backend_reads == 1
-
-    def test_cached_kv_delete(self):
-        cached = CachedKVStore(MemoryKVStore(), capacity=4)
-        cached.put(b"a", b"1")
-        cached.delete(b"a")
-        assert b"a" not in cached
-
-    def test_cache_capacity_validation(self):
-        with pytest.raises(ValueError):
-            CachedKVStore(MemoryKVStore(), capacity=0)
-
-    def test_contains_counts_hits_and_promotes(self):
-        # Regression: __contains__ used to probe the cache dict directly,
-        # bypassing hit/miss accounting and LRU promotion, so `key in store`
-        # skewed hit rates and could evict the wrong entry.
-        cached = CachedKVStore(MemoryKVStore(), capacity=2)
-        cached.put(b"a", b"1")
-        cached.put(b"b", b"2")
-        assert b"a" in cached
-        assert cached.cache_hits == 1
-        # The probe promoted "a", so inserting "c" must evict "b" instead.
-        cached.put(b"c", b"3")
-        cached.get(b"a")
-        assert cached.backend_reads == 0
-        cached.get(b"b")
-        assert cached.backend_reads == 1
-        # Backend-only membership costs (and counts) a backend round trip.
-        reads = cached.backend_reads
-        cached._cache.pop(b"b", None)  # force the backend path
-        assert b"b" in cached
-        assert cached.backend_reads == reads + 1
-        assert b"missing" not in cached
-        stats = cached.stats()
-        assert stats["cache_hits"] == cached.cache_hits
-        assert stats["backend_reads"] == cached.backend_reads
