@@ -9,8 +9,8 @@ quantify that gap — the argument for the client SDK's sync strategy.
 import pytest
 
 from repro.crypto.hashing import leaf_hash
-from repro.merkle.consistency import prove_consistency
-from repro.merkle.fam import AnchorStore, FamAccumulator
+from repro.merkle.consistency import ConsistencyBundle, prove_consistency
+from repro.merkle.fam import FamAccumulator
 from repro.merkle.shrubs import FrontierAccumulator, ShrubsAccumulator
 
 SIZE = 1 << 13
@@ -56,12 +56,8 @@ def test_fam_epoch_link_advance(benchmark):
         fam.append(leaf_hash(i.to_bytes(4, "big")))
 
     def advance_all():
-        anchors = AnchorStore()
-        anchors.add(0, fam.epoch_root(0))
-        for epoch in range(1, fam.num_epochs - 1):
-            link = fam.prove_epoch_link(epoch)
-            assert anchors.advance(epoch, fam.epoch_root(epoch), link)
-        return len(anchors)
+        bundle = ConsistencyBundle.build(fam, 0, 1)
+        return bundle.fold(fam.head_root(0, 1), fam.current_root(), fam.epoch_capacity)
 
-    count = benchmark(advance_all)
-    assert count == fam.num_epochs - 1
+    sealed = benchmark(advance_all)
+    assert len(sealed) == fam.num_epochs - 1

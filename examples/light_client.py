@@ -9,10 +9,11 @@ server's word for anything:
 
 1. the LSP public key is pinned at connect time (out-of-band trust root);
    every receipt's signature and request-hash echo is checked locally;
-2. epoch 0 is fully verified once (the bootstrap); every sealed epoch after
-   that is anchored via a single merged-leaf link proof (Rule 1: the old
-   epoch's root is leaf 0 of the new epoch);
-3. the live epoch is tracked via consistency proofs, so a server that
+2. every sync is one ``fam_extension`` round trip: a consistency bundle
+   from the head the client last verified, whose seal and merged-leaf links
+   (Rule 1: the old epoch's root is leaf 0 of the new epoch) *derive* each
+   newly sealed epoch's anchor instead of taking it from the server;
+3. the live epoch is tracked along those bundles, so a server that
    rewrites *any* committed journal is caught on the next sync;
 4. with anchors in hand, every existence verification is a short in-epoch
    path — never the full-chain walk.

@@ -139,7 +139,7 @@ def _timed_ms(work, meter: CostMeter) -> float:
 
 def _what_ms(world: _World) -> float:
     """Existence of every journal, against anchors the client verified."""
-    tracker = AnchorTracker(world.ledger.fam_reader())
+    tracker = AnchorTracker(world.ledger)
     tracker.sync()
     wire = [journal.to_bytes() for journal in world.journals]
 

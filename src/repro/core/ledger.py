@@ -34,6 +34,7 @@ from ..crypto.keys import KeyPair, verify_batch
 from ..crypto.multisig import MultiSignature, MultiSignatureError
 from ..encoding import encode
 from ..merkle.cmtree import ClueProof, CMTree
+from ..merkle.consistency import ConsistencyBundle
 from ..merkle.fam import AnchorStore, FamAccumulator, FamProof
 from ..merkle.mpt import MPT
 from ..shard.shape import is_sharded_layout
@@ -47,11 +48,9 @@ from ..transparency.censorship import SubmissionAck
 from ..transparency.sth import (
     SOLO_SHARD,
     ConsistencyAssertion,
-    ConsistencyBundle,
     SignedTreeHead,
     SthStore,
 )
-from ..verify import FamReader
 from .blocks import Block
 from .cluesl import ClueSkipList
 from .errors import (
@@ -806,10 +805,44 @@ class Ledger:
     def current_root(self) -> Digest:
         return self._head.root
 
-    def fam_reader(self) -> FamReader:
-        """The read-only fam face anchor-tracking clients (and the network
-        server's fam ops) follow this ledger through."""
-        return FamReader(self._fam, lambda: self._head)
+    def fam_extension(
+        self,
+        old_epoch: int,
+        old_live_size: int,
+        new_epoch: int | None = None,
+        new_live_size: int | None = None,
+    ) -> tuple[Digest, Digest, ConsistencyBundle]:
+        """How the fam head ``(new_epoch, new_live_size)`` append-only-extends
+        ``(old_epoch, old_live_size)``: ``(old_root, new_root, bundle)``, the
+        claimed roots of both ends and the :class:`ConsistencyBundle` between
+        them — the one read an anchor tracker follows this ledger through.
+
+        Cut at one published head: the new end defaults to it (a sealed
+        ``new_epoch`` alone means its full capacity) and may not pass it.
+        Unsigned; :meth:`get_consistency` signs the same roots.
+
+        Raises:
+            UsageError: the coordinates are out of order, past the head, or
+                inside an epoch purge erased.
+        """
+        head, fam = self._head, self._fam
+        if new_epoch is None:
+            new_epoch = head.epoch
+        if new_live_size is None:
+            new_live_size = head.live_size if new_epoch == head.epoch else fam.epoch_capacity
+        if (new_epoch, new_live_size) > (head.epoch, head.live_size):
+            raise UsageError(f"fam head ({new_epoch}, {new_live_size}) is not published")
+        try:
+            bundle = ConsistencyBundle.build(
+                fam, old_epoch, old_live_size, new_epoch, new_live_size
+            )
+            return (
+                fam.head_root(old_epoch, old_live_size),
+                fam.head_root(new_epoch, new_live_size),
+                bundle,
+            )
+        except (ValueError, IndexError, KeyError) as exc:
+            raise UsageError(f"cannot connect fam heads: {exc}") from None
 
     def state_root(self) -> Digest:
         return self._head.state_root
@@ -967,27 +1000,23 @@ class Ledger:
                     "composite heads carry no epoch tree; request per-shard "
                     "consistency instead"
                 )
-            fam = self._fam
-            try:
-                bundle = ConsistencyBundle.build(
-                    fam, old.epoch, old.live_size, new.epoch, new.live_size
-                )
-                assertion = ConsistencyAssertion(
-                    ledger_uri=self.config.uri,
-                    shard_index=self.sth_shard_index,
-                    fractal_height=self.config.fractal_height,
-                    old_epoch=old.epoch,
-                    old_tree_size=old.tree_size,
-                    old_live_size=old.live_size,
-                    old_root=fam.head_root(old.epoch, old.live_size),
-                    new_epoch=new.epoch,
-                    new_tree_size=new.tree_size,
-                    new_live_size=new.live_size,
-                    new_root=fam.head_root(new.epoch, new.live_size),
-                    timestamp=self.clock.now(),
-                ).signed_by(self._lsp_keypair)
-            except (ValueError, IndexError) as exc:
-                raise UsageError(f"cannot connect heads: {exc}") from exc
+            old_root, new_root, bundle = self.fam_extension(
+                old.epoch, old.live_size, new.epoch, new.live_size
+            )
+            assertion = ConsistencyAssertion(
+                ledger_uri=self.config.uri,
+                shard_index=self.sth_shard_index,
+                fractal_height=self.config.fractal_height,
+                old_epoch=old.epoch,
+                old_tree_size=old.tree_size,
+                old_live_size=old.live_size,
+                old_root=old_root,
+                new_epoch=new.epoch,
+                new_tree_size=new.tree_size,
+                new_live_size=new.live_size,
+                new_root=new_root,
+                timestamp=self.clock.now(),
+            ).signed_by(self._lsp_keypair)
             obs.inc("transparency.consistency.served")
             return bundle, assertion
 

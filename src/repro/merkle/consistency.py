@@ -15,18 +15,28 @@ new peak from them.  Soundness hinges on the tiling rule enforced during
 verification: a complement tile may never cover any leaf < *a*, so the old
 region can only be reconstructed from the old peaks the verifier already
 trusts (via the old root).
+
+A fam grows in epochs, so "head B extends head A" spans epoch rolls: a
+:class:`ConsistencyBundle` chains one consistency proof per end with the
+merged-leaf links between them, and :meth:`ConsistencyBundle.fold` is the
+one check of it — for signed tree heads and for the anchor tracker alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..crypto.hashing import Digest, node_hash
 from ..encoding import decode, encode
-from .proofs import bag_peaks
+from .proofs import MembershipProof, bag_peaks
 from .shrubs import ShrubsAccumulator, peak_positions
 
-__all__ = ["ConsistencyProof", "prove_consistency"]
+if TYPE_CHECKING:
+    from ..transparency.sth import SignedTreeHead
+    from .fam import FamAccumulator
+
+__all__ = ["ConsistencyBundle", "ConsistencyProof", "prove_consistency"]
 
 
 def _aligned_cover(start: int, end: int) -> list[tuple[int, int]]:
@@ -142,3 +152,181 @@ def prove_consistency(
         old_peaks=accumulator.peaks(old_size),
         complement=complement,
     )
+
+
+@dataclass(frozen=True)
+class ConsistencyBundle:
+    """Append-only link between two fam heads across epoch rolls.
+
+    A head is ``(epoch, live_size, root)``: ``live_size`` leaves into epoch
+    ``epoch``'s tree, merged leaf included.  Within one epoch a plain
+    :class:`ConsistencyProof` suffices (``live``).  Across epochs the bundle
+    chains: ``seal`` proves the old head's epoch grew append-only from the
+    head's live size to full capacity (yielding ``sealed_root``, the only
+    *claimed* intermediate — the fold needs both endpoint roots), then each
+    ``links`` entry is the Rule-1 merged-leaf proof whose folded root
+    *derives* the next epoch root, and ``final_link`` folds the last derived
+    root into the new head's live tree.  Intermediate epoch roots are
+    therefore computed, not trusted.
+    """
+
+    old_epoch: int
+    old_live_size: int
+    new_epoch: int
+    new_live_size: int
+    live: ConsistencyProof | None = None
+    seal: ConsistencyProof | None = None
+    sealed_root: Digest | None = None
+    links: tuple[MembershipProof, ...] = ()
+    final_link: MembershipProof | None = None
+
+    @classmethod
+    def build(
+        cls,
+        fam: "FamAccumulator",
+        old_epoch: int,
+        old_live_size: int,
+        new_epoch: int | None = None,
+        new_live_size: int | None = None,
+    ) -> "ConsistencyBundle":
+        """Build the bundle from the server's accumulator.
+
+        ``new_epoch``/``new_live_size`` default to the live head.  Both
+        endpoints may be historical — Shrubs interior nodes are immutable,
+        so any past head is still provable.
+        """
+        if new_epoch is None:
+            new_epoch = fam.num_epochs - 1
+        if new_live_size is None:
+            new_live_size = fam.live_size(new_epoch)
+        if not 0 <= old_epoch <= new_epoch < fam.num_epochs:
+            raise ValueError(
+                f"epoch pair ({old_epoch}, {new_epoch}) out of range "
+                f"[0, {fam.num_epochs})"
+            )
+        if old_epoch == new_epoch:
+            if not 0 < old_live_size <= new_live_size:
+                raise ValueError(
+                    f"need 0 < old_live_size <= new_live_size, got "
+                    f"({old_live_size}, {new_live_size})"
+                )
+            if old_live_size == new_live_size:
+                return cls(old_epoch, old_live_size, new_epoch, new_live_size)
+            return cls(
+                old_epoch,
+                old_live_size,
+                new_epoch,
+                new_live_size,
+                live=fam.prove_head_consistency(old_epoch, old_live_size, new_live_size),
+            )
+        capacity = fam.epoch_capacity
+        return cls(
+            old_epoch,
+            old_live_size,
+            new_epoch,
+            new_live_size,
+            seal=fam.prove_head_consistency(old_epoch, old_live_size, capacity),
+            sealed_root=fam.epoch_root(old_epoch),
+            links=tuple(fam.prove_head_link(k, capacity) for k in range(old_epoch + 1, new_epoch)),
+            final_link=fam.prove_head_link(new_epoch, new_live_size),
+        )
+
+    def verify(self, old: "SignedTreeHead", new: "SignedTreeHead") -> bool:
+        """Check that signed head ``new`` append-only-extends ``old``.  Never
+        raises.
+
+        Checks structure only — callers validate the heads' signatures
+        separately (the :class:`~repro.transparency.Witness` does).
+        """
+        old_coords, new_coords = (old.epoch, old.live_size), (new.epoch, new.live_size)
+        if not old.same_stream(new) or old.is_composite or new.is_composite:
+            return False  # composite heads have no epoch tree to connect
+        if (old_coords, new_coords) != (
+            (self.old_epoch, self.old_live_size),
+            (self.new_epoch, self.new_live_size),
+        ):
+            return False
+        if old.tree_size > new.tree_size:
+            return False
+        if old_coords == new_coords and old.tree_size != new.tree_size:
+            return False
+        try:
+            capacity = 1 << old.fractal_height
+        except (TypeError, ValueError):
+            return False
+        return self.fold(old.root, new.root, capacity) is not None
+
+    def fold(self, old_root: Digest, new_root: Digest, capacity: int) -> list[Digest] | None:
+        """Fold the old head's ``old_root`` to the new head's ``new_root`` in
+        a fam whose sealed epochs hold ``capacity`` leaves.
+
+        Returns the roots this bundle *derives* — the sealed root of every
+        epoch from ``old_epoch`` to ``new_epoch - 1``, empty inside one epoch
+        — or None when it does not connect the two.  Never raises.
+        """
+        try:
+            return self._fold(old_root, new_root, capacity)
+        except (KeyError, ValueError, IndexError, TypeError):
+            return None
+
+    def _fold(self, old_root: Digest, new_root: Digest, capacity: int) -> list[Digest] | None:
+        old_size, new_size = self.old_live_size, self.new_live_size
+        if self.old_epoch == self.new_epoch:
+            if old_size == new_size:
+                return [] if old_root == new_root else None
+            live = self.live
+            if live is None or (live.old_size, live.new_size) != (old_size, new_size):
+                return None
+            return [] if live.verify(old_root, new_root) else None
+        seal, sealed_root = self.seal, self.sealed_root
+        if seal is None or sealed_root is None:
+            return None
+        if (seal.old_size, seal.new_size) != (old_size, capacity):
+            return None
+        if not seal.verify(old_root, sealed_root):
+            return None
+        if len(self.links) != self.new_epoch - self.old_epoch - 1:
+            return None
+        roots = [sealed_root]
+        for link in self.links:
+            if link.leaf_index != 0 or link.tree_size != capacity:
+                return None
+            roots.append(link.computed_root(roots[-1]))
+        final = self.final_link
+        if final is None or final.leaf_index != 0 or final.tree_size != new_size:
+            return None
+        return roots if final.computed_root(roots[-1]) == new_root else None
+
+    def to_bytes(self) -> bytes:
+        return encode(
+            {
+                "old_epoch": self.old_epoch,
+                "old_live_size": self.old_live_size,
+                "new_epoch": self.new_epoch,
+                "new_live_size": self.new_live_size,
+                "live": self.live.to_bytes() if self.live else b"",
+                "seal": self.seal.to_bytes() if self.seal else b"",
+                "sealed_root": self.sealed_root if self.sealed_root else b"",
+                "links": [link.to_bytes() for link in self.links],
+                "final_link": self.final_link.to_bytes() if self.final_link else b"",
+            }
+        )
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "ConsistencyBundle":
+        obj = decode(data)
+        live = bytes(obj["live"])
+        seal = bytes(obj["seal"])
+        sealed_root = bytes(obj["sealed_root"])
+        final_link = bytes(obj["final_link"])
+        return cls(
+            old_epoch=obj["old_epoch"],
+            old_live_size=obj["old_live_size"],
+            new_epoch=obj["new_epoch"],
+            new_live_size=obj["new_live_size"],
+            live=ConsistencyProof.from_bytes(live) if live else None,
+            seal=ConsistencyProof.from_bytes(seal) if seal else None,
+            sealed_root=sealed_root if sealed_root else None,
+            links=tuple(MembershipProof.from_bytes(bytes(blob)) for blob in obj["links"]),
+            final_link=MembershipProof.from_bytes(final_link) if final_link else None,
+        )

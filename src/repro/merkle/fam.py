@@ -121,33 +121,6 @@ class AnchorStore:
         """Sorted ``(epoch_index, root)`` pairs — the exportable anchor set."""
         return sorted(self._roots.items())
 
-    def advance(
-        self,
-        epoch_index: int,
-        claimed_root: Digest,
-        link_proof: MembershipProof,
-    ) -> bool:
-        """Anchor epoch ``epoch_index`` from the anchor for ``epoch_index-1``.
-
-        Verifies the Rule-1 merged-leaf link: the previous anchor must sit at
-        leaf 0 of the new epoch and fold to ``claimed_root``.  O(delta) work
-        per epoch — this is how a light verifier keeps its anchors current
-        without replaying history.  Returns False (and stores nothing) if the
-        link does not verify or the previous anchor is missing.
-        """
-        previous = self._roots.get(epoch_index - 1)
-        if previous is None:
-            return False
-        if link_proof.leaf_index != 0:
-            return False
-        try:
-            if link_proof.computed_root(previous) != claimed_root:
-                return False
-        except (ValueError, IndexError):
-            return False
-        self.add(epoch_index, claimed_root)
-        return True
-
     def __contains__(self, epoch_index: int) -> bool:
         return epoch_index in self._roots
 
@@ -398,25 +371,6 @@ class FamAccumulator:
 
     # -------------------------------------------------- anchor advancement
 
-    def prove_epoch_link(self, epoch_index: int) -> MembershipProof:
-        """Proof that epoch ``epoch_index - 1``'s root is leaf 0 of the
-        *completed* epoch ``epoch_index`` (the Rule-1 merged-leaf link).
-
-        A client holding the anchor for epoch k verifies this against the
-        claimed root of epoch k+1 and, on success, may anchor k+1 too —
-        advancing its trusted anchors with O(delta) work per epoch instead
-        of re-verifying history (see :meth:`AnchorStore.advance`).
-        """
-        completed = len(self._epoch_roots)  # epochs 0..completed-1 are sealed
-        if not 1 <= epoch_index <= completed - 1:
-            raise ValueError(
-                f"epoch {epoch_index} must be a completed non-genesis epoch "
-                f"(valid range: 1..{completed - 1})"
-            )
-        if epoch_index in self._erased_epochs:
-            raise KeyError(f"epoch {epoch_index} was erased by purge")
-        return self._epochs[epoch_index].prove(0, at_size=self.epoch_capacity)
-
     def live_size(self, epoch_index: int | None = None) -> int:
         """Leaf count of one epoch's tree, merged leaf included.
 
@@ -445,27 +399,23 @@ class FamAccumulator:
     def prove_head_link(
         self, epoch_index: int, live_size: int | None = None
     ) -> MembershipProof:
-        """Merged-leaf proof of leaf 0 against an arbitrary head of an epoch.
-
-        The generalisation of :meth:`prove_epoch_link` that consistency
-        bundles need for their final step: epoch ``epoch_index - 1``'s root
-        sits at leaf 0 of epoch ``epoch_index``'s tree *as of* ``live_size``
-        leaves (default: the tree's current size), which may be any head the
-        LSP ever signed — not just the sealed capacity.
+        """Merged-leaf proof of leaf 0 against one head of an epoch (the
+        Rule-1 link): epoch ``epoch_index - 1``'s root sits at leaf 0 of epoch
+        ``epoch_index``'s tree *as of* ``live_size`` leaves (default: the
+        tree's current size; the capacity for a sealed epoch's link).
         """
-        if epoch_index < 1:
-            raise ValueError("epoch 0 has no merged leaf")
+        if not 1 <= epoch_index < len(self._epochs):
+            raise ValueError(
+                f"epoch {epoch_index} has no merged leaf "
+                f"(valid range: 1..{len(self._epochs) - 1})"
+            )
         if self.is_epoch_erased(epoch_index):
             raise KeyError(f"epoch {epoch_index} was erased by purge")
         return self._epochs[epoch_index].prove(0, at_size=live_size)
 
-    def prove_epoch_consistency(self, epoch_index: int, old_size: int, new_size: int | None = None):
-        """Consistency proof *within* one epoch's tree (sealed or live).
-
-        Used when a client's last-seen live state belongs to an epoch that
-        has since been sealed: the proof shows the sealed root extends the
-        state the client verified.
-        """
+    def prove_head_consistency(self, epoch_index: int, old_size: int, new_size: int | None = None):
+        """Consistency proof *within* one epoch's tree (sealed or live), from
+        its head at ``old_size`` leaves to the one at ``new_size``."""
         from .consistency import prove_consistency
 
         if self.is_epoch_erased(epoch_index):

@@ -53,8 +53,8 @@ from ..core.journal import ClientRequest, Journal
 from ..core.receipt import Receipt
 from ..crypto.hashing import Digest
 from ..crypto.keys import KeyPair, PublicKey
+from ..encoding import EncodingError
 from ..merkle.cmtree import ClueProof
-from ..merkle.consistency import ConsistencyProof
 from ..merkle.fam import FamProof
 from ..merkle.proofs import MembershipProof
 from ..service import ServiceClosedError, ServiceOverloadedError, ServiceTimeout
@@ -590,29 +590,34 @@ class AsyncRemoteLedger(FrameConnection):
         """Ask the *server* to verify (advisory only — it could lie)."""
         return bool((await self._call("verify_journal", journal=journal.to_bytes()))["ok"])
 
-    async def fam_info(self) -> dict:
-        return await self._call("fam_info")
+    async def fam_extension(
+        self,
+        old_epoch: int,
+        old_live_size: int,
+        new_epoch: int | None = None,
+        new_live_size: int | None = None,
+    ) -> tuple[Digest, Digest, ConsistencyBundle]:
+        """The server's claimed roots of two fam heads and the bundle between
+        them (the new one defaults to its head): a claim until folded.
 
-    async def epoch_anchor(self, epoch: int) -> Digest:
-        return bytes((await self._call("epoch_anchor", epoch=epoch))["root"])
-
-    async def epoch_link(self, epoch: int) -> MembershipProof:
-        result = await self._call("epoch_link", epoch=epoch)
-        return MembershipProof.from_bytes(bytes(result["proof"]))
-
-    async def epoch_leaves(self, epoch: int = 0) -> list[Digest]:
-        result = await self._call("epoch_leaves", epoch=epoch)
-        return [bytes(digest) for digest in result["digests"]]
-
-    async def epoch_consistency(
-        self, epoch: int, old_size: int, new_size: int | None = None
-    ) -> ConsistencyProof:
-        """Append-only proof inside one epoch's tree, ``old_size`` leaves to
-        ``new_size`` (default: the tree's size when the server answers)."""
+        Raises:
+            VerificationFailure: the reply does not decode to that triple.
+        """
         result = await self._call(
-            "epoch_consistency", epoch=epoch, old_size=old_size, new_size=new_size
+            "fam_extension",
+            old_epoch=old_epoch,
+            old_live_size=old_live_size,
+            new_epoch=new_epoch,
+            new_live_size=new_live_size,
         )
-        return ConsistencyProof.from_bytes(bytes(result["proof"]))
+        try:
+            fields = [result[name] for name in ("old_root", "new_root", "bundle")]
+            if not all(isinstance(value, bytes) for value in fields):
+                raise TypeError("fields must be bytes")
+            old_root, new_root, blob = fields
+            return old_root, new_root, ConsistencyBundle.from_bytes(blob)
+        except (EncodingError, KeyError, TypeError, ValueError, IndexError) as exc:
+            raise VerificationFailure(f"undecodable fam_extension reply: {exc}") from None
 
     async def shard_info(self) -> dict:
         """This server's place in its deployment's shard map (DESIGN.md §15).
@@ -847,11 +852,7 @@ class RemoteLedgerClient:
     get_sth = _driven(AsyncRemoteLedger.get_sth)
     get_sth_range = _driven(AsyncRemoteLedger.get_sth_range)
     get_consistency = _driven(AsyncRemoteLedger.get_consistency)
-    fam_info = _driven(AsyncRemoteLedger.fam_info)
-    epoch_anchor = _driven(AsyncRemoteLedger.epoch_anchor)
-    epoch_link = _driven(AsyncRemoteLedger.epoch_link)
-    epoch_leaves = _driven(AsyncRemoteLedger.epoch_leaves)
-    epoch_consistency = _driven(AsyncRemoteLedger.epoch_consistency)
+    fam_extension = _driven(AsyncRemoteLedger.fam_extension)
 
     def export_bundle(self, clues: tuple[str, ...], path: Any = None) -> "ExportBundle":
         """The server's bundle, decoded (magic, CRC) and written to ``path``."""

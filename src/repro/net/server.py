@@ -76,8 +76,7 @@ _MUTATING_OPS = frozenset({"append", "append_batch", "register"})
 #: page store or the service queue, or whose result is unbounded, stays out
 #: and runs as a task (``get_sth`` signs and may persist a head).
 _LOOP_OPS = frozenset(
-    "ping hello get_root get_journal get_proof receipt_for "
-    "fam_info epoch_anchor epoch_link epoch_leaves epoch_consistency".split()
+    "ping hello get_root get_journal get_proof receipt_for fam_extension".split()
 )
 
 
@@ -518,31 +517,16 @@ class LedgerServer:
         receipt = self.ledger.receipt_for(jsn)
         return {"receipt": receipt.to_bytes() if receipt is not None else b""}
 
-    # The six fam read ops an anchor-tracking client follows the ledger
-    # through — all answered by the ledger's read-only FamReader, the same
-    # object an in-process session reads (repro.verify.tracker).
-
-    def _op_fam_info(self, message: dict) -> dict:
-        return self.ledger.fam_reader().fam_info()
-
-    def _op_epoch_anchor(self, message: dict) -> dict:
-        epoch = _require_int(message.get("epoch"), "epoch")
-        return {"root": self.ledger.fam_reader().epoch_anchor(epoch)}
-
-    def _op_epoch_link(self, message: dict) -> dict:
-        epoch = _require_int(message.get("epoch"), "epoch")
-        return {"proof": self.ledger.fam_reader().epoch_link(epoch).to_bytes()}
-
-    def _op_epoch_leaves(self, message: dict) -> dict:
-        epoch = _require_int(message.get("epoch"), "epoch")
-        return {"digests": self.ledger.fam_reader().epoch_leaves(epoch)}
-
-    def _op_epoch_consistency(self, message: dict) -> dict:
-        epoch = _require_int(message.get("epoch"), "epoch")
-        old_size = _require_int(message.get("old_size"), "old_size")
-        new_size = _optional_int(message.get("new_size"), "new_size")
-        proof = self.ledger.fam_reader().epoch_consistency(epoch, old_size, new_size)
-        return {"proof": proof.to_bytes()}
+    def _op_fam_extension(self, message: dict) -> dict:
+        """The one fam read an anchor-tracking client follows the ledger
+        through (:meth:`repro.core.ledger.Ledger.fam_extension`)."""
+        old_root, new_root, bundle = self.ledger.fam_extension(
+            _require_int(message.get("old_epoch"), "old_epoch"),
+            _require_int(message.get("old_live_size"), "old_live_size"),
+            _optional_int(message.get("new_epoch"), "new_epoch"),
+            _optional_int(message.get("new_live_size"), "new_live_size"),
+        )
+        return {"old_root": old_root, "new_root": new_root, "bundle": bundle.to_bytes()}
 
     async def _op_verify_journal(self, message: dict) -> dict:
         from ..core.journal import Journal

@@ -184,7 +184,7 @@ class Session:
         self.lgid = lgid if lgid is not None else port.ledger_uri
         self.client_id = client_id
         self.keypair = keypair
-        self.tracker = AnchorTracker(port)  # over the port's five fam reads
+        self.tracker = AnchorTracker(port)  # over the port's fam_extension read
         self.anchors = self.tracker.anchors
         self.state = self.tracker.state
 
@@ -622,11 +622,8 @@ _LEDGER_READS = frozenset(
         "get_sth",
         "get_sth_range",
         "get_consistency",
+        "fam_extension",  # the one read an AnchorTracker follows
     }
-)
-#: The five fam reads an AnchorTracker follows (:class:`repro.verify.ReadSource`).
-_FAM_READS = frozenset(
-    {"fam_info", "epoch_anchor", "epoch_link", "epoch_leaves", "epoch_consistency"}
 )
 
 
@@ -648,19 +645,10 @@ class LocalPort:
         self._owns_service = owns_service
         self.ledger_uri = ledger.config.uri
         self.lsp_public_key = ledger.lsp_public_key
-        fam_reader = getattr(ledger, "fam_reader", None)  # a solo ledger's one fam
-        self._fam = fam_reader() if fam_reader is not None else None
 
     def __getattr__(self, name: str) -> Any:
         if name in _LEDGER_READS:
             return getattr(self.ledger, name)
-        if name in _FAM_READS:
-            if self._fam is None:
-                raise UsageError(
-                    "a sharded deployment has no one fam to anchor; verify "
-                    "against its composite root with verify(level='client')"
-                )
-            return getattr(self._fam, name)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property

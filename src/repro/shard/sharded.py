@@ -552,6 +552,14 @@ class ShardedLedger:
             raise UsageError(f"no shard of this deployment stamps {old.shard_index}")
         return shard.get_consistency(old, new)
 
+    def fam_extension(self, *coordinates: int | None):
+        """Refused: the shards' fams are separate streams under one composite
+        root, so there is no one fam head for an anchor tracker to follow."""
+        raise UsageError(
+            "a sharded deployment has no one fam to anchor; verify "
+            "against its composite root with verify(level='client')"
+        )
+
     def issue_ack(self, request: ClientRequest, deadline_epochs: int | None = None):
         """Sign a submission ack on the shard the request routes to."""
         return self._shards[self.shard_of_request(request)].issue_ack(

@@ -10,9 +10,9 @@ form third parties can compare:
   ``(epoch, tree_size, live_size, root)`` at a moment in time — one is
   emitted automatically at every epoch close and any client can demand a
   fresh one;
-* a :class:`ConsistencyBundle` proves head B append-only-extends head A
-  across fam epoch rolls (seal proof + merged-leaf links), so two honest
-  heads are always connectable;
+* a :class:`ConsistencyBundle` (from :mod:`repro.merkle.consistency`)
+  proves head B append-only-extends head A across fam epoch rolls (seal
+  proof + merged-leaf links), so two honest heads are always connectable;
 * a :class:`ConsistencyAssertion` is the LSP's *signed claim* that two
   head coordinates carry specific roots — refusing to prove a signed claim
   is suspicious, but signing a claim that contradicts a signed head is
@@ -35,9 +35,7 @@ from ..crypto.hashing import Digest
 from ..crypto.keys import PublicKey
 from ..crypto.signed import LspSigned
 from ..encoding import decode, encode
-from ..merkle.consistency import ConsistencyProof
-from ..merkle.fam import FamAccumulator
-from ..merkle.proofs import MembershipProof
+from ..merkle.consistency import ConsistencyBundle
 from ..merkle.shrubs import ShrubsAccumulator
 
 __all__ = [
@@ -152,184 +150,6 @@ class SignedTreeHead(LspSigned):
                 for s, e, t, l, r in obj["shard_heads"]
             ),
             lsp_signature=cls._signature_of(obj),
-        )
-
-
-@dataclass(frozen=True)
-class ConsistencyBundle:
-    """Append-only link between two signed tree heads across epoch rolls.
-
-    Within one epoch a plain :class:`ConsistencyProof` suffices (``live``).
-    Across epochs the bundle chains: ``seal`` proves the old head's epoch
-    grew append-only from the head's live size to full capacity (yielding
-    ``sealed_root``, the only *claimed* intermediate — the verify needs both
-    endpoint roots), then each ``links`` entry is the Rule-1 merged-leaf
-    proof whose folded root *derives* the next epoch root, and
-    ``final_link`` folds the last derived root into the new head's live
-    tree.  Intermediate epoch roots are therefore computed, not trusted.
-    """
-
-    old_epoch: int
-    old_live_size: int
-    new_epoch: int
-    new_live_size: int
-    live: ConsistencyProof | None = None
-    seal: ConsistencyProof | None = None
-    sealed_root: Digest | None = None
-    links: tuple[MembershipProof, ...] = ()
-    final_link: MembershipProof | None = None
-
-    @classmethod
-    def build(
-        cls,
-        fam: FamAccumulator,
-        old_epoch: int,
-        old_live_size: int,
-        new_epoch: int | None = None,
-        new_live_size: int | None = None,
-    ) -> "ConsistencyBundle":
-        """Build the bundle from the server's accumulator.
-
-        ``new_epoch``/``new_live_size`` default to the live head.  Both
-        endpoints may be historical — Shrubs interior nodes are immutable,
-        so any past head is still provable.
-        """
-        if new_epoch is None:
-            new_epoch = fam.num_epochs - 1
-        if new_live_size is None:
-            new_live_size = fam.live_size(new_epoch)
-        if not 0 <= old_epoch <= new_epoch < fam.num_epochs:
-            raise ValueError(
-                f"epoch pair ({old_epoch}, {new_epoch}) out of range "
-                f"[0, {fam.num_epochs})"
-            )
-        if old_epoch == new_epoch:
-            if not 0 < old_live_size <= new_live_size:
-                raise ValueError(
-                    f"need 0 < old_live_size <= new_live_size, got "
-                    f"({old_live_size}, {new_live_size})"
-                )
-            if old_live_size == new_live_size:
-                return cls(old_epoch, old_live_size, new_epoch, new_live_size)
-            return cls(
-                old_epoch,
-                old_live_size,
-                new_epoch,
-                new_live_size,
-                live=fam.prove_epoch_consistency(
-                    old_epoch, old_live_size, new_live_size
-                ),
-            )
-        capacity = fam.epoch_capacity
-        seal = fam.prove_epoch_consistency(old_epoch, old_live_size, capacity)
-        links = tuple(
-            fam.prove_epoch_link(k) for k in range(old_epoch + 1, new_epoch)
-        )
-        return cls(
-            old_epoch,
-            old_live_size,
-            new_epoch,
-            new_live_size,
-            seal=seal,
-            sealed_root=fam.epoch_root(old_epoch),
-            links=links,
-            final_link=fam.prove_head_link(new_epoch, new_live_size),
-        )
-
-    def verify(self, old: SignedTreeHead, new: SignedTreeHead) -> bool:
-        """Check that ``new`` append-only-extends ``old``.  Never raises.
-
-        Checks structure only — callers validate the heads' signatures and
-        stream identity separately (the :class:`Witness` does both).
-        """
-        try:
-            return self._verify(old, new)
-        except (KeyError, ValueError, IndexError, TypeError):
-            return False
-
-    def _verify(self, old: SignedTreeHead, new: SignedTreeHead) -> bool:
-        if not old.same_stream(new):
-            return False
-        if old.is_composite or new.is_composite:
-            return False  # composite heads have no epoch tree to connect
-        if (old.epoch, old.live_size) != (self.old_epoch, self.old_live_size):
-            return False
-        if (new.epoch, new.live_size) != (self.new_epoch, self.new_live_size):
-            return False
-        if (old.epoch, old.live_size) > (new.epoch, new.live_size):
-            return False
-        if old.tree_size > new.tree_size:
-            return False
-        if old.epoch == new.epoch:
-            if old.live_size == new.live_size:
-                return old.tree_size == new.tree_size and old.root == new.root
-            if self.live is None:
-                return False
-            if (self.live.old_size, self.live.new_size) != (
-                old.live_size,
-                new.live_size,
-            ):
-                return False
-            return self.live.verify(old.root, new.root)
-        # Cross-epoch: seal the old epoch, fold merged-leaf links forward.
-        capacity = 1 << old.fractal_height
-        if self.seal is None or self.sealed_root is None:
-            return False
-        if (self.seal.old_size, self.seal.new_size) != (old.live_size, capacity):
-            return False
-        if not self.seal.verify(old.root, self.sealed_root):
-            return False
-        if len(self.links) != new.epoch - old.epoch - 1:
-            return False
-        current = self.sealed_root
-        for link in self.links:
-            if link.leaf_index != 0 or link.tree_size != capacity:
-                return False
-            current = link.computed_root(current)
-        if self.final_link is None:
-            return False
-        if self.final_link.leaf_index != 0:
-            return False
-        if self.final_link.tree_size != new.live_size:
-            return False
-        return self.final_link.computed_root(current) == new.root
-
-    def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "old_epoch": self.old_epoch,
-                "old_live_size": self.old_live_size,
-                "new_epoch": self.new_epoch,
-                "new_live_size": self.new_live_size,
-                "live": self.live.to_bytes() if self.live else b"",
-                "seal": self.seal.to_bytes() if self.seal else b"",
-                "sealed_root": self.sealed_root if self.sealed_root else b"",
-                "links": [link.to_bytes() for link in self.links],
-                "final_link": self.final_link.to_bytes() if self.final_link else b"",
-            }
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ConsistencyBundle":
-        obj = decode(data)
-        live = bytes(obj["live"])
-        seal = bytes(obj["seal"])
-        sealed_root = bytes(obj["sealed_root"])
-        final_link = bytes(obj["final_link"])
-        return cls(
-            old_epoch=obj["old_epoch"],
-            old_live_size=obj["old_live_size"],
-            new_epoch=obj["new_epoch"],
-            new_live_size=obj["new_live_size"],
-            live=ConsistencyProof.from_bytes(live) if live else None,
-            seal=ConsistencyProof.from_bytes(seal) if seal else None,
-            sealed_root=sealed_root if sealed_root else None,
-            links=tuple(
-                MembershipProof.from_bytes(bytes(blob)) for blob in obj["links"]
-            ),
-            final_link=(
-                MembershipProof.from_bytes(final_link) if final_link else None
-            ),
         )
 
 

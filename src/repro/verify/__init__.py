@@ -13,7 +13,7 @@ evidence* its own way and calls in here.
   :func:`when_bracket`, :func:`who`, and :func:`lift` into a
   :class:`~repro.artifacts.VerifyResult`.
 * :mod:`~repro.verify.tracker` — the one stateful piece: an
-  :class:`AnchorTracker` following a fam through a :class:`ReadSource`.
+  :class:`AnchorTracker` following a fam through one ``fam_extension`` read.
 
 Import discipline: this package reaches only ``repro.crypto`` /
 ``repro.merkle`` / ``repro.encoding`` / ``repro.artifacts`` /
@@ -35,13 +35,11 @@ from .checks import (
     when_bracket,
     who,
 )
-from .tracker import AnchorTracker, ClientState, FamReader, ReadSource
+from .tracker import AnchorTracker, ClientState
 
 __all__ = [
     "AnchorTracker",
     "ClientState",
-    "FamReader",
-    "ReadSource",
     "check_time_evidence",
     "clue_what",
     "lift",

@@ -1,37 +1,38 @@
 """The fam-aoa anchor tracker: a distrusting client's O(delta) *what* state.
 
-A tracker follows one ledger's fam through a **read source** — the five
-calls of :class:`ReadSource`, answering with claims, never with trust.
-In process the source is a :class:`FamReader`; over the wire it is the
-remote client, whose calls are the server ops of the same names (the
-server answers them from a :class:`FamReader` too).  Everything the source
-says is verified before it moves the tracker: epoch 0 by re-hashing its
-leaves, later epochs by merged-leaf links, the live epoch by consistency
-proofs between exact ``(size, root)`` pairs.
+A tracker follows one ledger's fam through a **source** with one read,
+``fam_extension(old_epoch, old_live_size, new_epoch=None,
+new_live_size=None)``, answering ``(old_root, new_root, bundle)``: claims,
+never trust.  In process the source is the ledger itself
+(:meth:`repro.core.ledger.Ledger.fam_extension`); over the wire it is the
+remote client, whose call is the server op of the same name.  Every move of
+the tracked head is one such extension, and the
+:class:`~repro.merkle.consistency.ConsistencyBundle` must fold from the
+tracked ``(epoch, size, root)`` before anything moves: sealed-epoch anchors
+are the roots the seal and the merged-leaf links *derive*, and the live
+epoch's leaf 0 is bound to the last of them the moment the tracker enters
+that epoch.  The first extension starts at the genesis head ``(0, 1)``,
+whose root is the server's claim (as the head always was).
 
-The source is read beside a writer, so two answers never describe one
-instant.  That is why every consistency request names both of its sizes —
-the tracker asks for a proof to the head it *was told*, not to whatever is
-live by the time the request lands — and why "live" is always spelled as an
-explicit epoch index: the live epoch may have sealed in between, so no
-read names "the live epoch" (there is no ``live_consistency`` op).
+The source is read beside a writer, so the tracker names the sizes it asks
+about (the new end defaults to the head the server publishes when it
+answers) and checks that the bundle speaks for exactly those.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
 
 from ..core.errors import UsageError, VerificationFailure
 from ..core.receipt import Receipt
 from ..crypto.hashing import Digest
-from ..merkle.consistency import ConsistencyProof
-from ..merkle.fam import AnchorStore, FamAccumulator, FamProof
-from ..merkle.proofs import MembershipProof
-from ..merkle.shrubs import FrontierAccumulator
+from ..merkle.fam import AnchorStore, FamProof
 
-__all__ = ["AnchorTracker", "ClientState", "FamReader", "ReadSource"]
+__all__ = ["AnchorTracker", "ClientState"]
+
+#: The head every fam starts from: epoch 0 holding the genesis journal.
+GENESIS_HEAD = (0, 1)
 
 
 @dataclass
@@ -40,83 +41,23 @@ class ClientState:
 
     receipts: dict[int, Receipt] = field(default_factory=dict)
     anchored_epochs: int = 0  # epochs with verified anchors
-    epoch_capacity: int = 0  # leaves per sealed epoch tree, as last told
+    epoch_capacity: int = 0  # leaves per sealed epoch tree, once one sealed
     live_epoch_index: int = 0  # epoch the live state below belongs to
     live_size: int = 0  # last verified live-epoch leaf count
     live_root: Digest | None = None  # last verified live commitment
-
-
-class ReadSource(Protocol):
-    """The claims an :class:`AnchorTracker` verifies (see module docstring)."""
-
-    def fam_info(self) -> dict: ...
-
-    def epoch_anchor(self, epoch: int) -> Digest: ...
-
-    def epoch_link(self, epoch: int) -> MembershipProof: ...
-
-    def epoch_leaves(self, epoch: int) -> list[Digest]: ...
-
-    def epoch_consistency(
-        self, epoch: int, old_size: int, new_size: int | None = None
-    ) -> ConsistencyProof: ...
-
-
-class FamReader:
-    """Read-only face of one :class:`FamAccumulator` — the local source, and
-    what the network server answers its fam ops from.
-
-    Safe beside the (single) appending thread without a lock: ``head()``
-    returns the ledger's published head (size, epoch, live size and root of
-    one commit), which :meth:`fam_info` answers from; every other answer is
-    computed at sizes its caller names, and Shrubs nodes are immutable once
-    written.
-    """
-
-    def __init__(self, fam: FamAccumulator, head: Callable[[], Any]) -> None:
-        self._fam = fam
-        self._head = head
-
-    def fam_info(self) -> dict:
-        head = self._head()
-        return {
-            "size": head.size,
-            "num_epochs": head.epoch + 1,
-            "epoch_capacity": self._fam.epoch_capacity,
-            "fractal_height": self._fam.fractal_height,
-            "live_size": head.live_size,
-            "live_root": head.root,
-        }
-
-    def epoch_anchor(self, epoch: int) -> Digest:
-        return self._fam.epoch_root(epoch)
-
-    def epoch_link(self, epoch: int) -> MembershipProof:
-        return self._fam.prove_epoch_link(epoch)
-
-    def epoch_leaves(self, epoch: int) -> list[Digest]:
-        if epoch != 0:
-            raise UsageError("only epoch 0 is bootstrapped from raw leaves")
-        fam = self._fam
-        return [fam.leaf_digest(jsn) for jsn in range(fam.epoch_capacity)]
-
-    def epoch_consistency(
-        self, epoch: int, old_size: int, new_size: int | None = None
-    ) -> ConsistencyProof:
-        return self._fam.prove_epoch_consistency(epoch, old_size, new_size)
 
 
 class AnchorTracker:
     """Verified epoch anchors plus the verified live head of one fam.
 
     ``anchors`` holds every sealed epoch's root, ``state`` the live epoch's
-    ``(size, root)``; both only ever move along proofs that verified.
+    ``(size, root)``; both only ever move along extensions that folded.
     Thread-safe: one lock serialises everything that reads-then-moves the
-    tracked head (it is held across the source's round trips — a second
+    tracked head (it is held across the source's round trip — a second
     verifier waiting is cheaper than two of them interleaving a catch-up).
     """
 
-    def __init__(self, source: ReadSource) -> None:
+    def __init__(self, source) -> None:
         self.source = source
         self.anchors = AnchorStore()
         self.state = ClientState()
@@ -125,100 +66,67 @@ class AnchorTracker:
     # ------------------------------------------------------------------ sync
 
     def sync(self) -> int:
-        """Advance to the source's current state; returns new epoch anchors.
-
-        Epoch 0's anchor is bootstrapped by full verification (downloading
-        and re-hashing the epoch's leaf digests); every later epoch advances
-        via an O(delta) merged-leaf link proof; the live epoch via a
-        consistency proof from the last verified live head.
+        """Advance to the source's current head; returns new epoch anchors.
 
         Raises:
-            VerificationFailure: the moment any link fails — nothing
-                unverified is ever anchored.
+            VerificationFailure: the extension does not fold from the
+                tracked head — nothing unverified is ever anchored.
         """
         with self._lock:
             return self._sync()
 
     def _sync(self) -> int:
-        source, state = self.source, self.state
-        info = source.fam_info()
-        live_epoch = info["num_epochs"] - 1
-        state.epoch_capacity = info["epoch_capacity"]
-        added = 0
-        while state.anchored_epochs < live_epoch:
-            epoch = state.anchored_epochs
-            claimed_root = source.epoch_anchor(epoch)
-            if epoch == 0:
-                frontier = FrontierAccumulator()
-                for leaf in source.epoch_leaves(0):
-                    frontier.append_leaf(leaf)
-                if frontier.root() != claimed_root:
-                    raise VerificationFailure("epoch 0 bootstrap verification failed")
-                self.anchors.add(0, claimed_root)
-            elif not self.anchors.advance(epoch, claimed_root, source.epoch_link(epoch)):
-                raise VerificationFailure(f"merged-leaf link for epoch {epoch} failed")
-            state.anchored_epochs += 1
-            added += 1
-        self._advance_live(live_epoch, info["live_size"], bytes(info["live_root"]))
-        return added
-
-    def _advance_live(self, epoch: int, size: int, root: Digest) -> None:
-        """Move the live head to the ``(epoch, size, root)`` the source claimed."""
         state = self.state
-        if state.live_root is not None and state.live_size > 0:
-            if (epoch, size) < (state.live_epoch_index, state.live_size):
-                raise VerificationFailure("live epoch shrank")
-            if epoch == state.live_epoch_index:
-                # Same epoch: its evolution must be append-only.
-                if size == state.live_size:
-                    if root != state.live_root:
-                        raise VerificationFailure(
-                            "live commitment changed without appends"
-                        )
-                elif not self._extends(
-                    epoch, state.live_size, state.live_root, size, root
-                ):
-                    raise VerificationFailure(
-                        "live epoch evolved non-append-only (history rewritten?)"
-                    )
-            else:
-                # Our epoch has been sealed since we last looked: the anchor
-                # sync just validated for it must extend the head we verified.
-                sealed = state.live_epoch_index
-                if not self._extends(
-                    sealed,
-                    state.live_size,
-                    state.live_root,
-                    state.epoch_capacity,
-                    self.anchors.get(sealed),
-                ):
-                    raise VerificationFailure(
-                        f"sealed epoch {sealed} does not extend the state "
-                        "this client verified"
-                    )
-        state.live_epoch_index = epoch
-        state.live_size = size
-        state.live_root = root
+        before = state.anchored_epochs
+        if state.live_root is None:
+            self._advance(*GENESIS_HEAD, None)
+        else:
+            self._advance(state.live_epoch_index, state.live_size, state.live_root)
+        return state.anchored_epochs - before
 
-    def _extends(
-        self,
-        epoch: int,
-        old_size: int,
-        old_root: Digest,
-        new_size: int,
-        new_root: Digest | None,
-    ) -> bool:
-        """One consistency round trip: does ``new`` append-only extend ``old``
-        inside ``epoch``'s tree?  The proof must speak for exactly the two
-        sizes asked about."""
-        if new_root is None:
-            return False
-        proof = self.source.epoch_consistency(epoch, old_size, new_size)
-        return (
-            proof.old_size == old_size
-            and proof.new_size == new_size
-            and proof.verify(old_root, new_root)
+    def _extension(self, epoch: int, size: int, root: Digest | None, new=None) -> tuple:
+        """One ``fam_extension`` read from the head ``(epoch, size, root)`` to
+        ``new = (epoch, size, root)`` (default: the source's head), folded.
+
+        Returns ``(bundle, new_root, sealed_roots, capacity)`` and moves
+        nothing; raises :class:`VerificationFailure` unless the bundle folds
+        from exactly the head asked about to exactly the one asked for.
+        """
+        new_epoch, new_size, new_root = new if new is not None else (None, None, None)
+        claimed_old, claimed_new, bundle = self.source.fam_extension(
+            epoch, size, new_epoch, new_size
         )
+        if root is None:
+            root = claimed_old  # the genesis head is the server's claim
+        if claimed_old != root or (new_root is not None and claimed_new != new_root):
+            raise VerificationFailure(
+                f"the fam extension from ({epoch}, {size}) claims roots other than the tracked"
+            )
+        if (bundle.old_epoch, bundle.old_live_size) != (epoch, size) or (
+            new is not None and (bundle.new_epoch, bundle.new_live_size) != new[:2]
+        ):
+            raise VerificationFailure(
+                f"the fam extension from ({epoch}, {size}) proves other coordinates"
+            )
+        capacity = self.state.epoch_capacity or (bundle.seal.new_size if bundle.seal else 0)
+        sealed = bundle.fold(root, claimed_new, capacity)
+        if sealed is None:
+            raise VerificationFailure(
+                f"the fam head does not extend ({epoch}, {size}) append-only "
+                "(shrank, or history rewritten?)"
+            )
+        return bundle, claimed_new, sealed, capacity
+
+    def _advance(self, epoch: int, size: int, root: Digest | None, new=None) -> None:
+        """Move the tracked head along one verified extension."""
+        bundle, new_root, sealed, capacity = self._extension(epoch, size, root, new)
+        state = self.state
+        for index, sealed_root in enumerate(sealed, start=epoch):
+            self.anchors.add(index, sealed_root)
+        if sealed:
+            state.epoch_capacity = capacity
+        state.anchored_epochs = state.live_epoch_index = bundle.new_epoch
+        state.live_size, state.live_root = bundle.new_live_size, new_root
 
     # ------------------------------------------------------------------ fold
 
@@ -227,14 +135,15 @@ class AnchorTracker:
 
         The proof's epoch root must lie on the chain this tracker verified:
         equal to the tracked head of its epoch (a sealed epoch's anchor, the
-        live epoch's root), or connected to it by a consistency proof.  A
-        proof cut from a *newer* live head than the tracked one — the server
-        appended between :meth:`sync` and the proof fetch — is therefore not
-        a failure: the tracker catches up, verified, to the proof's head.  A
+        live epoch's root), or connected to it by one extension.  A proof cut
+        from a *newer* live head than the tracked one — the server appended
+        between :meth:`sync` and the proof fetch — is therefore not a
+        failure: the tracker catches up, verified, to the proof's head.  A
         proof from an epoch the tracker has not seen yet triggers a
         :meth:`sync` first.
 
-        Returns False for any proof that does not connect; raises
+        Returns False for any proof that does not connect (the source
+        refusing its coordinates included); raises
         :class:`VerificationFailure` only where :meth:`sync` would.
         """
         try:
@@ -249,16 +158,18 @@ class AnchorTracker:
             if epoch > state.live_epoch_index:
                 return False
             if epoch < state.live_epoch_index:
-                head_size, head_root = state.epoch_capacity, self.anchors.get(epoch)
+                head = (epoch, state.epoch_capacity, self.anchors.get(epoch))
             else:
-                head_size, head_root = state.live_size, state.live_root
-            if size == head_size:
-                return root == head_root
-            if size < head_size:
-                return self._extends(epoch, size, root, head_size, head_root)
-            if epoch < state.live_epoch_index or not self._extends(
-                epoch, head_size, head_root, size, root
-            ):
+                head = (epoch, state.live_size, state.live_root)
+            if size == head[1]:
+                return root == head[2]
+            if size > head[1] and epoch < state.live_epoch_index:
                 return False
-            state.live_size, state.live_root = size, root
+            try:
+                if size < head[1]:  # cut behind the tracked head: connect, move nothing
+                    self._extension(epoch, size, root, head)
+                else:  # cut ahead of the tracked live head: catch up to it
+                    self._advance(*head, (epoch, size, root))
+            except (VerificationFailure, UsageError):  # refused coordinates do not connect
+                return False
             return True

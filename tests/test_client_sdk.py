@@ -18,13 +18,13 @@ def client(deployment):
 
 
 def sealed_epochs(ledger):
-    return ledger.fam_reader().fam_info()["num_epochs"] - 1
+    return ledger.head.epoch
 
 
 class TestLedgerClient:
     def test_anchor_state_is_the_shared_trackers(self, deployment, client):
         """The session keeps no anchor logic of its own: its store and state
-        are the kernel tracker's, fed by the ledger's read-only fam reader."""
+        are the kernel tracker's, fed by the ledger's fam_extension read."""
         assert isinstance(client.tracker, AnchorTracker)
         assert client.anchors is client.tracker.anchors
         assert client.state is client.tracker.state

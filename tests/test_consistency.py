@@ -112,33 +112,41 @@ class TestFamIntegration:
         for i in range(20, 25):
             fam.append(leaf_hash(i.to_bytes(4, "big")))
         if fam.snapshot()[1] > old_size:  # still the same epoch
-            proof = fam.prove_epoch_consistency(fam.num_epochs - 1, old_size)
+            proof = fam.prove_head_consistency(fam.num_epochs - 1, old_size)
             assert proof.verify(old_root, fam.current_root())
 
     def test_epoch_link_advances_anchors(self):
-        from repro.merkle.fam import AnchorStore, FamAccumulator
+        """One bundle from the first head derives every sealed epoch root
+        through the merged-leaf links and folds to the live root."""
+        from repro.merkle.consistency import ConsistencyBundle
+        from repro.merkle.fam import FamAccumulator
 
         fam = FamAccumulator(3)
         for i in range(40):
             fam.append(leaf_hash(i.to_bytes(4, "big")))
-        anchors = AnchorStore()
-        anchors.add(0, fam.epoch_root(0))
-        for epoch in range(1, fam.num_epochs - 1):
-            link = fam.prove_epoch_link(epoch)
-            assert anchors.advance(epoch, fam.epoch_root(epoch), link), epoch
-        assert len(anchors) == fam.num_epochs - 1
+        bundle = ConsistencyBundle.build(fam, 0, 1)
+        sealed = bundle.fold(fam.head_root(0, 1), fam.current_root(), fam.epoch_capacity)
+        assert sealed == [fam.epoch_root(epoch) for epoch in range(fam.num_epochs - 1)]
+        assert len(bundle.links) == fam.num_epochs - 2
 
     def test_epoch_link_rejects_forged_root(self):
-        from repro.merkle.fam import AnchorStore, FamAccumulator
+        import dataclasses
+
+        from repro.merkle.consistency import ConsistencyBundle
+        from repro.merkle.fam import FamAccumulator
 
         fam = FamAccumulator(3)
         for i in range(40):
             fam.append(leaf_hash(i.to_bytes(4, "big")))
-        anchors = AnchorStore()
-        anchors.add(0, fam.epoch_root(0))
-        link = fam.prove_epoch_link(1)
-        assert not anchors.advance(1, leaf_hash(b"forged epoch root"), link)
-        assert anchors.get(1) is None  # nothing was stored
+        bundle = ConsistencyBundle.build(fam, 0, 1)
+        old_root, capacity = fam.head_root(0, 1), fam.epoch_capacity
+        forged_seal = dataclasses.replace(bundle, sealed_root=leaf_hash(b"forged epoch root"))
+        assert forged_seal.fold(old_root, fam.current_root(), capacity) is None
+        forged_link = dataclasses.replace(
+            bundle, links=(fam.prove_head_link(2, capacity),) + bundle.links[1:]
+        )
+        assert forged_link.fold(old_root, fam.current_root(), capacity) is None
+        assert bundle.fold(old_root, leaf_hash(b"forged live root"), capacity) is None
 
     def test_epoch_link_range_validation(self):
         from repro.merkle.fam import FamAccumulator
@@ -147,9 +155,9 @@ class TestFamIntegration:
         for i in range(20):
             fam.append(leaf_hash(i.to_bytes(4, "big")))
         with pytest.raises(ValueError):
-            fam.prove_epoch_link(0)  # genesis epoch has no merged leaf
+            fam.prove_head_link(0)  # genesis epoch has no merged leaf
         with pytest.raises(ValueError):
-            fam.prove_epoch_link(99)
+            fam.prove_head_link(99)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,8 +2,8 @@
 
 * Round-trip counts are exact: a client-level TX verify is one
   ``get_journal`` (its reply carries the anchored proof) and nothing else on
-  a quiescent ledger, one consistency fetch more once the ledger has moved,
-  the ``sync()`` ops once per epoch roll, one ``get_proof`` for a journal
+  a quiescent ledger, one ``fam_extension`` more once the ledger has moved
+  (inside its epoch or across a roll), one ``get_proof`` for a journal
   that lost its carried proof — counted at the server's ``net.op.*``
   counters, so a second round trip cannot creep back unnoticed.
 * Dropping the pre-verify sync changed no verdict: honest, tampered-payload,
@@ -26,13 +26,17 @@ import time
 import pytest
 
 from repro import obs
+from repro.api import LedgerSession
 from repro.audit import dasein_audit
 from repro.core import Ledger, LedgerConfig
 from repro.core.errors import VerificationFailure
 from repro.crypto import KeyPair, Role
 from repro.export.bundle import ExportBundle, export_bundle
 from repro.export.verifier import verify_bundle
+from repro.crypto.hashing import leaf_hash
+from repro.merkle.consistency import ConsistencyBundle
 from repro.merkle.fam import FamProof
+from repro.merkle.shrubs import ShrubsAccumulator
 from repro.net import (
     LedgerServer,
     RemoteLedgerClient,
@@ -107,8 +111,8 @@ def test_tx_verify_costs_exactly_its_round_trips(counted):
                 return counted(mark)
 
             # First contact: the tracker has no head yet, so the fold syncs
-            # (epoch 0 is still live: one fam_info, no epoch ops).
-            assert verify(jsns[0]) == {"get_journal": 1, "fam_info": 1}
+            # from the genesis head (one fam_extension).
+            assert verify(jsns[0]) == {"get_journal": 1, "fam_extension": 1}
             # Quiescent: one round trip, every time, for every journal — the
             # get_journal reply carries the anchored proof.
             for jsn in jsns:
@@ -117,23 +121,16 @@ def test_tx_verify_costs_exactly_its_round_trips(counted):
             # costs exactly one get_proof more.
             assert verify(jsns[1], dataclasses.replace) == {"get_journal": 1, "get_proof": 1}
             # k appends inside the epoch: the proof is cut from a newer head,
-            # connected by exactly one consistency proof — then quiescent again.
+            # connected by exactly one extension — then quiescent again.
             fresh = [writer.append(b"moved %d" % index).jsn for index in range(3)]
-            assert verify(fresh[-1]) == {"get_journal": 1, "epoch_consistency": 1}
+            assert verify(fresh[-1]) == {"get_journal": 1, "fam_extension": 1}
             assert verify(jsns[0]) == {"get_journal": 1}
-            # Across an epoch roll: one sync() (fam_info + the sealed epoch's
-            # anchor, bootstrapped from its leaves, + the consistency proof
-            # tying the sealed epoch to the head this client had verified)...
+            # Across an epoch roll: one sync(), one extension that seals the
+            # epoch this client had verified and links into the new one...
             while ledger.size <= EPOCH + 2:
                 fresh.append(writer.append(b"roll %d" % ledger.size).jsn)
-            assert verify(fresh[-1]) == {
-                "get_journal": 1,
-                "fam_info": 1,
-                "epoch_anchor": 1,
-                "epoch_leaves": 1,
-                "epoch_consistency": 1,
-            }
-            # ...and no fam_info per verify afterwards, old epoch or new.
+            assert verify(fresh[-1]) == {"get_journal": 1, "fam_extension": 1}
+            # ...and no extension per verify afterwards, old epoch or new.
             assert verify(fresh[-1]) == {"get_journal": 1}
             assert verify(jsns[0]) == {"get_journal": 1}
         finally:
@@ -145,7 +142,7 @@ def test_tx_verify_costs_exactly_its_round_trips(counted):
 
 
 class PreSyncSession(RemoteLedgerSession):
-    """The parent commit's read path: a ``fam_info`` sync before every fold."""
+    """The older read path: a sync before every fold."""
 
     def _tx_what(self, journal, rho, root, level):
         if root is None and level.value == "client":
@@ -253,6 +250,110 @@ def test_root_rewound_server_never_passes(tmp_path):
                 rewound.close()
         fork.ledger_a.close(checkpoint=False)
         fork.ledger_b.close(checkpoint=False)
+
+
+# ------------------------------------------------- hostile fam_extension
+
+
+class EditingServer(LedgerServer):
+    """Answers ``fam_extension`` honestly, then hands the reply to ``edit``."""
+
+    edit = None
+
+    def _op_fam_extension(self, message: dict) -> dict:
+        reply = super()._op_fam_extension(message)
+        return reply if self.edit is None else self.edit(reply, message)
+
+
+def _rebundled(reply: dict, **changes) -> dict:
+    bundle = ConsistencyBundle.from_bytes(reply["bundle"])
+    return dict(reply, bundle=dataclasses.replace(bundle, **changes).to_bytes())
+
+
+def _hostile_extensions(ledger: Ledger) -> dict:
+    """Hostile ``fam_extension`` replies, by name, over ``ledger``'s honest one."""
+    fam = ledger._fam
+
+    def fork_extension(reply: dict, message: dict) -> dict:
+        # The fork's own extension, claimed from the tracked root: it
+        # derives and links consistently, but its seal starts elsewhere.
+        fork, user = make_ledger("ledger://readpath-fork")
+        forked = LedgerSession(fork, client_id=USER, keypair=user)
+        forked.append_batch([(b"fork %d" % index, None) for index in range(3 * EPOCH)])
+        _old_root, new_root, bundle = fork.fam_extension(
+            message["old_epoch"], message["old_live_size"]
+        )
+        return dict(reply, new_root=new_root, bundle=bundle.to_bytes())
+
+    def shrunk(reply: dict, message: dict) -> dict:
+        epoch, size = message["old_epoch"], message["old_live_size"]
+        bundle = ConsistencyBundle(epoch, size, epoch, size - 1)
+        return dict(reply, new_root=fam.head_root(epoch, size - 1), bundle=bundle.to_bytes())
+
+    def unlinked_live(reply: dict, message: dict) -> dict:
+        # A live epoch whose merged leaf 0 is not the last sealed root.
+        live = ShrubsAccumulator()
+        live.extend([leaf_hash(b"not the last anchor")] + fam._epochs[-1]._levels[0][1:])
+        reply = _rebundled(reply, final_link=live.prove(0))
+        return dict(reply, new_root=live.root())
+
+    def flip(digest: bytes) -> bytes:
+        return bytes([digest[0] ^ 1]) + digest[1:]
+
+    return {
+        "truncated bundle": lambda reply, _m: dict(reply, bundle=reply["bundle"][:-7]),
+        "garbage bundle": lambda reply, _m: dict(reply, bundle=bytes(range(64))),
+        "a bundle that is not bytes": lambda reply, _m: dict(reply, bundle=7),
+        "no bundle": lambda reply, _m: {"old_root": reply["old_root"]},
+        "a bundle for other coordinates": lambda reply, _m: dict(
+            reply, bundle=ledger.fam_extension(0, 1)[2].to_bytes()
+        ),
+        "another old_root": lambda reply, _m: dict(reply, old_root=flip(reply["old_root"])),
+        "a shrinking head": shrunk,
+        "a forged link": lambda reply, _m: _rebundled(
+            reply, links=(fam.prove_head_link(1, fam.epoch_capacity),)
+        ),
+        "a forged sealed_root": lambda reply, _m: _rebundled(
+            reply, sealed_root=flip(ConsistencyBundle.from_bytes(reply["bundle"]).sealed_root)
+        ),
+        "a live root whose leaf 0 is not the last anchor": unlinked_live,
+        "a fork's extension from the tracked root": fork_extension,
+    }
+
+
+def _tracked(session: RemoteLedgerSession) -> tuple:
+    return dataclasses.astuple(session.state), session.anchors.items()
+
+
+@pytest.mark.parametrize("hostile", sorted(_hostile_extensions(make_ledger()[0])))
+def test_a_hostile_extension_is_refused_and_moves_nothing(hostile):
+    """Each hostile reply ends in a typed VerificationFailure with the
+    tracker where it was: from a head inside epoch 1 to one in epoch 3, so
+    the honest bundle seals one epoch, links one and enters the live one."""
+    ledger, user = make_ledger()
+    with ServerThread(ledger, server_cls=EditingServer) as served:
+        writer = connect(served, user)
+        session = RemoteLedgerSession(*served.address)
+        try:
+            while ledger.size < EPOCH + 4:
+                writer.append(b"before %d" % ledger.size)
+            session.sync_anchors()
+            while ledger.size < 3 * EPOCH + 2:
+                writer.append(b"after %d" % ledger.size)
+            before = _tracked(session)
+            served.server.edit = _hostile_extensions(ledger)[hostile]
+            with pytest.raises(VerificationFailure):
+                session.sync_anchors()
+            journal = session.client.get_journal(ledger.size - 1)
+            with pytest.raises(VerificationFailure):
+                session.verify("tx", txdata=[journal], level="client")
+            assert _tracked(session) == before
+            served.server.edit = None
+            assert session.sync_anchors() == 2
+            assert session.verify("tx", txdata=[journal], level="client").ok
+        finally:
+            session.close()
+            writer.close()
 
 
 # -------------------------------------------------------- one snapshot

@@ -93,7 +93,7 @@ def world():
     port (``w.sessions``), a fresh-session factory per port (``w.fresh``),
     and a bundle exported."""
     ledger, local_session, receipts, tsa = seeded(Ledger)
-    assert ledger.fam_reader().fam_info()["num_epochs"] == 2
+    assert ledger.head.epoch == 1
     facade, facade_session, _receipts, _tsa = seeded(ShardedLedger)
     assert (facade.composite_root(), facade.state_root()) == (
         ledger.current_root(), ledger.state_root()
@@ -395,46 +395,42 @@ def test_wrong_trusted_root_fails_what_everywhere(world):
 
 
 class _CountingSource:
-    """A read source that forwards to a FamReader and counts round trips."""
+    """A tracker source that forwards to a ledger and counts round trips."""
 
-    def __init__(self, reader):
-        self._reader = reader
+    def __init__(self, ledger):
+        self._ledger = ledger
         self.calls = []
 
-    def __getattr__(self, name):
-        target = getattr(self._reader, name)
-
-        def call(*args):
-            self.calls.append(name)
-            return target(*args)
-
-        return call
+    def fam_extension(self, *coordinates):
+        self.calls.append(coordinates)
+        return self._ledger.fam_extension(*coordinates)
 
 
 def test_proof_ahead_of_the_tracked_head_catches_up_verified(world):
     """sync, then an append, then the proof: the proof is cut from a newer
-    live head than the tracker's.  One consistency round trip connects the
-    two — and moves the tracker — instead of a false failure."""
+    live head than the tracker's.  One extension connects the two — and
+    moves the tracker — instead of a false failure."""
     ledger = Ledger(LedgerConfig(uri="ledger://catch-up", fractal_height=3, block_size=4))
     user = KeyPair.generate(seed="kernel:catch-up")
     ledger.registry.register(USER, Role.USER, user.public)
     session = LedgerSession(ledger, client_id=USER, keypair=user)
     first = session.append(b"before the sync")
-    source = _CountingSource(ledger.fam_reader())
+    source = _CountingSource(ledger)
     tracker = AnchorTracker(source)
     tracker.sync()
     for index in range(12):  # seals epoch 0 and epoch 1 along the way
         session.append(b"after the sync %d" % index)
         newest = ledger.get_journal(ledger.size - 1)
         proof = ledger.get_proof(newest.jsn, anchored=True)
+        calls = len(source.calls)
         assert tracker.fold_anchored(newest.tx_hash(), proof)
+        assert len(source.calls) == calls + 1  # one extension: a catch-up or a roll
         assert not tracker.fold_anchored(flipped(newest).tx_hash(), proof)
         assert tracker.state.live_root == ledger.current_root()
-    assert tracker.state.anchored_epochs == ledger.fam_reader().fam_info()["num_epochs"] - 1
+    assert tracker.state.anchored_epochs == ledger.head.epoch
     # A proof cut *before* the tracked head connects backwards just as well.
     old = ledger.get_journal(first.jsn)
     assert tracker.fold_anchored(old.tx_hash(), ledger.get_proof(first.jsn, anchored=True))
-    assert "live_consistency" not in source.calls  # "live" is not a stable name
 
 
 def test_honest_server_never_verifies_falsy_beside_appends():
