@@ -22,6 +22,7 @@ from ..crypto.hashing import Digest, journal_hash, receipt_hash
 from ..crypto.keys import KeyPair
 from ..encoding import (
     Record,
+    as_bytes,
     decode,
     encode,
     read_bytes,
@@ -126,14 +127,14 @@ class ClientRequest:
     @classmethod
     def from_bytes(cls, data: bytes) -> "ClientRequest":
         obj = decode(data)
-        signature_bytes = bytes(obj["signature"])
+        signature_bytes = as_bytes(obj["signature"], "signature")
         return cls(
             ledger_uri=obj["ledger_uri"],
             client_id=obj["client_id"],
             journal_type=JournalType(obj["journal_type"]),
-            payload=bytes(obj["payload"]),
+            payload=as_bytes(obj["payload"], "payload"),
             clues=tuple(obj["clues"]),
-            nonce=bytes(obj["nonce"]),
+            nonce=as_bytes(obj["nonce"], "nonce"),
             client_timestamp=obj["client_timestamp"],
             signature=(
                 Signature.from_bytes(signature_bytes) if signature_bytes else None
@@ -214,16 +215,16 @@ class Journal:
     def from_bytes(cls, data: bytes) -> "Journal":
         data = bytes(data)
         obj = _JOURNAL.decode(data)
-        signature_bytes = bytes(obj["client_signature"])
+        signature_bytes = as_bytes(obj["client_signature"], "client_signature")
         journal = cls(
             jsn=obj["jsn"],
             journal_type=JournalType(obj["journal_type"]),
             client_id=obj["client_id"],
-            payload=bytes(obj["payload"]),
+            payload=as_bytes(obj["payload"], "payload"),
             clues=tuple(obj["clues"]),
             timestamp=obj["timestamp"],
-            nonce=bytes(obj["nonce"]),
-            request_hash=bytes(obj["request_hash"]),
+            nonce=as_bytes(obj["nonce"], "nonce"),
+            request_hash=as_bytes(obj["request_hash"], "request_hash"),
             client_signature=(
                 Signature.from_bytes(signature_bytes) if signature_bytes else None
             ),

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from ..merkle.consistency import ConsistencyBundle
 from ..merkle.fam import AnchorStore, FamAccumulator, FamProof
 from ..merkle.mpt import MPT
 from ..shard.shape import is_sharded_layout
-from ..storage.kv import KVStore
+from ..storage.kv import KeyNotFoundError, KVStore
 from ..storage.pagestore import PageCorruptionError, PagedNodeStore
 from ..storage.stream import FileStream, MemoryStream, RecordErasedError, Stream
 from ..timeauth.clock import Clock, SimClock
@@ -204,6 +205,13 @@ def _load_multisig(obj: dict) -> MultiSignature:
     for member_id, raw in obj["signers"].items():
         sig.signatures[str(member_id)] = Signature.from_bytes(bytes(raw))
     return sig
+
+
+def _retired(root: Digest) -> UsageError:
+    return UsageError(
+        f"CM-Tree1 root {root.hex()} is not retained: the memory node store "
+        f"keeps the roots of the last two epoch rolls and pinned ones"
+    )
 
 
 def _make_node_store(config: LedgerConfig) -> KVStore | None:
@@ -587,6 +595,10 @@ class Ledger:
                     self._receipt(jsn, journal.request_hash, tx_hash, journal.timestamp)
                 )
             self._write_clues(clues, digests)
+            if self._fam.num_epochs > self._sth_epochs:
+                # Memory node store: retire the CM-Tree1 versions no read
+                # can ask for any more (DESIGN §13).
+                self._cmtree.roll()
             self._emit_epoch_heads()
             # pi_s issuance: every receipt's payload is frozen above, so the LSP
             # signatures batch into one shared-inversion pass.
@@ -894,10 +906,38 @@ class Ledger:
         root: Digest | None = None,
     ) -> ClueProof:
         """Build the client-side clue proof set (§IV-C, Verify API), cut at
-        the CM-Tree1 ``root`` (default: the head's :meth:`state_root`)."""
+        the CM-Tree1 ``root`` (default: the head's :meth:`state_root`).
+
+        Raises:
+            UsageError: ``root`` is outside the retention set (DESIGN §13).
+        """
         if root is None:
             root = self._head.state_root
-        return self._cmtree.prove_clue(clue, version_start, version_end, root=root)
+        if not self._cmtree.retains(root):
+            raise _retired(root)
+        try:
+            return self._cmtree.prove_clue(clue, version_start, version_end, root=root)
+        except KeyNotFoundError:
+            # Two epoch rolls swept the root while the proof was being cut.
+            raise _retired(root) from None
+
+    @contextmanager
+    def retaining(self, state_root: Digest):
+        """Keep CM-Tree1 ``state_root`` provable through every epoch roll
+        while the block runs: what a read cut at a head (an export) pins.
+
+        Raises:
+            UsageError: ``state_root`` is already outside the retention set.
+        """
+        with self._commit_lock:
+            if not self._cmtree.retains(state_root):
+                raise _retired(state_root)
+            self._cmtree.pin(state_root)
+        try:
+            yield
+        finally:
+            with self._commit_lock:
+                self._cmtree.unpin(state_root)
 
     def clue_evidence(self, clue: str) -> tuple[ClueProof, Digest]:
         """A clue's lineage proof and the CM-Tree1 root it folds to, both

@@ -38,7 +38,6 @@ failed aggregate is split in halves until the bad signatures are found.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import secrets
 import threading
 from collections import OrderedDict
@@ -595,6 +594,24 @@ def rfc6979_nonce(secret: int, digest: bytes, curve: Curve = CURVE_P256) -> int:
     return next(_rfc6979_nonces(secret, digest, curve))
 
 
+#: HMAC's inner and outer pads (RFC 2104) as byte translation tables.
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+def _hmac_sha256(key: bytes, msg: bytes) -> bytes:
+    """HMAC-SHA256 for keys of at most one SHA-256 block (RFC 2104).
+
+    Built from ``hashlib.sha256`` rather than ``hmac.digest``: the latter
+    releases the GIL on every call, so a signer looping over RFC 6979 nonces
+    hands the interpreter away several times per signature, while hashlib
+    keeps it for inputs under 2 KiB.  Same output as ``hmac.digest``.
+    """
+    block = key.ljust(64, b"\x00")
+    inner = hashlib.sha256(block.translate(_IPAD) + msg).digest()
+    return hashlib.sha256(block.translate(_OPAD) + inner).digest()
+
+
 def _rfc6979_nonces(secret: int, digest: bytes, curve: Curve):
     """The RFC 6979 §3.2 candidate stream: step h's DRBG, continued past a
     candidate the signer rejects (``r == 0`` or ``s == 0``) as step h.3 says."""
@@ -603,22 +620,20 @@ def _rfc6979_nonces(secret: int, digest: bytes, curve: Curve):
     k = b"\x00" * holen
     priv_bytes = _int2octets(secret, curve)
     msg_bytes = _bits2octets(digest, curve)
-    # hmac.digest is the one-shot OpenSSL fast path — same output as
-    # hmac.new(...).digest(), several times cheaper per call.
-    k = hmac.digest(k, v + b"\x00" + priv_bytes + msg_bytes, "sha256")
-    v = hmac.digest(k, v, "sha256")
-    k = hmac.digest(k, v + b"\x01" + priv_bytes + msg_bytes, "sha256")
-    v = hmac.digest(k, v, "sha256")
+    k = _hmac_sha256(k, v + b"\x00" + priv_bytes + msg_bytes)
+    v = _hmac_sha256(k, v)
+    k = _hmac_sha256(k, v + b"\x01" + priv_bytes + msg_bytes)
+    v = _hmac_sha256(k, v)
     while True:
         t = b""
         while len(t) < curve.byte_length:
-            v = hmac.digest(k, v, "sha256")
+            v = _hmac_sha256(k, v)
             t += v
         candidate = _bits2int(t, curve.n)
         if 1 <= candidate < curve.n:
             yield candidate
-        k = hmac.digest(k, v + b"\x00", "sha256")
-        v = hmac.digest(k, v, "sha256")
+        k = _hmac_sha256(k, v + b"\x00")
+        v = _hmac_sha256(k, v)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ __all__ = [
     "encode",
     "decode",
     "EncodingError",
+    "as_bytes",
     "Record",
     "bytes_head",
     "list_head",
@@ -303,6 +304,18 @@ def decode(data: bytes) -> Any:
     if pos != len(data):
         raise EncodingError("trailing bytes after value")
     return value
+
+
+def as_bytes(value: Any, what: str) -> bytes:
+    """A decoded value that must be a byte string, as ``bytes``.
+
+    Raises :class:`EncodingError` for a value of any other type before
+    converting it: ``bytes(n)`` of a decoded integer ``n`` would allocate
+    ``n`` zero bytes on an attacker's word.
+    """
+    if not isinstance(value, (bytes, bytearray, memoryview)):
+        raise EncodingError(f"{what} must be a byte string, not {type(value).__name__}")
+    return bytes(value)
 
 
 # ------------------------------------------------------------ record codecs

@@ -26,6 +26,7 @@ verifier process loads this module without them.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass, field
@@ -352,6 +353,23 @@ def export_bundle(
     """
     shard_ledgers = list(ledger.shards)
     views = [shard.export_view() for shard in shard_ledgers]
+    with contextlib.ExitStack() as pins:
+        if clues:
+            # Clue proofs are cut at each view's CM-Tree1 root, which must
+            # outlive the epoch rolls a long export spans (DESIGN §13).
+            for shard, view in zip(shard_ledgers, views):
+                pins.enter_context(shard.retaining(view.head.state_root))
+        return _bundle_of_views(ledger, shard_ledgers, views, clues, path)
+
+
+def _bundle_of_views(
+    ledger: Any,
+    shard_ledgers: list,
+    views: list,
+    clues: tuple[str, ...],
+    path: str | os.PathLike[str] | None,
+) -> ExportBundle:
+    """:func:`export_bundle` of views already cut at the shards' heads."""
     num_shards = len(shard_ledgers)
 
     base_view = views[0]

@@ -18,6 +18,7 @@ ccMPT's O(m·log n).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from ..encoding import (
     read_uint,
     write_bytes_list,
 )
-from ..storage.kv import KVStore
+from ..storage.kv import GenerationalMemoryStore, KVStore
 from .mpt import MPT, MPTProof
 from .proofs import BatchProof, bag_peaks
 from .shrubs import ShrubsAccumulator
@@ -164,12 +165,21 @@ class ClueProof:
 
 
 class CMTree:
-    """The two-layer clue merged tree."""
+    """The two-layer clue merged tree.
+
+    Without a ``store`` CM-Tree1's nodes live in a
+    :class:`~repro.storage.kv.GenerationalMemoryStore` that each epoch
+    :meth:`roll` sweeps down to the versions a read can still ask for
+    (:meth:`retains`); a persistent store keeps every version.
+    """
 
     def __init__(self, store: KVStore | None = None) -> None:
-        self._mpt = MPT(store)
+        self._swept = GenerationalMemoryStore() if store is None else None
+        self._mpt = MPT(store if store is not None else self._swept)
         self._accumulators: dict[bytes, ShrubsAccumulator] = {}
         self._clue_names: dict[bytes, str] = {}
+        self._pins: Counter[Digest] = Counter()
+        self._start_generation(set())
 
     @property
     def root(self) -> Digest:
@@ -216,7 +226,50 @@ class CMTree:
             self._mpt.put_many(
                 (key, _encode_clue_value(accumulator)) for key, accumulator in touched.items()
             )
+        if self._swept is not None:
+            self._roots.add(self._mpt.root)
         return versions
+
+    # ------------------------------------------------------------ retention
+
+    def _start_generation(self, previous: set[Digest]) -> None:
+        """Open a generation of CM-Tree1 versions at the current root."""
+        self._roll_root = self._mpt.root
+        self._previous_roots, self._roots = previous, {self._roll_root}
+
+    def retains(self, root: Digest) -> bool:
+        """Whether proofs may still be cut at CM-Tree1 ``root``: on the memory
+        store, a root of this generation or the one before, or a pinned one."""
+        return (
+            self._swept is None
+            or root in self._roots
+            or root in self._previous_roots
+            or root in self._pins
+        )
+
+    def pin(self, root: Digest) -> None:
+        """Keep a retained ``root``'s nodes through every roll until
+        :meth:`unpin`."""
+        self._pins[root] += 1
+
+    def unpin(self, root: Digest) -> None:
+        self._pins[root] -= 1
+        if self._pins[root] <= 0:
+            del self._pins[root]
+
+    def roll(self) -> None:
+        """An epoch roll: sweep the memory store down to the nodes reachable
+        from the root at the previous roll and from every pinned root, plus
+        every node written since that roll.  A persistent trie shares each
+        version's unchanged subtrees with the one before it, so every root of
+        the closing generation stays whole."""
+        if self._swept is None:
+            return
+        keep: set[Digest] = set()
+        for root in {self._roll_root, *self._pins}:
+            keep |= self._mpt.reachable(root)
+        obs.inc("cmtree.retention.dropped", self._swept.sweep(keep))
+        self._start_generation(self._roots)
 
     # ---------------------------------------------------------------- reads
 
@@ -359,6 +412,7 @@ class CMTree:
         (which must already hold the nodes reachable from the saved root)."""
         tree = cls(store)
         tree._mpt.root = bytes(state["root"])
+        tree._start_generation(set())
         for entry in state["clues"]:
             name = str(entry["name"])
             key = clue_key_hash(name)

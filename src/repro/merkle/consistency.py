@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..crypto.hashing import Digest, node_hash
-from ..encoding import decode, encode
+from ..encoding import as_bytes, decode, encode
 from .proofs import MembershipProof, bag_peaks
 from .shrubs import ShrubsAccumulator, peak_positions
 
@@ -315,10 +315,10 @@ class ConsistencyBundle:
     @classmethod
     def from_bytes(cls, data: bytes) -> "ConsistencyBundle":
         obj = decode(data)
-        live = bytes(obj["live"])
-        seal = bytes(obj["seal"])
-        sealed_root = bytes(obj["sealed_root"])
-        final_link = bytes(obj["final_link"])
+        live = as_bytes(obj["live"], "live")
+        seal = as_bytes(obj["seal"], "seal")
+        sealed_root = as_bytes(obj["sealed_root"], "sealed_root")
+        final_link = as_bytes(obj["final_link"], "final_link")
         return cls(
             old_epoch=obj["old_epoch"],
             old_live_size=obj["old_live_size"],
@@ -327,6 +327,9 @@ class ConsistencyBundle:
             live=ConsistencyProof.from_bytes(live) if live else None,
             seal=ConsistencyProof.from_bytes(seal) if seal else None,
             sealed_root=sealed_root if sealed_root else None,
-            links=tuple(MembershipProof.from_bytes(bytes(blob)) for blob in obj["links"]),
+            links=tuple(
+                MembershipProof.from_bytes(as_bytes(blob, "link"))
+                for blob in obj["links"]
+            ),
             final_link=MembershipProof.from_bytes(final_link) if final_link else None,
         )

@@ -6,9 +6,11 @@ module implements that substrate as a *persistent* (copy-path-on-write) MPT:
 
 * nodes are content-addressed — a node's id is the SHA-256 of its canonical
   serialization, so the 32-byte root digest commits the entire key-value map;
-* updates write new nodes along the touched path only and return a new root,
-  leaving historical roots fully queryable (the "historical and current
-  status" CM-Tree1 records per block version);
+* updates write new nodes along the touched path only and return a new root;
+  an older root stays queryable for as long as its store keeps the nodes it
+  reaches (the "historical and current status" CM-Tree1 records per block
+  version) — a persistent store keeps them all, a live ledger's memory store
+  only the versions a read can still ask for (DESIGN §13);
 * Merkle path proofs (`prove` / `verify_proof`) support both membership and
   non-membership.
 

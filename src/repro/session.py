@@ -283,16 +283,16 @@ class Session:
         rides one frame.
 
         Raises:
-            UsageError: neither/both of ``items`` and ``requests``, or no
-                signing identity.
+            UsageError: neither/both of ``items`` and ``requests``, an item
+                that is not a ``(payload, clue)`` pair, or no signing
+                identity.
             AuthenticationError: a request was rejected.
             VerificationFailure: a receipt failed :func:`accept_receipts`.
         """
         if (items is None) == (requests is None):
             raise UsageError("append_batch() takes exactly one of items= or requests=")
         if requests is None:
-            pairs = [(payload, _clue_tuple(clue)) for payload, clue in items]
-            requests = self._sign(pairs, client_id, keypair)
+            requests = self._sign(_batch_pairs(items), client_id, keypair)
         return self._keep(self.port.append_batch(requests, timeout))
 
     def append_acked(
@@ -588,6 +588,13 @@ def _decode_carried(blob: Any) -> FamProof | None:
         return FamProof.from_bytes(blob)
     except (EncodingError, KeyError, TypeError, ValueError):
         return None
+
+
+def _batch_pairs(items) -> list[tuple[bytes, tuple[str, ...]]]:
+    """:meth:`Session.append_batch` items as (payload, clue tuple) pairs."""
+    if not all(isinstance(item, (tuple, list)) and len(item) == 2 for item in items):
+        raise UsageError("append_batch() items must be (payload, clue) pairs")
+    return [(payload, _clue_tuple(clue)) for payload, clue in items]
 
 
 def _clue_tuple(clue: str | tuple[str, ...] | None) -> tuple[str, ...]:

@@ -4,7 +4,8 @@ MPT / CM-Tree1 nodes are content-addressed blobs; the paper keeps "a
 configurable top layers cache in memory ... bottom layers including the leaf
 nodes are stored on disk persistently" (§IV-B2).  That split is
 :class:`~repro.storage.pagestore.PagedNodeStore` with its LRU page cache;
-:class:`MemoryKVStore` is the plain in-memory backend.
+:class:`MemoryKVStore` is the plain in-memory backend, and
+:class:`GenerationalMemoryStore` the one a live CM-Tree1 sweeps.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Iterator
 
-__all__ = ["KVStore", "MemoryKVStore", "KeyNotFoundError"]
+__all__ = ["KVStore", "MemoryKVStore", "GenerationalMemoryStore", "KeyNotFoundError"]
 
 
 class KeyNotFoundError(KeyError):
@@ -85,3 +86,30 @@ class MemoryKVStore(KVStore):
 
     def keys(self) -> Iterator[bytes]:
         return iter(list(self._data))
+
+
+class GenerationalMemoryStore(MemoryKVStore):
+    """Memory store whose :meth:`sweep` drops what its caller no longer needs,
+    except what was written since the previous sweep.
+
+    Every :meth:`put` counts as a write, also one that rewrites a key the
+    store already holds: a content-addressed trie that rewrites a node still
+    references it from its new version.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._fresh: set[bytes] = set()
+
+    def put(self, key: bytes, value: bytes) -> None:
+        super().put(key, value)
+        self._fresh.add(key)
+
+    def sweep(self, keep: set[bytes]) -> int:
+        """Drop every key that is neither in ``keep`` nor written since the
+        previous sweep; returns how many were dropped."""
+        fresh, self._fresh = self._fresh, set()
+        dropped = [key for key in self._data if key not in keep and key not in fresh]
+        for key in dropped:
+            del self._data[key]
+        return len(dropped)

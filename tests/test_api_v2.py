@@ -114,6 +114,13 @@ class TestLedgerSession:
         with pytest.raises(UsageError):
             session.append_batch([(b"d", None)], requests=[])  # both
 
+    def test_append_batch_of_bare_payloads_is_a_usage_error(self, session):
+        size = session.ledger.size
+        for items in ([b"x0", b"x1"], [b"abc"], [(b"a", "k", "extra")]):
+            with pytest.raises(UsageError, match=r"\(payload, clue\) pairs"):
+                session.append_batch(items)
+        assert session.ledger.size == size
+
     def test_get_proof_and_verify_roundtrip(self, session):
         receipt = session.append(b"doc")
         journal = session.ledger.get_journal(receipt.jsn)

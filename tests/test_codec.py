@@ -11,6 +11,7 @@ produce them.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from repro.crypto.keys import KeyPair
 from repro.encoding import EncodingError, decode, encode
 from repro.merkle import cmtree, fam, mpt, proofs
 from repro.merkle.cmtree import decode_clue_value, encode_clue_value
+from repro.merkle.consistency import ConsistencyBundle
 from repro.merkle.fam import FamAccumulator, FamProof
 from repro.merkle.mpt import _serialize
 from repro.merkle.proofs import MembershipProof, PathStep
@@ -463,3 +465,25 @@ def test_golden_records_load_to_their_objects():
             assert tuple(loaded) == tuple(obj), name
         else:
             assert loaded == obj, name
+
+
+# The decoders on the write path and the anchor tracker's read: each must
+# refuse an integer where a byte string belongs before converting it.
+BYTES_FIELD_DECODERS = (ClientRequest.from_bytes, Journal.from_bytes, ConsistencyBundle.from_bytes)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(*[st.integers(min_value=0, max_value=2_000_000)] * 3))
+@example((2_000_000, 2_000_000, 2_000_000))
+def test_an_integer_where_bytes_belong_is_refused_without_allocating(sizes):
+    signature, client_signature, live = sizes
+    data = encode({"signature": signature, "client_signature": client_signature, "live": live})
+    for load in BYTES_FIELD_DECODERS:
+        tracemalloc.start()
+        try:
+            with pytest.raises(EncodingError):
+                load(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (load.__qualname__, peak)

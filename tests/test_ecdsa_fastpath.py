@@ -8,6 +8,8 @@ fast ``sign_digest``/``verify_digest`` — must agree with it bit-for-bit.
 
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,39 @@ def test_sign_digests_matches_scalar_signer():
     secret = rng.randrange(1, N)
     digests = [hashlib.sha256(rng.randbytes(16)).digest() for _ in range(9)]
     assert sign_digests(secret, digests) == [sign_digest(secret, d) for d in digests]
+
+
+def test_signing_never_hands_the_gil_away():
+    # A writer loop that signs must keep the interpreter for the whole batch:
+    # a call that releases the GIL (hmac.digest did, ~5 times per RFC 6979
+    # nonce) lets another thread run for a full switch interval and breaks
+    # group commit into small batches.  With a 1 s interval, a thread that
+    # only runs when the signer lets go must make no progress at all.
+    rng = random.Random(0x6111)
+    keypair = KeyPair.generate(seed="gil")
+    digests = [hashlib.sha256(rng.randbytes(16)).digest() for _ in range(40)]
+    sign_digest(keypair.secret, digests[0])  # build the generator table first
+    interval = sys.getswitchinterval()
+    counter, stop = [0], []
+
+    def busy():
+        while not stop:
+            counter[0] += 1
+
+    sys.setswitchinterval(1.0)
+    thread = threading.Thread(target=busy, daemon=True)
+    try:
+        thread.start()
+        before = counter[0]
+        signatures = [sign_digest(keypair.secret, digest) for digest in digests]
+        assert sign_digests(keypair.secret, digests) == signatures
+        assert keypair.sign_batch(digests) == signatures
+        progress = counter[0] - before
+    finally:
+        stop.append(True)
+        sys.setswitchinterval(interval)
+        thread.join()
+    assert progress == 0
 
 
 def test_sign_digests_empty_and_bad_key():
