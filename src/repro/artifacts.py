@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Any, Protocol, runtime_checkable
 
 from .crypto.hashing import Digest
-from .encoding import EncodingError, decode, encode
+from .encoding import BOOL, BYTES, FLOAT, INT, STR, EncodingError, Record, mapped, nullable, row
 from .merkle.fam import FamProof
 from .timeauth.pegging import TimeBound
 
@@ -129,6 +129,8 @@ def _encode_proof(proof: Any) -> tuple[str, bytes]:
 
 def _decode_proof(kind: str, data: bytes) -> Any:
     if not kind:
+        if data:
+            raise EncodingError("proof bytes without a proof kind")
         return None
     if kind == "fam":
         return FamProof.from_bytes(data)
@@ -207,47 +209,30 @@ class VerifyResult:
 
     def to_bytes(self) -> bytes:
         proof_kind, proof_bytes = _encode_proof(self.proof)
-        return encode(
-            {
-                "scheme": "repro.verify_result.v1",
-                "ok": self.ok,
-                "target": self.target,
-                "level": self.level,
-                "what": self.what,
-                "when": self.when,
-                "who": self.who,
-                "when_bound": (
-                    None
-                    if self.when_bound is None
-                    else [self.when_bound.lower, self.when_bound.upper]
-                ),
-                "proof_kind": proof_kind,
-                "proof": proof_bytes,
-                "trusted_root": self.trusted_root,
-                "jsn": self.jsn,
-                "detail": self.detail,
-            }
-        )
+        return _RESULT.encode({**vars(self), "proof_kind": proof_kind, "proof": proof_bytes})
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VerifyResult":
-        obj = decode(data)
-        if not isinstance(obj, dict) or obj.get("scheme") != "repro.verify_result.v1":
-            raise EncodingError("not a repro.verify_result.v1 payload")
-        bound = obj["when_bound"]
-        trusted_root = obj["trusted_root"]
-        return cls(
-            ok=bool(obj["ok"]),
-            target=obj["target"],
-            level=obj["level"],
-            what=obj["what"],
-            when=obj["when"],
-            who=obj["who"],
-            when_bound=(
-                None if bound is None else TimeBound(lower=bound[0], upper=bound[1])
-            ),
-            proof=_decode_proof(obj["proof_kind"], bytes(obj["proof"])),
-            trusted_root=None if trusted_root is None else bytes(trusted_root),
-            jsn=obj["jsn"],
-            detail=obj["detail"],
-        )
+        fields = _RESULT.decode(data)
+        proof = _decode_proof(fields.pop("proof_kind"), fields.pop("proof"))
+        return cls(**fields, proof=proof)
+
+
+_VERDICT = nullable(BOOL)
+_RESULT = Record(
+    scheme="repro.verify_result.v1",
+    ok=BOOL,
+    target=STR,
+    level=STR,
+    what=_VERDICT,
+    when=_VERDICT,
+    who=_VERDICT,
+    when_bound=nullable(
+        mapped(row(FLOAT, FLOAT), lambda pair: TimeBound(*pair), lambda b: (b.lower, b.upper))
+    ),
+    proof_kind=STR,
+    proof=BYTES,
+    trusted_root=nullable(BYTES),
+    jsn=nullable(INT),
+    detail=STR,
+)

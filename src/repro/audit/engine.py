@@ -68,6 +68,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from .. import obs
 from ..crypto.hashing import EMPTY_DIGEST, Digest, clue_key_hash
 from ..crypto.keys import PublicKey
+from ..encoding import EncodingError
 from ..merkle.cmtree import encode_clue_value
 from ..merkle.fam import FamReplayer
 from ..merkle.mpt import MPT
@@ -566,7 +567,13 @@ class _AuditEngine:
                         )
                         break
                 if journal.journal_type is JournalType.TIME:
-                    info = parse_time_journal(journal)
+                    try:
+                        info = parse_time_journal(journal)
+                    except EncodingError as exc:
+                        inline_failure = (
+                            jsn, _P_TIME, f"time journal {jsn}: malformed payload: {exc}"
+                        )
+                        break
                     # The anchor was taken immediately before this journal
                     # was appended, so it must equal the running commitment.
                     if info["as_of_jsn"] != jsn:
@@ -846,10 +853,13 @@ class _AuditEngine:
             entry = self.view.entry(jsn)
             if entry.data is None:
                 return
-            journal = Journal.from_bytes(entry.data)
-            if journal.journal_type is not JournalType.TIME:
+            try:
+                journal = Journal.from_bytes(entry.data)
+                if journal.journal_type is not JournalType.TIME:
+                    return
+                time_entries.append((jsn, parse_time_journal(journal)))
+            except EncodingError:
                 return
-            time_entries.append((jsn, parse_time_journal(journal)))
         self._resumed = checkpoint
         self._resumed_time_entries = time_entries
         obs.inc("audit.resumes")

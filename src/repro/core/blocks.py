@@ -17,9 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..crypto.hashing import Digest, block_hash
-from ..encoding import decode, encode
+from ..encoding import BYTES, FLOAT, UINT, Record
 
 __all__ = ["Block"]
+
+_HEADER = Record(
+    height=UINT,
+    previous_hash=BYTES,
+    start_jsn=UINT,
+    end_jsn=UINT,
+    journal_root=BYTES,
+    state_root=BYTES,
+    timestamp=FLOAT,
+)
 
 
 @dataclass(frozen=True)
@@ -35,17 +45,7 @@ class Block:
     timestamp: float
 
     def header_bytes(self) -> bytes:
-        return encode(
-            {
-                "height": self.height,
-                "previous_hash": self.previous_hash,
-                "start_jsn": self.start_jsn,
-                "end_jsn": self.end_jsn,
-                "journal_root": self.journal_root,
-                "state_root": self.state_root,
-                "timestamp": self.timestamp,
-            }
-        )
+        return _HEADER.encode(vars(self))
 
     def hash(self) -> Digest:
         # Memoized: every receipt issued between two seals re-reads the
@@ -65,13 +65,4 @@ class Block:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Block":
-        obj = decode(data)
-        return cls(
-            height=obj["height"],
-            previous_hash=bytes(obj["previous_hash"]),
-            start_jsn=obj["start_jsn"],
-            end_jsn=obj["end_jsn"],
-            journal_root=bytes(obj["journal_root"]),
-            state_root=bytes(obj["state_root"]),
-            timestamp=obj["timestamp"],
-        )
+        return cls(**_HEADER.decode(data))

@@ -20,17 +20,8 @@ from .. import obs
 from ..crypto.ecdsa import Signature
 from ..crypto.hashing import Digest, journal_hash, receipt_hash
 from ..crypto.keys import KeyPair
-from ..encoding import (
-    Record,
-    as_bytes,
-    decode,
-    encode,
-    read_bytes,
-    read_float,
-    read_str,
-    read_str_list,
-    read_uint,
-)
+from ..crypto.signed import SIGNATURE
+from ..encoding import BYTES, FLOAT, STR, UINT, Record, enum_of, list_of, optional
 
 __all__ = ["JournalType", "ClientRequest", "Journal"]
 
@@ -69,21 +60,9 @@ class ClientRequest:
             obs.inc("journal.request_hash_memo.hit")
             return cached
         obs.inc("journal.request_hash_memo.miss")
-        cached = receipt_hash(encode(self._statement()))
+        cached = receipt_hash(_STATEMENT.encode(vars(self)))
         object.__setattr__(self, "_request_hash", cached)
         return cached
-
-    def _statement(self) -> dict:
-        """Everything the client signs (the signature itself stays outside)."""
-        return {
-            "ledger_uri": self.ledger_uri,
-            "client_id": self.client_id,
-            "journal_type": self.journal_type.value,
-            "payload": self.payload,
-            "clues": list(self.clues),
-            "nonce": self.nonce,
-            "client_timestamp": self.client_timestamp,
-        }
 
     def signed_by(self, keypair: KeyPair) -> "ClientRequest":
         """Return a copy carrying the client's signature pi_c."""
@@ -111,7 +90,7 @@ class ClientRequest:
             payload=payload,
             clues=tuple(clues),
             nonce=nonce,
-            client_timestamp=client_timestamp,
+            client_timestamp=float(client_timestamp),  # the wire form is a float
         )
 
     def to_bytes(self) -> bytes:
@@ -121,48 +100,37 @@ class ClientRequest:
         whole, so the server admits exactly the bytes the client signed over
         (the signature itself is outside :meth:`request_hash`).
         """
-        signature = self.signature.to_bytes() if self.signature else b""
-        return encode({**self._statement(), "signature": signature})
+        return _REQUEST.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ClientRequest":
-        obj = decode(data)
-        signature_bytes = as_bytes(obj["signature"], "signature")
-        return cls(
-            ledger_uri=obj["ledger_uri"],
-            client_id=obj["client_id"],
-            journal_type=JournalType(obj["journal_type"]),
-            payload=as_bytes(obj["payload"], "payload"),
-            clues=tuple(obj["clues"]),
-            nonce=as_bytes(obj["nonce"], "nonce"),
-            client_timestamp=obj["client_timestamp"],
-            signature=(
-                Signature.from_bytes(signature_bytes) if signature_bytes else None
-            ),
-        )
+        return cls(**_REQUEST.decode(data))
 
 
+_JOURNAL_TYPE = enum_of(JournalType)
+_CLUES = list_of(STR, tuple)
+#: Everything the client signs (the signature itself stays outside).
+_STATEMENT_FIELDS = dict(
+    ledger_uri=STR,
+    client_id=STR,
+    journal_type=_JOURNAL_TYPE,
+    payload=BYTES,
+    clues=_CLUES,
+    nonce=BYTES,
+    client_timestamp=FLOAT,
+)
+_STATEMENT = Record(**_STATEMENT_FIELDS)
+_REQUEST = Record(**_STATEMENT_FIELDS, signature=optional(SIGNATURE))
 _JOURNAL = Record(
-    "jsn",
-    "journal_type",
-    "client_id",
-    "payload",
-    "clues",
-    "timestamp",
-    "nonce",
-    "request_hash",
-    "client_signature",
-    readers={
-        "jsn": read_uint,
-        "journal_type": read_str,
-        "client_id": read_str,
-        "payload": read_bytes,
-        "clues": read_str_list,
-        "timestamp": read_float,
-        "nonce": read_bytes,
-        "request_hash": read_bytes,
-        "client_signature": read_bytes,
-    },
+    jsn=UINT,
+    journal_type=_JOURNAL_TYPE,
+    client_id=STR,
+    payload=BYTES,
+    clues=_CLUES,
+    timestamp=FLOAT,
+    nonce=BYTES,
+    request_hash=BYTES,
+    client_signature=optional(SIGNATURE),
 )
 
 
@@ -193,42 +161,14 @@ class Journal:
         """
         cached = self.__dict__.get("_bytes")
         if cached is None:
-            cached = _JOURNAL.encode(
-                {
-                    "jsn": self.jsn,
-                    "journal_type": self.journal_type.value,
-                    "client_id": self.client_id,
-                    "payload": self.payload,
-                    "clues": list(self.clues),
-                    "timestamp": self.timestamp,
-                    "nonce": self.nonce,
-                    "request_hash": self.request_hash,
-                    "client_signature": (
-                        self.client_signature.to_bytes() if self.client_signature else b""
-                    ),
-                }
-            )
+            cached = _JOURNAL.encode(vars(self))
             object.__setattr__(self, "_bytes", cached)
         return cached
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Journal":
         data = bytes(data)
-        obj = _JOURNAL.decode(data)
-        signature_bytes = as_bytes(obj["client_signature"], "client_signature")
-        journal = cls(
-            jsn=obj["jsn"],
-            journal_type=JournalType(obj["journal_type"]),
-            client_id=obj["client_id"],
-            payload=as_bytes(obj["payload"], "payload"),
-            clues=tuple(obj["clues"]),
-            timestamp=obj["timestamp"],
-            nonce=as_bytes(obj["nonce"], "nonce"),
-            request_hash=as_bytes(obj["request_hash"], "request_hash"),
-            client_signature=(
-                Signature.from_bytes(signature_bytes) if signature_bytes else None
-            ),
-        )
+        journal = cls(**_JOURNAL.decode(data))
         # Seed the serialization memo with the wire bytes: ``tx_hash`` must
         # digest the bytes fam actually accumulated, not a re-encoding.
         object.__setattr__(journal, "_bytes", data)

@@ -33,7 +33,7 @@ from ..crypto.ecdsa import Signature
 from ..crypto.hashing import Digest, EMPTY_DIGEST, hexdigest
 from ..crypto.keys import KeyPair, verify_batch
 from ..crypto.multisig import MultiSignature, MultiSignatureError
-from ..encoding import encode
+from ..encoding import EncodingError, encode
 from ..merkle.cmtree import ClueProof, CMTree
 from ..merkle.consistency import ConsistencyBundle
 from ..merkle.fam import AnchorStore, FamAccumulator, FamProof
@@ -52,6 +52,7 @@ from ..transparency.sth import (
     SignedTreeHead,
     SthStore,
 )
+from ..verify.checks import parse_time_journal, time_payload
 from .blocks import Block
 from .cluesl import ClueSkipList
 from .errors import (
@@ -1110,30 +1111,13 @@ class Ledger:
             notary_receipt = self._tledger.submit(
                 self.config.uri, root, client_timestamp=self.clock.now()
             )
-            payload = encode(
-                {
-                    "mode": "tledger",
-                    "seq": notary_receipt.seq,
-                    "anchored_root": root,
-                    "as_of_jsn": as_of,
-                    "notary_timestamp": notary_receipt.notary_timestamp,
-                }
-            )
+            payload = time_payload(root, as_of, notary_receipt)
             receipt = self._append_system(JournalType.TIME, payload)
             self._pending_tledger.append((receipt.jsn, notary_receipt.seq))
             return receipt.jsn
         if self._tsa is not None:
             token = self._tsa.stamp(root)
-            payload = encode(
-                {
-                    "mode": "tsa",
-                    "anchored_root": root,
-                    "as_of_jsn": as_of,
-                    "timestamp": token.timestamp,
-                    "tsa_id": token.tsa_id,
-                    "signature": token.signature.to_bytes(),
-                }
-            )
+            payload = time_payload(root, as_of, token)
             receipt = self._append_system(JournalType.TIME, payload)
             self._time_evidence[receipt.jsn] = token
             return receipt.jsn
@@ -1167,32 +1151,23 @@ class Ledger:
         attached public T-Ledger (Prerequisite 4: anyone can).  Returns how
         many time journals gained evidence.
         """
-        from ..crypto.ecdsa import Signature
-        from ..encoding import decode as _decode
-
         refreshed = 0
         for jsn in self._time_journals:
             if jsn in self._time_evidence or jsn < self._genesis_start:
                 continue
             try:
-                journal = self.get_journal(jsn)
-            except LedgerError:
+                info = parse_time_journal(self.get_journal(jsn))
+            except (LedgerError, EncodingError):
                 continue
-            info = _decode(journal.payload)
             if info["mode"] == "tsa":
-                self._time_evidence[jsn] = TimeStampToken(
-                    digest=bytes(info["anchored_root"]),
-                    timestamp=info["timestamp"],
-                    tsa_id=info["tsa_id"],
-                    signature=Signature.from_bytes(bytes(info["signature"])),
-                )
+                self._time_evidence[jsn] = info["token"]
                 refreshed += 1
-            elif info["mode"] == "tledger" and self._tledger is not None:
+            elif self._tledger is not None:
                 try:
                     evidence = self._tledger.get_evidence(info["seq"])
                 except (LookupError, IndexError):
                     continue
-                if evidence.entry.digest != bytes(info["anchored_root"]):
+                if evidence.entry.digest != info["anchored_root"]:
                     continue  # not our submission: refuse silently-wrong data
                 self._time_evidence[jsn] = evidence
                 refreshed += 1

@@ -21,7 +21,7 @@ from enum import Enum
 
 from ..crypto.hashing import Digest, sha256
 from ..crypto.multisig import MultiSignature
-from ..encoding import decode, encode
+from ..encoding import BYTES, STR, UINT, Record, enum_of, list_of
 
 __all__ = ["OccultMode", "OccultRecord", "OccultBitmap"]
 
@@ -46,40 +46,25 @@ class OccultRecord:
 
     def approval_digest(self) -> Digest:
         """What the DBA and regulator multi-sign (Prerequisite 2)."""
-        return sha256(
-            encode(
-                {
-                    "scheme": "repro.occult.v1",
-                    "target_jsn": self.target_jsn,
-                    "retained_hash": self.retained_hash,
-                    "mode": self.mode.value,
-                    "reason": self.reason,
-                    "retained_clues": list(self.retained_clues),
-                }
-            )
-        )
+        return sha256(_APPROVAL.encode(vars(self)))
 
     def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "target_jsn": self.target_jsn,
-                "retained_hash": self.retained_hash,
-                "mode": self.mode.value,
-                "reason": self.reason,
-                "retained_clues": list(self.retained_clues),
-            }
-        )
+        return _RECORD.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "OccultRecord":
-        obj = decode(data)
-        return cls(
-            target_jsn=obj["target_jsn"],
-            retained_hash=bytes(obj["retained_hash"]),
-            mode=OccultMode(obj["mode"]),
-            reason=obj["reason"],
-            retained_clues=tuple(obj["retained_clues"]),
-        )
+        return cls(**_RECORD.decode(data))
+
+
+_FIELDS = dict(
+    target_jsn=UINT,
+    retained_hash=BYTES,
+    mode=enum_of(OccultMode),
+    reason=STR,
+    retained_clues=list_of(STR, tuple),
+)
+_RECORD = Record(**_FIELDS)
+_APPROVAL = Record(**_FIELDS, scheme="repro.occult.v1")
 
 
 class OccultBitmap:

@@ -22,9 +22,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..crypto.hashing import Digest, sha256
-from ..encoding import decode, encode
+from ..encoding import BOOL, BYTES, FLOAT, STR, UINT, Record, list_of, row
 
 __all__ = ["PseudoGenesis", "PurgeRecord"]
+
+_STRS = list_of(STR, tuple)
+_DIGESTS = list_of(BYTES, tuple)
+_PSEUDO_GENESIS = Record(
+    scheme="repro.pseudo_genesis.v1",
+    purge_point=UINT,
+    fam_root=BYTES,
+    state_root=BYTES,
+    member_ids=_STRS,
+    related_member_ids=_STRS,
+    survivor_jsns=list_of(UINT, tuple),
+    original_genesis_hash=BYTES,
+    created_at=FLOAT,
+    fam_epoch_roots=_DIGESTS,
+    fam_live_epoch=row(UINT, _DIGESTS),
+    clue_snapshot=list_of(row(STR, UINT, _DIGESTS), tuple),
+)
+_PURGE_FIELDS = dict(purge_point=UINT, pseudo_genesis_hash=BYTES, erase_fam_nodes=BOOL, reason=STR)
+_PURGE = Record(**_PURGE_FIELDS)
+_PURGE_APPROVAL = Record(**_PURGE_FIELDS, scheme="repro.purge.v1")
 
 
 @dataclass(frozen=True)
@@ -52,47 +72,11 @@ class PseudoGenesis:
         return sha256(self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "scheme": "repro.pseudo_genesis.v1",
-                "purge_point": self.purge_point,
-                "fam_root": self.fam_root,
-                "state_root": self.state_root,
-                "member_ids": list(self.member_ids),
-                "related_member_ids": list(self.related_member_ids),
-                "survivor_jsns": list(self.survivor_jsns),
-                "original_genesis_hash": self.original_genesis_hash,
-                "created_at": self.created_at,
-                "fam_epoch_roots": list(self.fam_epoch_roots),
-                "fam_live_epoch": [self.fam_live_epoch[0], list(self.fam_live_epoch[1])],
-                "clue_snapshot": [
-                    [clue, size, list(peaks)] for clue, size, peaks in self.clue_snapshot
-                ],
-            }
-        )
+        return _PSEUDO_GENESIS.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PseudoGenesis":
-        obj = decode(data)
-        return cls(
-            purge_point=obj["purge_point"],
-            fam_root=bytes(obj["fam_root"]),
-            state_root=bytes(obj["state_root"]),
-            member_ids=tuple(obj["member_ids"]),
-            related_member_ids=tuple(obj["related_member_ids"]),
-            survivor_jsns=tuple(obj["survivor_jsns"]),
-            original_genesis_hash=bytes(obj["original_genesis_hash"]),
-            created_at=obj["created_at"],
-            fam_epoch_roots=tuple(bytes(r) for r in obj["fam_epoch_roots"]),
-            fam_live_epoch=(
-                obj["fam_live_epoch"][0],
-                tuple(bytes(p) for p in obj["fam_live_epoch"][1]),
-            ),
-            clue_snapshot=tuple(
-                (clue, size, tuple(bytes(p) for p in peaks))
-                for clue, size, peaks in obj["clue_snapshot"]
-            ),
-        )
+        return cls(**_PSEUDO_GENESIS.decode(data))
 
 
 @dataclass(frozen=True)
@@ -112,34 +96,11 @@ class PurgeRecord:
 
     def approval_digest(self) -> Digest:
         """What the DBA and all affected members multi-sign (Prerequisite 1)."""
-        return sha256(
-            encode(
-                {
-                    "scheme": "repro.purge.v1",
-                    "purge_point": self.purge_point,
-                    "pseudo_genesis_hash": self.pseudo_genesis_hash,
-                    "erase_fam_nodes": self.erase_fam_nodes,
-                    "reason": self.reason,
-                }
-            )
-        )
+        return sha256(_PURGE_APPROVAL.encode(vars(self)))
 
     def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "purge_point": self.purge_point,
-                "pseudo_genesis_hash": self.pseudo_genesis_hash,
-                "erase_fam_nodes": self.erase_fam_nodes,
-                "reason": self.reason,
-            }
-        )
+        return _PURGE.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PurgeRecord":
-        obj = decode(data)
-        return cls(
-            purge_point=obj["purge_point"],
-            pseudo_genesis_hash=bytes(obj["pseudo_genesis_hash"]),
-            erase_fam_nodes=obj["erase_fam_nodes"],
-            reason=obj["reason"],
-        )
+        return cls(**_PURGE.decode(data))

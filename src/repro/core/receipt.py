@@ -18,7 +18,7 @@ from ..crypto.ecdsa import Signature
 from ..crypto.hashing import Digest, sha256
 from ..crypto.keys import KeyPair
 from ..crypto.signed import LspSigned
-from ..encoding import decode
+from ..encoding import BYTES, FLOAT, INT, STR, UINT
 
 __all__ = ["Receipt"]
 
@@ -28,6 +28,16 @@ class Receipt(LspSigned):
     """A signed acknowledgement of one committed journal."""
 
     SCHEME = "repro.receipt.v1"
+    FIELDS = dict(
+        ledger_uri=STR,
+        jsn=UINT,
+        request_hash=BYTES,
+        tx_hash=BYTES,
+        block_hash=BYTES,
+        block_height=INT,
+        ledger_root=BYTES,
+        timestamp=FLOAT,
+    )
 
     ledger_uri: str
     jsn: int
@@ -38,18 +48,6 @@ class Receipt(LspSigned):
     ledger_root: Digest  # fam commitment immediately after this commit
     timestamp: float
     lsp_signature: Signature | None = None
-
-    def statement(self) -> dict:
-        return {
-            "ledger_uri": self.ledger_uri,
-            "jsn": self.jsn,
-            "request_hash": self.request_hash,
-            "tx_hash": self.tx_hash,
-            "block_hash": self.block_hash,
-            "block_height": self.block_height,
-            "ledger_root": self.ledger_root,
-            "timestamp": self.timestamp,
-        }
 
     @classmethod
     def sign_batch(cls, receipts: list["Receipt"], lsp_keypair: KeyPair) -> list["Receipt"]:
@@ -65,18 +63,3 @@ class Receipt(LspSigned):
             replace(receipt, lsp_signature=signature)
             for receipt, signature in zip(receipts, signatures)
         ]
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Receipt":
-        obj = decode(data)
-        return cls(
-            ledger_uri=obj["ledger_uri"],
-            jsn=obj["jsn"],
-            request_hash=bytes(obj["request_hash"]),
-            tx_hash=bytes(obj["tx_hash"]),
-            block_hash=bytes(obj["block_hash"]),
-            block_height=obj["block_height"],
-            ledger_root=bytes(obj["ledger_root"]),
-            timestamp=obj["timestamp"],
-            lsp_signature=cls._signature_of(obj),
-        )

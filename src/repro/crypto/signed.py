@@ -3,33 +3,48 @@
 Receipts, signed tree heads, consistency assertions and submission acks are
 all the same thing to a verifier: a set of fields the LSP signed.  A subclass
 is a frozen dataclass with an ``lsp_signature`` field that names its
-``SCHEME`` and lists its signed fields in :meth:`statement`; signing,
-verifying and the wire form follow from that.
+``SCHEME`` and declares its signed fields' kinds in ``FIELDS``; the signed
+statement, signing, verifying and the wire form follow from that.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, ClassVar, Mapping
+from typing import ClassVar, Mapping
 
-from ..encoding import encode
+from ..encoding import BYTES, EncodingError, Kind, Record, mapped, optional
 from .ecdsa import Signature
 from .hashing import sha256
 from .keys import KeyPair, PublicKey
 
-__all__ = ["LspSigned"]
+__all__ = ["LspSigned", "SIGNATURE"]
+
+
+def _load_signature(blob: bytes) -> Signature:
+    try:
+        return Signature.from_bytes(blob)
+    except ValueError as exc:
+        raise EncodingError(str(exc)) from None
+
+
+#: A signature field (64 or 96 bytes); ``optional(SIGNATURE)`` where an
+#: unsigned record writes the empty string.
+SIGNATURE = mapped(BYTES, _load_signature, Signature.to_bytes)
 
 
 class LspSigned:
     SCHEME: ClassVar[str]
+    #: The signed fields and their kinds.
+    FIELDS: ClassVar[Mapping[str, Kind]]
     lsp_signature: Signature | None
 
-    def statement(self) -> dict[str, Any]:
-        """The signed fields, as encodable primitives."""
-        raise NotImplementedError
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._statement = Record(**cls.FIELDS, scheme=cls.SCHEME)
+        cls._wire = Record(**cls.FIELDS, lsp_signature=optional(SIGNATURE))
 
     def signing_payload(self) -> bytes:
-        return encode({"scheme": self.SCHEME, **self.statement()})
+        return self._statement.encode(vars(self))
 
     def signed_by(self, lsp_keypair: KeyPair):
         """Return a copy carrying the LSP's signature pi_s."""
@@ -42,11 +57,8 @@ class LspSigned:
         return lsp_public_key.verify(sha256(self.signing_payload()), self.lsp_signature)
 
     def to_bytes(self) -> bytes:
-        signature = self.lsp_signature.to_bytes() if self.lsp_signature else b""
-        return encode({**self.statement(), "lsp_signature": signature})
+        return self._wire.encode(vars(self))
 
-    @staticmethod
-    def _signature_of(obj: Mapping[str, Any]) -> Signature | None:
-        """The ``lsp_signature`` field of a decoded wire form."""
-        blob = bytes(obj["lsp_signature"])
-        return Signature.from_bytes(blob) if blob else None
+    @classmethod
+    def from_bytes(cls, data: bytes):
+        return cls(**cls._wire.decode(data))

@@ -22,40 +22,46 @@ Two encoders produce the same bytes.  :func:`encode` dispatches on exact
 type and takes length prefixes below 256 from a table; ``_encode_into`` is
 the plain recursive walk it is tested against (the oracle), and it handles
 what the fast path does not (subclasses, ``bytearray``, ``memoryview``).
-Fixed-schema records — journals, proofs, MPT nodes, clue values — are
-encoded by codecs built once per schema from the pieces below: a
-:class:`Record` pre-sorts and pre-encodes a dict's keys, ``*_head`` return
-the tag and length prefix of a value whose body the caller splices in.  A
-record decoder matches those constant prefixes, reads each field with a
-typed reader (``read_bytes``, ``read_uint``, …) instead of the recursive
-``_read_value``, and on any mismatch falls back to :func:`decode` — so it
-accepts exactly the inputs, and raises exactly the errors, of the generic
-strict decoder, which stays the oracle it is tested against.
+
+Every wire and persisted record type — journals, requests, receipts, signed
+heads, proofs, MPT nodes, bundles — has one strict schema: a
+:class:`Record` that names each key's :class:`Kind` (a typed reader, a
+writer, and the Python value it yields).  A record decoder accepts exactly
+the bytes its writer produces and raises :class:`EncodingError` on anything
+else; it never falls back to :func:`decode`.  What it accepts is a subset
+of what :func:`decode` accepts, read to the same value, so the generic
+decoder stays the oracle it is tested against.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 __all__ = [
     "encode",
     "decode",
     "EncodingError",
-    "as_bytes",
+    "Kind",
     "Record",
+    "UINT",
+    "INT",
+    "FLOAT",
+    "BOOL",
+    "STR",
+    "BYTES",
+    "BYTES_LIST",
+    "list_of",
+    "row",
+    "mapped",
+    "enum_of",
+    "nested",
+    "optional",
+    "nullable",
     "bytes_head",
     "list_head",
-    "write_value",
-    "write_bytes_list",
     "read_bytes",
-    "read_str",
-    "read_uint",
-    "read_float",
     "read_list_size",
-    "read_list",
-    "read_bytes_list",
-    "read_str_list",
 ]
 
 
@@ -306,46 +312,44 @@ def decode(data: bytes) -> Any:
     return value
 
 
-def as_bytes(value: Any, what: str) -> bytes:
-    """A decoded value that must be a byte string, as ``bytes``.
-
-    Raises :class:`EncodingError` for a value of any other type before
-    converting it: ``bytes(n)`` of a decoded integer ``n`` would allocate
-    ``n`` zero bytes on an attacker's word.
-    """
-    if not isinstance(value, (bytes, bytearray, memoryview)):
-        raise EncodingError(f"{what} must be a byte string, not {type(value).__name__}")
-    return bytes(value)
-
-
 # ------------------------------------------------------------ record codecs
 #
-# A *reader* takes ``(data, pos)`` and returns ``(value, new_pos)`` — the
-# same pair ``_read_value`` returns — for the canonical encoding of one
-# value of its type at ``pos``.  For any other bytes it returns None, or
-# raises IndexError where they end early; either way the caller leaves the
-# input to the generic decoder, which accepts or rejects it.  The typed
-# readers below (``read_bytes`` … ``read_list``) take only the forms their
-# type is written in, so a value they return is the value ``_read_value``
-# returns.  A *writer* appends one field's encoding to a buffer, like
-# ``write_value``.
+# A *reader* takes ``(data, pos)`` and returns ``(value, new_pos)`` for the
+# canonical encoding of one value of its kind at ``pos``.  For any other
+# bytes it returns None, raises IndexError where they end early, or raises
+# EncodingError; :meth:`Record.decode` turns all three into EncodingError.
+# Readers check a length against the input before they slice or loop, so
+# what they allocate is bounded by the input's size.  A *writer* appends one
+# value's encoding to a buffer.
 
 Reader = Callable[[bytes, int], Optional[tuple[Any, int]]]
 Writer = Callable[[Any, bytearray], None]
 
-write_value: Writer = _encode_fast
+
+class Kind(NamedTuple):
+    """One field type of a :class:`Record`: how it is read and written.
+
+    ``read`` yields the Python value the field holds (an enum member, a
+    signature, a tuple, a nested record's object); ``write`` takes that
+    value and writes the canonical form :func:`encode` gives its primitive.
+    """
+
+    read: Reader
+    write: Writer
 
 
-def write_bytes_list(values: list[bytes], out: bytearray) -> None:
-    """A list of ``bytes`` values, without the generic per-item dispatch."""
-    if not all(type(value) is bytes for value in values):
-        _encode_fast(values, out)
-        return
+def _write_bytes(value: bytes, out: bytearray) -> None:
+    size = len(value)
+    out += _BYTES_HEADS[size] if size < 256 else _TAG_BYTES + _encode_length(size)
+    out += value
+
+
+def _write_bytes_list(values: list[bytes], out: bytearray) -> None:
     out += list_head(len(values))
     for value in values:
-        size = len(value)
-        out += _BYTES_HEADS[size] if size < 256 else _TAG_BYTES + _encode_length(size)
-        out += value
+        _write_bytes(value, out)
+
+
 _FLOAT = struct.Struct(">d")
 
 
@@ -368,30 +372,29 @@ def read_bytes(data: bytes, pos: int) -> tuple[bytes, int] | None:
     if data[pos] != _T_BYTES:
         return None
     if data[pos + 1] == 1 and data[pos + 2]:  # one length byte: the common case
-        size, start = data[pos + 2], pos + 3
+        start = pos + 3
+        end = start + data[pos + 2]
     else:
         got = _read_size(data, pos + 1)
         if got is None:
             return None
         size, start = got
-    end = start + size
-    if end > len(data):
-        return None
-    return data[start:end], end
+        end = start + size
+    return (data[start:end], end) if end <= len(data) else None
 
 
-def read_str(data: bytes, pos: int) -> tuple[str, int] | None:
-    """A ``str`` value."""
+def _read_str(data: bytes, pos: int) -> tuple[str, int] | None:
     if data[pos] != _T_STR:
         return None
     if data[pos + 1] == 1 and data[pos + 2]:
-        size, start = data[pos + 2], pos + 3
+        start = pos + 3
+        end = start + data[pos + 2]
     else:
         got = _read_size(data, pos + 1)
         if got is None:
             return None
         size, start = got
-    end = start + size
+        end = start + size
     if end > len(data):
         return None
     try:
@@ -400,19 +403,33 @@ def read_str(data: bytes, pos: int) -> tuple[str, int] | None:
         return None
 
 
-def read_uint(data: bytes, pos: int) -> tuple[int, int] | None:
-    """A non-negative ``int`` value."""
+def _read_uint(data: bytes, pos: int) -> tuple[int, int] | None:
     if data[pos] != _T_INT_POS:
         return None
     return _read_size(data, pos + 1)
 
 
-def read_float(data: bytes, pos: int) -> tuple[float, int] | None:
-    """A ``float`` value."""
+def _read_int(data: bytes, pos: int) -> tuple[int, int] | None:
+    if data[pos] == _T_INT_POS:
+        return _read_size(data, pos + 1)
+    if data[pos] != _T_INT_NEG:
+        return None
+    got = _read_size(data, pos + 1)
+    return None if got is None or not got[0] else (-got[0], got[1])
+
+
+def _read_float(data: bytes, pos: int) -> tuple[float, int] | None:
     end = pos + 9
     if data[pos] != _T_FLOAT or end > len(data):
         return None
     return _FLOAT.unpack_from(data, pos + 1)[0], end
+
+
+def _read_bool(data: bytes, pos: int) -> tuple[bool, int] | None:
+    tag = data[pos]
+    if tag == _T_TRUE:
+        return True, pos + 1
+    return (False, pos + 1) if tag == _T_FALSE else None
 
 
 def read_list_size(data: bytes, pos: int) -> tuple[int, int] | None:
@@ -422,14 +439,13 @@ def read_list_size(data: bytes, pos: int) -> tuple[int, int] | None:
     return _read_size(data, pos + 1)
 
 
-def read_list(data: bytes, pos: int, read_item: Reader) -> tuple[list, int] | None:
-    """A list whose every item ``read_item`` takes."""
+def _read_list(data: bytes, pos: int, read_item: Reader) -> tuple[list, int] | None:
     got = read_list_size(data, pos)
     if got is None:
         return None
     size, pos = got
     items = []
-    for _ in range(size):
+    for _ in range(size):  # each item takes at least one byte: IndexError bounds this
         got = read_item(data, pos)
         if got is None:
             return None
@@ -438,74 +454,205 @@ def read_list(data: bytes, pos: int, read_item: Reader) -> tuple[list, int] | No
     return items, pos
 
 
-def read_bytes_list(data: bytes, pos: int) -> tuple[list[bytes], int] | None:
-    """A list of ``bytes`` values."""
-    return read_list(data, pos, read_bytes)
+def _read_bytes_list(data: bytes, pos: int) -> tuple[list[bytes], int] | None:
+    return _read_list(data, pos, read_bytes)
 
 
-def read_str_list(data: bytes, pos: int) -> tuple[list[str], int] | None:
-    """A list of ``str`` values."""
-    return read_list(data, pos, read_str)
+UINT = Kind(_read_uint, _encode_fast)
+INT = Kind(_read_int, _encode_fast)
+FLOAT = Kind(_read_float, _encode_fast)
+BOOL = Kind(_read_bool, _encode_fast)
+STR = Kind(_read_str, _encode_fast)
+BYTES = Kind(read_bytes, _write_bytes)
+BYTES_LIST = Kind(_read_bytes_list, _write_bytes_list)
+
+
+def list_of(item: Kind, into: Callable[[list], Any] = list) -> Kind:
+    """A list of ``item`` values, read into ``into`` (``list`` or ``tuple``)."""
+
+    def read(data: bytes, pos: int):
+        got = _read_list(data, pos, item.read)
+        return None if got is None else (into(got[0]), got[1])
+
+    def write(values, out: bytearray) -> None:
+        out += list_head(len(values))
+        for value in values:
+            item.write(value, out)
+
+    return Kind(read, write)
+
+
+def row(*items: Kind) -> Kind:
+    """A fixed-length list whose positions have their own kinds, as a tuple."""
+    head = list_head(len(items))
+
+    def read(data: bytes, pos: int):
+        if not data.startswith(head, pos):
+            return None
+        pos += len(head)
+        values = []
+        for item in items:
+            got = item.read(data, pos)
+            if got is None:
+                return None
+            value, pos = got
+            values.append(value)
+        return tuple(values), pos
+
+    def write(values, out: bytearray) -> None:
+        if len(values) != len(items):
+            raise EncodingError(f"expected {len(items)} values, got {len(values)}")
+        out += head
+        for item, value in zip(items, values):
+            item.write(value, out)
+
+    return Kind(read, write)
+
+
+def mapped(kind: Kind, load: Callable[[Any], Any], dump: Callable[[Any], Any]) -> Kind:
+    """``kind`` read through ``load`` and written from ``dump(value)``.
+
+    ``load`` raises EncodingError for a value it refuses (say, tiles out of
+    order, which would not re-encode to the same bytes).
+    """
+
+    def read(data: bytes, pos: int):
+        got = kind.read(data, pos)
+        return None if got is None else (load(got[0]), got[1])
+
+    return Kind(read, lambda value, out: kind.write(dump(value), out))
+
+
+def enum_of(cls: type) -> Kind:
+    """An :class:`~enum.Enum` member, written as its ``str`` value."""
+    members = {member.value: member for member in cls}
+
+    def read(data: bytes, pos: int):
+        got = _read_str(data, pos)
+        if got is None or got[0] not in members:
+            return None
+        return members[got[0]], got[1]
+
+    return Kind(read, lambda member, out: _encode_fast(member.value, out))
+
+
+def nested(cls: Any) -> Kind:
+    """An object carried as the bytes of its own ``to_bytes``/``from_bytes``."""
+
+    def read(data: bytes, pos: int):
+        got = read_bytes(data, pos)
+        return None if got is None else (cls.from_bytes(got[0]), got[1])
+
+    return Kind(read, lambda value, out: _write_bytes(value.to_bytes(), out))
+
+
+_EMPTY_BYTES = _BYTES_HEADS[0]
+
+
+def optional(kind: Kind) -> Kind:
+    """A bytes-carried ``kind`` where the empty byte string means None."""
+
+    def read(data: bytes, pos: int):
+        if data.startswith(_EMPTY_BYTES, pos):
+            return None, pos + 2
+        return kind.read(data, pos)
+
+    def write(value, out: bytearray) -> None:
+        if value is None:
+            out += _EMPTY_BYTES
+        else:
+            kind.write(value, out)
+
+    return Kind(read, write)
+
+
+def nullable(kind: Kind) -> Kind:
+    """``kind`` or None, written as the ``N`` tag."""
+
+    def read(data: bytes, pos: int):
+        return (None, pos + 1) if data[pos] == _T_NONE else kind.read(data, pos)
+
+    def write(value, out: bytearray) -> None:
+        if value is None:
+            out += _TAG_NONE
+        else:
+            kind.write(value, out)
+
+    return Kind(read, write)
 
 
 class Record:
-    """Codec for dicts with one fixed set of string keys, built once per schema.
+    """The one declaration of a dict-shaped wire type: its keys, each key's
+    :class:`Kind`, and constant keys (a ``scheme`` or ``mode`` tag).
+
+    ``Record(jsn=UINT, payload=BYTES, scheme="repro.x.v1")``: keyword
+    values that are a :class:`Kind` are fields, a ``str`` is a constant.
 
     :meth:`encode` writes the bytes :func:`encode` gives the dict of these
-    keys, but the dict head and every key's encoding are constants sorted
-    and encoded here, so only the values are walked — each by its field's
-    writer (``writers``, default :data:`write_value`), which may splice in a
-    field's encoding from objects the generic encoder cannot walk.
-    :meth:`decode` equals :func:`decode`, value for value and error for
-    error: it matches the constants and reads each value with its field's
-    reader (``readers``, default ``_read_value``), and on any mismatch
-    returns the generic decoder's result instead.
+    keys — the dict head, every key and every constant are pre-encoded here,
+    so only the field values are walked, each by its kind's writer.
+    :meth:`decode` is strict: it returns the fields (constants left out)
+    of exactly those bytes and raises :class:`EncodingError` on anything
+    else — a wrong type, a missing or extra key, a wrong constant, an
+    out-of-range enum, truncation, trailing bytes.  It accepts a subset of
+    what :func:`decode` accepts, value for value, and never falls back to it.
     """
 
-    def __init__(
-        self,
-        *keys: str,
-        readers: Mapping[str, Reader] | None = None,
-        writers: Mapping[str, Writer] | None = None,
-    ) -> None:
-        readers, writers = readers or {}, writers or {}
-        self.keys = tuple(sorted(keys))
-        if len(set(self.keys)) != len(self.keys) or not set(readers) | set(writers) <= set(keys):
-            raise ValueError("record keys must be distinct and name every reader and writer")
-        self._head = _DICT_HEADS[len(self.keys)]
-        self._fields = tuple(
-            (key, encode(key), readers.get(key, _read_value), writers.get(key, write_value))
-            for key in self.keys
-        )
-        self._readers = tuple(
-            (key, prefix, len(prefix), read) for key, prefix, read, _write in self._fields
-        )
+    def __init__(self, **keys: Kind | str) -> None:
+        prefix = bytearray(_DICT_HEADS[len(keys)])
+        fields = []
+        for key in sorted(keys):
+            kind = keys[key]
+            prefix += encode(key)
+            if isinstance(kind, Kind):
+                fields.append((key, bytes(prefix), len(prefix), kind.read, kind.write))
+                prefix = bytearray()
+            else:
+                prefix += encode(kind)
+        self._fields = tuple(fields)
+        self._tail = bytes(prefix)
 
     def encode(self, values: Mapping[str, Any]) -> bytes:
-        out = bytearray(self._head)
-        for key, prefix, _read, write in self._fields:
-            out += prefix
-            write(values[key], out)
+        out = bytearray()
+        self.write(values, out)
         return bytes(out)
 
-    def decode(self, data: bytes) -> Any:
-        data = bytes(data)
-        fields = self._match(data)
-        return decode(data) if fields is None else fields
+    def write(self, values: Mapping[str, Any], out: bytearray) -> None:
+        for key, prefix, _size, _read, write in self._fields:
+            out += prefix
+            write(values[key], out)
+        out += self._tail
 
-    def _match(self, data: bytes) -> dict | None:
-        if not data.startswith(self._head):
-            return None
-        pos = len(self._head)
-        fields = {}
+    def decode(self, data: bytes) -> dict:
+        data = bytes(data)
         try:
-            for key, prefix, size, read in self._readers:
-                if not data.startswith(prefix, pos):
-                    return None
-                got = read(data, pos + size)
-                if got is None:
-                    return None
-                fields[key], pos = got
-        except (IndexError, EncodingError, RecursionError):
-            return None  # the generic decoder raises its own error for these bytes
-        return fields if pos == len(data) else None
+            fields, pos = self.read(data, 0)
+        except IndexError:
+            raise EncodingError("truncated record") from None
+        if pos != len(data):
+            raise EncodingError("trailing bytes after record")
+        return fields
+
+    def read(self, data: bytes, pos: int) -> tuple[dict, int]:
+        """The fields of the record at ``pos``; a :data:`Reader` that raises."""
+        fields = {}
+        for key, prefix, size, read, _write in self._fields:
+            if not data.startswith(prefix, pos):
+                raise EncodingError(f"record field {key!r}: key or constant mismatch")
+            got = read(data, pos + size)
+            if got is None:
+                raise EncodingError(f"record field {key!r}: malformed value")
+            fields[key], pos = got
+        if not data.startswith(self._tail, pos):
+            raise EncodingError("record constant mismatch")
+        return fields, pos + len(self._tail)
+
+    def of(self, cls: Any) -> Kind:
+        """This record inline (a dict, not bytes) as an instance of ``cls``:
+        read as ``cls(**fields)``, written from ``vars(instance)``."""
+
+        def read(data: bytes, pos: int):
+            fields, pos = self.read(data, pos)
+            return cls(**fields), pos
+
+        return Kind(read, lambda value, out: self.write(vars(value), out))

@@ -38,6 +38,19 @@ from ..core.snapshot import _commit_file
 from ..crypto.ca import Certificate, Role
 from ..crypto.ecdsa import Signature
 from ..crypto.keys import PublicKey
+from ..encoding import (
+    BOOL,
+    BYTES,
+    FLOAT,
+    STR,
+    UINT,
+    EncodingError,
+    Record,
+    list_of,
+    mapped,
+    nullable,
+    row,
+)
 from ..shard.shape import has_composite, shard_of_key
 from ..storage.checksum import crc32c
 
@@ -155,68 +168,12 @@ class ExportBundle:
 
     # ---------------------------------------------------------- byte forms
 
-    def _payload(self) -> dict[str, Any]:
-        return {
-            "scheme": BUNDLE_SCHEME,
-            "ledger_uri": self.ledger_uri,
-            "fractal_height": self.fractal_height,
-            "block_size": self.block_size,
-            "num_shards": self.num_shards,
-            "created_at": self.created_at,
-            "ca_public_key": self.ca_public_key,
-            "lsp_public_key": self.lsp_public_key,
-            "certificates": [
-                {
-                    "member_id": c.member_id,
-                    "role": c.role,
-                    "public_key": c.public_key,
-                    "issuer": c.issuer,
-                    "signature": c.signature,
-                }
-                for c in self.certificates
-            ],
-            "shards": [
-                {
-                    "shard_index": s.shard_index,
-                    "genesis_start": s.genesis_start,
-                    "entries": [
-                        [e.jsn, e.data, e.retained_hash, e.occulted, e.purged]
-                        for e in s.entries
-                    ],
-                    "latest_receipt": s.latest_receipt,
-                    "proofs": [[jsn, blob] for jsn, blob in s.proofs],
-                    "anchors": [[epoch, root] for epoch, root in s.anchors],
-                    "blocks": list(s.blocks),
-                    "sths": list(s.sths),
-                    "consistency": [
-                        [old, new, cb, assertion]
-                        for old, new, cb, assertion in s.consistency
-                    ],
-                    "clue_proofs": [
-                        {
-                            "clue": cp.clue,
-                            "proof": cp.proof,
-                            "state_root": cp.state_root,
-                            "jsns": list(cp.jsns),
-                        }
-                        for cp in s.clue_proofs
-                    ],
-                }
-                for s in self.shards
-            ],
-            "composite_sth": self.composite_sth,
-        }
-
     def to_bytes(self) -> bytes:
-        from ..encoding import encode
-
-        payload = encode(self._payload())
+        payload = _PAYLOAD.encode(vars(self))
         return BUNDLE_MAGIC + _CRC.pack(crc32c(payload)) + payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ExportBundle":
-        from ..encoding import EncodingError, decode
-
         header = len(BUNDLE_MAGIC) + _CRC.size
         if len(data) < header or data[: len(BUNDLE_MAGIC)] != BUNDLE_MAGIC:
             raise BundleCorruptionError("not an LDBBNDL1 bundle")
@@ -225,73 +182,9 @@ class ExportBundle:
         if crc32c(payload) != expected:
             raise BundleCorruptionError("bundle payload fails its checksum")
         try:
-            obj = decode(payload)
+            return cls(**_PAYLOAD.decode(payload))
         except EncodingError as exc:  # checksum collision territory, still typed
-            raise BundleCorruptionError(f"bundle payload undecodable: {exc}") from exc
-        try:
-            return cls._from_payload(obj)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise BundleCorruptionError(f"bundle payload malformed: {exc}") from exc
-
-    @classmethod
-    def _from_payload(cls, obj: dict[str, Any]) -> "ExportBundle":
-        if obj.get("scheme") != BUNDLE_SCHEME:
-            raise ValueError(f"unsupported bundle scheme: {obj.get('scheme')!r}")
-        return cls(
-            ledger_uri=obj["ledger_uri"],
-            fractal_height=obj["fractal_height"],
-            block_size=obj["block_size"],
-            num_shards=obj["num_shards"],
-            created_at=obj["created_at"],
-            ca_public_key=bytes(obj["ca_public_key"]),
-            lsp_public_key=bytes(obj["lsp_public_key"]),
-            certificates=tuple(
-                BundleCertificate(
-                    member_id=c["member_id"],
-                    role=c["role"],
-                    public_key=bytes(c["public_key"]),
-                    issuer=c["issuer"],
-                    signature=bytes(c["signature"]),
-                )
-                for c in obj["certificates"]
-            ),
-            shards=tuple(
-                ShardSection(
-                    shard_index=s["shard_index"],
-                    genesis_start=s["genesis_start"],
-                    entries=tuple(
-                        BundleEntry(
-                            jsn=e[0],
-                            data=None if e[1] is None else bytes(e[1]),
-                            retained_hash=bytes(e[2]),
-                            occulted=bool(e[3]),
-                            purged=bool(e[4]),
-                        )
-                        for e in s["entries"]
-                    ),
-                    latest_receipt=bytes(s["latest_receipt"]),
-                    proofs=tuple((p[0], bytes(p[1])) for p in s["proofs"]),
-                    anchors=tuple((a[0], bytes(a[1])) for a in s["anchors"]),
-                    blocks=tuple(bytes(b) for b in s["blocks"]),
-                    sths=tuple(bytes(h) for h in s["sths"]),
-                    consistency=tuple(
-                        (c[0], c[1], bytes(c[2]), bytes(c[3]))
-                        for c in s["consistency"]
-                    ),
-                    clue_proofs=tuple(
-                        ClueSection(
-                            clue=cp["clue"],
-                            proof=bytes(cp["proof"]),
-                            state_root=bytes(cp["state_root"]),
-                            jsns=tuple(cp["jsns"]),
-                        )
-                        for cp in s["clue_proofs"]
-                    ),
-                )
-                for s in obj["shards"]
-            ),
-            composite_sth=bytes(obj["composite_sth"]),
-        )
 
     # ----------------------------------------------------------------- I/O
 
@@ -330,6 +223,49 @@ class ExportBundle:
         from .verifier import verify_bundle
 
         return verify_bundle(self, **anchors)
+
+
+_BYTES_TUPLE = list_of(BYTES, tuple)
+_SHARD = Record(
+    shard_index=UINT,
+    genesis_start=UINT,
+    entries=list_of(
+        mapped(
+            row(UINT, nullable(BYTES), BYTES, BOOL, BOOL),
+            lambda fields: BundleEntry(*fields),
+            lambda e: (e.jsn, e.data, e.retained_hash, e.occulted, e.purged),
+        ),
+        tuple,
+    ),
+    latest_receipt=BYTES,
+    proofs=list_of(row(UINT, BYTES), tuple),
+    anchors=list_of(row(UINT, BYTES), tuple),
+    blocks=_BYTES_TUPLE,
+    sths=_BYTES_TUPLE,
+    consistency=list_of(row(UINT, UINT, BYTES, BYTES), tuple),
+    clue_proofs=list_of(
+        Record(clue=STR, proof=BYTES, state_root=BYTES, jsns=list_of(UINT, tuple)).of(ClueSection),
+        tuple,
+    ),
+)
+_PAYLOAD = Record(
+    scheme=BUNDLE_SCHEME,
+    ledger_uri=STR,
+    fractal_height=UINT,
+    block_size=UINT,
+    num_shards=UINT,
+    created_at=FLOAT,
+    ca_public_key=BYTES,
+    lsp_public_key=BYTES,
+    certificates=list_of(
+        Record(
+            member_id=STR, role=STR, public_key=BYTES, issuer=STR, signature=BYTES
+        ).of(BundleCertificate),
+        tuple,
+    ),
+    shards=list_of(_SHARD.of(ShardSection), tuple),
+    composite_sth=BYTES,
+)
 
 
 # --------------------------------------------------------------------- writer

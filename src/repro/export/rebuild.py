@@ -30,13 +30,13 @@ from ..core.members import MemberRegistry
 from ..core.snapshot import load_config_file
 from ..crypto.keys import KeyPair, PublicKey
 from ..core.errors import AuthenticationError
-from ..encoding import decode, encode
+from ..encoding import BOOL, BYTES, INT, STR, UINT, Record, list_of
 from ..shard.shape import has_composite, shard_for_stamp
 from ..shard.sharded import ShardedLedger, open_deployment
 from ..storage.stream import MemoryStream, StreamCorruptionError
 from ..timeauth.clock import Clock
 from ..transparency.sth import SignedTreeHead
-from .bundle import BundleError, ExportBundle
+from .bundle import ExportBundle
 
 __all__ = ["Divergence", "RebuildError", "RebuildReport", "rebuild_from_bundle", "rebuild_from_stream"]
 
@@ -86,53 +86,33 @@ class RebuildReport:
         return self.ok == (not self.divergences)
 
     def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "scheme": REBUILD_SCHEME,
-                "ok": self.ok,
-                "source": self.source,
-                "ledger_uri": self.ledger_uri,
-                "num_shards": self.num_shards,
-                "journals": self.journals,
-                "checks": list(self.checks),
-                "divergences": [
-                    {
-                        "kind": d.kind,
-                        "shard_index": d.shard_index,
-                        "coordinate": d.coordinate,
-                        "expected": d.expected,
-                        "actual": d.actual,
-                        "detail": d.detail,
-                    }
-                    for d in self.divergences
-                ],
-            }
-        )
+        return _REPORT.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RebuildReport":
-        obj = decode(data)
-        if not isinstance(obj, dict) or obj.get("scheme") != REBUILD_SCHEME:
-            raise BundleError("not a repro.rebuild_report.v1 payload")
-        return cls(
-            ok=bool(obj["ok"]),
-            source=obj["source"],
-            ledger_uri=obj["ledger_uri"],
-            num_shards=obj["num_shards"],
-            journals=obj["journals"],
-            checks=tuple(obj["checks"]),
-            divergences=tuple(
-                Divergence(
-                    kind=d["kind"],
-                    shard_index=d["shard_index"],
-                    coordinate=d["coordinate"],
-                    expected=bytes(d["expected"]),
-                    actual=bytes(d["actual"]),
-                    detail=d["detail"],
-                )
-                for d in obj["divergences"]
-            ),
-        )
+        return cls(**_REPORT.decode(data))
+
+
+_REPORT = Record(
+    scheme=REBUILD_SCHEME,
+    ok=BOOL,
+    source=STR,
+    ledger_uri=STR,
+    num_shards=UINT,
+    journals=UINT,
+    checks=list_of(STR, tuple),
+    divergences=list_of(
+        Record(
+            kind=STR,
+            shard_index=INT,
+            coordinate=STR,
+            expected=BYTES,
+            actual=BYTES,
+            detail=STR,
+        ).of(Divergence),
+        tuple,
+    ),
+)
 
 
 # ----------------------------------------------------------------- from bundle

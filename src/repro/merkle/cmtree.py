@@ -24,15 +24,7 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..crypto.hashing import Digest, clue_key_hash
-from ..encoding import (
-    EncodingError,
-    Record,
-    decode,
-    encode,
-    read_bytes_list,
-    read_uint,
-    write_bytes_list,
-)
+from ..encoding import BOOL, BYTES, BYTES_LIST, STR, UINT, EncodingError, Record, nested
 from ..storage.kv import GenerationalMemoryStore, KVStore
 from .mpt import MPT, MPTProof
 from .proofs import BatchProof, bag_peaks
@@ -45,12 +37,7 @@ class ClueVerificationError(Exception):
     """Raised by server-side verification when a clue fails to validate."""
 
 
-_CLUE_VALUE = Record(
-    "size",
-    "frontier",
-    readers={"size": read_uint, "frontier": read_bytes_list},
-    writers={"frontier": write_bytes_list},
-)
+_CLUE_VALUE = Record(size=UINT, frontier=BYTES_LIST)
 
 
 def encode_clue_value(size: int, frontier: list[Digest]) -> bytes:
@@ -64,7 +51,7 @@ def encode_clue_value(size: int, frontier: list[Digest]) -> bytes:
 
 def decode_clue_value(value: bytes) -> tuple[int, list[Digest]]:
     obj = _CLUE_VALUE.decode(value)
-    return obj["size"], [bytes(d) for d in obj["frontier"]]
+    return obj["size"], obj["frontier"]
 
 
 def _encode_clue_value(accumulator: ShrubsAccumulator) -> bytes:
@@ -103,7 +90,7 @@ class ClueProof:
         """
         try:
             size, frontier = _decode_clue_value(self.clue_value)
-        except (EncodingError, KeyError, TypeError, ValueError):
+        except EncodingError:
             # Malformed clue value from an untrusted prover; anything else
             # (a bug in our own decoder) should surface, not read as "false".
             return False
@@ -128,40 +115,40 @@ class ClueProof:
         return self.mpt_proof.verify(cm_tree1_root)
 
     def to_bytes(self) -> bytes:
-        return encode(
+        mpt = self.mpt_proof
+        return _CLUE_PROOF.encode(
             {
-                "clue": self.clue,
-                "version_start": self.version_start,
-                "version_end": self.version_end,
-                "entry_count": self.entry_count,
-                "batch": self.batch.to_bytes(),
-                "clue_value": self.clue_value,
-                "mpt_key": self.mpt_proof.key,
-                "mpt_value": self.mpt_proof.value if self.mpt_proof.value is not None else b"",
-                "mpt_has_value": self.mpt_proof.value is not None,
-                "mpt_nodes": list(self.mpt_proof.nodes),
+                **vars(self),
+                "mpt_key": mpt.key,
+                "mpt_value": b"" if mpt.value is None else mpt.value,
+                "mpt_has_value": mpt.value is not None,
+                "mpt_nodes": mpt.nodes,
             }
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ClueProof":
-        from .mpt import MPTProof
-        from .proofs import BatchProof
+        fields = _CLUE_PROOF.decode(data)
+        key, value, nodes = (fields.pop(name) for name in ("mpt_key", "mpt_value", "mpt_nodes"))
+        if not fields.pop("mpt_has_value"):
+            if value:
+                raise EncodingError("a non-membership clue proof carries a value")
+            value = None
+        return cls(**fields, mpt_proof=MPTProof(key=key, value=value, nodes=nodes))
 
-        obj = decode(data)
-        return cls(
-            clue=obj["clue"],
-            version_start=obj["version_start"],
-            version_end=obj["version_end"],
-            entry_count=obj["entry_count"],
-            batch=BatchProof.from_bytes(bytes(obj["batch"])),
-            clue_value=bytes(obj["clue_value"]),
-            mpt_proof=MPTProof(
-                key=bytes(obj["mpt_key"]),
-                value=bytes(obj["mpt_value"]) if obj["mpt_has_value"] else None,
-                nodes=[bytes(node) for node in obj["mpt_nodes"]],
-            ),
-        )
+
+_CLUE_PROOF = Record(
+    clue=STR,
+    version_start=UINT,
+    version_end=UINT,
+    entry_count=UINT,
+    batch=nested(BatchProof),
+    clue_value=BYTES,
+    mpt_key=BYTES,
+    mpt_value=BYTES,
+    mpt_has_value=BOOL,
+    mpt_nodes=BYTES_LIST,
+)
 
 
 class CMTree:

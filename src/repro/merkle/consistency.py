@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..crypto.hashing import Digest, node_hash
-from ..encoding import as_bytes, decode, encode
-from .proofs import MembershipProof, bag_peaks
+from ..encoding import BYTES, BYTES_LIST, UINT, Record, list_of, nested, optional
+from .proofs import TILES, MembershipProof, bag_peaks
 from .shrubs import ShrubsAccumulator, peak_positions
 
 if TYPE_CHECKING:
@@ -98,30 +98,14 @@ class ConsistencyProof:
         return bag_peaks(new_peaks) == new_root
 
     def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "old_size": self.old_size,
-                "new_size": self.new_size,
-                "old_peaks": list(self.old_peaks),
-                "complement": [
-                    [level, index, digest]
-                    for (level, index), digest in sorted(self.complement.items())
-                ],
-            }
-        )
+        return _PROOF.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ConsistencyProof":
-        obj = decode(data)
-        return cls(
-            old_size=obj["old_size"],
-            new_size=obj["new_size"],
-            old_peaks=[bytes(d) for d in obj["old_peaks"]],
-            complement={
-                (level, index): bytes(digest)
-                for level, index, digest in obj["complement"]
-            },
-        )
+        return cls(**_PROOF.decode(data))
+
+
+_PROOF = Record(old_size=UINT, new_size=UINT, old_peaks=BYTES_LIST, complement=TILES)
 
 
 def prove_consistency(
@@ -298,38 +282,21 @@ class ConsistencyBundle:
         return roots if final.computed_root(roots[-1]) == new_root else None
 
     def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "old_epoch": self.old_epoch,
-                "old_live_size": self.old_live_size,
-                "new_epoch": self.new_epoch,
-                "new_live_size": self.new_live_size,
-                "live": self.live.to_bytes() if self.live else b"",
-                "seal": self.seal.to_bytes() if self.seal else b"",
-                "sealed_root": self.sealed_root if self.sealed_root else b"",
-                "links": [link.to_bytes() for link in self.links],
-                "final_link": self.final_link.to_bytes() if self.final_link else b"",
-            }
-        )
+        return _BUNDLE.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ConsistencyBundle":
-        obj = decode(data)
-        live = as_bytes(obj["live"], "live")
-        seal = as_bytes(obj["seal"], "seal")
-        sealed_root = as_bytes(obj["sealed_root"], "sealed_root")
-        final_link = as_bytes(obj["final_link"], "final_link")
-        return cls(
-            old_epoch=obj["old_epoch"],
-            old_live_size=obj["old_live_size"],
-            new_epoch=obj["new_epoch"],
-            new_live_size=obj["new_live_size"],
-            live=ConsistencyProof.from_bytes(live) if live else None,
-            seal=ConsistencyProof.from_bytes(seal) if seal else None,
-            sealed_root=sealed_root if sealed_root else None,
-            links=tuple(
-                MembershipProof.from_bytes(as_bytes(blob, "link"))
-                for blob in obj["links"]
-            ),
-            final_link=MembershipProof.from_bytes(final_link) if final_link else None,
-        )
+        return cls(**_BUNDLE.decode(data))
+
+
+_BUNDLE = Record(
+    old_epoch=UINT,
+    old_live_size=UINT,
+    new_epoch=UINT,
+    new_live_size=UINT,
+    live=optional(nested(ConsistencyProof)),
+    seal=optional(nested(ConsistencyProof)),
+    sealed_root=optional(BYTES),
+    links=list_of(nested(MembershipProof), tuple),
+    final_link=optional(nested(MembershipProof)),
+)

@@ -21,28 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..crypto.hashing import Digest
-from ..encoding import Record, read_bytes, read_bytes_list, read_uint, write_bytes_list
+from ..encoding import UINT, Record, list_of, nested
 from .proofs import MembershipProof
 from .shrubs import FrontierAccumulator, ShrubsAccumulator
 
 __all__ = ["FamAccumulator", "FamProof", "FamReplayer", "AnchorStore"]
-
-
-_FAM_PROOF = Record(
-    "jsn",
-    "epoch_index",
-    "num_epochs",
-    "epoch_proof",
-    "link_proofs",
-    readers={
-        "jsn": read_uint,
-        "epoch_index": read_uint,
-        "num_epochs": read_uint,
-        "epoch_proof": read_bytes,
-        "link_proofs": read_bytes_list,
-    },
-    writers={"link_proofs": write_bytes_list},
-)
 
 
 @dataclass(frozen=True)
@@ -73,28 +56,20 @@ class FamProof:
         return len(self.epoch_proof.path) + sum(len(p.path) for p in self.link_proofs)
 
     def to_bytes(self) -> bytes:
-        return _FAM_PROOF.encode(
-            {
-                "jsn": self.jsn,
-                "epoch_index": self.epoch_index,
-                "num_epochs": self.num_epochs,
-                "epoch_proof": self.epoch_proof.to_bytes(),
-                "link_proofs": [proof.to_bytes() for proof in self.link_proofs],
-            }
-        )
+        return _FAM_PROOF.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FamProof":
-        obj = _FAM_PROOF.decode(data)
-        return cls(
-            jsn=obj["jsn"],
-            epoch_index=obj["epoch_index"],
-            num_epochs=obj["num_epochs"],
-            epoch_proof=MembershipProof.from_bytes(bytes(obj["epoch_proof"])),
-            link_proofs=[
-                MembershipProof.from_bytes(bytes(blob)) for blob in obj["link_proofs"]
-            ],
-        )
+        return cls(**_FAM_PROOF.decode(data))
+
+
+_FAM_PROOF = Record(
+    jsn=UINT,
+    epoch_index=UINT,
+    num_epochs=UINT,
+    epoch_proof=nested(MembershipProof),
+    link_proofs=list_of(nested(MembershipProof)),
+)
 
 
 class AnchorStore:

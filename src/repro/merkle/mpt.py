@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..crypto.hashing import EMPTY_DIGEST, Digest, sha256
-from ..encoding import EncodingError, bytes_head, decode, encode, list_head, read_bytes
+from ..encoding import EncodingError, bytes_head, encode, list_head, read_bytes
 from ..storage.kv import KeyNotFoundError, KVStore, MemoryKVStore
 
 __all__ = ["MPT", "MPTProof", "key_to_nibbles", "nibbles_to_key"]
@@ -65,8 +65,9 @@ def _common_prefix_len(a: bytes, b: bytes) -> int:
 
 _LEAF, _EXT, _BRANCH = "L", "E", "B"
 
-# The wire form is ``encode([tag, ...])`` of the list each branch below
-# builds (see ``_deserialize_generic``); these are its constant prefixes.
+# The wire form is ``encode`` of ``[tag, path, value]`` (leaf), ``[tag, path,
+# child]`` (ext) or ``[tag, 16 children, value, has_value]`` (branch, b"" for
+# an absent child or value); these are its constant prefixes.
 _LEAF_HEAD = list_head(3) + encode(_LEAF)
 _EXT_HEAD = list_head(3) + encode(_EXT)
 _BRANCH_HEAD = list_head(4) + encode(_BRANCH) + list_head(16)
@@ -102,6 +103,7 @@ def _serialize(node: tuple) -> bytes:
 
 
 def _deserialize(data: bytes) -> tuple:
+    """The node ``_serialize`` wrote as ``data``; EncodingError for any other bytes."""
     data = bytes(data)
     node = None
     try:
@@ -112,8 +114,10 @@ def _deserialize(data: bytes) -> tuple:
         elif data.startswith(_EXT_HEAD):
             node = _read_pair("ext", data, len(_EXT_HEAD))
     except IndexError:
-        pass  # truncated: the generic decoder raises its typed error
-    return node if node is not None else _deserialize_generic(data)
+        pass
+    if node is None:
+        raise EncodingError("malformed MPT node")
+    return node
 
 
 def _read_pair(kind: str, data: bytes, pos: int) -> tuple | None:
@@ -141,33 +145,17 @@ def _read_branch(data: bytes) -> tuple | None:
             children.append(None)
             pos += 2
         else:
-            return None
+            got = read_bytes(data, pos)
+            if got is None:
+                return None
+            child, pos = got
+            children.append(child)
     if data.endswith(_NO_VALUE) and pos + 3 == len(data):
         return ("branch", children, None)
     got = read_bytes(data, pos)
     if got is None or got[1] + 1 != len(data) or not data.endswith(_HAS_VALUE):
         return None
     return ("branch", children, got[0])
-
-
-def _deserialize_generic(data: bytes) -> tuple:
-    """The node :func:`decode` reads, if it has a shape ``_serialize`` writes."""
-    obj = decode(data)
-    if type(obj) is not list:
-        raise ValueError("MPT node must decode to a list")
-    if len(obj) == 3 and obj[0] in (_LEAF, _EXT) and type(obj[1]) is type(obj[2]) is bytes:
-        return ("leaf" if obj[0] == _LEAF else "ext", obj[1], obj[2])
-    if (
-        len(obj) == 4
-        and obj[0] == _BRANCH
-        and type(obj[1]) is list
-        and len(obj[1]) == 16
-        and all(type(child) is bytes for child in obj[1])
-        and type(obj[2]) is bytes
-        and type(obj[3]) is bool
-    ):
-        return ("branch", [child or None for child in obj[1]], obj[2] if obj[3] else None)
-    raise ValueError("malformed MPT node")
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,20 @@ from dataclasses import dataclass, field
 
 from ..crypto.hashing import Digest, node_hash
 from ..encoding import (
+    BOOL,
+    BYTES,
+    BYTES_LIST,
+    UINT,
+    EncodingError,
+    Kind,
     Record,
     bytes_head,
-    decode,
     encode,
     list_head,
-    read_bytes_list,
+    list_of,
+    mapped,
     read_list_size,
-    read_uint,
-    write_bytes_list,
-    write_value,
+    row,
 )
 
 __all__ = [
@@ -58,13 +62,6 @@ class PathStep:
 
     digest: Digest
     sibling_on_left: bool
-
-    def to_obj(self) -> list:
-        return [self.digest, self.sibling_on_left]
-
-    @classmethod
-    def from_obj(cls, obj: list) -> "PathStep":
-        return cls(bytes(obj[0]), bool(obj[1]))
 
 
 def fold_path(leaf_digest: Digest, path: list[PathStep]) -> Digest:
@@ -168,29 +165,16 @@ class MembershipProof:
             return False
 
     def to_bytes(self) -> bytes:
-        return _MEMBERSHIP.encode(
-            {
-                "leaf_index": self.leaf_index,
-                "tree_size": self.tree_size,
-                "path": self.path,
-                "peaks_left": self.peaks_left,
-                "peaks_right": self.peaks_right,
-            }
-        )
+        return _MEMBERSHIP.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MembershipProof":
-        obj = _MEMBERSHIP.decode(data)
-        return cls(
-            leaf_index=obj["leaf_index"],
-            tree_size=obj["tree_size"],
-            path=[PathStep.from_obj(step) for step in obj["path"]],
-            peaks_left=[bytes(d) for d in obj["peaks_left"]],
-            peaks_right=[bytes(d) for d in obj["peaks_right"]],
-        )
+        return cls(**_MEMBERSHIP.decode(data))
 
 
-# A path step is ``[digest, sibling_on_left]`` on the wire.
+# A path step is ``[digest, sibling_on_left]`` on the wire; a 32-byte digest
+# (every step a hash function writes) is matched as one constant head.
+_STEP = row(BYTES, BOOL)
 _STEP_HEAD = list_head(2)
 _STEP_DIGEST_HEAD = _STEP_HEAD + bytes_head(32)
 _STEP_SIZE = len(_STEP_DIGEST_HEAD) + 33
@@ -204,47 +188,55 @@ def _write_path(path: list[PathStep], out: bytearray) -> None:
         out += _STEP_HEAD
         out += bytes_head(len(step.digest))
         out += step.digest
-        flag = step.sibling_on_left
-        if flag is True or flag is False:
-            out += _FLAG_BYTES[flag]
-        else:
-            write_value(flag, out)
+        out += _FLAG_BYTES[bool(step.sibling_on_left)]
 
 
-def _read_path(data: bytes, pos: int) -> tuple[list, int] | None:
+def _read_path(data: bytes, pos: int) -> tuple[list[PathStep], int] | None:
     got = read_list_size(data, pos)
     if got is None:
         return None
     size, pos = got
     path = []
     for _ in range(size):
-        end = pos + _STEP_SIZE
-        flag = _STEP_FLAGS.get(data[end - 1])
-        if flag is None or not data.startswith(_STEP_DIGEST_HEAD, pos):
-            return None
-        path.append([data[end - 33 : end - 1], flag])
-        pos = end
+        if data.startswith(_STEP_DIGEST_HEAD, pos):
+            end = pos + _STEP_SIZE
+            flag = _STEP_FLAGS.get(data[end - 1])
+            if flag is None:
+                return None
+            path.append(PathStep(data[end - 33 : end - 1], flag))
+            pos = end
+        else:
+            got = _STEP.read(data, pos)
+            if got is None:
+                return None
+            (digest, flag), pos = got
+            path.append(PathStep(digest, flag))
     return path, pos
 
 
 _MEMBERSHIP = Record(
-    "leaf_index",
-    "tree_size",
-    "path",
-    "peaks_left",
-    "peaks_right",
-    readers={
-        "leaf_index": read_uint,
-        "tree_size": read_uint,
-        "path": _read_path,
-        "peaks_left": read_bytes_list,
-        "peaks_right": read_bytes_list,
-    },
-    writers={
-        "path": _write_path,
-        "peaks_left": write_bytes_list,
-        "peaks_right": write_bytes_list,
-    },
+    leaf_index=UINT,
+    tree_size=UINT,
+    path=Kind(_read_path, _write_path),
+    peaks_left=BYTES_LIST,
+    peaks_right=BYTES_LIST,
+)
+
+
+def _load_tiles(rows: list[tuple[int, int, Digest]]) -> dict[tuple[int, int], Digest]:
+    """``[level, index, digest]`` rows as a position map; strictly sorted by
+    position, as the writer sorts them, so the map re-encodes to its bytes."""
+    tiles = {(level, index): digest for level, index, digest in rows}
+    if list(tiles) != sorted(tiles) or len(tiles) != len(rows):
+        raise EncodingError("tiles must be sorted by (level, index) without repeats")
+    return tiles
+
+
+#: A map of tree positions to digests, written as sorted ``[level, index, digest]`` rows.
+TILES = mapped(
+    list_of(row(UINT, UINT, BYTES)),
+    _load_tiles,
+    lambda tiles: [(level, index, digest) for (level, index), digest in sorted(tiles.items())],
 )
 
 
@@ -265,26 +257,17 @@ class BatchProof:
     peaks_right: list[Digest] = field(default_factory=list)
 
     def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "leaf_indices": list(self.leaf_indices),
-                "tree_size": self.tree_size,
-                "nodes": [
-                    [level, index, digest]
-                    for (level, index), digest in sorted(self.nodes.items())
-                ],
-                "peaks_left": list(self.peaks_left),
-                "peaks_right": list(self.peaks_right),
-            }
-        )
+        return _BATCH.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BatchProof":
-        obj = decode(data)
-        return cls(
-            leaf_indices=list(obj["leaf_indices"]),
-            tree_size=obj["tree_size"],
-            nodes={(level, index): bytes(digest) for level, index, digest in obj["nodes"]},
-            peaks_left=[bytes(d) for d in obj["peaks_left"]],
-            peaks_right=[bytes(d) for d in obj["peaks_right"]],
-        )
+        return cls(**_BATCH.decode(data))
+
+
+_BATCH = Record(
+    leaf_indices=list_of(UINT),
+    tree_size=UINT,
+    nodes=TILES,
+    peaks_left=BYTES_LIST,
+    peaks_right=BYTES_LIST,
+)

@@ -610,13 +610,13 @@ class AsyncRemoteLedger(FrameConnection):
             new_epoch=new_epoch,
             new_live_size=new_live_size,
         )
+        fields = [result.get(name) for name in ("old_root", "new_root", "bundle")]
+        if not all(isinstance(value, bytes) for value in fields):
+            raise VerificationFailure("fam_extension reply lacks its byte fields")
+        old_root, new_root, blob = fields
         try:
-            fields = [result[name] for name in ("old_root", "new_root", "bundle")]
-            if not all(isinstance(value, bytes) for value in fields):
-                raise TypeError("fields must be bytes")
-            old_root, new_root, blob = fields
             return old_root, new_root, ConsistencyBundle.from_bytes(blob)
-        except (EncodingError, KeyError, TypeError, ValueError, IndexError) as exc:
+        except EncodingError as exc:
             raise VerificationFailure(f"undecodable fam_extension reply: {exc}") from None
 
     async def shard_info(self) -> dict:

@@ -394,7 +394,7 @@ class LedgerServer:
     def _decode_request(blob: Any) -> ClientRequest:
         try:
             return ClientRequest.from_bytes(_require_bytes(blob, "request"))
-        except (EncodingError, KeyError, TypeError, ValueError) as exc:
+        except EncodingError as exc:
             raise ProtocolError(f"undecodable client request: {exc}") from None
 
     async def _admit(self, submit: Callable, work: Any) -> Any:
@@ -533,7 +533,7 @@ class LedgerServer:
 
         try:
             journal = Journal.from_bytes(_require_bytes(message.get("journal"), "journal"))
-        except (EncodingError, KeyError, TypeError, ValueError) as exc:
+        except EncodingError as exc:
             raise ProtocolError(f"undecodable journal: {exc}") from None
         return {"ok": bool(await self._run(self.ledger.verify_journal, journal))}
 
@@ -593,15 +593,15 @@ class LedgerServer:
     async def _op_get_consistency(self, message: dict) -> dict:
         from ..transparency.sth import SignedTreeHead
 
-        def decode(field: str) -> SignedTreeHead:
+        def read_head(field: str) -> SignedTreeHead:
             try:
                 return SignedTreeHead.from_bytes(
                     _require_bytes(message.get(field), field)
                 )
-            except (EncodingError, KeyError, TypeError, ValueError) as exc:
+            except EncodingError as exc:
                 raise ProtocolError(f"undecodable tree head '{field}': {exc}") from None
 
-        old, new = decode("old"), decode("new")
+        old, new = read_head("old"), read_head("new")
         bundle, assertion = await self._run(
             lambda: self.ledger.get_consistency(old, new)
         )

@@ -586,7 +586,7 @@ def _decode_carried(blob: Any) -> FamProof | None:
         return None
     try:
         return FamProof.from_bytes(blob)
-    except (EncodingError, KeyError, TypeError, ValueError):
+    except EncodingError:
         return None
 
 

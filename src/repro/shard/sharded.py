@@ -35,7 +35,7 @@ from ..core.receipt import Receipt
 from ..core.snapshot import load_config_file, write_config_file
 from ..crypto.hashing import Digest
 from ..crypto.keys import KeyPair
-from ..encoding import decode, encode
+from ..encoding import UINT, Record, nested
 from ..merkle.cmtree import ClueProof
 from ..merkle.fam import FamAccumulator, FamProof
 from ..merkle.proofs import MembershipProof
@@ -111,24 +111,16 @@ class ShardProof:
         return self.link.verify(implied, composite_root)
 
     def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "shard_index": self.shard_index,
-                "num_shards": self.num_shards,
-                "fam": self.fam.to_bytes(),
-                "link": self.link.to_bytes(),
-            }
-        )
+        return _SHARD_PROOF.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ShardProof":
-        obj = decode(data)
-        return cls(
-            shard_index=int(obj["shard_index"]),
-            num_shards=int(obj["num_shards"]),
-            fam=FamProof.from_bytes(bytes(obj["fam"])),
-            link=MembershipProof.from_bytes(bytes(obj["link"])),
-        )
+        return cls(**_SHARD_PROOF.decode(data))
+
+
+_SHARD_PROOF = Record(
+    shard_index=UINT, num_shards=UINT, fam=nested(FamProof), link=nested(MembershipProof)
+)
 
 
 @dataclass(frozen=True)

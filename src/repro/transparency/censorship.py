@@ -26,7 +26,7 @@ from ..crypto.ecdsa import Signature
 from ..crypto.hashing import Digest
 from ..crypto.keys import PublicKey
 from ..crypto.signed import LspSigned
-from ..encoding import decode, encode
+from ..encoding import BYTES, FLOAT, INT, STR, UINT, Record, nested
 from ..merkle.fam import FamAccumulator, FamProof
 from .sth import SOLO_SHARD, SignedTreeHead
 
@@ -52,6 +52,15 @@ class SubmissionAck(LspSigned):
     """
 
     SCHEME = "repro.ack.v1"
+    FIELDS = dict(
+        ledger_uri=STR,
+        request_hash=BYTES,
+        epoch=UINT,
+        tree_size=UINT,
+        deadline_epochs=UINT,
+        timestamp=FLOAT,
+        shard_index=INT,
+    )
 
     ledger_uri: str
     request_hash: Digest
@@ -61,31 +70,6 @@ class SubmissionAck(LspSigned):
     timestamp: float
     shard_index: int = SOLO_SHARD
     lsp_signature: Signature | None = None
-
-    def statement(self) -> dict:
-        return {
-            "ledger_uri": self.ledger_uri,
-            "request_hash": self.request_hash,
-            "epoch": self.epoch,
-            "tree_size": self.tree_size,
-            "deadline_epochs": self.deadline_epochs,
-            "timestamp": self.timestamp,
-            "shard_index": self.shard_index,
-        }
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SubmissionAck":
-        obj = decode(data)
-        return cls(
-            ledger_uri=obj["ledger_uri"],
-            request_hash=bytes(obj["request_hash"]),
-            epoch=obj["epoch"],
-            tree_size=obj["tree_size"],
-            deadline_epochs=obj["deadline_epochs"],
-            timestamp=obj["timestamp"],
-            shard_index=obj["shard_index"],
-            lsp_signature=cls._signature_of(obj),
-        )
 
 
 @dataclass(frozen=True)
@@ -125,15 +109,14 @@ class CensorshipEvidence:
         return self.sth.epoch >= self.ack.epoch + self.ack.deadline_epochs
 
     def to_bytes(self) -> bytes:
-        return encode({"ack": self.ack.to_bytes(), "sth": self.sth.to_bytes()})
+        return _EVIDENCE.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CensorshipEvidence":
-        obj = decode(data)
-        return cls(
-            ack=SubmissionAck.from_bytes(bytes(obj["ack"])),
-            sth=SignedTreeHead.from_bytes(bytes(obj["sth"])),
-        )
+        return cls(**_EVIDENCE.decode(data))
+
+
+_EVIDENCE = Record(ack=nested(SubmissionAck), sth=nested(SignedTreeHead))
 
 
 def refute_censorship(

@@ -34,7 +34,19 @@ from ..crypto.ecdsa import Signature
 from ..crypto.hashing import Digest
 from ..crypto.keys import PublicKey
 from ..crypto.signed import LspSigned
-from ..encoding import decode, encode
+from ..encoding import (
+    BYTES,
+    FLOAT,
+    INT,
+    STR,
+    UINT,
+    EncodingError,
+    Record,
+    list_of,
+    nested,
+    optional,
+    row,
+)
 from ..merkle.consistency import ConsistencyBundle
 from ..merkle.shrubs import ShrubsAccumulator
 
@@ -72,6 +84,17 @@ class SignedTreeHead(LspSigned):
     """
 
     SCHEME = "repro.sth.v1"
+    FIELDS = dict(
+        ledger_uri=STR,
+        epoch=INT,
+        tree_size=UINT,
+        live_size=UINT,
+        root=BYTES,
+        timestamp=FLOAT,
+        fractal_height=UINT,
+        shard_index=INT,
+        shard_heads=list_of(row(INT, INT, UINT, UINT, BYTES), tuple),
+    )
 
     ledger_uri: str
     epoch: int
@@ -118,40 +141,6 @@ class SignedTreeHead(LspSigned):
         shard_map.extend([bytes(root) for *_coords, root in self.shard_heads])
         return shard_map.root() == self.root
 
-    # ---------------------------------------------- signed fields, wire form
-
-    def statement(self) -> dict:
-        return {
-            "ledger_uri": self.ledger_uri,
-            "epoch": self.epoch,
-            "tree_size": self.tree_size,
-            "live_size": self.live_size,
-            "root": self.root,
-            "timestamp": self.timestamp,
-            "fractal_height": self.fractal_height,
-            "shard_index": self.shard_index,
-            "shard_heads": [list(entry) for entry in self.shard_heads],
-        }
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SignedTreeHead":
-        obj = decode(data)
-        return cls(
-            ledger_uri=obj["ledger_uri"],
-            epoch=obj["epoch"],
-            tree_size=obj["tree_size"],
-            live_size=obj["live_size"],
-            root=bytes(obj["root"]),
-            timestamp=obj["timestamp"],
-            fractal_height=obj["fractal_height"],
-            shard_index=obj["shard_index"],
-            shard_heads=tuple(
-                (int(s), int(e), int(t), int(l), bytes(r))
-                for s, e, t, l, r in obj["shard_heads"]
-            ),
-            lsp_signature=cls._signature_of(obj),
-        )
-
 
 @dataclass(frozen=True)
 class ConsistencyAssertion(LspSigned):
@@ -167,6 +156,20 @@ class ConsistencyAssertion(LspSigned):
     """
 
     SCHEME = "repro.sth-consistency.v1"
+    FIELDS = dict(
+        ledger_uri=STR,
+        shard_index=INT,
+        fractal_height=UINT,
+        old_epoch=INT,
+        old_tree_size=UINT,
+        old_live_size=UINT,
+        old_root=BYTES,
+        new_epoch=INT,
+        new_tree_size=UINT,
+        new_live_size=UINT,
+        new_root=BYTES,
+        timestamp=FLOAT,
+    )
 
     ledger_uri: str
     shard_index: int
@@ -202,41 +205,6 @@ class ConsistencyAssertion(LspSigned):
             self.new_epoch,
             self.new_tree_size,
             self.new_live_size,
-        )
-
-    def statement(self) -> dict:
-        return {
-            "ledger_uri": self.ledger_uri,
-            "shard_index": self.shard_index,
-            "fractal_height": self.fractal_height,
-            "old_epoch": self.old_epoch,
-            "old_tree_size": self.old_tree_size,
-            "old_live_size": self.old_live_size,
-            "old_root": self.old_root,
-            "new_epoch": self.new_epoch,
-            "new_tree_size": self.new_tree_size,
-            "new_live_size": self.new_live_size,
-            "new_root": self.new_root,
-            "timestamp": self.timestamp,
-        }
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ConsistencyAssertion":
-        obj = decode(data)
-        return cls(
-            ledger_uri=obj["ledger_uri"],
-            shard_index=obj["shard_index"],
-            fractal_height=obj["fractal_height"],
-            old_epoch=obj["old_epoch"],
-            old_tree_size=obj["old_tree_size"],
-            old_live_size=obj["old_live_size"],
-            old_root=bytes(obj["old_root"]),
-            new_epoch=obj["new_epoch"],
-            new_tree_size=obj["new_tree_size"],
-            new_live_size=obj["new_live_size"],
-            new_root=bytes(obj["new_root"]),
-            timestamp=obj["timestamp"],
-            lsp_signature=cls._signature_of(obj),
         )
 
 
@@ -313,30 +281,20 @@ class EquivocationEvidence:
         return False
 
     def to_bytes(self) -> bytes:
-        return encode(
-            {
-                "kind": self.kind,
-                "first": self.first.to_bytes(),
-                "second": self.second.to_bytes() if self.second else b"",
-                "assertion": self.assertion.to_bytes() if self.assertion else b"",
-                "detail": self.detail,
-            }
-        )
+        return _EVIDENCE.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EquivocationEvidence":
-        obj = decode(data)
-        second = bytes(obj["second"])
-        assertion = bytes(obj["assertion"])
-        return cls(
-            kind=obj["kind"],
-            first=SignedTreeHead.from_bytes(bytes(obj["first"])),
-            second=SignedTreeHead.from_bytes(second) if second else None,
-            assertion=(
-                ConsistencyAssertion.from_bytes(assertion) if assertion else None
-            ),
-            detail=obj["detail"],
-        )
+        return cls(**_EVIDENCE.decode(data))
+
+
+_EVIDENCE = Record(
+    kind=STR,
+    first=nested(SignedTreeHead),
+    second=optional(nested(SignedTreeHead)),
+    assertion=optional(nested(ConsistencyAssertion)),
+    detail=STR,
+)
 
 
 def verify_equivocation(
@@ -378,7 +336,7 @@ class SthStore:
                 self._heads.append(
                     SignedTreeHead.from_bytes(data[offset + 4 : offset + 4 + length])
                 )
-            except (KeyError, ValueError, TypeError):
+            except EncodingError:
                 break  # corrupt record poisons the suffix, keep the prefix
             offset += 4 + length
 

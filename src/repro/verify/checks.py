@@ -16,14 +16,14 @@ from ..artifacts import VerifyResult
 from ..core.journal import Journal, JournalType
 from ..core.receipt import Receipt
 from ..crypto.ca import Certificate
-from ..crypto.ecdsa import Signature
 from ..crypto.hashing import Digest
 from ..crypto.keys import PublicKey, verify_batch
-from ..encoding import decode
+from ..crypto.signed import SIGNATURE
+from ..encoding import BYTES, FLOAT, STR, UINT, EncodingError, Record
 from ..merkle.cmtree import ClueProof
 from ..merkle.fam import FamAccumulator, FamProof
 from ..timeauth.pegging import TimeBound
-from ..timeauth.tledger import TimeEvidence
+from ..timeauth.tledger import NotaryReceipt, TimeEvidence
 from ..timeauth.tsa import TimeStampToken
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "signed_by",
     "signed_by_many",
     "time_marks",
+    "time_payload",
     "tx_what",
     "when_bracket",
     "who",
@@ -75,13 +76,56 @@ def clue_what(
 # --------------------------------------------------------------------- when
 
 
+# A time journal's payload, one record per mode: the anchored fam root, the
+# jsn it was taken at, and the authority's evidence — a TSA token inline, or
+# the T-Ledger submission whose evidence arrives out of band.
+_TSA_TIME = Record(
+    mode="tsa",
+    anchored_root=BYTES,
+    as_of_jsn=UINT,
+    timestamp=FLOAT,
+    tsa_id=STR,
+    signature=SIGNATURE,
+)
+_TLEDGER_TIME = Record(
+    mode="tledger", seq=UINT, anchored_root=BYTES, as_of_jsn=UINT, notary_timestamp=FLOAT
+)
+
+
+def time_payload(
+    anchored_root: Digest, as_of_jsn: int, evidence: TimeStampToken | NotaryReceipt
+) -> bytes:
+    """The payload of the time journal anchoring ``anchored_root`` at ``as_of_jsn``."""
+    fields = {"anchored_root": anchored_root, "as_of_jsn": as_of_jsn, **vars(evidence)}
+    if isinstance(evidence, TimeStampToken):
+        return _TSA_TIME.encode(fields)
+    return _TLEDGER_TIME.encode(fields)
+
+
 def parse_time_journal(journal: Journal) -> dict:
-    """Decode a time journal's payload (mode, anchored root, as-of jsn, ...)."""
+    """A time journal's payload: ``mode``, ``anchored_root``, ``as_of_jsn``,
+    and the TSA ``token`` (tsa mode) or ``seq`` and ``notary_timestamp``
+    (tledger mode).
+
+    Raises:
+        ValueError: ``journal`` is not a time journal.
+        EncodingError: its payload is neither mode's record.
+    """
     if journal.journal_type is not JournalType.TIME:
         raise ValueError(f"journal {journal.jsn} is not a time journal")
-    obj = decode(journal.payload)
-    obj["anchored_root"] = bytes(obj["anchored_root"])
-    return obj
+    try:
+        info = _TSA_TIME.decode(journal.payload)
+    except EncodingError:
+        info = _TLEDGER_TIME.decode(journal.payload)
+        info["mode"] = "tledger"
+        return info
+    token = TimeStampToken(
+        digest=info["anchored_root"],
+        timestamp=info.pop("timestamp"),
+        tsa_id=info.pop("tsa_id"),
+        signature=info.pop("signature"),
+    )
+    return {**info, "mode": "tsa", "token": token}
 
 
 def check_time_evidence(
@@ -91,29 +135,22 @@ def check_time_evidence(
 ) -> tuple[float, bool]:
     """Validate one time journal's authority evidence: (timestamp, valid).
 
-    ``info`` is a :func:`parse_time_journal` payload.  "tsa" mode
-    reconstructs the timestamp token from the journal itself; "tledger" mode
-    checks the supplied cross-ledger evidence.  Stateless on purpose — the
-    audit engine's worker pool calls it from forked processes.
+    ``info`` is a :func:`parse_time_journal` payload.  "tsa" mode checks
+    the token the journal itself carries; "tledger" mode checks the
+    supplied cross-ledger evidence.  Stateless on purpose — the audit
+    engine's worker pool calls it from forked processes.
     """
     if info["mode"] == "tsa":
-        token = TimeStampToken(
-            digest=info["anchored_root"],
-            timestamp=info["timestamp"],
-            tsa_id=info["tsa_id"],
-            signature=Signature.from_bytes(bytes(info["signature"])),
-        )
+        token = info["token"]
         key = tsa_keys.get(token.tsa_id)
         return token.timestamp, key is not None and token.verify(key)
-    if info["mode"] == "tledger":
-        if not isinstance(evidence, TimeEvidence):
-            return 0.0, False
-        if evidence.entry.digest != info["anchored_root"]:
-            return 0.0, False
-        if not evidence.verify(tsa_keys):
-            return 0.0, False
-        return evidence.finalization.token.timestamp, True
-    return 0.0, False
+    if not isinstance(evidence, TimeEvidence):
+        return 0.0, False
+    if evidence.entry.digest != info["anchored_root"]:
+        return 0.0, False
+    if not evidence.verify(tsa_keys):
+        return 0.0, False
+    return evidence.finalization.token.timestamp, True
 
 
 def time_marks(
@@ -125,18 +162,22 @@ def time_marks(
 
     ``time_evidence`` maps jsn to out-of-payload authority evidence
     (T-Ledger mode); a holder with none passes ``{}`` and those anchors
-    simply bound nothing.
+    simply bound nothing.  A payload that does not decode is an anchor
+    whose evidence fails.
     """
     return [
-        (
-            journal.jsn,
-            *check_time_evidence(
-                parse_time_journal(journal), time_evidence.get(journal.jsn), tsa_keys
-            ),
-        )
+        _time_mark(journal, time_evidence.get(journal.jsn), tsa_keys)
         for journal in journals
         if journal.journal_type is JournalType.TIME
     ]
+
+
+def _time_mark(journal: Journal, evidence: Any, tsa_keys: Mapping[str, PublicKey]) -> TimeMark:
+    try:
+        info = parse_time_journal(journal)
+    except EncodingError:
+        return journal.jsn, 0.0, False
+    return (journal.jsn, *check_time_evidence(info, evidence, tsa_keys))
 
 
 def when_bracket(jsn: int, marks: Sequence[TimeMark]) -> tuple[TimeBound | None, bool]:

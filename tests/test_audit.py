@@ -2,9 +2,13 @@
 
 import dataclasses
 
+import pytest
+
 from repro.core import OccultMode, dasein_audit
-from repro.core.journal import Journal
+from repro.core.journal import Journal, JournalType
 from repro.crypto import KeyPair
+from repro.encoding import encode
+from repro.export import export_bundle, verify_bundle
 
 
 def audit(deployment, view=None, **kwargs):
@@ -59,6 +63,31 @@ class TestHonestLedger:
     def test_skip_client_signatures_for_speed(self, populated):
         deployment, _receipts = populated
         assert audit(deployment, verify_client_signatures=False).passed
+
+
+class TestMalformedTimePayload:
+    """An LSP-committed time journal whose payload is not a time record is a
+    *when* failure at its jsn, never a crash of the auditor."""
+
+    @pytest.mark.parametrize(
+        "payload", [encode({"mode": "tsa"}), b"\xff\xff"], ids=["missing-fields", "undecodable"]
+    )
+    @pytest.mark.parametrize("with_tsa_keys", [True, False], ids=["tsa-keys", "no-tsa-keys"])
+    def test_audit_fails_at_the_time_journal(self, populated, payload, with_tsa_keys):
+        deployment, _receipts = populated
+        ledger = deployment.ledger
+        jsn = ledger._append_system(JournalType.TIME, payload).jsn
+        deployment.append("alice", b"after the bad anchor")
+        ledger.anchor_time()
+        deployment.clock.advance(2.0)
+        ledger.collect_time_evidence()
+        tsa_keys = deployment.tsa_keys if with_tsa_keys else {}
+        report = dasein_audit(ledger.export_view(), tsa_keys=tsa_keys)
+        assert report.passed is False
+        assert any(
+            f"time journal {jsn}: malformed payload" in step.detail for step in report.failures()
+        )
+        assert not verify_bundle(export_bundle(ledger), tsa_keys=deployment.tsa_keys)
 
 
 class TestThreatA:

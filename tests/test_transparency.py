@@ -160,6 +160,24 @@ class TestSthStore:
         salvaged = SthStore(path)
         assert salvaged.heads() == store.heads()
 
+    def test_a_corrupt_record_keeps_the_good_prefix(self, tmp_path):
+        ledger, keypair = make_ledger(tmp=tmp_path / "led")
+        with make_session(ledger, keypair) as session:
+            fill(session, 3 * CAP)
+        heads = ledger.get_sth_range(0, 100)
+        assert len(heads) >= 3
+        registry, lsp = ledger.registry, ledger._lsp_keypair
+        ledger.close()
+        path = tmp_path / "led" / "sth.log"
+        data = bytearray(path.read_bytes())
+        second = 4 + int.from_bytes(data[:4], "big")
+        assert data[second + 4 : second + 5] == b"m"  # the second record's dict tag
+        data[second + 4] = ord("?")
+        path.write_bytes(bytes(data))
+        assert SthStore(path).heads() == heads[:1]
+        reopened = Ledger.open(str(tmp_path / "led"), registry, lsp)
+        assert reopened.get_sth_range(0, 100)[:1] == heads[:1]
+
 
 # ------------------------------------------------------- consistency proofs
 
