@@ -7,7 +7,8 @@ for writes: "fast O(1) insertion and O(log n) read".
 
 Implementation: a classic probabilistic skip list over clue keys (ordered,
 supporting range scans over clue names) whose nodes hold append-only jsn
-lists.  A hot-path hash cache makes repeat insertions for a known clue O(1);
+arrays (``array("q")``: eight bytes a jsn, no int object per entry).  A
+hot-path hash cache makes repeat insertions for a known clue O(1);
 first-touch insertion pays the O(log c) tower walk once per clue.  The coin
 flips derive deterministically from the clue name, so structures are
 reproducible across runs.
@@ -16,6 +17,7 @@ reproducible across runs.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from typing import Iterator
 
 __all__ = ["ClueSkipList"]
@@ -28,7 +30,7 @@ class _Node:
 
     def __init__(self, clue: str, level: int) -> None:
         self.clue = clue
-        self.jsns: list[int] = []
+        self.jsns = array("q")
         self.forward: list["_Node | None"] = [None] * level
 
 
@@ -102,7 +104,7 @@ class ClueSkipList:
     def get(self, clue: str) -> list[int]:
         """All jsns recorded for ``clue``, in append order ([] if unknown)."""
         node = self._find(clue)
-        return list(node.jsns) if node is not None else []
+        return node.jsns.tolist() if node is not None else []
 
     def count(self, clue: str) -> int:
         node = self._find(clue)
@@ -133,5 +135,5 @@ class ClueSkipList:
                 current = current.forward[level]
         node = current.forward[0]
         while node is not None and node.clue < high:
-            yield node.clue, list(node.jsns)
+            yield node.clue, node.jsns.tolist()
             node = node.forward[0]

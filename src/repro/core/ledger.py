@@ -71,7 +71,7 @@ from .journal import ClientRequest, Journal, JournalType
 from .members import MemberRegistry
 from .occult import OccultBitmap, OccultMode, OccultRecord
 from .purge import PseudoGenesis, PurgeRecord
-from .receipt import Receipt
+from .receipt import Receipt, ReceiptRows
 from .snapshot import (
     SNAPSHOT_FORMAT,
     load_config_file,
@@ -326,7 +326,9 @@ class Ledger:
         #: Held by every commit and seal: a reader's seal never lands mid-batch.
         self._commit_lock = threading.RLock()
         self._head = LedgerHead(0, 0, 0, EMPTY_DIGEST, self._cmtree.root, None, 0)
-        self._receipts: dict[int, Receipt] = {}
+        #: Every receipt issued since the ledger was built or reopened, as
+        #: rows (``receipt_for``); the head keeps the last one whole.
+        self._receipts = ReceiptRows(config.uri)
         self._anchor_cache: AnchorStore = AnchorStore()
         self._anchor_cache_epochs = 0  # completed epochs already seeded
 
@@ -370,7 +372,7 @@ class Ledger:
         receipt = self._receipt(
             last, EMPTY_DIGEST, self._fam.leaf_digest(last), self.clock.now()
         ).signed_by(self._lsp_keypair)
-        self._receipts[last] = receipt
+        self._receipts.add(receipt)
         self._publish(receipt)
 
     def _publish(self, receipt: Receipt) -> None:
@@ -605,7 +607,7 @@ class Ledger:
             # signatures batch into one shared-inversion pass.
             receipts = Receipt.sign_batch(unsigned, self._lsp_keypair)
             for receipt in receipts:
-                self._receipts[receipt.jsn] = receipt
+                self._receipts.add(receipt)
             self._publish(receipts[-1])
             return receipts
 
@@ -703,7 +705,10 @@ class Ledger:
         return self._head.receipt
 
     def receipt_for(self, jsn: int) -> Receipt | None:
-        return self._receipts.get(jsn)
+        """The receipt issued for ``jsn``, rebuilt from its row and not
+        re-signed; ``None`` if this ledger issued none for it since it was
+        built or reopened."""
+        return self._receipts.get(jsn, self._blocks)
 
     @property
     def pseudo_genesis(self) -> PseudoGenesis | None:

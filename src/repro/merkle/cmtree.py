@@ -249,13 +249,15 @@ class CMTree:
         from the root at the previous roll and from every pinned root, plus
         every node written since that roll.  A persistent trie shares each
         version's unchanged subtrees with the one before it, so every root of
-        the closing generation stays whole."""
+        the closing generation stays whole.  The trie's decode memo goes with
+        the nodes it decoded."""
         if self._swept is None:
             return
         keep: set[Digest] = set()
         for root in {self._roll_root, *self._pins}:
             keep |= self._mpt.reachable(root)
         obs.inc("cmtree.retention.dropped", self._swept.sweep(keep))
+        self._mpt.forget_unstored()
         self._start_generation(self._roots)
 
     # ---------------------------------------------------------------- reads

@@ -220,9 +220,11 @@ class MPT:
 
     ``node_cache`` bounds a decode memo keyed by node identity (the content
     digest): nodes are immutable once written, so a decoded tuple can be
-    reused forever without invalidation.  On a paged disk store this skips
-    both the page read *and* the deserialization for hot upper-trie nodes —
-    the paper's "top layers cache in memory" (§IV-B2) at the node level.
+    reused without invalidation for as long as the store holds its node (an
+    owner that drops nodes calls :meth:`forget_unstored` after).  On a paged
+    disk store this skips both the page read *and* the deserialization for
+    hot upper-trie nodes — the paper's "top layers cache in memory" (§IV-B2)
+    at the node level.
     Set ``node_cache=0`` to disable (every load hits the store).
     """
 
@@ -257,6 +259,15 @@ class MPT:
         self._store.put(digest, data)
         self._memo(digest, node)
         return digest
+
+    def forget_unstored(self) -> None:
+        """Drop the memo of every node the store no longer holds (after a
+        sweep), so no read is served from a retired node."""
+        store, cache = self._store, self._node_cache
+        # Readers beside the writer move and evict entries meanwhile: walk an
+        # (atomic) copy of the keys and drop each entry only if still there.
+        for digest in [digest for digest in list(cache) if digest not in store]:
+            cache.pop(digest, None)
 
     def _memo(self, digest: Digest, node: tuple) -> None:
         # Cached tuples are shared: every mutator copies children lists

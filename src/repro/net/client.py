@@ -33,7 +33,7 @@ import itertools
 import socket
 import threading
 import time
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 if TYPE_CHECKING:
     from ..export.bundle import ExportBundle
@@ -106,6 +106,38 @@ def _remote_error(error: Any) -> Exception:
     detail = error.get("message", "")
     exc_class = _ERROR_TYPES.get(error_type, RemoteLedgerError)
     return exc_class(f"[remote {error_type}] {detail}")
+
+
+_T = TypeVar("_T")
+
+
+def _require_bytes(result: Any, field: str) -> bytes:
+    """Reply field ``field``, which must be bytes: the server's claim is
+    checked before it is used, so a hostile integer never becomes that many
+    zero bytes here."""
+    value = result.get(field) if isinstance(result, dict) else None
+    if not isinstance(value, (bytes, bytearray)):
+        raise VerificationFailure(f"reply field '{field}' must be bytes")
+    return bytes(value)
+
+
+def _require_blobs(result: Any, field: str) -> list[bytes]:
+    """Reply field ``field``, which must be a list of bytes."""
+    blobs = result.get(field) if isinstance(result, dict) else None
+    if not isinstance(blobs, list) or not all(
+        isinstance(blob, (bytes, bytearray)) for blob in blobs
+    ):
+        raise VerificationFailure(f"reply field '{field}' must be a list of bytes")
+    return [bytes(blob) for blob in blobs]
+
+
+def _decoded(loader: Callable[[bytes], _T], blob: bytes, field: str) -> _T:
+    """``loader(blob)``, a record the reply carried: undecodable bytes fail
+    verification, never with a bare codec error."""
+    try:
+        return loader(blob)
+    except EncodingError as exc:
+        raise VerificationFailure(f"undecodable '{field}' in the reply: {exc}") from None
 
 
 class _ReceiptChecker:
@@ -281,7 +313,7 @@ class AsyncRemoteLedger(FrameConnection):
             raise
         remote.ledger_uri = hello["ledger_uri"]
         remote.fractal_height = hello["fractal_height"]
-        claimed = bytes(hello["lsp_public_key"])
+        claimed = _require_bytes(hello, "lsp_public_key")
         if expected_lsp_key is not None:
             expected = (
                 expected_lsp_key.to_bytes()
@@ -294,7 +326,7 @@ class AsyncRemoteLedger(FrameConnection):
                     "server's claimed LSP key does not match the expected key"
                 )
         remote.lsp_public_key = PublicKey.from_bytes(claimed)
-        remote.ca_public_key = PublicKey.from_bytes(bytes(hello["ca_public_key"]))
+        remote.ca_public_key = PublicKey.from_bytes(_require_bytes(hello, "ca_public_key"))
         return remote
 
     async def close(self) -> None:
@@ -490,7 +522,8 @@ class AsyncRemoteLedger(FrameConnection):
     async def append(self, request: ClientRequest) -> Receipt:
         """Submit one pre-signed request; returns the accepted receipt."""
         result = await self._call("append", request=request.to_bytes())
-        return await self._checker.check(Receipt.from_bytes(bytes(result["receipt"])), request)
+        receipt = _decoded(Receipt.from_bytes, _require_bytes(result, "receipt"), "receipt")
+        return await self._checker.check(receipt, request)
 
     async def append_acked(
         self, request: ClientRequest, *, deadline_epochs: int | None = None
@@ -506,11 +539,10 @@ class AsyncRemoteLedger(FrameConnection):
         if deadline_epochs is not None:
             fields["ack_deadline"] = int(deadline_epochs)
         result = await self._call("append", **fields)
-        receipt = Receipt.from_bytes(bytes(result["receipt"]))
-        blob = bytes(result.get("ack") or b"")
-        if not blob:
+        receipt = _decoded(Receipt.from_bytes, _require_bytes(result, "receipt"), "receipt")
+        if not result.get("ack"):
             raise VerificationFailure("server omitted the requested submission ack")
-        ack = SubmissionAck.from_bytes(blob)
+        ack = _decoded(SubmissionAck.from_bytes, _require_bytes(result, "ack"), "ack")
         receipt = await self._checker.check(receipt, request)
         return receipt, accepted(self.lsp_public_key, self.ledger_uri, [request], [ack])[0]
 
@@ -524,7 +556,10 @@ class AsyncRemoteLedger(FrameConnection):
         result = await self._call(
             "append_batch", requests=[request.to_bytes() for request in requests]
         )
-        receipts = [Receipt.from_bytes(bytes(blob)) for blob in result["receipts"]]
+        receipts = [
+            _decoded(Receipt.from_bytes, blob, "receipts")
+            for blob in _require_blobs(result, "receipts")
+        ]
         if len(receipts) != len(requests):
             raise VerificationFailure(
                 f"server returned {len(receipts)} receipts for {len(requests)} requests"
@@ -542,7 +577,7 @@ class AsyncRemoteLedger(FrameConnection):
         """The journal; the anchored proof its reply carries rides along on
         it undecoded (:func:`repro.session.carry`), a claim until folded."""
         result = await self._call("get_journal", jsn=jsn)
-        journal = Journal.from_bytes(bytes(result["journal"]))
+        journal = _decoded(Journal.from_bytes, _require_bytes(result, "journal"), "journal")
         if "proof" in result:
             carry(journal, result["proof"])
         return journal
@@ -552,31 +587,36 @@ class AsyncRemoteLedger(FrameConnection):
 
     async def get_proof(self, jsn: int, anchored: bool = True) -> FamProof:
         result = await self._call("get_proof", jsn=jsn, anchored=anchored)
-        return FamProof.from_bytes(bytes(result["proof"]))
+        return _decoded(FamProof.from_bytes, _require_bytes(result, "proof"), "proof")
 
     async def get_proofs(self, jsns: list[int], anchored: bool = True) -> list[FamProof]:
         result = await self._call("get_proofs", jsns=list(jsns), anchored=anchored)
-        return [FamProof.from_bytes(bytes(blob)) for blob in result["proofs"]]
+        return [
+            _decoded(FamProof.from_bytes, blob, "proofs")
+            for blob in _require_blobs(result, "proofs")
+        ]
 
     async def prove_clue(self, clue: str) -> tuple[ClueProof, Digest]:
         """The clue proof plus the server's *claimed* CM-Tree1 root."""
         result = await self._call("prove_clue", clue=clue)
-        return ClueProof.from_bytes(bytes(result["proof"])), bytes(result["state_root"])
+        proof = _decoded(ClueProof.from_bytes, _require_bytes(result, "proof"), "proof")
+        return proof, _require_bytes(result, "state_root")
 
     async def get_root(self) -> dict:
         """The server's claimed commitments (verify before trusting)."""
         result = await self._call("get_root")
-        blob = bytes(result["latest_receipt"])
+        blob = _require_bytes(result, "latest_receipt")
+        receipt = _decoded(Receipt.from_bytes, blob, "latest_receipt") if blob else None
         return {
-            "root": bytes(result["root"]),
-            "state_root": bytes(result["state_root"]),
+            "root": _require_bytes(result, "root"),
+            "state_root": _require_bytes(result, "state_root"),
             "size": result["size"],
-            "latest_receipt": Receipt.from_bytes(blob) if blob else None,
+            "latest_receipt": receipt,
         }
 
     async def receipt_for(self, jsn: int) -> Receipt | None:
-        blob = bytes((await self._call("receipt_for", jsn=jsn))["receipt"])
-        return Receipt.from_bytes(blob) if blob else None
+        blob = _require_bytes(await self._call("receipt_for", jsn=jsn), "receipt")
+        return _decoded(Receipt.from_bytes, blob, "receipt") if blob else None
 
     async def register(self, member_id: str, role: str, public_key: PublicKey) -> None:
         """Ask the server to mint a member.  Refused (AuthorizationError)
@@ -610,14 +650,10 @@ class AsyncRemoteLedger(FrameConnection):
             new_epoch=new_epoch,
             new_live_size=new_live_size,
         )
-        fields = [result.get(name) for name in ("old_root", "new_root", "bundle")]
-        if not all(isinstance(value, bytes) for value in fields):
-            raise VerificationFailure("fam_extension reply lacks its byte fields")
-        old_root, new_root, blob = fields
-        try:
-            return old_root, new_root, ConsistencyBundle.from_bytes(blob)
-        except EncodingError as exc:
-            raise VerificationFailure(f"undecodable fam_extension reply: {exc}") from None
+        old_root, new_root, blob = (
+            _require_bytes(result, name) for name in ("old_root", "new_root", "bundle")
+        )
+        return old_root, new_root, _decoded(ConsistencyBundle.from_bytes, blob, "bundle")
 
     async def shard_info(self) -> dict:
         """This server's place in its deployment's shard map (DESIGN.md §15).
@@ -628,9 +664,9 @@ class AsyncRemoteLedger(FrameConnection):
         return {
             "shard_index": int(result["shard_index"]),
             "num_shards": int(result["num_shards"]),
-            "shard_root": bytes(result["shard_root"]),
-            "composite_root": bytes(result["composite_root"]),
-            "link": MembershipProof.from_bytes(bytes(result["link"])),
+            "shard_root": _require_bytes(result, "shard_root"),
+            "composite_root": _require_bytes(result, "composite_root"),
+            "link": _decoded(MembershipProof.from_bytes, _require_bytes(result, "link"), "link"),
         }
 
     # ------------------------------------------------------- transparency
@@ -651,13 +687,15 @@ class AsyncRemoteLedger(FrameConnection):
         its composite head; refused (UsageError) on solo servers.
         """
         result = await self._call("get_sth", composite=bool(composite))
-        return self._check_sth(SignedTreeHead.from_bytes(bytes(result["sth"])))
+        return self._check_sth(
+            _decoded(SignedTreeHead.from_bytes, _require_bytes(result, "sth"), "sth")
+        )
 
     async def get_sth_range(self, start: int, end: int) -> list[SignedTreeHead]:
         result = await self._call("get_sth_range", start=int(start), end=int(end))
         return [
-            self._check_sth(SignedTreeHead.from_bytes(bytes(blob)))
-            for blob in result["sths"]
+            self._check_sth(_decoded(SignedTreeHead.from_bytes, blob, "sths"))
+            for blob in _require_blobs(result, "sths")
         ]
 
     async def get_consistency(
@@ -673,9 +711,11 @@ class AsyncRemoteLedger(FrameConnection):
         result = await self._call(
             "get_consistency", old=old.to_bytes(), new=new.to_bytes()
         )
-        blob = bytes(result["bundle"])
-        bundle = ConsistencyBundle.from_bytes(blob) if blob else None
-        assertion = ConsistencyAssertion.from_bytes(bytes(result["assertion"]))
+        blob = _require_bytes(result, "bundle")
+        bundle = _decoded(ConsistencyBundle.from_bytes, blob, "bundle") if blob else None
+        assertion = _decoded(
+            ConsistencyAssertion.from_bytes, _require_bytes(result, "assertion"), "assertion"
+        )
         if self.lsp_public_key is None or not assertion.verify(self.lsp_public_key):
             raise VerificationFailure(
                 "consistency assertion failed LSP signature check"
@@ -692,8 +732,7 @@ class AsyncRemoteLedger(FrameConnection):
         decode (and thereby CRC-check) with
         :meth:`repro.export.ExportBundle.from_bytes`.
         """
-        result = await self._call("export", clues=list(clues))
-        return bytes(result["bundle"])
+        return _require_bytes(await self._call("export", clues=list(clues)), "bundle")
 
     async def stats(self) -> dict:
         return await self._call("stats")

@@ -67,6 +67,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+from array import array
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator
@@ -268,10 +269,11 @@ class FileStream(Stream):
     ) -> None:
         self._path = os.fspath(path)
         self._durable = durable
-        # Positions (file offsets) of each record header, rebuilt on open.
-        self._positions: list[int] = []
-        self._lengths: list[int] = []
-        self._erased: list[bool] = []
+        # The offset index, rebuilt on open: each record header's file
+        # position, its payload length and an erased flag, as flat columns.
+        self._positions = array("q")
+        self._lengths = array("q")
+        self._erased = bytearray()
         self._write_lock = threading.Lock()
         #: The write error whose bytes could not be cut off (fail-stop).
         self._failed: OSError | None = None
@@ -358,7 +360,7 @@ class FileStream(Stream):
                     )
             self._positions.append(position)
             self._lengths.append(length)
-            self._erased.append(bool(flags & _FLAG_ERASED))
+            self._erased.append(flags & _FLAG_ERASED)
             position = end
             if flags & _FLAG_COMMIT:
                 committed_end = end
@@ -414,7 +416,7 @@ class FileStream(Stream):
         length is what admits an offset, so the other columns must be there."""
         first = len(self._positions)
         self._lengths.extend(lengths)
-        self._erased.extend([False] * len(lengths))
+        self._erased.extend(bytes(len(lengths)))
         self._positions.extend(positions)
         return list(range(first, first + len(positions)))
 
@@ -489,7 +491,7 @@ class FileStream(Stream):
                 offset, "header checksum mismatch", path=self._path
             )
         if flags & _FLAG_ERASED:  # stale in-memory index (concurrent erase)
-            self._erased[offset] = True
+            self._erased[offset] = 1
             raise RecordErasedError(offset)
         data = blob[_HEADER.size : _HEADER.size + length]
         if len(data) < length:
@@ -523,11 +525,11 @@ class FileStream(Stream):
             self._flush()
             self._file.write(b"\x00" * length)
             self._flush()
-        self._erased[offset] = True
+        self._erased[offset] = 1
 
     def is_erased(self, offset: int) -> bool:
         self._check_offset(offset)
-        return self._erased[offset]
+        return bool(self._erased[offset])
 
     def __len__(self) -> int:
         return len(self._positions)

@@ -314,7 +314,11 @@ class SthStore:
     The on-disk form is a flat sequence of ``4-byte big-endian length +
     head bytes`` records; loading tolerates a torn tail (a crash mid-append
     drops at most the in-flight record, mirroring the journal stream's
-    rollback discipline).
+    rollback discipline) and keeps the good prefix before a corrupt record.
+
+    A load never writes.  The store that appends (the ledger's own) repairs:
+    before its first append it cuts the file back to the good prefix it
+    loaded, so a new head never lands behind bytes a later load drops.
     """
 
     def __init__(self, path=None) -> None:
@@ -322,6 +326,8 @@ class SthStore:
 
         self._path = Path(path) if path is not None else None
         self._heads: list[SignedTreeHead] = []
+        #: Where the good prefix ends, if the loaded file runs past it.
+        self._damaged_from: int | None = None
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -339,12 +345,17 @@ class SthStore:
             except EncodingError:
                 break  # corrupt record poisons the suffix, keep the prefix
             offset += 4 + length
+        if offset < len(data):
+            self._damaged_from = offset
 
     def append(self, head: SignedTreeHead) -> None:
         self._heads.append(head)
         if self._path is not None:
             blob = head.to_bytes()
             with open(self._path, "ab") as fh:
+                if self._damaged_from is not None:
+                    fh.truncate(self._damaged_from)
+                    self._damaged_from = None
                 fh.write(len(blob).to_bytes(4, "big") + blob)
                 fh.flush()
 
@@ -363,6 +374,7 @@ class SthStore:
             blobs = [head.to_bytes() for head in self._heads]
             staged.write_bytes(b"".join(len(b).to_bytes(4, "big") + b for b in blobs))
             os.replace(staged, self._path)
+            self._damaged_from = None
 
     def heads(self) -> list[SignedTreeHead]:
         return list(self._heads)

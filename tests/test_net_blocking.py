@@ -38,6 +38,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Callable
 
@@ -57,6 +58,7 @@ from repro.net import (
     ServerThread,
     encode_frame,
 )
+from repro.net.client import AsyncRemoteLedger
 from repro.net.protocol import decode_message
 from repro.timeauth import SimClock
 
@@ -278,6 +280,107 @@ def test_a_read_socket_claiming_another_lsp_key_carries_nothing():
                     client.ping()
                 assert double.hung_up[attempt].wait(5.0)
                 assert double.ops(attempt) == ["hello"]
+        finally:
+            client.close()
+
+
+# ------------------------------------------------- hostile reply fields
+
+
+#: What a hostile reply carries wherever bytes belong (list fields carry
+#: one such item), and how the client must refuse it: an integer n, which
+#: ``bytes(n)`` would turn into n zero bytes, and bytes no record decodes.
+HOSTILE_VALUES = {"integer": (2_000_000, "must be"), "garbage": (b"\xff\xff", "undecodable")}
+
+
+def hostile_result(value) -> dict:
+    return {
+        **dict.fromkeys(
+            "receipt ack journal proof state_root root latest_receipt bundle assertion "
+            "sth old_root new_root shard_root composite_root link".split(),
+            value,
+        ),
+        **dict.fromkeys(("receipts", "proofs", "sths"), [value]),
+        "size": 1,
+        "shard_index": 0,
+        "num_shards": 1,
+    }
+
+
+class _Head:
+    def to_bytes(self) -> bytes:
+        return b""
+
+
+def _request() -> ClientRequest:
+    user = KeyPair.generate(seed="transport:user")
+    return ClientRequest.build(URI, USER, b"x", nonce=b"n", client_timestamp=1.0).signed_by(user)
+
+
+#: Every read and append that decodes a reply field, with its arguments.
+REPLY_DECODERS: dict[str, Callable] = {
+    "append": lambda remote: remote.append(_request()),
+    "append_acked": lambda remote: remote.append_acked(_request()),
+    "append_batch": lambda remote: remote.append_batch([_request()]),
+    "get_journal": lambda remote: remote.get_journal(JSN),
+    "get_proof": lambda remote: remote.get_proof(JSN),
+    "get_proofs": lambda remote: remote.get_proofs([JSN]),
+    "prove_clue": lambda remote: remote.prove_clue("GOLDEN"),
+    "get_root": lambda remote: remote.get_root(),
+    "receipt_for": lambda remote: remote.receipt_for(JSN),
+    "fam_extension": lambda remote: remote.fam_extension(0, 1),
+    "shard_info": lambda remote: remote.shard_info(),
+    "get_sth": lambda remote: remote.get_sth(),
+    "get_sth_range": lambda remote: remote.get_sth_range(0, 1),
+    "get_consistency": lambda remote: remote.get_consistency(_Head(), _Head()),
+    "export": lambda remote: remote.export(),
+}
+
+
+@pytest.mark.parametrize(
+    "op, hostile",
+    [
+        (op, hostile)
+        for op in sorted(REPLY_DECODERS)
+        for hostile in HOSTILE_VALUES
+        if (op, hostile) != ("export", "garbage")  # export hands its bytes on unparsed
+    ],
+)
+def test_a_hostile_reply_field_fails_typed_without_allocating(op, hostile):
+    value, refusal = HOSTILE_VALUES[hostile]
+    remote = object.__new__(AsyncRemoteLedger)
+
+    async def call(_op: str, **_fields) -> dict:
+        return hostile_result(value)
+
+    remote._call = call
+    coroutine = REPLY_DECODERS[op](remote)
+    tracemalloc.start()
+    try:
+        with pytest.raises(VerificationFailure, match=refusal):
+            coroutine.send(None)  # the stubbed round trip never suspends
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        coroutine.close()
+    assert peak < 64 * 1024, f"{op} allocated {peak} bytes for a hostile reply"
+
+
+def test_a_hostile_server_sending_integers_for_bytes_gets_a_typed_error():
+    def reply(_index: int, message: dict) -> tuple[bytes, bool]:
+        if message["op"] == "hello":
+            return hello_reply(message), False
+        field = {"get_journal": "journal", "append": "receipt"}[message["op"]]
+        result = {field: 2_000_000}
+        return encode_frame({"id": message["id"], "ok": True, "result": result}), False
+
+    with DoubleServer(reply) as double:
+        client = RemoteLedgerClient(*double.address, expected_lsp_key=LSP_KEY, timeout=TIMEOUT)
+        try:
+            with pytest.raises(VerificationFailure, match="'journal' must be bytes"):
+                client.get_journal(JSN)
+            with pytest.raises(VerificationFailure, match="'receipt' must be bytes"):
+                client.append(_request())
         finally:
             client.close()
 

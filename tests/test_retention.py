@@ -182,14 +182,29 @@ def test_node_count_is_the_live_trie_plus_two_epochs_of_writes(tmp_path):
         if memory.head.epoch == epoch:
             continue
         # The sweep at this roll kept exactly the trie at the previous roll
-        # and what was written since.
+        # and what was written since, and the decode memo no other node.
         assert set(store.keys()) == kept | written
+        assert set(memory._cmtree._mpt._node_cache) <= kept | written
         roll_root, epoch, rolls = memory.state_root(), memory.head.epoch, rolls + 1
         kept = MPT(store, root=roll_root).reachable()
         written.clear()
     assert rolls >= 6
     live = MPT(store, root=memory.state_root()).reachable()
     assert live <= set(store.keys())
+    memory.close(checkpoint=False)
+
+
+def test_the_decode_memo_holds_no_node_the_store_dropped(tmp_path):
+    memory, clock, user = build(tmp_path, "memory")
+    store, trie = swept_store(memory), memory._cmtree._mpt
+    index = 0
+    for _ in range(6):
+        index = roll_once(memory, clock, user, index)
+        assert set(trie._node_cache) <= set(store.keys())
+    # Reads at the head still decode through the memo.
+    proof, root = memory.clue_evidence("A")
+    lineage = {v: memory.get_journal(jsn).tx_hash() for v, jsn in enumerate(memory.list_tx("A"))}
+    assert proof.verify(lineage, root)
     memory.close(checkpoint=False)
 
 

@@ -332,6 +332,33 @@ class TestFileStreamCrashConsistency:
             assert stream.read(1) == b"tail"
         assert b"SENSITIVE" not in (tmp_path / "s").read_bytes()
 
+    def test_is_erased_is_a_bool_through_erase_rollback_and_a_torn_tail(self, tmp_path):
+        """The offset index is flat arrays; ``is_erased`` still answers bool."""
+
+        def erased(stream):
+            flags = [stream.is_erased(offset) for offset in range(len(stream))]
+            assert all(type(flag) is bool for flag in flags)
+            return flags
+
+        path = tmp_path / "s"
+        self._build(path)
+        with open(path, "ab") as handle:
+            handle.write(_HEADER.pack(9, 0x02, 0, 0)[:5])  # a torn header
+        with FileStream(path, durable=True) as stream:
+            assert stream.open_report.truncated_bytes == 5
+            stream.erase(1)
+            assert erased(stream) == [False, True, False]
+            stream.append_many([b"delta", b"echo"])
+            assert erased(stream) == [False, True, False, False, False]
+        with open(path, "r+b") as handle:  # an intact record past the last commit
+            handle.seek(0, os.SEEK_END)
+            pcrc = crc32c(b"foxtrot")
+            hcrc = crc32c(struct.pack(">IBI", 7, 0, pcrc))
+            handle.write(_HEADER.pack(7, 0, pcrc, hcrc) + b"foxtrot")
+        with FileStream(path) as stream:
+            assert stream.open_report.truncated_records == 1
+            assert erased(stream) == [False, True, False, False, False]
+
     def test_fresh_file_gets_superblock(self, tmp_path):
         with FileStream(tmp_path / "s") as stream:
             assert len(stream) == 0

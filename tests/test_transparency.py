@@ -178,6 +178,33 @@ class TestSthStore:
         reopened = Ledger.open(str(tmp_path / "led"), registry, lsp)
         assert reopened.get_sth_range(0, 100)[:1] == heads[:1]
 
+    @pytest.mark.parametrize("damage", ["flipped tag", "torn tail"])
+    def test_a_head_appended_after_a_damaged_load_survives_the_next(self, tmp_path, damage):
+        ledger, keypair = make_ledger()
+        with make_session(ledger, keypair) as session:
+            fill(session, 4 * CAP)
+        first, second, third, fourth = ledger.get_sth_range(0, 100)[:4]
+        path = tmp_path / "sth.log"
+        store = SthStore(path)
+        for head in (first, second, third):
+            store.append(head)
+        data = bytearray(path.read_bytes())
+        if damage == "flipped tag":
+            at = 4 + int.from_bytes(data[:4], "big")
+            data[at + 4] = ord("?")  # the second record's dict tag
+            kept = [first]
+        else:
+            data += (1 << 20).to_bytes(4, "big") + b"torn"
+            kept = [first, second, third]
+        path.write_bytes(bytes(data))
+        loaded = SthStore(path)
+        assert loaded.heads() == kept
+        assert path.read_bytes() == data  # a load never writes
+        loaded.append(fourth)
+        assert SthStore(path).heads() == [*kept, fourth]
+        loaded.append(first)
+        assert SthStore(path).heads() == [*kept, fourth, first]
+
 
 # ------------------------------------------------------- consistency proofs
 
