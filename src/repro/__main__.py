@@ -213,8 +213,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Run an instrumented workload on the seeded deployment; print its
     checks and metrics.  Every instrumented layer moves: durable appends
     and fsyncs, server/client TX verifies, a clue lineage, a Dasein check,
-    acked appends and witness rounds (§16), paged node reads (§13), and a
-    served leg through the frame server (§14).  It runs inside
+    a full audit (§12), acked appends and witness rounds (§16), paged node
+    reads (§13), and a served leg through the frame server (§14).  It runs inside
     :func:`repro.obs.scoped`, so the process-global registry is untouched.
     """
     import tempfile
@@ -241,6 +241,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             ]
             dasein = session.verify_dasein(target, tsa_keys=tsa_keys)
             rows.append(("Dasein check", dasein.ok, f"jsn {target}"))
+            audit = session.audit(tsa_keys=tsa_keys)
+            rows.append(("full audit", audit.passed, f"{audit.journals_replayed} journals"))
             witness = Witness(ledger.lsp_public_key)
             _receipt, ack = session.append_acked(b"acked record", clue="STATS")
             rows.append(("submission ack", ack.verify(ledger.lsp_public_key), "signed by the LSP"))

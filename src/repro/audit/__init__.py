@@ -3,9 +3,10 @@
 The audit is its own package since it went parallel; its time-evidence and
 signature primitives are :mod:`repro.verify`'s:
 
-* :mod:`~repro.audit.engine` — the coordinator: sequential replay fold +
-  chunked signature dispatch, deterministic failure merge, resume logic;
-* :mod:`~repro.audit.workers` — picklable worker-side verify functions;
+* :mod:`~repro.audit.engine` — the coordinator and its pool tasks: the
+  replay fold, pi_c chunks (the kernel's
+  :func:`~repro.verify.signature_check`) on one task path at any worker
+  count, deterministic failure merge, resume logic;
 * :mod:`~repro.audit.checkpoint` — durable, crash-safe resume points;
 * :mod:`~repro.audit.report` — :class:`AuditReport` / :class:`AuditStep`.
 
@@ -14,14 +15,14 @@ session API, which wraps it).
 """
 
 from .checkpoint import AuditCheckpoint, CheckpointStore
-from .engine import DEFAULT_CHUNK_SIZE, dasein_audit
+from .engine import CHUNK_SIZE, dasein_audit
 from .report import AuditReport, AuditStep
 
 __all__ = [
     "AuditCheckpoint",
     "AuditReport",
     "AuditStep",
+    "CHUNK_SIZE",
     "CheckpointStore",
-    "DEFAULT_CHUNK_SIZE",
     "dasein_audit",
 ]

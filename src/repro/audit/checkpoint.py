@@ -24,8 +24,10 @@ Durability: :meth:`CheckpointStore.save` writes a checksummed JSON envelope
 to a temp file, fsyncs, then atomically renames over the previous
 checkpoint — a crash mid-save leaves the old checkpoint intact, and
 :meth:`load` rejects torn or bit-flipped files (falling back to a fresh
-audit rather than resuming from garbage).  ``file_factory`` admits the
-fault-injection harness (:mod:`repro.storage.faults`) for crash tests.
+audit rather than resuming from garbage).  The checksum is unkeyed, so it
+proves no origin: a body whose fields have the wrong type, range or shape
+is refused the same way.  ``file_factory`` admits the fault-injection
+harness (:mod:`repro.storage.faults`) for crash tests.
 """
 
 from __future__ import annotations
@@ -35,19 +37,78 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from types import UnionType
+from typing import Any, Callable
+
+from ..crypto.hashing import DIGEST_SIZE
 
 __all__ = ["AuditCheckpoint", "CheckpointStore", "CHECKPOINT_VERSION"]
 
 CHECKPOINT_VERSION = 1
 
 
-def _hex(digest: bytes) -> str:
-    return digest.hex()
+#: The JSON body's fields and their kinds: ``int`` is a non-negative
+#: integer, ``bytes`` a hex digest, ``[k]`` a list of ``k``, ``(k, ...)`` a
+#: fixed-length list, ``{str: k}`` an object, ``k | None`` nullable.
+_SCHEMA: dict[str, Any] = {
+    "uri": str,
+    "fractal_height": int,
+    "genesis_start": int,
+    "next_jsn": int,
+    "fam_epoch_roots": [bytes],
+    "fam_live_size": int,
+    "fam_live_peaks": [bytes],
+    "fam_journal_count": int,
+    "clue_snapshot": {str: (int, [bytes])},
+    "previous_block_hash": bytes,
+    "block_index": int,
+    "journals_replayed": int,
+    "blocks_verified": int,
+    "time_jsns": [int],
+    "receipt_jsn": int | None,
+    "receipt_root": bytes | None,
+    "pre_steps": [(str, bool, str)],
+}
 
 
-def _unhex(text: str) -> bytes:
-    return bytes.fromhex(text)
+def _read(value: Any, kind: Any) -> Any:
+    """``value`` read from JSON as ``kind`` (see :data:`_SCHEMA`).
+
+    Raises:
+        ValueError: ``value`` is not of that kind.
+    """
+    if isinstance(kind, UnionType):
+        return None if value is None else _read(value, kind.__args__[0])
+    if isinstance(kind, dict):
+        ((key_kind, item_kind),) = kind.items()
+        if not isinstance(value, dict):
+            raise ValueError("checkpoint field is not an object")
+        return {_read(key, key_kind): _read(item, item_kind) for key, item in value.items()}
+    if isinstance(kind, (list, tuple)):
+        if not isinstance(value, list) or (isinstance(kind, tuple) and len(value) != len(kind)):
+            raise ValueError("checkpoint field is not a list of its kind")
+        if isinstance(kind, list):
+            return [_read(item, kind[0]) for item in value]
+        return tuple(_read(item, item_kind) for item, item_kind in zip(value, kind))
+    if kind is bytes:
+        digest = bytes.fromhex(_read(value, str))
+        if len(digest) != DIGEST_SIZE:
+            raise ValueError("checkpoint digest has the wrong length")
+        return digest
+    if type(value) is not kind or (kind is int and value < 0):
+        raise ValueError(f"checkpoint field is not a {kind.__name__} in range")
+    return value
+
+
+def _json(value: Any) -> Any:
+    """``value`` as the JSON body holds it: bytes as hex, tuples as lists."""
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    return value
 
 
 @dataclass
@@ -80,59 +141,46 @@ class AuditCheckpoint:
             and self.genesis_start == view.genesis_start
             and view.genesis_start <= self.next_jsn
             and self.next_jsn <= view.genesis_start + len(view.entries)
+            and self.block_index
+            <= sum(1 for block in view.blocks if block.end_jsn > view.genesis_start)
         )
 
     def to_dict(self) -> dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "uri": self.uri,
-            "fractal_height": self.fractal_height,
-            "genesis_start": self.genesis_start,
-            "next_jsn": self.next_jsn,
-            "fam_epoch_roots": [_hex(d) for d in self.fam_epoch_roots],
-            "fam_live_size": self.fam_live_size,
-            "fam_live_peaks": [_hex(d) for d in self.fam_live_peaks],
-            "fam_journal_count": self.fam_journal_count,
-            "clue_snapshot": {
-                clue: [size, [_hex(p) for p in peaks]]
-                for clue, (size, peaks) in self.clue_snapshot.items()
-            },
-            "previous_block_hash": _hex(self.previous_block_hash),
-            "block_index": self.block_index,
-            "journals_replayed": self.journals_replayed,
-            "blocks_verified": self.blocks_verified,
-            "time_jsns": list(self.time_jsns),
-            "receipt_jsn": self.receipt_jsn,
-            "receipt_root": _hex(self.receipt_root) if self.receipt_root else None,
-            "pre_steps": [[n, p, d] for n, p, d in self.pre_steps],
-        }
+        return {"version": CHECKPOINT_VERSION, **_json(vars(self))}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "AuditCheckpoint":
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version: {data.get('version')}")
-        return cls(
-            uri=data["uri"],
-            fractal_height=data["fractal_height"],
-            genesis_start=data["genesis_start"],
-            next_jsn=data["next_jsn"],
-            fam_epoch_roots=[_unhex(d) for d in data["fam_epoch_roots"]],
-            fam_live_size=data["fam_live_size"],
-            fam_live_peaks=[_unhex(d) for d in data["fam_live_peaks"]],
-            fam_journal_count=data["fam_journal_count"],
-            clue_snapshot={
-                clue: (size, [_unhex(p) for p in peaks])
-                for clue, (size, peaks) in data["clue_snapshot"].items()
-            },
-            previous_block_hash=_unhex(data["previous_block_hash"]),
-            block_index=data["block_index"],
-            journals_replayed=data["journals_replayed"],
-            blocks_verified=data["blocks_verified"],
-            time_jsns=list(data["time_jsns"]),
-            receipt_jsn=data["receipt_jsn"],
-            receipt_root=_unhex(data["receipt_root"]) if data["receipt_root"] else None,
-            pre_steps=[(n, p, d) for n, p, d in data["pre_steps"]],
-        )
+    def from_dict(cls, data: Any) -> "AuditCheckpoint":
+        """Read a checkpoint body, checking every field's type and range.
+
+        Raises:
+            ValueError: a field is missing, mistyped or out of range, or the
+                counters disagree with the cursor the way no save writes them.
+        """
+        if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
+            raise ValueError("unsupported checkpoint version")
+        checkpoint = cls(**{name: _read(data[name], kind) for name, kind in _SCHEMA.items()})
+        # What every save writes: the fold covered [genesis_start, next_jsn),
+        # one fam leaf and one replayed journal per jsn, one verified block
+        # per block passed, time journals in jsn order inside that range,
+        # frontiers with one peak per set bit of their size.
+        low, high = checkpoint.genesis_start, checkpoint.next_jsn
+        frontiers = [
+            (checkpoint.fam_live_size, checkpoint.fam_live_peaks),
+            *checkpoint.clue_snapshot.values(),
+        ]
+        if not (
+            low <= high
+            and checkpoint.fam_journal_count == high
+            and checkpoint.journals_replayed == high - low
+            and checkpoint.blocks_verified == checkpoint.block_index
+            and checkpoint.time_jsns == sorted(set(checkpoint.time_jsns))
+            and all(low <= jsn < high for jsn in checkpoint.time_jsns)
+            and checkpoint.fractal_height <= 64
+            and checkpoint.fam_live_size <= 1 << checkpoint.fractal_height
+            and all(len(peaks) == bin(size).count("1") for size, peaks in frontiers)
+        ):
+            raise ValueError("checkpoint counters disagree with its cursor")
+        return checkpoint
 
 
 class CheckpointStore:
@@ -180,7 +228,7 @@ class CheckpointStore:
             if hashlib.sha256(body.encode()).hexdigest() != envelope["sha256"]:
                 return None
             return AuditCheckpoint.from_dict(json.loads(body))
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             return None
 
     def clear(self) -> None:

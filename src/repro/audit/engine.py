@@ -1,4 +1,4 @@
-"""The Dasein-complete audit engine (§V, Definition 1) — sequential & parallel.
+"""The Dasein-complete audit engine (§V, Definition 1), at any worker count.
 
 The audit consumes an exported :class:`~repro.core.ledger.LedgerView` plus
 out-of-band trust anchors (CA public key from the view, TSA public keys) and
@@ -22,8 +22,8 @@ re-derives everything else itself:
 The final proof is the conjunction; any sub-proof failure terminates the
 audit early with a failed report, as Definition 1 requires.
 
-Parallel mode (``workers >= 1``)
---------------------------------
+One code path at any worker count
+---------------------------------
 
 The replay fold itself is inherently sequential — each root depends on every
 digest before it — but almost all of the audit's *time* goes into ECDSA:
@@ -31,30 +31,29 @@ one client-signature check per journal, the Π1/Π2 multi-signatures, and the
 TSA evidence behind every time anchor.  The engine therefore splits roles:
 
 * the **coordinator** runs the fold (decode, digest, fam/CM-Tree, block
-  boundaries) and buffers the per-journal signature checks into fixed-size
-  chunks, dispatched to a worker pool (fork-based processes when available,
-  threads otherwise) where :func:`~repro.crypto.ecdsa.verify_digests`
-  batch-verifies each chunk with shared inversions.  Chunks are in flight
-  *while* the fold advances — the two workloads overlap;
-* Π1/Π2 approvals and time-journal evidence ship to the same pool as
-  per-record / chunked tasks.
+  boundaries) and buffers each journal's pi_c — the
+  :func:`~repro.verify.signature_check` the verification kernel defines —
+  into chunks of :data:`CHUNK_SIZE`, which
+  :func:`~repro.crypto.keys.verify_batch` verifies with shared inversions.
+  Chunks are in flight *while* the fold advances — the two workloads overlap;
+* certificates, Π1/Π2 approvals and time-journal evidence are tasks too.
 
-Sequential mode (``workers=0``) batches pi_c the same way: its chunks run
-inline through the same :func:`~repro.audit.workers.verify_signature_chunk`,
-so the engine has one who-path.
+Every task goes through :meth:`_AuditEngine._submit`: with ``workers >= 1``
+to a pool (fork-based processes, threads where fork fails or one CPU is
+schedulable), with ``workers=0`` inline behind a done future.  Each step is
+one loop over those futures, whatever the worker count.
 
-Determinism: workers return raw verdicts, never report steps.  The
+Determinism: tasks return raw verdicts, never report steps.  The
 coordinator converts every failure — inline or chunked — into a
 ``(jsn, priority)``-keyed candidate mirroring the exact check order of the
-sequential loop, and the merged first failure (message, counters, and all)
-is byte-identical to what the sequential engine reports, regardless of
-worker count, chunk size, or scheduling.  ``tests/test_audit_parallel.py``
-pins this with :meth:`AuditReport.canonical` equality on honest *and*
-tampered ledgers.
+replay loop, and the merged first failure (message, counters, and all)
+is byte-identical regardless of worker count, chunk size, or scheduling.
+``tests/test_audit_parallel.py`` pins this with
+:meth:`AuditReport.canonical` equality on honest *and* tampered ledgers.
 
 Resumable audits: pass ``checkpoint=`` (a path or
 :class:`~repro.audit.checkpoint.CheckpointStore`) and the engine snapshots
-its replay state after every ``checkpoint_every`` verified blocks;
+its replay state after every :data:`CHECKPOINT_EVERY` verified blocks;
 ``resume=True`` restarts a killed audit from the last good jsn instead of
 genesis.  See :mod:`repro.audit.checkpoint` for the trust model.
 """
@@ -66,36 +65,33 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 
 from .. import obs
+from ..crypto.ca import Role
 from ..crypto.hashing import EMPTY_DIGEST, Digest, clue_key_hash
-from ..crypto.keys import PublicKey
+from ..crypto.keys import PublicKey, verify_batch
+from ..crypto.multisig import MultiSignatureError
 from ..encoding import EncodingError
 from ..merkle.cmtree import encode_clue_value
 from ..merkle.fam import FamReplayer
 from ..merkle.mpt import MPT
 from ..merkle.shrubs import FrontierAccumulator
-from ..verify import check_time_evidence, parse_time_journal
+from ..verify import check_time_evidence, parse_time_journal, signature_check
+from ..verify.checks import SignatureCheck
 from .checkpoint import AuditCheckpoint, CheckpointStore
 from .report import AuditReport, AuditStep
-from .workers import (
-    check_time_evidence_chunk,
-    verify_certificate_chunk,
-    verify_multisig_task,
-    verify_signature_chunk,
-)
 
-__all__ = ["dasein_audit", "AuditReport", "AuditStep", "DEFAULT_CHUNK_SIZE"]
+__all__ = ["dasein_audit", "AuditReport", "AuditStep", "CHUNK_SIZE"]
 
-#: Journals per dispatched signature chunk.  Large enough that the batched
-#: inversion and IPC amortise, small enough that 4 workers stay saturated on
-#: modest ledgers.
-DEFAULT_CHUNK_SIZE = 64
+#: Journals (certificates, time anchors) per dispatched chunk.  Large enough
+#: that the batched inversion and IPC amortise, small enough that 4 workers
+#: stay saturated on modest ledgers.
+CHUNK_SIZE = 64
 
 #: Blocks between checkpoint snapshots (when a checkpoint store is given).
-DEFAULT_CHECKPOINT_EVERY = 4
+CHECKPOINT_EVERY = 4
 
-# Per-journal check priorities, mirroring the order of the sequential replay
-# loop.  The merged first failure is min((jsn, priority)), which is exactly
-# the check the sequential engine would have tripped on first.
+# Per-journal check priorities, mirroring the order of the replay loop.  The
+# merged first failure is min((jsn, priority)), which is exactly the check a
+# journal-by-journal audit would have tripped on first.
 _P_DECODE = 0
 _P_JSN = 1
 _P_DIGEST = 2  # also the occult-branch checks (exclusive alternatives)
@@ -114,20 +110,17 @@ def _schedulable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _make_pool(workers: int, kind: str):
+def _make_pool(workers: int):
     """Build the worker pool: fork processes when possible, else threads.
 
     Process pools beat the GIL for the pure-Python ECDSA hot loop; the fork
     start method also inherits the parent's warmed window tables for free.
-    Environments without working fork (or with ``kind='thread'``) fall back
-    to a thread pool — slower, but semantically identical.  ``auto`` also
-    degrades to threads when only one CPU is schedulable: forked workers
-    would time-slice the same core while paying pickling and pipe traffic
-    on every chunk.
+    Environments without working fork fall back to a thread pool — slower,
+    but semantically identical — and so does a process with one schedulable
+    CPU: forked workers would time-slice the same core while paying pickling
+    and pipe traffic on every chunk.
     """
-    if kind == "auto" and _schedulable_cpus() <= 1:
-        kind = "thread"
-    if kind in ("auto", "process"):
+    if _schedulable_cpus() > 1:
         try:
             import multiprocessing
 
@@ -138,9 +131,29 @@ def _make_pool(workers: int, kind: str):
             pool.submit(int, 0).result(timeout=15)
             return pool, "process"
         except Exception:
-            if kind == "process":
-                raise
+            pass
     return ThreadPoolExecutor(max_workers=workers), "thread"
+
+
+# Pool tasks: module-level, so they pickle by reference into a process pool.
+# Each returns data (verdicts, error strings), never report steps.
+
+
+def _verify_certificates(certificates: list, ca_public_key: PublicKey) -> list[bool]:
+    return [certificate.verify(ca_public_key) for certificate in certificates]
+
+
+def _multisig_error(approvals, signer_certs: dict) -> str | None:
+    """One Π1/Π2 multi-signature check: its exact error string, or None."""
+    try:
+        approvals.verify(signer_certs)
+    except MultiSignatureError as exc:
+        return str(exc)
+    return None
+
+
+def _check_time_evidence(entries: list, tsa_keys: dict) -> list[tuple[float, bool]]:
+    return [check_time_evidence(info, evidence, tsa_keys) for info, evidence in entries]
 
 
 def _put_frontiers(state: MPT, frontiers: dict[str, FrontierAccumulator]) -> None:
@@ -164,26 +177,16 @@ class _AuditEngine:
         view,
         tsa_keys: dict[str, PublicKey],
         temporal_range: tuple[float, float] | None,
-        verify_client_signatures: bool,
-        early_terminate: bool,
         workers: int,
-        chunk_size: int,
         checkpoint_store: CheckpointStore | None,
         resume: bool,
-        checkpoint_every: int,
-        pool_kind: str,
     ) -> None:
         self.view = view
         self.tsa_keys = tsa_keys
         self.temporal_range = temporal_range
-        self.verify_client_signatures = verify_client_signatures
-        self.early_terminate = early_terminate
         self.workers = max(0, workers)
-        self.chunk_size = max(1, chunk_size)
         self.checkpoint_store = checkpoint_store
         self.resume = resume
-        self.checkpoint_every = max(1, checkpoint_every)
-        self.pool_kind = pool_kind
         self.report = AuditReport(passed=True)
         self._pool = None
         self._receipt_root: Digest | None = None
@@ -209,7 +212,7 @@ class _AuditEngine:
                 certificate.public_key.point
                 for certificate in self.view.certificates.values()
             )
-            self._pool, kind = _make_pool(self.workers, self.pool_kind)
+            self._pool, kind = _make_pool(self.workers)
             obs.set_gauge("audit.workers", self.workers)
             obs.inc(f"audit.pool.{kind}")
         return self._pool
@@ -223,15 +226,20 @@ class _AuditEngine:
 
     def _submit(self, fn, *args) -> Future:
         if not self.workers:
-            # Sequential mode runs the same task inline, behind a done future.
+            # No workers: the same task runs inline, behind a done future.
             future: Future = Future()
             future.set_result(fn(*args))
             return future
         return self._ensure_pool().submit(fn, *args)
 
-    def _chunked(self, items: list, size: int | None = None) -> list[list]:
-        size = size or self.chunk_size
-        return [items[i : i + size] for i in range(0, len(items), size)]
+    def _submit_chunks(self, fn, items: list, *args) -> list:
+        """``fn(chunk, *args)`` over :data:`CHUNK_SIZE` chunks of ``items``;
+        the per-item results, in order."""
+        futures = [
+            self._submit(fn, items[i : i + CHUNK_SIZE], *args)
+            for i in range(0, len(items), CHUNK_SIZE)
+        ]
+        return [result for future in futures for result in future.result()]
 
     # -------------------------------------------------------------- sub-proofs
 
@@ -239,21 +247,10 @@ class _AuditEngine:
         with obs.span("audit.certificates") as sp:
             certificates = self.view.certificates
             sp.add("members", len(certificates))
-            if self.workers:
-                chunks = self._chunked(list(certificates.values()))
-                futures = [
-                    self._submit(verify_certificate_chunk, chunk, self.view.ca_public_key)
-                    for chunk in chunks
-                ]
-                verdicts = [ok for future in futures for ok in future.result()]
-            else:
-                verdicts = None
-            for index, (member_id, certificate) in enumerate(certificates.items()):
-                valid = (
-                    verdicts[index]
-                    if verdicts is not None
-                    else certificate.verify(self.view.ca_public_key)
-                )
+            verdicts = self._submit_chunks(
+                _verify_certificates, list(certificates.values()), self.view.ca_public_key
+            )
+            for (member_id, certificate), valid in zip(certificates.items(), verdicts):
                 if not valid:
                     return self._step(
                         "certificates", False, f"CA signature invalid for {member_id!r}"
@@ -267,25 +264,21 @@ class _AuditEngine:
             )
 
     # Π1/Π2 share a per-record pipeline: structural checks inline, the
-    # multi-signature itself on the pool, post-checks inline — evaluated in
-    # record order so the first failure matches the sequential engine.
+    # multi-signature itself a task, post-checks inline — evaluated in
+    # record order, so the first failure is the first record's.
 
-    def _purge_structural(self, jsn, record, approvals):
+    def _signers(self, jsn, record, approvals, noun, roles, missing_roles):
         """Returns (failure detail | None, signer_certs)."""
-        from ..crypto.ca import Role
-
         if approvals.digest != record.approval_digest():
-            return f"purge@{jsn}: signatures cover wrong record", None
+            return f"{noun}@{jsn}: signatures cover wrong record", None
         signer_certs = {}
-        has_dba = False
         for member_id in approvals.signer_ids():
             certificate = self.view.certificates.get(member_id)
             if certificate is None:
-                return f"purge@{jsn}: unknown signer {member_id!r}", None
+                return f"{noun}@{jsn}: unknown signer {member_id!r}", None
             signer_certs[member_id] = certificate
-            has_dba = has_dba or certificate.role is Role.DBA
-        if not has_dba:
-            return f"purge@{jsn}: no DBA among signers", None
+        if not roles <= {certificate.role for certificate in signer_certs.values()}:
+            return f"{noun}@{jsn}: {missing_roles}", None
         return None, signer_certs
 
     def _purge_post(self, jsn, record, approvals) -> str | None:
@@ -303,46 +296,23 @@ class _AuditEngine:
                 return f"purge@{jsn}: related members did not sign: {missing}"
         return None
 
-    def _occult_structural(self, jsn, record, approvals):
-        from ..crypto.ca import Role
-
-        if approvals.digest != record.approval_digest():
-            return f"occult@{jsn}: signatures cover wrong record", None
-        signer_certs = {}
-        roles = set()
-        for member_id in approvals.signer_ids():
-            certificate = self.view.certificates.get(member_id)
-            if certificate is None:
-                return f"occult@{jsn}: unknown signer {member_id!r}", None
-            signer_certs[member_id] = certificate
-            roles.add(certificate.role)
-        if Role.DBA not in roles or Role.REGULATOR not in roles:
-            return f"occult@{jsn}: requires DBA and regulator signatures", None
-        return None, signer_certs
-
-    def _check_approvals(self, step_name, records, structural, post, noun) -> bool:
+    def _check_approvals(self, step_name, records, noun, roles, missing_roles, post) -> bool:
         with obs.span(f"audit.{step_name}"):
-            outcomes = []  # per record: (detail|None, signer_certs|None)
-            futures: list[Future | None] = []
+            outcomes: list[tuple[str | None, Future | None]] = []
             for jsn, record, approvals in records:
-                detail, signer_certs = structural(jsn, record, approvals)
-                outcomes.append((detail, signer_certs))
-                if detail is None and self.workers:
-                    futures.append(
-                        self._submit(verify_multisig_task, approvals, signer_certs)
-                    )
-                else:
-                    futures.append(None)
-            for (jsn, record, approvals), (detail, signer_certs), future in zip(
-                records, outcomes, futures
-            ):
+                detail, signer_certs = self._signers(
+                    jsn, record, approvals, noun, roles, missing_roles
+                )
+                future = (
+                    self._submit(_multisig_error, approvals, signer_certs)
+                    if detail is None
+                    else None
+                )
+                outcomes.append((detail, future))
+            for (jsn, record, approvals), (detail, future) in zip(records, outcomes):
                 if detail is not None:
                     return self._step(step_name, False, detail)
-                error = (
-                    future.result()
-                    if future is not None
-                    else verify_multisig_task(approvals, signer_certs)
-                )
+                error = future.result()
                 if error is not None:
                     return self._step(step_name, False, f"{noun}@{jsn}: {error}")
                 if post is not None:
@@ -356,9 +326,10 @@ class _AuditEngine:
         return self._check_approvals(
             "purge-approvals",
             self.view.purge_approvals,
-            self._purge_structural,
-            self._purge_post,
             "purge",
+            {Role.DBA},
+            "no DBA among signers",
+            self._purge_post,
         )
 
     def check_occult_approvals(self) -> bool:
@@ -366,9 +337,10 @@ class _AuditEngine:
         return self._check_approvals(
             "occult-approvals",
             self.view.occult_approvals,
-            self._occult_structural,
-            None,
             "occult",
+            {Role.DBA, Role.REGULATOR},
+            "requires DBA and regulator signatures",
+            None,
         )
 
     # ------------------------------------------------------------------ replay
@@ -376,13 +348,12 @@ class _AuditEngine:
     def replay(self) -> bool:
         """V and V': full journal replay with block-root and chain checks.
 
-        In parallel mode the fold runs here in the coordinator while
-        signature chunks verify on the pool; failures from both sides merge
-        on (jsn, check-priority), reproducing the sequential first-failure.
+        The fold runs here in the coordinator while pi_c chunks verify as
+        tasks; failures from both sides merge on (jsn, check-priority), so
+        the first failure does not depend on where a chunk ran.
         """
         with obs.span("audit.replay") as sp:
-            result = self._replay(sp)
-            return result
+            return self._replay(sp)
 
     def _replay_genesis_state(self):
         """Initial (fam, state, clue_frontiers) — fresh, pseudo, or resumed."""
@@ -474,8 +445,8 @@ class _AuditEngine:
         sig_failures: list[tuple[int, int, str]] = []
         #: boundary jsns whose block checks passed, for exact counter replay.
         block_boundaries: list[int] = []
-        #: buffered signature items + their jsns for the in-flight chunk.
-        chunk_items: list[tuple[int, int, bytes, bytes]] = []
+        #: buffered pi_c checks + their jsns for the in-flight chunk.
+        chunk_items: list[SignatureCheck] = []
         chunk_jsns: list[int] = []
         pending: list[tuple[Future, list[int], float]] = []
         signatures_checked = 0
@@ -507,7 +478,7 @@ class _AuditEngine:
             obs.inc("audit.chunks.dispatched")
             pending.append(
                 (
-                    self._submit(verify_signature_chunk, list(chunk_items)),
+                    self._submit(verify_batch, list(chunk_items)),
                     list(chunk_jsns),
                     time.perf_counter(),
                 )
@@ -537,34 +508,21 @@ class _AuditEngine:
                         jsn, _P_DIGEST, f"jsn {jsn}: digest mismatch with retained hash"
                     )
                     break
-                if self.verify_client_signatures:
-                    certificate = view.certificates.get(journal.client_id)
-                    if certificate is None:
-                        inline_failure = (
-                            jsn,
-                            _P_SIGNATURE,
-                            f"jsn {jsn}: unknown member {journal.client_id!r}",
-                        )
-                        break
-                    if journal.client_signature is not None:
-                        point = certificate.public_key.point
-                        chunk_items.append(
-                            (
-                                point.x,
-                                point.y,
-                                journal.request_hash,
-                                journal.client_signature.to_bytes(),
-                            )
-                        )
-                        chunk_jsns.append(jsn)
-                        if len(chunk_items) >= self.chunk_size:
-                            flush_chunk()
-                            if sig_failures:
-                                break
-                    else:
-                        inline_failure = (
-                            jsn, _P_SIGNATURE, f"jsn {jsn}: invalid issuer signature"
-                        )
+                certificate = view.certificates.get(journal.client_id)
+                if certificate is None:
+                    inline_failure = (
+                        jsn, _P_SIGNATURE, f"jsn {jsn}: unknown member {journal.client_id!r}"
+                    )
+                    break
+                check = signature_check(journal, certificate)
+                if check is None:
+                    inline_failure = (jsn, _P_SIGNATURE, f"jsn {jsn}: invalid issuer signature")
+                    break
+                chunk_items.append(check)
+                chunk_jsns.append(jsn)
+                if len(chunk_items) >= CHUNK_SIZE:
+                    flush_chunk()
+                    if sig_failures:
                         break
                 if journal.journal_type is JournalType.TIME:
                     try:
@@ -648,7 +606,7 @@ class _AuditEngine:
 
                 if (
                     self.checkpoint_store is not None
-                    and (block_index - base_block_index) % self.checkpoint_every == 0
+                    and (block_index - base_block_index) % CHECKPOINT_EVERY == 0
                 ):
                     # Drain in-flight chunks first: a checkpoint asserts that
                     # everything below next_jsn is verified, signatures
@@ -680,7 +638,7 @@ class _AuditEngine:
             candidates.append(inline_failure)
         if candidates:
             first_jsn, _priority, detail = min(candidates, key=lambda c: (c[0], c[1]))
-            # Counters exactly as the sequential engine would have left them
+            # Counters exactly as a journal-by-journal audit would leave them
             # at this failure: completed entries below the failing jsn, and
             # block boundaries that passed strictly before it.
             self.report.journals_replayed = base_journals + (first_jsn - start_jsn)
@@ -727,25 +685,14 @@ class _AuditEngine:
         with obs.span("audit.time_journals") as sp:
             entries = self._time_entries
             sp.add("anchors", len(entries))
-            if self.workers and entries:
-                payload = [
-                    (info, self.view.time_evidence.get(jsn)) for jsn, info in entries
-                ]
-                futures = [
-                    self._submit(check_time_evidence_chunk, chunk, self.tsa_keys)
-                    for chunk in self._chunked(payload)
-                ]
-                results = [item for future in futures for item in future.result()]
-            else:
-                results = None
+            results = self._submit_chunks(
+                _check_time_evidence,
+                [(info, self.view.time_evidence.get(jsn)) for jsn, info in entries],
+                self.tsa_keys,
+            )
             previous_timestamp = float("-inf")
             verified = 0
-            for index, (jsn, info) in enumerate(entries):
-                if results is not None:
-                    timestamp, valid = results[index]
-                else:
-                    evidence = self.view.time_evidence.get(jsn)
-                    timestamp, valid = check_time_evidence(info, evidence, self.tsa_keys)
+            for (jsn, _info), (timestamp, valid) in zip(entries, results):
                 if self.temporal_range is not None:
                     low, high = self.temporal_range
                     if not low <= timestamp <= high:
@@ -874,8 +821,7 @@ class _AuditEngine:
                     # Pre-replay steps were already adjudicated before the
                     # checkpoint was written; replay them verbatim.
                     for name, passed, detail in self._resumed.pre_steps:
-                        self._step(name, passed, detail)
-                        if not passed and self.early_terminate:
+                        if not self._step(name, passed, detail):
                             return self.report
                     steps = (
                         self.replay,
@@ -892,8 +838,7 @@ class _AuditEngine:
                         self.check_receipt,
                     )
                 for step in steps:
-                    ok = step()
-                    if not ok and self.early_terminate:
+                    if not step():
                         break
                 return self.report
             finally:
@@ -904,52 +849,30 @@ def dasein_audit(
     view,
     tsa_keys: dict[str, PublicKey] | None = None,
     temporal_range: tuple[float, float] | None = None,
-    verify_client_signatures: bool = True,
-    early_terminate: bool = True,
     *,
     workers: int = 0,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     checkpoint: CheckpointStore | str | os.PathLike | None = None,
     resume: bool = False,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    pool: str = "auto",
 ) -> AuditReport:
     """Run the full §V Dasein-complete audit over an exported view.
 
     ``temporal_range`` optionally limits which time anchors are validated
     (the §V closing example: "audit all transactions committed before
     2018-12-31"); replay integrity is always checked end to end because root
-    continuity requires it.
+    continuity requires it.  The audit stops at the first failed sub-proof,
+    as Definition 1 requires.
 
-    With ``early_terminate`` (the paper's default semantics) the audit stops
-    at the first failed sub-proof; disable it to collect every failure.
-
-    ``workers`` switches on the parallel engine: signature verification
-    (client pi_c per journal, Π1/Π2 multi-signatures, TSA evidence) is
-    chunked onto a pool of ``workers`` processes (threads where fork is
-    unavailable, or with ``pool='thread'``) and overlapped with the replay
-    fold.  The report is byte-identical to the sequential engine's for any
-    worker count.  ``chunk_size`` tunes journals per chunk; with
-    ``workers=0`` the same client-signature chunks are verified inline.
+    ``workers`` runs the signature work (client pi_c per journal, Π1/Π2
+    multi-signatures, TSA evidence) as :data:`CHUNK_SIZE` chunks on a pool
+    of ``workers`` processes (threads where fork fails or one CPU is
+    schedulable), overlapped with the replay fold; ``workers=0`` runs the
+    same chunks inline.  The report is byte-identical for any worker count.
 
     ``checkpoint`` (a path or :class:`CheckpointStore`) makes the audit
-    resumable: replay state is snapshotted every ``checkpoint_every``
+    resumable: replay state is snapshotted every :data:`CHECKPOINT_EVERY`
     verified blocks, and ``resume=True`` continues a killed audit from the
     last good jsn instead of genesis.
     """
     if checkpoint is not None and not isinstance(checkpoint, CheckpointStore):
         checkpoint = CheckpointStore(checkpoint)
-    engine = _AuditEngine(
-        view,
-        tsa_keys or {},
-        temporal_range,
-        verify_client_signatures,
-        early_terminate,
-        workers=workers,
-        chunk_size=chunk_size,
-        checkpoint_store=checkpoint,
-        resume=resume,
-        checkpoint_every=checkpoint_every,
-        pool_kind=pool,
-    )
-    return engine.run()
+    return _AuditEngine(view, tsa_keys or {}, temporal_range, workers, checkpoint, resume).run()

@@ -1,7 +1,7 @@
-"""Audit report types shared by the sequential and parallel engines.
+"""Audit report types.
 
 The report is the audit's *product*: a list of named sub-proof outcomes plus
-replay counters.  Both engine modes (inline and worker-pool) must emit
+replay counters.  Every worker count (tasks inline or on a pool) must emit
 byte-identical reports for the same view — :func:`AuditReport.canonical`
 serialises a report into the canonical JSON form that the equivalence tests
 (and the ``--json`` CLI) pin, so "identical" is checkable as plain byte

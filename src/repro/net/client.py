@@ -111,32 +111,67 @@ def _remote_error(error: Any) -> Exception:
 _T = TypeVar("_T")
 
 
-def _require_bytes(result: Any, field: str) -> bytes:
-    """Reply field ``field``, which must be bytes: the server's claim is
-    checked before it is used, so a hostile integer never becomes that many
-    zero bytes here."""
+def _require(result: Any, field: str, valid: Callable[[Any], bool], kind: str) -> Any:
+    """Reply field ``field``, checked with ``valid`` before it is used: a
+    hostile integer never becomes that many zero bytes here, nor a string a
+    list of jsns."""
     value = result.get(field) if isinstance(result, dict) else None
-    if not isinstance(value, (bytes, bytearray)):
-        raise VerificationFailure(f"reply field '{field}' must be bytes")
-    return bytes(value)
+    if not valid(value):
+        raise VerificationFailure(f"reply field '{field}' must be {kind}")
+    return value
+
+
+def _is_blob(value: Any) -> bool:
+    return isinstance(value, (bytes, bytearray))
+
+
+def _is_uint(value: Any) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _require_bytes(result: Any, field: str) -> bytes:
+    return bytes(_require(result, field, _is_blob, "bytes"))
 
 
 def _require_blobs(result: Any, field: str) -> list[bytes]:
-    """Reply field ``field``, which must be a list of bytes."""
-    blobs = result.get(field) if isinstance(result, dict) else None
-    if not isinstance(blobs, list) or not all(
-        isinstance(blob, (bytes, bytearray)) for blob in blobs
-    ):
-        raise VerificationFailure(f"reply field '{field}' must be a list of bytes")
+    blobs = _require(
+        result,
+        field,
+        lambda value: isinstance(value, list) and all(map(_is_blob, value)),
+        "a list of bytes",
+    )
     return [bytes(blob) for blob in blobs]
 
 
+def _require_int(result: Any, field: str) -> int:
+    """A size, an index or a height: a non-negative integer (not a bool)."""
+    return _require(result, field, _is_uint, "a non-negative integer")
+
+
+def _require_ints(result: Any, field: str) -> list[int]:
+    ints = _require(
+        result,
+        field,
+        lambda value: isinstance(value, list) and all(map(_is_uint, value)),
+        "a list of non-negative integers",
+    )
+    return list(ints)
+
+
+def _require_str(result: Any, field: str) -> str:
+    return _require(result, field, lambda value: isinstance(value, str), "a string")
+
+
+def _require_bool(result: Any, field: str) -> bool:
+    return _require(result, field, lambda value: isinstance(value, bool), "a boolean")
+
+
 def _decoded(loader: Callable[[bytes], _T], blob: bytes, field: str) -> _T:
-    """``loader(blob)``, a record the reply carried: undecodable bytes fail
-    verification, never with a bare codec error."""
+    """``loader(blob)``, a record (or key) the reply carried: undecodable
+    bytes fail verification, never with a bare codec error."""
     try:
         return loader(blob)
-    except EncodingError as exc:
+    except (EncodingError, ValueError) as exc:
         raise VerificationFailure(f"undecodable '{field}' in the reply: {exc}") from None
 
 
@@ -307,12 +342,18 @@ class AsyncRemoteLedger(FrameConnection):
             raise RemoteLedgerError(f"cannot reach ledger at {host}:{port}: {exc}") from None
         remote._address = (host, port)
         try:
-            hello = await remote._call("hello", protocol=PROTOCOL_VERSION)
+            await remote._hello(expected_lsp_key)
         except BaseException:
             await remote.close()
             raise
-        remote.ledger_uri = hello["ledger_uri"]
-        remote.fractal_height = hello["fractal_height"]
+        return remote
+
+    async def _hello(self, expected_lsp_key: PublicKey | bytes | None) -> None:
+        """The handshake: adopt the server's claimed identity, every field
+        type-checked, the LSP key against ``expected_lsp_key`` when given."""
+        hello = await self._call("hello", protocol=PROTOCOL_VERSION)
+        self.ledger_uri = _require_str(hello, "ledger_uri")
+        self.fractal_height = _require_int(hello, "fractal_height")
         claimed = _require_bytes(hello, "lsp_public_key")
         if expected_lsp_key is not None:
             expected = (
@@ -321,13 +362,13 @@ class AsyncRemoteLedger(FrameConnection):
                 else bytes(expected_lsp_key)
             )
             if claimed != expected:
-                await remote.close()
                 raise VerificationFailure(
                     "server's claimed LSP key does not match the expected key"
                 )
-        remote.lsp_public_key = PublicKey.from_bytes(claimed)
-        remote.ca_public_key = PublicKey.from_bytes(_require_bytes(hello, "ca_public_key"))
-        return remote
+        self.lsp_public_key = _decoded(PublicKey.from_bytes, claimed, "lsp_public_key")
+        self.ca_public_key = _decoded(
+            PublicKey.from_bytes, _require_bytes(hello, "ca_public_key"), "ca_public_key"
+        )
 
     async def close(self) -> None:
         if self._closed:
@@ -583,7 +624,7 @@ class AsyncRemoteLedger(FrameConnection):
         return journal
 
     async def list_tx(self, clue: str) -> list[int]:
-        return list((await self._call("list_tx", clue=clue))["jsns"])
+        return _require_ints(await self._call("list_tx", clue=clue), "jsns")
 
     async def get_proof(self, jsn: int, anchored: bool = True) -> FamProof:
         result = await self._call("get_proof", jsn=jsn, anchored=anchored)
@@ -610,7 +651,7 @@ class AsyncRemoteLedger(FrameConnection):
         return {
             "root": _require_bytes(result, "root"),
             "state_root": _require_bytes(result, "state_root"),
-            "size": result["size"],
+            "size": _require_int(result, "size"),
             "latest_receipt": receipt,
         }
 
@@ -628,7 +669,8 @@ class AsyncRemoteLedger(FrameConnection):
 
     async def verify_journal_remote(self, journal: Journal) -> bool:
         """Ask the *server* to verify (advisory only — it could lie)."""
-        return bool((await self._call("verify_journal", journal=journal.to_bytes()))["ok"])
+        result = await self._call("verify_journal", journal=journal.to_bytes())
+        return _require_bool(result, "ok")
 
     async def fam_extension(
         self,
@@ -662,8 +704,8 @@ class AsyncRemoteLedger(FrameConnection):
         """
         result = await self._call("shard_info")
         return {
-            "shard_index": int(result["shard_index"]),
-            "num_shards": int(result["num_shards"]),
+            "shard_index": _require_int(result, "shard_index"),
+            "num_shards": _require_int(result, "num_shards"),
             "shard_root": _require_bytes(result, "shard_root"),
             "composite_root": _require_bytes(result, "composite_root"),
             "link": _decoded(MembershipProof.from_bytes, _require_bytes(result, "link"), "link"),
@@ -738,7 +780,7 @@ class AsyncRemoteLedger(FrameConnection):
         return await self._call("stats")
 
     async def ping(self) -> int:
-        return (await self._call("ping"))["size"]
+        return _require_int(await self._call("ping"), "size")
 
 
 def _driven(coroutine):

@@ -536,19 +536,16 @@ class Session:
         *,
         tsa_keys: "dict[str, PublicKey] | None" = None,
         workers: int = 0,
-        resume: bool = False,
         checkpoint: "CheckpointStore | str | None" = None,
+        resume: bool = False,
         temporal_range: tuple[float, float] | None = None,
-        verify_client_signatures: bool = True,
-        early_terminate: bool = True,
-        **kwargs: Any,
     ) -> "AuditReport":
         """The §V Dasein-complete audit (:func:`repro.audit.dasein_audit`)
         of each shard's export view; several shards give one report each.
-        ``workers`` runs the parallel engine; ``checkpoint`` (path or
+        ``workers`` sizes the signature pool; ``checkpoint`` (path or
         :class:`~repro.audit.CheckpointStore`) with ``resume=True`` resumes
-        an interrupted audit; other kwargs pass through.  Take ``tsa_keys``
-        from the time authorities directly.
+        an interrupted audit.  Take ``tsa_keys`` from the time authorities
+        directly.
 
         Raises:
             UsageError: ``resume=True`` without a ``checkpoint``, or no
@@ -563,9 +560,6 @@ class Session:
             checkpoint=checkpoint,
             resume=resume,
             temporal_range=temporal_range,
-            verify_client_signatures=verify_client_signatures,
-            early_terminate=early_terminate,
-            **kwargs,
         )
 
 

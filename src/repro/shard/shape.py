@@ -143,20 +143,37 @@ class ShardedAuditReport:
         }
 
 
-def audit_shards(shards: list[Any], *, checkpoint: Any = None, **options: Any) -> Any:
+def audit_shards(
+    shards: list[Any],
+    *,
+    tsa_keys: Any = None,
+    workers: int = 0,
+    checkpoint: Any = None,
+    resume: bool = False,
+    temporal_range: tuple[float, float] | None = None,
+) -> Any:
     """Rule 3: the §V Dasein-complete audit of a deployment's shards.
 
     One shard's audit is its own :class:`~repro.audit.AuditReport`, with
     ``checkpoint`` (a path or a store) passed through.  Several shards audit
     concurrently, one thread each, into a :class:`ShardedAuditReport`;
     ``checkpoint`` must then be a path prefix, and shard ``k`` checkpoints
-    to ``<checkpoint>.shard-k``.  ``options`` go to every
+    to ``<checkpoint>.shard-k``.  The other arguments go to every
     :func:`~repro.audit.dasein_audit`.
     """
+    from functools import partial
+
     from ..audit import dasein_audit
 
+    audit = partial(
+        dasein_audit,
+        tsa_keys=tsa_keys,
+        temporal_range=temporal_range,
+        workers=workers,
+        resume=resume,
+    )
     if not has_composite(len(shards)):
-        return dasein_audit(shards[0].export_view(), checkpoint=checkpoint, **options)
+        return audit(shards[0].export_view(), checkpoint=checkpoint)
     if checkpoint is not None and not isinstance(checkpoint, str):
         raise UsageError(
             "sharded audits checkpoint per shard: pass a string path "
@@ -168,7 +185,7 @@ def audit_shards(shards: list[Any], *, checkpoint: Any = None, **options: Any) -
 
     def _one(index: int):
         shard_checkpoint = f"{checkpoint}.shard-{index}" if checkpoint else None
-        return dasein_audit(views[index], checkpoint=shard_checkpoint, **options)
+        return audit(views[index], checkpoint=shard_checkpoint)
 
     with ThreadPoolExecutor(max_workers=len(shards)) as pool:
         reports = list(pool.map(_one, range(len(shards))))

@@ -10,7 +10,8 @@ evidence* its own way and calls in here.
 
 * :mod:`~repro.verify.checks` — pure functions of (evidence, trust anchors):
   :func:`tx_what`, :func:`clue_what`, :func:`time_marks` +
-  :func:`when_bracket`, :func:`who`, and :func:`lift` into a
+  :func:`when_bracket`, :func:`who` (pi_c itself is
+  :func:`signature_check`, for every offline verifier), and :func:`lift` into a
   :class:`~repro.artifacts.VerifyResult`.
 * :mod:`~repro.verify.tracker` — the one stateful piece: an
   :class:`AnchorTracker` following a fam through one ``fam_extension`` read.
@@ -28,6 +29,7 @@ from .checks import (
     clue_what,
     lift,
     parse_time_journal,
+    signature_check,
     signed_by,
     signed_by_many,
     time_marks,
@@ -44,6 +46,7 @@ __all__ = [
     "clue_what",
     "lift",
     "parse_time_journal",
+    "signature_check",
     "signed_by",
     "signed_by_many",
     "time_marks",

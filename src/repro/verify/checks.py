@@ -16,6 +16,7 @@ from ..artifacts import VerifyResult
 from ..core.journal import Journal, JournalType
 from ..core.receipt import Receipt
 from ..crypto.ca import Certificate
+from ..crypto.ecdsa import Signature
 from ..crypto.hashing import Digest
 from ..crypto.keys import PublicKey, verify_batch
 from ..crypto.signed import SIGNATURE
@@ -31,6 +32,7 @@ __all__ = [
     "clue_what",
     "lift",
     "parse_time_journal",
+    "signature_check",
     "signed_by",
     "signed_by_many",
     "time_marks",
@@ -202,14 +204,28 @@ def when_bracket(jsn: int, marks: Sequence[TimeMark]) -> tuple[TimeBound | None,
 # ---------------------------------------------------------------------- who
 
 
+#: What pi_c stands for: the issuer's key, the digest it signed, the signature.
+SignatureCheck = tuple[PublicKey, Digest, Signature]
+
+
+def signature_check(journal: Journal, certificate: Certificate | None) -> SignatureCheck | None:
+    """The one definition of pi_c: the ECDSA check ``journal``'s client
+    signature stands for against ``certificate`` (whose CA validation is
+    the caller's, done once), or ``None`` when the certificate or the
+    signature is missing — a pi_c that fails without a curve operation.
+
+    Every offline verifier (:func:`signed_by`, :func:`signed_by_many`, the
+    audit's chunks) decides what a client signature covers here.
+    """
+    if certificate is None or journal.client_signature is None:
+        return None
+    return certificate.public_key, journal.request_hash, journal.client_signature
+
+
 def signed_by(journal: Journal, certificate: Certificate | None) -> bool:
-    """pi_c: the issuer's signature over the request hash checks against
-    ``certificate`` (whose CA validation is the caller's, done once)."""
-    return (
-        certificate is not None
-        and journal.client_signature is not None
-        and certificate.public_key.verify(journal.request_hash, journal.client_signature)
-    )
+    """pi_c: the issuer's signature checks against ``certificate``."""
+    check = signature_check(journal, certificate)
+    return check is not None and check[0].verify(check[1], check[2])
 
 
 def signed_by_many(pairs: Sequence[tuple[Journal, Certificate | None]]) -> list[bool]:
@@ -220,18 +236,9 @@ def signed_by_many(pairs: Sequence[tuple[Journal, Certificate | None]]) -> list[
     is split in halves on any mismatch, down to exact per-signature checks —
     a bad signature is still attributed to its own index.
     """
-    verdicts = [False] * len(pairs)
-    positions: list[int] = []
-    checks = []
-    for position, (journal, certificate) in enumerate(pairs):
-        if certificate is not None and journal.client_signature is not None:
-            positions.append(position)
-            checks.append(
-                (certificate.public_key, journal.request_hash, journal.client_signature)
-            )
-    for position, verdict in zip(positions, verify_batch(checks)):
-        verdicts[position] = verdict
-    return verdicts
+    checks = [signature_check(journal, certificate) for journal, certificate in pairs]
+    verdicts = iter(verify_batch([check for check in checks if check is not None]))
+    return [check is not None and next(verdicts) for check in checks]
 
 
 def who(

@@ -60,10 +60,6 @@ class TestHonestLedger:
         assert report.passed
         assert report.time_journals_verified < len(deployment.ledger.time_journals)
 
-    def test_skip_client_signatures_for_speed(self, populated):
-        deployment, _receipts = populated
-        assert audit(deployment, verify_client_signatures=False).passed
-
 
 class TestMalformedTimePayload:
     """An LSP-committed time journal whose payload is not a time record is a
@@ -145,7 +141,7 @@ class TestThreatB:
         view.entries[jsn - view.genesis_start] = dataclasses.replace(
             entry, data=tampered.to_bytes(), retained_hash=tampered.tx_hash()
         )
-        report = audit(deployment, view=view, verify_client_signatures=False)
+        report = audit(deployment, view=view)
         assert not report.passed
         assert any(
             "root mismatch" in s.detail or "anchored root" in s.detail
@@ -183,7 +179,7 @@ class TestThreatB:
         view.entries[time_jsn - view.genesis_start] = dataclasses.replace(
             entry, data=tampered.to_bytes(), retained_hash=tampered.tx_hash()
         )
-        report = audit(deployment, view=view, verify_client_signatures=False)
+        report = audit(deployment, view=view)
         assert not report.passed
 
     def test_block_header_tamper_detected(self, populated):
@@ -262,7 +258,5 @@ class TestEarlyTermination:
         view = deployment.ledger.export_view()
         view.entries[3] = dataclasses.replace(view.entries[3], data=None, occulted=True)
         view = dataclasses.replace(view, latest_receipt=None)  # second failure
-        report = audit(deployment, view=view, early_terminate=True)
+        report = audit(deployment, view=view)
         assert len(report.failures()) == 1
-        full = audit(deployment, view=view, early_terminate=False)
-        assert len(full.failures()) >= 2

@@ -1,18 +1,27 @@
 """Parallel audit engine: byte-identical reports, deterministic failures,
 and crash-safe checkpoint resume.
 
-The contract under test is the tentpole invariant: for any worker count,
-chunk size, and scheduling, ``dasein_audit`` produces an ``AuditReport``
-whose ``canonical()`` bytes equal the sequential engine's — for passing
-*and* failing ledgers.  Checkpoint crash tests reuse the fault-injection
-harness from :mod:`repro.storage.faults`.
+The contract under test: for any worker count, chunk size, and scheduling,
+``dasein_audit`` produces an ``AuditReport`` whose ``canonical()`` bytes
+equal the ``workers=0`` run's — for passing *and* failing ledgers.  Chunk
+size and checkpoint interval are module constants of the engine, patched
+per run; the pool is a thread pool (``_schedulable_cpus`` patched to one)
+except where a test asks for forked workers.  Checkpoint crash tests reuse
+the fault-injection harness from :mod:`repro.storage.faults`.
 """
 
 import dataclasses
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.audit import CheckpointStore, dasein_audit
+from repro import obs
+from repro.audit import AuditCheckpoint, CheckpointStore, dasein_audit, engine
 from repro.core.journal import Journal
 from repro.crypto import KeyPair
 from repro.storage.faults import FaultPlan, FaultyFile, InjectedCrash, flip_byte
@@ -25,10 +34,29 @@ from conftest import Deployment
 GRID = [(1, 3), (2, 5), (4, 8), (4, 256), (3, 1)]
 
 
-def _audit(deployment, view=None, **kwargs):
+#: The engine's own CPU probe, for the test that wants forked workers.
+SCHEDULABLE_CPUS = engine._schedulable_cpus
+
+
+@pytest.fixture(autouse=True)
+def thread_pool(monkeypatch):
+    """Thread pools: deterministic and cheap under pytest."""
+    monkeypatch.setattr(engine, "_schedulable_cpus", lambda: 1)
+
+
+def _audit(
+    deployment,
+    view=None,
+    chunk_size=engine.CHUNK_SIZE,
+    checkpoint_every=engine.CHECKPOINT_EVERY,
+    **kwargs,
+):
     view = view if view is not None else deployment.ledger.export_view()
-    kwargs.setdefault("pool", "thread")  # deterministic + cheap under pytest
-    return dasein_audit(view, tsa_keys=deployment.tsa_keys, **kwargs)
+    with (
+        mock.patch.object(engine, "CHUNK_SIZE", chunk_size),
+        mock.patch.object(engine, "CHECKPOINT_EVERY", checkpoint_every),
+    ):
+        return dasein_audit(view, tsa_keys=deployment.tsa_keys, **kwargs)
 
 
 def _forge_signature(view, jsn, seed="mallory"):
@@ -69,23 +97,13 @@ class TestByteIdenticalReports:
             )
             assert report.canonical() == baseline.canonical(), (workers, chunk_size)
 
-    def test_process_pool_matches_sequential(self, populated):
+    def test_process_pool_matches_sequential(self, populated, monkeypatch):
         # One fork-pool run: same bytes as inline, through real processes
         # (falls back to threads automatically where fork is unavailable).
+        monkeypatch.setattr(engine, "_schedulable_cpus", SCHEDULABLE_CPUS)
         deployment, _receipts = populated
         baseline = _audit(deployment)
-        report = _audit(deployment, workers=2, chunk_size=8, pool="auto")
-        assert report.canonical() == baseline.canonical()
-
-    def test_collect_all_failures_matches(self, populated):
-        # early_terminate=False exercises the non-short-circuit merge.
-        deployment, receipts = populated
-        view = deployment.ledger.export_view()
-        _forge_signature(view, receipts[4].jsn)
-        baseline = _audit(deployment, view=view, early_terminate=False)
-        report = _audit(
-            deployment, view=view, early_terminate=False, workers=4, chunk_size=2
-        )
+        report = _audit(deployment, workers=2, chunk_size=8)
         assert report.canonical() == baseline.canonical()
 
 
@@ -152,11 +170,6 @@ class TestForgedSignaturePositions:
         for workers, chunk_size in ((0, 256), (1, 64), (2, 256), (3, 5)):
             report = _audit(deployment, view=view, workers=workers, chunk_size=chunk_size)
             assert report.canonical() == baseline.canonical(), (workers, chunk_size)
-        collected = _audit(deployment, view=view, early_terminate=False)
-        pooled = _audit(
-            deployment, view=view, early_terminate=False, workers=2, chunk_size=256
-        )
-        assert pooled.canonical() == collected.canonical()
 
     def test_honest_long_ledger(self, long_ledger):
         deployment, _jsns = long_ledger
@@ -274,3 +287,98 @@ class TestCheckpointResume:
         )
         assert first.passed and again.passed
         assert again.canonical() == first.canonical()
+
+
+# ----------------------------------------------------- hostile checkpoints
+#
+# The envelope's SHA-256 is unkeyed: anyone who can write the file can
+# re-compute it.  A body whose fields have the wrong type or range must then
+# cost the resume, never the audit: the report is the full audit's.
+
+
+@pytest.fixture(scope="module")
+def mid_audit_checkpoint():
+    """(deployment, view, full-audit report, a checkpoint body saved after
+    the first verified block of an audit killed before its second save)."""
+    deployment = Deployment()
+    deployment.populate()
+    view = deployment.ledger.export_view()
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "audit.ckpt"
+        plan = FaultPlan()
+        plan.arm(crash_op=5)  # the second save's fsync
+        faulty = CheckpointStore(path, file_factory=lambda raw: FaultyFile(raw, plan))
+        with pytest.raises(InjectedCrash):
+            _audit(deployment, view=view, checkpoint=faulty, checkpoint_every=1)
+        body = json.loads(json.loads(path.read_bytes())["payload"])
+    assert view.genesis_start < body["next_jsn"] < view.genesis_start + len(view.entries)
+    return deployment, view, _audit(deployment, view=view), body
+
+
+def _resume_from(deployment, view, body):
+    """Resume an audit from ``body`` (a dict, or the payload's text), stored
+    with a re-computed checksum."""
+    payload = body if isinstance(body, str) else json.dumps(body, sort_keys=True)
+    envelope = {"sha256": hashlib.sha256(payload.encode()).hexdigest(), "payload": payload}
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "audit.ckpt"
+        path.write_text(json.dumps(envelope))
+        return _audit(deployment, view=view, checkpoint=CheckpointStore(path), resume=True)
+
+
+def test_an_untouched_checkpoint_body_resumes(mid_audit_checkpoint):
+    deployment, view, baseline, body = mid_audit_checkpoint
+    with obs.scoped() as registry:
+        resumed = _resume_from(deployment, view, body)
+    assert registry.snapshot()["counters"].get("audit.resumes") == 1
+    assert resumed.canonical() == baseline.canonical()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("next_jsn", "5"), ("fam_live_size", "x"), ("time_jsns", [10**9])],
+)
+def test_a_hostile_checkpoint_field_falls_back_to_a_full_audit(mid_audit_checkpoint, field, value):
+    deployment, view, baseline, body = mid_audit_checkpoint
+    with pytest.raises(ValueError):
+        AuditCheckpoint.from_dict({**body, field: value})
+    report = _resume_from(deployment, view, {**body, field: value})
+    assert report.canonical() == baseline.canonical()
+
+
+def test_a_deeply_nested_checkpoint_body_falls_back_to_a_full_audit(mid_audit_checkpoint):
+    deployment, view, baseline, _body = mid_audit_checkpoint
+    report = _resume_from(deployment, view, "[" * 100_000 + "]" * 100_000)
+    assert report.canonical() == baseline.canonical()
+
+
+#: JSON values of the wrong type or range for every checkpoint field (a
+#: string is no hex digest and no other ledger's uri; no count is negative
+#: or 2**40; no list or object of them is empty).
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**40),
+    st.text(max_size=6).map(lambda text: "z" + text),
+    st.lists(st.text(max_size=3).map(lambda text: "z" + text), min_size=1, max_size=3),
+    st.dictionaries(st.text(max_size=3), st.none(), min_size=1, max_size=2),
+)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_any_hostile_checkpoint_field_gives_the_full_audit_report(mid_audit_checkpoint, data):
+    deployment, view, baseline, body = mid_audit_checkpoint
+    field = data.draw(st.sampled_from(sorted(body)))
+    value = data.draw(_JUNK)
+    # None is a well-typed receipt cursor; a later receipt jsn is one too
+    # (then ignored, as the receipt lies past the checkpoint).
+    assume(not (field in ("receipt_jsn", "receipt_root") and value is None))
+    report = _resume_from(deployment, view, {**body, field: value})
+    assert report.canonical() == baseline.canonical()

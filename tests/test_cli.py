@@ -74,6 +74,9 @@ def test_stats_includes_node_store_and_kv_cache(capsys):
     assert snapshot["node_store"]["backend"] == "paged"
     assert snapshot["node_store"]["backend_reads"] > 0
     assert 0.0 <= snapshot["node_store"]["cache_hit_rate"] <= 1.0
+    # The full-audit row moves the audit's counters.
+    assert snapshot["counters"]["audit.journals.replayed"] > 0
+    assert snapshot["counters"]["audit.signatures.verified"] > 0
 
 
 def test_stats_table_renders_new_sections(capsys):

@@ -292,19 +292,43 @@ def test_a_read_socket_claiming_another_lsp_key_carries_nothing():
 #: ``bytes(n)`` would turn into n zero bytes, and bytes no record decodes.
 HOSTILE_VALUES = {"integer": (2_000_000, "must be"), "garbage": (b"\xff\xff", "undecodable")}
 
+BYTES_FIELDS = (
+    "receipt ack journal proof state_root root latest_receipt bundle assertion "
+    "sth old_root new_root shard_root composite_root link lsp_public_key ca_public_key"
+).split()
+LIST_FIELDS = ("receipts", "proofs", "sths")
 
-def hostile_result(value) -> dict:
-    return {
-        **dict.fromkeys(
-            "receipt ack journal proof state_root root latest_receipt bundle assertion "
-            "sth old_root new_root shard_root composite_root link".split(),
-            value,
-        ),
-        **dict.fromkeys(("receipts", "proofs", "sths"), [value]),
-        "size": 1,
-        "shard_index": 0,
-        "num_shards": 1,
-    }
+#: The replies' fields that are not bytes, well-typed — and each with a
+#: value of the wrong type, which the client must refuse as well.
+SCALARS = {
+    "ledger_uri": URI,
+    "fractal_height": 3,
+    "size": 1,
+    "shard_index": 0,
+    "num_shards": 1,
+    "jsns": [JSN],
+    "ok": True,
+}
+WRONG_SCALARS = {
+    "ledger_uri": 7,
+    "fractal_height": "x",
+    "size": "x",
+    "shard_index": "0",
+    "num_shards": 1.0,
+    "jsns": 2_000_000,
+    "ok": "yes",
+}
+
+
+def hostile_result(hostile: str) -> tuple[dict, str]:
+    """A reply for ``hostile`` — a :data:`HOSTILE_VALUES` kind in every
+    bytes field, or one scalar field of the wrong type — and its refusal."""
+    if hostile in HOSTILE_VALUES:
+        value, refusal = HOSTILE_VALUES[hostile]
+        fields = {**dict.fromkeys(BYTES_FIELDS, value), **dict.fromkeys(LIST_FIELDS, [value])}
+        return {**fields, **SCALARS}, refusal
+    fields = {**dict.fromkeys(BYTES_FIELDS, b""), **dict.fromkeys(LIST_FIELDS, [])}
+    return {**fields, **SCALARS, hostile: WRONG_SCALARS[hostile]}, "must be"
 
 
 class _Head:
@@ -317,8 +341,9 @@ def _request() -> ClientRequest:
     return ClientRequest.build(URI, USER, b"x", nonce=b"n", client_timestamp=1.0).signed_by(user)
 
 
-#: Every read and append that decodes a reply field, with its arguments.
+#: Every read and append that checks a reply field, with its arguments.
 REPLY_DECODERS: dict[str, Callable] = {
+    "hello": lambda remote: remote._hello(None),
     "append": lambda remote: remote.append(_request()),
     "append_acked": lambda remote: remote.append_acked(_request()),
     "append_batch": lambda remote: remote.append_batch([_request()]),
@@ -334,6 +359,19 @@ REPLY_DECODERS: dict[str, Callable] = {
     "get_sth_range": lambda remote: remote.get_sth_range(0, 1),
     "get_consistency": lambda remote: remote.get_consistency(_Head(), _Head()),
     "export": lambda remote: remote.export(),
+    "ping": lambda remote: remote.ping(),
+    "list_tx": lambda remote: remote.list_tx("GOLDEN"),
+    "verify_journal_remote": lambda remote: remote.verify_journal_remote(_Head()),
+}
+
+#: The ops that read scalar fields, and which.
+SCALAR_READS = {
+    "hello": ("ledger_uri", "fractal_height"),
+    "get_root": ("size",),
+    "shard_info": ("shard_index", "num_shards"),
+    "ping": ("size",),
+    "list_tx": ("jsns",),
+    "verify_journal_remote": ("ok",),
 }
 
 
@@ -342,16 +380,18 @@ REPLY_DECODERS: dict[str, Callable] = {
     [
         (op, hostile)
         for op in sorted(REPLY_DECODERS)
+        if op not in ("ping", "list_tx", "verify_journal_remote")  # no bytes fields
         for hostile in HOSTILE_VALUES
         if (op, hostile) != ("export", "garbage")  # export hands its bytes on unparsed
-    ],
+    ]
+    + [(op, field) for op, fields in sorted(SCALAR_READS.items()) for field in fields],
 )
 def test_a_hostile_reply_field_fails_typed_without_allocating(op, hostile):
-    value, refusal = HOSTILE_VALUES[hostile]
+    result, refusal = hostile_result(hostile)
     remote = object.__new__(AsyncRemoteLedger)
 
     async def call(_op: str, **_fields) -> dict:
-        return hostile_result(value)
+        return result
 
     remote._call = call
     coroutine = REPLY_DECODERS[op](remote)
