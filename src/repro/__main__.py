@@ -247,7 +247,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             _receipt, ack = session.append_acked(b"acked record", clue="STATS")
             rows.append(("submission ack", ack.verify(ledger.lsp_public_key), "signed by the LSP"))
             witness.audit(session)
-            session.append_batch([(b"stats record %d" % i, "STATS") for i in range(8)])
+            signed = registry.snapshot()["counters"].get("receipt.batches.signed", 0)
+            batch = session.append_batch([(b"stats record %d" % i, "STATS") for i in range(8)])
+            signed = registry.snapshot()["counters"]["receipt.batches.signed"] - signed
+            batched = {"receipts": len(batch), "lsp_signatures": signed}
+            rows.append((
+                "batched append",
+                signed < len(batch) and all(r.verify(ledger.lsp_public_key) for r in batch),
+                f"{len(batch)} receipts under {signed} LSP signature(s)",
+            ))
             rows.append(("witness audit", witness.audit(session).clean, "two rounds"))
             ledger.commit_block()  # flush: the lineage is read from pages, then hit
             lineage = session.list_tx("STATS")
@@ -269,7 +277,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                     remote.sync_anchors()
                     journal = remote.client.get_journal(receipts[0].jsn)
                     rows.append(("remote TX verify", remote.verify_journal(journal).ok, "over TCP"))
-            snapshot = {**registry.snapshot(), "node_store": ledger.node_store_stats()}
+            snapshot = {
+                **registry.snapshot(),
+                "node_store": ledger.node_store_stats(),
+                "batched_append": batched,
+            }
         finally:
             ledger.close(checkpoint=False)
     _report(args, rows, _render_stats_table(snapshot), snapshot)
@@ -278,7 +290,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _render_stats_table(snapshot: dict) -> str:
     lines = []
-    for section in ("counters", "gauges", "node_store"):
+    for section in ("counters", "gauges", "node_store", "batched_append"):
         table = snapshot[section]
         if table:
             width = max(map(len, table))

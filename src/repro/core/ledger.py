@@ -8,7 +8,7 @@ This module wires every substrate together into the system of Figure 1/2:
   retrieval index (*N-lineage*);
 * every ``block_size`` journals a **block** seals the fam commitment and the
   CM-Tree1 state root (audit / snapshot granularity);
-* the LSP signs a **receipt** per commit (*who*, pi_s) and periodically
+* the LSP signs one **receipt** batch per commit (*who*, pi_s) and periodically
   anchors the fam root to a **TSA or T-Ledger** as time journals (*when*,
   pi_t);
 * **purge** and **occult** provide the two verifiable mutations.
@@ -94,6 +94,19 @@ STH_FILE = "sth.log"
 #: How many epoch closes a :class:`SubmissionAck` grants the LSP before an
 #: acked-but-absent request becomes provable censorship (DESIGN.md §16).
 DEFAULT_ACK_DEADLINE_EPOCHS = 2
+
+
+class _Closed:
+    """What a closed ledger holds where its per-journal state was: any use
+    is a :class:`UsageError`, never a stale answer."""
+
+    def _refuse(self, *_args: object) -> None:
+        raise UsageError("the ledger is closed")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = __bool__ = _refuse
+
+
+_CLOSED = _Closed()
 
 
 @dataclass(frozen=True)
@@ -372,7 +385,7 @@ class Ledger:
         receipt = self._receipt(
             last, EMPTY_DIGEST, self._fam.leaf_digest(last), self.clock.now()
         ).signed_by(self._lsp_keypair)
-        self._receipts.add(receipt)
+        self._receipts.add_batch([receipt])
         self._publish(receipt)
 
     def _publish(self, receipt: Receipt) -> None:
@@ -474,9 +487,10 @@ class Ledger:
     def append_batch(self, requests: list[ClientRequest]) -> list[Receipt]:
         """Admit many client transactions in one amortised pass.
 
-        State and receipts are **byte-identical** however the requests are
-        split into batches (same clock); the batch amortises the expensive
-        work:
+        State and each receipt's statement are **byte-identical** however
+        the requests are split into batches (same clock); a receipt's batch
+        path and signature are its batch's.  The batch amortises the
+        expensive work:
 
         * phase 1 — *admission*: every certificate and pi_c signature is
           validated before anything is written, so a single bad request
@@ -485,8 +499,9 @@ class Ledger:
           signature checks share their inversions (``verify_batch``).
         * phase 2 — *commit*: one stream write (one fsync on durable
           streams), per-clue grouped CM-Tree insertion flushed at each block
-          boundary, and fam/receipt work per journal.  Block seals land
-          every ``block_size`` journals wherever the batch boundaries fall.
+          boundary, fam work per journal and one LSP signature over the
+          batch's receipts.  Block seals land every ``block_size`` journals
+          wherever the batch boundaries fall.
         """
         if not requests:
             return []
@@ -603,11 +618,10 @@ class Ledger:
                 # can ask for any more (DESIGN §13).
                 self._cmtree.roll()
             self._emit_epoch_heads()
-            # pi_s issuance: every receipt's payload is frozen above, so the LSP
-            # signatures batch into one shared-inversion pass.
+            # pi_s issuance: every receipt's statement is frozen above, so the
+            # LSP signs the batch's root once and each receipt carries its path.
             receipts = Receipt.sign_batch(unsigned, self._lsp_keypair)
-            for receipt in receipts:
-                self._receipts.add(receipt)
+            self._receipts.add_batch(receipts)
             self._publish(receipts[-1])
             return receipts
 
@@ -1516,7 +1530,10 @@ class Ledger:
         return str(path)
 
     def close(self, checkpoint: bool = True) -> None:
-        """Flush and release durable resources (checkpointing first by default)."""
+        """Flush and release durable resources (checkpointing first by
+        default) and the in-memory state; a second close does nothing."""
+        if self._fam is _CLOSED:
+            return
         if (
             checkpoint
             and self.config.data_dir
@@ -1530,6 +1547,11 @@ class Ledger:
         close_stream = getattr(self._stream, "close", None)
         if callable(close_stream):
             close_stream()
+        # A closed ledger answers nothing, so it keeps no per-journal state:
+        # a reopen in the same process reuses that memory instead of adding
+        # to it.
+        self._fam = self._cmtree = self._cluesl = self._blocks = self._receipts = _CLOSED
+        self._node_store = None
 
     @classmethod
     def open(

@@ -11,7 +11,7 @@ consistency with **no ledger, no service, no network**:
 * requested clue-lineage proofs bound to the block-attested state root;
 * the trusted LSP/CA roots and the member certificates.
 
-Container format (DESIGN.md §17): ``LDBBNDL1`` magic, a big-endian u32
+Container format (DESIGN.md §17): ``LDBBNDL2`` magic, a big-endian u32
 crc32c of the payload, then one canonically-encoded TLV payload over
 :mod:`repro.encoding` — the same torn-tail conventions as §9: the file is
 written via tmp → flush → fsync → rename, and *any* flipped bit fails the
@@ -66,8 +66,8 @@ __all__ = [
     "export_bundle",
 ]
 
-BUNDLE_MAGIC = b"LDBBNDL1"
-BUNDLE_SCHEME = "repro.bundle.v1"
+BUNDLE_MAGIC = b"LDBBNDL2"
+BUNDLE_SCHEME = "repro.bundle.v2"
 _CRC = struct.Struct(">I")
 
 
@@ -176,7 +176,7 @@ class ExportBundle:
     def from_bytes(cls, data: bytes) -> "ExportBundle":
         header = len(BUNDLE_MAGIC) + _CRC.size
         if len(data) < header or data[: len(BUNDLE_MAGIC)] != BUNDLE_MAGIC:
-            raise BundleCorruptionError("not an LDBBNDL1 bundle")
+            raise BundleCorruptionError("not an LDBBNDL2 bundle")
         (expected,) = _CRC.unpack_from(data, len(BUNDLE_MAGIC))
         payload = memoryview(data)[header:]  # checksummed in place, copied once by decode
         if crc32c(payload) != expected:

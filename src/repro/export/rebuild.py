@@ -51,7 +51,7 @@ class RebuildError(LedgerError):
 class Divergence:
     """One typed disagreement between the rebuilt ledger and a reference."""
 
-    kind: str  # "root" | "anchor" | "sth" | "composite" | "live" | ...
+    kind: str  # "root" | "receipt" | "anchor" | "sth" | "composite" | "live" | ...
     shard_index: int
     coordinate: str
     expected: bytes
@@ -320,7 +320,7 @@ def _cross_check_shard(
     tag = section.shard_index
 
     checks.append(f"root[{tag}]")
-    trusted_root = _bundle_trusted_root(section, lsp_key)
+    trusted_root = _bundle_trusted_root(section, lsp_key, divergences)
     rebuilt_root = shard.current_root()
     if trusted_root is not None and rebuilt_root != trusted_root:
         divergences.append(
@@ -367,13 +367,27 @@ def _cross_check_shard(
             )
 
 
-def _bundle_trusted_root(section: Any, lsp_key: PublicKey) -> bytes | None:
+def _bundle_trusted_root(
+    section: Any, lsp_key: PublicKey, divergences: list[Divergence]
+) -> bytes | None:
+    """The latest receipt's ``ledger_root``; a receipt that fails pi_s is a
+    divergence, not a skipped check."""
     if not section.latest_receipt:
         return None
     from ..core.receipt import Receipt
 
     receipt = Receipt.from_bytes(section.latest_receipt)
     if not receipt.verify(lsp_key):
+        divergences.append(
+            Divergence(
+                kind="receipt",
+                shard_index=section.shard_index,
+                coordinate=f"jsn {receipt.jsn}",
+                expected=b"",
+                actual=b"",
+                detail="the latest receipt fails the LSP signature",
+            )
+        )
         return None
     return receipt.ledger_root
 

@@ -262,9 +262,6 @@ class CMTree:
 
     # ---------------------------------------------------------------- reads
 
-    def has_clue(self, clue: str) -> bool:
-        return clue_key_hash(clue) in self._accumulators
-
     def entry_count(self, clue: str) -> int:
         accumulator = self._accumulators.get(clue_key_hash(clue))
         return 0 if accumulator is None else accumulator.size

@@ -143,10 +143,6 @@ class FamAccumulator:
         """The live global commitment (bagged root of the live epoch)."""
         return self._epochs[-1].root()
 
-    def current_frontier(self) -> list[Digest]:
-        """Node-set commitment of the live epoch (Shrubs-style)."""
-        return self._epochs[-1].peaks()
-
     def locate(self, jsn: int) -> tuple[int, int]:
         """Map a journal sequence number to ``(epoch_index, leaf_slot)``."""
         if not 0 <= jsn < self._size:

@@ -142,20 +142,27 @@ class MembershipProof:
                 offset |= 1 << bit
         return (index << level) + offset
 
+    def root_for(self, leaf_digest: Digest) -> Digest | None:
+        """The commitment this proof folds ``leaf_digest`` to, or None when
+        its structure does not address ``leaf_index`` of ``tree_size``.
+        Never raises."""
+        if not 0 <= self.leaf_index < self.tree_size:
+            return None
+        if self.implied_leaf_index() != self.leaf_index:
+            return None
+        try:
+            return self.computed_root(leaf_digest)
+        except (ValueError, TypeError):
+            return None
+
     def verify(self, leaf_digest: Digest, expected_root: Digest) -> bool:
         """Check the proof against a trusted commitment.  Never raises.
 
         Binds the claimed ``leaf_index`` to the path structure as well as
         folding the hashes, so position-forged proofs fail.
         """
-        if not 0 <= self.leaf_index < self.tree_size:
-            return False
-        if self.implied_leaf_index() != self.leaf_index:
-            return False
-        try:
-            return self.computed_root(leaf_digest) == expected_root
-        except (ValueError, TypeError):
-            return False
+        root = self.root_for(leaf_digest)
+        return root is not None and root == expected_root
 
     def verify_against_frontier(self, leaf_digest: Digest, frontier: list[Digest]) -> bool:
         """Node-set verification (§III-A1): the folded peak must be a frontier node."""

@@ -64,9 +64,6 @@ class ShrubsAccumulator:
             raise KeyError(f"node ({level}, {index}) was erased")
         return digest
 
-    def has_node(self, level: int, index: int) -> bool:
-        return level < len(self._levels) and index < len(self._levels[level])
-
     def leaf(self, index: int) -> Digest:
         """Digest of leaf ``index``."""
         return self.node(0, index)
@@ -373,11 +370,6 @@ class FrontierAccumulator:
             (level, digest)
             for (level, _index), digest in zip(peak_positions(size), peaks)
         ]
-
-    @classmethod
-    def from_accumulator(cls, accumulator: ShrubsAccumulator) -> "FrontierAccumulator":
-        size, peaks = accumulator.frontier_snapshot()
-        return cls(size, peaks)
 
     def append_leaf(self, digest: Digest) -> int:
         """Append a leaf digest; merges completed subtrees right-to-left."""

@@ -27,6 +27,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from . import obs
 from .artifacts import VerifyLevel, VerifyResult, VerifyTarget
 from .core.errors import LedgerError, UsageError, VerificationFailure
 from .core.journal import ClientRequest
@@ -129,15 +130,31 @@ def accept_receipts(
     ack — ``None`` when it carries the LSP's signature under the pinned
     ``lsp_key``, echoes exactly the request's hash (pi_s for another request
     convicts nobody) and speaks for ``ledger_uri``; else the
-    :class:`VerificationFailure` to raise.  One batched ECDSA pass checks
-    every signature (one key, so the group aggregates).
+    :class:`VerificationFailure` to raise.  Each item's signed statement
+    (a receipt's: its batch's, through its path) is checked once per call
+    however many items share it, in one batched ECDSA pass (one key, so the
+    group aggregates); the verdict per item is :meth:`LspSigned.verify`'s.
     """
-    checks = [(lsp_key, sha256(s.signing_payload()), s.lsp_signature) for _r, s in pairs]
-    verdicts = verify_batch(checks) if lsp_key is not None else [False] * len(pairs)
+    slot_of: dict[Any, int] = {}  # statement (signature included) -> its check
+    checks = []
+    slots: list[int | None] = []
+    for _request, signed in pairs:
+        statement = signed.signed_statement()
+        if lsp_key is None or statement is None or statement.lsp_signature is None:
+            slots.append(None)
+            continue
+        slot = slot_of.setdefault(statement, len(checks))
+        if slot == len(checks):
+            digest = sha256(statement.signing_payload())
+            checks.append((lsp_key, digest, statement.lsp_signature))
+        slots.append(slot)
+    obs.inc("receipt.accept.items", len(pairs))
+    obs.inc("receipt.accept.statements", len(checks))
+    verdicts = verify_batch(checks)
     faults: list[VerificationFailure | None] = []
-    for (request, signed), ok in zip(pairs, verdicts):
+    for (request, signed), slot in zip(pairs, slots):
         kind = type(signed).__name__
-        if not ok:
+        if slot is None or not verdicts[slot]:
             faults.append(VerificationFailure(f"LSP signature on the {kind} is invalid"))
         elif signed.request_hash != request.request_hash():
             faults.append(VerificationFailure(f"{kind} does not cover the submitted request"))

@@ -221,11 +221,6 @@ class TimeLedger:
             )
         )
 
-    def force_finalize(self) -> Finalization:
-        """Immediately run one finalization (test/benchmark hook)."""
-        self._finalize()
-        return self._finalizations[-1]
-
     # -------------------------------------------------------------- evidence
 
     @property
@@ -263,7 +258,3 @@ class TimeLedger:
             finalization=covering,
             previous_token=previous.token if previous else None,
         )
-
-    def verify_evidence(self, evidence: TimeEvidence) -> bool:
-        """Server-side convenience wrapper over :meth:`TimeEvidence.verify`."""
-        return evidence.verify(self._tsa)

@@ -5,7 +5,8 @@ same requests split differently — one per ``append`` (a batch of one) vs.
 larger ``append_batch`` calls whose boundaries fall before, on and across
 block seals and fam epoch rolls.  Every observable artifact must match
 byte-for-byte: stored journal bytes, fam root, CM-Tree state root, the full
-block list, and the signed receipts.  Both sides run the one commit path, so
+block list, and each receipt's statement (its batch path and LSP signature
+are its batch's, and must verify).  Both sides run the one commit path, so
 this is an invariance, not a reference; the bytes themselves are pinned by
 ``tests/test_commit_golden.py``.
 """
@@ -63,10 +64,13 @@ def _assert_equivalent(seq_ledger, batch_ledger, seq_receipts, batch_receipts):
     assert [b.hash() for b in seq_ledger.blocks] == [
         b.hash() for b in batch_ledger.blocks
     ]
-    # Receipts (the LSP-signed pi_s) are byte-identical.
+    # Receipt statements are byte-identical; each receipt's batch path and
+    # signature are its own batch's, and every one verifies under the LSP key.
     assert len(seq_receipts) == len(batch_receipts)
     for a, b in zip(seq_receipts, batch_receipts):
-        assert a.to_bytes() == b.to_bytes()
+        assert a.signing_payload() == b.signing_payload()
+        assert a.verify(seq_ledger.lsp_public_key) and b.verify(batch_ledger.lsp_public_key)
+    assert seq_ledger.lsp_public_key == batch_ledger.lsp_public_key
     # Clue index agrees for every clue either side knows.
     for clue in ("buyer:1", "seller:2", "commodity:9"):
         assert seq_ledger.list_tx(clue) == batch_ledger.list_tx(clue)

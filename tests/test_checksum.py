@@ -182,7 +182,9 @@ def _golden_deployment(directory: Path) -> dict[str, bytes]:
     every file it leaves behind plus the bundle.  ``tests/data/golden/*.hex``
     is this function's output at commit 0e9ce24 (the byte-loop checksum);
     ``sth.log``, its epoch-close heads, was pinned later by the code before
-    single appends and system journals became batches of one."""
+    single appends and system journals became batches of one, and
+    ``bundle.ldb`` was re-recorded when the bundle became ``LDBBNDL2``
+    (batch-signed receipts)."""
     clock = SimClock()
     tsa = TimeStampAuthority("golden-tsa", clock)
     ledger = Ledger(
@@ -365,6 +367,6 @@ PINNED_STAGES = {
     "append": (157, 49051),
     "checkpoint": (1, 12647),
     "reopen": (149, 39295),
-    "export": (131, 136206),
-    "decode": (1, 114674),
+    "export": (131, 136321),
+    "decode": (1, 114789),
 }

@@ -4,8 +4,9 @@
 (journals, requests, receipts, proofs, MPT nodes, clue values, signed tree
 heads, submission acks); the files were written by :func:`golden_records`
 before the codec was compiled (heads and acks: before the commit path was
-folded), so both the compiled encoders and the generic oracle must still
-produce them.  Every other record type is exercised through
+folded; receipts: when a receipt became its statement plus a batch path),
+so both the compiled encoders and the generic oracle must still produce
+them.  Every other record type is exercised through
 :func:`sample_records` and the golden export bundle.
 
 Each record type has one strict decoder (its ``Record``): on any input it
@@ -101,6 +102,13 @@ def golden_objects() -> dict[str, object]:
         ledger_root=sha256(b"root"),
         timestamp=2.5,
     ).signed_by(lsp)
+    batch = Receipt.sign_batch(
+        [
+            dataclasses.replace(receipt, jsn=300 + index, timestamp=2.5 + index)
+            for index in range(5)
+        ],
+        lsp,
+    )
     sth = SignedTreeHead(
         ledger_uri="ledger://golden",
         epoch=3,
@@ -129,6 +137,7 @@ def golden_objects() -> dict[str, object]:
         "record.journal_unsigned": unsigned,
         "record.client_request": request,
         "record.receipt": receipt,
+        "record.receipt_batch": batch[2],
         "record.fam_proof": fam.get_proof(1, anchored=False),
         "record.mpt_leaf": ("leaf", bytes([1, 2, 15]), b"leaf value"),
         "record.mpt_ext": ("ext", bytes([3, 0, 7]), sha256(b"ext child")),
@@ -348,6 +357,8 @@ def schema_of(name: str) -> str:
         return "journal"
     if kind.startswith("mpt"):
         return "mpt_node"
+    if kind.startswith("receipt"):
+        return "receipt"
     return kind
 
 

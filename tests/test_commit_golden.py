@@ -4,9 +4,10 @@ A file-backed ledger (epoch capacity 4, blocks of 3) takes batches that
 split across a block seal and a fam epoch roll, single appends, a TSA time
 anchor and a SYNC occult.  ``tests/data/golden/commit.*.hex`` is
 :func:`commit_scenario`'s output written by the commit before ``append`` and
-the system journals became batches of one, so every commit route the
-scenario takes must still produce it byte for byte, and a full replay of the
-stream must rebuild the same ledger.
+the system journals became batches of one (``commit.receipts.hex``: when a
+receipt became its statement plus a path to its group commit's one LSP
+signature), so every commit route the scenario takes must still produce it
+byte for byte, and a full replay of the stream must rebuild the same ledger.
 """
 
 from __future__ import annotations

@@ -213,18 +213,26 @@ def test_a_row_is_the_receipts_own_fields():
         block_hash=EMPTY_DIGEST, block_height=-1, ledger_root=b"r" * 32, timestamp=1.5,
     ).signed_by(lsp)
     rows = ReceiptRows(LEDGER_URI)
-    rows.add(receipt)
+    rows.add_batch([receipt])
     assert len(rows) == 1 and rows.get(7, []).to_bytes() == receipt.to_bytes()
     assert rows.get(6, []) is None and rows.get(8, []) is None
     for gap in (7, 9):
         with pytest.raises(ValueError, match="does not follow"):
-            rows.add(replace(receipt, jsn=gap).signed_by(lsp))
+            rows.add_batch([replace(receipt, jsn=gap).signed_by(lsp)])
+    following = replace(receipt, jsn=8).signed_by(lsp)
     for unfit in (
-        replace(receipt, jsn=8, lsp_signature=None),
-        replace(receipt, jsn=8, tx_hash=b"short"),
-        replace(receipt, jsn=8, lsp_signature=Signature(1, 2, None)),
-        replace(receipt, jsn=8, lsp_signature=Signature(1 << 256, 2, 3)),
+        replace(following, lsp_signature=None),
+        replace(following, tx_hash=b"short"),
+        replace(following, lsp_signature=Signature(1, 2, None)),
+        replace(following, lsp_signature=Signature(1 << 256, 2, 3)),
     ):
         with pytest.raises(ValueError, match="does not fit"):
-            rows.add(unfit)
+            rows.add_batch([unfit])
+    pair = Receipt.sign_batch([replace(receipt, jsn=8), replace(receipt, jsn=9)], lsp)
+    for torn in ([pair[0]], [pair[0], replace(pair[1], jsn=10)], [following, pair[1]]):
+        with pytest.raises(ValueError, match="not one batch"):
+            rows.add_batch(torn)
     assert len(rows) == 1
+    rows.add_batch(pair)
+    assert [rows.get(jsn, []) for jsn in (8, 9)] == pair
+    assert rows.get(7, []).to_bytes() == receipt.to_bytes()
