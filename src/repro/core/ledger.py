@@ -29,7 +29,6 @@ from pathlib import Path
 
 from .. import obs
 from ..crypto.ca import Role
-from ..crypto.ecdsa import Signature
 from ..crypto.hashing import Digest, EMPTY_DIGEST, hexdigest
 from ..crypto.keys import KeyPair, verify_batch
 from ..crypto.multisig import MultiSignature, MultiSignatureError
@@ -73,7 +72,6 @@ from .occult import OccultBitmap, OccultMode, OccultRecord
 from .purge import PseudoGenesis, PurgeRecord
 from .receipt import Receipt, ReceiptRows
 from .snapshot import (
-    SNAPSHOT_FORMAT,
     load_config_file,
     load_snapshot,
     write_config_file,
@@ -207,20 +205,6 @@ class LedgerView:
         return self.entries[index]
 
 
-def _dump_multisig(sig: MultiSignature) -> dict:
-    return {
-        "digest": sig.digest,
-        "signers": {mid: s.to_bytes() for mid, s in sorted(sig.signatures.items())},
-    }
-
-
-def _load_multisig(obj: dict) -> MultiSignature:
-    sig = MultiSignature(digest=bytes(obj["digest"]))
-    for member_id, raw in obj["signers"].items():
-        sig.signatures[str(member_id)] = Signature.from_bytes(bytes(raw))
-    return sig
-
-
 def _retired(root: Digest) -> UsageError:
     return UsageError(
         f"CM-Tree1 root {root.hex()} is not retained: the memory node store "
@@ -253,18 +237,47 @@ class Ledger:
         journal_stream: Stream | None = None,
         node_store: KVStore | None = None,
     ) -> None:
-        self.config = config or LedgerConfig()
-        if self.config.shards != 1:
+        """The Create API: a fresh ledger with a genesis journal."""
+        self._bind(config or LedgerConfig(), clock, registry, lsp_keypair, journal_stream)
+        if len(self._stream) > 0:
+            raise UsageError(
+                "journal stream is not empty — this looks like an existing "
+                "ledger; reopen it with Ledger.open(...) instead of creating "
+                "a new one on top"
+            )
+        # An explicit node_store (e.g. a fault-injecting store in tests)
+        # overrides what the config would build.
+        self._init_state(
+            node_store if node_store is not None else _make_node_store(self.config)
+        )
+        if self.config.data_dir:
+            write_config_file(Path(self.config.data_dir) / CONFIG_FILE, self.config)
+        self._append_genesis()
+
+    def _bind(
+        self,
+        config: LedgerConfig,
+        clock: Clock | None,
+        registry: MemberRegistry | None,
+        lsp_keypair: KeyPair | None,
+        journal_stream: Stream | None,
+    ) -> None:
+        """What every way into a ledger (create, :meth:`recover`,
+        :meth:`open`) binds first: config, clock, the registry and the LSP
+        identity it certifies, and the journal stream (by default a durable
+        file in ``data_dir``, else memory)."""
+        if config.shards != 1:
             raise UsageError(
                 f"the Ledger kernel is single-shard; build a "
-                f"LedgerConfig(shards={self.config.shards}) deployment through "
+                f"LedgerConfig(shards={config.shards}) deployment through "
                 f"repro.shard.ShardedLedger (or repro.api.create)"
             )
-        if self.config.observability:
+        if config.observability:
             obs.enable()
+        self.config = config
         self.clock = clock or SimClock()
         self.registry = registry or MemberRegistry()
-        self._lsp_keypair = lsp_keypair or KeyPair.generate(seed=f"lsp:{self.config.uri}")
+        self._lsp_keypair = lsp_keypair or KeyPair.generate(seed=f"lsp:{config.uri}")
         # N in-process ledgers (e.g. the shards of one deployment) may share
         # one MemberRegistry and one LSP identity; re-registering the same
         # key is a no-op, a *different* key under the reserved id is refused.
@@ -278,37 +291,15 @@ class Ledger:
                 )
         else:
             self.registry.register(LSP_MEMBER_ID, Role.LSP, self._lsp_keypair.public)
-
-        data_dir = Path(self.config.data_dir) if self.config.data_dir else None
-        if data_dir is not None:
-            data_dir.mkdir(parents=True, exist_ok=True)
+        if config.data_dir:
+            Path(config.data_dir).mkdir(parents=True, exist_ok=True)
             if journal_stream is None:
-                journal_stream = FileStream(data_dir / JOURNAL_FILE, durable=True)
+                journal_stream = FileStream(Path(config.data_dir) / JOURNAL_FILE, durable=True)
         self._stream = journal_stream if journal_stream is not None else MemoryStream()
-        if len(self._stream) > 0:
-            raise UsageError(
-                "journal stream is not empty — this looks like an existing "
-                "ledger; reopen it with Ledger.open(...) instead of creating "
-                "a new one on top"
-            )
-        # An explicit node_store (e.g. a fault-injecting store in tests)
-        # overrides what the config would build.
-        self._init_state(
-            node_store if node_store is not None else _make_node_store(self.config)
-        )
-        if data_dir is not None:
-            write_config_file(data_dir / CONFIG_FILE, self.config)
-        self._append_genesis()
 
-    def _init_state(
-        self,
-        node_store: KVStore | None,
-        fam: FamAccumulator | None = None,
-        cmtree: CMTree | None = None,
-    ) -> None:
-        """Blank derived state over ``self._stream`` — where every way into a
-        ledger (fresh, :meth:`recover`, snapshot restore) starts from.  The
-        reopening paths pass restored accumulators and then fill in the rest."""
+    def _init_state(self, node_store: KVStore | None) -> None:
+        """Blank derived state over ``self._stream``: :meth:`_apply` fills it
+        from a genesis journal on create, from the stream on a reopen."""
         config = self.config
         data_dir = Path(config.data_dir) if config.data_dir else None
         #: What the stream's open-time scan did to a crashed tail (an
@@ -316,9 +307,13 @@ class Ledger:
         self.recovery_report = getattr(self._stream, "open_report", None)
         self._survival_stream = MemoryStream()
         self._node_store = node_store
-        self._fam = fam if fam is not None else FamAccumulator(config.fractal_height)
-        self._cmtree = cmtree if cmtree is not None else CMTree(node_store)
+        self._fam = FamAccumulator(config.fractal_height)
+        self._cmtree = CMTree(node_store)
         self._cluesl = ClueSkipList()
+        #: Clue updates :meth:`_apply` gathered that CM-Tree1 has not had:
+        #: written as one ``add_many`` just before a state root is read.
+        self._pending_clues: list[str] = []
+        self._pending_digests: list[Digest] = []
         self._blocks: list[Block] = []
         self._pending_start = 0  # first jsn not yet sealed in a block
 
@@ -352,31 +347,6 @@ class Ledger:
         self._sth_store = SthStore((data_dir / STH_FILE) if data_dir else None)
         self._sth_cache: tuple[LedgerHead, SignedTreeHead] | None = None
         self._sth_epochs = self._fam.num_epochs
-
-    @classmethod
-    def _reopened(
-        cls,
-        config: LedgerConfig,
-        journal_stream: Stream,
-        registry: MemberRegistry,
-        lsp_keypair: KeyPair,
-        clock: Clock | None,
-        node_store: KVStore | None,
-        fam: FamAccumulator | None = None,
-        cmtree: CMTree | None = None,
-    ) -> "Ledger":
-        """A ledger over an existing stream with its derived state still
-        blank: what :meth:`recover` and snapshot restore fill in."""
-        ledger = cls.__new__(cls)
-        ledger.config = config
-        ledger.clock = clock or SimClock()
-        ledger.registry = registry
-        ledger._lsp_keypair = lsp_keypair
-        if LSP_MEMBER_ID not in registry.all_members():
-            registry.register(LSP_MEMBER_ID, Role.LSP, lsp_keypair.public)
-        ledger._stream = journal_stream
-        ledger._init_state(node_store, fam, cmtree)
-        return ledger
 
     def _reissue_receipt(self) -> None:
         """A fresh receipt for the last journal, so that clients and audits
@@ -413,15 +383,7 @@ class Ledger:
             timestamp=timestamp,
         )
 
-    # ------------------------------------------------------------- creation
-
-    @classmethod
-    def create(cls, uri: str, **kwargs) -> "Ledger":
-        """The Create API: a fresh ledger with a genesis journal."""
-        config = kwargs.pop("config", None) or LedgerConfig(uri=uri)
-        if config.uri != uri:
-            raise LedgerError("config uri does not match")
-        return cls(config=config, **kwargs)
+    # ----------------------------------------------------------- reopening
 
     @classmethod
     def recover(
@@ -436,13 +398,13 @@ class Ledger:
         """Rebuild a ledger from its durable journal stream.
 
         Every derived structure — fam accumulator, CM-Tree, cSL index,
-        blocks, occult bitmap, purge state — is reconstructed by replaying
-        the stream from jsn 0 (:meth:`_replay_delta`, the same replay a
-        snapshot restore runs over its suffix).  Mutation state recovers
-        from the *system journals on the ledger itself*: occult journals
-        re-set the bitmap, purge journals re-install their recorded state.
-        Erased slots (occulted payloads) contribute their digests via the
-        adjacent mutation records, which is exactly Protocol 2 replayed.
+        blocks, occult bitmap, erase queue, purge state — is reconstructed
+        by replaying the stream from jsn 0 through :meth:`_apply`, the step
+        every commit runs (:meth:`_replay_delta`, the same replay a snapshot
+        restore runs over its suffix).  Mutation state recovers from the
+        *system journals on the ledger itself*, and erased slots (occulted
+        payloads) contribute the digests their occult records retain, which
+        is exactly Protocol 2 replayed.
 
         The registry and LSP key pair are deployment secrets/PKI state kept
         outside the stream (as in any real system) and must be supplied.
@@ -462,10 +424,22 @@ class Ledger:
         """
         if len(journal_stream) == 0:
             raise RecoveryError("cannot recover from an empty stream")
-        ledger = cls._reopened(
-            config, journal_stream, registry, lsp_keypair, clock, node_store
-        )
-        ledger._replay_delta(0)
+        return cls._reopen(config, journal_stream, registry, lsp_keypair, clock, node_store)
+
+    @classmethod
+    def _reopen(
+        cls, config: LedgerConfig, journal_stream: Stream, registry: MemberRegistry,
+        lsp_keypair: KeyPair, clock: Clock | None, node_store: KVStore | None,
+        snapshot: dict | None = None,
+    ) -> "Ledger":
+        """A ledger over an existing stream, bound as a create binds: its
+        derived state restored from ``snapshot`` (a ``SNAPSHOT`` body) if
+        given, then the rest of the stream replayed."""
+        ledger = cls.__new__(cls)
+        ledger._bind(config, clock, registry, lsp_keypair, journal_stream)
+        ledger._init_state(node_store)
+        start = 0 if snapshot is None else ledger._restore(snapshot)
+        obs.observe("ledger.open.delta_journals", ledger._replay_delta(start))
         return ledger
 
     def _append_genesis(self) -> None:
@@ -593,26 +567,15 @@ class Ledger:
                     f"at {offsets[0]}, expected jsn {start_jsn}"
                 )
             unsigned: list[Receipt] = []
-            clues: list[str] = []
-            digests: list[Digest] = []
-            block_size = self.config.block_size
             for journal in journals:
-                jsn = journal.jsn
-                tx_hash = journal.tx_hash()
-                self._fam.append(tx_hash)
-                for clue in journal.clues:
-                    clues.append(clue)
-                    digests.append(tx_hash)
-                    self._cluesl.insert(clue, jsn)
-                if journal.journal_type is JournalType.TIME:
-                    self._time_journals.append(jsn)
-                if jsn + 1 - self._pending_start >= block_size:
-                    self._write_clues(clues, digests)
-                    self._seal_pending()
+                if self._apply(journal.jsn, journal) is not None:
+                    self._flush_nodes()
                 unsigned.append(
-                    self._receipt(jsn, journal.request_hash, tx_hash, journal.timestamp)
+                    self._receipt(
+                        journal.jsn, journal.request_hash, journal.tx_hash(), journal.timestamp
+                    )
                 )
-            self._write_clues(clues, digests)
+            self._write_clues()
             if self._fam.num_epochs > self._sth_epochs:
                 # Memory node store: retire the CM-Tree1 versions no read
                 # can ask for any more (DESIGN §13).
@@ -625,14 +588,62 @@ class Ledger:
             self._publish(receipts[-1])
             return receipts
 
-    def _write_clues(self, clues: list[str], digests: list[Digest]) -> None:
+    def _apply(self, jsn: int, slot: Journal | OccultRecord) -> Block | None:
+        """Fold committed stream slot ``jsn`` into the derived state.
+
+        The one step both the commit path (per new journal) and a reopen
+        (per replayed slot) run, so a reopened ledger is built by the live
+        ledger's code.  ``slot`` is the slot's journal or, for an occulted
+        slot whose payload is gone, the occult record retaining its digest
+        and clues.  An occult journal sets its target's bit and erases it
+        (SYNC) or queues it (ASYNC) unless it is already erased; a purge
+        journal erases its prefix and moves ``genesis_start``.  Their
+        approvals are not on the stream: the live path attaches them after.
+        Returns the block the slot sealed, if any.
+        """
+        if isinstance(slot, OccultRecord):
+            tx_hash, clues, kind = slot.retained_hash, slot.retained_clues, None
+            self._occult_bitmap.set(jsn)
+        else:
+            tx_hash, clues, kind = slot.tx_hash(), slot.clues, slot.journal_type
+        self._fam.append(tx_hash)
+        for clue in clues:
+            self._pending_clues.append(clue)
+            self._pending_digests.append(tx_hash)
+            self._cluesl.insert(clue, jsn)
+        if kind is JournalType.TIME:
+            self._time_journals.append(jsn)
+        elif kind is JournalType.OCCULT:
+            record = OccultRecord.from_bytes(slot.payload)
+            self._occult_records.append((jsn, record, MultiSignature(record.approval_digest())))
+            target = record.target_jsn
+            self._occult_bitmap.set(target)
+            if not self._stream.is_erased(target):
+                if record.mode is OccultMode.SYNC:
+                    self._stream.erase(target)
+                else:
+                    self._erase_queue.append(target)
+        elif kind is JournalType.PURGE:
+            purge = PurgeRecord.from_bytes(slot.payload)
+            self._purge_records.append((jsn, purge, MultiSignature(purge.approval_digest())))
+            for erased in range(self._genesis_start, purge.purge_point):
+                if not self._stream.is_erased(erased):
+                    self._stream.erase(erased)
+            if purge.erase_fam_nodes:
+                self._fam.erase_up_to(purge.purge_point)
+            self._genesis_start = max(self._genesis_start, purge.purge_point)
+        if jsn + 1 - self._pending_start >= self.config.block_size:
+            return self._seal_pending()
+        return None
+
+    def _write_clues(self) -> None:
         """CM-Tree1's one write for the clue updates gathered since the last,
         made just before a state root is read (a block seal, a published
-        head); empties both lists."""
-        if clues:
-            self._cmtree.add_many(clues, digests)
-            clues.clear()
-            digests.clear()
+        head)."""
+        if self._pending_clues:
+            self._cmtree.add_many(self._pending_clues, self._pending_digests)
+            self._pending_clues.clear()
+            self._pending_digests.clear()
 
     def _append_system(
         self,
@@ -662,6 +673,7 @@ class Ledger:
         with self._commit_lock:
             block = self._seal_pending()
             if block is not None:
+                self._flush_nodes()
                 self._head = replace(self._head, blocks=len(self._blocks))
             return block
 
@@ -669,14 +681,7 @@ class Ledger:
         end_jsn = self._fam.size
         if end_jsn <= self._pending_start:
             return None
-        block = self._seal_block(end_jsn)
-        if self._node_store is not None:
-            # Write-behind discipline: dirty Merkle nodes hit disk at block
-            # boundaries, matching the journal stream's durability horizon.
-            self._node_store.flush()
-        return block
-
-    def _seal_block(self, end_jsn: int) -> Block:
+        self._write_clues()
         block = Block(
             height=len(self._blocks),
             previous_hash=self._blocks[-1].hash() if self._blocks else EMPTY_DIGEST,
@@ -689,6 +694,13 @@ class Ledger:
         self._blocks.append(block)
         self._pending_start = end_jsn
         return block
+
+    def _flush_nodes(self) -> None:
+        """Write-behind discipline: a commit's dirty Merkle nodes hit disk at
+        block boundaries, matching the journal stream's durability horizon
+        (a replay derives them from a durable stream and writes them once)."""
+        if self._node_store is not None:
+            self._node_store.flush()
 
     # ------------------------------------------- reads (each from one head)
 
@@ -1305,20 +1317,16 @@ class Ledger:
             approvals.verify(required)
         except MultiSignatureError as exc:
             raise MutationError(f"Prerequisite 1 not met: {exc}") from exc
-        # Copy milestone journals into the survival stream first.
+        # Copy milestone journals into the survival stream first: the purge
+        # journal's apply step erases the prefix (payloads only; digests
+        # live on) and moves genesis_start.
         for jsn in pseudo.survivor_jsns:
             journal = self.get_journal(jsn)
             self._survivors[jsn] = self._survival_stream.append(journal.to_bytes())
-        receipt = self._append_system(JournalType.PURGE, record.to_bytes())
-        self._purge_records.append((receipt.jsn, record, approvals))
-        # Physical erasure of the purged prefix (payloads only; digests live on).
-        for jsn in range(self._genesis_start, record.purge_point):
-            if not self._stream.is_erased(jsn):
-                self._stream.erase(jsn)
-        if record.erase_fam_nodes:
-            self._fam.erase_up_to(record.purge_point)
-        self._pseudo_genesis = pseudo
-        self._genesis_start = record.purge_point
+        with self._commit_lock:
+            receipt = self._append_system(JournalType.PURGE, record.to_bytes())
+            self._purge_records[-1] = (receipt.jsn, record, approvals)
+            self._pseudo_genesis = pseudo
         return receipt
 
     # ---------------------------------------------------------------- occult
@@ -1360,9 +1368,9 @@ class Ledger:
     def execute_occult(self, record: OccultRecord, approvals: MultiSignature) -> Receipt:
         """Execute a staged occult (Prerequisite 2 + Protocol 2).
 
-        Sets the occult bit immediately (the journal is unretrievable from
-        now on); physical erasure is immediate in SYNC mode or deferred to
-        :meth:`reorganize` in ASYNC mode.
+        The occult journal's apply step sets the bit (the journal is
+        unretrievable from then on); physical erasure is immediate in SYNC
+        mode or deferred to :meth:`reorganize` in ASYNC mode.
         """
         if approvals.digest != record.approval_digest():
             raise MutationError("approval signatures cover a different occult record")
@@ -1374,13 +1382,9 @@ class Ledger:
         current = self.get_journal(record.target_jsn)
         if current.tx_hash() != record.retained_hash:
             raise MutationError("retained hash does not match the target journal")
-        receipt = self._append_system(JournalType.OCCULT, record.to_bytes())
-        self._occult_records.append((receipt.jsn, record, approvals))
-        self._occult_bitmap.set(record.target_jsn)
-        if record.mode is OccultMode.SYNC:
-            self._stream.erase(record.target_jsn)
-        else:
-            self._erase_queue.append(record.target_jsn)
+        with self._commit_lock:
+            receipt = self._append_system(JournalType.OCCULT, record.to_bytes())
+            self._occult_records[-1] = (receipt.jsn, record, approvals)
         return receipt
 
     def prepare_occult_by_clue(
@@ -1491,37 +1495,26 @@ class Ledger:
             raise SnapshotError("checkpointing a purged ledger is not supported")
         with obs.span("ledger.checkpoint") as sp:
             self.commit_block()
-            if self._node_store is not None:
-                self._node_store.flush()
-            manifest: list = []
-            mpt_nodes: list = []
-            if isinstance(self._node_store, PagedNodeStore):
-                # Pages are themselves durable: the snapshot records only a
-                # manifest pinning which committed pages it depends on.
-                manifest = [list(entry) for entry in self._node_store.manifest()]
-            else:
-                # No durable node backend — the snapshot must carry the live
-                # MPT nodes itself.
-                mpt_nodes = [[key, value] for key, value in self._cmtree.export_nodes()]
+            self._flush_nodes()
+            # Pages are themselves durable: the snapshot records only a
+            # manifest pinning which committed pages it depends on.  Without
+            # a durable node backend it carries the live MPT nodes itself.
+            paged = isinstance(self._node_store, PagedNodeStore)
             state = {
-                "format": SNAPSHOT_FORMAT,
                 "uri": self.config.uri,
                 "jsn_count": self._fam.size,
                 "pending_start": self._pending_start,
                 "genesis_start": self._genesis_start,
                 "fam": self._fam.dump_state(),
                 "cmtree": self._cmtree.dump_state(),
-                "cluesl": [[clue, self._cluesl.get(clue)] for clue in self._cluesl.clues()],
-                "blocks": [block.header_bytes() for block in self._blocks],
-                "time_journals": list(self._time_journals),
+                "cluesl": [(clue, self._cluesl.get(clue)) for clue in self._cluesl.clues()],
+                "blocks": self._blocks,
+                "time_journals": self._time_journals,
                 "occult_bits": self._occult_bitmap.occulted_jsns(),
-                "occult_records": [
-                    [jsn, record.to_bytes(), _dump_multisig(sig)]
-                    for jsn, record, sig in self._occult_records
-                ],
-                "erase_queue": list(self._erase_queue),
-                "page_manifest": manifest,
-                "mpt_nodes": mpt_nodes,
+                "occult_records": self._occult_records,
+                "erase_queue": self._erase_queue,
+                "page_manifest": self._node_store.manifest() if paged else [],
+                "mpt_nodes": [] if paged else self._cmtree.export_nodes(),
             }
             path = Path(self.config.data_dir) / SNAPSHOT_FILE
             write_snapshot(path, state)
@@ -1541,8 +1534,8 @@ class Ledger:
             and self._pseudo_genesis is None
         ):
             self.checkpoint()
+        self._flush_nodes()
         if self._node_store is not None:
-            self._node_store.flush()
             self._node_store.close()
         close_stream = getattr(self._stream, "close", None)
         if callable(close_stream):
@@ -1599,10 +1592,13 @@ class Ledger:
         if not store_damaged:
             try:
                 with obs.span("ledger.open.snapshot_restore"):
-                    return cls._restore_from_snapshot(
-                        config, journal_stream, node_store, registry, lsp_keypair, clock
+                    return cls._reopen(
+                        config, journal_stream, registry, lsp_keypair, clock, node_store,
+                        load_snapshot(data_path / SNAPSHOT_FILE),
                     )
-            except (SnapshotError, PageCorruptionError):
+            except (SnapshotError, PageCorruptionError, KeyNotFoundError):
+                # KeyNotFoundError: the snapshot's CM-Tree1 root names a node
+                # its node set does not hold, found by the suffix replay.
                 obs.inc("ledger.open.snapshot_fallback")
                 if node_store is not None:
                     node_store.close()
@@ -1623,149 +1619,90 @@ class Ledger:
                 clock=clock, node_store=node_store,
             )
 
-    @classmethod
-    def _restore_from_snapshot(
-        cls,
-        config: LedgerConfig,
-        journal_stream: Stream,
-        node_store: KVStore | None,
-        registry: MemberRegistry,
-        lsp_keypair: KeyPair,
-        clock: Clock | None,
-    ) -> "Ledger":
-        state = load_snapshot(Path(config.data_dir) / SNAPSHOT_FILE)
-        if str(state["uri"]) != config.uri:
+    def _restore(self, state: dict) -> int:
+        """Install a checkpoint's derived state onto blank state; returns
+        the jsn the replay resumes at.  Raises :class:`SnapshotError` when
+        the snapshot does not fit this ledger and its stream."""
+        jsn_count = state["jsn_count"]
+        if state["uri"] != self.config.uri:
             raise SnapshotError("snapshot belongs to a different ledger")
-        jsn_count = int(state["jsn_count"])
-        if not 1 <= jsn_count <= len(journal_stream):
+        if not 1 <= jsn_count <= len(self._stream):
             raise SnapshotError(
                 f"snapshot covers {jsn_count} journals but the stream holds "
-                f"{len(journal_stream)}"
+                f"{len(self._stream)}"
             )
-        if isinstance(node_store, PagedNodeStore):
-            manifest = [
-                (str(name), int(count), int(crc))
-                for name, count, crc in state["page_manifest"]
-            ]
-            if not node_store.verify_manifest(manifest):
-                raise SnapshotError("node pages diverged from the snapshot manifest")
+        fam = state["fam"]
+        if (fam["fractal_height"], fam["size"]) != (self.config.fractal_height, jsn_count):
+            raise SnapshotError("snapshot fam state disagrees with its config or jsn count")
+        named = (*state["occult_bits"], *state["erase_queue"], *state["time_journals"])
+        if state["genesis_start"] or state["pending_start"] > jsn_count or any(
+            jsn >= jsn_count for jsn in named
+        ):
+            raise SnapshotError("snapshot names a jsn outside its unpurged range")
+        store = self._node_store
+        if isinstance(store, PagedNodeStore) and not store.verify_manifest(
+            state["page_manifest"]
+        ):
+            raise SnapshotError("node pages diverged from the snapshot manifest")
 
-        ledger = cls._reopened(
-            config,
-            journal_stream,
-            registry,
-            lsp_keypair,
-            clock,
-            node_store,
-            fam=FamAccumulator.from_state(state["fam"]),
-            cmtree=CMTree.from_state(state["cmtree"], node_store),
-        )
-        if node_store is None:
-            ledger._cmtree.import_nodes(
-                (bytes(key), bytes(value)) for key, value in state["mpt_nodes"]
-            )
+        self._fam = FamAccumulator.from_state(fam)
+        self._cmtree = CMTree.from_state(state["cmtree"], store)
+        if store is None:
+            self._cmtree.import_nodes(state["mpt_nodes"])
         for clue, jsns in state["cluesl"]:
             for jsn in jsns:
-                ledger._cluesl.insert(str(clue), int(jsn))
-        ledger._blocks = [Block.from_bytes(bytes(raw)) for raw in state["blocks"]]
-        ledger._pending_start = int(state["pending_start"])
+                self._cluesl.insert(clue, jsn)
+        self._blocks = state["blocks"]
+        self._pending_start = state["pending_start"]
         for jsn in state["occult_bits"]:
-            ledger._occult_bitmap.set(int(jsn))
-        ledger._occult_records = [
-            (int(jsn), OccultRecord.from_bytes(bytes(raw)), _load_multisig(sig))
-            for jsn, raw, sig in state["occult_records"]
-        ]
-        ledger._erase_queue = [int(jsn) for jsn in state["erase_queue"]]
-        ledger._genesis_start = int(state["genesis_start"])
-        ledger._time_journals = [int(jsn) for jsn in state["time_journals"]]
-
-        if ledger._fam.size != jsn_count:
-            raise SnapshotError("snapshot fam state disagrees with its jsn count")
-        obs.observe("ledger.open.delta_journals", ledger._replay_delta(jsn_count))
-        return ledger
+            self._occult_bitmap.set(jsn)
+        self._occult_records = state["occult_records"]
+        # A reorganize after the checkpoint erased what it queued.
+        self._erase_queue = [jsn for jsn in state["erase_queue"] if not self._stream.is_erased(jsn)]
+        self._time_journals = state["time_journals"]
+        return jsn_count
 
     def _replay_delta(self, start: int) -> int:
-        """Replay stream slots ``[start, len(stream))`` onto restored state
-        (blank state for :meth:`recover`, ``start == 0``), then re-arm the
-        epoch-head watermark and issue a fresh receipt.
+        """Replay stream slots ``[start, len(stream))`` through :meth:`_apply`
+        onto restored state (blank state for :meth:`recover`, ``start ==
+        0``), then seal, re-arm the epoch-head watermark and issue a fresh
+        receipt.
 
         Two passes.  An occult record always carries a higher jsn than its
-        target, so a first pass over the replayed slots finds every record
-        whose erased target the second pass meets; occults of targets
-        before ``start`` only need their bitmap bit re-set (fam/CM-Tree
-        already hold the retained digest from the original append).  A
-        purged slot cannot be replayed (its digest lives in the
-        pseudo-genesis, outside the stream); a purge journal is recorded
-        when the replay starts at genesis and refused in a snapshot suffix.
-        A block seals every ``block_size`` journals after the last seal,
-        erased slots included; as on the commit path, the clue updates reach
-        CM-Tree1 as one write per seal and one at the end.
+        target, so a first pass over the replayed slots finds the record of
+        every erased target the second pass meets.  A purged slot cannot be
+        replayed (its digest lives in the pseudo-genesis, outside the
+        stream), and a purge journal in a snapshot suffix is refused.
         """
         stream = self._stream
         total = len(stream)
-        occult_by_target: dict[int, OccultRecord] = {}
+        occulted: dict[int, OccultRecord] = {}
         for offset in range(start, total):
             if stream.is_erased(offset):
                 continue
             journal = Journal.from_bytes(stream.read(offset))
             if journal.journal_type is JournalType.OCCULT:
                 record = OccultRecord.from_bytes(journal.payload)
-                occult_by_target[record.target_jsn] = record
-
-        clues: list[str] = []
-        digests: list[Digest] = []
+                occulted[record.target_jsn] = record
+            elif journal.journal_type is JournalType.PURGE and start:
+                raise RecoveryError(
+                    f"slot {offset} purges the ledger; reopening from a "
+                    "snapshot is only supported for unpurged ledgers"
+                )
         for jsn in range(start, total):
+            slot: Journal | OccultRecord | None
             if stream.is_erased(jsn):
-                record = occult_by_target.get(jsn)
-                if record is None:
+                slot = occulted.get(jsn)
+                if slot is None:
                     raise RecoveryError(
                         f"slot {jsn} was purged; replaying the stream is only "
                         "supported for unpurged ledgers"
                     )
-                self._fam.append(record.retained_hash)
-                self._occult_bitmap.set(jsn)
-                for clue in record.retained_clues:
-                    clues.append(clue)
-                    digests.append(record.retained_hash)
-                    self._cluesl.insert(clue, jsn)
             else:
-                journal = Journal.from_bytes(stream.read(jsn))
-                if journal.jsn != jsn:
-                    raise RecoveryError(
-                        f"stream corrupt: slot {jsn} holds jsn {journal.jsn}"
-                    )
-                tx_hash = journal.tx_hash()
-                self._fam.append(tx_hash)
-                for clue in journal.clues:
-                    clues.append(clue)
-                    digests.append(tx_hash)
-                    self._cluesl.insert(clue, jsn)
-                if journal.journal_type is JournalType.TIME:
-                    self._time_journals.append(jsn)
-                elif journal.journal_type is JournalType.OCCULT:
-                    record = OccultRecord.from_bytes(journal.payload)
-                    self._occult_records.append(
-                        (jsn, record, MultiSignature(digest=record.approval_digest()))
-                    )
-                    if record.target_jsn < start and stream.is_erased(record.target_jsn):
-                        # Pre-snapshot target occulted after the checkpoint:
-                        # the erased-slot branch above never sees it.
-                        self._occult_bitmap.set(record.target_jsn)
-                elif journal.journal_type is JournalType.PURGE:
-                    if start:
-                        raise RecoveryError(
-                            f"slot {jsn} purges the ledger; reopening from a "
-                            "snapshot is only supported for unpurged ledgers"
-                        )
-                    precord = PurgeRecord.from_bytes(journal.payload)
-                    self._purge_records.append(
-                        (jsn, precord, MultiSignature(digest=precord.approval_digest()))
-                    )
-                    self._genesis_start = max(self._genesis_start, precord.purge_point)
-            if jsn + 1 - self._pending_start >= self.config.block_size:
-                self._write_clues(clues, digests)
-                self._seal_block(jsn + 1)
-        self._write_clues(clues, digests)
+                slot = Journal.from_bytes(stream.read(jsn))
+                if slot.jsn != jsn:
+                    raise RecoveryError(f"stream corrupt: slot {jsn} holds jsn {slot.jsn}")
+            self._apply(jsn, slot)
         self.commit_block()
         # The replay appended straight onto the fam, bypassing the commit
         # path's head emission: re-arm the watermark at the reopened position.
@@ -1821,9 +1758,8 @@ def compact(data_dir: str | Path) -> dict | None:
             state = load_snapshot(snapshot_path)
         except SnapshotError:
             return store.compact()
-        root = bytes(state["cmtree"]["root"])
-        result = store.compact(MPT(store, root=root).reachable())
-        state["page_manifest"] = [list(entry) for entry in store.manifest()]
+        result = store.compact(MPT(store, root=state["cmtree"]["root"]).reachable())
+        state["page_manifest"] = store.manifest()
         write_snapshot(snapshot_path, state)
         return result
     finally:

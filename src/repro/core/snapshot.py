@@ -12,14 +12,16 @@ File layout::
 
     magic "LDBSNAP1" | payload_crc u32 (CRC32C) | payload (repro.encoding TLV)
 
-The payload is a plain dict (see :func:`Ledger.checkpoint
+The payload is the strict record ``SNAPSHOT`` (see :func:`Ledger.checkpoint
 <repro.core.ledger.Ledger.checkpoint>` for the producer): fam/CM-Tree/cSL
 state, block headers, mutation records, the occult bitmap, and the node
 store's page manifest (root digest + page list) so a restore can detect that
-the pages backing the saved MPT root were tampered with or lost.
+the pages backing the saved MPT root were tampered with or lost.  A body
+that passes its CRC but not the schema is damage like any other.
 
-The sibling ``ledger.cfg`` file persists the :class:`LedgerConfig` at create
-time so ``Ledger.open`` needs no out-of-band configuration.
+The sibling ``ledger.cfg`` file (the ``CONFIG`` record) persists the
+:class:`LedgerConfig` at create time so ``Ledger.open`` needs no
+out-of-band configuration.
 """
 
 from __future__ import annotations
@@ -28,9 +30,14 @@ import os
 import struct
 from pathlib import Path
 
-from ..encoding import EncodingError, decode, encode
+from ..crypto.multisig import MultiSignature
+from ..crypto.signed import SIGNATURE
+from ..encoding import BOOL, BYTES, BYTES_LIST, STR, UINT, EncodingError, Kind, Record
+from ..encoding import dict_of, list_of, mapped, nested, nullable, row
 from ..storage.checksum import crc32c
+from .blocks import Block
 from .errors import SnapshotError
+from .occult import OccultRecord
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -46,11 +53,58 @@ SNAPSHOT_FORMAT = 1
 _CRC = struct.Struct(">I")
 
 
-def _commit_file(path: Path, data: bytes) -> None:
+def _inline(record: Record) -> Kind:
+    """``record`` nested as a dict value (not as bytes)."""
+    return Kind(record.read, record.write)
+
+
+_LEVELS = list_of(list_of(nullable(BYTES)))
+_MULTISIG = mapped(
+    _inline(Record(digest=BYTES, signers=dict_of(SIGNATURE))),
+    lambda fields: MultiSignature(fields["digest"], fields["signers"]),
+    lambda sig: {"digest": sig.digest, "signers": sig.signatures},
+)
+
+#: A checkpoint's body.  Values load typed: blocks as :class:`Block`,
+#: occult records as ``(jsn, OccultRecord, MultiSignature)``.
+SNAPSHOT = Record(
+    format=SNAPSHOT_FORMAT,
+    uri=STR,
+    jsn_count=UINT,
+    pending_start=UINT,
+    genesis_start=UINT,
+    fam=_inline(Record(fractal_height=UINT, size=UINT, epoch_roots=BYTES_LIST,
+                       erased_epochs=list_of(UINT), epochs=list_of(_LEVELS))),
+    cmtree=_inline(Record(root=BYTES, clues=list_of(_inline(Record(name=STR, levels=_LEVELS))))),
+    cluesl=list_of(row(STR, list_of(UINT))),
+    blocks=list_of(mapped(BYTES, Block.from_bytes, Block.header_bytes)),
+    time_journals=list_of(UINT),
+    occult_bits=list_of(UINT),
+    occult_records=list_of(row(UINT, nested(OccultRecord), _MULTISIG)),
+    erase_queue=list_of(UINT),
+    page_manifest=list_of(row(STR, UINT, UINT)),
+    mpt_nodes=list_of(row(BYTES, BYTES)),
+)
+
+#: ``ledger.cfg``: every :class:`LedgerConfig` field but ``data_dir``.
+CONFIG = Record(
+    uri=STR,
+    fractal_height=UINT,
+    block_size=UINT,
+    require_client_signature=BOOL,
+    observability=BOOL,
+    node_store=STR,
+    cache_pages=UINT,
+    shards=UINT,
+)
+
+
+def _commit_file(path: Path, *chunks: bytes | bytearray) -> None:
     """The §9 page-commit discipline for a whole small file."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
-        handle.write(data)
+        for chunk in chunks:
+            handle.write(chunk)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -67,9 +121,11 @@ def _commit_file(path: Path, data: bytes) -> None:
 
 
 def write_snapshot(path: str | os.PathLike[str], state: dict) -> None:
-    """Atomically persist a checkpoint snapshot."""
-    payload = encode(state)
-    _commit_file(Path(path), SNAPSHOT_MAGIC + _CRC.pack(crc32c(payload)) + payload)
+    """Atomically persist a checkpoint snapshot: the header and the payload
+    are two writes of one file, so the payload is held once."""
+    payload = bytearray()
+    SNAPSHOT.write(state, payload)
+    _commit_file(Path(path), SNAPSHOT_MAGIC + _CRC.pack(crc32c(payload)), payload)
 
 
 def load_snapshot(path: str | os.PathLike[str]) -> dict:
@@ -87,31 +143,14 @@ def load_snapshot(path: str | os.PathLike[str]) -> dict:
     if crc32c(payload) != expected_crc:
         raise SnapshotError(f"{path.name}: snapshot checksum mismatch")
     try:
-        state = decode(payload)
+        return SNAPSHOT.decode(payload)
     except EncodingError as exc:
         raise SnapshotError(f"{path.name}: undecodable snapshot: {exc}") from exc
-    if not isinstance(state, dict) or state.get("format") != SNAPSHOT_FORMAT:
-        raise SnapshotError(f"{path.name}: unsupported snapshot format")
-    return state
 
 
 def write_config_file(path: str | os.PathLike[str], config) -> None:
     """Persist a :class:`LedgerConfig` next to the data it configures."""
-    from .ledger import LedgerConfig  # local: avoid import cycle
-
-    if not isinstance(config, LedgerConfig):
-        raise TypeError(f"expected LedgerConfig, got {type(config).__name__}")
-    fields = {
-        "uri": config.uri,
-        "fractal_height": config.fractal_height,
-        "block_size": config.block_size,
-        "require_client_signature": config.require_client_signature,
-        "observability": config.observability,
-        "node_store": config.node_store,
-        "cache_pages": config.cache_pages,
-        "shards": config.shards,
-    }
-    _commit_file(Path(path), encode(fields))
+    _commit_file(Path(path), CONFIG.encode(vars(config)))
 
 
 def load_config_file(path: str | os.PathLike[str], data_dir: str | None = None):
@@ -122,17 +161,7 @@ def load_config_file(path: str | os.PathLike[str], data_dir: str | None = None):
     if not path.exists():
         raise SnapshotError(f"no ledger config at {path}")
     try:
-        fields = decode(path.read_bytes())
+        fields = CONFIG.decode(path.read_bytes())
     except EncodingError as exc:
         raise SnapshotError(f"{path.name}: undecodable ledger config: {exc}") from exc
-    return LedgerConfig(
-        uri=str(fields["uri"]),
-        fractal_height=fields["fractal_height"],
-        block_size=fields["block_size"],
-        require_client_signature=fields["require_client_signature"],
-        observability=fields["observability"],
-        node_store=str(fields["node_store"]),
-        cache_pages=fields["cache_pages"],
-        data_dir=data_dir,
-        shards=fields.get("shards", 1),  # configs written before sharding
-    )
+    return LedgerConfig(**fields, data_dir=data_dir)

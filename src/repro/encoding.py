@@ -58,6 +58,7 @@ __all__ = [
     "nested",
     "optional",
     "nullable",
+    "dict_of",
     "bytes_head",
     "list_head",
     "read_bytes",
@@ -577,6 +578,38 @@ def nullable(kind: Kind) -> Kind:
             out += _TAG_NONE
         else:
             kind.write(value, out)
+
+    return Kind(read, write)
+
+
+def dict_of(value: Kind) -> Kind:
+    """A dict from ``str`` keys (written sorted) to ``value`` values."""
+
+    def read(data: bytes, pos: int):
+        if data[pos] != _T_DICT:
+            return None
+        got = _read_size(data, pos + 1)
+        if got is None:
+            return None
+        size, pos = got
+        items: dict = {}
+        for _ in range(size):  # each key takes at least one byte: IndexError bounds this
+            got = _read_str(data, pos)
+            if got is None or (items and got[0] <= key):
+                return None
+            key, pos = got
+            got = value.read(data, pos)
+            if got is None:
+                return None
+            items[key], pos = got
+        return items, pos
+
+    def write(items, out: bytearray) -> None:
+        size = len(items)
+        out += _DICT_HEADS[size] if size < 256 else _TAG_DICT + _encode_length(size)
+        for key in sorted(items):
+            _encode_fast(key, out)
+            value.write(items[key], out)
 
     return Kind(read, write)
 

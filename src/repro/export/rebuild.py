@@ -25,9 +25,10 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from ..core.errors import LedgerError, RecoveryError
-from ..core.ledger import CONFIG_FILE, Ledger, LedgerConfig
+from ..core.ledger import CONFIG_FILE, LSP_MEMBER_ID, Ledger, LedgerConfig
 from ..core.members import MemberRegistry
 from ..core.snapshot import load_config_file
+from ..crypto.ca import Role
 from ..crypto.keys import KeyPair, PublicKey
 from ..core.errors import AuthenticationError
 from ..encoding import BOOL, BYTES, INT, STR, UINT, Record, list_of
@@ -154,6 +155,10 @@ def rebuild_from_bundle(
                 detail="supplied LSP keypair is not the bundle's LSP",
             )
         )
+        # The shards are rebuilt under the supplied key, which the registry
+        # must then certify; the bundle's LSP certificate becomes one more
+        # divergence below instead of being adopted.
+        registry.register(LSP_MEMBER_ID, Role.LSP, lsp_keypair.public)
     _adopt_certificates(bundle, registry, divergences)
     checks.append("certificates")
 

@@ -78,11 +78,8 @@ def _client_keypair() -> KeyPair:
 
 
 def _build_ledger(uri: str, data_dir: Path, fractal_height: int) -> Ledger:
-    ledger = Ledger.create(
-        uri,
-        config=LedgerConfig(
-            uri=uri, data_dir=str(data_dir), fractal_height=fractal_height
-        ),
+    ledger = Ledger(
+        LedgerConfig(uri=uri, data_dir=str(data_dir), fractal_height=fractal_height)
     )
     ledger.registry.register(_CLIENT_ID, Role.USER, _client_keypair().public)
     return ledger

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import encoding
 from repro.artifacts import VerifyResult
-from repro.core import journal as journal_module
+from repro.core import LedgerConfig, journal as journal_module, snapshot as snapshot_module
 from repro.core.blocks import Block
 from repro.core.journal import ClientRequest, Journal, JournalType
 from repro.core.occult import OccultMode, OccultRecord
@@ -36,6 +36,7 @@ from repro.core.receipt import Receipt
 from repro.crypto.ecdsa import Signature
 from repro.crypto.hashing import leaf_hash, sha256
 from repro.crypto.keys import KeyPair
+from repro.crypto.multisig import MultiSignature
 from repro.encoding import EncodingError, decode, encode
 from repro.export import bundle as bundle_module
 from repro.export.bundle import ExportBundle
@@ -658,6 +659,39 @@ def sample_objects() -> dict[str, list]:
                 divergences=(Divergence("root", -1, "epoch 1", sha256(b"a"), sha256(b"b")),),
             )
         ],
+        "snapshot": [_snapshot_with_an_occult(lsp)],
+        "ledger_config": [vars(LedgerConfig(uri="ledger://golden", node_store="paged"))],
+    }
+
+
+def _snapshot_with_an_occult(lsp: KeyPair) -> dict:
+    """A checkpoint body with what the golden one lacks: an occult record
+    with its approvals, an erased fam epoch, an erased leaf and MPT nodes."""
+    record = OccultRecord(4, sha256(b"kept"), OccultMode.ASYNC, "gdpr", ("GLD",))
+    approvals = MultiSignature(record.approval_digest())
+    for member in ("dba", "regulator"):
+        approvals.add(member, lsp.sign(record.approval_digest()))
+    return {
+        "uri": "ledger://golden",
+        "jsn_count": 6,
+        "pending_start": 6,
+        "genesis_start": 0,
+        "fam": {
+            "fractal_height": 2,
+            "size": 6,
+            "epoch_roots": [sha256(b"e0")],
+            "erased_epochs": [0],
+            "epochs": [[[sha256(b"l0"), None], [sha256(b"n")]]],
+        },
+        "cmtree": {"root": sha256(b"root"), "clues": [{"name": "GLD", "levels": [[sha256(b"c")]]}]},
+        "cluesl": [("GLD", [1, 4])],
+        "blocks": [Block(0, sha256(b"prev"), 0, 6, sha256(b"j"), sha256(b"s"), 1.5)],
+        "time_journals": [5],
+        "occult_bits": [4],
+        "occult_records": [(5, record, approvals)],
+        "erase_queue": [4],
+        "page_manifest": [("page-00000000.pg", 3, 7)],
+        "mpt_nodes": [(sha256(b"node"), b"node")],
     }
 
 
@@ -708,6 +742,8 @@ LOADERS = {
     ),
     "verify_result": _codec(VerifyResult),
     "rebuild_report": _codec(RebuildReport),
+    "snapshot": (snapshot_module.SNAPSHOT.decode, snapshot_module.SNAPSHOT.encode),
+    "ledger_config": (snapshot_module.CONFIG.decode, snapshot_module.CONFIG.encode),
 }
 MALFORMED = (EncodingError,)
 
@@ -725,6 +761,7 @@ def sample_records() -> dict[str, list[bytes]]:
         dump = LOADERS[name][1]
         samples.setdefault(name, []).extend(dump(obj) for obj in objects)
     samples["bundle_payload"] = [golden_bundle_payload()]
+    samples["snapshot"].append(golden("snapshot.ckpt")[len(snapshot_module.SNAPSHOT_MAGIC) + 4 :])
     return samples
 
 

@@ -80,8 +80,8 @@ class TestAppendPipeline:
             with pytest.raises(AuthenticationError, match="normal journals"):
                 deployment.ledger.append(request)
 
-    def test_create_classmethod(self):
-        ledger = Ledger.create("ledger://fresh")
+    def test_constructor_creates_the_configured_ledger(self):
+        ledger = Ledger(LedgerConfig(uri="ledger://fresh"))
         assert ledger.config.uri == "ledger://fresh"
         assert ledger.size == 1
 

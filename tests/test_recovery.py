@@ -10,12 +10,14 @@ from repro.core import (
     OccultMode,
     dasein_audit,
 )
-from repro.core.errors import LedgerError, RecoveryError
+from repro.core.errors import LedgerError, RecoveryError, UsageError
 from repro.core.ledger import LSP_MEMBER_ID
 from repro.core.members import MemberRegistry
 from repro.crypto import KeyPair, MultiSignature, Role
 from repro.storage import FileStream, MemoryStream
 from repro.timeauth import SimClock, TimeLedger, TimeStampAuthority
+
+from conftest import LEDGER_URI, Deployment
 
 URI = "ledger://recovery"
 
@@ -311,3 +313,92 @@ class TestFileStreamBatchMutationRecovery:
                     ledger.config, reopened, self._reregister(registry), lsp,
                     clock=clock,
                 )
+
+
+class TestReopenIsTheLiveLedger:
+    """Both reopen routes build the live ledger's state through the one
+    apply step: an ASYNC occult stays occulted and queued, and a registry
+    certifying another LSP key is refused as a create refuses it."""
+
+    @staticmethod
+    def _async_occult(ledger, keys, jsn):
+        record = ledger.prepare_occult(jsn, OccultMode.ASYNC, reason="async")
+        approvals = MultiSignature(digest=record.approval_digest())
+        approvals.add("dba", keys["dba"].sign(record.approval_digest()))
+        approvals.add("regulator", keys["regulator"].sign(record.approval_digest()))
+        ledger.execute_occult(record, approvals)
+
+    @staticmethod
+    def _assert_async_occulted(ledger, jsn=3):
+        assert ledger.is_occulted(jsn)
+        with pytest.raises(JournalOccultedError):
+            ledger.get_journal(jsn)
+        assert ledger.pending_erasures == 1
+
+    def test_async_occult_survives_recover(self):
+        deployment = Deployment()
+        deployment.populate(count=8)
+        live = deployment.ledger
+        self._async_occult(live, deployment.keys, 3)
+        self._assert_async_occulted(live)
+        recovered = Ledger.recover(
+            live.config, live._stream, live.registry, deployment.lsp_key(),
+            clock=deployment.clock,
+        )
+        self._assert_async_occulted(recovered)
+        assert recovered.current_root() == live.current_root()
+        assert recovered.reorganize() == 1
+        assert recovered.pending_erasures == 0 and recovered.is_occulted(3)
+
+    def test_async_occult_after_the_checkpoint_survives_open(self, tmp_path):
+        deployment = Deployment()
+        config = LedgerConfig(uri=LEDGER_URI, fractal_height=3, block_size=4, data_dir=str(tmp_path))
+        live = Ledger(
+            config, clock=deployment.clock, registry=deployment.ledger.registry,
+            lsp_keypair=deployment.lsp_key(),
+        )
+        deployment.ledger = live
+        deployment.populate(count=8, anchor_every=0)
+        live.checkpoint()
+        self._async_occult(live, deployment.keys, 3)
+        self._assert_async_occulted(live)
+        expected = live.current_root()
+        live.close(checkpoint=False)
+        reopened = Ledger.open(
+            str(tmp_path), live.registry, live._lsp_keypair, clock=SimClock(),
+        )
+        self._assert_async_occulted(reopened)
+        assert reopened.current_root() == expected
+        reopened.close(checkpoint=False)
+
+    @staticmethod
+    def _foreign_lsp_registry(registry):
+        foreign = MemberRegistry()
+        foreign.register(LSP_MEMBER_ID, Role.LSP, KeyPair.generate(seed="another-lsp").public)
+        for member in ("user", "dba", "reg"):
+            cert = registry.certificate(member)
+            foreign.register(member, cert.role, cert.public_key)
+        return foreign
+
+    def test_recover_refuses_a_registry_certifying_another_lsp_key(self, world):
+        clock, _tsa, tledger = world
+        stream = MemoryStream()
+        original, registry, lsp, _user = build_original(stream, clock, tledger)
+        foreign = self._foreign_lsp_registry(registry)
+        with pytest.raises(UsageError, match="different LSP key"):
+            Ledger(LedgerConfig(uri="ledger://other"), registry=foreign, lsp_keypair=lsp)
+        with pytest.raises(UsageError, match="different LSP key"):
+            Ledger.recover(original.config, stream, foreign, lsp, clock=clock)
+
+    def test_open_refuses_a_registry_certifying_another_lsp_key(self, world, tmp_path):
+        clock, _tsa, tledger = world
+        config = LedgerConfig(uri=URI, fractal_height=3, block_size=4, data_dir=str(tmp_path))
+        registry, lsp = MemberRegistry(), KeyPair.generate(seed="recovery-lsp")
+        ledger = Ledger(config, clock=clock, registry=registry, lsp_keypair=lsp)
+        for member, role in (("user", Role.USER), ("dba", Role.DBA), ("reg", Role.REGULATOR)):
+            registry.register(member, role, KeyPair.generate(seed=f"recovery-{member}").public)
+        ledger.close()
+        foreign = self._foreign_lsp_registry(registry)
+        for force_rebuild in (False, True):
+            with pytest.raises(UsageError, match="different LSP key"):
+                Ledger.open(str(tmp_path), foreign, lsp, clock=clock, force_rebuild=force_rebuild)
