@@ -1634,11 +1634,9 @@ class Ledger:
         fam = state["fam"]
         if (fam["fractal_height"], fam["size"]) != (self.config.fractal_height, jsn_count):
             raise SnapshotError("snapshot fam state disagrees with its config or jsn count")
-        named = (*state["occult_bits"], *state["erase_queue"], *state["time_journals"])
-        if state["genesis_start"] or state["pending_start"] > jsn_count or any(
-            jsn >= jsn_count for jsn in named
-        ):
+        if state["genesis_start"] or state["pending_start"] > jsn_count:
             raise SnapshotError("snapshot names a jsn outside its unpurged range")
+        self._check_mutations(state, jsn_count)
         store = self._node_store
         if isinstance(store, PagedNodeStore) and not store.verify_manifest(
             state["page_manifest"]
@@ -1661,6 +1659,32 @@ class Ledger:
         self._erase_queue = [jsn for jsn in state["erase_queue"] if not self._stream.is_erased(jsn)]
         self._time_journals = state["time_journals"]
         return jsn_count
+
+    def _check_mutations(self, state: dict, jsn_count: int) -> None:
+        """Hold a snapshot's mutation lists to the stream, the one source
+        that can vouch for them: each occult record is the payload of the
+        OCCULT journal in its slot, the occult bits are exactly the records'
+        targets, the erase queue holds only ASYNC targets, and each time
+        journal's slot holds a TIME journal."""
+
+        def slot(jsn: int) -> tuple[JournalType, bytes]:
+            if jsn >= jsn_count or self._stream.is_erased(jsn):
+                raise SnapshotError(f"snapshot names slot {jsn}, which holds no journal")
+            journal = Journal.from_bytes(self._stream.read(jsn))
+            return journal.journal_type, journal.payload
+
+        occults = state["occult_records"]
+        targets = {record.target_jsn for _jsn, record, _approvals in occults}
+        queueable = {
+            record.target_jsn for _jsn, record, _a in occults if record.mode is OccultMode.ASYNC
+        }
+        if (
+            any(slot(jsn) != (JournalType.OCCULT, record.to_bytes()) for jsn, record, _a in occults)
+            or set(state["occult_bits"]) != targets
+            or not queueable.issuperset(state["erase_queue"])
+            or any(slot(jsn)[0] is not JournalType.TIME for jsn in state["time_journals"])
+        ):
+            raise SnapshotError("snapshot's mutation lists disagree with the stream")
 
     def _replay_delta(self, start: int) -> int:
         """Replay stream slots ``[start, len(stream))`` through :meth:`_apply`

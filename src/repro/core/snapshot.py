@@ -32,8 +32,8 @@ from pathlib import Path
 
 from ..crypto.multisig import MultiSignature
 from ..crypto.signed import SIGNATURE
-from ..encoding import BOOL, BYTES, BYTES_LIST, STR, UINT, EncodingError, Kind, Record
-from ..encoding import dict_of, list_of, mapped, nested, nullable, row
+from ..encoding import BOOL, BYTES, BYTES_LIST, STR, UINT, EncodingError, Record
+from ..encoding import dict_of, inline, list_of, mapped, nested, nullable, row
 from ..storage.checksum import crc32c
 from .blocks import Block
 from .errors import SnapshotError
@@ -53,14 +53,9 @@ SNAPSHOT_FORMAT = 1
 _CRC = struct.Struct(">I")
 
 
-def _inline(record: Record) -> Kind:
-    """``record`` nested as a dict value (not as bytes)."""
-    return Kind(record.read, record.write)
-
-
 _LEVELS = list_of(list_of(nullable(BYTES)))
 _MULTISIG = mapped(
-    _inline(Record(digest=BYTES, signers=dict_of(SIGNATURE))),
+    inline(Record(digest=BYTES, signers=dict_of(SIGNATURE))),
     lambda fields: MultiSignature(fields["digest"], fields["signers"]),
     lambda sig: {"digest": sig.digest, "signers": sig.signatures},
 )
@@ -73,9 +68,9 @@ SNAPSHOT = Record(
     jsn_count=UINT,
     pending_start=UINT,
     genesis_start=UINT,
-    fam=_inline(Record(fractal_height=UINT, size=UINT, epoch_roots=BYTES_LIST,
+    fam=inline(Record(fractal_height=UINT, size=UINT, epoch_roots=BYTES_LIST,
                        erased_epochs=list_of(UINT), epochs=list_of(_LEVELS))),
-    cmtree=_inline(Record(root=BYTES, clues=list_of(_inline(Record(name=STR, levels=_LEVELS))))),
+    cmtree=inline(Record(root=BYTES, clues=list_of(inline(Record(name=STR, levels=_LEVELS))))),
     cluesl=list_of(row(STR, list_of(UINT))),
     blocks=list_of(mapped(BYTES, Block.from_bytes, Block.header_bytes)),
     time_journals=list_of(UINT),

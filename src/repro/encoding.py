@@ -51,6 +51,7 @@ __all__ = [
     "STR",
     "BYTES",
     "BYTES_LIST",
+    "ANY",
     "list_of",
     "row",
     "mapped",
@@ -59,10 +60,13 @@ __all__ = [
     "optional",
     "nullable",
     "dict_of",
+    "inline",
     "bytes_head",
     "list_head",
     "read_bytes",
     "read_list_size",
+    "read_dict_size",
+    "peek",
 ]
 
 
@@ -440,6 +444,38 @@ def read_list_size(data: bytes, pos: int) -> tuple[int, int] | None:
     return _read_size(data, pos + 1)
 
 
+def read_dict_size(data: bytes, pos: int) -> tuple[int, int] | None:
+    """The head of a dict: returns (key count, position of the first key)."""
+    if data[pos] != _T_DICT:
+        return None
+    return _read_size(data, pos + 1)
+
+
+def peek(data: bytes, keys: tuple[str, ...]) -> dict:
+    """The top-level entries under ``keys`` of the dict encoded in ``data``,
+    read only as far as the last of them: a look at a message's envelope
+    before its :class:`Record` is known.  Raises :class:`EncodingError` if
+    ``data`` does not start with a dict.
+    """
+    try:
+        got = read_dict_size(data, 0)
+        if got is None:
+            raise EncodingError("not a dict")
+        (size, pos), found, last = got, {}, max(keys)
+        for _ in range(size):
+            key, pos = _read_value(data, pos)
+            if type(key) is not str or key > last:
+                break
+            value, pos = _read_value(data, pos)
+            if key in keys:
+                found[key] = value
+            if key == last:
+                break
+        return found
+    except (IndexError, RecursionError):
+        raise EncodingError("truncated or too deeply nested input") from None
+
+
 def _read_list(data: bytes, pos: int, read_item: Reader) -> tuple[list, int] | None:
     got = read_list_size(data, pos)
     if got is None:
@@ -466,6 +502,8 @@ BOOL = Kind(_read_bool, _encode_fast)
 STR = Kind(_read_str, _encode_fast)
 BYTES = Kind(read_bytes, _write_bytes)
 BYTES_LIST = Kind(_read_bytes_list, _write_bytes_list)
+#: Any one value, read by the generic decoder: a field carried on undecoded.
+ANY = Kind(_read_value, _encode_fast)
 
 
 def list_of(item: Kind, into: Callable[[list], Any] = list) -> Kind:
@@ -614,6 +652,12 @@ def dict_of(value: Kind) -> Kind:
     return Kind(read, write)
 
 
+def inline(schema: Any) -> Kind:
+    """A :class:`Record` (or anything with its ``read``/``write``) nested as
+    a dict value, not as bytes."""
+    return Kind(schema.read, schema.write)
+
+
 class Record:
     """The one declaration of a dict-shaped wire type: its keys, each key's
     :class:`Kind`, and constant keys (a ``scheme`` or ``mode`` tag).
@@ -662,6 +706,8 @@ class Record:
             fields, pos = self.read(data, 0)
         except IndexError:
             raise EncodingError("truncated record") from None
+        except RecursionError:  # an ANY field
+            raise EncodingError("nesting too deep") from None
         if pos != len(data):
             raise EncodingError("trailing bytes after record")
         return fields
@@ -672,7 +718,10 @@ class Record:
         for key, prefix, size, read, _write in self._fields:
             if not data.startswith(prefix, pos):
                 raise EncodingError(f"record field {key!r}: key or constant mismatch")
-            got = read(data, pos + size)
+            try:
+                got = read(data, pos + size)
+            except EncodingError as exc:  # a nested record's refusal, named here
+                raise EncodingError(f"record field {key!r}: {exc}") from None
             if got is None:
                 raise EncodingError(f"record field {key!r}: malformed value")
             fields[key], pos = got

@@ -4,8 +4,8 @@ Everything built below this package is in-process; this is where the
 paper's actual deployment model starts: clients talking to an *untrusted*
 centralized ledger over a socket, re-verifying every proof locally.
 
-* :mod:`repro.net.protocol` — length-prefixed binary frames (reusing
-  :mod:`repro.encoding`), request/response envelopes, :class:`ProtocolError`;
+* :mod:`repro.net.protocol` — length-prefixed binary frames, the op table
+  (each op's request and reply as strict records), :class:`ProtocolError`;
 * :mod:`repro.net.server` — the asyncio front end over
   :class:`~repro.service.LedgerService` (pipelined appends, bulk proofs,
   graceful drain);

@@ -33,7 +33,7 @@ import itertools
 import socket
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, TypeVar
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from ..export.bundle import ExportBundle
@@ -51,6 +51,7 @@ from ..core.errors import (
 )
 from ..core.journal import ClientRequest, Journal
 from ..core.receipt import Receipt
+from ..crypto.ca import Role
 from ..crypto.hashing import Digest
 from ..crypto.keys import KeyPair, PublicKey
 from ..encoding import EncodingError
@@ -71,8 +72,9 @@ from .protocol import (
     FrameConnection,
     FrameDecoder,
     ProtocolError,
-    encode_frame,
-    request as make_request,
+    decode_reply,
+    reply_id,
+    request_frame,
 )
 
 __all__ = [
@@ -98,81 +100,17 @@ _ERROR_TYPES: dict[str, type[Exception]] = {
 }
 
 
-def _remote_error(error: Any) -> Exception:
-    """The local exception for a typed error frame."""
-    if not isinstance(error, dict):
-        return RemoteLedgerError(f"malformed error response: {error!r}")
-    error_type = error.get("type", "?")
-    detail = error.get("message", "")
-    exc_class = _ERROR_TYPES.get(error_type, RemoteLedgerError)
-    return exc_class(f"[remote {error_type}] {detail}")
-
-
-_T = TypeVar("_T")
-
-
-def _require(result: Any, field: str, valid: Callable[[Any], bool], kind: str) -> Any:
-    """Reply field ``field``, checked with ``valid`` before it is used: a
-    hostile integer never becomes that many zero bytes here, nor a string a
-    list of jsns."""
-    value = result.get(field) if isinstance(result, dict) else None
-    if not valid(value):
-        raise VerificationFailure(f"reply field '{field}' must be {kind}")
-    return value
-
-
-def _is_blob(value: Any) -> bool:
-    return isinstance(value, (bytes, bytearray))
-
-
-def _is_uint(value: Any) -> bool:
-    return type(value) is int and value >= 0
-
-
-def _require_bytes(result: Any, field: str) -> bytes:
-    return bytes(_require(result, field, _is_blob, "bytes"))
-
-
-def _require_blobs(result: Any, field: str) -> list[bytes]:
-    blobs = _require(
-        result,
-        field,
-        lambda value: isinstance(value, list) and all(map(_is_blob, value)),
-        "a list of bytes",
-    )
-    return [bytes(blob) for blob in blobs]
-
-
-def _require_int(result: Any, field: str) -> int:
-    """A size, an index or a height: a non-negative integer (not a bool)."""
-    return _require(result, field, _is_uint, "a non-negative integer")
-
-
-def _require_ints(result: Any, field: str) -> list[int]:
-    ints = _require(
-        result,
-        field,
-        lambda value: isinstance(value, list) and all(map(_is_uint, value)),
-        "a list of non-negative integers",
-    )
-    return list(ints)
-
-
-def _require_str(result: Any, field: str) -> str:
-    return _require(result, field, lambda value: isinstance(value, str), "a string")
-
-
-def _require_bool(result: Any, field: str) -> bool:
-    return _require(result, field, lambda value: isinstance(value, bool), "a boolean")
-
-
-def _decoded(loader: Callable[[bytes], _T], blob: bytes, field: str) -> _T:
-    """``loader(blob)``, a record (or key) the reply carried: undecodable
-    bytes fail verification, never with a bare codec error."""
+def _result(op: str, payload: bytes) -> dict:
+    """The typed result of a reply to ``op``; a refusal raises as its local
+    type, a reply failing the op's record as :class:`VerificationFailure`."""
     try:
-        return loader(blob)
-    except (EncodingError, ValueError) as exc:
-        raise VerificationFailure(f"undecodable '{field}' in the reply: {exc}") from None
+        ok, body = decode_reply(op, payload)
+    except EncodingError as exc:
+        raise VerificationFailure(f"{op} reply refused: {exc}") from None
+    if ok:
+        return body
+    exc_class = _ERROR_TYPES.get(body["type"], RemoteLedgerError)
+    raise exc_class(f"[remote {body['type']}] {body['message']}")
 
 
 class _ReceiptChecker:
@@ -298,7 +236,8 @@ class AsyncRemoteLedger(FrameConnection):
     def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         super().__init__(max_bytes=max_frame_bytes)
         self._ids = itertools.count(1)
-        self._pending: dict[int, asyncio.Future] = {}
+        #: Request id -> (the future of its result, its op).
+        self._pending: dict[int, tuple[asyncio.Future, str]] = {}
         self._closed = False
         self._conn_error: BaseException | None = None
         self._loop_thread = 0
@@ -352,23 +291,13 @@ class AsyncRemoteLedger(FrameConnection):
         """The handshake: adopt the server's claimed identity, every field
         type-checked, the LSP key against ``expected_lsp_key`` when given."""
         hello = await self._call("hello", protocol=PROTOCOL_VERSION)
-        self.ledger_uri = _require_str(hello, "ledger_uri")
-        self.fractal_height = _require_int(hello, "fractal_height")
-        claimed = _require_bytes(hello, "lsp_public_key")
-        if expected_lsp_key is not None:
-            expected = (
-                expected_lsp_key.to_bytes()
-                if isinstance(expected_lsp_key, PublicKey)
-                else bytes(expected_lsp_key)
-            )
-            if claimed != expected:
-                raise VerificationFailure(
-                    "server's claimed LSP key does not match the expected key"
-                )
-        self.lsp_public_key = _decoded(PublicKey.from_bytes, claimed, "lsp_public_key")
-        self.ca_public_key = _decoded(
-            PublicKey.from_bytes, _require_bytes(hello, "ca_public_key"), "ca_public_key"
-        )
+        claimed = hello["lsp_public_key"]
+        if isinstance(expected_lsp_key, PublicKey):
+            expected_lsp_key = expected_lsp_key.to_bytes()
+        if expected_lsp_key is not None and claimed.to_bytes() != bytes(expected_lsp_key):
+            raise VerificationFailure("server's claimed LSP key does not match the expected key")
+        self.lsp_public_key, self.ca_public_key = claimed, hello["ca_public_key"]
+        self.ledger_uri, self.fractal_height = hello["ledger_uri"], hello["fractal_height"]
 
     async def close(self) -> None:
         if self._closed:
@@ -386,15 +315,20 @@ class AsyncRemoteLedger(FrameConnection):
         super().connection_made(transport)
         self._loop_thread = threading.get_ident()
 
-    def frames_received(self, messages: list[dict], violation: ProtocolError | None) -> None:
-        for message in messages:
-            future = self._pending.pop(message["id"], None)
+    def frames_received(self, payloads: list[bytes], violation: ProtocolError | None) -> None:
+        for payload in payloads:
+            try:
+                request_id = reply_id(payload)
+            except ProtocolError as exc:
+                violation = exc
+                break
+            future, op = self._pending.pop(request_id, (None, ""))
             if future is None or future.done():
                 continue  # late response for an abandoned request
-            if message.get("ok"):
-                future.set_result(message.get("result"))
-            else:
-                future.set_exception(_remote_error(message.get("error")))
+            try:
+                future.set_result(_result(op, payload))
+            except Exception as exc:
+                future.set_exception(exc)
         if violation is not None:
             self._fail_pending(violation)
             self.transport.close()
@@ -410,7 +344,7 @@ class AsyncRemoteLedger(FrameConnection):
         if self._conn_error is None:
             self._conn_error = error
         pending, self._pending = self._pending, {}
-        for future in pending.values():
+        for future, _op in pending.values():
             if not future.done():
                 future.set_exception(error)
 
@@ -425,9 +359,9 @@ class AsyncRemoteLedger(FrameConnection):
         if threading.get_ident() != self._loop_thread:
             return self._round_trip(op, fields)
         request_id = next(self._ids)
-        frame = encode_frame(make_request(request_id, op, **fields), max_bytes=self.max_bytes)
+        frame = request_frame(op, request_id, fields, max_bytes=self.max_bytes)
         future = self._loop.create_future()
-        self._pending[request_id] = future
+        self._pending[request_id] = (future, op)
         try:
             self.write(frame)
             return await future
@@ -444,15 +378,13 @@ class AsyncRemoteLedger(FrameConnection):
         sock = self._read_socket()
         try:
             request_id = next(self._ids)
-            frame = encode_frame(make_request(request_id, op, **fields), max_bytes=self.max_bytes)
-            reply = self._exchange(sock, op, request_id, frame)
+            frame = request_frame(op, request_id, fields, max_bytes=self.max_bytes)
+            payload = self._exchange(sock, op, request_id, frame)
         except BaseException:
             self._discard(sock)
             raise
         self._release(sock)
-        if reply["ok"]:
-            return reply.get("result")
-        raise _remote_error(reply.get("error"))
+        return _result(op, payload)
 
     def _read_socket(self) -> socket.socket:
         """An idle read socket, or a new one whose ``hello`` reported the LSP
@@ -474,12 +406,10 @@ class AsyncRemoteLedger(FrameConnection):
                 raise RemoteLedgerError("client is closed")
             self._read_sockets.add(sock)
         request_id = next(self._ids)
-        hello = make_request(request_id, "hello", protocol=PROTOCOL_VERSION)
+        hello = request_frame("hello", request_id, {"protocol": PROTOCOL_VERSION})
         try:
-            reply = self._exchange(sock, "hello", request_id, encode_frame(hello))
-            result = reply.get("result") if reply["ok"] else None
-            claimed = result.get("lsp_public_key") if isinstance(result, dict) else None
-            if self.lsp_public_key is None or claimed != self.lsp_public_key.to_bytes():
+            claimed = _result("hello", self._exchange(sock, "hello", request_id, hello))
+            if claimed["lsp_public_key"] != self.lsp_public_key:
                 raise VerificationFailure(
                     "a read connection's server did not report the pinned LSP key"
                 )
@@ -488,8 +418,8 @@ class AsyncRemoteLedger(FrameConnection):
             raise
         return sock
 
-    def _exchange(self, sock: socket.socket, op: str, request_id: int, frame: bytes) -> dict:
-        """Send one request frame and read its one reply, within ``timeout``.
+    def _exchange(self, sock: socket.socket, op: str, request_id: int, frame: bytes) -> bytes:
+        """Send one request frame and read its one reply's payload, within ``timeout``.
 
         Anything but exactly one reply frame carrying ``request_id`` raises
         typed, naming ``op``; the caller then closes the socket, so a late
@@ -497,34 +427,35 @@ class AsyncRemoteLedger(FrameConnection):
         """
         deadline = time.monotonic() + self.timeout
         decoder = FrameDecoder(max_bytes=self.max_bytes)
-        messages: list[dict] = []
+        payloads: list[bytes] = []
         try:
             sock.settimeout(self.timeout)
             sock.sendall(frame)
-            while not messages:
+            while not payloads:
                 data = sock.recv(65536)
                 if not data:
                     raise self._gone(op)
-                messages = decoder.feed(data)
-                if not messages:
+                payloads = decoder.feed(data)
+                if not payloads:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise TimeoutError
                     sock.settimeout(remaining)
+            if len(payloads) > 1 or decoder.pending_bytes:
+                raise ProtocolError("more than one frame came back for one request")
+            (payload,) = payloads
+            answered = reply_id(payload)
         except TimeoutError:
             raise RemoteLedgerError(f"no reply to {op} within {self.timeout}s") from None
         except ProtocolError as exc:
             raise ProtocolError(f"{op}: {exc}") from None
         except OSError as exc:
             raise self._gone(op, exc) from None
-        if len(messages) > 1 or decoder.pending_bytes:
-            raise ProtocolError(f"{op}: more than one frame came back for one request")
-        (reply,) = messages
-        if reply["id"] != request_id or "ok" not in reply:
+        if answered != request_id:
             raise ProtocolError(
-                f"{op}: expected the reply to request {request_id}, got message {reply['id']}"
+                f"{op}: expected the reply to request {request_id}, got message {answered}"
             )
-        return reply
+        return payload
 
     def _gone(self, op: str, exc: OSError | None = None) -> RemoteLedgerError:
         if self._closed:
@@ -562,9 +493,8 @@ class AsyncRemoteLedger(FrameConnection):
 
     async def append(self, request: ClientRequest) -> Receipt:
         """Submit one pre-signed request; returns the accepted receipt."""
-        result = await self._call("append", request=request.to_bytes())
-        receipt = _decoded(Receipt.from_bytes, _require_bytes(result, "receipt"), "receipt")
-        return await self._checker.check(receipt, request)
+        result = await self._call("append", request=request)
+        return await self._checker.check(result["receipt"], request)
 
     async def append_acked(
         self, request: ClientRequest, *, deadline_epochs: int | None = None
@@ -576,16 +506,14 @@ class AsyncRemoteLedger(FrameConnection):
         and the ack pass :func:`~repro.session.accept_receipts` — an ack for
         somebody else's request convicts nobody.
         """
-        fields: dict[str, Any] = {"request": request.to_bytes(), "want_ack": True}
-        if deadline_epochs is not None:
-            fields["ack_deadline"] = int(deadline_epochs)
-        result = await self._call("append", **fields)
-        receipt = _decoded(Receipt.from_bytes, _require_bytes(result, "receipt"), "receipt")
-        if not result.get("ack"):
+        result = await self._call(
+            "append", request=request, want_ack=True, ack_deadline=deadline_epochs
+        )
+        if result["ack"] is None:
             raise VerificationFailure("server omitted the requested submission ack")
-        ack = _decoded(SubmissionAck.from_bytes, _require_bytes(result, "ack"), "ack")
-        receipt = await self._checker.check(receipt, request)
-        return receipt, accepted(self.lsp_public_key, self.ledger_uri, [request], [ack])[0]
+        receipt = await self._checker.check(result["receipt"], request)
+        ack = accepted(self.lsp_public_key, self.ledger_uri, [request], [result["ack"]])[0]
+        return receipt, ack
 
     async def submit(self, request: ClientRequest) -> Receipt:
         """Pipelined append: same-tick submits coalesce into one
@@ -594,13 +522,7 @@ class AsyncRemoteLedger(FrameConnection):
         return await self._coalescer.submit(request)
 
     async def append_batch(self, requests: list[ClientRequest]) -> list[Receipt]:
-        result = await self._call(
-            "append_batch", requests=[request.to_bytes() for request in requests]
-        )
-        receipts = [
-            _decoded(Receipt.from_bytes, blob, "receipts")
-            for blob in _require_blobs(result, "receipts")
-        ]
+        receipts = (await self._call("append_batch", requests=requests))["receipts"]
         if len(receipts) != len(requests):
             raise VerificationFailure(
                 f"server returned {len(receipts)} receipts for {len(requests)} requests"
@@ -618,59 +540,40 @@ class AsyncRemoteLedger(FrameConnection):
         """The journal; the anchored proof its reply carries rides along on
         it undecoded (:func:`repro.session.carry`), a claim until folded."""
         result = await self._call("get_journal", jsn=jsn)
-        journal = _decoded(Journal.from_bytes, _require_bytes(result, "journal"), "journal")
-        if "proof" in result:
-            carry(journal, result["proof"])
-        return journal
+        if result["proof"] is not None:
+            carry(result["journal"], result["proof"])
+        return result["journal"]
 
     async def list_tx(self, clue: str) -> list[int]:
-        return _require_ints(await self._call("list_tx", clue=clue), "jsns")
+        return (await self._call("list_tx", clue=clue))["jsns"]
 
     async def get_proof(self, jsn: int, anchored: bool = True) -> FamProof:
-        result = await self._call("get_proof", jsn=jsn, anchored=anchored)
-        return _decoded(FamProof.from_bytes, _require_bytes(result, "proof"), "proof")
+        return (await self._call("get_proof", jsn=jsn, anchored=anchored))["proof"]
 
     async def get_proofs(self, jsns: list[int], anchored: bool = True) -> list[FamProof]:
-        result = await self._call("get_proofs", jsns=list(jsns), anchored=anchored)
-        return [
-            _decoded(FamProof.from_bytes, blob, "proofs")
-            for blob in _require_blobs(result, "proofs")
-        ]
+        return (await self._call("get_proofs", jsns=jsns, anchored=anchored))["proofs"]
 
     async def prove_clue(self, clue: str) -> tuple[ClueProof, Digest]:
         """The clue proof plus the server's *claimed* CM-Tree1 root."""
         result = await self._call("prove_clue", clue=clue)
-        proof = _decoded(ClueProof.from_bytes, _require_bytes(result, "proof"), "proof")
-        return proof, _require_bytes(result, "state_root")
+        return result["proof"], result["state_root"]
 
     async def get_root(self) -> dict:
         """The server's claimed commitments (verify before trusting)."""
-        result = await self._call("get_root")
-        blob = _require_bytes(result, "latest_receipt")
-        receipt = _decoded(Receipt.from_bytes, blob, "latest_receipt") if blob else None
-        return {
-            "root": _require_bytes(result, "root"),
-            "state_root": _require_bytes(result, "state_root"),
-            "size": _require_int(result, "size"),
-            "latest_receipt": receipt,
-        }
+        return await self._call("get_root")
 
     async def receipt_for(self, jsn: int) -> Receipt | None:
-        blob = _require_bytes(await self._call("receipt_for", jsn=jsn), "receipt")
-        return _decoded(Receipt.from_bytes, blob, "receipt") if blob else None
+        return (await self._call("receipt_for", jsn=jsn))["receipt"]
 
     async def register(self, member_id: str, role: str, public_key: PublicKey) -> None:
         """Ask the server to mint a member.  Refused (AuthorizationError)
         unless the server was started with ``allow_register=True``, and
         only role ``"user"`` is ever accepted over the wire."""
-        await self._call(
-            "register", member_id=member_id, role=role, public_key=public_key.to_bytes()
-        )
+        await self._call("register", member_id=member_id, role=Role(role), public_key=public_key)
 
     async def verify_journal_remote(self, journal: Journal) -> bool:
         """Ask the *server* to verify (advisory only — it could lie)."""
-        result = await self._call("verify_journal", journal=journal.to_bytes())
-        return _require_bool(result, "ok")
+        return (await self._call("verify_journal", journal=journal))["ok"]
 
     async def fam_extension(
         self,
@@ -692,24 +595,12 @@ class AsyncRemoteLedger(FrameConnection):
             new_epoch=new_epoch,
             new_live_size=new_live_size,
         )
-        old_root, new_root, blob = (
-            _require_bytes(result, name) for name in ("old_root", "new_root", "bundle")
-        )
-        return old_root, new_root, _decoded(ConsistencyBundle.from_bytes, blob, "bundle")
+        return result["old_root"], result["new_root"], result["bundle"]
 
     async def shard_info(self) -> dict:
-        """This server's place in its deployment's shard map (DESIGN.md §15).
-
-        A solo server answers with a one-leaf map.
-        """
-        result = await self._call("shard_info")
-        return {
-            "shard_index": _require_int(result, "shard_index"),
-            "num_shards": _require_int(result, "num_shards"),
-            "shard_root": _require_bytes(result, "shard_root"),
-            "composite_root": _require_bytes(result, "composite_root"),
-            "link": _decoded(MembershipProof.from_bytes, _require_bytes(result, "link"), "link"),
-        }
+        """This server's place in its deployment's shard map (DESIGN.md §15);
+        a solo server answers with a one-leaf map."""
+        return await self._call("shard_info")
 
     # ------------------------------------------------------- transparency
 
@@ -728,17 +619,11 @@ class AsyncRemoteLedger(FrameConnection):
         ``composite=True`` asks the sharded deployment behind the server for
         its composite head; refused (UsageError) on solo servers.
         """
-        result = await self._call("get_sth", composite=bool(composite))
-        return self._check_sth(
-            _decoded(SignedTreeHead.from_bytes, _require_bytes(result, "sth"), "sth")
-        )
+        return self._check_sth((await self._call("get_sth", composite=bool(composite)))["sth"])
 
     async def get_sth_range(self, start: int, end: int) -> list[SignedTreeHead]:
-        result = await self._call("get_sth_range", start=int(start), end=int(end))
-        return [
-            self._check_sth(_decoded(SignedTreeHead.from_bytes, blob, "sths"))
-            for blob in _require_blobs(result, "sths")
-        ]
+        result = await self._call("get_sth_range", start=start, end=end)
+        return [self._check_sth(head) for head in result["sths"]]
 
     async def get_consistency(
         self, old: SignedTreeHead, new: SignedTreeHead
@@ -750,19 +635,13 @@ class AsyncRemoteLedger(FrameConnection):
         (:meth:`repro.transparency.Witness.observe_assertion`) — a
         contradiction is evidence, not a transport error.
         """
-        result = await self._call(
-            "get_consistency", old=old.to_bytes(), new=new.to_bytes()
-        )
-        blob = _require_bytes(result, "bundle")
-        bundle = _decoded(ConsistencyBundle.from_bytes, blob, "bundle") if blob else None
-        assertion = _decoded(
-            ConsistencyAssertion.from_bytes, _require_bytes(result, "assertion"), "assertion"
-        )
+        result = await self._call("get_consistency", old=old, new=new)
+        assertion = result["assertion"]
         if self.lsp_public_key is None or not assertion.verify(self.lsp_public_key):
             raise VerificationFailure(
                 "consistency assertion failed LSP signature check"
             )
-        return bundle, assertion
+        return result["bundle"], assertion
 
     async def export(self, clues: tuple[str, ...] = ()) -> bytes:
         """Fetch a full offline export bundle (canonical container bytes).
@@ -774,13 +653,13 @@ class AsyncRemoteLedger(FrameConnection):
         decode (and thereby CRC-check) with
         :meth:`repro.export.ExportBundle.from_bytes`.
         """
-        return _require_bytes(await self._call("export", clues=list(clues)), "bundle")
+        return (await self._call("export", clues=clues))["bundle"]
 
     async def stats(self) -> dict:
         return await self._call("stats")
 
     async def ping(self) -> int:
-        return _require_int(await self._call("ping"), "size")
+        return (await self._call("ping"))["size"]
 
 
 def _driven(coroutine):

@@ -185,35 +185,7 @@ class LedgerService:
             ServiceClosedError: the service is shut down.
             ServiceOverloadedError: the queue stayed full past the timeout.
         """
-        if not isinstance(request, ClientRequest):
-            raise UsageError(
-                f"submit() takes a signed ClientRequest, got {type(request).__name__}"
-            )
-        if timeout is ...:
-            timeout = self.config.submit_timeout_s
-        pending = _Pending(request)
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        with self._lock:
-            while True:
-                if self._closed:
-                    raise ServiceClosedError("service is closed; no new appends")
-                if len(self._queue) < self.config.max_queue:
-                    break
-                if deadline is None:
-                    self._has_room.wait()
-                else:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0 or not self._has_room.wait(remaining):
-                        obs.inc(self._metric["overloaded"])
-                        raise ServiceOverloadedError(
-                            f"admission queue full ({self.config.max_queue}) "
-                            f"for {timeout}s"
-                        )
-            self._queue.append(pending)
-            self._submitted += 1
-            obs.set_gauge(self._metric["queue.depth"], len(self._queue))
-            self._has_work.notify()
-        return pending.future
+        return self.submit_many([request], timeout=timeout)[0]
 
     def submit_many(
         self,
@@ -221,12 +193,13 @@ class LedgerService:
         *,
         timeout: float | None | object = ...,
     ) -> list[Future]:
-        """Admit a whole batch under one lock acquisition, all-or-nothing.
+        """Admit a whole batch under one lock acquisition, all-or-nothing:
+        the one admission loop (:meth:`submit` is a batch of one).
 
-        Semantics match calling :meth:`submit` per request in order (same
-        backpressure wait, same typed rejections), but a pipelined batch —
-        the network server's ``append_batch`` — pays the admission lock and
-        the writer wake-up once instead of once per request.  Nothing is
+        Semantics match admitting each request in order (same backpressure
+        wait, same typed rejections), but a pipelined batch — the network
+        server's ``append_batch`` — pays the admission lock and the writer
+        wake-up once instead of once per request.  Nothing is
         admitted unless everything is: a timeout or a batch larger than the
         admission queue raises :class:`ServiceOverloadedError` with zero
         requests queued, so the caller may safely retry the whole batch.

@@ -58,8 +58,8 @@ from repro.net import (
     ServerThread,
     encode_frame,
 )
+from repro.encoding import decode, encode
 from repro.net.client import AsyncRemoteLedger
-from repro.net.protocol import decode_message
 from repro.timeauth import SimClock
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -95,7 +95,13 @@ def golden(name: str) -> bytes:
 
 
 def message_of(frame: bytes) -> dict:
-    return decode_message(frame[4:])
+    """A frame's message, read by the generic decoder (the test's oracle)."""
+    return decode(frame[4:])
+
+
+def frame_of(message: dict) -> bytes:
+    """Any message as a frame, schema or not: what a hostile server sends."""
+    return encode_frame(encode(message))
 
 
 HELLO = message_of(golden("hello.response"))
@@ -216,12 +222,12 @@ def test_the_read_path_sends_the_golden_request_frames():
 
 def hello_reply(message: dict, lsp_key: bytes = LSP_KEY) -> bytes:
     result = dict(HELLO["result"], lsp_public_key=lsp_key)
-    return encode_frame({"id": message["id"], "ok": True, "result": result})
+    return frame_of({"id": message["id"], "ok": True, "result": result})
 
 
 def pong(message: dict, request_id: int | None = None) -> bytes:
     answer = message["id"] if request_id is None else request_id
-    return encode_frame({"id": answer, "ok": True, "result": {"size": 7}})
+    return frame_of({"id": answer, "ok": True, "result": {"size": 7}})
 
 
 #: What a hostile server sends for one ``ping``, and whether it hangs up after.
@@ -288,19 +294,22 @@ def test_a_read_socket_claiming_another_lsp_key_carries_nothing():
 
 
 #: What a hostile reply carries wherever bytes belong (list fields carry
-#: one such item), and how the client must refuse it: an integer n, which
-#: ``bytes(n)`` would turn into n zero bytes, and bytes no record decodes.
-HOSTILE_VALUES = {"integer": (2_000_000, "must be"), "garbage": (b"\xff\xff", "undecodable")}
+#: one such item): an integer n, which ``bytes(n)`` would turn into n zero
+#: bytes, and bytes no record decodes.
+HOSTILE_VALUES = {"integer": 2_000_000, "garbage": b"\xff\xff"}
 
 BYTES_FIELDS = (
     "receipt ack journal proof state_root root latest_receipt bundle assertion "
     "sth old_root new_root shard_root composite_root link lsp_public_key ca_public_key"
 ).split()
 LIST_FIELDS = ("receipts", "proofs", "sths")
+#: The bytes fields that are digests: any bytes are one, garbage included.
+DIGESTS = ("state_root", "root", "old_root", "new_root", "shard_root", "composite_root")
 
 #: The replies' fields that are not bytes, well-typed — and each with a
 #: value of the wrong type, which the client must refuse as well.
 SCALARS = {
+    "protocol": 1,
     "ledger_uri": URI,
     "fractal_height": 3,
     "size": 1,
@@ -308,6 +317,26 @@ SCALARS = {
     "num_shards": 1,
     "jsns": [JSN],
     "ok": True,
+}
+
+
+
+def _link() -> bytes:
+    from repro.merkle.shrubs import ShrubsAccumulator
+
+    shard_map = ShrubsAccumulator()
+    shard_map.extend([bytes(32)])
+    return shard_map.prove(0).to_bytes()
+
+
+#: Well-typed values of the other fields a scalar's reply carries.
+WELL_TYPED = {
+    **SCALARS,
+    **dict.fromkeys(DIGESTS, bytes(32)),
+    "lsp_public_key": LSP_KEY,
+    "ca_public_key": LSP_KEY,
+    "link": _link(),
+    "latest_receipt": b"",
 }
 WRONG_SCALARS = {
     "ledger_uri": 7,
@@ -320,17 +349,6 @@ WRONG_SCALARS = {
 }
 
 
-def hostile_result(hostile: str) -> tuple[dict, str]:
-    """A reply for ``hostile`` — a :data:`HOSTILE_VALUES` kind in every
-    bytes field, or one scalar field of the wrong type — and its refusal."""
-    if hostile in HOSTILE_VALUES:
-        value, refusal = HOSTILE_VALUES[hostile]
-        fields = {**dict.fromkeys(BYTES_FIELDS, value), **dict.fromkeys(LIST_FIELDS, [value])}
-        return {**fields, **SCALARS}, refusal
-    fields = {**dict.fromkeys(BYTES_FIELDS, b""), **dict.fromkeys(LIST_FIELDS, [])}
-    return {**fields, **SCALARS, hostile: WRONG_SCALARS[hostile]}, "must be"
-
-
 class _Head:
     def to_bytes(self) -> bytes:
         return b""
@@ -341,27 +359,43 @@ def _request() -> ClientRequest:
     return ClientRequest.build(URI, USER, b"x", nonce=b"n", client_timestamp=1.0).signed_by(user)
 
 
-#: Every read and append that checks a reply field, with its arguments.
-REPLY_DECODERS: dict[str, Callable] = {
-    "hello": lambda remote: remote._hello(None),
-    "append": lambda remote: remote.append(_request()),
-    "append_acked": lambda remote: remote.append_acked(_request()),
-    "append_batch": lambda remote: remote.append_batch([_request()]),
-    "get_journal": lambda remote: remote.get_journal(JSN),
-    "get_proof": lambda remote: remote.get_proof(JSN),
-    "get_proofs": lambda remote: remote.get_proofs([JSN]),
-    "prove_clue": lambda remote: remote.prove_clue("GOLDEN"),
-    "get_root": lambda remote: remote.get_root(),
-    "receipt_for": lambda remote: remote.receipt_for(JSN),
-    "fam_extension": lambda remote: remote.fam_extension(0, 1),
-    "shard_info": lambda remote: remote.shard_info(),
-    "get_sth": lambda remote: remote.get_sth(),
-    "get_sth_range": lambda remote: remote.get_sth_range(0, 1),
-    "get_consistency": lambda remote: remote.get_consistency(_Head(), _Head()),
-    "export": lambda remote: remote.export(),
-    "ping": lambda remote: remote.ping(),
-    "list_tx": lambda remote: remote.list_tx("GOLDEN"),
-    "verify_journal_remote": lambda remote: remote.verify_journal_remote(_Head()),
+#: Every read and append that checks a reply field, with its arguments,
+#: and the fields of the reply it reads.
+REPLY_DECODERS: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "hello": (
+        lambda remote: remote._hello(None),
+        ("protocol", "ledger_uri", "size", "fractal_height", "lsp_public_key", "ca_public_key"),
+    ),
+    "append": (lambda remote: remote.append(_request()), ("receipt",)),
+    "append_acked": (lambda remote: remote.append_acked(_request()), ("receipt", "ack")),
+    "append_batch": (lambda remote: remote.append_batch([_request()]), ("receipts",)),
+    "get_journal": (lambda remote: remote.get_journal(JSN), ("journal", "proof")),
+    "get_proof": (lambda remote: remote.get_proof(JSN), ("proof",)),
+    "get_proofs": (lambda remote: remote.get_proofs([JSN]), ("proofs",)),
+    "prove_clue": (lambda remote: remote.prove_clue("GOLDEN"), ("proof", "state_root")),
+    "get_root": (
+        lambda remote: remote.get_root(),
+        ("root", "state_root", "size", "latest_receipt"),
+    ),
+    "receipt_for": (lambda remote: remote.receipt_for(JSN), ("receipt",)),
+    "fam_extension": (
+        lambda remote: remote.fam_extension(0, 1),
+        ("old_root", "new_root", "bundle"),
+    ),
+    "shard_info": (
+        lambda remote: remote.shard_info(),
+        ("shard_index", "num_shards", "shard_root", "composite_root", "link"),
+    ),
+    "get_sth": (lambda remote: remote.get_sth(), ("sth",)),
+    "get_sth_range": (lambda remote: remote.get_sth_range(0, 1), ("sths",)),
+    "get_consistency": (
+        lambda remote: remote.get_consistency(_Head(), _Head()),
+        ("bundle", "assertion"),
+    ),
+    "export": (lambda remote: remote.export(), ("bundle",)),
+    "ping": (lambda remote: remote.ping(), ("size",)),
+    "list_tx": (lambda remote: remote.list_tx("GOLDEN"), ("jsns",)),
+    "verify_journal_remote": (lambda remote: remote.verify_journal_remote(_Head()), ("ok",)),
 }
 
 #: The ops that read scalar fields, and which.
@@ -373,6 +407,29 @@ SCALAR_READS = {
     "list_tx": ("jsns",),
     "verify_journal_remote": ("ok",),
 }
+
+
+def hostile_reply(op: str, hostile: str) -> tuple[bytes, str]:
+    """The payload of a reply to ``op`` whose fields carry, for a
+    :data:`HOSTILE_VALUES` kind, that value in every bytes field, or else
+    one scalar field of the wrong type — and the field the refusal names:
+    the first refused one in the reply's key order."""
+    fields = REPLY_DECODERS[op][1]
+    if hostile in HOSTILE_VALUES:
+        value = HOSTILE_VALUES[hostile]
+        refused = SCALARS.keys() | (DIGESTS if hostile == "garbage" else ())
+        hostile_fields = [field for field in fields if field not in refused]
+        result = {
+            field: SCALARS[field]
+            if field in SCALARS
+            else [value] if field in LIST_FIELDS else value
+            for field in fields
+        }
+    else:
+        hostile_fields = [hostile]
+        result = {field: WELL_TYPED[field] for field in fields}
+        result[hostile] = WRONG_SCALARS[hostile]
+    return encode({"id": 1, "ok": True, "result": result}), min(hostile_fields)
 
 
 @pytest.mark.parametrize(
@@ -387,18 +444,21 @@ SCALAR_READS = {
     + [(op, field) for op, fields in sorted(SCALAR_READS.items()) for field in fields],
 )
 def test_a_hostile_reply_field_fails_typed_without_allocating(op, hostile):
-    result, refusal = hostile_result(hostile)
+    """The reply frame goes through the client's own read path — its one
+    round trip reads these bytes off the socket — and the op's record
+    refuses it, naming the field, before anything is built from it."""
+    payload, field = hostile_reply(op, hostile)
     remote = object.__new__(AsyncRemoteLedger)
-
-    async def call(_op: str, **_fields) -> dict:
-        return result
-
-    remote._call = call
-    coroutine = REPLY_DECODERS[op](remote)
+    remote._closed, remote._conn_error, remote._loop_thread = False, None, None
+    remote._ids, remote.max_bytes = itertools.count(1), MAX_FRAME_BYTES
+    remote._read_socket = lambda: None
+    remote._release = remote._discard = lambda _sock: None
+    remote._exchange = lambda _sock, _op, _request_id, _frame: payload
+    coroutine = REPLY_DECODERS[op][0](remote)
     tracemalloc.start()
     try:
-        with pytest.raises(VerificationFailure, match=refusal):
-            coroutine.send(None)  # the stubbed round trip never suspends
+        with pytest.raises(VerificationFailure, match=f"'{field}'"):
+            coroutine.send(None)  # the blocking round trip never suspends
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -412,14 +472,14 @@ def test_a_hostile_server_sending_integers_for_bytes_gets_a_typed_error():
             return hello_reply(message), False
         field = {"get_journal": "journal", "append": "receipt"}[message["op"]]
         result = {field: 2_000_000}
-        return encode_frame({"id": message["id"], "ok": True, "result": result}), False
+        return frame_of({"id": message["id"], "ok": True, "result": result}), False
 
     with DoubleServer(reply) as double:
         client = RemoteLedgerClient(*double.address, expected_lsp_key=LSP_KEY, timeout=TIMEOUT)
         try:
-            with pytest.raises(VerificationFailure, match="'journal' must be bytes"):
+            with pytest.raises(VerificationFailure, match="'journal'"):
                 client.get_journal(JSN)
-            with pytest.raises(VerificationFailure, match="'receipt' must be bytes"):
+            with pytest.raises(VerificationFailure, match="'receipt'"):
                 client.append(_request())
         finally:
             client.close()
@@ -455,12 +515,12 @@ class Relay:
         if index not in self.upstream:
             self.upstream[index] = socket.create_connection(self.address, timeout=30.0)
         sock = self.upstream[index]
-        sock.sendall(encode_frame(message))
+        sock.sendall(frame_of(message))
         reply = read_frame_from(sock)
         if message["op"] == "get_journal":
             answer = message_of(reply)
             answer["result"] = self.edit(dict(answer["result"]))
-            reply = encode_frame(answer)
+            reply = frame_of(answer)
         return reply, False
 
     def close(self) -> None:

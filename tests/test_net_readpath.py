@@ -34,6 +34,7 @@ from repro.crypto import KeyPair, Role
 from repro.export.bundle import ExportBundle, export_bundle
 from repro.export.verifier import verify_bundle
 from repro.crypto.hashing import leaf_hash
+from repro.encoding import encode
 from repro.merkle.consistency import ConsistencyBundle
 from repro.merkle.fam import FamProof
 from repro.merkle.shrubs import ShrubsAccumulator
@@ -43,7 +44,9 @@ from repro.net import (
     RemoteLedgerError,
     RemoteLedgerSession,
     ServerThread,
+    encode_frame,
 )
+from repro.net.protocol import decode_message
 from repro.timeauth import SimClock
 from repro.transparency.attacks import ForkingServer
 from repro.verify import clue_what
@@ -256,13 +259,19 @@ def test_root_rewound_server_never_passes(tmp_path):
 
 
 class EditingServer(LedgerServer):
-    """Answers ``fam_extension`` honestly, then hands the reply to ``edit``."""
+    """Answers ``fam_extension`` honestly, then hands the reply — as the
+    generic encoder's dict, bytes for the bundle — to ``edit`` and sends
+    whatever that returns, schema or not."""
 
     edit = None
 
-    def _op_fam_extension(self, message: dict) -> dict:
-        reply = super()._op_fam_extension(message)
-        return reply if self.edit is None else self.edit(reply, message)
+    def _dispatch(self, conn, payload: bytes) -> None:
+        message = decode_message(payload)
+        if self.edit is None or message["op"] != "fam_extension":
+            return super()._dispatch(conn, payload)
+        reply = self._op_fam_extension(message)
+        reply = self.edit(dict(reply, bundle=reply["bundle"].to_bytes()), message)
+        conn.write(encode_frame(encode({"id": message["id"], "ok": True, "result": reply})))
 
 
 def _rebundled(reply: dict, **changes) -> dict:
@@ -496,9 +505,9 @@ class SwallowingServer(LedgerServer):
     async def _op_list_tx(self, message: dict) -> dict:
         await self.never
 
-    def _dispatch(self, conn, message) -> None:
-        if message.get("op") != "receipt_for":
-            super()._dispatch(conn, message)
+    def _dispatch(self, conn, payload: bytes) -> None:
+        if decode_message(payload)["op"] != "receipt_for":
+            super()._dispatch(conn, payload)
 
     async def start(self):
         import asyncio

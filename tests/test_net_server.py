@@ -20,6 +20,7 @@ import pytest
 
 from repro import ClientRequest, KeyPair, Ledger, LedgerConfig, Role, SimClock
 from repro.api import connect
+from repro.encoding import decode, encode
 from repro.core.errors import (
     AuthenticationError,
     AuthorizationError,
@@ -234,7 +235,7 @@ class TestFailureModes:
             slow = socket.create_connection((host, port))
             slow.settimeout(30.0)
             try:
-                frame = encode_frame({"id": 7, "op": "ping"})
+                frame = encode_frame(encode({"id": 7, "op": "ping"}))
                 for i in range(0, len(frame), 2):
                     slow.sendall(frame[i : i + 2])
                     time.sleep(0.01)
@@ -247,7 +248,7 @@ class TestFailureModes:
                 decoder = FrameDecoder()
                 messages: list = []
                 while not messages:
-                    messages = decoder.feed(slow.recv(4096))
+                    messages = [decode(payload) for payload in decoder.feed(slow.recv(4096))]
                 assert messages[0]["id"] == 7
                 assert messages[0]["ok"] is True
             finally:
@@ -270,7 +271,8 @@ class TestFailureModes:
                         break
                     chunks += data
                 if chunks:  # best-effort error frame before hang-up
-                    (message,) = FrameDecoder().feed(bytes(chunks))
+                    (payload,) = FrameDecoder().feed(bytes(chunks))
+                    message = decode(payload)
                     assert message["ok"] is False
                     assert message["error"]["type"] == "ProtocolError"
             finally:

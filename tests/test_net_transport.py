@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import Ledger, LedgerConfig
 from repro.crypto import KeyPair, Role
-from repro.encoding import encode
+from repro.encoding import decode, encode
 from repro.net import (
     MAX_FRAME_BYTES,
     FrameDecoder,
@@ -35,7 +35,6 @@ from repro.net import (
     ServerThread,
     encode_frame,
 )
-from repro.net.protocol import request
 from repro.net.server import _LOOP_OPS, _Connection
 from repro.timeauth import SimClock
 
@@ -77,6 +76,15 @@ def raw_peer(served: ServerThread) -> socket.socket:
     return peer
 
 
+def request(request_id: int, op: str, **fields) -> bytes:
+    """A request frame, written by the generic encoder: any op, any fields."""
+    return encode_frame(encode({**fields, "id": request_id, "op": op}))
+
+
+def replies_in(decoder: FrameDecoder, data: bytes) -> list[dict]:
+    return [decode(payload) for payload in decoder.feed(data)]
+
+
 def read_replies(peer: socket.socket, count: int | None) -> list[dict]:
     """``count`` replies, or with ``count=None`` everything up to EOF."""
     decoder = FrameDecoder()
@@ -86,7 +94,7 @@ def read_replies(peer: socket.socket, count: int | None) -> list[dict]:
         if not data:
             assert count is None, f"server hung up after {len(replies)} of {count} replies"
             break
-        replies.extend(decoder.feed(data))
+        replies.extend(replies_in(decoder, data))
     return replies
 
 
@@ -95,14 +103,24 @@ def read_replies(peer: socket.socket, count: int | None) -> list[dict]:
 #: Loop-answered requests an anonymous peer may send, and whether they succeed.
 _requests = st.one_of(
     st.just(("ping", {}, True)),
-    st.just(("fam_extension", {"old_epoch": 0, "old_live_size": 1}, True)),
+    st.just(
+        (
+            "fam_extension",
+            {"old_epoch": 0, "old_live_size": 1, "new_epoch": None, "new_live_size": None},
+            True,
+        )
+    ),
     st.just(("get_root", {}, True)),
     st.builds(lambda jsn: ("get_journal", {"jsn": jsn}, True), st.integers(0, SEEDED - 1)),
-    st.builds(lambda jsn: ("get_proof", {"jsn": jsn}, True), st.integers(0, SEEDED - 1)),
+    st.builds(
+        lambda jsn: ("get_proof", {"jsn": jsn, "anchored": True}, True),
+        st.integers(0, SEEDED - 1),
+    ),
     st.builds(lambda jsn: ("receipt_for", {"jsn": jsn}, True), st.integers(0, SEEDED - 1)),
     st.just(("get_journal", {"jsn": 10**9}, False)),  # typed error, connection survives
-    st.just(("get_proof", {"jsn": "seven"}, False)),
+    st.just(("get_proof", {"jsn": "seven", "anchored": True}, False)),
     st.just(("no_such_op", {}, False)),
+    st.just(("ping", {"ok": True}, False)),  # a request with a reply's key: refused
 )
 
 
@@ -117,7 +135,6 @@ _violations = st.sampled_from(
         _framed(b"\xff\xff\xff"),  # undecodable payload
         _framed(encode([1, 2])),  # decodes, but not to a message
         _framed(encode({"id": "x", "op": "ping"})),  # no integer id
-        _framed(encode({"id": 1, "op": "ping", "ok": True})),  # request and response
     ]
 )
 
@@ -141,8 +158,7 @@ class TestLiveServerFuzz:
     def test_every_chunking_is_answered_once_in_order(self, world, requests, violation, chunk):
         ledger, served, bystander = world
         stream = b"".join(
-            encode_frame(request(index + 1, op, **fields))
-            for index, (op, fields, _ok) in enumerate(requests)
+            request(index + 1, op, **fields) for index, (op, fields, _ok) in enumerate(requests)
         )
         if violation is not None:
             # Last on the wire: bytes the server has not read when it hangs up
@@ -175,11 +191,7 @@ class TestLiveServerFuzz:
         _ledger, served, _bystander = world
         peer = raw_peer(served)
         try:
-            peer.sendall(
-                encode_frame(request(1, "ping"))
-                + struct.pack(">I", 0)
-                + encode_frame(request(2, "ping"))
-            )
+            peer.sendall(request(1, "ping") + struct.pack(">I", 0) + request(2, "ping"))
             first, refusal = read_replies(peer, None)
         finally:
             peer.close()
@@ -216,12 +228,12 @@ class RecordingTransport(asyncio.Transport):
 
 
 class GatedServer(LedgerServer):
-    """``gate`` is a task op whose every call completes when the gate opens —
-    the way a group commit settles a window of receipts in one tick."""
+    """Every ``list_tx`` (a task op) completes when the gate opens — the way
+    a group commit settles a window of receipts in one tick."""
 
-    async def _op_gate(self, message: dict) -> dict:
+    async def _op_list_tx(self, message: dict) -> dict:
         await self.gate
-        return {}
+        return {"jsns": []}
 
 
 def test_replies_of_one_tick_leave_in_one_write():
@@ -235,12 +247,10 @@ def test_replies_of_one_tick_leave_in_one_write():
         conn = _Connection(server)
         transport = RecordingTransport()
         conn.connection_made(transport)
-        conn.data_received(
-            b"".join(encode_frame(request(index + 1, "ping")) for index in range(50))
-        )
+        conn.data_received(b"".join(request(index + 1, "ping") for index in range(50)))
         loop_replies, transport.writes = transport.writes, []
         conn.data_received(
-            b"".join(encode_frame(request(100 + index, "gate")) for index in range(16))
+            b"".join(request(100 + index, "list_tx", clue="c") for index in range(16))
         )
         await asyncio.sleep(0)
         assert len(conn.inflight) == 16 and not transport.writes
@@ -255,9 +265,11 @@ def test_replies_of_one_tick_leave_in_one_write():
 
     loop_replies, task_replies = asyncio.run(scenario())
     assert len(loop_replies) == 1
-    assert [reply["id"] for reply in FrameDecoder().feed(loop_replies[0])] == list(range(1, 51))
+    assert [reply["id"] for reply in replies_in(FrameDecoder(), loop_replies[0])] == list(
+        range(1, 51)
+    )
     assert len(task_replies) == 1
-    assert sorted(reply["id"] for reply in FrameDecoder().feed(task_replies[0])) == list(
+    assert sorted(reply["id"] for reply in replies_in(FrameDecoder(), task_replies[0])) == list(
         range(100, 116)
     )
 
@@ -337,8 +349,9 @@ def test_eight_threads_share_one_client_byte_identically(world):
 
 
 def test_a_peer_that_stops_reading_is_not_read_from():
-    """The peer pipelines padded requests — bulk proof fetches (tasks) and
-    single proofs (loop-answered) — and reads nothing, until TCP stops
+    """The peer pipelines requests — server-side verifies of a journal
+    carrying 4 KiB (tasks) and single proofs (loop-answered) — and reads
+    nothing, until TCP stops
     taking them.  The server stops reading *from it*: its tasks stay at
     ``max_inflight``, its write buffer and backlog stay bounded, the sender
     stalls on TCP, and a second client is served as fast as before.  Once
@@ -352,13 +365,13 @@ def test_a_peer_that_stops_reading_is_not_read_from():
     with ServerThread(ledger, max_inflight=4) as served:
         healthy = connect(served, user)
         jsns = [healthy.session.append(b"bp %d" % index).jsn for index in range(EPOCH + 4)]
-        pad = b"x" * 4096
+        padded = ledger.get_journal(healthy.session.append(b"x" * 4096).jsn).to_bytes()
 
         def frame(index: int) -> bytes:
-            return encode_frame(
-                request(index + 1, "get_proofs", jsns=jsns[:8], anchored=False, pad=pad)
+            return (
+                request(index + 1, "verify_journal", journal=padded)
                 if index % 2
-                else request(index + 1, "get_proof", jsn=jsns[index % len(jsns)], pad=pad)
+                else request(index + 1, "get_proof", jsn=jsns[index % len(jsns)], anchored=True)
             )
 
         peer = socket.socket()
@@ -425,7 +438,7 @@ def test_a_peer_that_stops_reading_is_not_read_from():
                     continue  # nothing yet: look at the sender again
                 data = peer.recv(65536)
                 assert data, f"server hung up after {len(replies)} of {sent[0]} replies"
-                replies.extend(decoder.feed(data))
+                replies.extend(replies_in(decoder, data))
             assert not errors, errors
             assert sorted(reply["id"] for reply in replies) == list(range(1, sent[0] + 1))
             assert all(reply["ok"] for reply in replies)

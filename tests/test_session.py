@@ -26,7 +26,6 @@ import pytest
 from repro.api import LedgerSession
 from repro.core import Ledger, LedgerConfig
 from repro.core.errors import VerificationFailure
-from repro.core.receipt import Receipt
 from repro.crypto import KeyPair, Role
 from repro.crypto.hashing import sha256
 from repro.net import RemoteLedgerSession, ServerThread
@@ -98,11 +97,9 @@ def forging_over_tcp(monkeypatch, session, forge, lsp) -> None:
     async def lying_call(op, **fields):
         result = await call(op, **fields)
         if op == "append":
-            receipt = Receipt.from_bytes(bytes(result["receipt"]))
-            result = {**result, "receipt": forge(receipt, lsp).to_bytes()}
+            result = {**result, "receipt": forge(result["receipt"], lsp)}
         elif op == "append_batch":
-            receipts = [Receipt.from_bytes(bytes(blob)) for blob in result["receipts"]]
-            result = {**result, "receipts": [forge(r, lsp).to_bytes() for r in receipts]}
+            result = {**result, "receipts": [forge(r, lsp) for r in result["receipts"]]}
         return result
 
     monkeypatch.setattr(remote, "_call", lying_call)

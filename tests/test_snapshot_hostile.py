@@ -6,9 +6,11 @@ so a refused one falls back to the full replay and the reopened ledger is
 the one the stream alone determines; a refused config is a typed
 :class:`SnapshotError`.  Bodies here are written with the generic encoder
 and framed by hand, the way a writer other than ``write_snapshot`` would.
-A body of the right shape with wrong values (a digest swapped for another)
-is beyond what a checksum and a schema can see; only a full replay vouches
-for values, and these tests do not claim it.
+A body of the right shape with wrong values is beyond what a checksum and
+a schema can see.  The mutation lists (occult records and bits, the erase
+queue, time journals) are held to the stream's slots, so wrong values there
+fall back too; other values (a digest swapped for another) only a full
+replay vouches for, and these tests do not claim it.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _state(ledger: Ledger) -> tuple:
         ledger.current_root(),
         ledger.state_root(),
         [jsn for jsn in range(ledger.size) if ledger.is_occulted(jsn)],
-        ledger.pending_erasures,
+        list(ledger._erase_queue),
         ledger.time_journals,
         ledger.list_tx("HCLUE"),
         readable,
@@ -141,7 +143,7 @@ def _open_with(pristine, *, snapshot=_KEEP, config=_KEEP) -> tuple:
 
 def test_the_genuine_snapshot_restores_the_full_replays_state(pristine):
     _directory, replayed, body, _config = pristine
-    assert replayed[3] == [2, 6] and replayed[4] == 1  # both occults, one queued
+    assert replayed[3] == [2, 6] and replayed[4] == [6]  # both occults, one queued
     assert _open_with(pristine) == replayed
     assert _open_with(pristine, snapshot=body) == replayed  # framing by hand is faithful
 
@@ -156,6 +158,12 @@ def test_the_genuine_snapshot_restores_the_full_replays_state(pristine):
         # The right shape, but the nodes under the CM-Tree1 root are gone:
         # the suffix's clue write finds that out.
         ("mpt_nodes", []),
+        # The right shape, with values only the stream can refute: intact
+        # jsn 1 occulted, a normal journal listed as a time journal, and
+        # intact jsn 3 queued for erasure (the genuine queue is [6]).
+        ("occult_bits", [1, 2, 6]),
+        ("time_journals", [3]),
+        ("erase_queue", [3]),
     ],
 )
 def test_a_hostile_snapshot_field_falls_back_to_the_full_replay(pristine, field, value):
