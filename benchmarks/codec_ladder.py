@@ -13,10 +13,10 @@ in one process, timed in alternating rounds, so they hold on any host — an
 MPT branch serialize, a ``FamProof`` decode (with its link proofs), a
 ``Journal`` decode and a ``get_journal`` reply decode through the op table
 of ``repro.net.protocol`` (its journal built, its proof carried as bytes)
-must each be at least 1.4x as fast as the oracle (about 9x, 2.7x and 2.2x
-for the first three under CPython 3.11 on a 2-core x86-64 container; the
-reply, whose time is mostly its journal's decode, read 1.40-1.47x in eight
-gate runs on such a container when it was added).
+must each be at least 1.4x as fast as the oracle.  In ten gate runs under
+CPython 3.11 on a 2-core x86-64 container the four rows read 8.9-10.1x,
+1.6-2.0x, 1.6-1.7x and 1.5-1.7x; the reply's time is mostly its journal's
+decode.
 """
 
 from __future__ import annotations

@@ -21,14 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.hashing import Digest, sha256
-from ..crypto.keys import KeyPair
-from ..encoding import decode, encode
-from ..storage.shared import SharedStorage
-from .errors import AuthenticationError, LedgerError
-from .journal import ClientRequest, Journal, JournalType
-from .ledger import Ledger
-from .receipt import Receipt
+from repro.core.errors import AuthenticationError, LedgerError
+from repro.core.journal import ClientRequest, Journal, JournalType
+from repro.core.ledger import Ledger
+from repro.core.receipt import Receipt
+from repro.crypto.hashing import Digest, sha256
+from repro.crypto.keys import KeyPair
+from repro.encoding import decode, encode
+
+from .shared import SharedStorage
 
 __all__ = ["PayloadRef", "LedgerProxy", "ResolvedJournal"]
 

@@ -13,7 +13,7 @@ whose journals are gone.
 
 from __future__ import annotations
 
-from ..crypto.hashing import Digest, sha256
+from repro.crypto.hashing import Digest, sha256
 
 __all__ = ["SharedStorage", "BlobIntegrityError"]
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.hashing import Digest, sha256
-from ..encoding import decode, encode
-from ..merkle.mpt import MPT, MPTProof
-from ..storage.kv import KVStore
+from repro.crypto.hashing import Digest, sha256
+from repro.encoding import decode, encode
+from repro.merkle.mpt import MPT, MPTProof
+from repro.storage.kv import KVStore
 
 __all__ = ["StateEntry", "StateProof", "WorldState"]
 

@@ -1,65 +1,47 @@
 #!/usr/bin/env python3
-"""Timestamp attacks (§III-B, Figure 5) demonstrated end-to-end.
+"""Timestamp attacks (§III-B) against the T-Ledger, end-to-end.
 
-Three scenes:
+Two scenes on the product's T-Ledger (Protocol 4):
 
-1. **Infinite time amplification** against one-way pegging (ProvenDB-style):
-   the colluding LSP delays digest submission, so the window in which a
-   journal can be tampered while keeping its eventual anchor grows without
-   bound.
+1. **Held-back submissions are refused**: an adversary that sits on a
+   stamped request makes the freshness check (tau_t < tau_c + tau_Delta)
+   fail, and ``TimeLedger.submit`` raises ``StaleRequestError``.
 
-2. **Two-way pegging** (Protocol 3): however patient the adversary, the
-   achievable malicious window is capped at ~2.Delta-tau.
+2. **Honest operation**: many ledger digests share one TSA finalization per
+   second, and each gets a tight, offline-verifiable time window.
 
-3. **T-Ledger Protocol 4 in action**: a held-back submission is rejected by
-   the freshness check (tau_t < tau_c + tau_Delta), and honest submissions
-   get tight, offline-verifiable time windows at high throughput with only
-   one TSA round per second.
+The pegging windows of Figure 5 (one-way amplification, the two-way
+2.Delta-tau cap) are measured by ``python -m paper fig5``.
 
 Run: python examples/timestamp_attacks.py
 """
 
 from repro.crypto.hashing import leaf_hash
-from repro.timeauth import (
-    SimClock,
-    TimeLedger,
-    TimeStampAuthority,
-    run_one_way_amplification,
-    run_tledger_stale_submission,
-    run_two_way_window,
-)
+from repro.timeauth import SimClock, StaleRequestError, TimeLedger, TimeStampAuthority
 
 
-def scene_one_way() -> None:
-    print("== scene 1: infinite time amplification (one-way pegging) ==")
-    print(f"{'adversary delay (s)':>20} | {'malicious window (s)':>21}")
-    for delay in (0.0, 600.0, 86_400.0, 604_800.0):  # up to a week
-        result = run_one_way_amplification(delay)
-        print(f"{delay:>20.0f} | {result.malicious_window:>21.1f}")
-    print("-> the window tracks the adversary's patience: UNBOUNDED\n")
-
-
-def scene_two_way() -> None:
-    print("== scene 2: two-way pegging bounds the window (Protocol 3) ==")
-    peg_interval = 1.0
-    print(f"Delta-tau = {peg_interval}s, theoretical bound = {2 * peg_interval}s")
-    print(f"{'adversary delay (s)':>20} | {'malicious window (s)':>21}")
-    for delay in (0.0, 600.0, 86_400.0, 604_800.0):
-        result = run_two_way_window(delay, peg_interval=peg_interval)
-        assert result.bounded
-        print(f"{delay:>20.0f} | {result.malicious_window:>21.3f}")
-    print("-> no matter the patience, the window stays < 2.Delta-tau\n")
-
-
-def scene_tledger() -> None:
-    print("== scene 3: T-Ledger freshness check (Protocol 4) ==")
+def scene_stale_submission() -> None:
+    print("== scene 1: T-Ledger freshness check (Protocol 4) ==")
     for hold_back in (0.2, 0.8, 1.5, 30.0):
-        accepted = run_tledger_stale_submission(hold_back, admission_tolerance=1.0)
-        verdict = "accepted" if accepted else "REJECTED (stale: tau_t >= tau_c + tau_Delta)"
+        clock = SimClock()
+        tledger = TimeLedger(
+            clock, TimeStampAuthority("ntsc", clock), finalize_interval=1.0, admission_tolerance=1.0
+        )
+        clock.advance(5.0)
+        client_timestamp = clock.now()  # tau_c, stamped into the request
+        clock.advance(hold_back)  # the adversary sits on the request
+        try:
+            tledger.submit("ledger-1", leaf_hash(b"common ledger digest"), client_timestamp)
+            verdict = "accepted"
+        except StaleRequestError:
+            verdict = "REJECTED (stale: tau_t >= tau_c + tau_Delta)"
         print(f"  request held back {hold_back:>5.1f}s -> {verdict}")
+    print("-> a held-back request cannot buy itself an earlier time\n")
 
-    # Honest operation: many ledgers sharing one TSA finalization per second.
-    print("\n  honest T-Ledger operation (10 ledger digests/second, one TSA round):")
+
+def scene_honest() -> None:
+    print("== scene 2: honest T-Ledger operation ==")
+    print("  10 ledger digests/second, one TSA round:")
     clock = SimClock()
     tsa = TimeStampAuthority("ntsc", clock)
     tledger = TimeLedger(clock, tsa, finalize_interval=1.0, admission_tolerance=1.0)
@@ -81,12 +63,12 @@ def scene_tledger() -> None:
               f"width<={bound.upper - max(bound.lower, 0):.1f}s, TSA signature OK")
     print(f"  TSA stamps issued for 10 entries: {tsa.stamps_issued} "
           f"(amortised by the T-Ledger)")
+    print("\nFigure 5's pegging windows: python -m paper fig5")
 
 
 def main() -> None:
-    scene_one_way()
-    scene_two_way()
-    scene_tledger()
+    scene_stale_submission()
+    scene_honest()
 
 
 if __name__ == "__main__":

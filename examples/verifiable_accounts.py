@@ -14,12 +14,16 @@ Combines three Figure-1/Figure-2 components beyond the basic append loop:
   proof plus one existence proof — no statement replay (the §III-A2
   motivation: current state provable without historical content).
 
+The proxy, shared storage and world-state are the front end in
+``examples/frontend/``, beside this script; the ledger itself does not
+ship them.
+
 Run: python examples/verifiable_accounts.py
 """
 
+from frontend.proxy import LedgerProxy
+from frontend.worldstate import WorldState
 from repro import KeyPair, Ledger, LedgerConfig, Role, SimClock
-from repro.core.proxy import LedgerProxy
-from repro.core.worldstate import WorldState
 from repro.encoding import decode, encode
 
 URI = "ledger://verifiable-accounts"

@@ -7,7 +7,8 @@ Usage::
     python -m paper --full     # full sweep
     python -m paper fig8 fig9  # selected experiments only
 
-Exit status 2 names an unknown experiment.
+Exit status 2 names an unknown experiment; exit status 1 means an
+experiment's result reports ``deviations`` (the witness scenarios do).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import sys
 import time
 
-from paper import ablations, fig5, fig7, fig8, fig9, fig10, table1, table2
+from paper import ablations, fig5, fig7, fig8, fig9, fig10, table1, table2, witness
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -28,6 +29,7 @@ EXPERIMENTS = {
     "fig9": fig9,
     "fig10": fig10,
     "ablations": ablations,
+    "witness": witness,
 }
 
 
@@ -44,6 +46,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     mode = "quick" if quick else "full"
     print(f"# LedgerDB verification reproduction — {mode} mode\n")
+    deviations = 0
     for name in selected:
         module = EXPERIMENTS[name]
         start = time.perf_counter()
@@ -52,7 +55,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"## {name}  ({elapsed:.1f}s)\n")
         print(module.render(result))
         print()
-    return 0
+        deviations += getattr(result, "deviations", 0)
+    return 1 if deviations else 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
-"""Attack scenarios for the non-equivocation layer (DESIGN.md §16).
+"""Non-equivocation scenarios: a forking server, a censoring server, and
+an honest control, each detected (or not) by the shipped transparency layer.
 
-Two adversary playbooks are implemented against *real* servers speaking the
-real wire protocol, detected by *stock* clients — no test-only hooks on the
-honest side:
+Two adversary playbooks run against *real* servers speaking the real wire
+protocol, detected by *stock* clients — no test-only hooks on the honest
+side:
 
 * :class:`ForkingServer` — the split-view attack.  Ledgers created with the
   same uri derive the same deterministic LSP keypair, so two divergent
@@ -20,29 +21,36 @@ honest side:
   :class:`CensorshipEvidence` the server cannot refute.
 
 Each ``run_*`` function plays one scenario end to end and returns a frozen
-:class:`ScenarioResult`, in the spirit of :mod:`repro.timeauth.attacks`; the
-honest-server scenario is the control: same machinery, zero evidence.
+:class:`ScenarioResult`; the honest-server scenario is the control: same
+machinery, zero evidence.  ``python -m paper witness`` runs all three and
+exits non-zero when any deviates from its expected outcome (fork and
+censorship detected with offline-verified evidence, honest server clean).
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.journal import ClientRequest
-from ..core.ledger import Ledger, LedgerConfig
-from ..core.receipt import Receipt
-from ..crypto.ca import Role
-from ..crypto.keys import KeyPair, PublicKey
-from ..net.server import LedgerServer, ServerThread
-from .censorship import CensorshipEvidence, refute_censorship
-from .sth import verify_equivocation
-from .witness import Witness, WitnessReport
+import repro.api as api
+from repro.core.journal import ClientRequest
+from repro.core.ledger import Ledger, LedgerConfig
+from repro.core.receipt import Receipt
+from repro.crypto.ca import Role
+from repro.crypto.keys import KeyPair, PublicKey
+from repro.net.server import LedgerServer, ServerThread
+from repro.transparency.censorship import CensorshipEvidence, refute_censorship
+from repro.transparency.sth import verify_equivocation
+from repro.transparency.witness import Witness, WitnessReport
 
 __all__ = [
     "CensoringLedgerServer",
     "ForkingServer",
     "ScenarioResult",
+    "WitnessResult",
+    "render",
+    "run",
     "run_censorship",
     "run_fork_equivocation",
     "run_honest_server",
@@ -220,8 +228,6 @@ class CensoringLedgerServer(LedgerServer):
 
 
 def _connect(address: tuple[str, int], *, with_identity: bool = False):
-    import repro.api as api  # late: repro.api itself imports this package
-
     host, port = address
     kwargs: dict = {}
     if with_identity:
@@ -387,3 +393,53 @@ def _attempt_refutation(ledger: Ledger, evidence: CensorshipEvidence) -> bool:
         if refute_censorship(evidence, journal, proof):
             return True
     return False
+
+
+# ------------------------------------------------------------- experiment
+
+#: Each scenario with the detection it must report: attacks caught, the
+#: honest control clean.
+SCENARIOS = (
+    (run_fork_equivocation, True),
+    (run_censorship, True),
+    (run_honest_server, False),
+)
+
+
+@dataclass(frozen=True)
+class WitnessResult:
+    """Every scenario's result beside the detection it must report."""
+
+    outcomes: tuple[tuple[ScenarioResult, bool], ...]
+
+    @property
+    def deviations(self) -> int:
+        """How many scenarios deviate from their expected outcome."""
+        return sum(not _as_expected(result, expected) for result, expected in self.outcomes)
+
+
+def _as_expected(result: ScenarioResult, expected: bool) -> bool:
+    return result.detected == expected and result.evidence_verified
+
+
+def run(quick: bool = True) -> WitnessResult:
+    """Play the three scenarios; each keeps its ledgers in its own subdirectory."""
+    with tempfile.TemporaryDirectory(prefix="paper-witness-") as tmp:
+        return WitnessResult(tuple((scenario(tmp), expected) for scenario, expected in SCENARIOS))
+
+
+def render(result: WitnessResult) -> str:
+    lines = []
+    for scenario, expected in result.outcomes:
+        detail = (
+            f"detected={scenario.detected} "
+            f"evidence={', '.join(scenario.evidence_kinds) or 'none'} "
+            f"(offline-verified: {scenario.evidence_verified})"
+        )
+        if scenario.refutation_succeeded is not None:
+            detail += f", refutation succeeded: {scenario.refutation_succeeded}"
+        marker = "ok " if _as_expected(scenario, expected) else "FAIL"
+        lines.append(f"  [{marker}] {scenario.scenario}: {detail}; {scenario.detail}")
+    total = len(result.outcomes)
+    lines.append(f"witness: {total - result.deviations}/{total} scenarios as expected")
+    return "\n".join(lines)

@@ -178,37 +178,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
-    """Exit status: how many scenarios deviate from the expected outcome
-    (forks and censorship detected, honest server clean)."""
-    import tempfile
-    from dataclasses import asdict
-
-    from repro.transparency import attacks
-
-    scenarios = (
-        ("fork", attacks.run_fork_equivocation, True),
-        ("censorship", attacks.run_censorship, True),
-        ("honest", attacks.run_honest_server, False),
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-witness-") as tmp:
-        results = [(run(Path(tmp) / name), expected) for name, run, expected in scenarios]
-    rows = []
-    for result, expected in results:
-        detail = (
-            f"detected={result.detected} evidence={', '.join(result.evidence_kinds) or 'none'} "
-            f"(offline-verified: {result.evidence_verified})"
-        )
-        if result.refutation_succeeded is not None:
-            detail += f", refutation succeeded: {result.refutation_succeeded}"
-        ok = result.detected == expected and result.evidence_verified
-        rows.append((result.scenario, ok, f"{detail}; {result.detail}"))
-    failures = sum(not passed for _check, passed, _detail in rows)
-    summary = f"witness: {len(rows) - failures}/{len(rows)} scenarios as expected"
-    _report(args, rows, summary, [asdict(result) for result, _expected in results])
-    return failures
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Run an instrumented workload on the seeded deployment; print its
     checks and metrics.  Every instrumented layer moves: durable appends
@@ -497,12 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--resume", metavar="CHECKPOINT", help="resume from (and keep checkpointing to) CHECKPOINT"
     )
-
-    witness = sub.add_parser(
-        "witness", help="run the §16 non-equivocation scenarios (fork, censorship, honest)"
-    )
-    witness.set_defaults(fn=_cmd_witness)
-    witness.add_argument("--json", action="store_true", help=json_help)
 
     stats = sub.add_parser("stats", help="instrumented workload + observability snapshot")
     stats.set_defaults(fn=_cmd_stats)

@@ -168,10 +168,12 @@ class Journal:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Journal":
         data = bytes(data)
-        journal = cls(**_JOURNAL.decode(data))
+        # ``_JOURNAL.decode`` checks every field, so the frozen dataclass's
+        # ``__init__`` (one ``object.__setattr__`` per field) is skipped.
         # Seed the serialization memo with the wire bytes: ``tx_hash`` must
         # digest the bytes fam actually accumulated, not a re-encoding.
-        object.__setattr__(journal, "_bytes", data)
+        journal = object.__new__(cls)
+        journal.__dict__.update(_JOURNAL.decode(data), _bytes=data)
         return journal
 
     def tx_hash(self) -> Digest:

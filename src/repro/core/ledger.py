@@ -794,30 +794,6 @@ class Ledger:
             except (JournalOccultedError, JournalPurgedError):
                 continue
 
-    def journals_by_member(self, member_id: str) -> list[int]:
-        """jsns of retrievable journals issued by ``member_id`` (scan)."""
-        return [j.jsn for j in self.iter_journals() if j.client_id == member_id]
-
-    def journals_in_time_range(self, low: float, high: float) -> list[int]:
-        """jsns committed with server timestamps in ``[low, high)``.
-
-        Server timestamps are non-authoritative (use Dasein *when*
-        verification for credible bounds); this is the operational query —
-        e.g. scoping an audit's temporal predicate.
-        """
-        return [j.jsn for j in self.iter_journals() if low <= j.timestamp < high]
-
-    def clues_in_range(self, low: str, high: str) -> list[tuple[str, list[int]]]:
-        """Ordered clue-range scan over the cSL index."""
-        return list(self._cluesl.range(low, high))
-
-    def block_of(self, jsn: int) -> Block | None:
-        """The committed block containing ``jsn`` (None if still pending)."""
-        for block in self._blocks:
-            if block.contains_jsn(jsn):
-                return block
-        return None
-
     def clue_entry_count(self, clue: str) -> int:
         return self._cmtree.entry_count(clue)
 

@@ -1,11 +1,5 @@
 """Time verification (*when*): clocks, TSA, pegging protocols, T-Ledger."""
 
-from .attacks import (
-    AttackResult,
-    run_one_way_amplification,
-    run_tledger_stale_submission,
-    run_two_way_window,
-)
 from .clock import Clock, SimClock, SkewedClock, WallClock
 from .pegging import NotaryEvidence, OneWayPegger, PublicChainNotary, TimeBound, TwoWayPegger
 from .tledger import (
@@ -19,10 +13,6 @@ from .tledger import (
 from .tsa import TimeStampAuthority, TimeStampToken, TSAPool, TSAUnavailableError
 
 __all__ = [
-    "AttackResult",
-    "run_one_way_amplification",
-    "run_tledger_stale_submission",
-    "run_two_way_window",
     "Clock",
     "SimClock",
     "SkewedClock",

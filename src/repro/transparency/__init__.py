@@ -10,10 +10,11 @@ ROADMAP item 4.  Everything verifies offline against the LSP public key:
 * :mod:`repro.transparency.witness` — the :class:`Witness` gossip store,
   written once against :class:`~repro.session.Session`;
 * :mod:`repro.transparency.censorship` — :class:`SubmissionAck`,
-  :class:`CensorshipEvidence`, :func:`refute_censorship`;
-* :mod:`repro.transparency.attacks` — the :class:`ForkingServer` scenario
-  double (imported explicitly by the attack suite; not re-exported here
-  because it pulls in the whole net stack).
+  :class:`CensorshipEvidence`, :func:`refute_censorship`.
+
+The adversaries these detect (a forking server, a censoring server) are
+scenarios in the paper harness, ``paper/witness.py``, not part of the
+product.
 """
 
 from .censorship import CensorshipEvidence, SubmissionAck, refute_censorship

@@ -292,15 +292,35 @@ def test_export_refuses_a_bundle_that_fails_its_own_verifier(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_witness_detects_forks_and_censorship_only(capsys):
-    import json
+def test_witness_detects_forks_and_censorship_only():
+    from paper import witness
 
-    assert main(["witness", "--json"]) == 0
-    fork, censorship, honest = json.loads(capsys.readouterr().out)
-    assert fork["scenario"] == "fork-equivocation"
+    result = witness.run()
+    fork, censorship, honest = (scenario for scenario, _expected in result.outcomes)
+    assert fork.scenario == "fork-equivocation"
     for attack in (fork, censorship):
-        assert attack["detected"] and attack["evidence_verified"]
-    assert honest["scenario"] == "honest-server" and not honest["detected"]
+        assert attack.detected and attack.evidence_verified
+    assert honest.scenario == "honest-server" and not honest.detected
+    assert result.deviations == 0
+    assert "witness: 3/3 scenarios as expected" in witness.render(result)
+
+
+def test_witness_exits_nonzero_when_a_scenario_deviates(capsys, monkeypatch):
+    from paper import witness
+
+    def quiet_fork(base_dir):  # a fork nobody caught
+        return witness.ScenarioResult(
+            scenario="fork-equivocation",
+            detected=False,
+            evidence_kinds=(),
+            evidence_verified=True,
+            alarms=(),
+        )
+
+    monkeypatch.setattr(witness, "SCENARIOS", ((quiet_fork, True),))
+    assert paper_main(["witness"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] fork-equivocation" in out and "0/1 scenarios as expected" in out
 
 
 # ------------------------------------------------------------------ serve

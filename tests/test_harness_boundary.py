@@ -4,12 +4,14 @@ The paper's tables and figures are reproduced by the top-level ``paper``
 program, which drives the ledger from outside.  A fresh interpreter imports
 every module of the ``repro`` package (walking it, as any user import
 could) and must end with no ``paper`` module loaded — no figure driver, no
-comparator simulator, no tim/bim/bAMT/ccMPT baseline — the same discipline
+comparator simulator, no tim/bim/bAMT/ccMPT baseline, no adversary
+scenario, no Figure-1 demo front end — the same discipline
 ``tests/test_verify_kernel.py`` holds ``repro.verify`` to.  The harness, for
 its part, must run without pytest installed.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +19,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
-#: Module basenames the harness brought into the tree before it moved out.
-HARNESS_NAMES = {"bench", "baselines", "sim", "workloads", "tim", "bim", "bamt", "ccmpt"}
+#: Module basenames the harness and the demos brought into the tree before
+#: they moved out.
+HARNESS_NAMES = {
+    "bench",
+    "baselines",
+    "sim",
+    "workloads",
+    "tim",
+    "bim",
+    "bamt",
+    "ccmpt",
+    "attacks",
+    "proxy",
+    "worldstate",
+    "shared",
+}
 
 _WALK = """\
 import importlib, json, pkgutil, sys
@@ -68,5 +84,19 @@ def test_importing_all_of_repro_loads_no_harness_module():
 
 def test_the_harness_imports_without_pytest():
     assert _run(_NO_PYTEST).split() == [
-        "table1", "table2", "fig5", "fig7", "fig8", "fig9", "fig10", "ablations"
+        "table1", "table2", "fig5", "fig7", "fig8", "fig9", "fig10", "ablations", "witness"
     ]
+
+
+def test_the_cli_has_no_witness_verb():
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert "demo" in proc.stdout  # the verb list was printed
+    assert "witness" not in proc.stdout

@@ -1,6 +1,6 @@
-"""Operational query APIs: iterators, member/time filters, block lookup."""
+"""Operational query API: the journal iterator."""
 
-from repro.core import JournalType, OccultMode
+from repro.core import OccultMode
 
 
 class TestIterJournals:
@@ -31,40 +31,3 @@ class TestIterJournals:
         deployment.ledger.execute_purge(pseudo, record, approvals)
         journals = list(deployment.ledger.iter_journals())
         assert journals[0].jsn == 8
-
-
-class TestFilters:
-    def test_journals_by_member(self, populated):
-        deployment, _receipts = populated
-        alice_jsns = deployment.ledger.journals_by_member("alice")
-        assert alice_jsns
-        for jsn in alice_jsns:
-            assert deployment.ledger.get_journal(jsn).client_id == "alice"
-        lsp_jsns = deployment.ledger.journals_by_member("__lsp__")
-        types = {deployment.ledger.get_journal(j).journal_type for j in lsp_jsns}
-        assert JournalType.GENESIS in types
-
-    def test_journals_in_time_range(self, populated):
-        deployment, _receipts = populated
-        inside = deployment.ledger.journals_in_time_range(1.0, 2.0)
-        assert inside
-        for jsn in inside:
-            assert 1.0 <= deployment.ledger.get_journal(jsn).timestamp < 2.0
-        assert deployment.ledger.journals_in_time_range(1e9, 2e9) == []
-
-    def test_clues_in_range(self, deployment):
-        for i, clue in enumerate(("apple", "banana", "cherry")):
-            deployment.append("alice", b"x%d" % i, clues=(clue,))
-        scanned = deployment.ledger.clues_in_range("apple", "cherry")
-        assert [name for name, _ in scanned] == ["apple", "banana"]
-
-
-class TestBlockLookup:
-    def test_block_of_committed(self, populated):
-        deployment, _receipts = populated
-        block = deployment.ledger.block_of(5)
-        assert block is not None and block.contains_jsn(5)
-
-    def test_block_of_pending(self, deployment):
-        deployment.append("alice", b"x")  # block size 4: still pending
-        assert deployment.ledger.block_of(1) is None

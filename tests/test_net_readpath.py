@@ -48,8 +48,9 @@ from repro.net import (
 )
 from repro.net.protocol import decode_message
 from repro.timeauth import SimClock
-from repro.transparency.attacks import ForkingServer
 from repro.verify import clue_what
+
+from paper.witness import ForkingServer
 
 USER = "readpath-user"
 EPOCH = 16  # fractal_height=4

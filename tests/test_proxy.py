@@ -1,12 +1,17 @@
-"""Ledger proxy + shared storage: the Figure-1 payload/digest split."""
+"""Ledger proxy + shared storage: the Figure-1 payload/digest split (``examples/frontend``)."""
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.errors import AuthenticationError, LedgerError
-from repro.core.proxy import LedgerProxy, PayloadRef
-from repro.storage.shared import BlobIntegrityError, SharedStorage
+
+# The proxy is a demo front end kept beside its example, not a repro module.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
+from frontend.proxy import LedgerProxy, PayloadRef
+from frontend.shared import BlobIntegrityError, SharedStorage
 
 
 @pytest.fixture()

@@ -1,4 +1,4 @@
-"""Clocks, TSA, pegging protocols, T-Ledger, and the attack scenarios."""
+"""Clocks, TSA, pegging protocols, T-Ledger, and Fig 5's attack scenarios."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +15,14 @@ from repro.timeauth import (
     TSAPool,
     TSAUnavailableError,
     TwoWayPegger,
+)
+from repro.timeauth.pegging import TimeBound
+
+from paper.fig5 import (
     run_one_way_amplification,
     run_tledger_stale_submission,
     run_two_way_window,
 )
-from repro.timeauth.pegging import TimeBound
 
 
 class TestClocks:

@@ -15,18 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import KeyPair
-from repro.transparency.attacks import (
-    CensoringLedgerServer,
-    ForkingServer,
-    run_censorship,
-    run_fork_equivocation,
-    run_honest_server,
-)
 from repro.transparency import (
     CensorshipEvidence,
     EquivocationEvidence,
     Witness,
     verify_equivocation,
+)
+
+from paper.witness import (
+    CensoringLedgerServer,
+    ForkingServer,
+    run_censorship,
+    run_fork_equivocation,
+    run_honest_server,
 )
 
 
@@ -44,7 +45,7 @@ class TestForkEquivocation:
             fork.seed(4)
             fork.diverge(b"pays bob", b"pays mallory")
             fork.start()
-            from repro.transparency.attacks import _connect
+            from paper.witness import _connect
 
             for address in (fork.address_a, fork.address_b):
                 witness = Witness(fork.lsp_public_key)
@@ -59,7 +60,7 @@ class TestForkEquivocation:
             fork.seed(4)
             fork.diverge(b"pays bob", b"pays mallory")
             fork.start()
-            from repro.transparency.attacks import _connect
+            from paper.witness import _connect
 
             witness = Witness(fork.lsp_public_key)
             with _connect(fork.address_a) as session:
@@ -137,7 +138,7 @@ class TestHonestControl:
 class TestCensoringServerDouble:
     def test_double_only_drops_marked_payloads(self, tmp_path):
         from repro.net import ServerThread
-        from repro.transparency.attacks import _build_ledger, _connect
+        from paper.witness import _build_ledger, _connect
 
         ledger = _build_ledger("ledger://selective", tmp_path / "led", 2)
         with ServerThread(ledger, server_cls=CensoringLedgerServer) as served:

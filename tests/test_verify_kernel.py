@@ -435,8 +435,11 @@ def test_proof_ahead_of_the_tracked_head_catches_up_verified(world):
 
 def test_honest_server_never_verifies_falsy_beside_appends():
     """A writer appends through the server while a remote session verifies
-    honest journals at client level: 200 verifications, zero falsy, zero
-    VerificationFailure — and a flipped payload byte still fails every time."""
+    honest journals at client level: at least 200 verifications, zero
+    falsy, zero VerificationFailure — and a flipped payload byte still fails
+    every time.  The verifier keeps going past 200 rounds until the writer
+    has committed 20 journals beside it (or a 30 s deadline passes), since
+    200 rounds alone can finish before the writer gets there."""
     ledger = Ledger(LedgerConfig(uri="ledger://beside", fractal_height=4, block_size=4))
     user = KeyPair.generate(seed="kernel:beside")
     ledger.registry.register(USER, Role.USER, user.public)
@@ -459,9 +462,10 @@ def test_honest_server_never_verifies_falsy_beside_appends():
 
         thread = threading.Thread(target=write)
         thread.start()
-        falsy = failures = false_passes = 0
+        falsy = failures = false_passes = round_ = 0
+        deadline = time.monotonic() + 30
         try:
-            for round_ in range(200):
+            while round_ < 200 or (len(acked) <= 8 + 20 and time.monotonic() < deadline):
                 # Mostly the freshest acknowledged journal (the live epoch,
                 # where the race is), sometimes an old one (sealed epochs).
                 jsn = acked[-1] if round_ % 4 else acked[round_ % len(acked)]
@@ -473,6 +477,7 @@ def test_honest_server_never_verifies_falsy_beside_appends():
                     )
                 except VerificationFailure:
                     failures += 1
+                round_ += 1
         finally:
             stop.set()
             thread.join(30)

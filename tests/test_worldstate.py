@@ -1,12 +1,17 @@
-"""World-state: the single-layer state accumulator of Figure 2."""
+"""World-state: the single-layer state accumulator of Figure 2 (``examples/frontend``)."""
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.worldstate import StateProof, WorldState
 from repro.crypto.hashing import sha256
+
+# The world-state is a demo front end kept beside its example, not a repro module.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
+from frontend.worldstate import StateProof, WorldState
 
 
 class TestBasics:
