@@ -35,6 +35,22 @@ def _fields(obj: Any, *names: str) -> dict:
     return {name: getattr(obj, name) for name in names}
 
 
+def _finding_rows(groups: Any) -> list[Row]:
+    """A row per ``(check, findings, ok_detail)``: FAIL with the findings, if any."""
+    from repro.artifacts import bounded
+
+    return [
+        (check, not findings, bounded([str(f) for f in findings]) or ok_detail)
+        for check, findings, ok_detail in groups
+    ]
+
+
+def _findings_json(findings: Any) -> list[dict]:
+    """Each finding's fields, roots and heads in hex."""
+    hexed = lambda value: value.hex() if isinstance(value, bytes) else value
+    return [{key: hexed(value) for key, value in vars(f).items()} for f in findings]
+
+
 def _seeded_deployment(
     name: str,
     journals: int,
@@ -117,14 +133,14 @@ def _close_quietly(ledger: Any) -> None:
 
 
 def _verdict_rows(result: Any) -> list[Row]:
-    """The what/when/who rows of a :class:`~repro.artifacts.VerifyResult`;
-    a factor that was not checked (``None``, e.g. *when* without TSA keys)
-    gets no row rather than a pass."""
-    return [
-        (factor, verdict, "verified" if verdict else result.detail or "failed")
+    """The what/when/who rows of a :class:`~repro.artifacts.VerifyResult`,
+    each from that factor's findings; a factor that was not checked
+    (``None``, e.g. *when* without TSA keys) gets no row rather than a pass."""
+    return _finding_rows(
+        (factor, [f for f in result.findings if f.factor == factor], "verified")
         for factor in ("what", "when", "who")
-        if (verdict := getattr(result, factor)) is not None
-    ]
+        if getattr(result, factor) is not None
+    )
 
 
 # ------------------------------------------------------------------- verbs
@@ -166,15 +182,20 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         checkpoint=args.resume if args.resume is not None else args.checkpoint,
         resume=args.resume is not None,
     )
-    # A sharded report prefixes each step with its shard.
-    rows = [(step.name, step.passed, step.detail) for step in report.steps]
+    reports = getattr(report, "reports", [report])
+    label = "shard-{} {}" if len(reports) > 1 else "{1}"  # a sharded row names its shard
+    rows = _finding_rows(
+        (label.format(k, step.name), [step.finding] if step.finding else [], step.detail)
+        for k, shard_report in enumerate(reports)
+        for step in shard_report.steps
+    )
     summary = (
         f"audit passed={report.passed} "
         f"({report.journals_replayed} journals, {report.blocks_verified} blocks, "
         f"{report.time_journals_verified} time anchors, "
         f"workers={args.workers}, shards={args.shards})"
     )
-    _report(args, rows, summary, report.to_dict())
+    _report(args, rows, summary, {**report.to_dict(), "findings": _findings_json(report.findings)})
     return 0 if report.passed else 1
 
 
@@ -386,6 +407,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         "shards": bundle.num_shards,
         "clues": sorted(args.clue or ()),
         "detail": result.detail,
+        "findings": _findings_json(result.findings),
     }
     _report(args, _verdict_rows(result), summary, payload)
     return 0 if result.ok else 1
@@ -402,6 +424,7 @@ def _cmd_verify_bundle(args: argparse.Namespace) -> int:
         f"when={result.when} who={result.who}"
     )
     payload = _fields(result, "ok", "what", "when", "who", "target", "level", "detail")
+    payload["findings"] = _findings_json(result.findings)
     _report(args, _verdict_rows(result), summary, payload)
     return 0 if result.ok else 1
 
@@ -419,16 +442,13 @@ def _cmd_rebuild(args: argparse.Namespace) -> int:
         ledger, report = rebuild_from_stream(args.data_dir)
     _close_quietly(ledger)
     rows = [("cross-check", report.ok, ", ".join(report.checks))]
-    for d in report.divergences:
-        rows.append((f"DIVERGED [{d.kind}] shard {d.shard_index} {d.coordinate}", False, d.detail))
+    rows += _finding_rows((f"DIVERGED [{f.check}]", [f], "") for f in report.divergences)
     summary = (
         f"rebuilt {report.ledger_uri} from {report.source}: ok={report.ok} "
         f"({report.journals} journals, {report.num_shards} shard(s))"
     )
     payload = _fields(report, "ok", "source", "ledger_uri", "num_shards", "journals", "checks")
-    payload["divergences"] = [
-        _fields(d, "kind", "shard_index", "coordinate", "detail") for d in report.divergences
-    ]
+    payload["divergences"] = _findings_json(report.divergences)
     _report(args, rows, summary, payload)
     return 0 if report.ok else 1
 

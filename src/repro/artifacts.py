@@ -17,10 +17,10 @@ pair and documents the verify convention; :func:`is_artifact` is the runtime
 structural check.
 
 This module is deliberately **kernel-free**: it imports only
-:mod:`repro.crypto`, :mod:`repro.merkle`, :mod:`repro.encoding` and leaf
-:mod:`repro.timeauth` modules, so a standalone offline verifier can load it
-without pulling in the ledger kernel, the service layer, or the network
-stack (see ``repro/export/verifier.py``).
+:mod:`repro.crypto`, :mod:`repro.merkle`, :mod:`repro.encoding`,
+:mod:`repro.obs` and leaf :mod:`repro.timeauth` modules, so a standalone
+offline verifier can load it without pulling in the ledger kernel, the
+service layer, or the network stack (see ``repro/export/verifier.py``).
 """
 
 from __future__ import annotations
@@ -29,19 +29,23 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Protocol, runtime_checkable
 
+from . import obs
 from .crypto.hashing import Digest
-from .encoding import BOOL, BYTES, FLOAT, INT, STR, EncodingError, Record, mapped, nullable, row
+from .encoding import BOOL, BYTES, FLOAT, INT, STR, EncodingError, Record, list_of, mapped
+from .encoding import nullable, row
 from .merkle.fam import FamProof
 from .timeauth.pegging import TimeBound
 
 __all__ = [
     "Artifact",
     "DaseinReport",
+    "Finding",
     "OpaqueProof",
     "VerifyLevel",
     "VerifyResult",
     "VerifyTarget",
     "is_artifact",
+    "lift",
 ]
 
 
@@ -79,6 +83,52 @@ class VerifyLevel(Enum):
 
     SERVER = "server"
     CLIENT = "client"
+
+
+@dataclass(frozen=True)
+class Finding:
+    """Why one check failed, as every verifier reports it: the ``factor`` it
+    costs (``what``/``when``/``who``/``consistency``/``mutation``), the
+    ``check``'s stable name, where (``shard``, ``jsn``), the root or head
+    judged against and the one found, and whether the evidence was
+    ``absent`` rather than wrong.  ``str()`` is the message."""
+
+    factor: str
+    check: str
+    detail: str
+    shard: int | None = None
+    jsn: int | None = None
+    expected: bytes | None = None
+    actual: bytes | None = None
+    absent: bool = False
+
+    def __str__(self) -> str:
+        return self.detail if self.shard is None else f"shard {self.shard}: {self.detail}"
+
+
+#: A :class:`Finding` inline in the records that carry findings.
+FINDING = Record(
+    factor=STR, check=STR, detail=STR, shard=nullable(INT), jsn=nullable(INT),
+    expected=nullable(BYTES), actual=nullable(BYTES), absent=BOOL,
+).of(Finding)
+
+
+#: How many messages :func:`bounded` shows before it counts the rest.
+SHOWN = 8
+
+
+def bounded(messages: list[str]) -> str:
+    """The first :data:`SHOWN` of ``messages`` joined by ``"; "``, then a count of the rest."""
+    more = [f"(+{len(messages) - SHOWN} more)"] if len(messages) > SHOWN else []
+    return "; ".join(messages[:SHOWN] + more)
+
+
+def counted(findings: Any) -> tuple[Finding, ...]:
+    """``findings`` as a tuple, each counted as ``verify.findings{factor=,check=}``."""
+    findings = tuple(findings)
+    for finding in findings:
+        obs.inc(f"verify.findings{{factor={finding.factor},check={finding.check}}}")
+    return findings
 
 
 @dataclass(frozen=True)
@@ -143,10 +193,10 @@ class VerifyResult:
 
     Every field beyond ``ok`` is machine-checkable context: which ``target``
     was verified at which ``level``, the per-factor Dasein verdicts where the
-    flow produced them (``None`` = that factor was not part of this check),
-    the ``proof`` object actually folded, and the ``trusted_root`` it was
-    folded against — enough for a distrusting caller to re-run the check or
-    archive the evidence.
+    flow produced them (``None`` = that factor was not part of this check)
+    with the ``findings`` behind each FALSE one, the ``proof`` object actually
+    folded, and the ``trusted_root`` it was folded against — enough for a
+    distrusting caller to re-run the check or archive the evidence.
 
     Truthy-compatible with the old ``bool`` return: ``bool(result)`` is
     ``result.ok``, so ``assert verify(...)`` keeps working unchanged.
@@ -155,7 +205,8 @@ class VerifyResult:
     ``from_bytes`` (a ``fam`` proof comes back as a real :class:`FamProof`;
     other proof kinds as :class:`OpaqueProof`), and ``verify()`` checks the
     result's *internal consistency*: ``ok`` must equal the conjunction of
-    whichever Dasein factors are present.
+    whichever Dasein factors are present, and the findings must name
+    exactly the FALSE factors.
     """
 
     ok: bool
@@ -169,6 +220,7 @@ class VerifyResult:
     trusted_root: Digest | None = None
     jsn: int | None = None
     detail: str = ""
+    findings: tuple[Finding, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -183,10 +235,9 @@ class VerifyResult:
         level: str = "client",
     ) -> "VerifyResult":
         """Lift a :class:`DaseinReport` into the structured verify surface."""
-        return cls(
-            ok=report.dasein_complete,
-            target="dasein",
-            level=level,
+        return lift(
+            "dasein",
+            level,
             what=report.what,
             when=report.when_valid,
             who=report.who,
@@ -197,15 +248,15 @@ class VerifyResult:
         )
 
     def verify(self) -> bool:
-        """Internal consistency: ``ok`` agrees with the recorded factors.
-
-        Never raises.  When no per-factor verdicts are present there is
-        nothing to cross-check and the result is vacuously consistent.
-        """
-        factors = [f for f in (self.what, self.when, self.who) if f is not None]
-        if not factors:
-            return True
-        return self.ok == all(factors)
+        """Internal consistency, never raising: ``ok`` agrees with the factors
+        present, and the findings name exactly the FALSE ones (evidence found
+        absent while *when* went unchecked excepted)."""
+        verdicts = {"what": self.what, "when": self.when, "who": self.who}
+        failed = {factor for factor, verdict in verdicts.items() if verdict is False}
+        excepted = {"when"} if self.when is None else set()
+        explained = {f.factor for f in self.findings if not (f.absent and f.factor in excepted)}
+        factors = [verdict for verdict in verdicts.values() if verdict is not None]
+        return explained == failed and (not factors or self.ok == all(factors))
 
     def to_bytes(self) -> bytes:
         proof_kind, proof_bytes = _encode_proof(self.proof)
@@ -220,7 +271,7 @@ class VerifyResult:
 
 _VERDICT = nullable(BOOL)
 _RESULT = Record(
-    scheme="repro.verify_result.v1",
+    scheme="repro.verify_result.v2",
     ok=BOOL,
     target=STR,
     level=STR,
@@ -235,4 +286,57 @@ _RESULT = Record(
     trusted_root=nullable(BYTES),
     jsn=nullable(INT),
     detail=STR,
+    findings=list_of(FINDING, tuple),
 )
+
+
+def lift(
+    target: Enum | str,
+    level: Enum | str,
+    *,
+    what: bool,
+    when: bool | None = None,
+    who: bool | None = None,
+    findings: Any = (),
+    **evidence: Any,
+) -> VerifyResult:
+    """Lift per-factor verdicts into the one structured result every entry
+    point returns: ``ok`` is the conjunction of the factors checked (``None``
+    = not checked), ``findings`` the caller's reasons (a FALSE factor none
+    explains gets :func:`_unexplained`'s), ``evidence`` the other
+    :class:`VerifyResult` fields."""
+    target = target.value if isinstance(target, Enum) else target
+    verdicts = {"what": what, "when": when, "who": who}
+    explained = {finding.factor for finding in findings}
+    unexplained = [f for f, verdict in verdicts.items() if verdict is False and f not in explained]
+    return VerifyResult(
+        ok=all(verdict for verdict in verdicts.values() if verdict is not None),
+        target=target,
+        level=level.value if isinstance(level, Enum) else level,
+        findings=counted([*findings, *(_unexplained(f, target, evidence) for f in unexplained)]),
+        **verdicts,
+        **evidence,
+    )
+
+
+def _unexplained(factor: str, target: str, evidence: dict) -> Finding:
+    """A FALSE ``factor``'s finding when its caller had none: the fold (a
+    clue's lineage), the time bracket, or the signatures."""
+    jsn = evidence.get("jsn")
+    subject = f"the {target}" if jsn is None else f"jsn {jsn}"
+    check, reason = _UNEXPLAINED[factor]
+    return Finding(
+        factor,
+        "clue" if factor == "what" and target == "clue" else check,
+        f"{subject} {reason}",
+        jsn=jsn,
+        expected=evidence.get("trusted_root") if factor == "what" else None,
+        absent=factor == "when" and evidence.get("when_bound") is None,
+    )
+
+
+_UNEXPLAINED = {
+    "what": ("fold", "does not fold to the trusted root"),
+    "when": ("time-evidence", "has no verified time ceiling"),
+    "who": ("signature", "fails pi_c or pi_s"),
+}

@@ -45,9 +45,10 @@ one loop over those futures, whatever the worker count.
 
 Determinism: tasks return raw verdicts, never report steps.  The
 coordinator converts every failure — inline or chunked — into a
-``(jsn, priority)``-keyed candidate mirroring the exact check order of the
-replay loop, and the merged first failure (message, counters, and all)
-is byte-identical regardless of worker count, chunk size, or scheduling.
+``(jsn, priority)``-keyed :class:`~repro.artifacts.Finding` mirroring the
+exact check order of the replay loop, and the merged first failure
+(finding, counters, and all) is byte-identical regardless of worker count,
+chunk size, or scheduling.
 ``tests/test_audit_parallel.py`` pins this with
 :meth:`AuditReport.canonical` equality on honest *and* tampered ledgers.
 
@@ -65,6 +66,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 
 from .. import obs
+from ..artifacts import Finding, counted
 from ..crypto.ca import Role
 from ..crypto.hashing import EMPTY_DIGEST, Digest, clue_key_hash
 from ..crypto.keys import PublicKey, verify_batch
@@ -156,6 +158,11 @@ def _check_time_evidence(entries: list, tsa_keys: dict) -> list[tuple[float, boo
     return [check_time_evidence(info, evidence, tsa_keys) for info, evidence in entries]
 
 
+def _fault(jsn: int, priority: int, factor: str, check: str, detail: str, **where) -> tuple:
+    """A replay failure candidate: ``(jsn, priority, finding)``."""
+    return jsn, priority, Finding(factor, check, detail, jsn=jsn, **where)
+
+
 def _put_frontiers(state: MPT, frontiers: dict[str, FrontierAccumulator]) -> None:
     """Commit each clue's CM-Tree2 (size, frontier) to CM-Tree1 as one write."""
     state.put_many(
@@ -196,11 +203,15 @@ class _AuditEngine:
 
     # --------------------------------------------------------------- plumbing
 
-    def _step(self, name: str, passed: bool, detail: str = "") -> bool:
-        self.report.steps.append(AuditStep(name=name, passed=passed, detail=detail))
-        if not passed:
-            self.report.passed = False
-        return passed
+    def _step(self, name: str, detail: str) -> bool:
+        self.report.steps.append(AuditStep(name=name, passed=True, detail=detail))
+        return True
+
+    def _fail(self, name: str, finding: Finding) -> bool:
+        (finding,) = counted([finding])
+        self.report.steps.append(AuditStep(name, False, str(finding), finding))
+        self.report.passed = False
+        return False
 
     def _ensure_pool(self):
         if self._pool is None:
@@ -252,16 +263,13 @@ class _AuditEngine:
             )
             for (member_id, certificate), valid in zip(certificates.items(), verdicts):
                 if not valid:
-                    return self._step(
-                        "certificates", False, f"CA signature invalid for {member_id!r}"
-                    )
-                if certificate.member_id != member_id:
-                    return self._step(
-                        "certificates", False, f"certificate id mismatch for {member_id!r}"
-                    )
-            return self._step(
-                "certificates", True, f"{len(certificates)} members"
-            )
+                    detail = f"CA signature invalid for {member_id!r}"
+                elif certificate.member_id != member_id:
+                    detail = f"certificate id mismatch for {member_id!r}"
+                else:
+                    continue
+                return self._fail("certificates", Finding("who", "certificate", detail))
+            return self._step("certificates", f"{len(certificates)} members")
 
     # Π1/Π2 share a per-record pipeline: structural checks inline, the
     # multi-signature itself a task, post-checks inline — evaluated in
@@ -310,16 +318,13 @@ class _AuditEngine:
                 )
                 outcomes.append((detail, future))
             for (jsn, record, approvals), (detail, future) in zip(records, outcomes):
-                if detail is not None:
-                    return self._step(step_name, False, detail)
-                error = future.result()
-                if error is not None:
-                    return self._step(step_name, False, f"{noun}@{jsn}: {error}")
-                if post is not None:
+                if detail is None and (error := future.result()) is not None:
+                    detail = f"{noun}@{jsn}: {error}"
+                if detail is None and post is not None:
                     detail = post(jsn, record, approvals)
-                    if detail is not None:
-                        return self._step(step_name, False, detail)
-            return self._step(step_name, True, f"{len(records)} {noun} journal(s)")
+                if detail is not None:
+                    return self._fail(step_name, Finding("mutation", step_name, detail, jsn=jsn))
+            return self._step(step_name, f"{len(records)} {noun} journal(s)")
 
     def check_purge_approvals(self) -> bool:
         """Π1: purge journals carry valid multi-signatures incl. a DBA."""
@@ -404,7 +409,7 @@ class _AuditEngine:
 
         fam, state, clue_frontiers, init_error = self._replay_genesis_state()
         if init_error is not None:
-            return self._step("replay", False, init_error)
+            return self._fail("replay", Finding("mutation", "pseudo-genesis", init_error))
 
         occult_by_target = {
             record.target_jsn: record for _jsn, record, _sig in view.occult_approvals
@@ -430,7 +435,8 @@ class _AuditEngine:
 
         lsp_cert = view.certificates.get(view.lsp_member_id)
         if lsp_cert is None:
-            return self._step("replay", False, "LSP certificate missing from view")
+            detail = "LSP certificate missing from view"
+            return self._fail("replay", Finding("who", "certificate", detail, absent=True))
 
         receipt = view.latest_receipt
         receipt_jsn = receipt.jsn if receipt is not None else None
@@ -439,10 +445,10 @@ class _AuditEngine:
         #: Clues appended to since the last CM-Tree1 write: the fold writes
         #: their frontiers as one put just before a block's state-root check.
         dirty: dict[str, FrontierAccumulator] = {}
-        #: (jsn, priority, detail) from fold-side checks; at most one.
-        inline_failure: tuple[int, int, str] | None = None
-        #: (jsn, priority, detail) from signature chunks, any order.
-        sig_failures: list[tuple[int, int, str]] = []
+        #: (jsn, priority, finding) from fold-side checks; at most one.
+        inline_failure: tuple[int, int, Finding] | None = None
+        #: (jsn, priority, finding) from signature chunks, any order.
+        sig_failures: list[tuple[int, int, Finding]] = []
         #: boundary jsns whose block checks passed, for exact counter replay.
         block_boundaries: list[int] = []
         #: buffered pi_c checks + their jsns for the in-flight chunk.
@@ -458,9 +464,8 @@ class _AuditEngine:
             signatures_checked += len(jsns)
             for jsn, ok in zip(jsns, verdicts):
                 if not ok:
-                    sig_failures.append(
-                        (jsn, _P_SIGNATURE, f"jsn {jsn}: invalid issuer signature")
-                    )
+                    detail = f"jsn {jsn}: invalid issuer signature"
+                    sig_failures.append(_fault(jsn, _P_SIGNATURE, "who", "signature", detail))
 
         def poll_chunks(wait: bool) -> None:
             remaining = []
@@ -495,28 +500,29 @@ class _AuditEngine:
                 try:
                     journal = Journal.from_bytes(entry.data)
                 except Exception as exc:
-                    inline_failure = (jsn, _P_DECODE, f"jsn {jsn}: undecodable: {exc}")
+                    detail = f"jsn {jsn}: undecodable: {exc}"
+                    inline_failure = _fault(jsn, _P_DECODE, "what", "slice", detail)
                     break
                 if journal.jsn != jsn:
-                    inline_failure = (
-                        jsn, _P_JSN, f"jsn {jsn}: journal claims {journal.jsn}"
-                    )
+                    detail = f"jsn {jsn}: journal claims {journal.jsn}"
+                    inline_failure = _fault(jsn, _P_JSN, "what", "slice", detail)
                     break
                 digest = journal.tx_hash()
                 if digest != entry.retained_hash:
-                    inline_failure = (
-                        jsn, _P_DIGEST, f"jsn {jsn}: digest mismatch with retained hash"
-                    )
+                    detail = f"jsn {jsn}: digest mismatch with retained hash"
+                    inline_failure = _fault(jsn, _P_DIGEST, "what", "slice", detail)
                     break
                 certificate = view.certificates.get(journal.client_id)
                 if certificate is None:
-                    inline_failure = (
-                        jsn, _P_SIGNATURE, f"jsn {jsn}: unknown member {journal.client_id!r}"
+                    detail = f"jsn {jsn}: unknown member {journal.client_id!r}"
+                    inline_failure = _fault(
+                        jsn, _P_SIGNATURE, "who", "certificate", detail, absent=True
                     )
                     break
                 check = signature_check(journal, certificate)
                 if check is None:
-                    inline_failure = (jsn, _P_SIGNATURE, f"jsn {jsn}: invalid issuer signature")
+                    detail = f"jsn {jsn}: invalid issuer signature"
+                    inline_failure = _fault(jsn, _P_SIGNATURE, "who", "signature", detail)
                     break
                 chunk_items.append(check)
                 chunk_jsns.append(jsn)
@@ -528,23 +534,18 @@ class _AuditEngine:
                     try:
                         info = parse_time_journal(journal)
                     except EncodingError as exc:
-                        inline_failure = (
-                            jsn, _P_TIME, f"time journal {jsn}: malformed payload: {exc}"
-                        )
+                        detail = f"time journal {jsn}: malformed payload: {exc}"
+                        inline_failure = _fault(jsn, _P_TIME, "when", "time-anchor", detail)
                         break
                     # The anchor was taken immediately before this journal
                     # was appended, so it must equal the running commitment.
                     if info["as_of_jsn"] != jsn:
-                        inline_failure = (
-                            jsn, _P_TIME, f"time journal {jsn}: as_of_jsn mismatch"
-                        )
+                        detail = f"time journal {jsn}: as_of_jsn mismatch"
+                        inline_failure = _fault(jsn, _P_TIME, "when", "time-anchor", detail)
                         break
                     if info["anchored_root"] != fam.current_root():
-                        inline_failure = (
-                            jsn,
-                            _P_TIME,
-                            f"time journal {jsn}: anchored root does not match replay",
-                        )
+                        detail = f"time journal {jsn}: anchored root does not match replay"
+                        inline_failure = _fault(jsn, _P_TIME, "when", "time-anchor", detail)
                         break
                     time_entries.append((jsn, info))
                 clues = journal.clues
@@ -555,14 +556,14 @@ class _AuditEngine:
                 if entry.occulted:
                     record = occult_by_target.get(jsn)
                     if record is None:
-                        inline_failure = (
-                            jsn, _P_DIGEST, f"jsn {jsn}: occulted without an occult record"
+                        detail = f"jsn {jsn}: occulted without an occult record"
+                        inline_failure = _fault(
+                            jsn, _P_DIGEST, "mutation", "occult", detail, absent=True
                         )
                         break
                     if record.retained_hash != digest:
-                        inline_failure = (
-                            jsn, _P_DIGEST, f"jsn {jsn}: retained hash disagrees with record"
-                        )
+                        detail = f"jsn {jsn}: retained hash disagrees with record"
+                        inline_failure = _fault(jsn, _P_DIGEST, "mutation", "occult", detail)
                         break
                     # The occult record retains the clue labels so lineage
                     # state replay stays complete after the payload is gone.
@@ -583,22 +584,19 @@ class _AuditEngine:
             if block_index < len(blocks) and jsn + 1 == blocks[block_index].end_jsn:
                 block = blocks[block_index]
                 if block.previous_hash != previous_block_hash:
-                    inline_failure = (
-                        jsn, _P_CHAIN, f"block {block.height}: broken chain link"
-                    )
+                    detail = f"block {block.height}: broken chain link"
+                    inline_failure = _fault(jsn, _P_CHAIN, "what", "blocks", detail)
                     break
                 if block.journal_root != fam.current_root():
-                    inline_failure = (
-                        jsn, _P_JOURNAL_ROOT, f"block {block.height}: journal root mismatch"
-                    )
+                    detail = f"block {block.height}: journal root mismatch"
+                    inline_failure = _fault(jsn, _P_JOURNAL_ROOT, "what", "replay", detail)
                     break
                 if dirty:
                     _put_frontiers(state, dirty)
                     dirty.clear()
                 if block.state_root != state.root:
-                    inline_failure = (
-                        jsn, _P_STATE_ROOT, f"block {block.height}: state root mismatch"
-                    )
+                    detail = f"block {block.height}: state root mismatch"
+                    inline_failure = _fault(jsn, _P_STATE_ROOT, "what", "replay", detail)
                     break
                 previous_block_hash = block.hash()
                 block_index += 1
@@ -637,7 +635,7 @@ class _AuditEngine:
         if inline_failure is not None:
             candidates.append(inline_failure)
         if candidates:
-            first_jsn, _priority, detail = min(candidates, key=lambda c: (c[0], c[1]))
+            first_jsn, _priority, finding = min(candidates, key=lambda c: (c[0], c[1]))
             # Counters exactly as a journal-by-journal audit would leave them
             # at this failure: completed entries below the failing jsn, and
             # block boundaries that passed strictly before it.
@@ -645,14 +643,13 @@ class _AuditEngine:
             self.report.blocks_verified = base_blocks + sum(
                 1 for boundary in block_boundaries if boundary < first_jsn
             )
-            return self._step("replay", False, detail)
+            return self._fail("replay", finding)
 
         self.report.journals_replayed = base_journals + (jsn + 1 - start_jsn)
         self.report.blocks_verified = base_blocks + len(block_boundaries)
         if block_index != len(blocks):
-            return self._step(
-                "replay", False, f"{len(blocks) - block_index} block(s) had no matching journals"
-            )
+            detail = f"{len(blocks) - block_index} block(s) had no matching journals"
+            return self._fail("replay", Finding("what", "blocks", detail))
         obs.inc("audit.journals.replayed", self.report.journals_replayed)
         obs.inc("audit.signatures.verified", signatures_checked)
         self._receipt_root = receipt_root
@@ -674,7 +671,6 @@ class _AuditEngine:
             )
         return self._step(
             "replay",
-            True,
             f"{self.report.journals_replayed} journals, {self.report.blocks_verified} blocks",
         )
 
@@ -692,23 +688,24 @@ class _AuditEngine:
             )
             previous_timestamp = float("-inf")
             verified = 0
-            for (jsn, _info), (timestamp, valid) in zip(entries, results):
+            for (jsn, info), (timestamp, valid) in zip(entries, results):
                 if self.temporal_range is not None:
                     low, high = self.temporal_range
                     if not low <= timestamp <= high:
                         continue  # outside the audit's temporal predicate
                 if not valid:
-                    return self._step(
-                        "time-journals", False, f"time journal {jsn}: evidence failed"
-                    )
+                    absent = info["mode"] == "tledger" and jsn not in self.view.time_evidence
+                    detail = f"time journal {jsn}: evidence failed"
+                    finding = Finding("when", "time-evidence", detail, jsn=jsn, absent=absent)
+                    return self._fail("time-journals", finding)
                 if timestamp < previous_timestamp:
-                    return self._step(
-                        "time-journals", False, f"time journal {jsn}: timestamp regression"
-                    )
+                    detail = f"time journal {jsn}: timestamp regression"
+                    finding = Finding("when", "time-order", detail, jsn=jsn)
+                    return self._fail("time-journals", finding)
                 previous_timestamp = timestamp
                 verified += 1
             self.report.time_journals_verified = verified
-            return self._step("time-journals", True, f"{verified} anchors verified")
+            return self._step("time-journals", f"{verified} anchors verified")
 
     # -------------------------------------------------------------------- Π3
 
@@ -716,20 +713,31 @@ class _AuditEngine:
         with obs.span("audit.receipt"):
             receipt = self.view.latest_receipt
             if receipt is None:
-                return self._step("receipt", False, "no receipt supplied")
+                finding = Finding("who", "receipt", "no receipt supplied", absent=True)
+                return self._fail("receipt", finding)
             lsp_cert = self.view.certificates.get(self.view.lsp_member_id)
             if lsp_cert is None or not receipt.verify(lsp_cert.public_key):
-                return self._step("receipt", False, "LSP signature invalid")
+                finding = Finding("who", "receipt", "LSP signature invalid", jsn=receipt.jsn)
+                return self._fail("receipt", finding)
             if receipt.jsn >= self.view.genesis_start:
                 entry = self.view.entry(receipt.jsn)
                 if entry.retained_hash != receipt.tx_hash:
-                    return self._step("receipt", False, "receipt tx-hash mismatch")
+                    finding = Finding("who", "receipt", "receipt tx-hash mismatch", jsn=receipt.jsn)
+                    return self._fail("receipt", finding)
                 # The fold's root at the receipt's jsn, or the checkpointed
                 # one when a resumed replay never re-folded past it.
                 expected_root = self._receipt_root
                 if expected_root is not None and receipt.ledger_root != expected_root:
-                    return self._step("receipt", False, "receipt ledger root mismatch")
-            return self._step("receipt", True, f"receipt for jsn {receipt.jsn}")
+                    finding = Finding(
+                        "consistency",
+                        "receipt",
+                        "receipt ledger root mismatch",
+                        jsn=receipt.jsn,
+                        expected=expected_root,
+                        actual=receipt.ledger_root,
+                    )
+                    return self._fail("receipt", finding)
+            return self._step("receipt", f"receipt for jsn {receipt.jsn}")
 
     # ------------------------------------------------------------- checkpoints
 
@@ -784,6 +792,8 @@ class _AuditEngine:
         checkpoint = self.checkpoint_store.load()
         if checkpoint is None or not checkpoint.matches_view(self.view):
             return
+        if not all(passed for _name, passed, _detail in checkpoint.pre_steps):
+            return  # only passing steps are checkpointed: this one is not ours
         receipt = self.view.latest_receipt
         if receipt is not None and receipt.jsn < checkpoint.next_jsn:
             # The fold will never pass the receipt's jsn again, so the
@@ -818,11 +828,10 @@ class _AuditEngine:
             try:
                 self._try_resume()
                 if self._resumed is not None:
-                    # Pre-replay steps were already adjudicated before the
-                    # checkpoint was written; replay them verbatim.
-                    for name, passed, detail in self._resumed.pre_steps:
-                        if not self._step(name, passed, detail):
-                            return self.report
+                    # Pre-replay steps passed before the checkpoint was
+                    # written; replay them verbatim.
+                    for name, _passed, detail in self._resumed.pre_steps:
+                        self._step(name, detail)
                     steps = (
                         self.replay,
                         self.check_time_journals,

@@ -1,7 +1,8 @@
 """Audit report types.
 
 The report is the audit's *product*: a list of named sub-proof outcomes plus
-replay counters.  Every worker count (tasks inline or on a pool) must emit
+replay counters, a failed step's :class:`~repro.artifacts.Finding` saying
+why.  Every worker count (tasks inline or on a pool) must emit
 byte-identical reports for the same view — :func:`AuditReport.canonical`
 serialises a report into the canonical JSON form that the equivalence tests
 (and the ``--json`` CLI) pin, so "identical" is checkable as plain byte
@@ -13,16 +14,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..artifacts import Finding
+
 __all__ = ["AuditStep", "AuditReport"]
 
 
 @dataclass(frozen=True)
 class AuditStep:
-    """One verification sub-task and its outcome."""
+    """One verification sub-task and its outcome (a failed one's ``finding``)."""
 
     name: str
     passed: bool
     detail: str = ""
+    finding: Finding | None = None
 
 
 @dataclass
@@ -37,6 +41,11 @@ class AuditReport:
 
     def failures(self) -> list[AuditStep]:
         return [step for step in self.steps if not step.passed]
+
+    @property
+    def findings(self) -> list[Finding]:
+        """Why the audit failed: one finding per failed step."""
+        return [step.finding for step in self.steps if step.finding is not None]
 
     def to_dict(self) -> dict:
         """JSON-serialisable form (every field, steps in order)."""

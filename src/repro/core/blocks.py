@@ -56,9 +56,6 @@ class Block:
             object.__setattr__(self, "_hash", cached)
         return cached
 
-    def contains_jsn(self, jsn: int) -> bool:
-        return self.start_jsn <= jsn < self.end_jsn
-
     @property
     def tx_count(self) -> int:
         return self.end_jsn - self.start_jsn

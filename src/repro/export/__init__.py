@@ -10,7 +10,7 @@ Three cooperating modules (DESIGN.md §17):
   service, or network imports;
 * :mod:`repro.export.rebuild` — :func:`rebuild_from_bundle` /
   :func:`rebuild_from_stream`, reconstructing a full deployment and
-  cross-checking it, divergences reported as typed evidence.
+  cross-checking it, divergences reported as findings.
 
 ``import repro.export`` stays standalone-safe: :mod:`repro.export.rebuild`
 (which legitimately imports the kernel) is **not** imported here — reach it

@@ -7,7 +7,7 @@ count) from an :class:`~repro.export.bundle.ExportBundle` or from a raw
 on-disk stream, then cross-checks every root, epoch anchor, and signed
 tree head against the bundle, a live instance, or caller-pinned heads.
 Agreement proves the operator added nothing and lost nothing; every
-disagreement is reported as a typed :class:`Divergence` inside a
+disagreement is reported as a :class:`~repro.artifacts.Finding` inside a
 :class:`RebuildReport` (an :class:`~repro.artifacts.Artifact`).
 
 Unlike the standalone verifier, rebuilding *is* allowed to import the
@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
+from ..artifacts import FINDING, Finding, counted
 from ..core.errors import LedgerError, RecoveryError
 from ..core.ledger import CONFIG_FILE, LSP_MEMBER_ID, Ledger, LedgerConfig
 from ..core.members import MemberRegistry
@@ -31,7 +32,7 @@ from ..core.snapshot import load_config_file
 from ..crypto.ca import Role
 from ..crypto.keys import KeyPair, PublicKey
 from ..core.errors import AuthenticationError
-from ..encoding import BOOL, BYTES, INT, STR, UINT, Record, list_of
+from ..encoding import BOOL, STR, UINT, Record, list_of
 from ..shard.shape import has_composite, shard_for_stamp
 from ..shard.sharded import ShardedLedger, open_deployment
 from ..storage.stream import MemoryStream, StreamCorruptionError
@@ -39,25 +40,13 @@ from ..timeauth.clock import Clock
 from ..transparency.sth import SignedTreeHead
 from .bundle import ExportBundle
 
-__all__ = ["Divergence", "RebuildError", "RebuildReport", "rebuild_from_bundle", "rebuild_from_stream"]
+__all__ = ["RebuildError", "RebuildReport", "rebuild_from_bundle", "rebuild_from_stream"]
 
-REBUILD_SCHEME = "repro.rebuild_report.v1"
+REBUILD_SCHEME = "repro.rebuild_report.v2"
 
 
 class RebuildError(LedgerError):
     """The source of truth refuses to rebuild (corrupt, purged, unusable)."""
-
-
-@dataclass(frozen=True)
-class Divergence:
-    """One typed disagreement between the rebuilt ledger and a reference."""
-
-    kind: str  # "root" | "receipt" | "anchor" | "sth" | "composite" | "live" | ...
-    shard_index: int
-    coordinate: str
-    expected: bytes
-    actual: bytes
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -77,7 +66,7 @@ class RebuildReport:
     num_shards: int
     journals: int
     checks: tuple[str, ...]
-    divergences: tuple[Divergence, ...] = ()
+    divergences: tuple[Finding, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -102,17 +91,7 @@ _REPORT = Record(
     num_shards=UINT,
     journals=UINT,
     checks=list_of(STR, tuple),
-    divergences=list_of(
-        Record(
-            kind=STR,
-            shard_index=INT,
-            coordinate=STR,
-            expected=BYTES,
-            actual=BYTES,
-            detail=STR,
-        ).of(Divergence),
-        tuple,
-    ),
+    divergences=list_of(FINDING, tuple),
 )
 
 
@@ -141,20 +120,14 @@ def rebuild_from_bundle(
     """
     lsp_keypair = lsp_keypair or KeyPair.generate(seed=f"lsp:{bundle.ledger_uri}")
     registry = registry or MemberRegistry()
-    divergences: list[Divergence] = []
+    divergences: list[Finding] = []
     checks: list[str] = ["recover"]
 
-    if lsp_keypair.public.to_bytes() != bundle.lsp_public_key:
-        divergences.append(
-            Divergence(
-                kind="lsp-key",
-                shard_index=-1,
-                coordinate="lsp_public_key",
-                expected=bundle.lsp_public_key,
-                actual=lsp_keypair.public.to_bytes(),
-                detail="supplied LSP keypair is not the bundle's LSP",
-            )
-        )
+    supplied = lsp_keypair.public.to_bytes()
+    if supplied != bundle.lsp_public_key:
+        detail = "supplied LSP keypair is not the bundle's LSP"
+        where = {"expected": bundle.lsp_public_key, "actual": supplied}
+        divergences.append(Finding("who", "lsp-key", detail, **where))
         # The shards are rebuilt under the supplied key, which the registry
         # must then certify; the bundle's LSP certificate becomes one more
         # divergence below instead of being adopted.
@@ -228,7 +201,7 @@ def rebuild_from_bundle(
         num_shards=bundle.num_shards,
         journals=bundle.journal_count,
         checks=tuple(checks),
-        divergences=tuple(divergences),
+        divergences=counted(divergences),
     )
     return ledger, report
 
@@ -265,7 +238,7 @@ def rebuild_from_stream(
     except (StreamCorruptionError, RecoveryError) as exc:
         raise RebuildError(f"stream under {base} refuses to rebuild: {exc}") from exc
 
-    divergences: list[Divergence] = []
+    divergences: list[Finding] = []
     checks = ["recover"]
     _external_cross_check(ledger, live, pinned_heads, divergences, checks)
     report = RebuildReport(
@@ -275,7 +248,7 @@ def rebuild_from_stream(
         num_shards=config.shards,
         journals=ledger.size,
         checks=tuple(checks),
-        divergences=tuple(divergences),
+        divergences=counted(divergences),
     )
     return ledger, report
 
@@ -284,34 +257,20 @@ def rebuild_from_stream(
 
 
 def _adopt_certificates(
-    bundle: ExportBundle, registry: MemberRegistry, divergences: list[Divergence]
+    bundle: ExportBundle, registry: MemberRegistry, divergences: list[Finding]
 ) -> None:
-    if registry.ca_public_key.to_bytes() != bundle.ca_public_key:
-        divergences.append(
-            Divergence(
-                kind="ca-key",
-                shard_index=-1,
-                coordinate="ca_public_key",
-                expected=bundle.ca_public_key,
-                actual=registry.ca_public_key.to_bytes(),
-                detail="registry CA differs from the bundle's; certificates not adopted",
-            )
-        )
+    held = registry.ca_public_key.to_bytes()
+    if held != bundle.ca_public_key:
+        detail = "registry CA differs from the bundle's; certificates not adopted"
+        where = {"expected": bundle.ca_public_key, "actual": held}
+        divergences.append(Finding("who", "ca-key", detail, **where))
         return
     for bc in bundle.certificates:
         try:
             registry.adopt(bc.certificate())
         except AuthenticationError as exc:
-            divergences.append(
-                Divergence(
-                    kind="certificate",
-                    shard_index=-1,
-                    coordinate=bc.member_id,
-                    expected=bc.public_key,
-                    actual=b"",
-                    detail=str(exc),
-                )
-            )
+            detail = f"{bc.member_id}: {exc}"
+            divergences.append(Finding("who", "certificate", detail, expected=bc.public_key))
 
 
 def _cross_check_shard(
@@ -319,7 +278,7 @@ def _cross_check_shard(
     section: Any,
     shard: Ledger,
     lsp_key: PublicKey,
-    divergences: list[Divergence],
+    divergences: list[Finding],
     checks: list[str],
 ) -> None:
     tag = section.shard_index
@@ -328,52 +287,34 @@ def _cross_check_shard(
     trusted_root = _bundle_trusted_root(section, lsp_key, divergences)
     rebuilt_root = shard.current_root()
     if trusted_root is not None and rebuilt_root != trusted_root:
-        divergences.append(
-            Divergence(
-                kind="root",
-                shard_index=tag,
-                coordinate="current_root",
-                expected=trusted_root,
-                actual=rebuilt_root,
-                detail="rebuilt fam root diverges from the bundle's trusted root",
-            )
-        )
+        detail = "rebuilt fam root diverges from the bundle's trusted root"
+        where = {"shard": tag, "expected": trusted_root, "actual": rebuilt_root}
+        divergences.append(Finding("what", "root", detail, **where))
 
     checks.append(f"anchors[{tag}]")
     rebuilt_anchors = dict(shard.epoch_anchors().items())
     for epoch, root in section.anchors:
         actual = rebuilt_anchors.get(epoch)
         if actual != root:
-            divergences.append(
-                Divergence(
-                    kind="anchor",
-                    shard_index=tag,
-                    coordinate=f"epoch {epoch}",
-                    expected=root,
-                    actual=actual or b"",
-                    detail="rebuilt epoch anchor diverges",
-                )
-            )
+            detail = f"epoch {epoch}: rebuilt epoch anchor diverges"
+            where = {"shard": tag, "expected": root, "actual": actual}
+            divergences.append(Finding("what", "anchor", detail, **where))
 
     checks.append(f"sths[{tag}]")
     rebuilt_head = shard.get_sth()
     for position, blob in enumerate(section.sths):
         head = SignedTreeHead.from_bytes(blob)
         if not _head_matches_rebuilt(shard, head, rebuilt_head):
-            divergences.append(
-                Divergence(
-                    kind="sth",
-                    shard_index=tag,
-                    coordinate=f"head #{position} (epoch {head.epoch}, live {head.live_size})",
-                    expected=head.root,
-                    actual=rebuilt_head.root,
-                    detail="bundle head is not on the rebuilt append-only history",
-                )
+            detail = (
+                f"head #{position} (epoch {head.epoch}, live {head.live_size}): "
+                "bundle head is not on the rebuilt append-only history"
             )
+            where = {"shard": tag, "expected": head.root, "actual": rebuilt_head.root}
+            divergences.append(Finding("consistency", "sth", detail, **where))
 
 
 def _bundle_trusted_root(
-    section: Any, lsp_key: PublicKey, divergences: list[Divergence]
+    section: Any, lsp_key: PublicKey, divergences: list[Finding]
 ) -> bytes | None:
     """The latest receipt's ``ledger_root``; a receipt that fails pi_s is a
     divergence, not a skipped check."""
@@ -383,16 +324,9 @@ def _bundle_trusted_root(
 
     receipt = Receipt.from_bytes(section.latest_receipt)
     if not receipt.verify(lsp_key):
-        divergences.append(
-            Divergence(
-                kind="receipt",
-                shard_index=section.shard_index,
-                coordinate=f"jsn {receipt.jsn}",
-                expected=b"",
-                actual=b"",
-                detail="the latest receipt fails the LSP signature",
-            )
-        )
+        detail = "the latest receipt fails the LSP signature"
+        shard = section.shard_index
+        divergences.append(Finding("who", "receipt", detail, shard=shard, jsn=receipt.jsn))
         return None
     return receipt.ledger_root
 
@@ -413,84 +347,57 @@ def _head_matches_rebuilt(
 
 
 def _check_composite(
-    bundle: ExportBundle, sharded: Any, divergences: list[Divergence]
+    bundle: ExportBundle, sharded: Any, divergences: list[Finding]
 ) -> None:
     if not bundle.composite_sth:
-        divergences.append(
-            Divergence(
-                kind="composite",
-                shard_index=-1,
-                coordinate="composite_sth",
-                expected=b"",
-                actual=b"",
-                detail="sharded bundle carries no composite head to check",
-            )
-        )
+        detail = "sharded bundle carries no composite head to check"
+        divergences.append(Finding("what", "composite", detail, absent=True))
         return
     head = SignedTreeHead.from_bytes(bundle.composite_sth)
     actual = sharded.composite_root()
     if head.root != actual:
-        divergences.append(
-            Divergence(
-                kind="composite",
-                shard_index=-1,
-                coordinate="composite_root",
-                expected=head.root,
-                actual=actual,
-                detail="rebuilt composite root diverges from the bundle head",
-            )
-        )
+        detail = "rebuilt composite root diverges from the bundle head"
+        where = {"expected": head.root, "actual": actual}
+        divergences.append(Finding("what", "composite", detail, **where))
 
 
 def _external_cross_check(
     ledger: Any,
     live: Any,
     pinned_heads: Sequence[SignedTreeHead] | None,
-    divergences: list[Divergence],
+    divergences: list[Finding],
     checks: list[str],
 ) -> None:
     if pinned_heads:
         checks.append("pinned-heads")
         for head in pinned_heads:
             target = shard_for_stamp(ledger.shards, head.shard_index)
+            where = {"shard": head.shard_index, "expected": head.root}
             if target is None:
-                divergences.append(
-                    Divergence(
-                        kind="sth",
-                        shard_index=head.shard_index,
-                        coordinate=f"pinned epoch {head.epoch}",
-                        expected=head.root,
-                        actual=b"",
-                        detail="pinned head names a shard the rebuild does not have",
-                    )
+                detail = (
+                    f"pinned epoch {head.epoch}: "
+                    "pinned head names a shard the rebuild does not have"
                 )
+                divergences.append(Finding("consistency", "sth", detail, **where))
                 continue
             # The pin's stamp resolved to ``target``'s stream (at N = 1, any).
             rebuilt = replace(target.get_sth(), shard_index=head.shard_index)
             if not _head_matches_rebuilt(target, head, rebuilt):
-                divergences.append(
-                    Divergence(
-                        kind="sth",
-                        shard_index=head.shard_index,
-                        coordinate=f"pinned epoch {head.epoch}, live {head.live_size}",
-                        expected=head.root,
-                        actual=target.current_root(),
-                        detail="pinned head is not on the rebuilt history",
-                    )
+                detail = (
+                    f"pinned epoch {head.epoch}, live {head.live_size}: "
+                    "pinned head is not on the rebuilt history"
                 )
+                actual = target.current_root()
+                divergences.append(Finding("consistency", "sth", detail, actual=actual, **where))
     if live is not None:
         checks.append("live")
         live_head = live.get_sth()
         rebuilt_root = ledger.current_root()
         if live_head.root != rebuilt_root:
-            divergences.append(
-                Divergence(
-                    kind="live",
-                    shard_index=live_head.shard_index,
-                    coordinate=f"live head epoch {live_head.epoch}",
-                    expected=live_head.root,
-                    actual=rebuilt_root,
-                    detail="live instance's current head diverges from the rebuild",
-                )
+            detail = (
+                f"live head epoch {live_head.epoch}: "
+                "live instance's current head diverges from the rebuild"
             )
+            where = {"shard": live_head.shard_index, "expected": live_head.root}
+            divergences.append(Finding("consistency", "live", detail, actual=rebuilt_root, **where))
 

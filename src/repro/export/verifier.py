@@ -41,9 +41,10 @@ this on a live interpreter).  Verification
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Mapping
 
-from ..artifacts import VerifyResult
+from ..artifacts import Finding, VerifyResult, bounded
 from ..core.blocks import Block
 from ..core.journal import Journal
 from ..core.receipt import Receipt
@@ -58,39 +59,12 @@ from ..transparency.sth import (
     ConsistencyBundle,
     SignedTreeHead,
 )
-from ..verify import clue_what, lift, signed_by_many, time_marks, tx_what, when_bracket
+from ..encoding import EncodingError
+from ..verify import clue_what, lift, parse_time_journal, signed_by_many, time_marks, tx_what
+from ..verify import when_bracket
 from .bundle import ExportBundle, ShardSection
 
 __all__ = ["verify_bundle", "verify_bundle_path"]
-
-_MAX_DETAILS = 8
-
-
-class _Findings:
-    """The per-factor verdicts plus the typed defect strings behind them;
-    keeps the result message bounded."""
-
-    def __init__(self, check_when: bool) -> None:
-        self.what = True
-        self.who = True
-        self.when: bool | None = True if check_when else None
-        self.entries: list[str] = []
-
-    def note(self, kind: str, message: str) -> None:
-        self.entries.append(f"{kind}: {message}")
-
-    def fail(self, factor: str, kind: str, message: str) -> None:
-        """Record a defect that costs ``factor`` ("what" / "when" / "who")."""
-        setattr(self, factor, False)
-        self.note(kind, message)
-
-    def detail(self) -> str:
-        shown = "; ".join(self.entries[:_MAX_DETAILS])
-        extra = len(self.entries) - _MAX_DETAILS
-        if extra > 0:
-            shown += f"; (+{extra} more)"
-        return shown
-
 
 def verify_bundle(
     bundle: ExportBundle,
@@ -110,12 +84,9 @@ def verify_bundle(
         return _verify(bundle, ca_public_key, lsp_public_key, tsa_keys, pinned_roots)
     except Exception as exc:  # noqa: BLE001 — boundary: malformed evidence must
         # fail typed+falsy, not crash the auditor's batch run.
-        return lift(
-            "bundle",
-            "standalone",
-            what=False,
-            detail=f"malformed bundle evidence: {type(exc).__name__}: {exc}",
-        )
+        detail = f"malformed bundle evidence: {type(exc).__name__}: {exc}"
+        finding = Finding("what", "decode", detail)
+        return lift("bundle", "standalone", what=False, detail=detail, findings=[finding])
 
 
 def verify_bundle_path(path: Any, **anchors: Any) -> VerifyResult:
@@ -136,48 +107,48 @@ def _verify(
     tsa_keys: Mapping[str, PublicKey] | None,
     pinned_roots: Mapping[int, bytes] | None,
 ) -> VerifyResult:
-    found = _Findings(check_when=tsa_keys is not None)
+    entries: list[Finding | str] = []  # findings, and notes that fail nothing
 
     ca_key = ca_public_key or PublicKey.from_bytes(bundle.ca_public_key)
     lsp_key = lsp_public_key or PublicKey.from_bytes(bundle.lsp_public_key)
     if ca_public_key is not None and ca_public_key.to_bytes() != bundle.ca_public_key:
-        found.fail("who", "ca-key", "bundle pins a different CA key than supplied")
+        entries.append(Finding("who", "ca-key", "bundle pins a different CA key than supplied"))
     if (
         lsp_public_key is not None
         and lsp_public_key.to_bytes() != bundle.lsp_public_key
     ):
-        found.fail("who", "lsp-key", "bundle pins a different LSP key than supplied")
+        entries.append(Finding("who", "lsp-key", "bundle pins a different LSP key than supplied"))
 
     certificates: dict[str, Certificate] = {}
     for bc in bundle.certificates:
         cert = bc.certificate()
         if not cert.verify(ca_key):
-            found.fail("who", "certificate", f"{bc.member_id!r} fails CA validation")
+            entries.append(Finding("who", "certificate", f"{bc.member_id!r} fails CA validation"))
         certificates[bc.member_id] = cert
 
     if len(bundle.shards) != bundle.num_shards:
-        found.fail(
-            "what",
-            "shape",
-            f"bundle claims {bundle.num_shards} shards, carries {len(bundle.shards)}",
-        )
+        detail = f"bundle claims {bundle.num_shards} shards, carries {len(bundle.shards)}"
+        entries.append(Finding("what", "shape", detail))
 
     shard_roots = {
         section.shard_index: _verify_shard(
-            bundle, section, certificates, lsp_key, tsa_keys, pinned_roots, found
+            bundle, section, certificates, lsp_key, tsa_keys, pinned_roots, entries
         )
         for section in bundle.shards
     }
-    _verify_composite(bundle, lsp_key, shard_roots, found)
+    _verify_composite(bundle, lsp_key, shard_roots, entries.append)
 
+    findings = [entry for entry in entries if isinstance(entry, Finding)]
+    failed = {finding.factor for finding in findings}
     return lift(
         "bundle",
         "standalone",
-        what=found.what,
-        when=found.when,
-        who=found.who,
+        what="what" not in failed,
+        when=None if tsa_keys is None else "when" not in failed,
+        who="who" not in failed,
+        findings=findings,
         trusted_root=None if has_composite(bundle.num_shards) else shard_roots.get(0),
-        detail=found.detail()
+        detail=bounded([e if isinstance(e, str) else f"{e.check}: {e}" for e in entries])
         or f"{bundle.journal_count} journals across {bundle.num_shards} shard(s)",
     )
 
@@ -189,11 +160,14 @@ def _verify_shard(
     lsp_key: PublicKey,
     tsa_keys: Mapping[str, PublicKey] | None,
     pinned_roots: Mapping[int, bytes] | None,
-    found: _Findings,
+    entries: list[Finding | str],
 ) -> bytes | None:
     """Check one shard's section; returns the root it was judged against
     (None when neither a pin nor a valid receipt supplies one)."""
-    tag = f"shard {section.shard_index}"
+    shard = section.shard_index
+
+    def fail(factor: str, check: str, detail: str, **where) -> None:
+        entries.append(Finding(factor, check, detail, shard=shard, **where))
 
     # --- decode the slice; journal bytes must hash to their retained digest
     journals: dict[int, Journal] = {}
@@ -209,13 +183,10 @@ def _verify_shard(
             continue
         journal = Journal.from_bytes(entry.data)
         if journal.jsn != entry.jsn:
-            found.fail("what", "slice", f"{tag}: slot {entry.jsn} holds jsn {journal.jsn}")
+            fail("what", "slice", f"slot {entry.jsn} holds jsn {journal.jsn}", jsn=entry.jsn)
         elif journal.tx_hash() != entry.retained_hash:
-            found.fail(
-                "what",
-                "slice",
-                f"{tag}: jsn {entry.jsn} bytes do not hash to retained digest",
-            )
+            detail = f"jsn {entry.jsn} bytes do not hash to retained digest"
+            fail("what", "slice", detail, jsn=entry.jsn, expected=entry.retained_hash)
         else:
             journals[entry.jsn] = journal
 
@@ -224,15 +195,15 @@ def _verify_shard(
     if section.latest_receipt:
         receipt = Receipt.from_bytes(section.latest_receipt)
         if not receipt.verify(lsp_key):
+            fail("who", "receipt", "latest receipt fails the LSP signature", jsn=receipt.jsn)
             receipt = None
-            found.fail("who", "receipt", f"{tag}: latest receipt fails the LSP signature")
     trusted_root: bytes | None = None
     if pinned_roots is not None:
-        trusted_root = pinned_roots.get(section.shard_index)
+        trusted_root = pinned_roots.get(shard)
     if trusted_root is None and receipt is not None:
         trusted_root = receipt.ledger_root
     if trusted_root is None:
-        found.fail("what", "trust", f"{tag}: no trusted root (no pin, no valid receipt)")
+        fail("what", "trust", "no trusted root (no pin, no valid receipt)", absent=True)
         return None
 
     # --- what: full replay (complete slices) + every bundled proof
@@ -241,40 +212,46 @@ def _verify_shard(
         replayer = FamReplayer(bundle.fractal_height)
         for entry in section.entries:
             replayer.append(entry.retained_hash)
-        if replayer.current_root() != trusted_root:
-            found.fail(
-                "what", "replay", f"{tag}: replayed slice root diverges from trusted root"
+        replayed = replayer.current_root()
+        if replayed != trusted_root:
+            fail(
+                "what",
+                "replay",
+                "replayed slice root diverges from trusted root",
+                expected=trusted_root,
+                actual=replayed,
             )
         for epoch, root in anchors.items():
             if epoch >= len(replayer.epoch_roots) or replayer.epoch_roots[epoch] != root:
-                found.fail("what", "anchor", f"{tag}: epoch {epoch} anchor diverges")
+                fail("what", "anchor", f"epoch {epoch} anchor diverges", expected=root)
     elif anchors:
-        found.note(
-            "anchor",
-            f"{tag}: slice is partial; {len(anchors)} anchors taken on proof evidence only",
+        entries.append(
+            f"anchor: shard {shard}: slice is partial; "
+            f"{len(anchors)} anchors taken on proof evidence only"
         )
 
     for jsn, blob in section.proofs:
         if jsn not in retained:
-            found.fail("what", "proof", f"{tag}: proof for jsn {jsn} outside the slice")
+            fail("what", "proof", f"proof for jsn {jsn} outside the slice", jsn=jsn)
         elif not tx_what(retained[jsn], FamProof.from_bytes(blob), trusted_root):
-            found.fail("what", "proof", f"{tag}: jsn {jsn} does not fold to trusted root")
+            detail = f"jsn {jsn} does not fold to trusted root"
+            fail("what", "proof", detail, jsn=jsn, expected=trusted_root)
 
     # --- blocks: chained, and pinned by the receipt
     blocks = [Block.from_bytes(blob) for blob in section.blocks]
     for height in range(1, len(blocks)):
         if blocks[height].previous_hash != blocks[height - 1].hash():
-            found.fail("what", "blocks", f"{tag}: chain breaks at height {height}")
+            fail("what", "blocks", f"chain breaks at height {height}")
     if receipt is not None and blocks and receipt.block_hash != EMPTY_DIGEST:
         # The receipt pins the latest block *as of its issue* (EMPTY_DIGEST
         # when none was sealed yet); blocks sealed after it (a trailing
         # partial commit) chain forward from that point.
         if receipt.block_hash not in {block.hash() for block in blocks}:
-            found.fail("what", "blocks", f"{tag}: receipt attests no block in the chain")
+            fail("what", "blocks", "receipt attests no block in the chain")
 
     # --- when: TSA-mode brackets reconstructed from the journals themselves
     if tsa_keys is not None:
-        _verify_when(tag, journals, retained, tsa_keys, found)
+        _verify_when(journals, retained, tsa_keys, fail)
 
     # --- who: every surviving journal's pi_c (the section is one batch, so a
     # member's signatures are one bucket-summed aggregate), plus the
@@ -284,96 +261,83 @@ def _verify_shard(
     ]
     for (journal, cert), signed in zip(pairs, signed_by_many(pairs)):
         if cert is None:
-            found.fail("who", "who", f"{tag}: jsn {journal.jsn} has no certificate on file")
+            detail = f"jsn {journal.jsn} has no certificate on file"
+            fail("who", "who", detail, jsn=journal.jsn, absent=True)
         elif not signed:
-            found.fail("who", "who", f"{tag}: jsn {journal.jsn} fails the client signature")
+            fail("who", "who", f"jsn {journal.jsn} fails the client signature", jsn=journal.jsn)
     if receipt is not None:
         target = journals.get(receipt.jsn)
         if target is None and receipt.jsn not in retained:
-            found.fail("who", "receipt", f"{tag}: receipt names jsn outside the slice")
+            fail("who", "receipt", "receipt names jsn outside the slice", jsn=receipt.jsn)
         elif target is not None and receipt.tx_hash != target.tx_hash():
-            found.fail("who", "receipt", f"{tag}: receipt tx-hash mismatch")
+            fail("who", "receipt", "receipt tx-hash mismatch", jsn=receipt.jsn)
 
     # --- the signed tree head chain + consistency assertions
-    expected_shard = sth_stamp(section.shard_index, bundle.num_shards)
+    expected_shard = sth_stamp(shard, bundle.num_shards)
     heads = [SignedTreeHead.from_bytes(blob) for blob in section.sths]
     for position, head in enumerate(heads):
         if not head.verify(lsp_key):
-            found.fail("what", "sth", f"{tag}: head #{position} fails the LSP signature")
+            fail("what", "sth", f"head #{position} fails the LSP signature")
         if head.shard_index != expected_shard or head.ledger_uri != bundle.ledger_uri:
-            found.fail("what", "sth", f"{tag}: head #{position} belongs to another stream")
+            fail("what", "sth", f"head #{position} belongs to another stream")
     if heads and pinned_roots is None and heads[-1].root != trusted_root:
-        found.fail(
-            "what", "sth", f"{tag}: freshest head contradicts the receipt's ledger root"
-        )
+        detail = "freshest head contradicts the receipt's ledger root"
+        fail("what", "sth", detail, expected=trusted_root, actual=heads[-1].root)
     covered = set()
     for old_idx, new_idx, cb_blob, assertion_blob in section.consistency:
         if not (0 <= old_idx < new_idx < len(heads)):
-            found.fail(
-                "what", "consistency", f"{tag}: pair ({old_idx},{new_idx}) out of range"
-            )
+            fail("what", "consistency", f"pair ({old_idx},{new_idx}) out of range")
             continue
         old, new = heads[old_idx], heads[new_idx]
         cbundle = ConsistencyBundle.from_bytes(cb_blob)
         assertion = ConsistencyAssertion.from_bytes(assertion_blob)
         if not cbundle.verify(old, new):
-            found.fail(
-                "what", "consistency", f"{tag}: heads #{old_idx}->#{new_idx} not append-only"
-            )
+            fail("what", "consistency", f"heads #{old_idx}->#{new_idx} not append-only")
         if not (
             assertion.verify(lsp_key)
             and assertion.matches_old(old)
             and assertion.matches_new(new)
         ):
-            found.fail(
-                "what", "consistency", f"{tag}: assertion #{old_idx}->#{new_idx} invalid"
-            )
+            fail("what", "consistency", f"assertion #{old_idx}->#{new_idx} invalid")
         covered.add((old_idx, new_idx))
     missing = [
         (i, i + 1) for i in range(len(heads) - 1) if (i, i + 1) not in covered
     ]
     if missing:
-        found.fail(
-            "what", "consistency", f"{tag}: {len(missing)} adjacent head pair(s) unlinked"
-        )
+        detail = f"{len(missing)} adjacent head pair(s) unlinked"
+        fail("what", "consistency", detail, absent=True)
 
     # --- clue lineages, bound to the block-attested state root
     attested_state = blocks[-1].state_root if blocks else None
     for clue_section in section.clue_proofs:
         proof = ClueProof.from_bytes(clue_section.proof)
+        clue = clue_section.clue
         digests = [retained[jsn] for jsn in clue_section.jsns if jsn in retained]
         if len(digests) != len(clue_section.jsns):
-            found.fail(
-                "what",
-                "clue",
-                f"{tag}: {clue_section.clue!r} references jsns outside the slice",
-            )
+            fail("what", "clue", f"{clue!r} references jsns outside the slice")
             continue
-        if not clue_what(clue_section.clue, digests, proof, clue_section.state_root):
-            found.fail("what", "clue", f"{tag}: {clue_section.clue!r} lineage fails")
+        if not clue_what(clue, digests, proof, clue_section.state_root):
+            fail("what", "clue", f"{clue!r} lineage fails", expected=clue_section.state_root)
         if attested_state is None or clue_section.state_root != attested_state:
-            found.fail(
-                "what",
-                "clue",
-                f"{tag}: {clue_section.clue!r} state root is not block-attested",
-            )
+            fail("what", "clue", f"{clue!r} state root is not block-attested")
 
     return trusted_root
 
 
 def _verify_when(
-    tag: str,
     journals: dict[int, Journal],
     retained: dict[int, bytes],
     tsa_keys: Mapping[str, PublicKey],
-    found: _Findings,
+    fail,
 ) -> None:
-    """Bracket every non-time journal between verified TSA time anchors."""
+    """Bracket every non-time journal between verified TSA time anchors: a
+    finding per failed anchor, and one for the journals no anchor ceils."""
     # T-Ledger evidence lives outside the journal payload and is not
     # bundle-serializable: with none on hand, those anchors bound nothing.
     marks = time_marks((journals[jsn] for jsn in sorted(journals)), {}, tsa_keys)
     time_jsns = {time_jsn for time_jsn, _timestamp, _valid in marks}
     unbounded = 0
+    failed_ceilings: Counter[int] = Counter()
     for jsn in sorted(retained):
         if jsn in time_jsns:
             continue
@@ -381,38 +345,47 @@ def _verify_when(
         if bound is None:
             unbounded += 1
         elif not valid:
-            found.fail("when", "when", f"{tag}: jsn {jsn} ceiling anchor fails verification")
+            failed_ceilings[next(time_jsn for time_jsn, _ts, _ok in marks if time_jsn > jsn)] += 1
+    for ceiling, count in failed_ceilings.items():
+        try:  # a T-Ledger anchor's evidence is never in a bundle: absent, not wrong
+            absent = parse_time_journal(journals[ceiling])["mode"] == "tledger"
+        except EncodingError:
+            absent = False
+        detail = f"time journal {ceiling} fails verification, leaving {count} journal(s) unbounded"
+        fail("when", "time-evidence", detail, jsn=ceiling, absent=absent)
     if unbounded:
-        found.fail(
-            "when", "when", f"{tag}: {unbounded} journal(s) have no verified time ceiling"
-        )
+        detail = f"{unbounded} journal(s) have no verified time ceiling"
+        fail("when", "when", detail, absent=True)
 
 
 def _verify_composite(
     bundle: ExportBundle,
     lsp_key: PublicKey,
     shard_roots: dict[int, bytes | None],
-    found: _Findings,
+    found,
 ) -> None:
+    def fail(detail: str, **where) -> None:
+        found(Finding("what", "composite", detail, **where))
+
     if not has_composite(bundle.num_shards):
         if bundle.composite_sth:
-            found.fail("what", "composite", "solo bundle carries a composite head")
+            fail("solo bundle carries a composite head")
         return
     if not bundle.composite_sth:
-        found.fail("what", "composite", "sharded bundle is missing its composite head")
+        fail("sharded bundle is missing its composite head", absent=True)
         return
     head = SignedTreeHead.from_bytes(bundle.composite_sth)
     if not head.verify(lsp_key):
-        found.fail("what", "composite", "composite head fails the LSP signature")
+        fail("composite head fails the LSP signature")
     if not head.is_composite or head.ledger_uri != bundle.ledger_uri:
-        found.fail("what", "composite", "composite head misdescribes the deployment")
+        fail("composite head misdescribes the deployment")
     if not head.composite_consistent():
-        found.fail("what", "composite", "composite root does not refold from shard heads")
+        fail("composite root does not refold from shard heads")
     seen = set()
     for stamp, _epoch, _tree, _live, root in head.shard_heads:
         seen.add(stamp)
         expected = shard_roots.get(stamp)  # several shards stamp their index
         if expected is None or bytes(root) != expected:
-            found.fail("what", "composite", f"shard {stamp} head contradicts its trusted root")
+            fail("head contradicts its trusted root", shard=stamp, expected=expected)
     if seen != {sth_stamp(index, bundle.num_shards) for index in range(bundle.num_shards)}:
-        found.fail("what", "composite", "composite head does not cover every shard")
+        fail("composite head does not cover every shard")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from . import obs
-from .artifacts import VerifyLevel, VerifyResult, VerifyTarget
+from .artifacts import Finding, VerifyLevel, VerifyResult, VerifyTarget
 from .core.errors import LedgerError, UsageError, VerificationFailure
 from .core.journal import ClientRequest
 from .core.verification import DaseinVerifier
@@ -447,7 +447,7 @@ class Session:
             # reads cannot tear them.
             proof, head_root = port.tx_evidence(journal, rho)
         except (IndexError, KeyError):
-            return False, {"detail": f"no proof obtainable for jsn {journal.jsn}"}
+            return _no_proof(journal.jsn)
         # A ShardProof folds through the shard→root link: ``trusted`` is then
         # the deployment's composite root.
         trusted = root if root is not None else head_root
@@ -511,7 +511,9 @@ class Session:
         except LedgerError:  # not found, purged, occulted: the lineage has a hole
             journals = []
         if not journals:
-            return lift("clue", VerifyLevel.CLIENT, what=False, detail=f"no lineage for {clue!r}")
+            detail = f"no lineage for {clue!r}"
+            finding = Finding("what", "clue", detail, absent=True)
+            return lift("clue", VerifyLevel.CLIENT, what=False, detail=detail, findings=[finding])
         return self.verify("clue", key=clue, txdata=journals, level=VerifyLevel.CLIENT)
 
     def verify_dasein(
@@ -599,6 +601,13 @@ def _decode_carried(blob: Any) -> FamProof | None:
         return FamProof.from_bytes(blob)
     except EncodingError:
         return None
+
+
+def _no_proof(jsn: int) -> tuple[bool, dict]:
+    """The verdict on a journal with no proof to fold: absent evidence."""
+    detail = f"no proof obtainable for jsn {jsn}"
+    finding = Finding("what", "fold", detail, jsn=jsn, absent=True)
+    return False, {"detail": detail, "findings": [finding]}
 
 
 def _batch_pairs(items) -> list[tuple[bytes, tuple[str, ...]]]:
@@ -736,7 +745,7 @@ class LocalPort:
         try:
             proof = self.tx_evidence(journal, rho)[0]
         except (IndexError, KeyError):
-            return False, {"detail": f"no proof obtainable for jsn {journal.jsn}"}
+            return _no_proof(journal.jsn)
         ok = self.ledger.verify_journal(journal, proof)
         return ok, {"proof": proof, "trusted_root": self.ledger.current_root()}
 

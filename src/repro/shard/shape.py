@@ -114,12 +114,12 @@ class ShardedAuditReport:
         return [k for k, report in enumerate(self.reports) if not report.passed]
 
     @property
-    def steps(self) -> list[Any]:
-        """Every shard's steps, each name prefixed with its shard."""
+    def findings(self) -> list[Any]:
+        """Every shard's findings, each stamped with its shard."""
         return [
-            replace(step, name=f"shard-{index} {step.name}")
+            replace(finding, shard=index)
             for index, report in enumerate(self.reports)
-            for step in report.steps
+            for finding in report.findings
         ]
 
     @property

@@ -10,9 +10,8 @@ evidence* its own way and calls in here.
 
 * :mod:`~repro.verify.checks` — pure functions of (evidence, trust anchors):
   :func:`tx_what`, :func:`clue_what`, :func:`time_marks` +
-  :func:`when_bracket`, :func:`who` (pi_c itself is
-  :func:`signature_check`, for every offline verifier), and :func:`lift` into a
-  :class:`~repro.artifacts.VerifyResult`.
+  :func:`when_bracket`, :func:`who` (pi_c itself is :func:`signature_check`,
+  for every offline verifier), and :mod:`repro.artifacts`' :func:`lift`.
 * :mod:`~repro.verify.tracker` — the one stateful piece: an
   :class:`AnchorTracker` following a fam through one ``fam_extension`` read.
 
@@ -24,10 +23,10 @@ Import discipline: this package reaches only ``repro.crypto`` /
 be shipped without the system it verifies.
 """
 
+from ..artifacts import lift
 from .checks import (
     check_time_evidence,
     clue_what,
-    lift,
     parse_time_journal,
     signature_check,
     signed_by,

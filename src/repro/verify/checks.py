@@ -9,10 +9,8 @@ return value.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
-from ..artifacts import VerifyResult
 from ..core.journal import Journal, JournalType
 from ..core.receipt import Receipt
 from ..crypto.ca import Certificate
@@ -30,7 +28,6 @@ from ..timeauth.tsa import TimeStampToken
 __all__ = [
     "check_time_evidence",
     "clue_what",
-    "lift",
     "parse_time_journal",
     "signature_check",
     "signed_by",
@@ -269,31 +266,4 @@ def who(
         and receipt.verify(lsp_certificate.public_key)
         and receipt.jsn == journal.jsn
         and receipt.tx_hash == journal.tx_hash()
-    )
-
-
-# --------------------------------------------------------------------- lift
-
-
-def lift(
-    target: Enum | str,
-    level: Enum | str,
-    *,
-    what: bool,
-    when: bool | None = None,
-    who: bool | None = None,
-    **evidence: Any,
-) -> VerifyResult:
-    """Lift per-factor verdicts into the one structured result every entry
-    point returns: ``ok`` is the conjunction of the factors that were
-    checked (``None`` = not part of this check), ``evidence`` the remaining
-    :class:`VerifyResult` fields (proof, trusted root, jsn, detail, ...)."""
-    return VerifyResult(
-        ok=all(factor for factor in (what, when, who) if factor is not None),
-        target=target.value if isinstance(target, Enum) else target,
-        level=level.value if isinstance(level, Enum) else level,
-        what=what,
-        when=when,
-        who=who,
-        **evidence,
     )

@@ -63,7 +63,9 @@ class TestHonestLedger:
 
 class TestMalformedTimePayload:
     """An LSP-committed time journal whose payload is not a time record is a
-    *when* failure at its jsn, never a crash of the auditor."""
+    *when* failure at its jsn, never a crash of the auditor.  In a bundle it
+    is a malformed anchor (evidence present and wrong), which a T-Ledger
+    anchor whose evidence cannot travel in a bundle is not."""
 
     @pytest.mark.parametrize(
         "payload", [encode({"mode": "tsa"}), b"\xff\xff"], ids=["missing-fields", "undecodable"]
@@ -72,6 +74,8 @@ class TestMalformedTimePayload:
     def test_audit_fails_at_the_time_journal(self, populated, payload, with_tsa_keys):
         deployment, _receipts = populated
         ledger = deployment.ledger
+        # The bad anchor must ceil a journal to bound (or fail to bound) one.
+        deployment.append("bob", b"before the bad anchor")
         jsn = ledger._append_system(JournalType.TIME, payload).jsn
         deployment.append("alice", b"after the bad anchor")
         ledger.anchor_time()
@@ -80,10 +84,25 @@ class TestMalformedTimePayload:
         tsa_keys = deployment.tsa_keys if with_tsa_keys else {}
         report = dasein_audit(ledger.export_view(), tsa_keys=tsa_keys)
         assert report.passed is False
-        assert any(
-            f"time journal {jsn}: malformed payload" in step.detail for step in report.failures()
+        [finding] = report.findings
+        assert (finding.factor, finding.check, finding.jsn) == ("when", "time-anchor", jsn)
+        assert f"time journal {jsn}: malformed payload" in str(finding)
+        bundle = verify_bundle(export_bundle(ledger), tsa_keys=deployment.tsa_keys)
+        assert not bundle and bundle.when is False
+        malformed = [f for f in bundle.findings if f.factor == "when" and f.jsn == jsn]
+        assert [(f.check, f.absent) for f in malformed] == [("time-evidence", False)]
+        assert all(f.absent for f in bundle.findings if f.jsn != jsn)
+
+    def test_honest_tledger_bundle_reads_its_evidence_absent(self, populated):
+        deployment, _receipts = populated
+        bundle = verify_bundle(export_bundle(deployment.ledger), tsa_keys=deployment.tsa_keys)
+        assert (bundle.what, bundle.when, bundle.who) == (True, False, True)
+        assert bundle.findings and bundle.verify()
+        assert {f.jsn for f in bundle.findings} == set(deployment.ledger.time_journals)
+        assert all(
+            (f.factor, f.check, f.absent) == ("when", "time-evidence", True)
+            for f in bundle.findings
         )
-        assert not verify_bundle(export_bundle(ledger), tsa_keys=deployment.tsa_keys)
 
 
 class TestThreatA:
@@ -107,7 +126,10 @@ class TestThreatA:
         )
         report = audit(deployment, view=view)
         assert not report.passed
-        assert any("signature" in s.detail or "root" in s.detail for s in report.failures())
+        assert [(f.factor, f.check, f.jsn) for f in report.findings] == [
+            ("who", "signature", target)
+        ]
+        assert "signature" in report.failures()[0].detail
 
 
 class TestThreatB:
@@ -127,7 +149,9 @@ class TestThreatB:
         self._tamper_entry(view, receipts[1].jsn, payload=b"rewritten history")
         report = audit(deployment, view=view)
         assert not report.passed
-        assert "digest mismatch" in report.failures()[0].detail
+        [finding] = report.findings
+        assert (finding.factor, finding.check, finding.jsn) == ("what", "slice", receipts[1].jsn)
+        assert "digest mismatch" in report.failures()[0].detail == str(finding)
 
     def test_consistent_tamper_breaks_block_roots(self, populated):
         # Even if the LSP rewrites the retained hash to match, replayed fam
@@ -143,10 +167,13 @@ class TestThreatB:
         )
         report = audit(deployment, view=view)
         assert not report.passed
-        assert any(
-            "root mismatch" in s.detail or "anchored root" in s.detail
-            for s in report.failures()
-        )
+        # Caught at the first block boundary after the rewrite: the block
+        # header commits the honest root, the replay folds another.
+        [finding] = report.findings
+        block = next(block for block in view.blocks if block.end_jsn > jsn)
+        assert (finding.factor, finding.check, finding.jsn) == ("what", "replay", block.end_jsn - 1)
+        assert str(finding) == report.failures()[0].detail
+        assert finding.detail == f"block {block.height}: journal root mismatch"
 
     def test_journal_deletion_detected(self, populated):
         deployment, _receipts = populated
@@ -232,6 +259,10 @@ class TestThreatC:
         )
         report = audit(deployment, view=view)
         assert not report.passed
+        [finding] = report.findings
+        assert (finding.factor, finding.check, finding.jsn, finding.absent) == (
+            "mutation", "occult", 4, True
+        )
         assert "without an occult record" in report.failures()[0].detail
 
 

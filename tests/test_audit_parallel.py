@@ -88,9 +88,10 @@ class TestByteIdenticalReports:
         _forge_signature(view, receipts[10].jsn)
         baseline = _audit(deployment, view=view)
         assert not baseline.passed
-        assert any(
-            f"jsn {receipts[10].jsn}" in step.detail for step in baseline.failures()
-        )
+        assert [(f.factor, f.check, f.jsn) for f in baseline.findings] == [
+            ("who", "signature", receipts[10].jsn)
+        ]
+        assert f"jsn {receipts[10].jsn}" in baseline.failures()[0].detail
         for workers, chunk_size in GRID:
             report = _audit(
                 deployment, view=view, workers=workers, chunk_size=chunk_size
@@ -117,9 +118,10 @@ class TestDeterministicFirstFailure:
         _forge_signature(view, late, seed="mallory-late")
         _forge_signature(view, early, seed="mallory-early")
         baseline = _audit(deployment, view=view)
+        # Early termination at the first: nothing names the later jsn.
+        assert [(f.check, f.jsn) for f in baseline.findings] == [("signature", early)]
         details = " ".join(step.detail for step in baseline.failures())
-        assert f"jsn {early}" in details
-        assert f"jsn {late}" not in details  # early termination at the first
+        assert f"jsn {early}" in details and f"jsn {late}" not in details
         for workers, chunk_size in GRID:
             report = _audit(
                 deployment, view=view, workers=workers, chunk_size=chunk_size
@@ -164,9 +166,9 @@ class TestForgedSignaturePositions:
             _forge_signature(view, jsns[pick], seed=f"mallory-{pick}")
         baseline = _audit(deployment, view=view)
         assert not baseline.passed
-        assert f"jsn {jsns[picks[0]]}: invalid issuer signature" in " ".join(
-            step.detail for step in baseline.failures()
-        )
+        assert [(f.check, f.jsn, str(f)) for f in baseline.findings] == [
+            ("signature", jsns[picks[0]], f"jsn {jsns[picks[0]]}: invalid issuer signature")
+        ]
         for workers, chunk_size in ((0, 256), (1, 64), (2, 256), (3, 5)):
             report = _audit(deployment, view=view, workers=workers, chunk_size=chunk_size)
             assert report.canonical() == baseline.canonical(), (workers, chunk_size)

@@ -55,6 +55,7 @@ def test_audit_parallel_json(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
     assert report["journals_replayed"] > 0
+    assert report["findings"] == []
 
 
 def test_audit_checkpoint_then_resume(tmp_path, capsys):
@@ -167,6 +168,7 @@ def test_audit_sharded_json(capsys):
     assert report["passed"] is True
     assert report["num_shards"] == 2
     assert len(report["shards"]) == 2
+    assert report["findings"] == []
 
 
 def test_compact_sharded_data_dir(tmp_path, capsys):
@@ -225,6 +227,7 @@ def test_export_verify_rebuild_chain(tmp_path, capsys):
     assert verdict["ok"] is True
     assert verdict["what"] is True
     assert verdict["when"] is None  # no out-of-band TSA keys on the CLI
+    assert verdict["findings"] == []
 
     assert main(["rebuild", "--bundle", str(bundle), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -249,6 +252,56 @@ def test_export_sharded_demo(tmp_path, capsys):
     assert exported["shards"] == 2
     assert main(["verify-bundle", str(bundle)]) == 0
     assert main(["rebuild", "--bundle", str(bundle)]) == 0
+
+
+def test_verify_bundle_rows_name_each_factors_own_findings(tmp_path, capsys):
+    """A bundle failing *what* and *who* at once: each factor's row carries
+    that factor's findings only, and ``--json`` lists every finding."""
+    import dataclasses
+    import json
+
+    from repro.core.journal import Journal
+    from repro.export.bundle import ExportBundle
+
+    path = tmp_path / "two-factors.bundle"
+    assert main(["export", "--demo", "--out", str(path)]) == 0
+    bundle = ExportBundle.read(path)
+    section = bundle.shards[0]
+    entries = list(section.entries)
+    # Journal 2 re-signed by nobody: its bytes still hash to the retained
+    # digest (what passes there), but its client signature fails (who) ...
+    slot = next(i for i, entry in enumerate(entries) if entry.jsn == 2)
+    journal = Journal.from_bytes(entries[slot].data)
+    donor = Journal.from_bytes(entries[slot + 1].data)
+    forged = dataclasses.replace(journal, client_signature=donor.client_signature)
+    entries[slot] = dataclasses.replace(
+        entries[slot], data=forged.to_bytes(), retained_hash=forged.tx_hash()
+    )
+    # ... and the slice no longer replays to the receipt's root (what).
+    section = dataclasses.replace(section, entries=tuple(entries))
+    dataclasses.replace(bundle, shards=(section,)).write(path)
+    capsys.readouterr()
+
+    assert main(["verify-bundle", str(path)]) == 1
+    rows = {
+        line.split("] ")[1].split(":")[0]: line
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  [FAIL]")
+    }
+    assert set(rows) == {"what", "who"}
+    assert "fails the client signature" in rows["who"]
+    assert "client signature" not in rows["what"]
+    assert "diverges from trusted root" in rows["what"]
+    assert "diverges" not in rows["who"]
+
+    assert main(["verify-bundle", str(path), "--json"]) == 1
+    verdict = json.loads(capsys.readouterr().out)
+    reasons = {(f["factor"], f["check"], f["jsn"]) for f in verdict["findings"]}
+    assert {("who", "who", 2), ("what", "replay", None)} <= reasons
+    assert {f["factor"] for f in verdict["findings"]} == {"what", "who"}
+    replay = next(f for f in verdict["findings"] if f["check"] == "replay")
+    assert len(bytes.fromhex(replay["expected"])) == 32
+    assert replay["expected"] != replay["actual"]
 
 
 def test_verify_bundle_rejects_corruption(tmp_path, capsys):

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import encoding
-from repro.artifacts import VerifyResult
+from repro.artifacts import Finding, VerifyResult
 from repro.core import LedgerConfig, journal as journal_module, snapshot as snapshot_module
 from repro.core.blocks import Block
 from repro.core.journal import ClientRequest, Journal, JournalType
@@ -40,7 +40,7 @@ from repro.crypto.multisig import MultiSignature
 from repro.encoding import EncodingError, decode, encode
 from repro.export import bundle as bundle_module
 from repro.export.bundle import ExportBundle
-from repro.export.rebuild import Divergence, RebuildReport
+from repro.export.rebuild import RebuildReport
 from repro.merkle import cmtree, fam, mpt, proofs
 from repro.merkle.cmtree import ClueProof, CMTree, decode_clue_value, encode_clue_value
 from repro.merkle.consistency import ConsistencyBundle, ConsistencyProof, prove_consistency
@@ -645,8 +645,23 @@ def sample_objects() -> dict[str, list]:
                 trusted_root=sha256(b"root"),
                 jsn=4,
                 detail="ceiling anchor fails",
+                findings=(
+                    Finding(
+                        "when",
+                        "time-evidence",
+                        "time journal 5 fails verification",
+                        shard=0,
+                        jsn=5,
+                        expected=sha256(b"root"),
+                    ),
+                ),
             ),
-            VerifyResult(ok=True, target="bundle", level="standalone"),
+            VerifyResult(
+                ok=True,
+                target="bundle",
+                level="standalone",
+                findings=(Finding("when", "time-evidence", "no evidence", absent=True),),
+            ),
         ],
         "rebuild_report": [
             RebuildReport(
@@ -656,7 +671,9 @@ def sample_objects() -> dict[str, list]:
                 num_shards=2,
                 journals=9,
                 checks=("root", "sth"),
-                divergences=(Divergence("root", -1, "epoch 1", sha256(b"a"), sha256(b"b")),),
+                divergences=(
+                    Finding("what", "root", "epoch 1", expected=sha256(b"a"), actual=sha256(b"b")),
+                ),
             )
         ],
         "snapshot": [_snapshot_with_an_occult(lsp)],

@@ -134,7 +134,7 @@ def test_wrong_lsp_pin_fails(solo):
     stranger = KeyPair.generate(seed="stranger").public
     result = verify_bundle(bundle, lsp_public_key=stranger)
     assert not result
-    assert "lsp" in result.detail.lower()
+    assert ("who", "lsp-key", None) in {(f.factor, f.check, f.shard) for f in result.findings}
 
 
 def test_wrong_ca_pin_fails(solo):
@@ -184,7 +184,10 @@ def test_tampered_journal_bytes_fail_falsy(solo):
     result = verify_bundle(_tamper_entry(bundle), tsa_keys=tsa_keys)
     assert not result
     assert result.what is False
-    assert "retained digest" in result.detail
+    jsn = bundle.shards[0].entries[1].jsn
+    assert [
+        (f.factor, f.check, f.shard, f.jsn, str(f)) for f in result.findings if f.check == "slice"
+    ] == [("what", "slice", 0, jsn, f"shard 0: jsn {jsn} bytes do not hash to retained digest")]
 
 
 def test_tampered_receipt_fails_falsy(solo):
@@ -225,6 +228,7 @@ def test_any_flipped_bit_is_typed_never_a_false_pass(solo, data):
         return  # typed refusal at the container layer — the expected path
     result = verify_bundle(decoded, tsa_keys=tsa_keys)
     assert not result.ok
+    assert result.findings and result.verify()  # and it says why
 
 
 @settings(
@@ -245,6 +249,17 @@ def test_flipped_file_bit_keeps_verify_bundle_path_typed(solo, tmp_path_factory,
     except BundleError:
         return
     assert not result.ok
+    assert result.findings and result.verify()
+
+
+def test_malformed_evidence_is_one_decode_finding(solo):
+    _ledger, tsa_keys, bundle = solo
+    section = bundle.shards[0]
+    (jsn, _blob), *rest = section.proofs
+    broken = dataclasses.replace(section, proofs=((jsn, b"\xff"), *rest))
+    result = verify_bundle(dataclasses.replace(bundle, shards=(broken,)), tsa_keys=tsa_keys)
+    assert [(f.factor, f.check) for f in result.findings] == [("what", "decode")]
+    assert result.detail.startswith("malformed bundle evidence") and result.verify()
 
 
 # ------------------------------------------------- standalone == in-process
@@ -350,13 +365,11 @@ def _forge_client_signature(bundle, position):
 
 
 def _who_findings(result):
-    return [entry for entry in result.detail.split("; ") if entry.startswith("who: ")]
+    """The *who* findings, each as its check and message."""
+    return [f"{f.check}: {f}" for f in result.findings if f.factor == "who"]
 
 
-def test_forged_client_signature_is_reported_against_its_own_jsn(solo, monkeypatch):
-    from repro.export import verifier
-
-    monkeypatch.setattr(verifier, "_MAX_DETAILS", 10**6)
+def test_forged_client_signature_is_reported_against_its_own_jsn(solo):
     _ledger, tsa_keys, bundle = solo
     forged, jsn = _forge_client_signature(bundle, 4)
     result = verify_bundle(forged, tsa_keys=tsa_keys)
@@ -365,14 +378,32 @@ def test_forged_client_signature_is_reported_against_its_own_jsn(solo, monkeypat
     assert _who_findings(result) == [f"who: shard 0: jsn {jsn} fails the client signature"]
 
 
-def test_forgeries_on_either_side_of_a_who_group_boundary(monkeypatch):
+def test_each_finding_is_one_counter_and_an_honest_bundle_counts_none(solo):
+    from collections import Counter
+
+    from repro import obs
+
+    _ledger, tsa_keys, bundle = solo
+    forged, jsn = _forge_client_signature(bundle, 4)
+    with obs.scoped() as registry:
+        assert verify_bundle(bundle, tsa_keys=tsa_keys)
+        honest = dict(registry.snapshot()["counters"])
+        result = verify_bundle(forged, tsa_keys=tsa_keys)
+        counters = registry.snapshot()["counters"]
+    assert not [name for name in honest if name.startswith("verify.findings")]
+    assert {
+        name: count for name, count in counters.items() if name.startswith("verify.findings")
+    } == Counter(f"verify.findings{{factor={f.factor},check={f.check}}}" for f in result.findings)
+    assert counters["verify.findings{factor=who,check=who}"] == 1
+    assert ("who", "who", jsn) in {(f.factor, f.check, f.jsn) for f in result.findings}
+
+
+def test_forgeries_on_either_side_of_a_who_group_boundary():
     """The who-pass hands the section's signatures to the kernel as one
     batch; the member's failed aggregate is halved, and halved again, so
     forgeries on either side of a split point are each named exactly."""
     from repro.core.journal import Journal
-    from repro.export import verifier
 
-    monkeypatch.setattr(verifier, "_MAX_DETAILS", 10**6)
     ledger, tsa_keys = build_deployment(journals=300)
     bundle = export_bundle(ledger)
     assert verify_bundle(bundle, tsa_keys=tsa_keys).ok

@@ -127,7 +127,7 @@ def test_alien_pinned_head_diverges():
     bundle = export_bundle(source)
     _rebuilt, report = rebuild_from_bundle(bundle, pinned_heads=[stranger.get_sth()])
     assert not report.ok
-    assert any(d.kind == "sth" for d in report.divergences)
+    assert [(d.factor, d.check) for d in report.divergences] == [("consistency", "sth")]
 
 
 def test_wrong_lsp_keypair_is_a_divergence_not_a_crash():
@@ -137,7 +137,7 @@ def test_wrong_lsp_keypair_is_a_divergence_not_a_crash():
         bundle, lsp_keypair=KeyPair.generate(seed="not-the-lsp")
     )
     assert not report.ok
-    assert any(d.kind == "lsp-key" for d in report.divergences)
+    assert ("who", "lsp-key", None) in {(d.factor, d.check, d.shard) for d in report.divergences}
 
 
 def test_tampered_bundle_entry_never_rebuilds_clean():

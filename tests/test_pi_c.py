@@ -86,13 +86,17 @@ def test_every_offline_verifier_fails_exactly_the_forged_jsns(forged, monkeypatc
 
     bundle = verify_bundle(export_bundle(deployment.ledger))
     assert bundle.what and not bundle.who
-    failed = re.findall(r"jsn (\d+) fails the client signature", bundle.detail)
-    assert [int(jsn) for jsn in failed] == list(forged)
+    assert [(f.factor, f.check, f.jsn, f.detail) for f in bundle.findings] == [
+        ("who", "who", jsn, f"jsn {jsn} fails the client signature") for jsn in forged
+    ]
 
     # The audit stops at its first failure: the earliest forged jsn.
     for workers in (0, 2):
         report = dasein_audit(view, workers=workers)
         assert [step.detail for step in report.failures()] == [
             f"jsn {forged[0]}: invalid issuer signature"
+        ], workers
+        assert [(f.factor, f.check, f.jsn) for f in report.findings] == [
+            ("who", "signature", forged[0])
         ], workers
         assert report.journals_replayed == forged[0]

@@ -164,7 +164,9 @@ def test_a_receipt_its_evidence_does_not_commit_to_is_false_everywhere(world, na
     pinned = verify_bundle(bundle, pinned_roots={0: w.ledger.current_root()})
     assert (pinned.what, pinned.who) == (True, False)
     _ledger, report = rebuild_from_bundle(bundle)
-    assert not report.ok and [d.kind for d in report.divergences] == ["receipt"]
+    assert not report.ok and [(d.check, d.jsn) for d in report.divergences] == [
+        ("receipt", forged.jsn)
+    ]
 
 
 def test_every_control_is_listed(world):

@@ -492,6 +492,19 @@ class TestApiSurface:
             report = session.audit()
             assert report.passed and len(report.reports) == 2
 
+    def test_sharded_audit_report_stamps_each_finding_with_its_shard(self):
+        from repro.artifacts import Finding
+        from repro.audit import AuditReport, AuditStep
+        from repro.shard import ShardedAuditReport
+
+        finding = Finding("who", "signature", "jsn 3: invalid issuer signature", jsn=3)
+        failed = AuditReport(passed=False, steps=[AuditStep("replay", False, str(finding), finding)])
+        report = ShardedAuditReport(passed=False, reports=[AuditReport(passed=True), failed])
+        assert [(f.shard, f.jsn, str(f)) for f in report.findings] == [
+            (1, 3, "shard 1: jsn 3: invalid issuer signature")
+        ]
+        assert failed.findings == [finding]  # the shard's own report is not stamped
+
     def test_connect_malformed_remote_uri_names_the_uri(self):
         """Regression: ``ledger://host`` (no port) fell through to a
         misleading "unknown ledger" instead of naming the malformed URI."""

@@ -3,13 +3,16 @@
 One honest deployment and six tamperings are fed through every entry point:
 the same :class:`~repro.session.Session` over each of its three ports (a solo
 ledger in process, a one-shard ``ShardedLedger`` holding the same journals in
-process, and the solo ledger over a real socket), ``DaseinVerifier`` and the
-standalone ``verify_bundle``.  Wherever two entry points check the same thing
-they must return the same ``(ok, what, when, who, jsn, trusted_root)``: they
-are evidence fetchers around :mod:`repro.verify`, not implementations of
-their own.  Plus the two properties the kernel owns: an honest server never
-verifies falsy beside appends, and importing the kernel loads neither the
-ledger, the service layer nor the network stack.
+process, and the solo ledger over a real socket), ``DaseinVerifier``, the
+standalone ``verify_bundle``, and the audit and rebuild where a tampering
+reaches them.  Wherever two entry points check the same thing they must
+return the same ``(ok, what, when, who, jsn, trusted_root)``: they are
+evidence fetchers around :mod:`repro.verify`, not implementations of their
+own.  Each tampering names the ``(factor, check, jsn)`` finding it must be
+caught by, and every entry point that returns it FALSE carries that finding:
+FALSE for another reason fails.  Plus the two properties the kernel owns: an
+honest server never verifies falsy beside appends, and importing the kernel
+loads neither the ledger, the service layer nor the network stack.
 """
 
 from __future__ import annotations
@@ -25,10 +28,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import LedgerSession
+from repro.artifacts import VerifyResult
+from repro.audit import dasein_audit
 from repro.core import DaseinVerifier, Ledger, LedgerConfig
 from repro.core.errors import UsageError, VerificationFailure
 from repro.crypto import KeyPair, Role
 from repro.export.bundle import export_bundle
+from repro.export.rebuild import rebuild_from_bundle
 from repro.export.verifier import verify_bundle
 from repro.net import RemoteLedgerSession, ServerThread
 from repro.shard import ShardedLedger, new_deployment
@@ -52,6 +58,20 @@ def fields(result):
         result.jsn,
         result.trusted_root,
     )
+
+
+def reasons(result):
+    """A result's findings as ``(factor, check, jsn)``."""
+    return {(f.factor, f.check, f.jsn) for f in result.findings}
+
+
+def assert_explained(result, expected, name):
+    """``result`` says why: its findings name exactly its FALSE factors
+    (``verify()``) and include every ``expected`` one; a passing result has
+    none."""
+    assert result.verify(), (name, result.findings)
+    assert set(expected) <= reasons(result), (name, result.findings)
+    assert bool(result.findings) is bool(expected), (name, result.findings)
 
 
 def flipped(journal):
@@ -143,9 +163,11 @@ def tx_verdicts(w, journal, *, anchored=None, full=None, root=None, tracked_root
     ``anchored`` / ``full`` stand in for the proof each would fetch (a
     tampered ``rho``); ``root`` pins the trusted fam commitment where the
     entry point takes one; ``tracked_root`` overwrites the live root a
-    session's own tracker trusts.  Returns structured results and bare bools.
+    session's own tracker trusts.  Returns the structured results that share
+    ``fields``, those that share only verdict and findings, and bare bools.
     """
     results = {}
+    tracked = {}
     bools = {}
     if tracked_root is None:
         for name, session in w.sessions.items():
@@ -172,23 +194,31 @@ def tx_verdicts(w, journal, *, anchored=None, full=None, root=None, tracked_root
                 session.sync_anchors()
                 if tracked_root is not None:
                     session.state.live_root = tracked_root
-                bools[f"{name}, anchor store"] = session.verify_journal(journal, anchored).ok
+                tracked[f"{name}, anchor store"] = session.verify_journal(journal, anchored)
             finally:
                 session.close()
-    return results, bools
+    return results, tracked, bools
 
 
 def assert_tx(w, journal, expected_ok, **tampering):
-    results, bools = tx_verdicts(w, journal, **tampering)
+    """``journal`` through every TX entry point; a FALSE verdict is a failed
+    fold at its jsn."""
+    results, tracked, bools = tx_verdicts(w, journal, **tampering)
     root = tampering.get("root") or w.root
+    expected = [] if expected_ok else [("what", "fold", journal.jsn)]
     for name, result in results.items():
         assert fields(result) == (expected_ok, expected_ok, None, None, journal.jsn, root), name
+        assert_explained(result, expected, name)
+    for name, result in tracked.items():
+        assert (result.ok, result.jsn) == (expected_ok, journal.jsn), name
+        assert_explained(result, expected, name)
     for name, verdict in bools.items():
         assert verdict is expected_ok, name
 
 
 def dasein_verdicts(w, jsn, *, view=None, proof=None, receipt=None, tsa_keys=None, root=None):
-    """Journal ``jsn`` through every three-factor entry point."""
+    """Journal ``jsn`` through every three-factor entry point: its fields and
+    its findings (``DaseinVerifier``'s report lifted as the sessions lift it)."""
     tsa_keys = tsa_keys if tsa_keys is not None else w.tsa_keys
     honest_receipt = w.receipts[jsn]
     direct = DaseinVerifier(
@@ -203,37 +233,60 @@ def dasein_verdicts(w, jsn, *, view=None, proof=None, receipt=None, tsa_keys=Non
     )
     verdicts = {
         "DaseinVerifier": (
-            report.dasein_complete,
-            report.what,
-            report.when_valid,
-            report.who,
-            report.jsn,
-            direct.trusted_root,
+            (
+                report.dasein_complete,
+                report.what,
+                report.when_valid,
+                report.who,
+                report.jsn,
+                direct.trusted_root,
+            ),
+            VerifyResult.from_dasein(report, trusted_root=direct.trusted_root),
         )
     }
     if view is None and proof is None:
         for name in ("solo", "1-shard"):
-            verdicts[name] = fields(
-                w.sessions[name].verify_dasein(jsn, receipt, tsa_keys=tsa_keys, trusted_root=root)
+            result = w.sessions[name].verify_dasein(
+                jsn, receipt, tsa_keys=tsa_keys, trusted_root=root
             )
+            verdicts[name] = (fields(result), result)
         # The TCP port has no export view: a typed refusal, never a verdict.
         with pytest.raises(UsageError, match="export view"):
             w.sessions["tcp"].verify_dasein(jsn, receipt, tsa_keys=tsa_keys, trusted_root=root)
     return verdicts
 
 
+#: The finding a FALSE factor of one journal's Dasein check is caught by.
+DASEIN_CHECKS = {"what": "fold", "when": "time-evidence", "who": "signature"}
+
+
 def assert_dasein(w, jsn, what, when, who, **tampering):
     root = tampering.get("root") or w.root
     expected = (what and when and who, what, when, who, jsn, root)
-    for name, verdict in dasein_verdicts(w, jsn, **tampering).items():
+    explained = [
+        (factor, DASEIN_CHECKS[factor], jsn)
+        for factor, verdict in (("what", what), ("when", when), ("who", who))
+        if not verdict
+    ]
+    for name, (verdict, result) in dasein_verdicts(w, jsn, **tampering).items():
         assert verdict == expected, name
+        assert_explained(result, explained, name)
 
 
-def bundle_factors(w, bundle, **anchors):
+def bundle_factors(w, bundle, *expected, **anchors):
+    """``(what, when, who)`` of ``bundle``, whose findings must include each
+    ``expected`` ``(factor, check, jsn)``."""
     anchors.setdefault("tsa_keys", w.tsa_keys)
     result = verify_bundle(bundle, **anchors)
-    assert result.verify()  # ok is the conjunction of the factors
+    assert_explained(result, expected, "verify_bundle")
     return result.what, result.when, result.who
+
+
+def assert_audit_fails(view, tsa_keys, expected):
+    """The audit over ``view`` stops at exactly the ``expected`` finding."""
+    report = dasein_audit(view, tsa_keys=tsa_keys)
+    assert not report.passed
+    assert [(f.factor, f.check, f.jsn) for f in report.findings] == [expected]
 
 
 def with_section(bundle, **changes):
@@ -255,6 +308,7 @@ def test_honest_evidence_passes_every_entry_point(world):
     clue_results = clue_verdicts(w, w.lineage)
     for name, result in clue_results.items():
         assert fields(result) == (True, True, None, None, None, w.state_root), name
+        assert_explained(result, [], name)
     with pytest.raises(UsageError, match="no one fam"):
         LedgerSession(w.facade).sync_anchors()
     for name, session in w.sessions.items():
@@ -297,10 +351,9 @@ def test_flipped_payload_byte_fails_what_everywhere(world):
         entries[index] = dataclasses.replace(
             entries[index], data=flipped(journal).to_bytes()
         )
-        assert_dasein(
-            w, journal.jsn, False, True, False,
-            view=dataclasses.replace(view, entries=entries),
-        )
+        tampered_view = dataclasses.replace(view, entries=entries)
+        assert_dasein(w, journal.jsn, False, True, False, view=tampered_view)
+        assert_audit_fails(tampered_view, w.tsa_keys, ("what", "slice", journal.jsn))
         section = w.bundle.shards[0]
         tampered = tuple(
             dataclasses.replace(entry, data=flipped(journal).to_bytes())
@@ -308,9 +361,9 @@ def test_flipped_payload_byte_fails_what_everywhere(world):
             else entry
             for entry in section.entries
         )
-        assert bundle_factors(w, with_section(w.bundle, entries=tampered)) == (
-            False, True, True,
-        )
+        assert bundle_factors(
+            w, with_section(w.bundle, entries=tampered), ("what", "slice", journal.jsn)
+        ) == (False, True, True)
 
 
 def test_proof_for_another_jsn_fails_what_everywhere(world):
@@ -333,7 +386,9 @@ def test_proof_for_another_jsn_fails_what_everywhere(world):
         (jsn, blobs[elsewhere] if jsn == w.live.jsn else blob)
         for jsn, blob in section.proofs
     )
-    assert bundle_factors(w, with_section(w.bundle, proofs=swapped)) == (False, True, True)
+    assert bundle_factors(
+        w, with_section(w.bundle, proofs=swapped), ("what", "proof", w.live.jsn)
+    ) == (False, True, True)
 
 
 def test_receipt_for_another_jsn_fails_who_everywhere(world):
@@ -343,22 +398,39 @@ def test_receipt_for_another_jsn_fails_who_everywhere(world):
     # Relabelling a receipt to this jsn breaks the LSP's signature over it.
     relabelled = dataclasses.replace(genuine_elsewhere, jsn=w.live.jsn)
     assert_dasein(w, w.live.jsn, True, True, False, receipt=relabelled)
+    view = dataclasses.replace(w.ledger.export_view(), latest_receipt=relabelled)
+    assert_audit_fails(view, w.tsa_keys, ("who", "receipt", w.live.jsn))
     # A bundle carries one receipt, the latest: relabelled, it convicts nobody
     # (the root is pinned so that losing the receipt costs only *who*).
     section = w.bundle.shards[0]
     latest = w.ledger.latest_receipt
     forged = dataclasses.replace(latest, jsn=w.other.jsn).to_bytes()
     assert bundle_factors(
-        w, with_section(w.bundle, latest_receipt=forged), pinned_roots={0: w.root}
+        w,
+        with_section(w.bundle, latest_receipt=forged),
+        ("who", "receipt", w.other.jsn),
+        pinned_roots={0: w.root},
     ) == (True, True, False)
     assert section.latest_receipt == latest.to_bytes()
+    _rebuilt, report = rebuild_from_bundle(with_section(w.bundle, latest_receipt=forged))
+    assert not report.ok and report.verify()
+    assert [(f.factor, f.check, f.jsn) for f in report.divergences] == [
+        ("who", "receipt", w.other.jsn)
+    ]
 
 
 def test_forged_tsa_token_fails_when_everywhere(world):
     w = world
     for journal in (w.sealed, w.live):
         assert_dasein(w, journal.jsn, True, False, True, tsa_keys=w.forged_tsa_keys)
-    assert bundle_factors(w, w.bundle, tsa_keys=w.forged_tsa_keys) == (True, False, True)
+    first_anchor = ("when", "time-evidence", w.ledger.time_journals[0])
+    assert_audit_fails(w.ledger.export_view(), w.forged_tsa_keys, first_anchor)
+    # One finding per forged anchor, at the anchor's own jsn; the last one
+    # follows another anchor directly, so it ceils no journal.
+    anchors = [("when", "time-evidence", jsn) for jsn in w.ledger.time_journals[:-1]]
+    assert bundle_factors(w, w.bundle, *anchors, tsa_keys=w.forged_tsa_keys) == (
+        True, False, True,
+    )
 
 
 def test_omitted_clue_version_fails_what_everywhere(world):
@@ -366,6 +438,7 @@ def test_omitted_clue_version_fails_what_everywhere(world):
     assert len(w.lineage) > 2
     for name, result in clue_verdicts(w, w.lineage[:-1]).items():
         assert fields(result) == (False, False, None, None, None, w.state_root), name
+        assert_explained(result, [("what", "clue", None)], name)
     # A proof that speaks for another clue proves nothing about this one,
     # even over that clue's own complete lineage.
     elsewhere = w.local_session.list_tx("KRN-1")
@@ -373,12 +446,13 @@ def test_omitted_clue_version_fails_what_everywhere(world):
         w, elsewhere, rho=w.ledger.prove_clue("KRN-1")
     ).items():
         assert fields(result) == (False, False, None, None, None, w.state_root), name
+        assert_explained(result, [("what", "clue", None)], name)
     section = w.bundle.shards[0]
     clue_section = section.clue_proofs[0]
     shortened = dataclasses.replace(clue_section, jsns=clue_section.jsns[:-1])
-    assert bundle_factors(w, with_section(w.bundle, clue_proofs=(shortened,))) == (
-        False, True, True,
-    )
+    assert bundle_factors(
+        w, with_section(w.bundle, clue_proofs=(shortened,)), ("what", "clue", None)
+    ) == (False, True, True)
 
 
 def test_wrong_trusted_root_fails_what_everywhere(world):
@@ -388,7 +462,11 @@ def test_wrong_trusted_root_fails_what_everywhere(world):
     assert_dasein(w, w.live.jsn, False, True, True, root=WRONG_ROOT)
     for name, result in clue_verdicts(w, w.lineage, root=WRONG_ROOT).items():
         assert fields(result) == (False, False, None, None, None, WRONG_ROOT), name
-    assert bundle_factors(w, w.bundle, pinned_roots={0: WRONG_ROOT}) == (False, True, True)
+        assert_explained(result, [("what", "clue", None)], name)
+        assert result.findings[0].expected == WRONG_ROOT, name
+    assert bundle_factors(
+        w, w.bundle, ("what", "replay", None), pinned_roots={0: WRONG_ROOT}
+    ) == (False, True, True)
 
 
 # ------------------------------------------------- the tracker, in production
